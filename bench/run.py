@@ -6,7 +6,9 @@ Run it from the root of a checkout that holds `src/clickrisk`. It writes
 the workload's inputs from `--seed` before any timing, then starts fresh
 child processes (`bench/child.py`) one after another, each measuring one
 unit of the workload, until `--seconds` of measured time have passed.
-Further children only start and set up, to give `setup_s` several samples.
+Further children only start and set up, to give `setup_s` several samples;
+on sweep_grid and pipeline each of them then makes one pass of the
+decision probe.
 With `--trace 1` one more child runs the same unit with spans installed
 and the per-layer metrics are reported instead of the end-to-end ones.
 
@@ -34,7 +36,7 @@ ROOT = os.path.dirname(HERE)
 
 import workloads  # noqa: E402
 
-SETUP_SAMPLES = 9  # set-up is timed in this many children per run, the median reported
+SETUP_SAMPLES = 13  # set-up is timed in this many children per run, the median reported
 RUN_BUDGET_S = 170.0  # a run never starts work that could take it past 180 s
 GOLDENS = os.path.join(HERE, "goldens.json")
 
