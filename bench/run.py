@@ -6,9 +6,12 @@ Run it from the root of a checkout that holds `src/clickrisk`. It writes
 the workload's inputs from `--seed` before any timing, then starts fresh
 child processes (`bench/child.py`) one after another, each measuring one
 unit of the workload, until `--seconds` of measured time have passed.
-Further children only start and set up, to give `setup_s` several samples;
-on sweep_grid and pipeline each of them then makes one pass of the
-decision probe.
+Meanwhile `bench/speed.py` samples the host's speed in a process of its
+own, pinned to the children's CPU; every time is reported at nominal
+speed, its raw value beside it.
+Other children, half before and half after those units, only start and
+set up, to give `setup_s` several samples; on sweep_grid and pipeline
+each of them then makes one pass of the decision probe.
 With `--trace 1` one more child runs the same unit with spans installed
 and the per-layer metrics are reported instead of the end-to-end ones.
 
@@ -30,15 +33,20 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import defaultdict
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 
 import workloads  # noqa: E402
+from speed import Speed  # noqa: E402
 
-SETUP_SAMPLES = 13  # set-up is timed in this many children per run, the median reported
+SETUP_SAMPLES = 17  # set-up is timed in this many children per run, the median reported
 RUN_BUDGET_S = 170.0  # a run never starts work that could take it past 180 s
 GOLDENS = os.path.join(HERE, "goldens.json")
+# The children and the speed sampler share one CPU, so the sampler sees the
+# contention the children see (the CPUs of a shared VM slow down apart).
+CPU = min(os.sched_getaffinity(0))
 
 
 class ChildFailed(Exception):
@@ -56,6 +64,10 @@ def child_ops(workload: str, mode: str, n_records: int) -> list[tuple[str, int, 
     return [(stage, 1, files) for stage, _, files in workloads.pipeline_stages(0, "raw.jsonl", n_records)]
 
 
+def pin() -> None:
+    os.sched_setaffinity(0, {CPU})
+
+
 def child_env() -> dict:
     env = dict(os.environ)
     # one caller, no helper threads: keep BLAS pools and hash seeds out of the timings
@@ -71,9 +83,9 @@ def spawn(workload: str, seed: int, raw: str, mode: str, cwd: str, timeout: floa
             "--seed", str(seed), "--raw", raw, "--mode", mode]
     if spans_out:
         argv += ["--spans-out", spans_out]
-    t0 = time.monotonic()
+    t0 = time.perf_counter_ns()
     try:
-        proc = subprocess.run(argv + ["--t0", repr(t0)], cwd=cwd, env=child_env(),
+        proc = subprocess.run(argv + ["--t0", str(t0)], cwd=cwd, env=child_env(), preexec_fn=pin,
                               capture_output=True, text=True, timeout=timeout)
     except subprocess.TimeoutExpired:
         raise ChildFailed(f"{mode} child timed out after {timeout:.0f} s")
@@ -81,21 +93,86 @@ def spawn(workload: str, seed: int, raw: str, mode: str, cwd: str, timeout: floa
     if proc.returncode != 0 or not lines:
         raise ChildFailed(f"{mode} child exited {proc.returncode}: {proc.stderr.strip()[-2000:]}")
     try:
-        return json.loads(lines[-1])
+        return dict(json.loads(lines[-1]), t0_ns=t0)
     except ValueError:
         raise ChildFailed(f"{mode} child printed no result: {lines[-1][:200]!r}")
 
 
-def prepare_inputs(workload: str, seed: int, work: str) -> tuple[str, int]:
+def start_sampler() -> subprocess.Popen:
+    return subprocess.Popen([sys.executable, os.path.join(HERE, "speed.py")], env=child_env(),
+                            preexec_fn=pin, stdout=subprocess.PIPE, text=True)
+
+
+def stop_sampler(proc: subprocess.Popen) -> list:
+    """Stop the speed sampler, wait for it, and return its samples ([] if it failed)."""
+    proc.terminate()
+    try:
+        out, _ = proc.communicate(timeout=10)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.communicate()
+        return []
+    return json.loads(out) if proc.returncode == 0 and out else []
+
+
+def timings(children: list[tuple[str, dict]], speed: Speed | None) -> dict:
+    """Set-up, unit and decision times of the children, scaled by `speed` (raw if None).
+
+    Scaled times leave out the time the sampler held the children's CPU.
+    """
+    at = speed.at if speed else (lambda t: 1.0)
+    over = speed.over if speed else (lambda start, end: 1.0)
+    sampling = speed.sampling_ns if speed else (lambda start, end: 0)
+
+    def span_s(start: int, end: int) -> float:
+        return (end - start - sampling(start, end)) / 1e9 * over(start, end)
+
+    def passes(r: dict) -> list[list[float]]:
+        return [[(ns - sampling(t, t + ns)) * at(t) for ns, t in zip(lat, st)]
+                for lat, st in zip(r["latencies_ns"], r["starts_ns"])]
+
+    out = {
+        "setup_s": [span_s(r["t0_ns"], r["setup_end_ns"]) for _, r in children],
+        "unit_s": {mode: [span_s(r["start_ns"], r["end_ns"]) for m, r in children if m == mode]
+                   for mode in ("run", "trace")},
+    }
+    units = [r for mode, r in children if mode == "run"]
+    if units and "latencies_ns" in units[0]:  # score_hires: the passes within each unit
+        out["latencies_us"] = [us for u in units for us in workloads.record_latencies_us(passes(u))]
+    else:  # the decision probe: one pass in each set-up child
+        out["latencies_us"] = workloads.record_latencies_us(
+            [p for mode, r in children if mode == "setup" for p in passes(r)])
+    return out
+
+
+def prepare_inputs(workload: str, seed: int, work: str) -> tuple[str, list[tuple[int, int, int]]]:
+    """Write the workload's raw records; returns their path and (width, height, K) shapes."""
     shapes = workloads.input_shapes(workload, seed)
     os.makedirs(os.path.join(work, "inputs"))
-    return workloads.write_inputs(workload, seed, os.path.join(work, "inputs"), shapes), len(shapes)
+    return workloads.write_inputs(workload, seed, os.path.join(work, "inputs"), shapes), shapes
+
+
+def rank_index(n: int, q: float) -> int:
+    """Index of the nearest-rank q-th percentile (q in (0, 100]) among n sorted values."""
+    return max(0, math.ceil(q / 100.0 * n) - 1)
 
 
 def percentile(values: list[float], q: float) -> float:
-    """Nearest-rank percentile, q in (0, 100]."""
-    ordered = sorted(values)
-    return ordered[max(0, math.ceil(q / 100.0 * len(ordered)) - 1)]
+    return sorted(values)[rank_index(len(values), q)]
+
+
+def class_notes(latencies: list[float], shapes: list[tuple[int, int, int]]) -> list[str]:
+    """Median latency per (resolution, K) class, and the class the p50 and p99 land in."""
+    by_class = defaultdict(list)
+    for us, shape in zip(latencies, shapes):
+        by_class[shape].append(us)
+    notes = [f"class {w}x{h} K={k}: {len(v)} decisions, median {statistics.median(v):.0f} us"
+             for (w, h, k), v in sorted(by_class.items())]
+    ranked = sorted(zip(latencies, shapes))
+    for q in (50, 99):
+        w, h, k = ranked[rank_index(len(ranked), q)][1]
+        notes.append(f"decide_us_p{q} lands on a {w}x{h} K={k} record")
+    return notes
 
 
 def check_unit(result: dict | None, ops, reference: dict) -> tuple[int, int]:
@@ -138,12 +215,22 @@ def run(workload: str, seed: int, seconds: float, trace: bool) -> tuple[bool, di
     def remaining() -> float:
         return max(1.0, RUN_BUDGET_S - (time.monotonic() - started))
 
+    def n_runs() -> int:
+        return sum(mode == "run" for mode, _ in children)
+
+    sampler = None
     try:
-        raw, n_records = prepare_inputs(workload, seed, work)
+        raw, shapes = prepare_inputs(workload, seed, work)
+        n_records = len(shapes)
+        sampler = start_sampler()
+        # set-up children before and after the units spread the decision
+        # probe's passes and the set-up samples over the whole run
+        for _ in range(SETUP_SAMPLES // 2):
+            child("setup", 30.0)
         measured = 0.0
-        while measured < seconds and (not children or remaining() > 80.0):
+        while measured < seconds and (not n_runs() or remaining() > 80.0):
             result = child("run", remaining())
-            measured = measured + result["raw_wall_s"] if result else seconds
+            measured = measured + (result["end_ns"] - result["start_ns"]) / 1e9 if result else seconds
         if trace:
             spans_dir = os.path.join(ROOT, ".bench_out")
             os.makedirs(spans_dir, exist_ok=True)
@@ -152,6 +239,7 @@ def run(workload: str, seed: int, seconds: float, trace: bool) -> tuple[bool, di
         while len(children) < SETUP_SAMPLES and remaining() > 10.0:
             child("setup", min(30.0, remaining()))
     finally:
+        samples = stop_sampler(sampler) if sampler else []
         shutil.rmtree(work, ignore_errors=True)
 
     golden = load_goldens().get(workload, {}).get(str(seed))
@@ -172,39 +260,41 @@ def run(workload: str, seed: int, seconds: float, trace: bool) -> tuple[bool, di
     if failed:
         return False, {"attempted": attempted, "failed": failed}, notes
 
-    units = [r for mode, r in children if mode == "run"]
-    setups = [r for mode, r in children if mode == "setup"]
-    wall = sum(u["wall_s"] for u in units)
-    if workload == "score_hires":
-        passes = workloads.PASSES
-        latencies = [us for u in units for us in workloads.record_latencies_us(u["latencies_ns"])]
-    else:  # the decision probe made one pass in each set-up child
-        passes = 1
-        latencies = workloads.record_latencies_us([s["latencies_ns"] for s in setups])
-    if not units or not latencies:
+    runs = n_runs()
+    probe_passes = sum(mode == "setup" for mode, _ in children)
+    if not runs or (workload != "score_hires" and not probe_passes):
         notes.append("failure: no unit or no decision latencies were measured within the time budget")
         return False, {"attempted": attempted, "failed": failed}, notes
+    passes = workloads.PASSES if workload == "score_hires" else 1
     calibrations = {"sweep_grid": workloads.SWEEP_CALIBRATIONS,
                     "pipeline": workloads.PIPELINE_CALIBRATIONS}.get(workload, 0)
-    summary = {
-        "setup_s": (statistics.median(r["setup_s"] for _, r in children), "s"),
-        "records_per_s": (n_records * passes * len(units) / wall, "1/s"),
-        "decide_us_p50": (percentile(latencies, 50), "us"),
-        "decide_us_p99": (percentile(latencies, 99), "us"),
-        "peak_rss_mb": (statistics.median(u["peak_rss_mb"] for u in units), "MB"),
-        "calibrations_per_s": (calibrations * len(units) / wall, "1/s"),
-        "fail_frac": (failed / attempted, "1"),
-    }
-    notes.append(f"{len(units)} measured unit(s) in {wall:.2f} s, {len(children)} set-up samples, "
-                 f"{len(latencies)} decision latencies"
+
+    def summarize(t: dict) -> dict:
+        wall = sum(t["unit_s"]["run"])
+        return {
+            "setup_s": (statistics.median(t["setup_s"]), "s"),
+            "records_per_s": (n_records * passes * runs / wall, "1/s"),
+            "decide_us_p50": (percentile(t["latencies_us"], 50), "us"),
+            "decide_us_p99": (percentile(t["latencies_us"], 99), "us"),
+            "peak_rss_mb": (statistics.median(r["peak_rss_mb"] for m, r in children if m == "run"), "MB"),
+            "calibrations_per_s": (calibrations * runs / wall, "1/s"),
+            "fail_frac": (failed / attempted, "1"),
+        }
+
+    t = timings(children, Speed(samples))
+    summary, unscaled = summarize(t), summarize(timings(children, None))
+    notes.append(f"{runs} measured unit(s) in {sum(t['unit_s']['run']):.2f} s, {len(children)} set-up "
+                 f"samples, {len(t['latencies_us'])} decision latencies"
                  + ("" if workload == "score_hires" else
-                    f" (decision probe: median of {len(setups)} passes per record)"))
+                    f" (decision probe: median of {probe_passes} passes per record)")
+                 + f"; {len(samples)} speed samples")
+    if workload == "score_hires":
+        notes.extend(class_notes(t["latencies_us"], shapes * runs))
     for name, (value, unit) in summary.items():
-        notes.append(f"{workload} {name} = {value:.6g} {unit}")
+        notes.append(f"{workload} {name} = {value:.6g} {unit} (raw {unscaled[name][0]:.6g})")
     if trace:
-        traced = next(r for mode, r in children if mode == "trace")
-        layers = dict(traced["layers"])
-        layers["trace.overhead_frac"] = traced["wall_s"] / statistics.median(u["wall_s"] for u in units) - 1.0
+        layers = dict(next(r for mode, r in children if mode == "trace")["layers"])
+        layers["trace.overhead_frac"] = t["unit_s"]["trace"][0] / statistics.median(t["unit_s"]["run"]) - 1.0
         return True, {"attempted": attempted, "failed": failed, "per_layer": layers}, notes
     return True, {"attempted": attempted, "failed": failed, "summary": summary}, notes
 

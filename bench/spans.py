@@ -104,13 +104,8 @@ class Tracer:
     def __init__(self):
         self.spans: list = []
         self.counts: Counter = Counter()
-        self.pauses: list[tuple[int, int]] = []  # (enclosing span, ns) of speed-probe samples
         self._stack: list[int] = []
         self._saved: list[tuple[object, str, object]] = []
-
-    def pause(self, start_ns: int, end_ns: int) -> None:
-        """Record time spent outside the program (a speed-probe sample)."""
-        self.pauses.append((self._stack[-1] if self._stack else -1, end_ns - start_ns))
 
     def _span(self, name, hook, fn):
         spans, stack = self.spans, self._stack
@@ -180,21 +175,13 @@ class Tracer:
                 fh.write(json.dumps([i, parent, name, start, end]))
                 fh.write("\n")
 
-    def layer_metrics(self, busy_s: float, scale: float = 1.0) -> dict[str, float]:
+    def layer_metrics(self, busy_s: float) -> dict[str, float]:
         """Per-layer metrics from the recorded spans and counters.
 
         `busy_s` is the time the measured phase spent in calls into the
-        program (probe samples excluded), the denominator of the
-        `*.self_frac` shares. Times are multiplied by `scale`, the unit's
-        speed-probe factor; probe samples are taken out of every span
-        that encloses them.
+        program, the denominator of the `*.self_frac` shares.
         """
         n = len(self.spans)
-        paused = [0] * n  # probe ns inside each span's subtree
-        for parent, ns in self.pauses:
-            while parent >= 0:
-                paused[parent] += ns
-                parent = self.spans[parent][1]
         total = defaultdict(int)  # inclusive ns per span name
         self_ns = defaultdict(int)  # exclusive ns per span name
         calls = Counter()
@@ -203,7 +190,7 @@ class Tracer:
         root_ns = 0
         for i in range(n - 1, -1, -1):
             name, parent, start, end = self.spans[i]
-            dur = end - start - paused[i]
+            dur = end - start
             total[name] += dur
             calls[name] += 1
             self_ns[name] += dur - child_ns[i]
@@ -218,8 +205,8 @@ class Tracer:
         c = self.counts
 
         def per(ns, count, unit_ns):
-            """Time per item in the given unit, at nominal speed; 0 without items."""
-            return ns * scale / count / unit_ns if count else 0.0
+            """Time per item in the given unit; 0 without items."""
+            return ns / count / unit_ns if count else 0.0
 
         m = {
             "records.load_us_per_rec": per(total["records.load_records"], c["records.loaded"], 1e3),

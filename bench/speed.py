@@ -1,26 +1,37 @@
-"""Machine-speed probe that normalizes timings on a shared, noisy host.
+"""Host-speed sampler: a separate process that times a frozen reference kernel.
 
-On a host shared with other tenants the same Python work runs up to ~40%
-slower for stretches of a fraction of a second to tens of seconds. A
-timer signal interrupts the measured work every `PERIOD_S` and times a
-fixed reference kernel, which the program under test cannot change. Each timing is then scaled by
-`REF_NOMINAL_NS / reference time at that moment`, i.e. reported at the
-nominal speed. The time spent in the probe is excluded from the measured
-work by `clock_ns`.
+    python3 bench/speed.py          # samples until SIGTERM, then prints them as JSON
+
+On a host shared with other tenants the same Python work runs up to ~1.8x
+slower for stretches of a second to tens of seconds (measured on a 2-vCPU
+VM: CPU time tracks wall time, so the cause is contention, not preemption,
+and the two vCPUs slow down largely independently). Raw times then spread
+over runs by more than the benchmark's bounds. The runner pins this
+sampler to the CPU its children are pinned to and keeps it going while
+they work. It runs in its own process, so the program's heap, allocator
+state and Python objects cannot change its timings; only contention for
+the CPU's caches and the host can. `Speed` turns its samples into factors
+that bring a time measured at some moment to the kernel's nominal speed,
+after taking out the time the sampler itself held the CPU. Timestamps are
+`perf_counter_ns`, which on Linux reads CLOCK_MONOTONIC and so agrees
+across processes.
 """
 
 from __future__ import annotations
 
 import bisect
+import json
 import signal
 import statistics
+import sys
+import time
 from fractions import Fraction
 from time import perf_counter_ns
 
 import numpy as np
 
 PERIOD_S = 0.05
-WINDOW_NS = 100_000_000  # per-item scale: median of the samples within +-0.1 s
+WINDOW_NS = 100_000_000  # a latency is scaled by the median sample within +-0.1 s
 # Median reference time on an idle 2.1 GHz Xeon vCPU (Python 3.11, numpy 2.4);
 # only ratios matter, the constant keeps normalized times near real ones.
 REF_NOMINAL_NS = 1_300_000
@@ -47,58 +58,61 @@ def reference_kernel() -> int:
     return len(active) + len(counts) + int(total)
 
 
-class SpeedProbe:
-    """Samples the reference kernel on SIGALRM while started."""
+class Speed:
+    """Scale factors from the sampler's (start ns, duration ns) samples."""
 
-    def __init__(self, on_sample=None):
-        self.samples: list[tuple[int, int]] = []  # (start ns, duration ns)
-        self.paused_ns = 0
-        self._on_sample = on_sample
-        self._previous = None
+    def __init__(self, samples: list[tuple[int, int]]):
+        if not samples:
+            raise ValueError("the speed sampler recorded no samples")
+        self.starts = [s for s, _ in samples]
+        self.ends = [s + d for s, d in samples]
+        self.durations = [d for _, d in samples]
 
-    def _handler(self, signum, frame):
+    def sampling_ns(self, start_ns: int, end_ns: int) -> int:
+        """Time within [start_ns, end_ns] the sampler ran, and a child on its CPU could not."""
+        i = bisect.bisect_left(self.ends, start_ns)
+        total = 0
+        while i < len(self.starts) and self.starts[i] < end_ns:
+            total += max(0, min(end_ns, self.ends[i]) - max(start_ns, self.starts[i]))
+            i += 1
+        return total
+
+    def _window(self, lo_ns: int, hi_ns: int) -> list[int]:
+        lo = bisect.bisect_left(self.starts, lo_ns)
+        hi = bisect.bisect_right(self.starts, hi_ns)
+        if lo == hi:  # no sample in the window: use the closest one
+            mid = (lo_ns + hi_ns) // 2
+            i = bisect.bisect_left(self.starts, mid)
+            lo = min((j for j in (i - 1, i) if 0 <= j < len(self.starts)),
+                     key=lambda j: abs(self.starts[j] - mid))
+            hi = lo + 1
+        return self.durations[lo:hi]
+
+    def at(self, t_ns: int) -> float:
+        """Factor for a short time measured at t_ns."""
+        return REF_NOMINAL_NS / statistics.median(self._window(t_ns - WINDOW_NS, t_ns + WINDOW_NS))
+
+    def over(self, start_ns: int, end_ns: int) -> float:
+        """Factor for a time spanning [start_ns, end_ns].
+
+        The mean of nominal/sample weights each sampling interval equally,
+        which is right when the work runs for the whole span.
+        """
+        return REF_NOMINAL_NS * statistics.fmean(1.0 / d for d in self._window(start_ns, end_ns))
+
+
+def main() -> int:
+    stop: list[int] = []
+    signal.signal(signal.SIGTERM, lambda *_: stop.append(1))
+    samples = []
+    while not stop:
         start = perf_counter_ns()
         reference_kernel()
-        end = perf_counter_ns()
-        self.samples.append((start, end - start))
-        if self._on_sample is not None:
-            self._on_sample(start, end)
-        self.paused_ns += perf_counter_ns() - start
+        samples.append((start, perf_counter_ns() - start))
+        time.sleep(PERIOD_S)
+    json.dump(samples, sys.stdout)
+    return 0
 
-    def start(self) -> None:
-        self._previous = signal.signal(signal.SIGALRM, self._handler)
-        signal.setitimer(signal.ITIMER_REAL, PERIOD_S, PERIOD_S)
 
-    def stop(self) -> None:
-        signal.setitimer(signal.ITIMER_REAL, 0.0, 0.0)
-        signal.signal(signal.SIGALRM, self._previous or signal.SIG_DFL)
-
-    def clock_ns(self) -> int:
-        """perf_counter_ns minus the time spent inside the probe."""
-        return perf_counter_ns() - self.paused_ns
-
-    def scale(self) -> float:
-        """Factor to bring a time measured over all samples to nominal speed.
-
-        The harmonic form weights each sampling interval equally, which is
-        right when the work runs for the whole sampled span.
-        """
-        if not self.samples:
-            return 1.0
-        return REF_NOMINAL_NS * statistics.fmean(1.0 / d for _, d in self.samples)
-
-    def scales_at(self, times_ns: list[int]) -> list[float]:
-        """Per-instant factors: nominal over the median sample within the window."""
-        if not self.samples:
-            return [1.0] * len(times_ns)
-        starts = [s for s, _ in self.samples]
-        durations = [d for _, d in self.samples]
-        out = []
-        for t in times_ns:
-            lo = bisect.bisect_left(starts, t - WINDOW_NS)
-            hi = bisect.bisect_right(starts, t + WINDOW_NS)
-            if lo == hi:  # no sample near t: use the closest one
-                i = min(max(bisect.bisect_left(starts, t), 0), len(starts) - 1)
-                lo, hi = i, i + 1
-            out.append(REF_NOMINAL_NS / statistics.median(durations[lo:hi]))
-        return out
+if __name__ == "__main__":
+    sys.exit(main())

@@ -13,7 +13,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(HERE), "src"))
 import run  # noqa: E402
 import spans  # noqa: E402
 import workloads  # noqa: E402
-from speed import SpeedProbe  # noqa: E402
 
 NAME = re.compile(r"[A-Za-z0-9_.-]+")
 SMALL = [(840, 840, 10)] * 20 + [(1920, 1080, 50)] * 10
@@ -36,18 +35,13 @@ def test_traced_run_restores_every_wrapped_attribute(tmp_path, monkeypatch):
     raw = workloads.write_inputs("pipeline", 1, str(tmp_path), [(840, 840, 10)] * 400)
     originals = {(m.__name__, a): getattr(m, a) for m, a in spans.bindings()}
     tracer = spans.Tracer()
-    probe = SpeedProbe(on_sample=tracer.pause)
     with tracer:
         assert all(getattr(m, a) is not originals[m.__name__, a] for m, a in spans.bindings())
-        probe.start()
-        try:
-            pipeline = workloads.run_pipeline(1, raw, probe, n_records=400)
-            sweep = workloads.run_sweep(1, raw, probe, ["--variants", "com,cd", "-r", "2"])
-        finally:
-            probe.stop()
+        pipeline = workloads.run_pipeline(1, raw, n_records=400)
+        sweep = workloads.run_sweep(1, raw, ["--variants", "com,cd", "-r", "2"])
     assert all(getattr(m, a) is originals[m.__name__, a] for m, a in spans.bindings())
     assert all(pipeline["ok"].values()) and sweep["ok"]["sweep"]
-    layers = tracer.layer_metrics(pipeline["raw_wall_s"] + sweep["raw_wall_s"], probe.scale())
+    layers = tracer.layer_metrics((sweep["end_ns"] - pipeline["start_ns"]) / 1e9)
     assert layers["special.quantile_calls"] > 0 and layers["records.bytes_written"] > 0
     assert layers["cli.sweep_s"] > 0 and layers["cli.guarantee_s"] > 0
 

@@ -70,16 +70,20 @@ WORKLOADS = {
 def hires_shapes() -> list[tuple[int, int, int]]:
     """Equal thirds per resolution; half of all records at K=10, half at K=50.
 
-    1080p is all K=10, 4K half and half, 8K all K=50. Sorted by latency
-    the records then form 1080p (~1/3), 4K (~1/3, mostly one tight band)
-    and 8K K=50 (1/3), so the p50 falls inside the 4K band and the p99
-    inside the 8K K=50 band, not on a gap between two classes.
+    1080p is all K=10; 4K and 8K are each 250 at K=10 and 750 at K=50.
+    Sorted by latency the records form one band per resolution (1080p at
+    ranks 1-1000, 4K about 1001-2000, 8K about 2001-3000), K=10 before
+    K=50 within a band as far as they do not overlap. The p50 (rank 1500)
+    then lies in the middle of the 4K band, inside its K=50 part, and the
+    p99 (rank 2970) among the slowest 8K K=50 records: neither rank sits on
+    a boundary between two classes.
     """
     return (
         [(1920, 1080, 10)] * 1000
-        + [(3840, 2160, 10)] * 500
-        + [(3840, 2160, 50)] * 500
-        + [(7680, 4320, 50)] * 1000
+        + [(3840, 2160, 10)] * 250
+        + [(3840, 2160, 50)] * 750
+        + [(7680, 4320, 10)] * 250
+        + [(7680, 4320, 50)] * 750
     )
 
 
@@ -120,38 +124,40 @@ def uq_configs(records):
     return {k: UqConfig(k_samples=k) for k in sorted({len(r.samples) for r in records})}
 
 
-def decision_pass(records, configs, probe, passes: int = PASSES) -> dict:
+def decision_pass(records, configs, passes: int = PASSES) -> dict:
     """Score and decide every record `passes` times, in file order.
 
-    `latencies_ns` holds one list per pass, at nominal speed; raw times
-    exclude the speed probe. The digest covers the ordered
-    (id, uq, decision) stream, which must be the same on every pass.
+    `latencies_ns` and `starts_ns` hold one list per pass: each decision's
+    time and the `perf_counter_ns` it started at. The digest covers the
+    ordered (id, uq, decision) stream, which must be the same on every pass.
     """
     from clickrisk import cascade, uq
 
     score_record, decide = uq.score_record, cascade.decide  # looked up after tracing starts
-    clock = probe.clock_ns
-    per_pass, digests, busy, wall = [], set(), 0, clock()
+    latencies, starts, digests = [], [], set()
+    start_ns = perf_counter_ns()
     for _ in range(passes):
-        latencies, stamps, out = [], [], []
+        lat, st, out = [], [], []
         for record in records:
             cfg = configs[len(record.samples)]
-            t = clock()
+            t = perf_counter_ns()
             score = score_record(record, cfg)
             decision = decide(score.combined, TAU)
-            latencies.append(clock() - t)
-            stamps.append(perf_counter_ns())
+            lat.append(perf_counter_ns() - t)
+            st.append(t)
             out.append((record.id, score, decision))
-        busy += sum(latencies)
-        per_pass.append([ns * f for ns, f in zip(latencies, probe.scales_at(stamps))])
+        latencies.append(lat)
+        starts.append(st)
         h = hashlib.sha256()
         for rec_id, s, d in out:
             h.update(f"{rec_id}\t{s.ta!r}\t{s.ie!r}\t{s.cd!r}\t{s.combined!r}\t{d.value}\n".encode())
         digests.add(h.hexdigest())
     return {
-        "latencies_ns": per_pass,
-        "raw_busy_s": busy / 1e9,
-        "raw_wall_s": (clock() - wall) / 1e9,
+        "latencies_ns": latencies,
+        "starts_ns": starts,
+        "busy_s": sum(map(sum, latencies)) / 1e9,
+        "start_ns": start_ns,
+        "end_ns": perf_counter_ns(),
         "digest": digests.pop() if len(digests) == 1 else "passes disagree",
     }
 
@@ -160,8 +166,7 @@ def record_latencies_us(passes: list[list[float]]) -> list[float]:
     """Each record's median latency over its passes, in microseconds.
 
     The median over passes made at different moments drops the passes a
-    burst of host interference hit; the minimum would instead pick up the
-    moments when the speed probe itself was slowed.
+    burst of interference from other processes on the host hit.
     """
     return [statistics.median(per) / 1e3 for per in zip(*passes)]
 
@@ -208,26 +213,26 @@ def pipeline_stages(seed: int, raw: str, n_records: int) -> list[tuple[str, list
 PIPELINE_CALIBRATIONS = 1 + 20 + 30
 
 
-def run_sweep(seed: int, raw: str, probe, sweep_args=SWEEP_ARGS) -> dict:
+def run_sweep(seed: int, raw: str, sweep_args=SWEEP_ARGS) -> dict:
     """One sweep into ./sweep; digests of ranking.csv and risk.csv."""
-    start = probe.clock_ns()
+    start = perf_counter_ns()
     rc = _cli(["--seed", str(seed), "sweep", "-i", raw, "--out-dir", "sweep"] + sweep_args)
-    wall = (probe.clock_ns() - start) / 1e9
+    end = perf_counter_ns()
     digests = {}
     if rc == 0:
         digests = {f: sha256_file(os.path.join("sweep", f)) for f in ("ranking.csv", "risk.csv")}
-    return {"raw_wall_s": wall, "ok": {"sweep": rc == 0}, "digests": digests}
+    return {"start_ns": start, "end_ns": end, "ok": {"sweep": rc == 0}, "digests": digests}
 
 
-def run_pipeline(seed: int, raw: str, probe, n_records: int = N_PIPELINE) -> dict:
+def run_pipeline(seed: int, raw: str, n_records: int = N_PIPELINE) -> dict:
     """The six stages in order; digests of every file each stage writes."""
     ok, digests = {}, {}
     stages = pipeline_stages(seed, raw, n_records)
-    start = probe.clock_ns()
+    start = perf_counter_ns()
     for stage, argv, _ in stages:
         ok[stage] = _cli(argv) == 0
-    wall = (probe.clock_ns() - start) / 1e9
+    end = perf_counter_ns()
     for stage, _, files in stages:
         if ok[stage]:
             digests.update({f: sha256_file(f) for f in files})
-    return {"raw_wall_s": wall, "ok": ok, "digests": digests}
+    return {"start_ns": start, "end_ns": end, "ok": ok, "digests": digests}
