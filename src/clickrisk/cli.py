@@ -228,10 +228,25 @@ def _artifact_obj(outcome: CalibrationOutcome, spec: RiskSpec, variant: str) -> 
 # ---------------------------------------------------------------------------
 # subcommands
 
+def _density_dump_names(records: list[GroundingRecord]) -> list[str]:
+    """One CSV file name per record; fails if two ids would share a file."""
+    owners: dict[str, str] = {}
+    for record in records:
+        safe_id = "".join(c if c.isalnum() or c in "-_." else "_" for c in record.id)
+        name = f"{safe_id}.csv"
+        if name in owners:
+            raise CliError(
+                f"--dump-density: ids {owners[name]!r} and {record.id!r} would both be written to {name}"
+            )
+        owners[name] = record.id
+    return list(owners)
+
+
 def cmd_score(args, config: dict) -> int:
     seed = _resolve_seed(args, config)
     uq_cfg = _resolve_uq_config(args, config)
     records = _load_scored(args.input)
+    dump_names = _density_dump_names(records) if args.dump_density else []
     scored = []
     for record in records:
         record = with_mlg(record, seed)
@@ -239,16 +254,15 @@ def cmd_score(args, config: dict) -> int:
     save_records(args.output, scored)
     if args.dump_density:
         os.makedirs(args.dump_density, exist_ok=True)
-        for record in scored:
+        for record, name in zip(scored, dump_names):
             dmap = build_density_map(
                 record.samples[: uq_cfg.k_samples],
                 (record.image_width, record.image_height),
                 uq_cfg.patch_size,
             )
-            safe_id = "".join(c if c.isalnum() or c in "-_." else "_" for c in record.id)
             rows = [list(row) for row in density_csv_rows(dmap)]
             _write_csv(
-                os.path.join(args.dump_density, f"{safe_id}.csv"),
+                os.path.join(args.dump_density, name),
                 [f"c{j}" for j in range(dmap.grid_w)],
                 rows,
             )
@@ -503,6 +517,14 @@ def cmd_sweep(args, config: dict) -> int:
     k_values = _parse_list(args.k_values, int) if args.k_values else [
         int(k) for k in sweep_cfg.get("k_values", [base_uq.k_samples])
     ]
+    for alpha in alphas:
+        try:
+            RiskSpec(alpha=alpha, delta=delta).validate()
+        except ValueError as exc:
+            raise CliError(f"--alphas: {exc}")
+    for k in k_values:
+        if k < 1:
+            raise CliError(f"--k-values: k must be >= 1, got {k}")
     for variant in variants:
         if variant not in VARIANTS:
             raise CliError(f"unknown variant {variant!r}; expected one of {VARIANTS}")

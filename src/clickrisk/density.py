@@ -20,6 +20,8 @@ from .records import Point
 
 Patch = tuple[int, int]  # (row, col) on the grid
 
+_MAX_CELLS = int(np.iinfo(np.int64).max)  # row-major patch indices are int64
+
 
 class DensityError(ValueError):
     """Invalid input to density-map construction or region extraction."""
@@ -86,6 +88,29 @@ def grid_shape(image_width: int, image_height: int, patch_size: int) -> tuple[in
     )
 
 
+def _patch_indices(
+    samples: Sequence[Point], image_dims: tuple[int, int], patch_size: int
+) -> tuple[int, int, np.ndarray, np.ndarray]:
+    """Grid shape and each sample's (row, col) patch, clamped into the grid."""
+    if len(samples) == 0:
+        raise DensityError("need at least one sample")
+    if patch_size < 1:
+        raise DensityError(f"patch_size must be >= 1, got {patch_size}")
+    width, height = image_dims
+    if width <= 0 or height <= 0:
+        raise DensityError(f"image dimensions must be positive, got {image_dims}")
+    grid_h, grid_w = grid_shape(width, height, patch_size)
+    if grid_h * grid_w > _MAX_CELLS:
+        raise DensityError(f"a {grid_h}x{grid_w} patch grid is too large to index")
+    pts = np.asarray(samples, dtype=float)
+    if not np.all(np.isfinite(pts)):
+        raise DensityError("sample coordinates must be finite")
+    # np.minimum/np.maximum clamp as np.clip does, without its wrapper's overhead
+    cols = np.minimum(np.maximum(np.floor(pts[:, 0] / patch_size).astype(int), 0), grid_w - 1)
+    rows = np.minimum(np.maximum(np.floor(pts[:, 1] / patch_size).astype(int), 0), grid_h - 1)
+    return grid_h, grid_w, rows, cols
+
+
 def build_density_map(
     samples: Sequence[Point], image_dims: tuple[int, int], patch_size: int
 ) -> DensityMap:
@@ -95,19 +120,7 @@ def build_density_map(
     coordinates outside the image are clamped to the nearest valid patch,
     so every sample contributes.
     """
-    if len(samples) == 0:
-        raise DensityError("need at least one sample")
-    if patch_size < 1:
-        raise DensityError(f"patch_size must be >= 1, got {patch_size}")
-    width, height = image_dims
-    if width <= 0 or height <= 0:
-        raise DensityError(f"image dimensions must be positive, got {image_dims}")
-    grid_h, grid_w = grid_shape(width, height, patch_size)
-    pts = np.asarray(samples, dtype=float)
-    if not np.all(np.isfinite(pts)):
-        raise DensityError("sample coordinates must be finite")
-    cols = np.clip(np.floor(pts[:, 0] / patch_size).astype(int), 0, grid_w - 1)
-    rows = np.clip(np.floor(pts[:, 1] / patch_size).astype(int), 0, grid_h - 1)
+    grid_h, grid_w, rows, cols = _patch_indices(samples, image_dims, patch_size)
     counts = np.zeros((grid_h, grid_w), dtype=float)
     np.add.at(counts, (rows, cols), 1.0)
     values = counts / counts.sum()
@@ -174,6 +187,60 @@ def score_regions(
         regions=tuple(Region(patches=region, score=score) for region, score, _ in scored),
         probs=tuple(score / total for _, score, _ in scored),
     )
+
+
+def sparse_region_scores(
+    samples: Sequence[Point], image_dims: tuple[int, int], patch_size: int, beta: float
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Ranked region scores and their distribution, from occupied patches only.
+
+    Returns the `scores` and `probs` that `score_regions` gives for
+    `extract_regions(build_density_map(samples, image_dims, patch_size), beta)`,
+    bit for bit, but never builds the grid: K samples occupy at most K
+    patches, so cost and memory do not grow with the image. Patches are
+    keyed by their row-major index row * grid_w + col, which keeps the
+    dense path's orders: each region is averaged over its patches in
+    row-major order and ties are broken by its smallest patch.
+    """
+    if not 0.0 <= beta < 1.0:
+        raise DensityError(f"beta must lie in [0, 1), got {beta}")
+    grid_h, grid_w, rows, cols = _patch_indices(samples, image_dims, patch_size)
+    cells, counts = np.unique(rows * grid_w + cols, return_counts=True)
+    values = counts / counts.sum()
+    retained = values > beta * values.max()
+    values = values[retained]
+    cells = cells[retained].tolist()
+    position = {cell: i for i, cell in enumerate(cells)}
+    scored = []
+    for anchor in cells:  # ascending, so each region is met at its smallest patch
+        if anchor not in position:
+            continue
+        members = [position.pop(anchor)]
+        stack = [anchor]
+        while stack:
+            cell = stack.pop()
+            col = cell % grid_w
+            # cells off the top or bottom of the grid are never keys
+            neighbours = [cell - grid_w, cell + grid_w]
+            if col > 0:
+                neighbours.append(cell - 1)
+            if col < grid_w - 1:
+                neighbours.append(cell + 1)
+            for nb in neighbours:
+                i = position.pop(nb, None)
+                if i is not None:
+                    members.append(i)
+                    stack.append(nb)
+        if len(members) == 1:  # the mean of one value is that value, exactly
+            score = float(values[members[0]])
+        else:
+            members.sort()
+            score = float(values[members].mean())
+        scored.append((score, anchor))
+    scored.sort(key=lambda item: (-item[0], item[1]))
+    scores = tuple(score for score, _ in scored)
+    total = sum(scores)
+    return scores, tuple(score / total for score in scores)
 
 
 def density_csv_rows(density_map: DensityMap) -> Iterable[list[float]]:

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Sequence
 
-from .density import build_density_map, extract_regions, score_regions
+# The dense chain stays importable here: bench/spans.py wraps it at these bindings.
+from .density import build_density_map, extract_regions, score_regions  # noqa: F401
+from .density import sparse_region_scores
 from .records import UQ_KEYS, GroundingRecord
 
 VARIANTS = ("com", "ta", "ie", "cd", "pc")
@@ -117,15 +118,20 @@ def info_dispersion(probs: Sequence[float], epsilon: float = 1e-8) -> float:
 def concentration_deficit(probs: Sequence[float]) -> float:
     """One minus the quadratic concentration of the region distribution.
 
-    Evaluated in exact rational arithmetic and rounded once at the end, so
+    Evaluated exactly over a common denominator D (a power of two for
+    floats) as (D^2 - sum n_i^2) / D^2 and rounded once at the end, so
     identities like the uniform case (M-1)/M hold to the last bit.
     """
     if len(probs) == 0:
         raise ValueError("probs must be non-empty")
-    exact = [Fraction(p) for p in probs]
-    if abs(sum(exact) - 1) > Fraction(1, 10**9):
-        raise ValueError(f"probs must sum to 1, got {float(sum(exact))}")
-    return _clamp01(float(1 - sum(p * p for p in exact)))
+    ratios = [p.as_integer_ratio() for p in probs]
+    denom = math.lcm(*(d for _, d in ratios))
+    nums = [n * (denom // d) for n, d in ratios]
+    total = sum(nums)
+    if abs(total - denom) * 10**9 > denom:
+        raise ValueError(f"probs must sum to 1, got {total / denom}")
+    square = denom * denom
+    return _clamp01((square - sum(n * n for n in nums)) / square)
 
 
 def combine(
@@ -139,19 +145,19 @@ def combine(
 
 
 def score_record(record: GroundingRecord, config: UqConfig = UqConfig()) -> UncertaintyScore:
-    """Full pipeline: density map -> regions -> ranked scores -> components.
+    """Full pipeline: occupied patches -> regions -> ranked scores -> components.
 
     Uses the first `config.k_samples` samples. The record's precomputed
     confidence baseline, when present, is carried through unchanged.
     """
     config.validate()
     samples = record.samples[: config.k_samples]
-    dmap = build_density_map(samples, (record.image_width, record.image_height), config.patch_size)
-    regions = extract_regions(dmap, config.beta)
-    region_set = score_regions(dmap, regions)
-    ta = top_ambiguity(region_set.scores, config.epsilon)
-    ie = info_dispersion(region_set.probs, config.epsilon)
-    cd = concentration_deficit(region_set.probs)
+    scores, probs = sparse_region_scores(
+        samples, (record.image_width, record.image_height), config.patch_size, config.beta
+    )
+    ta = top_ambiguity(scores, config.epsilon)
+    ie = info_dispersion(probs, config.epsilon)
+    cd = concentration_deficit(probs)
     combined = combine(cd, ie, ta, config.weights)
     return UncertaintyScore(ta=ta, ie=ie, cd=cd, combined=combined, pc=record.pc)
 

@@ -80,6 +80,19 @@ def test_score_density_dump(tmp_path, mixed_file):
     assert header.startswith("c0,")
 
 
+def test_score_density_dump_refuses_colliding_ids(tmp_path, mixed_file, capsys):
+    src = tmp_path / "colliding.jsonl"
+    lines = mixed_file.read_text().splitlines()
+    objs = [json.loads(line) for line in lines[:3]]
+    objs[0]["id"], objs[2]["id"] = "a/b", "a_b"  # both sanitize to a_b.csv
+    src.write_text("".join(json.dumps(obj) + "\n" for obj in objs))
+    dump = tmp_path / "maps"
+    assert run("score", "-i", src, "-o", tmp_path / "s.jsonl", "--dump-density", dump) == 1
+    err = capsys.readouterr().err
+    assert "'a/b'" in err and "'a_b'" in err
+    assert not dump.exists() or not any(dump.iterdir())
+
+
 def test_score_missing_input_is_operational_error(tmp_path, capsys):
     assert run("score", "-i", tmp_path / "nope.jsonl", "-o", tmp_path / "x.jsonl") == 1
     assert "not found" in capsys.readouterr().err
@@ -220,6 +233,18 @@ def test_sweep_pc_rows_empty_without_pc(tmp_path, mixed_file):
     assert len(ranking) == 2
     row = ranking[1].split(",")
     assert row[1] == "pc" and row[4] == "" and row[5] == ""
+
+
+def test_sweep_rejects_bad_alpha_or_k_before_loading(tmp_path, capsys):
+    missing = tmp_path / "never-read.jsonl"
+    out_dir = tmp_path / "sweep"
+    assert run("sweep", "-i", missing, "--out-dir", out_dir, "--alphas", "0.2,1.5") == 1
+    err = capsys.readouterr().err
+    assert "alpha" in err and "1.5" in err and "not found" not in err
+    assert run("sweep", "-i", missing, "--out-dir", out_dir, "--k-values", "5,0") == 1
+    err = capsys.readouterr().err
+    assert "k must be >= 1, got 0" in err and "not found" not in err
+    assert not out_dir.exists()
 
 
 # --- synth / guarantee ------------------------------------------------------------

@@ -7,6 +7,7 @@ from clickrisk.density import (
     build_density_map,
     extract_regions,
     score_regions,
+    sparse_region_scores,
 )
 
 
@@ -76,6 +77,11 @@ def test_rejects_bad_inputs():
         build_density_map([(float("nan"), 1.0)], (28, 28), 14)
     with pytest.raises(DensityError):
         build_density_map([(1.0, 1.0)], (28, 28), 0)
+
+
+def test_grid_too_large_to_index_is_rejected():
+    with pytest.raises(DensityError, match="too large"):
+        sparse_region_scores([(1.0, 1.0)], (10**19, 10**19), 1, 0.3)
 
 
 def test_density_conservation_random():

@@ -1,9 +1,18 @@
 import dataclasses
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from clickrisk.density import (
+    DensityMap,
+    build_density_map,
+    extract_regions,
+    score_regions,
+    sparse_region_scores,
+)
 from clickrisk.records import GroundingRecord
 from clickrisk.uq import (
     UqConfig,
@@ -77,6 +86,36 @@ def test_uniform_four_regions():
 
 def test_even_split_two_regions():
     assert concentration_deficit((0.5, 0.5)) == pytest.approx(0.5)
+
+
+def fraction_deficit(probs):
+    """Oracle: 1 - sum p_i^2 in rational arithmetic, rounded once."""
+    exact = [Fraction(p) for p in probs]
+    return min(1.0, max(0.0, float(1 - sum(p * p for p in exact))))
+
+
+def test_deficit_matches_fraction_oracle():
+    rng = np.random.default_rng(11)
+    cases = [(1.0,), (0.5, 0.5), (0.25,) * 4, (1.0 / 3,) * 3, (1.0 / 7,) * 7]
+    for _ in range(500):
+        m = int(rng.integers(1, 40))
+        scores = rng.uniform(0.001, 1.0, size=m) ** rng.uniform(0.2, 5.0)
+        total = sum(float(s) for s in scores)
+        cases.append(tuple(float(s) / total for s in scores))
+    # off by a few ulps in total, or by a tiny probability, but inside the 1e-9 tolerance
+    cases.append((0.5, 0.5 + 2**-40))
+    cases.append((1.0 - 1e-10, 1e-300, 5e-324))
+    cases.append((np.float64(0.3), np.float64(0.7)))
+    for probs in cases:
+        assert concentration_deficit(probs) == fraction_deficit(probs), probs
+
+
+def test_deficit_rejects_non_distribution():
+    for probs in [(0.5, 0.2), (0.6, 0.6), (1.0, 2e-9), (1.0 - 2e-9,)]:
+        with pytest.raises(ValueError, match="sum to 1"):
+            concentration_deficit(probs)
+    with pytest.raises(ValueError):
+        concentration_deficit(())
 
 
 # --- combine -----------------------------------------------------------------
@@ -236,3 +275,95 @@ def test_variant_errors_name_the_field():
         variant_value(record, "com")
     with pytest.raises(MissingScoreError, match="variant"):
         variant_value(record, "nope")
+
+
+# --- sparse scoring against the dense chain ------------------------------------
+
+DENSE_CELL_LIMIT = 2_500_000  # 1920x1080 at patch 1; larger grids use a window
+
+
+def squeeze(indices):
+    """Renumber patch rows (or cols) from 1, keeping order and adjacency:
+    neighbours stay one apart and every gap shrinks to one empty line."""
+    new = {}
+    for old in sorted(set(indices)):
+        new[old] = 1 if not new else new[prev] + min(old - prev, 2)
+        prev = old
+    return [new[i] for i in indices]
+
+
+def dense_chain(samples, dims, patch, beta):
+    """Oracle: scores and probs of the dense grid -> regions -> ranking chain.
+
+    Grids above DENSE_CELL_LIMIT patches (4K and 8K at patch 1) would take
+    hundreds of MB, so there the chain runs on a small grid instead: every
+    sample moves to the centre of its clamped patch, and the occupied rows
+    and columns are renumbered by `squeeze`. That keeps each patch's value,
+    which patches touch, and row-major order, so the chain's output is the same.
+    """
+    grid_h, grid_w = math.ceil(dims[1] / patch), math.ceil(dims[0] / patch)
+    if grid_h * grid_w > DENSE_CELL_LIMIT:
+        cols = [min(max(math.floor(x / patch), 0), grid_w - 1) for x, _ in samples]
+        rows = [min(max(math.floor(y / patch), 0), grid_h - 1) for _, y in samples]
+        cols, rows = squeeze(cols), squeeze(rows)
+        samples = [((c + 0.5) * patch, (r + 0.5) * patch) for c, r in zip(cols, rows)]
+        dims = ((max(cols) + 2) * patch, (max(rows) + 2) * patch)
+    dmap = build_density_map(samples, dims, patch)
+    region_set = score_regions(dmap, extract_regions(dmap, beta))
+    return region_set.scores, region_set.probs
+
+
+def cloud(rng, kind, k, dims, patch):
+    w, h = dims
+    centre = rng.uniform((0, 0), (w, h))
+    if kind == "cluster":
+        return centre + rng.normal(0, 2 * patch, size=(k, 2))
+    if kind == "spread":
+        centres = rng.uniform((0, 0), (w, h), size=(3, 2))
+        return centres[rng.integers(0, 3, size=k)] + rng.normal(0, patch, size=(k, 2))
+    if kind == "edges":  # exactly on patch boundaries, including the image's far edges
+        corner = np.floor(centre / patch)
+        pts = (corner + rng.integers(-3, 4, size=(k, 2))) * patch
+        pts[rng.random(k) < 0.2] = (w, h)
+        return pts
+    if kind == "wrap":  # last patch of a row and first of the next: row-major neighbours only
+        y = rng.uniform(0, h - patch, size=k)
+        right = rng.random(k) < 0.5
+        return np.column_stack([np.where(right, w - 0.5, 0.5), np.where(right, y, y + patch)])
+    # outside the image: clamped onto the border patches
+    return rng.uniform((-3 * patch, -3 * patch), (w + 3 * patch, h + 3 * patch), size=(k, 2)) * (
+        rng.choice([-1.0, 1.0, 3.0], size=(k, 1))
+    )
+
+
+@pytest.mark.parametrize("dims", [(840, 840), (1920, 1080), (3840, 2160), (7680, 4320)])
+def test_sparse_scoring_equals_dense_chain(dims):
+    rng = np.random.default_rng(dims[0])
+    for k in (1, 10, 50):
+        for beta in (0.0, 0.3, 0.99):
+            for patch in (1, 14, 28):
+                cfg = UqConfig(k_samples=k, patch_size=patch, beta=beta)
+                for kind in ("cluster", "spread", "edges", "wrap", "outside"):
+                    samples = [tuple(p) for p in cloud(rng, kind, k, dims, patch).tolist()]
+                    scores, probs = dense_chain(samples, dims, patch, beta)
+                    assert sparse_region_scores(samples, dims, patch, beta) == (scores, probs)
+                    score = score_record(record_with_samples(samples, *dims), cfg)
+                    ta = top_ambiguity(scores, cfg.epsilon)
+                    ie = info_dispersion(probs, cfg.epsilon)
+                    cd = fraction_deficit(probs)
+                    assert (score.ta, score.ie, score.cd) == (ta, ie, cd)
+                    assert score.combined == combine(cd, ie, ta, cfg.weights)
+
+
+def test_huge_declared_image_scores_in_bounded_memory():
+    samples = [(10.0 * i, 5e5 + 3.0 * i) for i in range(10)]
+    record = record_with_samples(samples, width=10**6, height=10**6)
+    score_record(record_with_samples(samples))  # warm up lazy imports and caches
+    tracemalloc.start()
+    try:
+        score = score_record(record)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # the dense grid would take ~40 GB at patch 14
+    assert 0.0 <= score.combined <= 1.0
