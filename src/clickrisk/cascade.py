@@ -14,7 +14,7 @@ from enum import Enum
 from typing import Sequence
 
 from .metrics import admission
-from .records import GroundingRecord, select_mlg
+from .records import GroundingRecord, atomic_writer, select_mlg
 
 
 class CascadeError(ValueError):
@@ -135,9 +135,9 @@ def emit_deferrals(
     threshold: float,
     path,
 ) -> list[str]:
-    """Write the deferral manifest as line-delimited JSON; returns the ids."""
+    """Write the deferral manifest as line-delimited JSON, atomically; returns the ids."""
     entries = deferred_manifest(records, uncertainties, threshold)
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_writer(path) as fh:
         for entry in entries:
             fh.write(json.dumps(entry, separators=(",", ":")))
             fh.write("\n")

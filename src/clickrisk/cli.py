@@ -10,23 +10,25 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
-import tempfile
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
+
+import numpy as np
 
 from . import cascade as cascade_mod
+from . import engine
 from . import metrics as metrics_mod
 from .records import (
     GroundingRecord,
     RecordError,
     SplitPlan,
+    atomic_writer,
     load_records,
     save_records,
     select_mlg,
-    split,
+    split_indices,
     with_mlg,
 )
 from .density import build_density_map, density_csv_rows
@@ -35,13 +37,15 @@ from .synthgen import SynthConfig, generate_dataset, run_guarantee_trials
 from .uq import (
     VARIANTS,
     WEIGHT_PRESETS,
-    MissingScoreError,
     UqConfig,
     attach_score,
     combine,
     score_record,
     variant_value,
 )
+
+# Unused here, but bench/spans.py wraps it at this binding.
+from .records import split  # noqa: F401
 
 DEFAULT_ALPHA = 0.1
 DEFAULT_GUARANTEE_ALPHA = 0.2
@@ -57,20 +61,6 @@ class CliError(Exception):
 # ---------------------------------------------------------------------------
 # file helpers
 
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -82,16 +72,34 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    _atomic_write(path, buf.getvalue())
+    with atomic_writer(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
+
+
+def _append_csv_row(path: str, header: list[str], row: list) -> None:
+    """Append `row` to the table at `path`, which must start with `header`.
+
+    A missing or empty file gets the header first; the result replaces
+    the old file atomically.
+    """
+    expected = ",".join(header)
+    existing = ""
+    if os.path.exists(path):
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            existing = fh.read()
+    found = existing.partition("\n")[0]
+    if existing and found != expected:
+        raise CliError(f"--csv {path}: existing header {found!r} does not match {expected!r}")
+    with atomic_writer(path) as fh:
+        fh.write(existing or expected + "\n")
+        csv.writer(fh, lineterminator="\n").writerow([_fmt(v) for v in row])
 
 
 def _write_json(path: str, obj) -> None:
-    _atomic_write(path, json.dumps(obj, indent=2) + "\n")
+    with atomic_writer(path) as fh:
+        fh.write(json.dumps(obj, indent=2) + "\n")
 
 
 def _load_scored(path: str) -> list[GroundingRecord]:
@@ -127,6 +135,15 @@ def _pick(cli_value, config: dict, section: str, key: str, default):
     return config.get(section, {}).get(key, default)
 
 
+def _validated(obj):
+    """`obj` once its `validate()` passes; a ValueError becomes a CliError."""
+    try:
+        obj.validate()
+    except ValueError as exc:
+        raise CliError(str(exc))
+    return obj
+
+
 def _parse_weights(text: str) -> tuple[float, float, float]:
     if text in WEIGHT_PRESETS:
         return WEIGHT_PRESETS[text]
@@ -148,70 +165,68 @@ def _resolve_uq_config(args, config: dict) -> UqConfig:
         weights = _parse_weights(weights)
     elif isinstance(weights, list):
         weights = tuple(float(w) for w in weights)
-    cfg = UqConfig(
+    return _validated(UqConfig(
         k_samples=int(_pick(getattr(args, "k_samples", None), config, "uq", "k_samples", UqConfig.k_samples)),
         patch_size=int(_pick(args.patch_size, config, "uq", "patch_size", UqConfig.patch_size)),
         beta=float(_pick(args.beta, config, "uq", "beta", UqConfig.beta)),
         epsilon=float(_pick(args.epsilon, config, "uq", "epsilon", UqConfig.epsilon)),
         weights=weights if weights is not None else UqConfig.weights,
-    )
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        raise CliError(str(exc))
-    return cfg
+    ))
 
 
-def _resolve_risk_spec(args, config: dict) -> RiskSpec:
-    spec = RiskSpec(
-        alpha=float(_pick(args.alpha, config, "risk", "alpha", DEFAULT_ALPHA)),
+def _resolve_risk_spec(args, config: dict, default_alpha: float = DEFAULT_ALPHA) -> RiskSpec:
+    return _validated(RiskSpec(
+        alpha=float(_pick(args.alpha, config, "risk", "alpha", default_alpha)),
         delta=float(_pick(args.delta, config, "risk", "delta", DEFAULT_DELTA)),
-    )
-    try:
-        spec.validate()
-    except ValueError as exc:
-        raise CliError(str(exc))
-    return spec
+    ))
 
 
 def _resolve_split_plan(args, config: dict, seed: int) -> SplitPlan:
-    plan = SplitPlan(
+    return _validated(SplitPlan(
         calibration_ratio=float(_pick(args.ratio, config, "split", "calibration_ratio", DEFAULT_RATIO)),
         seed=seed,
         repetitions=int(_pick(args.repetitions, config, "split", "repetitions", DEFAULT_REPETITIONS)),
-    )
-    try:
-        plan.validate()
-    except ValueError as exc:
-        raise CliError(str(exc))
-    return plan
+    ))
 
 
-def _resolve_variant(args, config: dict) -> str:
-    variant = args.variant if args.variant is not None else config.get("variant", "com")
+# The synthetic generator's knobs, one flag each (--n-records, ...).
+SYNTH_FLAGS = tuple(f for f in fields(SynthConfig) if f.name != "seed")
+
+
+def _synth_config(args, seed: int) -> SynthConfig:
+    return _validated(SynthConfig(seed=seed, **{f.name: getattr(args, f.name) for f in SYNTH_FLAGS}))
+
+
+def _check_variant(variant: str) -> str:
     if variant not in VARIANTS:
         raise CliError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     return variant
 
 
+def _resolve_variant(args, config: dict) -> str:
+    return _check_variant(args.variant if args.variant is not None else config.get("variant", "com"))
+
+
 def _resolve_seed(args, config: dict) -> int:
-    if args.seed is not None:
-        return args.seed
-    return int(config.get("seed", 0))
+    return args.seed if args.seed is not None else int(config.get("seed", 0))
 
 
 # ---------------------------------------------------------------------------
-# shared evaluation plumbing
+# shared evaluation plumbing: per-record vectors for the split engine
 
-def _variant_values(records: list[GroundingRecord], variant: str) -> list[float]:
-    try:
-        return [variant_value(r, variant) for r in records]
-    except MissingScoreError as exc:
-        raise CliError(str(exc))
+def _variant_values(records: list[GroundingRecord], variant: str) -> np.ndarray:
+    return np.array([variant_value(r, variant) for r in records], dtype=float)
 
 
-def _admission_flags(records: list[GroundingRecord], seed: int) -> list[int]:
-    return [metrics_mod.admission(select_mlg(r, seed), r.gt_box) for r in records]
+def _admissible(records: list[GroundingRecord], seed: int) -> np.ndarray:
+    return np.array([metrics_mod.admission(select_mlg(r, seed), r.gt_box) for r in records], dtype=bool)
+
+
+def _mean_std(values: list[float]) -> list:
+    if not values:
+        return [None, None]
+    stat = metrics_mod.aggregate(values)
+    return [stat.mean, stat.std]
 
 
 def _artifact_obj(outcome: CalibrationOutcome, spec: RiskSpec, variant: str) -> dict:
@@ -247,10 +262,7 @@ def cmd_score(args, config: dict) -> int:
     uq_cfg = _resolve_uq_config(args, config)
     records = _load_scored(args.input)
     dump_names = _density_dump_names(records) if args.dump_density else []
-    scored = []
-    for record in records:
-        record = with_mlg(record, seed)
-        scored.append(attach_score(record, score_record(record, uq_cfg)))
+    scored = [attach_score(r, score_record(r, uq_cfg)) for r in (with_mlg(r, seed) for r in records)]
     save_records(args.output, scored)
     if args.dump_density:
         os.makedirs(args.dump_density, exist_ok=True)
@@ -260,29 +272,13 @@ def cmd_score(args, config: dict) -> int:
                 (record.image_width, record.image_height),
                 uq_cfg.patch_size,
             )
-            rows = [list(row) for row in density_csv_rows(dmap)]
             _write_csv(
                 os.path.join(args.dump_density, name),
                 [f"c{j}" for j in range(dmap.grid_w)],
-                rows,
+                density_csv_rows(dmap),
             )
     print(f"scored {len(scored)} records -> {args.output}")
     return 0
-
-
-def _calibrate_one(
-    records: list[GroundingRecord], plan: SplitPlan, rep: int, spec: RiskSpec, variant: str, seed: int
-) -> tuple[CalibrationOutcome, float | None]:
-    """Calibrate on the rep-th calibration split; test FDR at the threshold."""
-    cal, test = split(records, plan, rep)
-    cal_u = _variant_values(cal, variant)
-    cal_adm = _admission_flags(cal, seed)
-    outcome = calibrate_threshold(cal_u, [1 - a for a in cal_adm], spec)
-    if not outcome.feasible:
-        return outcome, None
-    test_u = _variant_values(test, variant)
-    test_adm = _admission_flags(test, seed)
-    return outcome, metrics_mod.fdr_at(test_u, test_adm, outcome.threshold)
 
 
 def cmd_calibrate(args, config: dict) -> int:
@@ -291,60 +287,44 @@ def cmd_calibrate(args, config: dict) -> int:
     plan = _resolve_split_plan(args, config, seed)
     variant = _resolve_variant(args, config)
     records = _load_scored(args.input)
+    u = _variant_values(records, variant)
+    adm = _admissible(records, seed)
 
-    if plan.repetitions == 1:
-        outcome, test_fdr = _calibrate_one(records, plan, 0, spec, variant, seed)
-        _write_json(args.out, _artifact_obj(outcome, spec, variant))
-        if outcome.feasible:
-            print(
-                f"feasible: threshold={outcome.threshold!r} "
-                f"(test FDR {test_fdr:.4f}) -> {args.out}"
-            )
-        else:
-            print(
-                f"infeasible: no threshold satisfies alpha={spec.alpha} at "
-                f"delta={spec.delta} on the calibration split -> {args.out}"
-            )
-        return 0
-
-    os.makedirs(args.out, exist_ok=True)
+    single = plan.repetitions == 1
+    if not single:
+        os.makedirs(args.out, exist_ok=True)
     fdrs = []
-    infeasible = 0
     for rep in range(plan.repetitions):
-        outcome, test_fdr = _calibrate_one(records, plan, rep, spec, variant, seed)
-        _write_json(
-            os.path.join(args.out, f"calibration_r{rep:03d}.json"),
-            _artifact_obj(outcome, spec, variant),
-        )
-        if test_fdr is None:
-            infeasible += 1
-        else:
-            fdrs.append(test_fdr)
-    summary = {
-        "alpha": spec.alpha,
-        "delta": spec.delta,
-        "uq_variant": variant,
-        "repetitions": plan.repetitions,
-        "calibration_ratio": plan.calibration_ratio,
-        "seed": seed,
-        "infeasible_splits": infeasible,
-        "test_fdr": None,
-    }
-    if fdrs:
-        stat = metrics_mod.aggregate(fdrs)
-        summary["test_fdr"] = {"mean": stat.mean, "std": stat.std}
-    _write_json(os.path.join(args.out, "summary.json"), summary)
-    if infeasible == plan.repetitions:
-        print(
-            f"infeasible on all {plan.repetitions} splits: no threshold satisfies "
-            f"alpha={spec.alpha} at delta={spec.delta} -> {args.out}"
-        )
+        cal, test = split_indices(len(records), plan, rep)
+        outcome = calibrate_threshold(u[cal], ~adm[cal], spec)  # the full trace, for the artifact
+        if outcome.feasible:
+            fdrs.append(engine.split_counts(u[test], adm[test], outcome.threshold).fdr)
+        path = args.out if single else os.path.join(args.out, f"calibration_r{rep:03d}.json")
+        _write_json(path, _artifact_obj(outcome, spec, variant))
+    infeasible = plan.repetitions - len(fdrs)
+    mean, std = _mean_std(fdrs)
+    if not single:
+        _write_json(os.path.join(args.out, "summary.json"), {
+            "alpha": spec.alpha,
+            "delta": spec.delta,
+            "uq_variant": variant,
+            "repetitions": plan.repetitions,
+            "calibration_ratio": plan.calibration_ratio,
+            "seed": seed,
+            "infeasible_splits": infeasible,
+            "test_fdr": {"mean": mean, "std": std} if fdrs else None,
+        })
+    if single and fdrs:
+        print(f"feasible: threshold={outcome.threshold!r} (test FDR {mean:.4f}) -> {args.out}")
+    elif single:
+        print(f"infeasible: no threshold satisfies alpha={spec.alpha} at "
+              f"delta={spec.delta} on the calibration split -> {args.out}")
+    elif fdrs:
+        print(f"{plan.repetitions} splits ({infeasible} infeasible): "
+              f"test FDR {mean:.4f} +/- {std:.4f} -> {args.out}")
     else:
-        stat = metrics_mod.aggregate(fdrs)
-        print(
-            f"{plan.repetitions} splits ({infeasible} infeasible): "
-            f"test FDR {stat.mean:.4f} +/- {stat.std:.4f} -> {args.out}"
-        )
+        print(f"infeasible on all {plan.repetitions} splits: no threshold satisfies "
+              f"alpha={spec.alpha} at delta={spec.delta} -> {args.out}")
     return 0
 
 
@@ -354,32 +334,20 @@ def cmd_evaluate(args, config: dict) -> int:
     plan = _resolve_split_plan(args, config, seed)
     variant = _resolve_variant(args, config)
     records = _load_scored(args.input)
-    all_u = _variant_values(records, variant)
-    all_adm = _admission_flags(records, seed)
+    u = _variant_values(records, variant)
+    adm = _admissible(records, seed)
 
-    per_split: dict[str, list[float]] = {
-        "auroc": [], "auarc": [], "test_fdr": [], "power": [], "n_accepted": []
-    }
-    infeasible = 0
-    for rep in range(plan.repetitions):
-        cal, test = split(records, plan, rep)
-        cal_u = _variant_values(cal, variant)
-        cal_adm = _admission_flags(cal, seed)
-        outcome = calibrate_threshold(cal_u, [1 - a for a in cal_adm], spec)
-        test_u = _variant_values(test, variant)
-        test_adm = _admission_flags(test, seed)
+    per_split: dict[str, list[float]] = {k: [] for k in ("auroc", "auarc", "test_fdr", "power", "n_accepted")}
+    for rep, (test, (counts,)) in enumerate(engine.run_splits(u, adm, plan, [spec.alpha], spec.delta)):
         try:
-            per_split["auroc"].append(metrics_mod.auroc(test_u, test_adm))
+            per_split["auroc"].append(metrics_mod.auroc(u[test], adm[test]))
         except metrics_mod.MetricError as exc:
             raise CliError(f"repetition {rep}: {exc}")
-        per_split["auarc"].append(metrics_mod.auarc(test_u, test_adm))
-        if not outcome.feasible:
-            infeasible += 1
-            continue
-        report = metrics_mod.evaluate_split(test_u, test_adm, outcome.threshold)
-        per_split["test_fdr"].append(report.fdr)
-        per_split["power"].append(report.power)
-        per_split["n_accepted"].append(float(report.n_accepted))
+        per_split["auarc"].append(metrics_mod.auarc(u[test], adm[test]))
+        if counts is not None:
+            per_split["test_fdr"].append(counts.fdr)
+            per_split["power"].append(counts.power)
+            per_split["n_accepted"].append(float(counts.n_accepted))
 
     report_obj = {
         "input": args.input,
@@ -390,33 +358,24 @@ def cmd_evaluate(args, config: dict) -> int:
         "repetitions": plan.repetitions,
         "seed": seed,
         "n_records": len(records),
-        "infeasible_splits": infeasible,
+        "infeasible_splits": plan.repetitions - len(per_split["test_fdr"]),
         "splits": {
-            name: (
-                {"mean": metrics_mod.aggregate(vals).mean, "std": metrics_mod.aggregate(vals).std}
-                if vals
-                else None
-            )
+            name: dict(zip(("mean", "std"), _mean_std(vals))) if vals else None
             for name, vals in per_split.items()
         },
         "full_dataset": {
-            "accuracy": sum(all_adm) / len(all_adm),
-            "auroc": metrics_mod.auroc(all_u, all_adm),
-            "auarc": metrics_mod.auarc(all_u, all_adm),
+            "accuracy": int(adm.sum()) / adm.size,
+            "auroc": metrics_mod.auroc(u, adm),
+            "auarc": metrics_mod.auarc(u, adm),
         },
     }
-    text = json.dumps(report_obj, indent=2)
-    print(text)
+    print(json.dumps(report_obj, indent=2))
     if args.report:
-        _atomic_write(args.report, text + "\n")
+        _write_json(args.report, report_obj)
     if args.roc_csv:
-        _write_csv(args.roc_csv, ["fpr", "tpr"], [list(p) for p in metrics_mod.roc_points(all_u, all_adm)])
+        _write_csv(args.roc_csv, ["fpr", "tpr"], metrics_mod.roc_points(u, adm))
     if args.arc_csv:
-        _write_csv(
-            args.arc_csv,
-            ["rejection_rate", "accuracy"],
-            [list(p) for p in metrics_mod.arc_points(all_u, all_adm)],
-        )
+        _write_csv(args.arc_csv, ["rejection_rate", "accuracy"], metrics_mod.arc_points(u, adm))
     return 0
 
 
@@ -440,64 +399,45 @@ def _threshold_from_args(args) -> tuple[float, float | None, str | None]:
     return float(artifact["threshold"]), artifact.get("alpha"), artifact.get("uq_variant")
 
 
+CASCADE_CSV_HEADER = [
+    "label", "alpha", "variant", "threshold", "system_accuracy",
+    "primary_accuracy", "expert_only_accuracy", "cascading_rate",
+    "n_total", "n_accepted", "n_deferred",
+]
+
+
 def cmd_cascade(args, config: dict) -> int:
     seed = _resolve_seed(args, config)
     threshold, alpha, artifact_variant = _threshold_from_args(args)
-    variant = args.variant or artifact_variant or config.get("variant", "com")
-    if variant not in VARIANTS:
-        raise CliError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    variant = _check_variant(args.variant or artifact_variant or config.get("variant", "com"))
     records = _load_scored(args.input)
-    u = _variant_values(records, variant)
-    try:
-        report = cascade_mod.evaluate_cascade(records, u, threshold, mlg_seed=seed)
-    except cascade_mod.CascadeError as exc:
-        raise CliError(str(exc))
+    u = _variant_values(records, variant).tolist()
+    report = cascade_mod.evaluate_cascade(records, u, threshold, mlg_seed=seed)
 
     report_obj = {
         "input": args.input,
         "variant": variant,
         "threshold": threshold,
         "alpha": alpha,
-        "system_accuracy": report.system_accuracy,
-        "primary_accuracy": report.primary_accuracy,
-        "expert_only_accuracy": report.expert_only_accuracy,
-        "cascading_rate": report.cascading_rate,
-        "n_total": report.n_total,
-        "n_accepted": report.n_accepted,
-        "n_deferred": report.n_deferred,
-        "n_correct_accepted": report.n_correct_accepted,
-        "n_correct_deferred": report.n_correct_deferred,
+        **asdict(report),
     }
-    text = json.dumps(report_obj, indent=2)
-    print(text)
+    print(json.dumps(report_obj, indent=2))
     if args.report:
-        _atomic_write(args.report, text + "\n")
+        _write_json(args.report, report_obj)
     if args.manifest:
         ids = cascade_mod.emit_deferrals(records, u, threshold, args.manifest)
         print(f"deferral manifest: {len(ids)} records -> {args.manifest}", file=sys.stderr)
     if args.csv:
         label = args.label or os.path.basename(args.input)
-        header = [
-            "label", "alpha", "variant", "threshold", "system_accuracy",
-            "primary_accuracy", "expert_only_accuracy", "cascading_rate",
-            "n_total", "n_accepted", "n_deferred",
-        ]
-        row = [
-            label, alpha, variant, threshold, report.system_accuracy,
-            report.primary_accuracy, report.expert_only_accuracy, report.cascading_rate,
-            report.n_total, report.n_accepted, report.n_deferred,
-        ]
-        new_file = not os.path.exists(args.csv)
-        with open(args.csv, "a", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            if new_file:
-                writer.writerow(header)
-            writer.writerow([_fmt(v) for v in row])
+        _append_csv_row(args.csv, CASCADE_CSV_HEADER, [label] + [report_obj[k] for k in CASCADE_CSV_HEADER[1:]])
     return 0
 
 
-def _parse_list(text: str, cast) -> list:
-    return [cast(part) for part in text.split(",") if part]
+def _list_option(text: str | None, sweep_cfg: dict, key: str, default: list, cast) -> list:
+    """A comma-separated flag, else the config file's "sweep" list, else `default`."""
+    if text:
+        return [cast(part) for part in text.split(",") if part]
+    return [cast(v) for v in sweep_cfg.get(key, default)]
 
 
 def cmd_sweep(args, config: dict) -> int:
@@ -505,18 +445,10 @@ def cmd_sweep(args, config: dict) -> int:
     delta = float(_pick(args.delta, config, "risk", "delta", DEFAULT_DELTA))
     base_uq = _resolve_uq_config(args, config)
     sweep_cfg = config.get("sweep", {})
-    alphas = _parse_list(args.alphas, float) if args.alphas else [
-        float(a) for a in sweep_cfg.get("alphas", [DEFAULT_ALPHA])
-    ]
-    variants = _parse_list(args.variants, str) if args.variants else list(
-        sweep_cfg.get("variants", ["com"])
-    )
-    presets = _parse_list(args.weight_presets, str) if args.weight_presets else list(
-        sweep_cfg.get("weight_presets", ["original"])
-    )
-    k_values = _parse_list(args.k_values, int) if args.k_values else [
-        int(k) for k in sweep_cfg.get("k_values", [base_uq.k_samples])
-    ]
+    alphas = _list_option(args.alphas, sweep_cfg, "alphas", [DEFAULT_ALPHA], float)
+    variants = _list_option(args.variants, sweep_cfg, "variants", ["com"], str)
+    presets = _list_option(args.weight_presets, sweep_cfg, "weight_presets", ["original"], str)
+    k_values = _list_option(args.k_values, sweep_cfg, "k_values", [base_uq.k_samples], int)
     for alpha in alphas:
         try:
             RiskSpec(alpha=alpha, delta=delta).validate()
@@ -526,25 +458,24 @@ def cmd_sweep(args, config: dict) -> int:
         if k < 1:
             raise CliError(f"--k-values: k must be >= 1, got {k}")
     for variant in variants:
-        if variant not in VARIANTS:
-            raise CliError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+        _check_variant(variant)
     for preset in presets:
         if preset not in WEIGHT_PRESETS:
             raise CliError(f"unknown weight preset {preset!r}; expected one of {sorted(WEIGHT_PRESETS)}")
-    ratio = float(_pick(args.ratio, config, "split", "calibration_ratio", DEFAULT_RATIO))
-    repetitions = int(_pick(args.repetitions, config, "split", "repetitions", DEFAULT_REPETITIONS))
-    plan = SplitPlan(calibration_ratio=ratio, seed=seed, repetitions=repetitions)
-    plan.validate()
+    plan = _resolve_split_plan(args, config, seed)
 
     ranking_rows: list[list] = []
     risk_rows: list[list] = []
     for path in args.inputs:
         records = [with_mlg(r, seed) for r in _load_scored(path)]
+        if not records:
+            raise CliError(f"{path}: no records")
         name = os.path.basename(path)
-        adm = _admission_flags(records, seed)
-        has_pc = all(r.pc is not None for r in records)
-        has_expert = all(r.expert is not None for r in records)
-        base_accuracy = sum(adm) / len(adm)
+        adm = _admissible(records, seed)
+        expert = None
+        if all(r.expert is not None for r in records):
+            expert = np.array([metrics_mod.admission(r.expert, r.gt_box) for r in records], dtype=bool)
+        base_accuracy = int(adm.sum()) / adm.size
 
         # uncertainty values per combination, component scores computed once per k
         combos: list[tuple[str, str | None, int | None, list[float] | None]] = []
@@ -554,75 +485,38 @@ def cmd_sweep(args, config: dict) -> int:
             for preset in presets:
                 weights = WEIGHT_PRESETS[preset]
                 for variant in variants:
-                    if variant == "pc":
-                        continue
                     if variant == "com":
                         values = [combine(s.cd, s.ie, s.ta, weights) for s in components]
-                    else:
-                        values = [getattr(s, variant) for s in components]
-                    combos.append((variant, preset, k, values))
+                        combos.append((variant, preset, k, values))
+                    elif variant != "pc":
+                        combos.append((variant, preset, k, [getattr(s, variant) for s in components]))
         if "pc" in variants:
-            pc_values = [r.pc for r in records] if has_pc else None
-            combos.append(("pc", None, None, pc_values))
+            has_pc = all(r.pc is not None for r in records)
+            combos.append(("pc", None, None, [r.pc for r in records] if has_pc else None))
 
+        splits: dict = {}  # the same index arrays serve every combination
         for variant, preset, k, values in combos:
+            head = [name, variant, preset, k]
             if values is None:  # pc requested but absent: "--" style empty row
-                ranking_rows.append([name, variant, preset, k, None, None, base_accuracy])
-                for alpha in alphas:
-                    risk_rows.append(
-                        [name, variant, preset, k, alpha, delta] + [None] * 11
-                    )
+                ranking_rows.append(head + [None, None, base_accuracy])
+                risk_rows.extend(head + [alpha, delta] + [None] * 11 for alpha in alphas)
                 continue
-            ranking_rows.append(
-                [
-                    name, variant, preset, k,
-                    metrics_mod.auroc(values, adm),
-                    metrics_mod.auarc(values, adm),
-                    base_accuracy,
-                ]
-            )
-            for alpha in alphas:
-                spec = RiskSpec(alpha=alpha, delta=delta)
-                taus, fdrs, powers, sys_accs, casc_rates = [], [], [], [], []
-                infeasible = 0
-                by_id = {r.id: (u, a) for r, u, a in zip(records, values, adm)}
-                for rep in range(plan.repetitions):
-                    cal, test = split(records, plan, rep)
-                    cal_u = [by_id[r.id][0] for r in cal]
-                    cal_err = [1 - by_id[r.id][1] for r in cal]
-                    outcome = calibrate_threshold(cal_u, cal_err, spec)
-                    if not outcome.feasible:
-                        infeasible += 1
-                        continue
-                    tau = outcome.threshold
-                    test_u = [by_id[r.id][0] for r in test]
-                    test_adm = [by_id[r.id][1] for r in test]
-                    taus.append(tau)
-                    fdrs.append(metrics_mod.fdr_at(test_u, test_adm, tau))
-                    powers.append(metrics_mod.power_at(test_u, test_adm, tau))
-                    if has_expert:
-                        rep_report = cascade_mod.evaluate_cascade(test, test_u, tau, mlg_seed=seed)
-                        sys_accs.append(rep_report.system_accuracy)
-                        casc_rates.append(rep_report.cascading_rate)
-
-                def _ms(vals):
-                    if not vals:
-                        return None, None
-                    stat = metrics_mod.aggregate(vals)
-                    return stat.mean, stat.std
-
-                tau_mean, _ = _ms(taus)
-                fdr_mean, fdr_std = _ms(fdrs)
-                power_mean, power_std = _ms(powers)
-                sys_mean, sys_std = _ms(sys_accs)
-                casc_mean, casc_std = _ms(casc_rates)
+            u = np.array(values, dtype=float)
+            ranking_rows.append(head + [metrics_mod.auroc(u, adm), metrics_mod.auarc(u, adm), base_accuracy])
+            feasible: list[list[engine.SplitCounts]] = [[] for _ in alphas]
+            for _, per_alpha in engine.run_splits(u, adm, plan, alphas, delta, expert, splits):
+                for kept, counts in zip(feasible, per_alpha):
+                    if counts is not None:
+                        kept.append(counts)
+            for alpha, kept in zip(alphas, feasible):
+                cascaded = kept if expert is not None else []
                 risk_rows.append(
-                    [
-                        name, variant, preset, k, alpha, delta,
-                        plan.repetitions - infeasible, infeasible, tau_mean,
-                        fdr_mean, fdr_std, power_mean, power_std,
-                        sys_mean, sys_std, casc_mean, casc_std,
-                    ]
+                    head + [alpha, delta, len(kept), plan.repetitions - len(kept)]
+                    + _mean_std([c.tau for c in kept])[:1]
+                    + _mean_std([c.fdr for c in kept])
+                    + _mean_std([c.power for c in kept])
+                    + _mean_std([c.system_accuracy for c in cascaded])
+                    + _mean_std([c.cascading_rate for c in cascaded])
                 )
 
     os.makedirs(args.out_dir, exist_ok=True)
@@ -647,22 +541,7 @@ def cmd_sweep(args, config: dict) -> int:
 
 
 def cmd_synth(args, config: dict) -> int:
-    seed = _resolve_seed(args, config)
-    cfg = SynthConfig(
-        n_records=args.n_records,
-        k_samples=args.k_samples,
-        image_size=args.image_size,
-        box_size=args.box_size,
-        easy_fraction=args.easy_fraction,
-        dispersion=args.dispersion,
-        expert_accuracy=args.expert_accuracy,
-        seed=seed,
-    )
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        raise CliError(str(exc))
-    records = generate_dataset(cfg)
+    records = generate_dataset(_synth_config(args, _resolve_seed(args, config)))
     save_records(args.out, records)
     print(f"generated {len(records)} records -> {args.out}")
     return 0
@@ -670,30 +549,10 @@ def cmd_synth(args, config: dict) -> int:
 
 def cmd_guarantee(args, config: dict) -> int:
     seed = _resolve_seed(args, config)
-    cfg = SynthConfig(
-        n_records=args.n_records,
-        k_samples=args.k_samples,
-        image_size=args.image_size,
-        box_size=args.box_size,
-        easy_fraction=args.easy_fraction,
-        dispersion=args.dispersion,
-        expert_accuracy=args.expert_accuracy,
-        seed=seed,
-    )
-    alpha = float(_pick(args.alpha, config, "risk", "alpha", DEFAULT_GUARANTEE_ALPHA))
-    delta = float(_pick(args.delta, config, "risk", "delta", DEFAULT_DELTA))
-    spec = RiskSpec(alpha=alpha, delta=delta)
-    try:
-        spec.validate()
-    except ValueError as exc:
-        raise CliError(str(exc))
+    cfg = _synth_config(args, seed)
+    spec = _resolve_risk_spec(args, config, DEFAULT_GUARANTEE_ALPHA)
     ratio = float(_pick(args.ratio, config, "split", "calibration_ratio", 0.5))
-    try:
-        result, outcomes = run_guarantee_trials(
-            cfg, spec.alpha, spec.delta, args.trials, calibration_ratio=ratio
-        )
-    except ValueError as exc:
-        raise CliError(str(exc))
+    result, outcomes = run_guarantee_trials(cfg, spec.alpha, spec.delta, args.trials, calibration_ratio=ratio)
     obj = {
         "alpha": spec.alpha,
         "delta": spec.delta,
@@ -724,8 +583,7 @@ def _add_uq_flags(parser: argparse.ArgumentParser, with_k: bool = True) -> None:
     parser.add_argument("--patch-size", type=int, default=None, help="patch size in pixels")
     parser.add_argument("--beta", type=float, default=None, help="region threshold ratio in [0,1)")
     parser.add_argument("--epsilon", type=float, default=None, help="numerical stability term")
-    parser.add_argument("--weights", default=None,
-                        help="component weights: preset name or 'w_cd,w_ie,w_ta'")
+    parser.add_argument("--weights", default=None, help="component weights: preset name or 'w_cd,w_ie,w_ta'")
 
 
 def _add_risk_flags(parser: argparse.ArgumentParser) -> None:
@@ -740,13 +598,8 @@ def _add_split_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_synth_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n-records", type=int, default=SynthConfig.n_records)
-    parser.add_argument("--k-samples", type=int, default=SynthConfig.k_samples)
-    parser.add_argument("--image-size", type=int, default=SynthConfig.image_size)
-    parser.add_argument("--box-size", type=int, default=SynthConfig.box_size)
-    parser.add_argument("--easy-fraction", type=float, default=SynthConfig.easy_fraction)
-    parser.add_argument("--dispersion", type=float, default=SynthConfig.dispersion)
-    parser.add_argument("--expert-accuracy", type=float, default=SynthConfig.expert_accuracy)
+    for f in SYNTH_FLAGS:
+        parser.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -768,8 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calibrate", help="calibrate an acceptance threshold with an FDR bound")
     p.add_argument("--input", "-i", required=True, help="scored record file")
-    p.add_argument("--out", "-o", required=True,
-                   help="artifact file (or directory when --repetitions > 1)")
+    p.add_argument("--out", "-o", required=True, help="artifact file (or directory when --repetitions > 1)")
     p.add_argument("--variant", default=None, choices=VARIANTS)
     _add_risk_flags(p)
     _add_split_flags(p)
@@ -801,8 +653,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--alphas", default=None, help="comma-separated risk levels")
     p.add_argument("--variants", default=None, help="comma-separated uncertainty variants")
-    p.add_argument("--weight-presets", default=None,
-                   help=f"comma-separated presets from {sorted(WEIGHT_PRESETS)}")
+    p.add_argument("--weight-presets", default=None, help=f"comma-separated presets from {sorted(WEIGHT_PRESETS)}")
     p.add_argument("--k-values", default=None, help="comma-separated sample budgets")
     p.add_argument("--delta", type=float, default=None)
     _add_split_flags(p)
@@ -831,10 +682,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _load_config(args.config)
         return args.func(args, config)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (RecordError, MissingScoreError, ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError) as exc:  # ValueError covers RecordError and MissingScoreError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

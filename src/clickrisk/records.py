@@ -12,9 +12,12 @@ y downward. `uq` is absent in raw files and appended by the scoring stage.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
+import os
+import tempfile
 from dataclasses import dataclass, field, replace
 from typing import IO, Iterable, Iterator
 
@@ -211,8 +214,33 @@ def load_records(path) -> list[GroundingRecord]:
         return parse_records(fh)
 
 
+@contextlib.contextmanager
+def atomic_writer(path) -> Iterator[IO[str]]:
+    """Text handle on a temporary file that replaces `path` on a clean exit.
+
+    The temporary file sits in the target's directory, so the final rename
+    never crosses a file system; on any error it is removed and `path` is
+    left as it was. The result gets the permissions a plain `open` would.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def save_records(path, records: Iterable[GroundingRecord]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write one JSON line per record, atomically (see `atomic_writer`)."""
+    with atomic_writer(path) as fh:
         for line in serialize_records(records):
             fh.write(line)
             fh.write("\n")
@@ -254,27 +282,35 @@ class SplitPlan:
             raise SplitError(f"repetitions must be positive, got {self.repetitions}")
 
 
-def split(
-    records: list[GroundingRecord], plan: SplitPlan, repetition_index: int = 0
-) -> tuple[list[GroundingRecord], list[GroundingRecord]]:
-    """Disjoint (calibration, test) partition covering all records.
+def split_indices(
+    n: int, plan: SplitPlan, repetition_index: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted (calibration, test) index arrays partitioning range(n).
 
-    The calibration size is round(ratio * N) (half up), clamped so both
-    sides are non-empty. Deterministic in (plan.seed, repetition_index);
-    each side keeps the records' original file order.
+    The calibration size is round(ratio * n) (half up), clamped so both
+    sides are non-empty. Deterministic in (plan.seed, repetition_index).
     """
     plan.validate()
     if not 0 <= repetition_index < plan.repetitions:
         raise SplitError(
             f"repetition_index {repetition_index} outside [0, {plan.repetitions})"
         )
-    n = len(records)
     if n < 2:
         raise SplitError(f"need at least 2 records to split, got {n}")
     n_cal = int(math.floor(plan.calibration_ratio * n + 0.5))
     n_cal = min(max(n_cal, 1), n - 1)
     rng = np.random.default_rng([plan.seed % (2**63), repetition_index])
     perm = rng.permutation(n)
-    cal_idx = sorted(int(i) for i in perm[:n_cal])
-    test_idx = sorted(int(i) for i in perm[n_cal:])
+    return np.sort(perm[:n_cal]), np.sort(perm[n_cal:])
+
+
+def split(
+    records: list[GroundingRecord], plan: SplitPlan, repetition_index: int = 0
+) -> tuple[list[GroundingRecord], list[GroundingRecord]]:
+    """Disjoint (calibration, test) partition covering all records.
+
+    The records at `split_indices(len(records), plan, repetition_index)`;
+    each side keeps the records' original file order.
+    """
+    cal_idx, test_idx = split_indices(len(records), plan, repetition_index)
     return [records[i] for i in cal_idx], [records[i] for i in test_idx]

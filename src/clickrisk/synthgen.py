@@ -19,10 +19,15 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .engine import run_splits
 from .metrics import admission
-from .records import GroundingRecord, SplitPlan, select_mlg, split
-from .risk import RiskSpec, calibrate_threshold, empirical_fdr
+from .records import GroundingRecord, SplitPlan, select_mlg
+from .risk import RiskSpec
 from .uq import UqConfig, score_record
+
+# Unused here, but bench/spans.py wraps them at these bindings.
+from .records import split  # noqa: F401
+from .risk import calibrate_threshold, empirical_fdr  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -178,27 +183,17 @@ def run_guarantee_trials(
     for t in range(trials):
         seed_t = _trial_seed(config.seed, t)
         data = generate_dataset(replace(config, seed=seed_t))
-        uncertainties = [score_record(r, uq_cfg).combined for r in data]
-        errors = [1 - admission(select_mlg(r, seed_t), r.gt_box) for r in data]
-        by_id = {r.id: (u, e) for r, u, e in zip(data, uncertainties, errors)}
-
+        u = np.array([score_record(r, uq_cfg).combined for r in data])
+        adm = np.array([admission(select_mlg(r, seed_t), r.gt_box) for r in data], dtype=bool)
         plan = SplitPlan(calibration_ratio=calibration_ratio, seed=seed_t, repetitions=1)
-        cal, test = split(data, plan, 0)
-        cal_u = [by_id[r.id][0] for r in cal]
-        cal_err = [by_id[r.id][1] for r in cal]
-        outcome = calibrate_threshold(cal_u, cal_err, spec)
-        if not outcome.feasible:
+        [(_, [counts])] = run_splits(u, adm, plan, [spec.alpha], spec.delta)
+        if counts is None:
             infeasible += 1
             outcomes.append(TrialOutcome(trial=t, feasible=False, tau=None, test_fdr=None))
             continue
-        test_u = [by_id[r.id][0] for r in test]
-        test_err = [by_id[r.id][1] for r in test]
-        fdr = empirical_fdr(test_u, test_err, outcome.threshold)
-        if fdr > alpha:
+        if counts.fdr > alpha:
             violations += 1
-        outcomes.append(
-            TrialOutcome(trial=t, feasible=True, tau=outcome.threshold, test_fdr=fdr)
-        )
+        outcomes.append(TrialOutcome(trial=t, feasible=True, tau=counts.tau, test_fdr=counts.fdr))
 
     feasible_trials = trials - infeasible
     rate = violations / feasible_trials if feasible_trials else 0.0

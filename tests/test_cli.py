@@ -190,6 +190,26 @@ def test_cascade_with_artifact_manifest_and_csv(tmp_path, mixed_file):
     assert len(table.read_text().splitlines()) == 3
 
 
+def test_cascade_csv_refuses_a_foreign_header(tmp_path, mixed_file, capsys):
+    src = scored(tmp_path, mixed_file)
+    table = tmp_path / "rows.csv"
+    table.write_text("label,alpha,threshold\nold,0.1,0.5\n")
+    assert run("--seed", 3, "cascade", "-i", src, "--tau", 0.5, "--csv", table) == 1
+    err = capsys.readouterr().err
+    assert str(table) in err and "'label,alpha,threshold'" in err and "'label,alpha,variant," in err
+    assert table.read_text() == "label,alpha,threshold\nold,0.1,0.5\n"
+    assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith(".tmp-")) == []
+
+
+def test_cascade_csv_gives_an_empty_file_a_header(tmp_path, mixed_file):
+    src = scored(tmp_path, mixed_file)
+    table = tmp_path / "rows.csv"
+    table.write_text("")
+    assert run("--seed", 3, "cascade", "-i", src, "--tau", 0.5, "--csv", table) == 0
+    lines = table.read_text().splitlines()
+    assert lines[0].startswith("label,alpha,variant") and len(lines) == 2
+
+
 def test_cascade_requires_threshold_source(tmp_path, mixed_file, capsys):
     src = scored(tmp_path, mixed_file)
     assert run("cascade", "-i", src) == 1
@@ -255,6 +275,22 @@ def test_synth_is_deterministic(tmp_path):
     assert run("--seed", 5, "synth", "--out", a, "--n-records", 30) == 0
     assert run("--seed", 5, "synth", "--out", b, "--n-records", 30) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_synth_and_guarantee_reject_the_same_bad_config(tmp_path, capsys):
+    out = tmp_path / "never.jsonl"
+    assert run("synth", "--out", out, "--box-size", 900) == 1
+    synth_err = capsys.readouterr().err
+    assert run("guarantee", "--trials", 2, "--box-size", 900) == 1
+    assert capsys.readouterr().err == synth_err == "error: box_size must be smaller than image_size\n"
+    assert not out.exists()
+
+
+def test_sweep_rejects_an_empty_input(tmp_path, capsys):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    assert run("sweep", "-i", empty, "--out-dir", tmp_path / "sweep") == 1
+    assert "no records" in capsys.readouterr().err
 
 
 def test_guarantee_writes_trial_csv(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 
 import pytest
 
@@ -8,7 +9,9 @@ from clickrisk.records import (
     RecordError,
     SplitError,
     SplitPlan,
+    atomic_writer,
     parse_records,
+    save_records,
     select_mlg,
     serialize_records,
     split,
@@ -195,3 +198,34 @@ def test_split_plan_validation():
         SplitPlan(calibration_ratio=1.0, seed=0).validate()
     with pytest.raises(SplitError):
         SplitPlan(calibration_ratio=0.5, seed=0, repetitions=0).validate()
+
+
+# --- atomic output ----------------------------------------------------------------
+
+def test_save_records_replaces_the_file_only_when_complete(tmp_path):
+    path = tmp_path / "out.jsonl"
+    path.write_text("previous\n")
+
+    def failing():
+        yield make_record(rec_id="a")
+        raise RuntimeError("stream broke")
+
+    with pytest.raises(RuntimeError):
+        save_records(path, failing())
+    assert path.read_text() == "previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+
+    records = [make_record(rec_id="a"), make_record(rec_id="b")]
+    save_records(path, records)
+    assert path.read_text() == "".join(line + "\n" for line in serialize_records(records))
+    assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+
+
+def test_atomic_writer_creates_directories_and_honours_the_umask(tmp_path):
+    path = tmp_path / "new" / "file.txt"
+    with atomic_writer(path) as fh:
+        fh.write("x\n")
+    assert path.read_text() == "x\n"
+    umask = os.umask(0)
+    os.umask(umask)
+    assert path.stat().st_mode & 0o777 == 0o666 & ~umask

@@ -7,8 +7,10 @@ from clickrisk.risk import (
     CalibrationOutcome,
     RiskError,
     RiskSpec,
+    bound_at_most,
     calibrate_threshold,
     cp_upper_bound,
+    critical_counts,
     empirical_fdr,
 )
 
@@ -86,6 +88,69 @@ def test_rejects_invalid_counts():
         cp_upper_bound(0, 0, 0.05)
     with pytest.raises(RiskError):
         cp_upper_bound(0, 5, 0.0)
+
+
+# --- bound_at_most and the critical-count table -----------------------------------
+
+GRID_ALPHAS = (0.02, 0.1, 0.2, 0.34, 0.42, 0.5)
+GRID_DELTAS = (0.01, 0.05, 0.1)
+# Every bisected bound costs about 1 ms at n = 1000, so the band above n = 60
+# samples every 16th n (the whole band up to 1000 takes about a minute).
+BAND_NS = sorted(set(range(61, 1001, 16)) | {1000})
+
+
+def test_bound_at_most_equals_bisected_bound_on_the_full_small_grid():
+    mismatches = []
+    for delta in GRID_DELTAS:
+        for n in range(1, 61):
+            for x in range(n + 1):
+                bound = cp_upper_bound(x, n, delta)
+                for alpha in GRID_ALPHAS:
+                    if bound_at_most(x, n, alpha, delta) != (bound <= alpha):
+                        mismatches.append((x, n, alpha, delta))
+    assert mismatches == []
+
+
+def test_bound_at_most_equals_bisected_bound_around_the_critical_count():
+    mismatches = []
+    for delta in GRID_DELTAS:
+        for alpha in GRID_ALPHAS:
+            table = critical_counts(1000, alpha, delta)
+            assert table[0] == -1 and all(np.diff(table) >= 0) and all(table[1:] < np.arange(1, 1001))
+            for n in BAND_NS:
+                for x in (table[n] - 1, table[n], table[n] + 1):
+                    if 0 <= x <= n and bound_at_most(x, n, alpha, delta) != (
+                        cp_upper_bound(x, n, delta) <= alpha
+                    ):
+                        mismatches.append((x, n, alpha, delta))
+                # the table's own claim: x = table[n] passes and x = table[n] + 1 fails
+                assert table[n] < 0 or bound_at_most(int(table[n]), n, alpha, delta)
+                assert not bound_at_most(int(table[n]) + 1, n, alpha, delta)
+    assert mismatches == []
+
+
+def test_bound_at_most_at_alphas_on_the_bisected_bound():
+    # alpha equal to the bound, or one float step either side, sits inside the
+    # guard band of the duality test, so the comparison is the bisected one
+    for x, n, delta in ((0, 10, 0.05), (3, 20, 0.05), (7, 150, 0.01), (40, 400, 0.1), (0, 1, 0.1)):
+        bound = cp_upper_bound(x, n, delta)
+        for alpha in (bound, np.nextafter(bound, 0.0), np.nextafter(bound, 1.0)):
+            assert bound_at_most(x, n, float(alpha), delta) == (bound <= alpha)
+
+
+def test_bound_at_most_edges_and_validation():
+    assert not bound_at_most(5, 5, 0.99, 0.05)  # x == n is never feasible
+    assert bound_at_most(0, 100, 0.05, 0.05) == (cp_upper_bound(0, 100, 0.05) <= 0.05)
+    for bad in ((2, 1, 0.1, 0.05), (-1, 5, 0.1, 0.05), (0, 0, 0.1, 0.05), (0, 5, 0.0, 0.05),
+                (0, 5, 1.0, 0.05), (0, 5, 0.1, 0.0)):
+        with pytest.raises(RiskError):
+            bound_at_most(*bad)
+
+
+def test_critical_counts_extend_consistently():
+    small = critical_counts(30, 0.27, 0.05).copy()
+    large = critical_counts(300, 0.27, 0.05)
+    assert large.size >= 301 and list(large[: small.size]) == list(small)
 
 
 # --- empirical_fdr -------------------------------------------------------------
