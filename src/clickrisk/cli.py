@@ -114,18 +114,56 @@ def _load_scored(path: str) -> list[GroundingRecord]:
 # ---------------------------------------------------------------------------
 # configuration resolution
 
+def _list_of(cast):
+    """Cast for a JSON list whose every item takes `cast`."""
+    def parse(value) -> list:
+        if not isinstance(value, list):
+            raise TypeError(value)
+        return [cast(v) for v in value]
+    return parse
+
+
+# The config-file values the subcommands read, as "section.key", grouped by
+# the cast each gets when the file is loaded and what that cast accepts.
+CONFIG_FIELDS = {
+    "an integer": (int, ("seed", "uq.k_samples", "uq.patch_size", "split.repetitions")),
+    "a number": (float, ("uq.beta", "uq.epsilon", "risk.alpha", "risk.delta", "split.calibration_ratio")),
+    "a preset name or a list of numbers": (
+        lambda v: v if isinstance(v, str) else tuple(_list_of(float)(v)), ("uq.weights",)),
+    "a list of numbers": (_list_of(float), ("sweep.alphas",)),
+    "a list of integers": (_list_of(int), ("sweep.k_values",)),
+    "a list of names": (_list_of(str), ("sweep.variants", "sweep.weight_presets")),
+}
+
+
+def _load_json_object(path: str, what: str) -> dict:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except FileNotFoundError:
+        raise CliError(f"{what} not found: {path}")
+    except json.JSONDecodeError as exc:
+        raise CliError(f"{what} {path}: invalid JSON: {exc.msg}")
+    if not isinstance(obj, dict):
+        raise CliError(f"{what} {path}: expected a JSON object")
+    return obj
+
+
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except FileNotFoundError:
-        raise CliError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise CliError(f"config file {path}: invalid JSON: {exc.msg}")
-    if not isinstance(cfg, dict):
-        raise CliError(f"config file {path}: expected a JSON object")
+    cfg = _load_json_object(path, "config file")
+    for kind, (cast, names) in CONFIG_FIELDS.items():
+        for field in names:
+            section, _, key = field.rpartition(".")
+            table = cfg.get(section, {}) if section else cfg
+            if not isinstance(table, dict):
+                raise CliError(f"config file {path}: {section} must be a JSON object, got {json.dumps(table)}")
+            if key in table:
+                try:
+                    table[key] = cast(table[key])
+                except (TypeError, ValueError, OverflowError):
+                    raise CliError(f"config file {path}: {field} must be {kind}, got {json.dumps(table[key])}")
     return cfg
 
 
@@ -133,15 +171,6 @@ def _pick(cli_value, config: dict, section: str, key: str, default):
     if cli_value is not None:
         return cli_value
     return config.get(section, {}).get(key, default)
-
-
-def _validated(obj):
-    """`obj` once its `validate()` passes; a ValueError becomes a CliError."""
-    try:
-        obj.validate()
-    except ValueError as exc:
-        raise CliError(str(exc))
-    return obj
 
 
 def _parse_weights(text: str) -> tuple[float, float, float]:
@@ -160,33 +189,29 @@ def _parse_weights(text: str) -> tuple[float, float, float]:
 
 
 def _resolve_uq_config(args, config: dict) -> UqConfig:
-    weights = _pick(args.weights, config, "uq", "weights", None)
-    if isinstance(weights, str):
-        weights = _parse_weights(weights)
-    elif isinstance(weights, list):
-        weights = tuple(float(w) for w in weights)
-    return _validated(UqConfig(
-        k_samples=int(_pick(getattr(args, "k_samples", None), config, "uq", "k_samples", UqConfig.k_samples)),
-        patch_size=int(_pick(args.patch_size, config, "uq", "patch_size", UqConfig.patch_size)),
-        beta=float(_pick(args.beta, config, "uq", "beta", UqConfig.beta)),
-        epsilon=float(_pick(args.epsilon, config, "uq", "epsilon", UqConfig.epsilon)),
-        weights=weights if weights is not None else UqConfig.weights,
-    ))
+    weights = _pick(args.weights, config, "uq", "weights", UqConfig.weights)
+    return UqConfig(
+        k_samples=_pick(getattr(args, "k_samples", None), config, "uq", "k_samples", UqConfig.k_samples),
+        patch_size=_pick(args.patch_size, config, "uq", "patch_size", UqConfig.patch_size),
+        beta=_pick(args.beta, config, "uq", "beta", UqConfig.beta),
+        epsilon=_pick(args.epsilon, config, "uq", "epsilon", UqConfig.epsilon),
+        weights=_parse_weights(weights) if isinstance(weights, str) else weights,
+    )
 
 
 def _resolve_risk_spec(args, config: dict, default_alpha: float = DEFAULT_ALPHA) -> RiskSpec:
-    return _validated(RiskSpec(
-        alpha=float(_pick(args.alpha, config, "risk", "alpha", default_alpha)),
-        delta=float(_pick(args.delta, config, "risk", "delta", DEFAULT_DELTA)),
-    ))
+    return RiskSpec(
+        alpha=_pick(args.alpha, config, "risk", "alpha", default_alpha),
+        delta=_pick(args.delta, config, "risk", "delta", DEFAULT_DELTA),
+    )
 
 
 def _resolve_split_plan(args, config: dict, seed: int) -> SplitPlan:
-    return _validated(SplitPlan(
-        calibration_ratio=float(_pick(args.ratio, config, "split", "calibration_ratio", DEFAULT_RATIO)),
+    return SplitPlan(
+        calibration_ratio=_pick(args.ratio, config, "split", "calibration_ratio", DEFAULT_RATIO),
         seed=seed,
-        repetitions=int(_pick(args.repetitions, config, "split", "repetitions", DEFAULT_REPETITIONS)),
-    ))
+        repetitions=_pick(args.repetitions, config, "split", "repetitions", DEFAULT_REPETITIONS),
+    )
 
 
 # The synthetic generator's knobs, one flag each (--n-records, ...).
@@ -194,7 +219,7 @@ SYNTH_FLAGS = tuple(f for f in fields(SynthConfig) if f.name != "seed")
 
 
 def _synth_config(args, seed: int) -> SynthConfig:
-    return _validated(SynthConfig(seed=seed, **{f.name: getattr(args, f.name) for f in SYNTH_FLAGS}))
+    return SynthConfig(seed=seed, **{f.name: getattr(args, f.name) for f in SYNTH_FLAGS})
 
 
 def _check_variant(variant: str) -> str:
@@ -208,7 +233,7 @@ def _resolve_variant(args, config: dict) -> str:
 
 
 def _resolve_seed(args, config: dict) -> int:
-    return args.seed if args.seed is not None else int(config.get("seed", 0))
+    return args.seed if args.seed is not None else config.get("seed", 0)
 
 
 # ---------------------------------------------------------------------------
@@ -385,18 +410,15 @@ def _threshold_from_args(args) -> tuple[float, float | None, str | None]:
         return args.tau, None, None
     if not args.artifact:
         raise CliError("provide either --tau or --artifact")
-    try:
-        with open(args.artifact, "r", encoding="utf-8") as fh:
-            artifact = json.load(fh)
-    except FileNotFoundError:
-        raise CliError(f"artifact not found: {args.artifact}")
-    except json.JSONDecodeError as exc:
-        raise CliError(f"artifact {args.artifact}: invalid JSON: {exc.msg}")
-    if not artifact.get("feasible") or artifact.get("threshold") is None:
+    artifact = _load_json_object(args.artifact, "artifact")
+    threshold = artifact.get("threshold")
+    if not artifact.get("feasible") or threshold is None:
         raise CliError(
             f"artifact {args.artifact} is infeasible; no threshold available for cascading"
         )
-    return float(artifact["threshold"]), artifact.get("alpha"), artifact.get("uq_variant")
+    if not isinstance(threshold, (int, float)):
+        raise CliError(f"artifact {args.artifact}: threshold must be a number, got {json.dumps(threshold)}")
+    return float(threshold), artifact.get("alpha"), artifact.get("uq_variant")
 
 
 CASCADE_CSV_HEADER = [
@@ -435,14 +457,12 @@ def cmd_cascade(args, config: dict) -> int:
 
 def _list_option(text: str | None, sweep_cfg: dict, key: str, default: list, cast) -> list:
     """A comma-separated flag, else the config file's "sweep" list, else `default`."""
-    if text:
-        return [cast(part) for part in text.split(",") if part]
-    return [cast(v) for v in sweep_cfg.get(key, default)]
+    return [cast(part) for part in text.split(",") if part] if text else sweep_cfg.get(key, default)
 
 
 def cmd_sweep(args, config: dict) -> int:
     seed = _resolve_seed(args, config)
-    delta = float(_pick(args.delta, config, "risk", "delta", DEFAULT_DELTA))
+    delta = _pick(args.delta, config, "risk", "delta", DEFAULT_DELTA)
     base_uq = _resolve_uq_config(args, config)
     sweep_cfg = config.get("sweep", {})
     alphas = _list_option(args.alphas, sweep_cfg, "alphas", [DEFAULT_ALPHA], float)
@@ -451,7 +471,7 @@ def cmd_sweep(args, config: dict) -> int:
     k_values = _list_option(args.k_values, sweep_cfg, "k_values", [base_uq.k_samples], int)
     for alpha in alphas:
         try:
-            RiskSpec(alpha=alpha, delta=delta).validate()
+            RiskSpec(alpha=alpha, delta=delta)
         except ValueError as exc:
             raise CliError(f"--alphas: {exc}")
     for k in k_values:
@@ -467,7 +487,7 @@ def cmd_sweep(args, config: dict) -> int:
     ranking_rows: list[list] = []
     risk_rows: list[list] = []
     for path in args.inputs:
-        records = [with_mlg(r, seed) for r in _load_scored(path)]
+        records = _load_scored(path)
         if not records:
             raise CliError(f"{path}: no records")
         name = os.path.basename(path)
@@ -551,7 +571,7 @@ def cmd_guarantee(args, config: dict) -> int:
     seed = _resolve_seed(args, config)
     cfg = _synth_config(args, seed)
     spec = _resolve_risk_spec(args, config, DEFAULT_GUARANTEE_ALPHA)
-    ratio = float(_pick(args.ratio, config, "split", "calibration_ratio", 0.5))
+    ratio = _pick(args.ratio, config, "split", "calibration_ratio", 0.5)
     result, outcomes = run_guarantee_trials(cfg, spec.alpha, spec.delta, args.trials, calibration_ratio=ratio)
     obj = {
         "alpha": spec.alpha,

@@ -42,19 +42,6 @@ class DensityMap:
     patch_size: int
     values: np.ndarray
 
-    def validate(self) -> None:
-        if self.grid_h <= 0 or self.grid_w <= 0 or self.patch_size <= 0:
-            raise DensityError("grid dimensions and patch size must be positive")
-        if self.values.shape != (self.grid_h, self.grid_w):
-            raise DensityError(
-                f"values shape {self.values.shape} does not match grid {self.grid_h}x{self.grid_w}"
-            )
-        if np.any(self.values < 0):
-            raise DensityError("density values must be non-negative")
-        total = float(self.values.sum())
-        if total > 0 and abs(total - 1.0) > 1e-9:
-            raise DensityError(f"density values must sum to 1, got {total}")
-
 
 @dataclass(frozen=True)
 class Region:
@@ -124,9 +111,7 @@ def build_density_map(
     counts = np.zeros((grid_h, grid_w), dtype=float)
     np.add.at(counts, (rows, cols), 1.0)
     values = counts / counts.sum()
-    dmap = DensityMap(grid_h=grid_h, grid_w=grid_w, patch_size=patch_size, values=values)
-    dmap.validate()
-    return dmap
+    return DensityMap(grid_h=grid_h, grid_w=grid_w, patch_size=patch_size, values=values)
 
 
 def extract_regions(density_map: DensityMap, beta: float) -> list[frozenset[Patch]]:

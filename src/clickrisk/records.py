@@ -275,6 +275,9 @@ class SplitPlan:
     seed: int = 0
     repetitions: int = 1
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         if not 0.0 < self.calibration_ratio < 1.0:
             raise SplitError(f"calibration_ratio must lie in (0, 1), got {self.calibration_ratio}")
@@ -290,7 +293,6 @@ def split_indices(
     The calibration size is round(ratio * n) (half up), clamped so both
     sides are non-empty. Deterministic in (plan.seed, repetition_index).
     """
-    plan.validate()
     if not 0 <= repetition_index < plan.repetitions:
         raise SplitError(
             f"repetition_index {repetition_index} outside [0, {plan.repetitions})"

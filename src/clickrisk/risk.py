@@ -39,6 +39,9 @@ class RiskSpec:
     alpha: float
     delta: float = 0.05
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise RiskError(f"alpha must lie strictly inside (0, 1), got {self.alpha}")
@@ -100,8 +103,11 @@ _DUAL_ARG_EPS = 1e-9
 _DUAL_VALUE_EPS = 1e-9
 
 
-@lru_cache(maxsize=65536)
-def _bound_at_most_cached(n_errors: int, n_accepted: int, alpha: float, delta: float) -> bool:
+def bound_at_most(n_errors: int, n_accepted: int, alpha: float, delta: float) -> bool:
+    """`cp_upper_bound(n_errors, n_accepted, delta) <= alpha`, mostly without bisection."""
+    _check_counts(n_errors, n_accepted, delta)
+    if not 0.0 < alpha < 1.0:
+        raise RiskError(f"alpha must lie strictly inside (0, 1), got {alpha}")
     if n_errors == n_accepted:
         return False  # the bound is 1.0 and alpha < 1
     a, b, level = n_errors + 1, n_accepted - n_errors, 1.0 - delta
@@ -114,14 +120,6 @@ def _bound_at_most_cached(n_errors: int, n_accepted: int, alpha: float, delta: f
     if betainc(a, b, alpha - _DUAL_ARG_EPS) >= level + _DUAL_VALUE_EPS:
         return True
     return cp_upper_bound(n_errors, n_accepted, delta) <= alpha
-
-
-def bound_at_most(n_errors: int, n_accepted: int, alpha: float, delta: float) -> bool:
-    """`cp_upper_bound(n_errors, n_accepted, delta) <= alpha`, mostly without bisection."""
-    _check_counts(n_errors, n_accepted, delta)
-    if not 0.0 < alpha < 1.0:
-        raise RiskError(f"alpha must lie strictly inside (0, 1), got {alpha}")
-    return _bound_at_most_cached(int(n_errors), int(n_accepted), float(alpha), float(delta))
 
 
 # (alpha, delta) -> table[n] = largest X with bound(X, n) <= alpha, -1 if none
@@ -203,7 +201,6 @@ def calibrate_threshold(
     a candidate are accepted jointly. Returns an infeasible outcome (not
     an error) when every candidate's bound exceeds alpha.
     """
-    spec.validate()
     u = np.asarray(uncertainties, dtype=float)
     err = _check_flags(error_flags)
     if u.shape != err.shape:

@@ -12,6 +12,7 @@ import math
 _MAX_ITER = 500
 _EPS = 3e-16  # relative convergence threshold for the continued fraction
 _FPMIN = 1e-300  # guard against division by zero in Lentz's method
+_TOL = 1e-12  # width of the quantile's final bracketing interval in x
 
 
 def log_beta(a: float, b: float) -> float:
@@ -75,11 +76,8 @@ def betainc(a: float, b: float, x: float) -> float:
     return 1.0 - front * _betacf(b, a, 1.0 - x) / b
 
 
-def beta_quantile(q: float, a: float, b: float, tol: float = 1e-12) -> float:
-    """q-quantile of Beta(a, b) by bisection on I_x(a, b).
-
-    `tol` bounds the width of the final bracketing interval in x.
-    """
+def beta_quantile(q: float, a: float, b: float) -> float:
+    """q-quantile of Beta(a, b) by bisection on I_x(a, b), to within `_TOL` in x."""
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"quantile level must be in [0, 1], got {q}")
     if q == 0.0:
@@ -87,7 +85,7 @@ def beta_quantile(q: float, a: float, b: float, tol: float = 1e-12) -> float:
     if q == 1.0:
         return 1.0
     lo, hi = 0.0, 1.0
-    while hi - lo > tol:
+    while hi - lo > _TOL:
         mid = 0.5 * (lo + hi)
         if betainc(a, b, mid) < q:
             lo = mid

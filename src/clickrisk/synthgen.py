@@ -43,6 +43,9 @@ class SynthConfig:
     expert_accuracy: float = 0.85
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         if self.n_records < 1:
             raise ValueError(f"n_records must be positive, got {self.n_records}")
@@ -79,18 +82,8 @@ class TrialOutcome(NamedTuple):
     test_fdr: float | None
 
 
-def _disc_points(rng: np.random.Generator, center, radius: float, count: int) -> np.ndarray:
-    """Uniform points in a disc around `center` (isotropic, bounded support)."""
-    angles = rng.uniform(0.0, 2.0 * math.pi, size=count)
-    radii = radius * np.sqrt(rng.uniform(0.0, 1.0, size=count))
-    return np.stack(
-        [center[0] + radii * np.cos(angles), center[1] + radii * np.sin(angles)], axis=1
-    )
-
-
 def generate_dataset(config: SynthConfig = SynthConfig()) -> list[GroundingRecord]:
     """Deterministic synthetic dataset with the configured easy/hard mix."""
-    config.validate()
     rng = np.random.default_rng(config.seed)
     size = float(config.image_size)
     box = float(config.box_size)
@@ -104,23 +97,26 @@ def generate_dataset(config: SynthConfig = SynthConfig()) -> list[GroundingRecor
         x_min = float(rng.uniform(0.0, size - box))
         y_min = float(rng.uniform(0.0, size - box))
         gt_box = (x_min, y_min, x_min + box, y_min + box)
-        center = (x_min + box / 2.0, y_min + box / 2.0)
 
+        # each sample is uniform in a disc around its centre, from one angle and one
+        # radius draw; the order of the draws fixes every dataset (tests pin digests)
         if is_easy[i]:
-            # tight cloud strictly inside the box
-            pts = _disc_points(rng, center, 0.35 * box, config.k_samples)
+            # tight cloud strictly inside the box; every angle is drawn before any radius
+            centers, radius = np.array([x_min + box / 2.0, y_min + box / 2.0]), 0.35 * box
+            turns, spreads = rng.random((2, config.k_samples))
         else:
-            # several clusters scattered over the screen
+            # several clusters scattered over the screen; each sample's draws are adjacent
             n_clusters = int(rng.integers(2, 5))
-            centers = rng.uniform(0.0, size, size=(n_clusters, 2))
-            assign = rng.integers(0, n_clusters, size=config.k_samples)
-            pts = np.empty((config.k_samples, 2))
-            for k in range(config.k_samples):
-                pts[k] = _disc_points(rng, centers[assign[k]], config.dispersion, 1)[0]
-        pts = np.clip(pts, 0.0, size)
+            clusters = rng.uniform(0.0, size, size=(n_clusters, 2))
+            centers = clusters[rng.integers(0, n_clusters, size=config.k_samples)]
+            radius = config.dispersion
+            turns, spreads = rng.random((config.k_samples, 2)).T
+        angles = (2.0 * math.pi) * turns
+        radii = radius * np.sqrt(spreads)
+        offsets = np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1)
+        pts = np.clip(centers + offsets, 0.0, size)
 
-        expert_hit = bool(rng.random() < config.expert_accuracy)
-        if expert_hit:
+        if rng.random() < config.expert_accuracy:
             expert = (
                 float(rng.uniform(x_min, x_min + box)),
                 float(rng.uniform(y_min, y_min + box)),
@@ -172,9 +168,8 @@ def run_guarantee_trials(
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
-    config.validate()
     spec = RiskSpec(alpha=alpha, delta=delta)
-    spec.validate()
+    plan = SplitPlan(calibration_ratio=calibration_ratio, seed=config.seed, repetitions=1)
     uq_cfg = uq_config or UqConfig()
 
     violations = 0
@@ -185,8 +180,7 @@ def run_guarantee_trials(
         data = generate_dataset(replace(config, seed=seed_t))
         u = np.array([score_record(r, uq_cfg).combined for r in data])
         adm = np.array([admission(select_mlg(r, seed_t), r.gt_box) for r in data], dtype=bool)
-        plan = SplitPlan(calibration_ratio=calibration_ratio, seed=seed_t, repetitions=1)
-        [(_, [counts])] = run_splits(u, adm, plan, [spec.alpha], spec.delta)
+        [(_, [counts])] = run_splits(u, adm, replace(plan, seed=seed_t), [spec.alpha], spec.delta)
         if counts is None:
             infeasible += 1
             outcomes.append(TrialOutcome(trial=t, feasible=False, tau=None, test_fdr=None))

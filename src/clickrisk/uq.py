@@ -60,6 +60,9 @@ class UqConfig:
     epsilon: float = 1e-8
     weights: tuple[float, float, float] = DEFAULT_WEIGHTS
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         if self.k_samples < 1:
             raise ValueError(f"k_samples must be positive, got {self.k_samples}")
@@ -150,7 +153,6 @@ def score_record(record: GroundingRecord, config: UqConfig = UqConfig()) -> Unce
     Uses the first `config.k_samples` samples. The record's precomputed
     confidence baseline, when present, is carried through unchanged.
     """
-    config.validate()
     samples = record.samples[: config.k_samples]
     scores, probs = sparse_region_scores(
         samples, (record.image_width, record.image_height), config.patch_size, config.beta

@@ -326,6 +326,34 @@ def test_config_file_supplies_defaults_and_cli_overrides(tmp_path, mixed_file):
     assert json.loads(overridden.read_text())["alpha"] == 0.45
 
 
+@pytest.mark.parametrize("config, argv, message", [
+    ({"risk": {"alpha": None}}, ["calibrate", "-o", "a.json"], "risk.alpha must be a number, got null"),
+    ({"sweep": {"alphas": 0.3}}, ["sweep", "--out-dir", "sweep"], "sweep.alphas must be a list of numbers, got 0.3"),
+    ({"uq": {"weights": 0.5}}, ["score", "-o", "s.jsonl"],
+     "uq.weights must be a preset name or a list of numbers, got 0.5"),
+    ({"uq": "x"}, ["score", "-o", "s.jsonl"], 'uq must be a JSON object, got "x"'),
+    ({"uq": {"k_samples": "abc"}}, ["score", "-o", "s.jsonl"], 'uq.k_samples must be an integer, got "abc"'),
+], ids=["null-alpha", "scalar-alphas", "scalar-weights", "string-section", "string-k"])
+def test_wrong_typed_config_value_names_file_and_key(tmp_path, mixed_file, capsys, config, argv, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    command, *outputs = argv
+    assert run("--config", path, command, "-i", mixed_file, *outputs) == 1
+    assert capsys.readouterr().err == f"error: config file {path}: {message}\n"
+    assert not (tmp_path / outputs[-1]).exists()
+
+
+@pytest.mark.parametrize("artifact, message", [
+    ([1, 2], "expected a JSON object"),
+    ({"feasible": True, "threshold": [0.5]}, "threshold must be a number, got [0.5]"),
+], ids=["list", "list-threshold"])
+def test_cascade_rejects_a_malformed_artifact(tmp_path, mixed_file, capsys, artifact, message):
+    path = tmp_path / "artifact.json"
+    path.write_text(json.dumps(artifact))
+    assert run("cascade", "-i", mixed_file, "--artifact", path) == 1
+    assert capsys.readouterr().err == f"error: artifact {path}: {message}\n"
+
+
 def test_unknown_config_file_is_operational_error(tmp_path, capsys):
     assert run("--config", tmp_path / "none.json", "synth", "--out", tmp_path / "d.jsonl") == 1
     assert "config" in capsys.readouterr().err

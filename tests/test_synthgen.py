@@ -1,10 +1,13 @@
+import hashlib
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from clickrisk import synthgen
 from clickrisk.metrics import admission
-from clickrisk.records import SplitPlan, select_mlg, serialize_records, split
+from clickrisk.records import SplitError, SplitPlan, select_mlg, serialize_records, split
 from clickrisk.risk import RiskSpec, calibrate_threshold
 from clickrisk.synthgen import SynthConfig, _trial_seed, generate_dataset, run_guarantee_trials
 from clickrisk.uq import score_record
@@ -69,6 +72,37 @@ def test_config_validation():
         SynthConfig(easy_fraction=1.2).validate()
     with pytest.raises(ValueError):
         SynthConfig(seed=-1).validate()
+
+
+# sha256 of the serialized datasets: any change to the order or arithmetic
+# of the generator's draws changes every synthetic output, and these catch it.
+@pytest.mark.parametrize("kwargs, digest", [
+    (dict(n_records=30, k_samples=1, seed=7),
+     "ac1de5062c5b4405ac39d879523a630f5ba1af5f72dc5e741c50ce44be637398"),
+    (dict(n_records=20, k_samples=50, easy_fraction=0.2, seed=11),
+     "6224dfffdd127dcee02879f1615ae0ee52c3c4c9caf2f066a7932e364a3120fa"),
+    (dict(n_records=40, k_samples=10, easy_fraction=0.0, dispersion=350.0, seed=3),
+     "da6326ee02f3a0e5e1be78bf7ed12c6b0cacf51ff52da2c731d64bfe4635c7de"),
+])
+def test_generated_datasets_keep_their_digests(kwargs, digest):
+    text = "\n".join(serialize_records(generate_dataset(SynthConfig(**kwargs))))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_guarantee_trials_keep_their_digest():
+    result, outcomes = run_guarantee_trials(SynthConfig(n_records=60, seed=5), alpha=0.15, delta=0.2, trials=6)
+    assert (result.violations, result.infeasible) == (1, 3)
+    digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
+    assert digest == "2542f64cb95e319bc63b7d8b685de79c516ff3bd6bf63e8293359583217d64c9"
+
+
+def test_guarantee_rejects_a_bad_ratio_before_any_trial(monkeypatch):
+    def never(config):
+        raise AssertionError("a dataset was generated")
+
+    monkeypatch.setattr(synthgen, "generate_dataset", never)
+    with pytest.raises(SplitError, match=re.escape("calibration_ratio must lie in (0, 1), got 1.5")):
+        run_guarantee_trials(SynthConfig(n_records=40), alpha=0.2, delta=0.05, trials=3, calibration_ratio=1.5)
 
 
 def test_guarantee_slack_regime_has_no_violations():
