@@ -35,17 +35,19 @@ from .density import build_density_map, density_csv_rows
 from .risk import CalibrationOutcome, RiskSpec, calibrate_threshold
 from .synthgen import SynthConfig, generate_dataset, run_guarantee_trials
 from .uq import (
+    SCORE_CHUNK,
     VARIANTS,
     WEIGHT_PRESETS,
     UqConfig,
     attach_score,
     combine,
-    score_record,
+    score_batch,
     variant_value,
 )
 
-# Unused here, but bench/spans.py wraps it at this binding.
+# Unused here, but bench/spans.py wraps them at these bindings.
 from .records import split  # noqa: F401
+from .uq import score_record  # noqa: F401
 
 DEFAULT_ALPHA = 0.1
 DEFAULT_GUARANTEE_ALPHA = 0.2
@@ -287,7 +289,11 @@ def cmd_score(args, config: dict) -> int:
     uq_cfg = _resolve_uq_config(args, config)
     records = _load_scored(args.input)
     dump_names = _density_dump_names(records) if args.dump_density else []
-    scored = [attach_score(r, score_record(r, uq_cfg)) for r in (with_mlg(r, seed) for r in records)]
+    # a chunk at a time, so the whole file's scores never sit beside the scored copies
+    scored: list[GroundingRecord] = []
+    for start in range(0, len(records), SCORE_CHUNK):
+        chunk = records[start : start + SCORE_CHUNK]
+        scored.extend(attach_score(with_mlg(r, seed), s) for r, s in zip(chunk, score_batch(chunk, uq_cfg)))
     save_records(args.output, scored)
     if args.dump_density:
         os.makedirs(args.dump_density, exist_ok=True)
@@ -460,6 +466,33 @@ def _list_option(text: str | None, sweep_cfg: dict, key: str, default: list, cas
     return [cast(part) for part in text.split(",") if part] if text else sweep_cfg.get(key, default)
 
 
+def _combo_rows(u, adm, expert, plan, alphas, delta, splits) -> tuple[list, list[list]]:
+    """One sweep combination's AUROC/AUARC and its per-alpha risk columns.
+
+    `u` is None when the variant is absent from the records ("--" style
+    empty columns); `splits` is `engine.run_splits`' index-array cache.
+    """
+    if u is None:
+        return [None, None], [[alpha, delta] + [None] * 11 for alpha in alphas]
+    feasible: list[list[engine.SplitCounts]] = [[] for _ in alphas]
+    for _, per_alpha in engine.run_splits(u, adm, plan, alphas, delta, expert, splits):
+        for kept, counts in zip(feasible, per_alpha):
+            if counts is not None:
+                kept.append(counts)
+    risk = []
+    for alpha, kept in zip(alphas, feasible):
+        cascaded = kept if expert is not None else []
+        risk.append(
+            [alpha, delta, len(kept), plan.repetitions - len(kept)]
+            + _mean_std([c.tau for c in kept])[:1]
+            + _mean_std([c.fdr for c in kept])
+            + _mean_std([c.power for c in kept])
+            + _mean_std([c.system_accuracy for c in cascaded])
+            + _mean_std([c.cascading_rate for c in cascaded])
+        )
+    return [metrics_mod.auroc(u, adm), metrics_mod.auarc(u, adm)], risk
+
+
 def cmd_sweep(args, config: dict) -> int:
     seed = _resolve_seed(args, config)
     delta = _pick(args.delta, config, "risk", "delta", DEFAULT_DELTA)
@@ -497,47 +530,37 @@ def cmd_sweep(args, config: dict) -> int:
             expert = np.array([metrics_mod.admission(r.expert, r.gt_box) for r in records], dtype=bool)
         base_accuracy = int(adm.sum()) / adm.size
 
-        # uncertainty values per combination, component scores computed once per k
-        combos: list[tuple[str, str | None, int | None, list[float] | None]] = []
+        # uncertainty values per combination, component scores computed once per k;
+        # only com depends on the weight preset, so ta, ie and cd get one key per k
+        # and their rows are repeated under every preset
+        combos: list[tuple[list, tuple]] = []  # (row head, key into `values`)
+        values: dict[tuple, np.ndarray | None] = {}
         for k in k_values:
-            cfg_k = replace(base_uq, k_samples=k)
-            components = [score_record(r, cfg_k) for r in records]
+            scores = score_batch(records, replace(base_uq, k_samples=k))
+            parts = {v: np.array([getattr(s, v) for s in scores]) for v in ("ta", "ie", "cd")}
             for preset in presets:
-                weights = WEIGHT_PRESETS[preset]
                 for variant in variants:
-                    if variant == "com":
-                        values = [combine(s.cd, s.ie, s.ta, weights) for s in components]
-                        combos.append((variant, preset, k, values))
-                    elif variant != "pc":
-                        combos.append((variant, preset, k, [getattr(s, variant) for s in components]))
+                    if variant == "pc":
+                        continue
+                    key = (variant, k, preset if variant == "com" else None)
+                    if key not in values:
+                        values[key] = parts[variant] if variant != "com" else combine(
+                            parts["cd"], parts["ie"], parts["ta"], WEIGHT_PRESETS[preset]
+                        )
+                    combos.append(([name, variant, preset, k], key))
         if "pc" in variants:
             has_pc = all(r.pc is not None for r in records)
-            combos.append(("pc", None, None, [r.pc for r in records] if has_pc else None))
+            values[("pc", None, None)] = np.array([r.pc for r in records], dtype=float) if has_pc else None
+            combos.append(([name, "pc", None, None], ("pc", None, None)))
 
         splits: dict = {}  # the same index arrays serve every combination
-        for variant, preset, k, values in combos:
-            head = [name, variant, preset, k]
-            if values is None:  # pc requested but absent: "--" style empty row
-                ranking_rows.append(head + [None, None, base_accuracy])
-                risk_rows.extend(head + [alpha, delta] + [None] * 11 for alpha in alphas)
-                continue
-            u = np.array(values, dtype=float)
-            ranking_rows.append(head + [metrics_mod.auroc(u, adm), metrics_mod.auarc(u, adm), base_accuracy])
-            feasible: list[list[engine.SplitCounts]] = [[] for _ in alphas]
-            for _, per_alpha in engine.run_splits(u, adm, plan, alphas, delta, expert, splits):
-                for kept, counts in zip(feasible, per_alpha):
-                    if counts is not None:
-                        kept.append(counts)
-            for alpha, kept in zip(alphas, feasible):
-                cascaded = kept if expert is not None else []
-                risk_rows.append(
-                    head + [alpha, delta, len(kept), plan.repetitions - len(kept)]
-                    + _mean_std([c.tau for c in kept])[:1]
-                    + _mean_std([c.fdr for c in kept])
-                    + _mean_std([c.power for c in kept])
-                    + _mean_std([c.system_accuracy for c in cascaded])
-                    + _mean_std([c.cascading_rate for c in cascaded])
-                )
+        rows: dict[tuple, tuple[list, list[list]]] = {}  # per key: its ranking tail and risk tails
+        for head, key in combos:
+            if key not in rows:
+                rows[key] = _combo_rows(values[key], adm, expert, plan, alphas, delta, splits)
+            ranking, risk = rows[key]
+            ranking_rows.append(head + ranking + [base_accuracy])
+            risk_rows.extend(head + row for row in risk)
 
     os.makedirs(args.out_dir, exist_ok=True)
     _write_csv(

@@ -75,11 +75,9 @@ def grid_shape(image_width: int, image_height: int, patch_size: int) -> tuple[in
     )
 
 
-def _patch_indices(
-    samples: Sequence[Point], image_dims: tuple[int, int], patch_size: int
-) -> tuple[int, int, np.ndarray, np.ndarray]:
-    """Grid shape and each sample's (row, col) patch, clamped into the grid."""
-    if len(samples) == 0:
+def _checked_grid(n_samples: int, image_dims: tuple[int, int], patch_size: int) -> tuple[int, int]:
+    """Grid shape for a cloud of `n_samples` samples, or the reason there is none."""
+    if n_samples == 0:
         raise DensityError("need at least one sample")
     if patch_size < 1:
         raise DensityError(f"patch_size must be >= 1, got {patch_size}")
@@ -89,6 +87,14 @@ def _patch_indices(
     grid_h, grid_w = grid_shape(width, height, patch_size)
     if grid_h * grid_w > _MAX_CELLS:
         raise DensityError(f"a {grid_h}x{grid_w} patch grid is too large to index")
+    return grid_h, grid_w
+
+
+def _patch_indices(
+    samples: Sequence[Point], image_dims: tuple[int, int], patch_size: int
+) -> tuple[int, int, np.ndarray, np.ndarray]:
+    """Grid shape and each sample's (row, col) patch, clamped into the grid."""
+    grid_h, grid_w = _checked_grid(len(samples), image_dims, patch_size)
     pts = np.asarray(samples, dtype=float)
     if not np.all(np.isfinite(pts)):
         raise DensityError("sample coordinates must be finite")
@@ -226,6 +232,149 @@ def sparse_region_scores(
     scores = tuple(score for score, _ in scored)
     total = sum(scores)
     return scores, tuple(score / total for score in scores)
+
+
+# ndarray.mean adds fewer items than this left to right, and more in pairwise blocks.
+_SEQUENTIAL_SUM_LIMIT = 8
+
+
+def region_means(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Mean of each run of `values`, bit for bit as `ndarray.mean` gives it.
+
+    `values` holds the regions' members back to back, each region in its
+    own member order, and `sizes` the length of each run. Below
+    _SEQUENTIAL_SUM_LIMIT members the sum is built member by member,
+    vectorised across regions; larger regions call `mean` on their run,
+    because ndarray.mean sums those pairwise (np.add.reduceat would not match
+    from three members on).
+    """
+    starts = np.cumsum(sizes) - sizes
+    small = sizes < _SEQUENTIAL_SUM_LIMIT
+    sums = np.zeros(sizes.size)
+    for j in range(min(int(sizes.max(initial=0)), _SEQUENTIAL_SUM_LIMIT - 1)):
+        take = np.flatnonzero(small & (sizes > j))
+        sums[take] += values[starts[take] + j]
+    means = sums / sizes
+    for g in np.flatnonzero(~small).tolist():
+        means[g] = values[starts[g] : starts[g] + sizes[g]].mean()
+    return means
+
+
+def _batch_patch_cells(
+    clouds: Sequence[Sequence[Point]], dims: Sequence[tuple[int, int]], patch_size: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each sample's cloud and row-major patch index, and each cloud's grid width.
+
+    Checks every cloud as `_patch_indices` does, in order, so the first bad
+    cloud raises the error it raises alone.
+    """
+    pts = np.array([p for c in clouds for p in c], dtype=float).reshape(-1, 2)
+    owner = np.repeat(np.arange(len(clouds)), [len(c) for c in clouds])
+    finite = np.isfinite(pts).all(axis=1)
+    bad = set() if finite.all() else set(owner[~finite].tolist())
+    shapes = []
+    for i, (cloud, image_dims) in enumerate(zip(clouds, dims)):
+        shapes.append(_checked_grid(len(cloud), image_dims, patch_size))
+        if i in bad:
+            raise DensityError("sample coordinates must be finite")
+    grid_h, grid_w = np.array(shapes, dtype=np.int64).reshape(-1, 2).T
+    h, w = grid_h[owner], grid_w[owner]
+    cols = np.minimum(np.maximum(np.floor(pts[:, 0] / patch_size).astype(int), 0), w - 1)
+    rows = np.minimum(np.maximum(np.floor(pts[:, 1] / patch_size).astype(int), 0), h - 1)
+    return owner, rows * w + cols, grid_w
+
+
+def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Smallest node of each node's component, for nodes 0..n-1 and edges a[i] -- b[i].
+
+    Min-label propagation with pointer jumping: every label is a node of
+    the node's own component and never grows, and a component's smallest
+    node keeps its own label, so at the fixed point that is every label.
+    """
+    label = np.arange(n)
+    while True:
+        la, lb = label[a], label[b]
+        if np.array_equal(la, lb):
+            return label
+        low = np.minimum(la, lb)
+        np.minimum.at(label, a, low)
+        np.minimum.at(label, b, low)
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+
+
+def batch_region_scores(
+    clouds: Sequence[Sequence[Point]],
+    dims: Sequence[tuple[int, int]],
+    patch_size: int,
+    beta: float,
+) -> list[tuple[tuple[float, ...], tuple[float, ...]]]:
+    """`sparse_region_scores` for many clouds at once, bit for bit.
+
+    `clouds[i]` is scored on an image of size `dims[i]`. A fixed number of
+    array passes serves every cloud: one lexsort on (cloud, row-major
+    patch) bins the samples, `np.maximum.reduceat` takes each cloud's peak
+    for the same float retention test, neighbours to the right are found
+    in row-major order and neighbours below in column-major order, and
+    `_components` labels the 4-connected regions. Each region is averaged
+    by `region_means` over its patches in row-major order and the regions
+    are ranked by one lexsort on (cloud, -score, smallest patch); only the
+    per-cloud total and division are left to Python, as in the one-cloud path.
+    """
+    if not 0.0 <= beta < 1.0:
+        raise DensityError(f"beta must lie in [0, 1), got {beta}")
+    if len(clouds) == 0:
+        return []
+    owner, cells, grid_w = _batch_patch_cells(clouds, dims, patch_size)
+
+    # occupied patches in (cloud, cell) order, and their normalized counts
+    order = np.lexsort((cells, owner))
+    owner, cells = owner[order], cells[order]
+    first = np.ones(cells.size, dtype=bool)
+    first[1:] = (cells[1:] != cells[:-1]) | (owner[1:] != owner[:-1])
+    starts = np.flatnonzero(first)
+    counts = np.diff(np.append(starts, cells.size))
+    owner, cells = owner[starts], cells[starts]
+    cloud_starts = np.flatnonzero(np.diff(owner, prepend=-1))  # every cloud has a patch
+    values = counts / np.add.reduceat(counts, cloud_starts)[owner]
+    peak = np.maximum.reduceat(values, cloud_starts)
+    retained = values > beta * peak[owner]
+    owner, cells, values = owner[retained], cells[retained], values[retained]
+
+    # 4-connected components over the retained patches
+    width = grid_w[owner]
+    row, col = cells // width, cells % width
+    same = owner[1:] == owner[:-1]
+    right = np.flatnonzero(same & (cells[1:] == cells[:-1] + 1) & (col[:-1] < width[:-1] - 1))
+    by_column = np.lexsort((row, col, owner))
+    r, c, o = row[by_column], col[by_column], owner[by_column]
+    below = np.flatnonzero((o[1:] == o[:-1]) & (c[1:] == c[:-1]) & (r[1:] == r[:-1] + 1))
+    label = _components(
+        cells.size, np.concatenate([right, by_column[below]]), np.concatenate([right + 1, by_column[below + 1]])
+    )
+
+    # one score per region, averaged in row-major order, then ranked per cloud
+    anchors = np.flatnonzero(label == np.arange(label.size))
+    region = np.searchsorted(anchors, label)
+    members = np.argsort(region, kind="stable")
+    sizes = np.bincount(region, minlength=anchors.size)
+    scores = region_means(values[members], sizes)
+    region_owner = owner[anchors]
+    ranked = np.lexsort((cells[anchors], -scores, region_owner))
+    ranked_scores = scores[ranked].tolist()
+    per_cloud = np.bincount(region_owner, minlength=len(clouds)).tolist()
+
+    out = []
+    at = 0
+    for m in per_cloud:
+        cloud_scores = tuple(ranked_scores[at : at + m])
+        at += m
+        total = sum(cloud_scores)
+        out.append((cloud_scores, tuple(score / total for score in cloud_scores)))
+    return out
 
 
 def density_csv_rows(density_map: DensityMap) -> Iterable[list[float]]:

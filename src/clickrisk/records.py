@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -54,6 +55,29 @@ def _as_point(value, name: str) -> Point:
     if not (math.isfinite(x) and math.isfinite(y)):
         raise RecordError(f"{name}: coordinates must be finite, got {value!r}")
     return (x, y)
+
+
+_REAL_TYPES = frozenset((int, float))  # exact types: bool and other subclasses take the slow path
+
+
+def _as_points(values: list, name: str) -> tuple[Point, ...]:
+    """`_as_point` for every item of `values`, checking a plain JSON list in one pass.
+
+    Only when some item is not a two-item list of exact ints and floats,
+    a float conversion overflows, or a coordinate is not finite, the items
+    go through `_as_point` one by one, which raises its usual error.
+    """
+    if all(type(p) is list and len(p) == 2 and type(p[0]) in _REAL_TYPES and type(p[1]) in _REAL_TYPES
+           for p in values):
+        try:
+            points = tuple((float(x), float(y)) for x, y in values)
+        except OverflowError:
+            pass
+        else:
+            # a sum of finite floats is finite unless it overflows, which takes the slow path too
+            if math.isfinite(sum(itertools.chain.from_iterable(points))):
+                return points
+    return tuple(_as_point(p, f"{name}[{i}]") for i, p in enumerate(values))
 
 
 @dataclass(frozen=True)
@@ -143,7 +167,7 @@ def record_from_obj(obj: dict) -> GroundingRecord:
         image_width=int(image["w"]),
         image_height=int(image["h"]),
         gt_box=tuple(float(v) for v in gt_box),
-        samples=tuple(_as_point(s, f"samples[{i}]") for i, s in enumerate(samples)),
+        samples=_as_points(samples, "samples"),
         instruction=instruction,
         mlg=_as_point(obj["mlg"], "mlg") if obj.get("mlg") is not None else None,
         expert=_as_point(obj["expert"], "expert") if obj.get("expert") is not None else None,

@@ -23,11 +23,12 @@ from .engine import run_splits
 from .metrics import admission
 from .records import GroundingRecord, SplitPlan, select_mlg
 from .risk import RiskSpec
-from .uq import UqConfig, score_record
+from .uq import UqConfig, score_batch
 
 # Unused here, but bench/spans.py wraps them at these bindings.
 from .records import split  # noqa: F401
 from .risk import calibrate_threshold, empirical_fdr  # noqa: F401
+from .uq import score_record  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -178,7 +179,7 @@ def run_guarantee_trials(
     for t in range(trials):
         seed_t = _trial_seed(config.seed, t)
         data = generate_dataset(replace(config, seed=seed_t))
-        u = np.array([score_record(r, uq_cfg).combined for r in data])
+        u = np.array([s.combined for s in score_batch(data, uq_cfg)])
         adm = np.array([admission(select_mlg(r, seed_t), r.gt_box) for r in data], dtype=bool)
         [(_, [counts])] = run_splits(u, adm, replace(plan, seed=seed_t), [spec.alpha], spec.delta)
         if counts is None:

@@ -244,6 +244,29 @@ def test_sweep_produces_both_tables(tmp_path, mixed_file):
     assert 0.0 <= float(first[4]) <= 1.0
 
 
+def test_sweep_rows_equal_one_combination_sweeps(tmp_path, mixed_file):
+    # ta/ie/cd rows are computed once per k and repeated under each preset;
+    # every row must still be what sweeping that one combination gives
+    src = scored(tmp_path, mixed_file)
+    common = ["--alphas", "0.2,0.3", "--ratio", 0.5, "-r", 3]
+
+    def sweep(out, variants, presets, k_values):
+        assert run("--seed", 3, "sweep", "-i", src, "--out-dir", tmp_path / out, "--variants", variants,
+                   "--weight-presets", presets, "--k-values", k_values, *common) == 0
+        return [(tmp_path / out / f).read_text().splitlines()[1:] for f in ("ranking.csv", "risk.csv")]
+
+    ranking, risk = sweep("all", "ta,com,cd,ie", "v2,original,v2", "10,5")
+    singles = [
+        sweep(f"one-{i}", variant, preset, k)
+        for i, (k, preset, variant) in enumerate(
+            (k, p, v) for k in ("10", "5") for p in ("v2", "original", "v2") for v in ("ta", "com", "cd", "ie"))
+    ]
+    assert ranking == [row for one_ranking, _ in singles for row in one_ranking]
+    assert risk == [row for _, one_risk in singles for row in one_risk]
+    ta_rows = [row.split(",") for row in ranking if row.split(",")[1] == "ta"]
+    assert ta_rows[0][2:] != ta_rows[1][2:] and ta_rows[0][4:] == ta_rows[1][4:]
+
+
 def test_sweep_pc_rows_empty_without_pc(tmp_path, mixed_file):
     src = scored(tmp_path, mixed_file)
     out_dir = tmp_path / "sweep"

@@ -2,6 +2,7 @@ import io
 import json
 import os
 
+import numpy as np
 import pytest
 
 from clickrisk.records import (
@@ -11,6 +12,7 @@ from clickrisk.records import (
     SplitPlan,
     atomic_writer,
     parse_records,
+    record_from_obj,
     save_records,
     select_mlg,
     serialize_records,
@@ -96,6 +98,51 @@ def test_parse_rejects_nonfinite_sample():
     bad = dict(VALID, samples=[[1, 2], [float("nan"), 3]])
     with pytest.raises(RecordError, match="samples"):
         parse_records(lines(bad))
+
+
+# Sample lists that fail the one-pass check in `record_from_obj` and go to the
+# per-pair `_as_point` loop, with the error that loop raises for each.
+REJECTED_SAMPLES = {
+    "bool": ("[[1, 2], [true, 3]]", RecordError,
+             "line 1: samples[1]: expected a [x, y] pair of numbers, got [True, 3]"),
+    "numeric string": ('[["1", 2]]', RecordError,
+                       "line 1: samples[0]: expected a [x, y] pair of numbers, got ['1', 2]"),
+    "NaN": ("[[1, 2], [NaN, 3]]", RecordError, "line 1: samples[1]: coordinates must be finite, got [nan, 3]"),
+    "Infinity": ("[[Infinity, 3]]", RecordError, "line 1: samples[0]: coordinates must be finite, got [inf, 3]"),
+    "-Infinity": ("[[4, -Infinity]]", RecordError, "line 1: samples[0]: coordinates must be finite, got [4, -inf]"),
+    "one coordinate": ("[[1, 2], [1]]", RecordError, "line 1: samples[1]: expected a [x, y] pair of numbers, got [1]"),
+    "three coordinates": ("[[1, 2, 3]]", RecordError,
+                          "line 1: samples[0]: expected a [x, y] pair of numbers, got [1, 2, 3]"),
+    "not a list": ("[[1, 2], null]", RecordError, "line 1: samples[1]: expected a [x, y] pair of numbers, got None"),
+    "int too large for a float": ("[[1, 2], [1" + "0" * 400 + ", 1]]", OverflowError,
+                                  "int too large to convert to float"),
+    # the first bad pair decides, whichever check the fast path would trip first
+    "NaN before a huge int": ("[[NaN, 2], [1" + "0" * 400 + ", 1]]", RecordError,
+                              "line 1: samples[0]: coordinates must be finite, got [nan, 2]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED_SAMPLES))
+def test_parse_names_the_first_bad_sample_pair(case):
+    samples, error, message = REJECTED_SAMPLES[case]
+    text = json.dumps(VALID).replace('[[12, 15], [20, 25]]', samples)
+    with pytest.raises(error) as info:
+        parse_records(io.StringIO(text + "\n"))
+    assert str(info.value) == message
+
+
+def test_samples_outside_the_one_pass_check_still_parse():
+    accepted = {
+        "tuples from a caller": [(12, 15), [20.5, 25]],
+        "float subclasses": [[np.float64(12.0), 15], [20.5, np.float64(25)]],
+        "a coordinate sum that overflows": [[1e308, 1e308], [20.5, 25]],
+    }
+    for samples in accepted.values():
+        record = record_from_obj(dict(VALID, samples=samples))
+        assert record.samples == tuple((float(x), float(y)) for x, y in samples)
+        assert all(type(c) is float for point in record.samples for c in point)
+    with pytest.raises(RecordError, match=r"samples\[0\]: expected a \[x, y\] pair of numbers"):
+        record_from_obj(dict(VALID, samples=[(1, 2, 3)]))
 
 
 def test_round_trip_is_field_equal():

@@ -6,21 +6,26 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from clickrisk import density
 from clickrisk.density import (
+    DensityError,
     DensityMap,
     build_density_map,
     extract_regions,
+    region_means,
     score_regions,
     sparse_region_scores,
 )
 from clickrisk.records import GroundingRecord
 from clickrisk.uq import (
+    SCORE_CHUNK,
     UqConfig,
     WEIGHT_PRESETS,
     attach_score,
     combine,
     concentration_deficit,
     info_dispersion,
+    score_batch,
     score_record,
     top_ambiguity,
     variant_value,
@@ -343,16 +348,20 @@ def test_sparse_scoring_equals_dense_chain(dims):
         for beta in (0.0, 0.3, 0.99):
             for patch in (1, 14, 28):
                 cfg = UqConfig(k_samples=k, patch_size=patch, beta=beta)
+                records, expected = [], []
                 for kind in ("cluster", "spread", "edges", "wrap", "outside"):
                     samples = [tuple(p) for p in cloud(rng, kind, k, dims, patch).tolist()]
                     scores, probs = dense_chain(samples, dims, patch, beta)
                     assert sparse_region_scores(samples, dims, patch, beta) == (scores, probs)
-                    score = score_record(record_with_samples(samples, *dims), cfg)
+                    records.append(record_with_samples(samples, *dims))
+                    score = score_record(records[-1], cfg)
                     ta = top_ambiguity(scores, cfg.epsilon)
                     ie = info_dispersion(probs, cfg.epsilon)
                     cd = fraction_deficit(probs)
                     assert (score.ta, score.ie, score.cd) == (ta, ie, cd)
                     assert score.combined == combine(cd, ie, ta, cfg.weights)
+                    expected.append(score)
+                assert score_batch(records, cfg) == expected
 
 
 def test_huge_declared_image_scores_in_bounded_memory():
@@ -367,3 +376,103 @@ def test_huge_declared_image_scores_in_bounded_memory():
         tracemalloc.stop()
     assert peak < 1_000_000  # the dense grid would take ~40 GB at patch 14
     assert 0.0 <= score.combined <= 1.0
+
+
+# --- score_batch against score_record ------------------------------------------
+
+def cloud_records(rng, dims, k, patch, per_kind=1):
+    return [
+        record_with_samples([tuple(p) for p in cloud(rng, kind, k, dims, patch).tolist()], *dims,
+                            id=f"{kind}-{i}", pc=float(rng.random()) if rng.random() < 0.5 else None)
+        for kind in ("cluster", "spread", "edges", "wrap", "outside")
+        for i in range(per_kind)
+    ]
+
+
+def test_score_batch_mixes_image_sizes_and_sample_counts():
+    rng = np.random.default_rng(21)
+    records = []
+    for dims in [(840, 840), (1920, 1080), (7680, 4320), (28, 14), (30, 20)]:
+        for k in (1, 3, 10, 50):
+            records += cloud_records(rng, dims, k, 14)
+    order = rng.permutation(len(records))
+    records = [records[i] for i in order]
+    for cfg in (UqConfig(), UqConfig(k_samples=50, beta=0.0), UqConfig(k_samples=3, patch_size=28)):
+        assert score_batch(records, cfg) == [score_record(r, cfg) for r in records]
+
+
+@pytest.mark.parametrize("n", [0, 1, SCORE_CHUNK, SCORE_CHUNK + 1])
+def test_score_batch_across_chunk_boundaries(n):
+    rng = np.random.default_rng(n)
+    records = []
+    while len(records) < n:
+        records += cloud_records(rng, (1920, 1080), int(rng.integers(1, 20)), 14, per_kind=2)
+    records = records[:n]
+    assert score_batch(records) == [score_record(r) for r in records]
+
+
+def test_score_batch_averages_large_regions_pairwise(monkeypatch):
+    seen = []
+
+    def spy(values, sizes):
+        seen.append(int(sizes.max()))
+        return region_means(values, sizes)
+
+    monkeypatch.setattr(density, "region_means", spy)
+    rng = np.random.default_rng(8)
+    cfg = UqConfig(k_samples=50, beta=0.0)
+    records = []
+    for _ in range(40):  # 50 samples over a few patches: regions of 8 cells and more
+        centre = rng.uniform(100, 700, size=2)
+        samples = centre + rng.normal(0, float(rng.uniform(10, 30)), size=(50, 2))
+        records.append(record_with_samples([tuple(p) for p in samples.tolist()], 840, 840))
+    assert score_batch(records, cfg) == [score_record(r, cfg) for r in records]
+    assert max(seen) >= 8
+
+
+def test_region_means_reproduce_ndarray_mean():
+    # ndarray.mean sums fewer than 8 items left to right and more in pairwise
+    # blocks; region_means relies on that order, so a numpy whose blocking
+    # differs fails here rather than moving every score by an ulp
+    rng = np.random.default_rng(13)
+    for size in range(1, 61):
+        for _ in range(40):
+            k = int(rng.integers(size + 1, 4 * size + 50))  # a record's K samples
+            values = rng.integers(1, k, size=size) / k
+            got = region_means(values, np.array([size]))
+            assert got[0] == values.mean(), (size, values)
+    sizes = rng.integers(1, 61, size=300)
+    values = rng.integers(1, 97, size=int(sizes.sum())) / 97
+    starts = np.cumsum(sizes) - sizes
+    expected = [values[s : s + n].mean() for s, n in zip(starts, sizes)]
+    assert region_means(values, sizes).tolist() == expected
+
+
+def test_score_batch_with_a_huge_declared_image_stays_in_bounded_memory():
+    samples = [(10.0 * i, 5e5 + 3.0 * i) for i in range(10)]
+    records = [record_with_samples(samples), record_with_samples(samples, width=10**6, height=10**6)]
+    score_batch(records)  # warm up lazy imports and caches
+    tracemalloc.start()
+    try:
+        scores = score_batch(records)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert scores == [score_record(r) for r in records]
+
+
+def test_score_batch_rejects_the_first_bad_record_as_score_record_does():
+    good = record_with_samples([(3.0, 3.0)] * 4)
+    overflow = record_with_samples([(3.0, 3.0)], width=2**62, height=2**62)
+    nonfinite = record_with_samples([(3.0, 3.0), (math.nan, 4.0)])
+    infinite = record_with_samples([(math.inf, 3.0)])
+    cfg = UqConfig(patch_size=1)
+    for batch in ([good, overflow, nonfinite], [good, nonfinite, overflow], [infinite, good], [good] * 300 + [overflow]):
+        bad = next(r for r in batch if r is not good)
+        with pytest.raises(DensityError) as expected:
+            score_record(bad, cfg)
+        with pytest.raises(DensityError) as got:
+            score_batch(batch, cfg)
+        assert str(got.value) == str(expected.value)
+    assert "too large to index" in str(expected.value)
