@@ -4,83 +4,41 @@ The toolkit turns recorded stochastic click predictions into spatial
 uncertainty scores, calibrates an acceptance threshold with an exact
 binomial false-discovery-rate bound, and evaluates selective prediction
 and two-model cascading on held-out data.
+
+The package namespace holds what the demos and the README example use;
+everything else is imported from its module (`clickrisk.records`, ...).
 """
 
-from .cascade import CascadeReport, Decision, decide, emit_deferrals, evaluate_cascade
-from .density import DensityMap, Region, RegionSet, build_density_map, extract_regions, score_regions
-from .metrics import EvalReport, admission, auarc, auroc, fdr_at, power_at
-from .records import (
-    GroundingRecord,
-    RecordError,
-    SplitPlan,
-    load_records,
-    parse_records,
-    save_records,
-    select_mlg,
-    serialize_records,
-    split,
-)
-from .risk import CalibrationOutcome, RiskSpec, calibrate_threshold, cp_upper_bound, empirical_fdr
-from .synthgen import GuaranteeResult, SynthConfig, generate_dataset, run_guarantee_trials
-from .uq import (
-    UncertaintyScore,
-    UqConfig,
-    WEIGHT_PRESETS,
-    attach_score,
-    combine,
-    concentration_deficit,
-    info_dispersion,
-    score_record,
-    top_ambiguity,
-    variant_value,
-)
+from .cascade import evaluate_cascade
+from .density import build_density_map, extract_regions, score_regions
+from .metrics import admission, auarc, auroc, fdr_at, power_at
+from .records import GroundingRecord, SplitPlan, select_mlg, split
+from .risk import RiskSpec, calibrate_threshold, cp_upper_bound
+from .synthgen import SynthConfig, generate_dataset, run_guarantee_trials
+from .uq import UqConfig, score_record
 
 __all__ = [
-    "CascadeReport",
-    "Decision",
-    "decide",
-    "emit_deferrals",
     "evaluate_cascade",
-    "DensityMap",
-    "Region",
-    "RegionSet",
     "build_density_map",
     "extract_regions",
     "score_regions",
-    "EvalReport",
     "admission",
     "auarc",
     "auroc",
     "fdr_at",
     "power_at",
     "GroundingRecord",
-    "RecordError",
     "SplitPlan",
-    "load_records",
-    "parse_records",
-    "save_records",
     "select_mlg",
-    "serialize_records",
     "split",
-    "CalibrationOutcome",
     "RiskSpec",
     "calibrate_threshold",
     "cp_upper_bound",
-    "empirical_fdr",
-    "GuaranteeResult",
     "SynthConfig",
     "generate_dataset",
     "run_guarantee_trials",
-    "UncertaintyScore",
     "UqConfig",
-    "WEIGHT_PRESETS",
-    "attach_score",
-    "combine",
-    "concentration_deficit",
-    "info_dispersion",
     "score_record",
-    "top_ambiguity",
-    "variant_value",
 ]
 
 __version__ = "0.1.0"

@@ -31,7 +31,7 @@ from .records import (
     split_indices,
     with_mlg,
 )
-from .density import build_density_map, density_csv_rows
+from .density import occupied_patches
 from .risk import CalibrationOutcome, RiskSpec, calibrate_threshold
 from .synthgen import SynthConfig, generate_dataset, run_guarantee_trials
 from .uq import (
@@ -46,6 +46,7 @@ from .uq import (
 )
 
 # Unused here, but bench/spans.py wraps them at these bindings.
+from .density import build_density_map  # noqa: F401
 from .records import split  # noqa: F401
 from .uq import score_record  # noqa: F401
 
@@ -298,15 +299,15 @@ def cmd_score(args, config: dict) -> int:
     if args.dump_density:
         os.makedirs(args.dump_density, exist_ok=True)
         for record, name in zip(scored, dump_names):
-            dmap = build_density_map(
+            grid_w, cells, values = occupied_patches(
                 record.samples[: uq_cfg.k_samples],
                 (record.image_width, record.image_height),
                 uq_cfg.patch_size,
             )
             _write_csv(
                 os.path.join(args.dump_density, name),
-                [f"c{j}" for j in range(dmap.grid_w)],
-                density_csv_rows(dmap),
+                ["row", "col", "value"],
+                zip((cells // grid_w).tolist(), (cells % grid_w).tolist(), values.tolist()),
             )
     print(f"scored {len(scored)} records -> {args.output}")
     return 0
@@ -659,7 +660,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", "-o", required=True)
     _add_uq_flags(p)
     p.add_argument("--dump-density", default=None, metavar="DIR",
-                   help="also write each record's density map as a CSV grid")
+                   help="also write each record's occupied patches as row,col,value CSV")
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("calibrate", help="calibrate an acceptance threshold with an FDR bound")

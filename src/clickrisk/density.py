@@ -43,38 +43,6 @@ class DensityMap:
     values: np.ndarray
 
 
-@dataclass(frozen=True)
-class Region:
-    """A maximal 4-connected component of retained patches and its score."""
-
-    patches: frozenset[Patch]
-    score: float
-
-
-@dataclass(eq=False)
-class RegionSet:
-    """Regions sorted by score (descending) with the induced distribution.
-
-    `probs[i]` is regions[i].score normalized by the total score mass, so
-    the vector sums to 1 and preserves the score ordering.
-    """
-
-    regions: tuple[Region, ...]
-    probs: tuple[float, ...]
-
-    @property
-    def scores(self) -> tuple[float, ...]:
-        return tuple(r.score for r in self.regions)
-
-
-def grid_shape(image_width: int, image_height: int, patch_size: int) -> tuple[int, int]:
-    """(grid_h, grid_w) covering the image with ceiling division."""
-    return (
-        math.ceil(image_height / patch_size),
-        math.ceil(image_width / patch_size),
-    )
-
-
 def _checked_grid(n_samples: int, image_dims: tuple[int, int], patch_size: int) -> tuple[int, int]:
     """Grid shape for a cloud of `n_samples` samples, or the reason there is none."""
     if n_samples == 0:
@@ -84,7 +52,7 @@ def _checked_grid(n_samples: int, image_dims: tuple[int, int], patch_size: int) 
     width, height = image_dims
     if width <= 0 or height <= 0:
         raise DensityError(f"image dimensions must be positive, got {image_dims}")
-    grid_h, grid_w = grid_shape(width, height, patch_size)
+    grid_h, grid_w = math.ceil(height / patch_size), math.ceil(width / patch_size)
     if grid_h * grid_w > _MAX_CELLS:
         raise DensityError(f"a {grid_h}x{grid_w} patch grid is too large to index")
     return grid_h, grid_w
@@ -156,28 +124,38 @@ def extract_regions(density_map: DensityMap, beta: float) -> list[frozenset[Patc
 
 def score_regions(
     density_map: DensityMap, regions: Iterable[frozenset[Patch]]
-) -> RegionSet:
-    """Score each region by its mean patch density and rank descending.
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Each region's mean patch density, ranked descending, and their distribution.
 
-    Ties in score are broken by the region's smallest patch in row-major
-    order, keeping the induced distribution reproducible.
+    `probs[i]` is `scores[i]` normalized by the total score mass, so the
+    vector sums to 1 and keeps the score order.
     """
     region_list = [frozenset(r) for r in regions]
     if not region_list or any(len(r) == 0 for r in region_list):
         raise DensityError("regions must be a non-empty collection of non-empty patch sets")
     values = density_map.values
-    scored = []
+    scores = []
     for region in region_list:
         rows, cols = zip(*sorted(region))
-        score = float(values[list(rows), list(cols)].mean())
-        anchor = min((r * density_map.grid_w + c) for r, c in region)
-        scored.append((region, score, anchor))
-    scored.sort(key=lambda item: (-item[1], item[2]))
-    total = sum(score for _, score, _ in scored)
-    return RegionSet(
-        regions=tuple(Region(patches=region, score=score) for region, score, _ in scored),
-        probs=tuple(score / total for _, score, _ in scored),
-    )
+        scores.append(float(values[list(rows), list(cols)].mean()))
+    scores.sort(reverse=True)
+    total = sum(scores)
+    return tuple(scores), tuple(score / total for score in scores)
+
+
+def occupied_patches(
+    samples: Sequence[Point], image_dims: tuple[int, int], patch_size: int
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """Grid width, and the occupied patches' row-major indices and densities.
+
+    Patch (row, col) has index row * grid_w + col; the indices ascend, and
+    the densities are the nonzero cells of `build_density_map` in row-major
+    order, bit for bit. K samples occupy at most K patches, so cost and
+    memory do not grow with the image.
+    """
+    _, grid_w, rows, cols = _patch_indices(samples, image_dims, patch_size)
+    cells, counts = np.unique(rows * grid_w + cols, return_counts=True)
+    return grid_w, cells, counts / counts.sum()
 
 
 def sparse_region_scores(
@@ -185,25 +163,21 @@ def sparse_region_scores(
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Ranked region scores and their distribution, from occupied patches only.
 
-    Returns the `scores` and `probs` that `score_regions` gives for
+    Returns what `score_regions` gives for
     `extract_regions(build_density_map(samples, image_dims, patch_size), beta)`,
-    bit for bit, but never builds the grid: K samples occupy at most K
-    patches, so cost and memory do not grow with the image. Patches are
-    keyed by their row-major index row * grid_w + col, which keeps the
-    dense path's orders: each region is averaged over its patches in
-    row-major order and ties are broken by its smallest patch.
+    bit for bit, but never builds the grid (see `occupied_patches`). Patches
+    are keyed by their row-major index, so each region is averaged over its
+    patches in row-major order, as on the dense path.
     """
     if not 0.0 <= beta < 1.0:
         raise DensityError(f"beta must lie in [0, 1), got {beta}")
-    grid_h, grid_w, rows, cols = _patch_indices(samples, image_dims, patch_size)
-    cells, counts = np.unique(rows * grid_w + cols, return_counts=True)
-    values = counts / counts.sum()
+    grid_w, cells, values = occupied_patches(samples, image_dims, patch_size)
     retained = values > beta * values.max()
     values = values[retained]
     cells = cells[retained].tolist()
     position = {cell: i for i, cell in enumerate(cells)}
-    scored = []
-    for anchor in cells:  # ascending, so each region is met at its smallest patch
+    scores = []
+    for anchor in cells:
         if anchor not in position:
             continue
         members = [position.pop(anchor)]
@@ -223,15 +197,13 @@ def sparse_region_scores(
                     members.append(i)
                     stack.append(nb)
         if len(members) == 1:  # the mean of one value is that value, exactly
-            score = float(values[members[0]])
+            scores.append(float(values[members[0]]))
         else:
             members.sort()
-            score = float(values[members].mean())
-        scored.append((score, anchor))
-    scored.sort(key=lambda item: (-item[0], item[1]))
-    scores = tuple(score for score, _ in scored)
+            scores.append(float(values[members].mean()))
+    scores.sort(reverse=True)
     total = sum(scores)
-    return scores, tuple(score / total for score in scores)
+    return tuple(scores), tuple(score / total for score in scores)
 
 
 # ndarray.mean adds fewer items than this left to right, and more in pairwise blocks.
@@ -321,8 +293,8 @@ def batch_region_scores(
     in row-major order and neighbours below in column-major order, and
     `_components` labels the 4-connected regions. Each region is averaged
     by `region_means` over its patches in row-major order and the regions
-    are ranked by one lexsort on (cloud, -score, smallest patch); only the
-    per-cloud total and division are left to Python, as in the one-cloud path.
+    are ranked by one lexsort on (cloud, -score); only the per-cloud total
+    and division are left to Python, as in the one-cloud path.
     """
     if not 0.0 <= beta < 1.0:
         raise DensityError(f"beta must lie in [0, 1), got {beta}")
@@ -363,7 +335,7 @@ def batch_region_scores(
     sizes = np.bincount(region, minlength=anchors.size)
     scores = region_means(values[members], sizes)
     region_owner = owner[anchors]
-    ranked = np.lexsort((cells[anchors], -scores, region_owner))
+    ranked = np.lexsort((-scores, region_owner))
     ranked_scores = scores[ranked].tolist()
     per_cloud = np.bincount(region_owner, minlength=len(clouds)).tolist()
 
@@ -375,9 +347,3 @@ def batch_region_scores(
         total = sum(cloud_scores)
         out.append((cloud_scores, tuple(score / total for score in cloud_scores)))
     return out
-
-
-def density_csv_rows(density_map: DensityMap) -> Iterable[list[float]]:
-    """Grid values as CSV-ready rows (top row first), for debug dumps."""
-    for row in density_map.values:
-        yield [float(v) for v in row]

@@ -44,6 +44,16 @@ class SplitError(ValueError):
     """The dataset cannot be partitioned as requested."""
 
 
+def _as_float(value, name: str) -> float:
+    """`float(value)`; a value it rejects or that overflows is a RecordError naming `name`."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise RecordError(f"{name}: an integer too large for a float") from None
+    except (TypeError, ValueError):
+        raise RecordError(f"{name}: expected a number, got {value!r}") from None
+
+
 def _as_point(value, name: str) -> Point:
     if (
         not isinstance(value, (list, tuple))
@@ -51,7 +61,7 @@ def _as_point(value, name: str) -> Point:
         or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in value)
     ):
         raise RecordError(f"{name}: expected a [x, y] pair of numbers, got {value!r}")
-    x, y = float(value[0]), float(value[1])
+    x, y = _as_float(value[0], name), _as_float(value[1], name)
     if not (math.isfinite(x) and math.isfinite(y)):
         raise RecordError(f"{name}: coordinates must be finite, got {value!r}")
     return (x, y)
@@ -102,6 +112,8 @@ class GroundingRecord:
     uq: dict[str, float] | None = field(default=None)
 
     def validate(self) -> None:
+        """Record-level invariants; each sample is checked where it is parsed
+        (`_as_points`) and where it is scored (`density`)."""
         if not self.id:
             raise RecordError("id: must be a non-empty string")
         if self.image_width <= 0 or self.image_height <= 0:
@@ -117,9 +129,6 @@ class GroundingRecord:
             )
         if len(self.samples) == 0:
             raise RecordError("samples: must contain at least one coordinate pair")
-        for i, (x, y) in enumerate(self.samples):
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise RecordError(f"samples[{i}]: coordinates must be finite")
         if self.pc is not None and not 0.0 <= self.pc <= 1.0:
             raise RecordError(f"pc: must lie in [0, 1], got {self.pc}")
 
@@ -161,17 +170,17 @@ def record_from_obj(obj: dict) -> GroundingRecord:
     if uq is not None:
         if not isinstance(uq, dict) or not set(UQ_KEYS) <= set(uq):
             raise RecordError(f"uq: expected an object with fields {UQ_KEYS}")
-        uq = {k: float(uq[k]) for k in UQ_KEYS}
+        uq = {k: _as_float(uq[k], f"uq.{k}") for k in UQ_KEYS}
     record = GroundingRecord(
         id=rec_id,
         image_width=int(image["w"]),
         image_height=int(image["h"]),
-        gt_box=tuple(float(v) for v in gt_box),
+        gt_box=tuple(_as_float(v, "gt_box") for v in gt_box),
         samples=_as_points(samples, "samples"),
         instruction=instruction,
         mlg=_as_point(obj["mlg"], "mlg") if obj.get("mlg") is not None else None,
         expert=_as_point(obj["expert"], "expert") if obj.get("expert") is not None else None,
-        pc=float(pc) if pc is not None else None,
+        pc=_as_float(pc, "pc") if pc is not None else None,
         uq=uq,
     )
     record.validate()
@@ -216,6 +225,8 @@ def parse_records(stream: IO | Iterable[str | bytes]) -> list[GroundingRecord]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise RecordError(f"invalid JSON: {exc.msg}", line=lineno) from None
+        except ValueError as exc:  # an integer literal longer than int's digit limit
+            raise RecordError(f"unreadable number: {exc}", line=lineno) from None
         try:
             record = record_from_obj(obj)
         except RecordError as exc:

@@ -154,14 +154,13 @@ def run_guarantee_trials(
     delta: float,
     trials: int,
     calibration_ratio: float = 0.5,
-    uq_config: UqConfig | None = None,
 ) -> tuple[GuaranteeResult, list[TrialOutcome]]:
     """Monte Carlo estimate of how often the calibrated rule overshoots alpha.
 
     Each trial draws a fresh dataset and a fresh calibration/test split,
-    calibrates a threshold at (alpha, delta) on the combined uncertainty,
-    and measures the test-split FDR at that threshold. The violation rate
-    is taken over feasible trials.
+    calibrates a threshold at (alpha, delta) on the combined uncertainty
+    of the default `UqConfig`, and measures the test-split FDR at that
+    threshold. The violation rate is taken over feasible trials.
 
     Calibration and test records are exchangeable by construction here;
     the guarantee being checked is marginal over that draw, and
@@ -171,7 +170,7 @@ def run_guarantee_trials(
         raise ValueError(f"trials must be positive, got {trials}")
     spec = RiskSpec(alpha=alpha, delta=delta)
     plan = SplitPlan(calibration_ratio=calibration_ratio, seed=config.seed, repetitions=1)
-    uq_cfg = uq_config or UqConfig()
+    uq_cfg = UqConfig()
 
     violations = 0
     infeasible = 0

@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 from clickrisk import cli
+from clickrisk.density import build_density_map
 from clickrisk.records import SplitPlan, load_records, split
 from clickrisk.uq import variant_value
 
@@ -74,10 +76,15 @@ def test_score_density_dump(tmp_path, mixed_file):
     out = tmp_path / "s.jsonl"
     dump = tmp_path / "maps"
     assert run("--seed", 3, "score", "-i", mixed_file, "-o", out, "--dump-density", dump) == 0
-    files = sorted(dump.iterdir())
-    assert len(files) == 80
-    header = files[0].read_text().splitlines()[0]
-    assert header.startswith("c0,")
+    assert len(list(dump.iterdir())) == 80
+    # each file lists the occupied patches: the dense grid's nonzero cells, row-major, exactly
+    for record in load_records(mixed_file):
+        header, *rows = (dump / f"{record.id}.csv").read_text().splitlines()
+        assert header == "row,col,value"
+        dmap = build_density_map(record.samples[:10], (record.image_width, record.image_height), 14)
+        r, c = np.nonzero(dmap.values)
+        expected = list(zip(r.tolist(), c.tolist(), dmap.values[r, c].tolist()))
+        assert [(int(a), int(b), float(v)) for a, b, v in (row.split(",") for row in rows)] == expected
 
 
 def test_score_density_dump_refuses_colliding_ids(tmp_path, mixed_file, capsys):
@@ -408,3 +415,4 @@ def test_pipeline_reruns_byte_identical(tmp_path):
     files_b = pipeline(tmp_path / "b")
     for fa, fb in zip(files_a, files_b):
         assert fa.read_bytes() == fb.read_bytes(), fa.name
+

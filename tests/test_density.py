@@ -175,32 +175,31 @@ def test_region_score_is_mean_density():
     values[0, 0] = 0.5
     values[0, 1] = 0.3
     values[0, 2] = 0.2
-    rs = score_regions(make_map(values), [frozenset({(0, 0), (0, 1)})])
-    assert rs.scores == (pytest.approx(0.4),)
+    scores, _ = score_regions(make_map(values), [frozenset({(0, 0), (0, 1)})])
+    assert scores == (pytest.approx(0.4),)
 
 
 def test_single_region_prob_is_one():
     values = np.array([[0.6, 0.4]])
-    rs = score_regions(make_map(values), [frozenset({(0, 0), (0, 1)})])
-    assert rs.probs == (1.0,)
+    _, probs = score_regions(make_map(values), [frozenset({(0, 0), (0, 1)})])
+    assert probs == (1.0,)
 
 
-def test_tied_scores_split_evenly_with_stable_order():
+def test_tied_scores_split_evenly():
     values = np.zeros((1, 4))
     values[0, 0] = 0.4
     values[0, 3] = 0.4
-    rs = score_regions(make_map(values), [frozenset({(0, 3)}), frozenset({(0, 0)})])
-    assert rs.probs == (pytest.approx(0.5), pytest.approx(0.5))
-    # tie broken by smallest patch index, row-major
-    assert rs.regions[0].patches == frozenset({(0, 0)})
+    scores, probs = score_regions(make_map(values), [frozenset({(0, 3)}), frozenset({(0, 0)})])
+    assert scores == (0.4, 0.4)
+    assert probs == (0.5, 0.5)
 
 
 def test_scores_sorted_descending():
     values = np.array([[0.1, 0.6, 0.3]])
     regions = [frozenset({(0, 0)}), frozenset({(0, 1)}), frozenset({(0, 2)})]
-    rs = score_regions(make_map(values), regions)
-    assert rs.scores == (0.6, 0.3, 0.1)
-    assert sum(rs.probs) == pytest.approx(1.0, abs=1e-9)
+    scores, probs = score_regions(make_map(values), regions)
+    assert scores == (0.6, 0.3, 0.1)
+    assert sum(probs) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_score_rejects_empty_regions():
@@ -213,28 +212,26 @@ def test_score_rejects_empty_regions():
 # --- pipeline invariants ----------------------------------------------------
 
 def run_pipeline(samples, dims, patch=14, beta=0.3):
+    """The regions as a set, and their ranked (scores, probs)."""
     dmap = build_density_map(samples, dims, patch)
-    return score_regions(dmap, extract_regions(dmap, beta))
+    regions = extract_regions(dmap, beta)
+    return set(regions), score_regions(dmap, regions)
 
 
 def test_translation_by_patch_multiples_shifts_regions_only():
     rng = np.random.default_rng(17)
     samples = rng.uniform(50, 150, size=(20, 2)).tolist()
-    base = run_pipeline(samples, (600, 600))
-    shifted = run_pipeline([(x + 28, y + 14) for x, y in samples], (600, 600))
-    assert base.scores == shifted.scores
-    assert base.probs == shifted.probs
-    base_patches = [r.patches for r in base.regions]
-    shifted_patches = [r.patches for r in shifted.regions]
-    for bp, sp in zip(base_patches, shifted_patches):
-        assert {(r + 1, c + 2) for r, c in bp} == set(sp)
+    base_regions, base = run_pipeline(samples, (600, 600))
+    shifted_regions, shifted = run_pipeline([(x + 28, y + 14) for x, y in samples], (600, 600))
+    assert base == shifted
+    assert {frozenset((r + 1, c + 2) for r, c in region) for region in base_regions} == shifted_regions
 
 
 def test_duplicating_samples_changes_nothing():
     rng = np.random.default_rng(23)
     samples = rng.uniform(0, 280, size=(12, 2)).tolist()
-    base = run_pipeline(samples, (280, 280))
-    doubled = run_pipeline(samples * 2, (280, 280))
-    assert base.scores == pytest.approx(doubled.scores)
-    assert base.probs == pytest.approx(doubled.probs)
-    assert [r.patches for r in base.regions] == [r.patches for r in doubled.regions]
+    base_regions, (scores, probs) = run_pipeline(samples, (280, 280))
+    doubled_regions, (doubled_scores, doubled_probs) = run_pipeline(samples * 2, (280, 280))
+    assert scores == pytest.approx(doubled_scores)
+    assert probs == pytest.approx(doubled_probs)
+    assert base_regions == doubled_regions

@@ -114,8 +114,8 @@ REJECTED_SAMPLES = {
     "three coordinates": ("[[1, 2, 3]]", RecordError,
                           "line 1: samples[0]: expected a [x, y] pair of numbers, got [1, 2, 3]"),
     "not a list": ("[[1, 2], null]", RecordError, "line 1: samples[1]: expected a [x, y] pair of numbers, got None"),
-    "int too large for a float": ("[[1, 2], [1" + "0" * 400 + ", 1]]", OverflowError,
-                                  "int too large to convert to float"),
+    "int too large for a float": ("[[1, 2], [1" + "0" * 400 + ", 1]]", RecordError,
+                                  "line 1: samples[1]: an integer too large for a float"),
     # the first bad pair decides, whichever check the fast path would trip first
     "NaN before a huge int": ("[[NaN, 2], [1" + "0" * 400 + ", 1]]", RecordError,
                               "line 1: samples[0]: coordinates must be finite, got [nan, 2]"),
@@ -129,6 +129,43 @@ def test_parse_names_the_first_bad_sample_pair(case):
     with pytest.raises(error) as info:
         parse_records(io.StringIO(text + "\n"))
     assert str(info.value) == message
+
+
+HUGE = 10**400  # a JSON integer that no float can hold
+
+
+@pytest.mark.parametrize("field, value", [
+    ("gt_box", [10, 10, HUGE, 30]),
+    ("mlg", [HUGE, 3]),
+    ("expert", [3, HUGE]),
+    ("pc", HUGE),
+])
+def test_parse_names_a_field_too_large_for_a_float(field, value):
+    text = json.dumps(dict(VALID, **{field: value}))
+    with pytest.raises(RecordError) as info:
+        parse_records(io.StringIO(text + "\n"))
+    assert str(info.value) == f"line 1: {field}: an integer too large for a float"
+
+
+def test_parse_names_the_line_of_an_integer_too_long_to_read():
+    text = json.dumps(VALID).replace("[12, 15]", "[1" + "0" * 5000 + ", 15]")
+    with pytest.raises(RecordError, match=r"^line 2: unreadable number: Exceeds the limit"):
+        parse_records(io.StringIO(json.dumps(dict(VALID, id="b")) + "\n" + text + "\n"))
+
+
+def test_parse_names_a_bad_uq_value():
+    scored = dict(VALID, uq={"ta": 0.1, "ie": 0.0, "cd": 0.0, "com": 0.02})
+    rejected = [(None, "expected a number, got None"), ("x", "expected a number, got 'x'"),
+                ([1], "expected a number, got [1]"), (HUGE, "an integer too large for a float")]
+    for value, message in rejected:
+        text = json.dumps(VALID) + "\n" + json.dumps(dict(scored, id="b", uq=dict(scored["uq"], cd=value)))
+        with pytest.raises(RecordError) as info:
+            parse_records(io.StringIO(text + "\n"))
+        assert str(info.value) == f"line 2: uq.cd: {message}"
+    # everything float() takes is still accepted
+    for value, parsed in [("0.5", 0.5), (True, 1.0), (1, 1.0), (" 2e-1 ", 0.2)]:
+        record = record_from_obj(dict(scored, uq=dict(scored["uq"], cd=value)))
+        assert record.uq["cd"] == parsed
 
 
 def test_samples_outside_the_one_pass_check_still_parse():

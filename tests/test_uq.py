@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from clickrisk import density
+from clickrisk import cli, density
 from clickrisk.density import (
     DensityError,
     DensityMap,
@@ -16,7 +16,7 @@ from clickrisk.density import (
     score_regions,
     sparse_region_scores,
 )
-from clickrisk.records import GroundingRecord
+from clickrisk.records import GroundingRecord, save_records
 from clickrisk.uq import (
     SCORE_CHUNK,
     UqConfig,
@@ -314,8 +314,7 @@ def dense_chain(samples, dims, patch, beta):
         samples = [((c + 0.5) * patch, (r + 0.5) * patch) for c, r in zip(cols, rows)]
         dims = ((max(cols) + 2) * patch, (max(rows) + 2) * patch)
     dmap = build_density_map(samples, dims, patch)
-    region_set = score_regions(dmap, extract_regions(dmap, beta))
-    return region_set.scores, region_set.probs
+    return score_regions(dmap, extract_regions(dmap, beta))
 
 
 def cloud(rng, kind, k, dims, patch):
@@ -376,6 +375,51 @@ def test_huge_declared_image_scores_in_bounded_memory():
         tracemalloc.stop()
     assert peak < 1_000_000  # the dense grid would take ~40 GB at patch 14
     assert 0.0 <= score.combined <= 1.0
+
+
+def test_occupied_patches_of_a_huge_declared_image_take_bounded_memory():
+    samples = [(10.0 * i, 5e5 + 3.0 * i) for i in range(10)]
+    density.occupied_patches(samples, (280, 280), 14)  # warm up lazy imports and caches
+    tracemalloc.start()
+    try:
+        grid_w, cells, values = density.occupied_patches(samples, (10**6, 10**6), 14)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert grid_w == 71429 and cells.size == values.size <= 10
+
+
+@pytest.mark.parametrize("dims", [(840, 840), (1920, 1080)])
+def test_density_dump_lists_the_dense_grids_nonzero_cells(tmp_path, dims):
+    """`score --dump-density` rows equal the dense grid's nonzero cells, row-major."""
+    rng = np.random.default_rng(dims[1])
+    for patch in (1, 14, 28):
+        records = [
+            record_with_samples([tuple(p) for p in cloud(rng, kind, 50, dims, patch).tolist()], *dims, id=kind)
+            for kind in ("cluster", "spread", "edges", "wrap", "outside")
+        ]
+        src, dump = tmp_path / f"p{patch}.jsonl", tmp_path / f"dump{patch}"
+        save_records(src, records)
+        argv = ["score", "-i", src, "-o", tmp_path / "scored.jsonl", "--k-samples", 50,
+                "--patch-size", patch, "--dump-density", dump]
+        assert cli.main([str(a) for a in argv]) == 0
+        for record in records:
+            assert read_dump(dump / f"{record.id}.csv") == dense_nonzero(record, 50, patch)
+
+
+def read_dump(path):
+    with open(path, encoding="utf-8") as fh:
+        header, *rows = fh.read().splitlines()
+    assert header == "row,col,value"
+    return [(int(r), int(c), float(v)) for r, c, v in (row.split(",") for row in rows)]
+
+
+def dense_nonzero(record, k, patch):
+    """(row, col, value) of every nonzero cell of the record's dense grid, row-major."""
+    dmap = build_density_map(record.samples[:k], (record.image_width, record.image_height), patch)
+    rows, cols = np.nonzero(dmap.values)
+    return list(zip(rows.tolist(), cols.tolist(), dmap.values[rows, cols].tolist()))
 
 
 # --- score_batch against score_record ------------------------------------------
