@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, fields, replace
@@ -51,10 +52,7 @@ from .records import split  # noqa: F401
 from .uq import score_record  # noqa: F401
 
 DEFAULT_ALPHA = 0.1
-DEFAULT_GUARANTEE_ALPHA = 0.2
 DEFAULT_DELTA = 0.05
-DEFAULT_RATIO = 0.2
-DEFAULT_REPETITIONS = 100
 
 
 class CliError(Exception):
@@ -115,7 +113,7 @@ def _load_scored(path: str) -> list[GroundingRecord]:
 
 
 # ---------------------------------------------------------------------------
-# configuration resolution
+# configuration: a config file's settings become the parser's defaults
 
 def _list_of(cast):
     """Cast for a JSON list whose every item takes `cast`."""
@@ -126,8 +124,9 @@ def _list_of(cast):
     return parse
 
 
-# The config-file values the subcommands read, as "section.key", grouped by
-# the cast each gets when the file is loaded and what that cast accepts.
+# The config-file settings, as "section.key", grouped by the cast each gets at
+# load and what that cast accepts; `build_parser` makes each the default of its
+# flag. The top-level "variant" is also allowed and is checked where it is used.
 CONFIG_FIELDS = {
     "an integer": (int, ("seed", "uq.k_samples", "uq.patch_size", "split.repetitions")),
     "a number": (float, ("uq.beta", "uq.epsilon", "risk.alpha", "risk.delta", "split.calibration_ratio")),
@@ -137,6 +136,9 @@ CONFIG_FIELDS = {
     "a list of integers": (_list_of(int), ("sweep.k_values",)),
     "a list of names": (_list_of(str), ("sweep.variants", "sweep.weight_presets")),
 }
+_CASTS = {field: (kind, cast) for kind, (cast, names) in CONFIG_FIELDS.items() for field in names}
+_SECTIONS = {field.partition(".")[0] for field in _CASTS if "." in field}
+_TOP_LEVEL = {field for field in _CASTS if "." not in field} | {"variant"}
 
 
 def _load_json_object(path: str, what: str) -> dict:
@@ -152,28 +154,27 @@ def _load_json_object(path: str, what: str) -> dict:
     return obj
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    cfg = _load_json_object(path, "config file")
-    for kind, (cast, names) in CONFIG_FIELDS.items():
-        for field in names:
-            section, _, key = field.rpartition(".")
-            table = cfg.get(section, {}) if section else cfg
-            if not isinstance(table, dict):
-                raise CliError(f"config file {path}: {section} must be a JSON object, got {json.dumps(table)}")
-            if key in table:
-                try:
-                    table[key] = cast(table[key])
-                except (TypeError, ValueError, OverflowError):
-                    raise CliError(f"config file {path}: {field} must be {kind}, got {json.dumps(table[key])}")
-    return cfg
-
-
-def _pick(cli_value, config: dict, section: str, key: str, default):
-    if cli_value is not None:
-        return cli_value
-    return config.get(section, {}).get(key, default)
+def _load_config(path: str) -> dict:
+    """The config file's settings as {"section.key": value}, every key known and every value cast."""
+    settings = {}
+    for key, value in _load_json_object(path, "config file").items():
+        if key not in _SECTIONS:
+            entries = {key: value}
+        elif isinstance(value, dict):
+            entries = {f"{key}.{k}": v for k, v in value.items()}
+        else:
+            raise CliError(f"config file {path}: {key} must be a JSON object, got {json.dumps(value)}")
+        for field in entries:
+            if field not in (_CASTS if key in _SECTIONS else _TOP_LEVEL):
+                raise CliError(f"config file {path}: unknown key {field}")
+        settings.update(entries)
+    for field, (kind, cast) in _CASTS.items():
+        if field in settings:
+            try:
+                settings[field] = cast(settings[field])
+            except (TypeError, ValueError, OverflowError):
+                raise CliError(f"config file {path}: {field} must be {kind}, got {json.dumps(settings[field])}")
+    return settings
 
 
 def _parse_weights(text: str) -> tuple[float, float, float]:
@@ -191,52 +192,27 @@ def _parse_weights(text: str) -> tuple[float, float, float]:
         raise CliError(f"weights must be numeric, got {text!r}")
 
 
-def _resolve_uq_config(args, config: dict) -> UqConfig:
-    weights = _pick(args.weights, config, "uq", "weights", UqConfig.weights)
-    return UqConfig(
-        k_samples=_pick(getattr(args, "k_samples", None), config, "uq", "k_samples", UqConfig.k_samples),
-        patch_size=_pick(args.patch_size, config, "uq", "patch_size", UqConfig.patch_size),
-        beta=_pick(args.beta, config, "uq", "beta", UqConfig.beta),
-        epsilon=_pick(args.epsilon, config, "uq", "epsilon", UqConfig.epsilon),
-        weights=_parse_weights(weights) if isinstance(weights, str) else weights,
-    )
+def _uq_config(args) -> UqConfig:
+    return UqConfig(k_samples=args.k_samples, patch_size=args.patch_size, beta=args.beta,
+                    epsilon=args.epsilon, weights=args.weights)
 
 
-def _resolve_risk_spec(args, config: dict, default_alpha: float = DEFAULT_ALPHA) -> RiskSpec:
-    return RiskSpec(
-        alpha=_pick(args.alpha, config, "risk", "alpha", default_alpha),
-        delta=_pick(args.delta, config, "risk", "delta", DEFAULT_DELTA),
-    )
-
-
-def _resolve_split_plan(args, config: dict, seed: int) -> SplitPlan:
-    return SplitPlan(
-        calibration_ratio=_pick(args.ratio, config, "split", "calibration_ratio", DEFAULT_RATIO),
-        seed=seed,
-        repetitions=_pick(args.repetitions, config, "split", "repetitions", DEFAULT_REPETITIONS),
-    )
+def _split_plan(args) -> SplitPlan:
+    return SplitPlan(calibration_ratio=args.ratio, seed=args.seed, repetitions=args.repetitions)
 
 
 # The synthetic generator's knobs, one flag each (--n-records, ...).
 SYNTH_FLAGS = tuple(f for f in fields(SynthConfig) if f.name != "seed")
 
 
-def _synth_config(args, seed: int) -> SynthConfig:
-    return SynthConfig(seed=seed, **{f.name: getattr(args, f.name) for f in SYNTH_FLAGS})
+def _synth_config(args) -> SynthConfig:
+    return SynthConfig(seed=args.seed, **{f.name: getattr(args, f.name) for f in SYNTH_FLAGS})
 
 
 def _check_variant(variant: str) -> str:
     if variant not in VARIANTS:
         raise CliError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     return variant
-
-
-def _resolve_variant(args, config: dict) -> str:
-    return _check_variant(args.variant if args.variant is not None else config.get("variant", "com"))
-
-
-def _resolve_seed(args, config: dict) -> int:
-    return args.seed if args.seed is not None else config.get("seed", 0)
 
 
 # ---------------------------------------------------------------------------
@@ -285,16 +261,15 @@ def _density_dump_names(records: list[GroundingRecord]) -> list[str]:
     return list(owners)
 
 
-def cmd_score(args, config: dict) -> int:
-    seed = _resolve_seed(args, config)
-    uq_cfg = _resolve_uq_config(args, config)
+def cmd_score(args) -> int:
+    uq_cfg = _uq_config(args)
     records = _load_scored(args.input)
     dump_names = _density_dump_names(records) if args.dump_density else []
     # a chunk at a time, so the whole file's scores never sit beside the scored copies
     scored: list[GroundingRecord] = []
     for start in range(0, len(records), SCORE_CHUNK):
         chunk = records[start : start + SCORE_CHUNK]
-        scored.extend(attach_score(with_mlg(r, seed), s) for r, s in zip(chunk, score_batch(chunk, uq_cfg)))
+        scored.extend(attach_score(with_mlg(r, args.seed), s) for r, s in zip(chunk, score_batch(chunk, uq_cfg)))
     save_records(args.output, scored)
     if args.dump_density:
         os.makedirs(args.dump_density, exist_ok=True)
@@ -313,14 +288,13 @@ def cmd_score(args, config: dict) -> int:
     return 0
 
 
-def cmd_calibrate(args, config: dict) -> int:
-    seed = _resolve_seed(args, config)
-    spec = _resolve_risk_spec(args, config)
-    plan = _resolve_split_plan(args, config, seed)
-    variant = _resolve_variant(args, config)
+def cmd_calibrate(args) -> int:
+    spec = RiskSpec(alpha=args.alpha, delta=args.delta)
+    plan = _split_plan(args)
+    variant = _check_variant(args.variant)
     records = _load_scored(args.input)
     u = _variant_values(records, variant)
-    adm = _admissible(records, seed)
+    adm = _admissible(records, args.seed)
 
     single = plan.repetitions == 1
     if not single:
@@ -342,7 +316,7 @@ def cmd_calibrate(args, config: dict) -> int:
             "uq_variant": variant,
             "repetitions": plan.repetitions,
             "calibration_ratio": plan.calibration_ratio,
-            "seed": seed,
+            "seed": args.seed,
             "infeasible_splits": infeasible,
             "test_fdr": {"mean": mean, "std": std} if fdrs else None,
         })
@@ -360,14 +334,13 @@ def cmd_calibrate(args, config: dict) -> int:
     return 0
 
 
-def cmd_evaluate(args, config: dict) -> int:
-    seed = _resolve_seed(args, config)
-    spec = _resolve_risk_spec(args, config)
-    plan = _resolve_split_plan(args, config, seed)
-    variant = _resolve_variant(args, config)
+def cmd_evaluate(args) -> int:
+    spec = RiskSpec(alpha=args.alpha, delta=args.delta)
+    plan = _split_plan(args)
+    variant = _check_variant(args.variant)
     records = _load_scored(args.input)
     u = _variant_values(records, variant)
-    adm = _admissible(records, seed)
+    adm = _admissible(records, args.seed)
 
     per_split: dict[str, list[float]] = {k: [] for k in ("auroc", "auarc", "test_fdr", "power", "n_accepted")}
     for rep, (test, (counts,)) in enumerate(engine.run_splits(u, adm, plan, [spec.alpha], spec.delta)):
@@ -388,7 +361,7 @@ def cmd_evaluate(args, config: dict) -> int:
         "delta": spec.delta,
         "calibration_ratio": plan.calibration_ratio,
         "repetitions": plan.repetitions,
-        "seed": seed,
+        "seed": args.seed,
         "n_records": len(records),
         "infeasible_splits": plan.repetitions - len(per_split["test_fdr"]),
         "splits": {
@@ -414,6 +387,8 @@ def cmd_evaluate(args, config: dict) -> int:
 def _threshold_from_args(args) -> tuple[float, float | None, str | None]:
     """(threshold, alpha, variant) from --tau or a calibration artifact."""
     if args.tau is not None:
+        if not math.isfinite(args.tau):
+            raise CliError(f"--tau must be finite, got {args.tau!r}")
         return args.tau, None, None
     if not args.artifact:
         raise CliError("provide either --tau or --artifact")
@@ -425,6 +400,8 @@ def _threshold_from_args(args) -> tuple[float, float | None, str | None]:
         )
     if not isinstance(threshold, (int, float)):
         raise CliError(f"artifact {args.artifact}: threshold must be a number, got {json.dumps(threshold)}")
+    if not abs(threshold) <= sys.float_info.max:  # NaN, +-inf, or an int too large for a float
+        raise CliError(f"artifact {args.artifact}: threshold must be finite, got {json.dumps(threshold)}")
     return float(threshold), artifact.get("alpha"), artifact.get("uq_variant")
 
 
@@ -435,13 +412,13 @@ CASCADE_CSV_HEADER = [
 ]
 
 
-def cmd_cascade(args, config: dict) -> int:
-    seed = _resolve_seed(args, config)
+def cmd_cascade(args) -> int:
     threshold, alpha, artifact_variant = _threshold_from_args(args)
-    variant = _check_variant(args.variant or artifact_variant or config.get("variant", "com"))
+    # the flag, then the artifact's variant, then the config file's, then com
+    variant = _check_variant(args.variant or artifact_variant or args.fallback_variant)
     records = _load_scored(args.input)
     u = _variant_values(records, variant).tolist()
-    report = cascade_mod.evaluate_cascade(records, u, threshold, mlg_seed=seed)
+    report = cascade_mod.evaluate_cascade(records, u, threshold, mlg_seed=args.seed)
 
     report_obj = {
         "input": args.input,
@@ -460,11 +437,6 @@ def cmd_cascade(args, config: dict) -> int:
         label = args.label or os.path.basename(args.input)
         _append_csv_row(args.csv, CASCADE_CSV_HEADER, [label] + [report_obj[k] for k in CASCADE_CSV_HEADER[1:]])
     return 0
-
-
-def _list_option(text: str | None, sweep_cfg: dict, key: str, default: list, cast) -> list:
-    """A comma-separated flag, else the config file's "sweep" list, else `default`."""
-    return [cast(part) for part in text.split(",") if part] if text else sweep_cfg.get(key, default)
 
 
 def _combo_rows(u, adm, expert, plan, alphas, delta, splits) -> tuple[list, list[list]]:
@@ -494,18 +466,13 @@ def _combo_rows(u, adm, expert, plan, alphas, delta, splits) -> tuple[list, list
     return [metrics_mod.auroc(u, adm), metrics_mod.auarc(u, adm)], risk
 
 
-def cmd_sweep(args, config: dict) -> int:
-    seed = _resolve_seed(args, config)
-    delta = _pick(args.delta, config, "risk", "delta", DEFAULT_DELTA)
-    base_uq = _resolve_uq_config(args, config)
-    sweep_cfg = config.get("sweep", {})
-    alphas = _list_option(args.alphas, sweep_cfg, "alphas", [DEFAULT_ALPHA], float)
-    variants = _list_option(args.variants, sweep_cfg, "variants", ["com"], str)
-    presets = _list_option(args.weight_presets, sweep_cfg, "weight_presets", ["original"], str)
-    k_values = _list_option(args.k_values, sweep_cfg, "k_values", [base_uq.k_samples], int)
+def cmd_sweep(args) -> int:
+    base_uq = _uq_config(args)
+    alphas, variants, presets = args.alphas, args.variants, args.weight_presets
+    k_values = args.k_values if args.k_values is not None else [base_uq.k_samples]
     for alpha in alphas:
         try:
-            RiskSpec(alpha=alpha, delta=delta)
+            RiskSpec(alpha=alpha, delta=args.delta)
         except ValueError as exc:
             raise CliError(f"--alphas: {exc}")
     for k in k_values:
@@ -516,7 +483,7 @@ def cmd_sweep(args, config: dict) -> int:
     for preset in presets:
         if preset not in WEIGHT_PRESETS:
             raise CliError(f"unknown weight preset {preset!r}; expected one of {sorted(WEIGHT_PRESETS)}")
-    plan = _resolve_split_plan(args, config, seed)
+    plan = _split_plan(args)
 
     ranking_rows: list[list] = []
     risk_rows: list[list] = []
@@ -525,43 +492,39 @@ def cmd_sweep(args, config: dict) -> int:
         if not records:
             raise CliError(f"{path}: no records")
         name = os.path.basename(path)
-        adm = _admissible(records, seed)
+        adm = _admissible(records, args.seed)
         expert = None
         if all(r.expert is not None for r in records):
             expert = np.array([metrics_mod.admission(r.expert, r.gt_box) for r in records], dtype=bool)
         base_accuracy = int(adm.sum()) / adm.size
+        splits: dict = {}  # the same index arrays serve every combination
 
-        # uncertainty values per combination, component scores computed once per k;
-        # only com depends on the weight preset, so ta, ie and cd get one key per k
-        # and their rows are repeated under every preset
-        combos: list[tuple[list, tuple]] = []  # (row head, key into `values`)
-        values: dict[tuple, np.ndarray | None] = {}
+        def emit(head: list, ranking: list, risk: list[list]) -> None:
+            ranking_rows.append(head + ranking + [base_accuracy])
+            risk_rows.extend(head + row for row in risk)
+
+        # component scores are computed once per k; only com depends on the weight
+        # preset, so ta, ie and cd get one key per k and their rows are repeated
+        # under every preset
+        rows: dict[tuple, tuple[list, list[list]]] = {}  # per key: its ranking tail and risk tails
         for k in k_values:
             scores = score_batch(records, replace(base_uq, k_samples=k))
             parts = {v: np.array([getattr(s, v) for s in scores]) for v in ("ta", "ie", "cd")}
+            del scores  # so they do not outlive this k's calibrations and the next k's scoring
             for preset in presets:
                 for variant in variants:
                     if variant == "pc":
                         continue
                     key = (variant, k, preset if variant == "com" else None)
-                    if key not in values:
-                        values[key] = parts[variant] if variant != "com" else combine(
+                    if key not in rows:
+                        u = parts[variant] if variant != "com" else combine(
                             parts["cd"], parts["ie"], parts["ta"], WEIGHT_PRESETS[preset]
                         )
-                    combos.append(([name, variant, preset, k], key))
+                        rows[key] = _combo_rows(u, adm, expert, plan, alphas, args.delta, splits)
+                    emit([name, variant, preset, k], *rows[key])
         if "pc" in variants:
-            has_pc = all(r.pc is not None for r in records)
-            values[("pc", None, None)] = np.array([r.pc for r in records], dtype=float) if has_pc else None
-            combos.append(([name, "pc", None, None], ("pc", None, None)))
-
-        splits: dict = {}  # the same index arrays serve every combination
-        rows: dict[tuple, tuple[list, list[list]]] = {}  # per key: its ranking tail and risk tails
-        for head, key in combos:
-            if key not in rows:
-                rows[key] = _combo_rows(values[key], adm, expert, plan, alphas, delta, splits)
-            ranking, risk = rows[key]
-            ranking_rows.append(head + ranking + [base_accuracy])
-            risk_rows.extend(head + row for row in risk)
+            u = np.array([r.pc for r in records], dtype=float) if all(r.pc is not None for r in records) else None
+            emit([name, "pc", None, None], *_combo_rows(u, adm, expert, plan, alphas, args.delta, splits))
 
     os.makedirs(args.out_dir, exist_ok=True)
     _write_csv(
@@ -584,19 +547,17 @@ def cmd_sweep(args, config: dict) -> int:
     return 0
 
 
-def cmd_synth(args, config: dict) -> int:
-    records = generate_dataset(_synth_config(args, _resolve_seed(args, config)))
+def cmd_synth(args) -> int:
+    records = generate_dataset(_synth_config(args))
     save_records(args.out, records)
     print(f"generated {len(records)} records -> {args.out}")
     return 0
 
 
-def cmd_guarantee(args, config: dict) -> int:
-    seed = _resolve_seed(args, config)
-    cfg = _synth_config(args, seed)
-    spec = _resolve_risk_spec(args, config, DEFAULT_GUARANTEE_ALPHA)
-    ratio = _pick(args.ratio, config, "split", "calibration_ratio", 0.5)
-    result, outcomes = run_guarantee_trials(cfg, spec.alpha, spec.delta, args.trials, calibration_ratio=ratio)
+def cmd_guarantee(args) -> int:
+    cfg = _synth_config(args)
+    spec = RiskSpec(alpha=args.alpha, delta=args.delta)
+    result, outcomes = run_guarantee_trials(cfg, spec.alpha, spec.delta, args.trials, calibration_ratio=args.ratio)
     obj = {
         "alpha": spec.alpha,
         "delta": spec.delta,
@@ -604,8 +565,8 @@ def cmd_guarantee(args, config: dict) -> int:
         "violations": result.violations,
         "infeasible": result.infeasible,
         "violation_rate": result.violation_rate,
-        "calibration_ratio": ratio,
-        "seed": seed,
+        "calibration_ratio": args.ratio,
+        "seed": args.seed,
     }
     print(json.dumps(obj, indent=2))
     if args.out_csv:
@@ -618,26 +579,55 @@ def cmd_guarantee(args, config: dict) -> int:
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# argument parsing: every setting's value is resolved here, so `vars(args)`
+# holds what a run used. An explicit flag wins over the config file, and the
+# config file over the built-in default.
 
-def _add_uq_flags(parser: argparse.ArgumentParser, with_k: bool = True) -> None:
+class _ListFlag(argparse.Action):
+    """A comma-separated list flag whose entries take `cast`; an empty value keeps the default."""
+
+    def __init__(self, *args, cast, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.cast = cast
+
+    def __call__(self, parser, namespace, text, option_string=None):
+        items = []
+        for entry in filter(None, text.split(",")):
+            try:
+                items.append(self.cast(entry))
+            except ValueError:
+                raise CliError(f"{option_string}: cannot read {entry!r} as {self.cast.__name__}") from None
+        if items:
+            setattr(namespace, self.dest, items)
+
+
+def _add_uq_flags(parser: argparse.ArgumentParser, setting, with_k: bool = True) -> None:
     if with_k:
-        parser.add_argument("--k-samples", type=int, default=None,
-                            help="use only the first K samples of each record")
-    parser.add_argument("--patch-size", type=int, default=None, help="patch size in pixels")
-    parser.add_argument("--beta", type=float, default=None, help="region threshold ratio in [0,1)")
-    parser.add_argument("--epsilon", type=float, default=None, help="numerical stability term")
-    parser.add_argument("--weights", default=None, help="component weights: preset name or 'w_cd,w_ie,w_ta'")
+        parser.add_argument("--k-samples", type=int, help="use only the first K samples of each record")
+    # sweep has no --k-samples, but its k falls back to this value
+    parser.set_defaults(k_samples=setting("uq.k_samples", UqConfig.k_samples))
+    parser.add_argument("--patch-size", type=int, default=setting("uq.patch_size", UqConfig.patch_size),
+                        help="patch size in pixels")
+    parser.add_argument("--beta", type=float, default=setting("uq.beta", UqConfig.beta),
+                        help="region threshold ratio in [0,1)")
+    parser.add_argument("--epsilon", type=float, default=setting("uq.epsilon", UqConfig.epsilon),
+                        help="numerical stability term")
+    # argparse also casts a string default, so a config file's preset name arrives as a tuple
+    parser.add_argument("--weights", type=_parse_weights, default=setting("uq.weights", UqConfig.weights),
+                        help="component weights: preset name or 'w_cd,w_ie,w_ta'")
 
 
-def _add_risk_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--alpha", type=float, default=None, help="target risk level in (0,1)")
-    parser.add_argument("--delta", type=float, default=None, help="significance level in (0,1)")
+def _add_risk_flags(parser: argparse.ArgumentParser, setting, default_alpha: float = DEFAULT_ALPHA) -> None:
+    parser.add_argument("--alpha", type=float, default=setting("risk.alpha", default_alpha),
+                        help="target risk level in (0,1)")
+    parser.add_argument("--delta", type=float, default=setting("risk.delta", DEFAULT_DELTA),
+                        help="significance level in (0,1)")
 
 
-def _add_split_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--ratio", type=float, default=None, help="calibration split ratio in (0,1)")
-    parser.add_argument("--repetitions", "-r", type=int, default=None,
+def _add_split_flags(parser: argparse.ArgumentParser, setting) -> None:
+    parser.add_argument("--ratio", type=float, default=setting("split.calibration_ratio", 0.2),
+                        help="calibration split ratio in (0,1)")
+    parser.add_argument("--repetitions", "-r", type=int, default=setting("split.repetitions", 100),
                         help="number of repeated calibration/test splits")
 
 
@@ -646,19 +636,21 @@ def _add_synth_flags(parser: argparse.ArgumentParser) -> None:
         parser.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser, with a loaded config file's settings (`_load_config`) as its defaults."""
+    setting = (config or {}).get
     parser = argparse.ArgumentParser(
         prog="clickrisk",
         description="Risk-controlled accept/defer decisions for recorded GUI-grounding predictions.",
     )
-    parser.add_argument("--seed", type=int, default=None, help="global random seed (default 0)")
+    parser.add_argument("--seed", type=int, default=setting("seed", 0), help="global random seed (default 0)")
     parser.add_argument("--config", default=None, help="JSON config file with defaults")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("score", help="append spatial uncertainty scores to a record file")
     p.add_argument("--input", "-i", required=True)
     p.add_argument("--output", "-o", required=True)
-    _add_uq_flags(p)
+    _add_uq_flags(p, setting)
     p.add_argument("--dump-density", default=None, metavar="DIR",
                    help="also write each record's occupied patches as row,col,value CSV")
     p.set_defaults(func=cmd_score)
@@ -666,16 +658,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="calibrate an acceptance threshold with an FDR bound")
     p.add_argument("--input", "-i", required=True, help="scored record file")
     p.add_argument("--out", "-o", required=True, help="artifact file (or directory when --repetitions > 1)")
-    p.add_argument("--variant", default=None, choices=VARIANTS)
-    _add_risk_flags(p)
-    _add_split_flags(p)
+    p.add_argument("--variant", default=setting("variant", "com"), choices=VARIANTS)
+    _add_risk_flags(p, setting)
+    _add_split_flags(p, setting)
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("evaluate", help="selective-prediction metrics over repeated splits")
     p.add_argument("--input", "-i", required=True, help="scored record file")
-    p.add_argument("--variant", default=None, choices=VARIANTS)
-    _add_risk_flags(p)
-    _add_split_flags(p)
+    p.add_argument("--variant", default=setting("variant", "com"), choices=VARIANTS)
+    _add_risk_flags(p, setting)
+    _add_split_flags(p, setting)
     p.add_argument("--report", default=None, help="write the JSON report here")
     p.add_argument("--roc-csv", default=None, help="write full-dataset ROC curve CSV")
     p.add_argument("--arc-csv", default=None, help="write full-dataset accuracy-rejection CSV")
@@ -690,18 +682,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", default=None, help="write deferral manifest (JSONL) here")
     p.add_argument("--csv", default=None, help="append a summary CSV row here")
     p.add_argument("--label", default=None, help="label for the CSV row (default: input basename)")
-    p.set_defaults(func=cmd_cascade)
+    p.set_defaults(func=cmd_cascade, fallback_variant=setting("variant", "com"))
 
     p = sub.add_parser("sweep", help="grid of (alpha x variant x weights x K) over input files")
     p.add_argument("--inputs", "-i", nargs="+", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--alphas", default=None, help="comma-separated risk levels")
-    p.add_argument("--variants", default=None, help="comma-separated uncertainty variants")
-    p.add_argument("--weight-presets", default=None, help=f"comma-separated presets from {sorted(WEIGHT_PRESETS)}")
-    p.add_argument("--k-values", default=None, help="comma-separated sample budgets")
-    p.add_argument("--delta", type=float, default=None)
-    _add_split_flags(p)
-    _add_uq_flags(p, with_k=False)
+    p.add_argument("--alphas", action=_ListFlag, cast=float, default=setting("sweep.alphas", [DEFAULT_ALPHA]),
+                   help="comma-separated risk levels")
+    p.add_argument("--variants", action=_ListFlag, cast=str, default=setting("sweep.variants", ["com"]),
+                   help="comma-separated uncertainty variants")
+    p.add_argument("--weight-presets", action=_ListFlag, cast=str,
+                   default=setting("sweep.weight_presets", ["original"]),
+                   help=f"comma-separated presets from {sorted(WEIGHT_PRESETS)}")
+    p.add_argument("--k-values", action=_ListFlag, cast=int, default=setting("sweep.k_values"),
+                   help="comma-separated sample budgets")
+    p.add_argument("--delta", type=float, default=setting("risk.delta", DEFAULT_DELTA))
+    _add_split_flags(p, setting)
+    _add_uq_flags(p, setting, with_k=False)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("synth", help="generate a synthetic grounding dataset")
@@ -711,8 +708,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("guarantee", help="Monte Carlo validation of the FDR guarantee")
     p.add_argument("--trials", type=int, default=1000)
-    _add_risk_flags(p)
-    p.add_argument("--ratio", type=float, default=None, help="calibration split ratio (default 0.5)")
+    _add_risk_flags(p, setting, 0.2)
+    p.add_argument("--ratio", type=float, default=setting("split.calibration_ratio", 0.5),
+                   help="calibration split ratio (default 0.5)")
     p.add_argument("--out-csv", default=None, help="write per-trial results here")
     _add_synth_flags(p)
     p.set_defaults(func=cmd_guarantee)
@@ -721,11 +719,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        config = _load_config(args.config)
-        return args.func(args, config)
+        args = build_parser().parse_args(argv)
+        if args.config is not None:  # parse again, with the file's settings as the defaults
+            args = build_parser(_load_config(args.config)).parse_args(argv)
+        return args.func(args)
     except (CliError, ValueError, OSError) as exc:  # ValueError covers RecordError and MissingScoreError
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -171,6 +171,9 @@ def record_from_obj(obj: dict) -> GroundingRecord:
         if not isinstance(uq, dict) or not set(UQ_KEYS) <= set(uq):
             raise RecordError(f"uq: expected an object with fields {UQ_KEYS}")
         uq = {k: _as_float(uq[k], f"uq.{k}") for k in UQ_KEYS}
+        if not all(map(math.isfinite, uq.values())):
+            k = next(k for k, v in uq.items() if not math.isfinite(v))
+            raise RecordError(f"uq.{k}: must be finite, got {obj['uq'][k]!r}")
     record = GroundingRecord(
         id=rec_id,
         image_width=int(image["w"]),

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -223,6 +224,28 @@ def test_cascade_requires_threshold_source(tmp_path, mixed_file, capsys):
     assert "--tau or --artifact" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tau", ["nan", "inf", "-inf"])
+def test_cascade_rejects_a_nonfinite_tau(tmp_path, mixed_file, capsys, tau):
+    src = scored(tmp_path, mixed_file)
+    report = tmp_path / "cascade.json"
+    assert run("cascade", "-i", src, f"--tau={tau}", "--report", report) == 1
+    assert capsys.readouterr().err == f"error: --tau must be finite, got {float(tau)!r}\n"
+    assert not report.exists()
+
+
+def test_nonfinite_uq_value_fails_calibrate_naming_the_line(tmp_path, easy_file, capsys):
+    src = scored(tmp_path, easy_file)
+    lines = src.read_text().splitlines()
+    record = json.loads(lines[4])
+    record["uq"]["com"] = math.nan
+    lines[4] = json.dumps(record)
+    src.write_text("\n".join(lines) + "\n")
+    artifact = tmp_path / "artifact.json"
+    assert run("--seed", 1, "calibrate", "-i", src, "-o", artifact, "-r", 1) == 1
+    assert capsys.readouterr().err == f"error: {src}: line 5: uq.com: must be finite, got nan\n"
+    assert not artifact.exists()
+
+
 def test_cascade_rejects_infeasible_artifact(tmp_path, easy_file, capsys):
     src = scored(tmp_path, easy_file)
     artifact = tmp_path / "bad.json"
@@ -294,6 +317,10 @@ def test_sweep_rejects_bad_alpha_or_k_before_loading(tmp_path, capsys):
     assert run("sweep", "-i", missing, "--out-dir", out_dir, "--k-values", "5,0") == 1
     err = capsys.readouterr().err
     assert "k must be >= 1, got 0" in err and "not found" not in err
+    assert run("sweep", "-i", missing, "--out-dir", out_dir, "--alphas", "0.2,x") == 1
+    assert capsys.readouterr().err == "error: --alphas: cannot read 'x' as float\n"
+    assert run("sweep", "-i", missing, "--out-dir", out_dir, "--k-values", "5,y") == 1
+    assert capsys.readouterr().err == "error: --k-values: cannot read 'y' as int\n"
     assert not out_dir.exists()
 
 
@@ -356,6 +383,110 @@ def test_config_file_supplies_defaults_and_cli_overrides(tmp_path, mixed_file):
     assert json.loads(overridden.read_text())["alpha"] == 0.45
 
 
+def write_config(tmp_path, obj):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(obj))
+    return path
+
+
+@pytest.mark.parametrize("config, flags, alpha", [
+    (None, [], 0.1),
+    ({"risk": {"alpha": 0.3}}, [], 0.3),
+    ({"risk": {"alpha": 0.3}}, ["--alpha", 0.45], 0.45),
+    (None, ["--alpha", 0.45], 0.45),
+], ids=["default", "config", "flag-over-config", "flag"])
+def test_alpha_comes_from_flag_then_config_then_default(tmp_path, mixed_file, config, flags, alpha):
+    src = scored(tmp_path, mixed_file)
+    prefix = ["--config", write_config(tmp_path, config)] if config else []
+    artifact = tmp_path / "artifact.json"
+    assert run(*prefix, "calibrate", "-i", src, "-o", artifact, "-r", 1, *flags) == 0
+    assert json.loads(artifact.read_text())["alpha"] == alpha
+
+
+def test_config_weights_preset_scores_like_the_flag(tmp_path, mixed_file):
+    config = write_config(tmp_path, {"uq": {"weights": "v2"}})
+    from_flag = scored(tmp_path, mixed_file, "flag.jsonl", "--weights", "v2")
+    from_config = tmp_path / "config.jsonl"
+    assert run("--config", config, "--seed", 3, "score", "-i", mixed_file, "-o", from_config) == 0
+    assert from_config.read_bytes() == from_flag.read_bytes()
+    assert from_config.read_bytes() != scored(tmp_path, mixed_file).read_bytes()
+
+
+def sweep_column(out_dir, table, column):
+    rows = (out_dir / table).read_text().splitlines()
+    index = rows[0].split(",").index(column)
+    return [row.split(",")[index] for row in rows[1:]]
+
+
+@pytest.mark.parametrize("config, flags, alphas", [
+    (None, [], ["0.1"]),
+    ({"sweep": {"alphas": [0.3, 0.4]}}, [], ["0.3", "0.4"]),
+    ({"sweep": {"alphas": [0.3, 0.4]}}, ["--alphas", "0.25"], ["0.25"]),
+    ({"sweep": {"alphas": [0.3, 0.4]}}, ["--alphas", ""], ["0.3", "0.4"]),
+    (None, ["--alphas", ""], ["0.1"]),
+], ids=["default", "config", "flag-over-config", "empty-flag-keeps-config", "empty-flag-keeps-default"])
+def test_sweep_alphas_come_from_flag_then_config_then_default(tmp_path, mixed_file, config, flags, alphas):
+    src = scored(tmp_path, mixed_file)
+    prefix = ["--config", write_config(tmp_path, config)] if config else []
+    out_dir = tmp_path / "sweep"
+    assert run(*prefix, "sweep", "-i", src, "--out-dir", out_dir, "-r", 2, *flags) == 0
+    assert sweep_column(out_dir, "risk.csv", "alpha") == alphas
+
+
+@pytest.mark.parametrize("config, k", [
+    (None, ["10"]),
+    ({"uq": {"k_samples": 5}}, ["5"]),
+    ({"uq": {"k_samples": 5}, "sweep": {"k_values": [3, 7]}}, ["3", "7"]),
+], ids=["default", "uq-k-samples", "sweep-k-values"])
+def test_sweep_k_falls_back_to_uq_k_samples(tmp_path, mixed_file, config, k):
+    src = scored(tmp_path, mixed_file)
+    prefix = ["--config", write_config(tmp_path, config)] if config else []
+    out_dir = tmp_path / "sweep"
+    assert run(*prefix, "sweep", "-i", src, "--out-dir", out_dir, "-r", 2) == 0
+    assert sweep_column(out_dir, "ranking.csv", "k") == k
+
+
+def test_seed_flag_beats_config_seed(tmp_path, mixed_file, capsys):
+    src = scored(tmp_path, mixed_file)
+    config = write_config(tmp_path, {"seed": 3})
+    capsys.readouterr()
+    assert run("--config", config, "--seed", 5, "evaluate", "-i", src, "-r", 2) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 5
+    assert run("--config", config, "evaluate", "-i", src, "-r", 2) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 3
+
+
+def test_guarantee_defaults_and_config(tmp_path, capsys):
+    argv = ["guarantee", "--trials", 2, "--n-records", 60]
+    assert run(*argv) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert (obj["alpha"], obj["calibration_ratio"], obj["seed"]) == (0.2, 0.5, 0)
+    config = write_config(tmp_path, {"risk": {"alpha": 0.3}, "split": {"calibration_ratio": 0.4}})
+    assert run("--config", config, *argv) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert (obj["alpha"], obj["calibration_ratio"]) == (0.3, 0.4)
+
+
+@pytest.mark.parametrize("config, flags, artifact_variant, variant", [
+    (None, [], None, "com"),
+    ({"variant": "ie"}, [], None, "ie"),
+    ({"variant": "ie"}, [], "cd", "cd"),
+    ({"variant": "ie"}, ["--variant", "ta"], "cd", "ta"),
+], ids=["default", "config", "artifact-over-config", "flag-over-artifact"])
+def test_cascade_variant_order(tmp_path, mixed_file, capsys, config, flags, artifact_variant, variant):
+    src = scored(tmp_path, mixed_file)
+    prefix = ["--config", write_config(tmp_path, config)] if config else []
+    if artifact_variant is None:
+        source = ["--tau", 0.5]
+    else:
+        artifact = tmp_path / "artifact.json"
+        artifact.write_text(json.dumps({"feasible": True, "threshold": 0.5, "uq_variant": artifact_variant}))
+        source = ["--artifact", artifact]
+    capsys.readouterr()
+    assert run(*prefix, "cascade", "-i", src, *source, *flags) == 0
+    assert json.loads(capsys.readouterr().out)["variant"] == variant
+
+
 @pytest.mark.parametrize("config, argv, message", [
     ({"risk": {"alpha": None}}, ["calibrate", "-o", "a.json"], "risk.alpha must be a number, got null"),
     ({"sweep": {"alphas": 0.3}}, ["sweep", "--out-dir", "sweep"], "sweep.alphas must be a list of numbers, got 0.3"),
@@ -363,7 +494,12 @@ def test_config_file_supplies_defaults_and_cli_overrides(tmp_path, mixed_file):
      "uq.weights must be a preset name or a list of numbers, got 0.5"),
     ({"uq": "x"}, ["score", "-o", "s.jsonl"], 'uq must be a JSON object, got "x"'),
     ({"uq": {"k_samples": "abc"}}, ["score", "-o", "s.jsonl"], 'uq.k_samples must be an integer, got "abc"'),
-], ids=["null-alpha", "scalar-alphas", "scalar-weights", "string-section", "string-k"])
+    ({"risk": {"Alpha": 0.02}}, ["calibrate", "-o", "a.json"], "unknown key risk.Alpha"),
+    ({"Seed": 1}, ["score", "-o", "s.jsonl"], "unknown key Seed"),
+    ({"risk.alpha": 0.3}, ["calibrate", "-o", "a.json"], "unknown key risk.alpha"),
+    ({"uq": {"variant": "ta"}}, ["calibrate", "-o", "a.json"], "unknown key uq.variant"),
+], ids=["null-alpha", "scalar-alphas", "scalar-weights", "string-section", "string-k",
+        "misspelled-key", "misspelled-top-level", "dotted-top-level", "top-level-key-in-a-section"])
 def test_wrong_typed_config_value_names_file_and_key(tmp_path, mixed_file, capsys, config, argv, message):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
@@ -376,7 +512,10 @@ def test_wrong_typed_config_value_names_file_and_key(tmp_path, mixed_file, capsy
 @pytest.mark.parametrize("artifact, message", [
     ([1, 2], "expected a JSON object"),
     ({"feasible": True, "threshold": [0.5]}, "threshold must be a number, got [0.5]"),
-], ids=["list", "list-threshold"])
+    ({"feasible": True, "threshold": math.nan}, "threshold must be finite, got NaN"),
+    ({"feasible": True, "threshold": -math.inf}, "threshold must be finite, got -Infinity"),
+    ({"feasible": True, "threshold": 10**400}, f"threshold must be finite, got {10**400}"),
+], ids=["list", "list-threshold", "nan-threshold", "infinite-threshold", "int-too-large-threshold"])
 def test_cascade_rejects_a_malformed_artifact(tmp_path, mixed_file, capsys, artifact, message):
     path = tmp_path / "artifact.json"
     path.write_text(json.dumps(artifact))

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 
 import numpy as np
@@ -166,6 +167,17 @@ def test_parse_names_a_bad_uq_value():
     for value, parsed in [("0.5", 0.5), (True, 1.0), (1, 1.0), (" 2e-1 ", 0.2)]:
         record = record_from_obj(dict(scored, uq=dict(scored["uq"], cd=value)))
         assert record.uq["cd"] == parsed
+
+
+@pytest.mark.parametrize("value, shown", [
+    (math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"), ("nan", "'nan'"), ("-Infinity", "'-Infinity'"),
+])
+def test_parse_rejects_a_nonfinite_uq_value(value, shown):
+    scored = dict(VALID, uq={"ta": 0.1, "ie": 0.0, "cd": 0.0, "com": 0.02})
+    text = json.dumps(VALID) + "\n" + json.dumps(dict(scored, id="b", uq=dict(scored["uq"], com=value)))
+    with pytest.raises(RecordError) as info:
+        parse_records(io.StringIO(text + "\n"))
+    assert str(info.value) == f"line 2: uq.com: must be finite, got {shown}"
 
 
 def test_samples_outside_the_one_pass_check_still_parse():
