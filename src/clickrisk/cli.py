@@ -30,7 +30,6 @@ from .records import (
     save_records,
     select_mlg,
     split_indices,
-    with_mlg,
 )
 from .density import occupied_patches
 from .risk import CalibrationOutcome, RiskSpec, calibrate_threshold
@@ -40,7 +39,6 @@ from .uq import (
     VARIANTS,
     WEIGHT_PRESETS,
     UqConfig,
-    attach_score,
     combine,
     score_batch,
     variant_value,
@@ -115,6 +113,20 @@ def _load_scored(path: str) -> list[GroundingRecord]:
 # ---------------------------------------------------------------------------
 # configuration: a config file's settings become the parser's defaults
 
+def _integer(value) -> int:
+    """`int(value)` for an integer, an integral float or a numeric string; never a bool or a fraction."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(value)
+    return int(value)
+
+
+def _number(value) -> float:
+    """`float(value)` for anything but a bool."""
+    if isinstance(value, bool):
+        raise ValueError(value)
+    return float(value)
+
+
 def _list_of(cast):
     """Cast for a JSON list whose every item takes `cast`."""
     def parse(value) -> list:
@@ -128,12 +140,12 @@ def _list_of(cast):
 # load and what that cast accepts; `build_parser` makes each the default of its
 # flag. The top-level "variant" is also allowed and is checked where it is used.
 CONFIG_FIELDS = {
-    "an integer": (int, ("seed", "uq.k_samples", "uq.patch_size", "split.repetitions")),
-    "a number": (float, ("uq.beta", "uq.epsilon", "risk.alpha", "risk.delta", "split.calibration_ratio")),
+    "an integer": (_integer, ("seed", "uq.k_samples", "uq.patch_size", "split.repetitions")),
+    "a number": (_number, ("uq.beta", "uq.epsilon", "risk.alpha", "risk.delta", "split.calibration_ratio")),
     "a preset name or a list of numbers": (
-        lambda v: v if isinstance(v, str) else tuple(_list_of(float)(v)), ("uq.weights",)),
-    "a list of numbers": (_list_of(float), ("sweep.alphas",)),
-    "a list of integers": (_list_of(int), ("sweep.k_values",)),
+        lambda v: v if isinstance(v, str) else tuple(_list_of(_number)(v)), ("uq.weights",)),
+    "a list of numbers": (_list_of(_number), ("sweep.alphas",)),
+    "a list of integers": (_list_of(_integer), ("sweep.k_values",)),
     "a list of names": (_list_of(str), ("sweep.variants", "sweep.weight_presets")),
 }
 _CASTS = {field: (kind, cast) for kind, (cast, names) in CONFIG_FIELDS.items() for field in names}
@@ -223,7 +235,7 @@ def _variant_values(records: list[GroundingRecord], variant: str) -> np.ndarray:
 
 
 def _admissible(records: list[GroundingRecord], seed: int) -> np.ndarray:
-    return np.array([metrics_mod.admission(select_mlg(r, seed), r.gt_box) for r in records], dtype=bool)
+    return metrics_mod.admissions([select_mlg(r, seed) for r in records], [r.gt_box for r in records])
 
 
 def _mean_std(values: list[float]) -> list:
@@ -269,7 +281,8 @@ def cmd_score(args) -> int:
     scored: list[GroundingRecord] = []
     for start in range(0, len(records), SCORE_CHUNK):
         chunk = records[start : start + SCORE_CHUNK]
-        scored.extend(attach_score(with_mlg(r, args.seed), s) for r, s in zip(chunk, score_batch(chunk, uq_cfg)))
+        scored.extend(replace(r, mlg=select_mlg(r, args.seed), uq=s.as_dict())
+                      for r, s in zip(chunk, score_batch(chunk, uq_cfg)))
     save_records(args.output, scored)
     if args.dump_density:
         os.makedirs(args.dump_density, exist_ok=True)
@@ -495,7 +508,7 @@ def cmd_sweep(args) -> int:
         adm = _admissible(records, args.seed)
         expert = None
         if all(r.expert is not None for r in records):
-            expert = np.array([metrics_mod.admission(r.expert, r.gt_box) for r in records], dtype=bool)
+            expert = metrics_mod.admissions([r.expert for r in records], [r.gt_box for r in records])
         base_accuracy = int(adm.sum()) / adm.size
         splits: dict = {}  # the same index arrays serve every combination
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -233,27 +234,34 @@ def region_means(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 
 
 def _batch_patch_cells(
-    clouds: Sequence[Sequence[Point]], dims: Sequence[tuple[int, int]], patch_size: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each sample's cloud and row-major patch index, and each cloud's grid width.
+    points: np.ndarray, offsets: np.ndarray, dims: Sequence[tuple[int, int]], patch_size: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Each sample's cloud and row-major patch index, each cloud's grid width, and a key stride.
 
-    Checks every cloud as `_patch_indices` does, in order, so the first bad
-    cloud raises the error it raises alone.
+    The stride is the largest (grid_h + 1) * grid_w: more than any patch
+    index plus a grid width. Checks every cloud as `_patch_indices` does,
+    in order, so the first bad cloud raises the error it raises alone. Each
+    distinct image size is checked once.
     """
-    pts = np.array([p for c in clouds for p in c], dtype=float).reshape(-1, 2)
-    owner = np.repeat(np.arange(len(clouds)), [len(c) for c in clouds])
-    finite = np.isfinite(pts).all(axis=1)
-    bad = set() if finite.all() else set(owner[~finite].tolist())
-    shapes = []
-    for i, (cloud, image_dims) in enumerate(zip(clouds, dims)):
-        shapes.append(_checked_grid(len(cloud), image_dims, patch_size))
-        if i in bad:
-            raise DensityError("sample coordinates must be finite")
-    grid_h, grid_w = np.array(shapes, dtype=np.int64).reshape(-1, 2).T
+    sizes = np.diff(offsets)
+    owner = np.repeat(np.arange(sizes.size), sizes)
+    shapes = {}
+    for image_dims in dict.fromkeys(dims):
+        try:
+            shapes[image_dims] = _checked_grid(1, image_dims, patch_size)
+        except DensityError:
+            shapes[image_dims] = (0, 0)  # no grid: its clouds are bad below
+    grid_h, grid_w = np.array([shapes[d] for d in dims], dtype=np.int64).reshape(-1, 2).T
+    bad = (sizes == 0) | (grid_w == 0)
+    bad[owner[~np.isfinite(points).all(axis=1)]] = True
+    if bad.any():
+        first = int(bad.argmax())
+        _checked_grid(int(sizes[first]), dims[first], patch_size)  # raises unless only a coordinate is bad
+        raise DensityError("sample coordinates must be finite")
     h, w = grid_h[owner], grid_w[owner]
-    cols = np.minimum(np.maximum(np.floor(pts[:, 0] / patch_size).astype(int), 0), w - 1)
-    rows = np.minimum(np.maximum(np.floor(pts[:, 1] / patch_size).astype(int), 0), h - 1)
-    return owner, rows * w + cols, grid_w
+    cols = np.minimum(np.maximum(np.floor(points[:, 0] / patch_size).astype(int), 0), w - 1)
+    rows = np.minimum(np.maximum(np.floor(points[:, 1] / patch_size).astype(int), 0), h - 1)
+    return owner, rows * w + cols, grid_w, max((h + 1) * w for h, w in shapes.values())
 
 
 def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -279,54 +287,66 @@ def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def batch_region_scores(
-    clouds: Sequence[Sequence[Point]],
+    points: np.ndarray,
+    offsets: np.ndarray,
     dims: Sequence[tuple[int, int]],
     patch_size: int,
     beta: float,
 ) -> list[tuple[tuple[float, ...], tuple[float, ...]]]:
     """`sparse_region_scores` for many clouds at once, bit for bit.
 
-    `clouds[i]` is scored on an image of size `dims[i]`. A fixed number of
-    array passes serves every cloud: one lexsort on (cloud, row-major
-    patch) bins the samples, `np.maximum.reduceat` takes each cloud's peak
-    for the same float retention test, neighbours to the right are found
-    in row-major order and neighbours below in column-major order, and
+    The clouds come as one column of samples: cloud i is
+    `points[offsets[i]:offsets[i + 1]]`, an (m, 2) float array, scored on an
+    image of size `dims[i]`, a (width, height) pair. A fixed number of
+    array passes serves every cloud. Each sample's (cloud, row-major patch)
+    pair becomes one int64 key, cloud * stride + patch (see
+    `_batch_patch_cells`), so one sort bins the samples in (cloud, patch)
+    order; `np.maximum.reduceat` takes each cloud's peak for the same float
+    retention test; a patch's neighbour to the right is the next key, and
+    its neighbour below is found by a binary search for key + grid width;
     `_components` labels the 4-connected regions. Each region is averaged
     by `region_means` over its patches in row-major order and the regions
     are ranked by one lexsort on (cloud, -score); only the per-cloud total
-    and division are left to Python, as in the one-cloud path.
+    is left to Python, as in the one-cloud path. A batch whose keys would
+    overflow int64 (declared images of about 2**63 / n patches) is scored
+    in halves.
     """
     if not 0.0 <= beta < 1.0:
         raise DensityError(f"beta must lie in [0, 1), got {beta}")
-    if len(clouds) == 0:
+    n = len(offsets) - 1
+    if n == 0:
         return []
-    owner, cells, grid_w = _batch_patch_cells(clouds, dims, patch_size)
+    owner, cells, grid_w, stride = _batch_patch_cells(points, offsets, dims, patch_size)
+    if n > 1 and n * stride > _MAX_CELLS:
+        half, cut = n // 2, offsets[n // 2]
+        return batch_region_scores(points[:cut], offsets[: half + 1], dims[:half], patch_size, beta) + (
+            batch_region_scores(points[cut:], offsets[half:] - cut, dims[half:], patch_size, beta)
+        )
 
-    # occupied patches in (cloud, cell) order, and their normalized counts
-    order = np.lexsort((cells, owner))
-    owner, cells = owner[order], cells[order]
-    first = np.ones(cells.size, dtype=bool)
-    first[1:] = (cells[1:] != cells[:-1]) | (owner[1:] != owner[:-1])
+    # occupied patches in (cloud, patch) order, and their normalized counts
+    keys = np.sort(owner * stride + cells if n > 1 else cells)
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
     starts = np.flatnonzero(first)
-    counts = np.diff(np.append(starts, cells.size))
-    owner, cells = owner[starts], cells[starts]
+    counts = np.diff(np.append(starts, keys.size))
+    keys = keys[starts]
+    owner = keys // stride if n > 1 else np.zeros_like(keys)
     cloud_starts = np.flatnonzero(np.diff(owner, prepend=-1))  # every cloud has a patch
     values = counts / np.add.reduceat(counts, cloud_starts)[owner]
     peak = np.maximum.reduceat(values, cloud_starts)
     retained = values > beta * peak[owner]
-    owner, cells, values = owner[retained], cells[retained], values[retained]
+    owner, keys, values = owner[retained], keys[retained], values[retained]
 
-    # 4-connected components over the retained patches
+    # 4-connected components over the retained patches; a key plus a grid width
+    # stays inside its cloud's stride, and wraps negative only past int64, so
+    # it matches a key exactly when the patch below is retained
     width = grid_w[owner]
-    row, col = cells // width, cells % width
-    same = owner[1:] == owner[:-1]
-    right = np.flatnonzero(same & (cells[1:] == cells[:-1] + 1) & (col[:-1] < width[:-1] - 1))
-    by_column = np.lexsort((row, col, owner))
-    r, c, o = row[by_column], col[by_column], owner[by_column]
-    below = np.flatnonzero((o[1:] == o[:-1]) & (c[1:] == c[:-1]) & (r[1:] == r[:-1] + 1))
-    label = _components(
-        cells.size, np.concatenate([right, by_column[below]]), np.concatenate([right + 1, by_column[below + 1]])
-    )
+    col = (keys - owner * stride if n > 1 else keys) % width
+    right = np.flatnonzero((keys[1:] == keys[:-1] + 1) & (col[:-1] < width[:-1] - 1))
+    target = keys + width
+    at = np.minimum(np.searchsorted(keys, target), keys.size - 1)
+    below = np.flatnonzero(keys[at] == target)
+    label = _components(keys.size, np.concatenate([right, below]), np.concatenate([right + 1, at[below]]))
 
     # one score per region, averaged in row-major order, then ranked per cloud
     anchors = np.flatnonzero(label == np.arange(label.size))
@@ -335,15 +355,11 @@ def batch_region_scores(
     sizes = np.bincount(region, minlength=anchors.size)
     scores = region_means(values[members], sizes)
     region_owner = owner[anchors]
-    ranked = np.lexsort((-scores, region_owner))
-    ranked_scores = scores[ranked].tolist()
-    per_cloud = np.bincount(region_owner, minlength=len(clouds)).tolist()
-
-    out = []
-    at = 0
-    for m in per_cloud:
-        cloud_scores = tuple(ranked_scores[at : at + m])
-        at += m
-        total = sum(cloud_scores)
-        out.append((cloud_scores, tuple(score / total for score in cloud_scores)))
-    return out
+    ranked_scores = scores[np.lexsort((-scores, region_owner))]
+    per_cloud = np.bincount(region_owner, minlength=n).tolist()
+    bounds = list(accumulate(per_cloud, initial=0))
+    as_floats = ranked_scores.tolist()
+    groups = [tuple(as_floats[a:b]) for a, b in zip(bounds, bounds[1:])]
+    # each total is Python's sum, as in the one-cloud path; the division is the same per element
+    probs = (ranked_scores / np.repeat([sum(g) for g in groups], per_cloud)).tolist()
+    return [(g, tuple(probs[a:b])) for g, a, b in zip(groups, bounds, bounds[1:])]

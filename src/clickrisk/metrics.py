@@ -48,6 +48,18 @@ def admission(point: Point, box: Box) -> int:
     return int(x_min <= x <= x_max and y_min <= y <= y_max)
 
 
+def admissions(points, boxes) -> np.ndarray:
+    """`admission` of each point against its box, as a bool array.
+
+    `points` is (n, 2) and `boxes` (n, 4) as x_min, y_min, x_max, y_max;
+    boundaries are included, the same float comparisons as `admission`.
+    """
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    bxs = np.asarray(boxes, dtype=float).reshape(-1, 4)
+    x, y = pts[:, 0], pts[:, 1]
+    return (bxs[:, 0] <= x) & (x <= bxs[:, 2]) & (bxs[:, 1] <= y) & (y <= bxs[:, 3])
+
+
 def _check_pair(uncertainties, flags) -> tuple[np.ndarray, np.ndarray]:
     u = np.asarray(uncertainties, dtype=float)
     adm = np.asarray(flags, dtype=int)

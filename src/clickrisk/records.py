@@ -293,9 +293,13 @@ def select_mlg(record: GroundingRecord, seed: int = 0) -> Point:
     """
     if record.mlg is not None:
         return record.mlg
-    digest = hashlib.sha256(f"{seed}:{record.id}".encode("utf-8")).digest()
-    index = int.from_bytes(digest[:8], "big") % len(record.samples)
-    return record.samples[index]
+    return record.samples[mlg_index(record.id, len(record.samples), seed)]
+
+
+def mlg_index(record_id: str, n_samples: int, seed: int = 0) -> int:
+    """Index of the sample `select_mlg` picks for a record without an `mlg` field."""
+    digest = hashlib.sha256(f"{seed}:{record_id}".encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big") % n_samples
 
 
 def with_mlg(record: GroundingRecord, seed: int = 0) -> GroundingRecord:

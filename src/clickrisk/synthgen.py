@@ -20,10 +20,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .engine import run_splits
-from .metrics import admission
-from .records import GroundingRecord, SplitPlan, select_mlg
+from .metrics import admission, admissions
+from .records import GroundingRecord, SplitPlan, mlg_index
 from .risk import RiskSpec
-from .uq import UqConfig, score_batch
+from .uq import UqConfig, score_columns
 
 # Unused here, but bench/spans.py wraps them at these bindings.
 from .records import split  # noqa: F401
@@ -83,64 +83,119 @@ class TrialOutcome(NamedTuple):
     test_fdr: float | None
 
 
-def generate_dataset(config: SynthConfig = SynthConfig()) -> list[GroundingRecord]:
-    """Deterministic synthetic dataset with the configured easy/hard mix."""
+class SynthBatch(NamedTuple):
+    """A synthetic dataset as arrays, record i in row i.
+
+    Record i's samples are `points[offsets[i]:offsets[i + 1]]`;
+    (points, offsets, dims) is the column `uq.score_columns` scores.
+    """
+
+    points: np.ndarray  # (n * k, 2) float64
+    offsets: np.ndarray  # (n + 1,) int64
+    dims: list[tuple[int, int]]  # (width, height) per record
+    boxes: np.ndarray  # (n, 4) float64: x_min, y_min, x_max, y_max
+    experts: np.ndarray  # (n, 2) float64
+
+
+def _record_id(i: int) -> str:
+    return f"synth-{i:05d}"
+
+
+def generate_arrays(config: SynthConfig = SynthConfig()) -> SynthBatch:
+    """Deterministic synthetic dataset with the configured easy/hard mix, as arrays.
+
+    The draws are made record by record, in a fixed order that fixes every
+    dataset (tests pin digests): the box corner, then the samples' draws,
+    then the expert's. Each sample is uniform in a disc around its centre,
+    from one angle and one radius draw; the raw draws are kept in arrays
+    and the disc arithmetic runs once over the whole dataset.
+    """
     rng = np.random.default_rng(config.seed)
+    n, k = config.n_records, config.k_samples
     size = float(config.image_size)
     box = float(config.box_size)
-    n_easy = round(config.easy_fraction * config.n_records)
-    is_easy = np.zeros(config.n_records, dtype=bool)
+    n_easy = round(config.easy_fraction * n)
+    is_easy = np.zeros(n, dtype=bool)
     is_easy[:n_easy] = True
     rng.shuffle(is_easy)
 
-    records = []
-    for i in range(config.n_records):
-        x_min = float(rng.uniform(0.0, size - box))
-        y_min = float(rng.uniform(0.0, size - box))
-        gt_box = (x_min, y_min, x_min + box, y_min + box)
-
-        # each sample is uniform in a disc around its centre, from one angle and one
-        # radius draw; the order of the draws fixes every dataset (tests pin digests)
-        if is_easy[i]:
+    uniform, random, integers = rng.uniform, rng.random, rng.integers
+    draws = np.empty((n, 2 * k))  # each record's angle and radius draws, in draw order
+    easy_draws, hard_draws = draws.reshape(n, 2, k), draws.reshape(n, k, 2)
+    corners: list[tuple[float, float]] = []
+    clusters: list[np.ndarray] = []  # each hard record's cluster centres
+    picks: list[np.ndarray] = []  # and the cluster of each of its samples
+    experts: list[tuple[float, float]] = []
+    for i, easy in enumerate(is_easy.tolist()):
+        x_min = uniform(0.0, size - box)
+        y_min = uniform(0.0, size - box)
+        corners.append((x_min, y_min))
+        if easy:
             # tight cloud strictly inside the box; every angle is drawn before any radius
-            centers, radius = np.array([x_min + box / 2.0, y_min + box / 2.0]), 0.35 * box
-            turns, spreads = rng.random((2, config.k_samples))
+            random(out=easy_draws[i])
         else:
             # several clusters scattered over the screen; each sample's draws are adjacent
-            n_clusters = int(rng.integers(2, 5))
-            clusters = rng.uniform(0.0, size, size=(n_clusters, 2))
-            centers = clusters[rng.integers(0, n_clusters, size=config.k_samples)]
-            radius = config.dispersion
-            turns, spreads = rng.random((config.k_samples, 2)).T
-        angles = (2.0 * math.pi) * turns
-        radii = radius * np.sqrt(spreads)
-        offsets = np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1)
-        pts = np.clip(centers + offsets, 0.0, size)
+            n_clusters = int(integers(2, 5))
+            clusters.append(uniform(0.0, size, size=(n_clusters, 2)))
+            picks.append(integers(0, n_clusters, size=k))
+            random(out=hard_draws[i])
 
-        if rng.random() < config.expert_accuracy:
-            expert = (
-                float(rng.uniform(x_min, x_min + box)),
-                float(rng.uniform(y_min, y_min + box)),
-            )
+        if random() < config.expert_accuracy:
+            experts.append((uniform(x_min, x_min + box), uniform(y_min, y_min + box)))
         else:
+            gt_box = (x_min, y_min, x_min + box, y_min + box)
             while True:
-                candidate = (float(rng.uniform(0.0, size)), float(rng.uniform(0.0, size)))
+                candidate = (uniform(0.0, size), uniform(0.0, size))
                 if not admission(candidate, gt_box):
-                    expert = candidate
+                    experts.append(candidate)
                     break
 
-        records.append(
-            GroundingRecord(
-                id=f"synth-{i:05d}",
-                image_width=config.image_size,
-                image_height=config.image_size,
-                instruction=f"locate target {i}",
-                gt_box=gt_box,
-                samples=tuple((float(x), float(y)) for x, y in pts),
-                expert=expert,
-            )
+    low = np.array(corners).reshape(n, 2)
+    points = np.empty((n, k, 2))  # each sample's centre, then the sample itself
+    points[is_easy] = (low[is_easy] + box / 2.0)[:, None, :]
+    if clusters:
+        first = np.cumsum([0] + [len(c) for c in clusters[:-1]])  # each record's first row in the stack
+        points[~is_easy] = np.concatenate(clusters)[np.array(picks) + first[:, None]]
+    # the disc arithmetic, once for all samples and in place where it can be
+    hard_draws[is_easy] = easy_draws[is_easy].transpose(0, 2, 1)  # every record as (angle, radius) pairs
+    angles = hard_draws[:, :, 0] * (2.0 * math.pi)
+    radii = np.sqrt(hard_draws[:, :, 1])
+    radii *= np.where(is_easy, 0.35 * box, config.dispersion)[:, None]
+    shift = np.cos(angles)
+    shift *= radii
+    points[:, :, 0] += shift
+    np.sin(angles, out=shift)
+    shift *= radii
+    points[:, :, 1] += shift
+    return SynthBatch(
+        points=np.clip(points, 0.0, size, out=points).reshape(n * k, 2),
+        offsets=np.arange(0, n * k + 1, k),
+        dims=[(config.image_size, config.image_size)] * n,
+        boxes=np.concatenate([low, low + box], axis=1),
+        experts=np.array(experts).reshape(n, 2),
+    )
+
+
+def generate_dataset(config: SynthConfig = SynthConfig()) -> list[GroundingRecord]:
+    """`generate_arrays` as records, ids synth-00000, synth-00001, ..."""
+    batch = generate_arrays(config)
+    k = config.k_samples
+    # tuples built straight from flat lists of floats, so no per-row list is made and dropped
+    xy = iter(batch.points.ravel().tolist())
+    samples = tuple(zip(xy, xy))
+    boxes, experts = zip(*batch.boxes.T.tolist()), zip(*batch.experts.T.tolist())
+    return [
+        GroundingRecord(
+            id=_record_id(i),
+            image_width=config.image_size,
+            image_height=config.image_size,
+            instruction=f"locate target {i}",
+            gt_box=box,
+            samples=samples[i * k : (i + 1) * k],
+            expert=expert,
         )
-    return records
+        for i, (box, expert) in enumerate(zip(boxes, experts))
+    ]
 
 
 def _trial_seed(seed: int, trial: int) -> int:
@@ -172,14 +227,17 @@ def run_guarantee_trials(
     plan = SplitPlan(calibration_ratio=calibration_ratio, seed=config.seed, repetitions=1)
     uq_cfg = UqConfig()
 
+    ids = [_record_id(i) for i in range(config.n_records)]  # the same in every trial
+    memo: dict = {}  # the trials' datasets repeat ranked-score tuples; scored once per call
     violations = 0
     infeasible = 0
     outcomes: list[TrialOutcome] = []
     for t in range(trials):
         seed_t = _trial_seed(config.seed, t)
-        data = generate_dataset(replace(config, seed=seed_t))
-        u = np.array([s.combined for s in score_batch(data, uq_cfg)])
-        adm = np.array([admission(select_mlg(r, seed_t), r.gt_box) for r in data], dtype=bool)
+        batch = generate_arrays(replace(config, seed=seed_t))
+        u = score_columns(batch.points, batch.offsets, batch.dims, uq_cfg, memo)[:, 3]
+        picks = [mlg_index(record_id, config.k_samples, seed_t) for record_id in ids]
+        adm = admissions(batch.points[batch.offsets[:-1] + picks], batch.boxes)
         [(_, [counts])] = run_splits(u, adm, replace(plan, seed=seed_t), [spec.alpha], spec.delta)
         if counts is None:
             infeasible += 1

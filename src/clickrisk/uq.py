@@ -18,7 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Sequence
+
+import numpy as np
 
 # The dense chain stays importable here: bench/spans.py wraps it at these bindings.
 from .density import build_density_map, extract_regions, score_regions  # noqa: F401
@@ -174,6 +177,33 @@ def score_record(record: GroundingRecord, config: UqConfig = UqConfig()) -> Unce
     return _score(scores, probs, config, record.pc)
 
 
+def _columns(records: Sequence[GroundingRecord], k: int) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]:
+    """The records' first k samples as one column: (points, offsets, dims), see `batch_region_scores`."""
+    clouds = [r.samples[:k] for r in records]
+    offsets = np.zeros(len(clouds) + 1, dtype=np.int64)
+    np.cumsum([len(c) for c in clouds], out=offsets[1:])
+    points = np.array(list(chain.from_iterable(clouds)), dtype=float).reshape(-1, 2)
+    return points, offsets, [(r.image_width, r.image_height) for r in records]
+
+
+def _memoized_scores(
+    points: np.ndarray, offsets: np.ndarray, dims: Sequence[tuple[int, int]], config: UqConfig, memo: dict
+) -> list[UncertaintyScore]:
+    """Each cloud's components (pc left None), computed once per distinct ranked-score tuple.
+
+    `_score` depends on nothing but the ranked scores and `config` (the
+    probabilities are derived from the scores), so a tuple seen before in
+    `memo` is not scored again; `memo` serves this one config.
+    """
+    out = []
+    for scores, probs in batch_region_scores(points, offsets, dims, config.patch_size, config.beta):
+        score = memo.get(scores)
+        if score is None:
+            score = memo[scores] = _score(scores, probs, config, None)
+        out.append(score)
+    return out
+
+
 def score_batch(records: Sequence[GroundingRecord], config: UqConfig = UqConfig()) -> list[UncertaintyScore]:
     """`score_record` for every record, bit for bit, with array passes over chunks.
 
@@ -181,20 +211,55 @@ def score_batch(records: Sequence[GroundingRecord], config: UqConfig = UqConfig(
     a fixed number of numpy calls per chunk instead of about 15 per record;
     chunking keeps the arrays small whatever the file's length. Region means
     follow ndarray.mean's summation order (left to right below 8 members,
-    pairwise from 8), see `density.region_means`. Only the components are
-    computed per record, by the same code as `score_record`. The first
-    record that `score_record` would reject raises the same error here.
+    pairwise from 8), see `density.region_means`. The components are computed
+    by the same code as `score_record`, once per distinct ranked-score tuple
+    in the call (`_memoized_scores`); each record keeps its own `pc`. The
+    first record that `score_record` would reject raises the same error here.
     A single record is faster through `score_record`.
     """
-    k, patch, beta = config.k_samples, config.patch_size, config.beta
+    memo: dict = {}
     out: list[UncertaintyScore] = []
     for start in range(0, len(records), SCORE_CHUNK):
         chunk = records[start : start + SCORE_CHUNK]
-        regions = batch_region_scores(
-            [r.samples[:k] for r in chunk], [(r.image_width, r.image_height) for r in chunk], patch, beta
-        )
-        out.extend(_score(scores, probs, config, r.pc) for r, (scores, probs) in zip(chunk, regions))
+        scores = _memoized_scores(*_columns(chunk, config.k_samples), config, memo)
+        out.extend(s if r.pc is None else UncertaintyScore(s.ta, s.ie, s.cd, s.combined, r.pc)
+                   for r, s in zip(chunk, scores))
     return out
+
+
+def score_columns(
+    points: np.ndarray,
+    offsets: np.ndarray,
+    dims: Sequence[tuple[int, int]],
+    config: UqConfig = UqConfig(),
+    memo: dict | None = None,
+) -> np.ndarray:
+    """`score_batch` for clouds given as one column of samples, as an (n, 4) array.
+
+    Cloud i is `points[offsets[i]:offsets[i + 1]]` on an image of size
+    `dims[i]` (see `density.batch_region_scores`); its first
+    `config.k_samples` samples are scored. Row i holds ta, ie, cd and the
+    combined score, the values `score_batch` gives for a record with that
+    cloud, without building a record. A caller that scores many columns
+    can pass one `memo` dict to all of them, so a ranked-score tuple seen in
+    an earlier column is not scored again; it holds one table per config,
+    and lives as long as the caller keeps it.
+    """
+    sizes = np.diff(offsets)
+    if sizes.max(initial=0) > config.k_samples:  # keep each cloud's leading k samples
+        rank = np.arange(len(points)) - np.repeat(offsets[:-1], sizes)
+        points = points[rank < config.k_samples]
+        offsets = np.zeros_like(offsets)
+        np.cumsum(np.minimum(sizes, config.k_samples), out=offsets[1:])
+    table = {} if memo is None else memo.setdefault(config, {})
+    scores: list[UncertaintyScore] = []
+    for start in range(0, len(offsets) - 1, SCORE_CHUNK):
+        stop = min(start + SCORE_CHUNK, len(offsets) - 1)
+        lo, hi = offsets[start], offsets[stop]
+        scores.extend(
+            _memoized_scores(points[lo:hi], offsets[start : stop + 1] - lo, dims[start:stop], config, table)
+        )
+    return np.array([(s.ta, s.ie, s.cd, s.combined) for s in scores], dtype=float).reshape(-1, 4)
 
 
 def attach_score(record: GroundingRecord, score: UncertaintyScore) -> GroundingRecord:

@@ -437,7 +437,10 @@ def test_sweep_alphas_come_from_flag_then_config_then_default(tmp_path, mixed_fi
     (None, ["10"]),
     ({"uq": {"k_samples": 5}}, ["5"]),
     ({"uq": {"k_samples": 5}, "sweep": {"k_values": [3, 7]}}, ["3", "7"]),
-], ids=["default", "uq-k-samples", "sweep-k-values"])
+    ({"uq": {"k_samples": 5.0}}, ["5"]),
+    ({"uq": {"k_samples": "5"}}, ["5"]),
+    ({"sweep": {"k_values": [2, 3.0, "7"]}}, ["2", "3", "7"]),
+], ids=["default", "uq-k-samples", "sweep-k-values", "integral-float-k", "string-k", "mixed-k-values"])
 def test_sweep_k_falls_back_to_uq_k_samples(tmp_path, mixed_file, config, k):
     src = scored(tmp_path, mixed_file)
     prefix = ["--config", write_config(tmp_path, config)] if config else []
@@ -498,8 +501,23 @@ def test_cascade_variant_order(tmp_path, mixed_file, capsys, config, flags, arti
     ({"Seed": 1}, ["score", "-o", "s.jsonl"], "unknown key Seed"),
     ({"risk.alpha": 0.3}, ["calibrate", "-o", "a.json"], "unknown key risk.alpha"),
     ({"uq": {"variant": "ta"}}, ["calibrate", "-o", "a.json"], "unknown key uq.variant"),
+    ({"uq": {"k_samples": 2.7}}, ["score", "-o", "s.jsonl"], "uq.k_samples must be an integer, got 2.7"),
+    ({"split": {"repetitions": True}}, ["calibrate", "-o", "a.json"],
+     "split.repetitions must be an integer, got true"),
+    ({"uq": {"k_samples": 2.7}, "split": {"repetitions": True}}, ["sweep", "--out-dir", "sweep"],
+     "uq.k_samples must be an integer, got 2.7"),
+    ({"seed": False}, ["score", "-o", "s.jsonl"], "seed must be an integer, got false"),
+    ({"risk": {"alpha": True}}, ["calibrate", "-o", "a.json"], "risk.alpha must be a number, got true"),
+    ({"sweep": {"k_values": [3, 4.5]}}, ["sweep", "--out-dir", "sweep"],
+     "sweep.k_values must be a list of integers, got [3, 4.5]"),
+    ({"sweep": {"alphas": [0.2, False]}}, ["sweep", "--out-dir", "sweep"],
+     "sweep.alphas must be a list of numbers, got [0.2, false]"),
+    ({"uq": {"weights": [True, 0.0, 0.0]}}, ["score", "-o", "s.jsonl"],
+     "uq.weights must be a preset name or a list of numbers, got [true, 0.0, 0.0]"),
 ], ids=["null-alpha", "scalar-alphas", "scalar-weights", "string-section", "string-k",
-        "misspelled-key", "misspelled-top-level", "dotted-top-level", "top-level-key-in-a-section"])
+        "misspelled-key", "misspelled-top-level", "dotted-top-level", "top-level-key-in-a-section",
+        "fractional-k", "bool-repetitions", "fractional-k-and-bool-repetitions", "bool-seed", "bool-alpha",
+        "fractional-k-value", "bool-in-alphas", "bool-in-weights"])
 def test_wrong_typed_config_value_names_file_and_key(tmp_path, mixed_file, capsys, config, argv, message):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))

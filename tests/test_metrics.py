@@ -6,6 +6,7 @@ import pytest
 from clickrisk.metrics import (
     MetricError,
     admission,
+    admissions,
     aggregate,
     arc_points,
     auarc,
@@ -47,6 +48,33 @@ def test_admission_is_boundary_inclusive():
 def test_admission_exterior():
     assert admission((11, 5), (0, 0, 10, 10)) == 0
     assert admission((5, -0.001), (0, 0, 10, 10)) == 0
+
+
+def test_admissions_equal_admission_on_every_edge_and_corner():
+    box = (10.25, 20.5, 130.25, 140.5)
+    x_min, y_min, x_max, y_max = box
+    xs = [x_min, (x_min + x_max) / 2, x_max]
+    ys = [y_min, (y_min + y_max) / 2, y_max]
+    on_box = [(x, y) for x in xs for y in ys]  # the four corners, the four edge midpoints, the centre
+    just_outside = [
+        (np.nextafter(x_min, -np.inf), ys[1]), (np.nextafter(x_max, np.inf), ys[1]),
+        (xs[1], np.nextafter(y_min, -np.inf)), (xs[1], np.nextafter(y_max, np.inf)),
+        (np.nextafter(x_max, np.inf), np.nextafter(y_max, np.inf)),
+    ]
+    points = on_box + just_outside
+    got = admissions(points, [box] * len(points))
+    assert got.dtype == bool
+    assert got.tolist() == [bool(admission(p, box)) for p in points] == [True] * 9 + [False] * 5
+
+
+def test_admissions_take_one_box_per_point():
+    rng = np.random.default_rng(2)
+    boxes = np.sort(rng.uniform(0, 100, size=(500, 2, 2)), axis=1).reshape(500, 4)  # min corner, max corner
+    points = rng.uniform(-10, 110, size=(500, 2))
+    points[::7] = boxes[::7, 2:]  # some exactly on a corner
+    expected = [bool(admission(tuple(p), tuple(b))) for p, b in zip(points.tolist(), boxes.tolist())]
+    assert admissions(points, boxes).tolist() == expected
+    assert admissions([], []).tolist() == []
 
 
 def test_admission_monotone_under_enlargement():

@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import math
 import re
 from dataclasses import replace
 
@@ -6,10 +8,12 @@ import numpy as np
 import pytest
 
 from clickrisk import synthgen
-from clickrisk.metrics import admission
-from clickrisk.records import SplitError, SplitPlan, select_mlg, serialize_records, split
+from clickrisk.metrics import admission, admissions
+from clickrisk.records import (
+    GroundingRecord, SplitError, SplitPlan, mlg_index, select_mlg, serialize_records, split,
+)
 from clickrisk.risk import RiskSpec, calibrate_threshold
-from clickrisk.synthgen import SynthConfig, _trial_seed, generate_dataset, run_guarantee_trials
+from clickrisk.synthgen import SynthConfig, _trial_seed, generate_arrays, generate_dataset, run_guarantee_trials
 from clickrisk.uq import score_record
 
 
@@ -176,3 +180,77 @@ def test_violation_rate_stable_under_doubling():
     long, _ = run_guarantee_trials(cfg, alpha=0.2, delta=0.05, trials=120)
     band = 3.0 * np.sqrt(0.05 * 0.95 / 60)
     assert long.violation_rate <= short.violation_rate + band
+
+
+# --- the columnar generator ------------------------------------------------------
+
+def per_record_dataset(config):
+    """The generator drawn and computed one record at a time: the oracle for the arrays."""
+    rng = np.random.default_rng(config.seed)
+    size, box = float(config.image_size), float(config.box_size)
+    is_easy = np.zeros(config.n_records, dtype=bool)
+    is_easy[: round(config.easy_fraction * config.n_records)] = True
+    rng.shuffle(is_easy)
+    records = []
+    for i in range(config.n_records):
+        x_min, y_min = float(rng.uniform(0.0, size - box)), float(rng.uniform(0.0, size - box))
+        gt_box = (x_min, y_min, x_min + box, y_min + box)
+        if is_easy[i]:
+            centers, radius = np.array([x_min + box / 2.0, y_min + box / 2.0]), 0.35 * box
+            turns, spreads = rng.random((2, config.k_samples))
+        else:
+            n_clusters = int(rng.integers(2, 5))
+            clusters = rng.uniform(0.0, size, size=(n_clusters, 2))
+            centers = clusters[rng.integers(0, n_clusters, size=config.k_samples)]
+            radius = config.dispersion
+            turns, spreads = rng.random((config.k_samples, 2)).T
+        angles = (2.0 * math.pi) * turns
+        radii = radius * np.sqrt(spreads)
+        pts = np.clip(centers + np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1), 0.0, size)
+        if rng.random() < config.expert_accuracy:
+            expert = (float(rng.uniform(x_min, x_min + box)), float(rng.uniform(y_min, y_min + box)))
+        else:
+            while True:
+                expert = (float(rng.uniform(0.0, size)), float(rng.uniform(0.0, size)))
+                if not admission(expert, gt_box):
+                    break
+        records.append(GroundingRecord(
+            id=f"synth-{i:05d}", image_width=config.image_size, image_height=config.image_size,
+            instruction=f"locate target {i}", gt_box=gt_box,
+            samples=tuple((float(x), float(y)) for x, y in pts), expert=expert,
+        ))
+    return records
+
+
+@pytest.mark.parametrize("k", [1, 10, 50])
+@pytest.mark.parametrize("easy_fraction", [0.0, 0.6, 1.0])
+def test_columnar_generator_equals_the_per_record_one(k, easy_fraction):
+    cfg = SynthConfig(n_records=120, k_samples=k, easy_fraction=easy_fraction, expert_accuracy=0.5, seed=k)
+    batch = generate_arrays(cfg)
+    from_arrays = [
+        GroundingRecord(
+            id=f"synth-{i:05d}", image_width=w, image_height=h, instruction=f"locate target {i}",
+            gt_box=tuple(batch.boxes[i].tolist()),
+            samples=tuple(map(tuple, batch.points[batch.offsets[i] : batch.offsets[i + 1]].tolist())),
+            expert=tuple(batch.experts[i].tolist()),
+        )
+        for i, (w, h) in enumerate(batch.dims)
+    ]
+    records = generate_dataset(cfg)
+    expected = per_record_dataset(cfg)
+    for got, built, want in zip(records, from_arrays, expected, strict=True):
+        for f in dataclasses.fields(GroundingRecord):
+            assert getattr(got, f.name) == getattr(built, f.name) == getattr(want, f.name), f.name
+    assert batch.offsets.tolist() == list(range(0, 120 * k + 1, k))
+
+
+def test_guarantee_admission_from_arrays_equals_the_per_record_rule():
+    for seed in (3, 4):
+        cfg = SynthConfig(n_records=200, k_samples=7, easy_fraction=0.5, seed=seed)
+        batch = generate_arrays(cfg)
+        picks = [mlg_index(f"synth-{i:05d}", cfg.k_samples, seed) for i in range(cfg.n_records)]
+        from_arrays = admissions(batch.points[batch.offsets[:-1] + picks], batch.boxes)
+        records = generate_dataset(cfg)
+        expected = [admission(select_mlg(r, seed), r.gt_box) for r in records]
+        assert from_arrays.tolist() == [bool(a) for a in expected]
+        assert 0 < sum(expected) < len(expected)

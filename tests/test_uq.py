@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from clickrisk import cli, density
+from clickrisk import cli, density, uq
 from clickrisk.density import (
     DensityError,
     DensityMap,
@@ -26,6 +26,7 @@ from clickrisk.uq import (
     concentration_deficit,
     info_dispersion,
     score_batch,
+    score_columns,
     score_record,
     top_ambiguity,
     variant_value,
@@ -520,3 +521,96 @@ def test_score_batch_rejects_the_first_bad_record_as_score_record_does():
             score_batch(batch, cfg)
         assert str(got.value) == str(expected.value)
     assert "too large to index" in str(expected.value)
+
+
+# --- the per-call memo of score_batch and score_columns ------------------------
+
+def repeated_tuple_records(rng, n):
+    """n records over a few cloud shapes, each placed at a random patch offset.
+
+    A shape moved by whole patches keeps its ranked-score tuple, so the batch
+    repeats a handful of tuples on many different patch sets.
+    """
+    shapes = [rng.uniform(0, 60, size=(int(rng.integers(1, 12)), 2)) for _ in range(6)]
+    records = []
+    for i in range(n):
+        shape = shapes[int(rng.integers(len(shapes)))]
+        shift = 14.0 * rng.integers(0, 50, size=2)
+        samples = [tuple(p) for p in (shape + shift).tolist()]
+        pc = float(rng.random()) if i % 3 else None
+        records.append(record_with_samples(samples, 840, 840, id=f"r{i}", pc=pc))
+    return records
+
+
+def test_score_batch_memo_equals_score_record_on_repeated_tuples(monkeypatch):
+    records = repeated_tuple_records(np.random.default_rng(5), 3 * SCORE_CHUNK)
+    calls = []
+    real_score = uq._score
+    monkeypatch.setattr(uq, "_score", lambda *a: calls.append(a[0]) or real_score(*a))
+    got = score_batch(records)
+    monkeypatch.undo()
+    assert got == [score_record(r) for r in records]
+    assert len(calls) == len(set(calls)) < 10  # one component evaluation per distinct tuple
+
+
+def test_score_batch_memo_keeps_each_records_pc():
+    samples = [(20.0, 20.0), (22.0, 21.0), (100.0, 100.0)]
+    a = record_with_samples(samples, id="a", pc=0.25)
+    b = record_with_samples(samples, id="b", pc=0.75)
+    c = record_with_samples(samples, id="c")
+    got = score_batch([a, b, c])
+    assert [s.pc for s in got] == [0.25, 0.75, None]
+    assert got == [score_record(r) for r in (a, b, c)]
+    assert dataclasses.replace(got[0], pc=None) == got[2]
+
+
+def test_score_batch_twice_gives_identical_results():
+    records = repeated_tuple_records(np.random.default_rng(6), 300)
+    assert score_batch(records) == score_batch(records)
+
+
+def test_uq_holds_no_module_level_state_after_a_call():
+    def snapshot():
+        return {name: (id(value), len(value) if isinstance(value, (dict, list, set)) else None)
+                for name, value in vars(uq).items()}
+
+    records = repeated_tuple_records(np.random.default_rng(7), 300)
+    before = snapshot()
+    score_batch(records)
+    score_columns(*uq._columns(records, 10))
+    assert snapshot() == before
+
+
+def test_score_columns_equals_score_batch_and_caps_k():
+    rng = np.random.default_rng(9)
+    records = cloud_records(rng, (840, 840), 30, 14, per_kind=40) + repeated_tuple_records(rng, 100)
+    for cfg in (UqConfig(), UqConfig(k_samples=30, beta=0.0), UqConfig(k_samples=3, patch_size=28)):
+        points, offsets, dims = uq._columns(records, 50)  # every sample, so score_columns caps at k
+        expected = [[s.ta, s.ie, s.cd, s.combined] for s in score_batch(records, cfg)]
+        assert score_columns(points, offsets, dims, cfg).tolist() == expected
+
+
+def test_score_columns_memo_keeps_configs_apart():
+    records = repeated_tuple_records(np.random.default_rng(10), 200)
+    columns = uq._columns(records, 10)
+    memo: dict = {}
+    for cfg in (UqConfig(), UqConfig(weights=WEIGHT_PRESETS["v2"]), UqConfig()):
+        expected = [[s.ta, s.ie, s.cd, s.combined] for s in score_batch(records, cfg)]
+        assert score_columns(*columns, cfg, memo).tolist() == expected
+    assert len(memo) == 2
+
+
+def test_score_batch_near_the_int64_patch_limit_equals_score_record():
+    # patch 1 on images of up to 2**63 patches: a batch's (cloud, patch) keys
+    # would overflow int64, so it is scored in parts, and a key plus a grid
+    # width may wrap around
+    cfg = UqConfig(patch_size=1, beta=0.0)
+    edge = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (2.0**61, 1.0), (2.0**61 + 4096.0, 0.0), (2.0**61, 0.0)]
+    records = [
+        record_with_samples(edge, width=2**62 - 2**11, height=2, id="wraps"),
+        record_with_samples(edge, width=2**62, height=1, id="one-row"),
+        record_with_samples(edge, width=2**40, height=2**21, id="tall"),
+        record_with_samples(edge[:3] * 2, width=28, height=28, id="small"),
+    ]
+    for batch in (records, records[::-1], records * 3, records[:1] * 2):
+        assert score_batch(batch, cfg) == [score_record(r, cfg) for r in batch]
