@@ -296,7 +296,7 @@ def select_mlg(record: GroundingRecord, seed: int = 0) -> Point:
     return record.samples[mlg_index(record.id, len(record.samples), seed)]
 
 
-def mlg_index(record_id: str, n_samples: int, seed: int = 0) -> int:
+def mlg_index(record_id: str, n_samples: int, seed: int) -> int:
     """Index of the sample `select_mlg` picks for a record without an `mlg` field."""
     digest = hashlib.sha256(f"{seed}:{record_id}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") % n_samples

@@ -17,7 +17,7 @@ can otherwise push them marginally outside.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
 
@@ -231,8 +231,8 @@ def score_columns(
     points: np.ndarray,
     offsets: np.ndarray,
     dims: Sequence[tuple[int, int]],
-    config: UqConfig = UqConfig(),
-    memo: dict | None = None,
+    config: UqConfig,
+    memo: dict,
 ) -> np.ndarray:
     """`score_batch` for clouds given as one column of samples, as an (n, 4) array.
 
@@ -240,10 +240,10 @@ def score_columns(
     `dims[i]` (see `density.batch_region_scores`); its first
     `config.k_samples` samples are scored. Row i holds ta, ie, cd and the
     combined score, the values `score_batch` gives for a record with that
-    cloud, without building a record. A caller that scores many columns
-    can pass one `memo` dict to all of them, so a ranked-score tuple seen in
-    an earlier column is not scored again; it holds one table per config,
-    and lives as long as the caller keeps it.
+    cloud, without building a record. `memo` is a dict the caller owns
+    (a new one scores this column alone): it keeps the components of every
+    ranked-score tuple seen, one table per config, so a caller that scores
+    many columns passes the same dict to each and drops it when done.
     """
     sizes = np.diff(offsets)
     if sizes.max(initial=0) > config.k_samples:  # keep each cloud's leading k samples
@@ -251,7 +251,7 @@ def score_columns(
         points = points[rank < config.k_samples]
         offsets = np.zeros_like(offsets)
         np.cumsum(np.minimum(sizes, config.k_samples), out=offsets[1:])
-    table = {} if memo is None else memo.setdefault(config, {})
+    table = memo.setdefault(config, {})
     scores: list[UncertaintyScore] = []
     for start in range(0, len(offsets) - 1, SCORE_CHUNK):
         stop = min(start + SCORE_CHUNK, len(offsets) - 1)
@@ -260,11 +260,6 @@ def score_columns(
             _memoized_scores(points[lo:hi], offsets[start : stop + 1] - lo, dims[start:stop], config, table)
         )
     return np.array([(s.ta, s.ie, s.cd, s.combined) for s in scores], dtype=float).reshape(-1, 4)
-
-
-def attach_score(record: GroundingRecord, score: UncertaintyScore) -> GroundingRecord:
-    """Copy of `record` with the uncertainty fields appended."""
-    return replace(record, uq=score.as_dict())
 
 
 def variant_value(record: GroundingRecord, variant: str) -> float:

@@ -104,7 +104,7 @@ def test_guarantee_rejects_a_bad_ratio_before_any_trial(monkeypatch):
     def never(config):
         raise AssertionError("a dataset was generated")
 
-    monkeypatch.setattr(synthgen, "generate_dataset", never)
+    monkeypatch.setattr(synthgen, "generate_arrays", never)
     with pytest.raises(SplitError, match=re.escape("calibration_ratio must lie in (0, 1), got 1.5")):
         run_guarantee_trials(SynthConfig(n_records=40), alpha=0.2, delta=0.05, trials=3, calibration_ratio=1.5)
 

@@ -21,7 +21,6 @@ from clickrisk.uq import (
     SCORE_CHUNK,
     UqConfig,
     WEIGHT_PRESETS,
-    attach_score,
     combine,
     concentration_deficit,
     info_dispersion,
@@ -266,7 +265,7 @@ def test_weight_presets_are_normalized():
 
 def test_attach_and_variant_roundtrip():
     record = record_with_samples([(3.0, 3.0)] * 10, pc=0.3)
-    scored = attach_score(record, score_record(record))
+    scored = dataclasses.replace(record, uq=score_record(record).as_dict())
     assert variant_value(scored, "com") == pytest.approx(0.02)
     assert variant_value(scored, "ta") == pytest.approx(0.1)
     assert variant_value(scored, "pc") == 0.3
@@ -577,7 +576,7 @@ def test_uq_holds_no_module_level_state_after_a_call():
     records = repeated_tuple_records(np.random.default_rng(7), 300)
     before = snapshot()
     score_batch(records)
-    score_columns(*uq._columns(records, 10))
+    score_columns(*uq._columns(records, 10), UqConfig(), {})
     assert snapshot() == before
 
 
@@ -587,7 +586,7 @@ def test_score_columns_equals_score_batch_and_caps_k():
     for cfg in (UqConfig(), UqConfig(k_samples=30, beta=0.0), UqConfig(k_samples=3, patch_size=28)):
         points, offsets, dims = uq._columns(records, 50)  # every sample, so score_columns caps at k
         expected = [[s.ta, s.ie, s.cd, s.combined] for s in score_batch(records, cfg)]
-        assert score_columns(points, offsets, dims, cfg).tolist() == expected
+        assert score_columns(points, offsets, dims, cfg, {}).tolist() == expected
 
 
 def test_score_columns_memo_keeps_configs_apart():
