@@ -22,6 +22,12 @@ from .records import Point
 Patch = tuple[int, int]  # (row, col) on the grid
 
 _MAX_CELLS = int(np.iinfo(np.int64).max)  # row-major patch indices are int64
+_MAX_CAST = 2.0**63 - 1024  # the largest float64 below 2**63: floats up to it cast to int64 exactly
+
+# `sparse_region_scores` bins clouds of up to this many samples in plain
+# Python and larger ones with numpy, which is as fast from about 500 samples
+# on (measured crossover in CHANGES.md).
+_PYTHON_CLOUD_LIMIT = 256
 
 
 class DensityError(ValueError):
@@ -59,6 +65,19 @@ def _checked_grid(n_samples: int, image_dims: tuple[int, int], patch_size: int) 
     return grid_h, grid_w
 
 
+def _clamped_floor(coords: np.ndarray, patch_size: int, last: int | np.ndarray) -> np.ndarray:
+    """floor(coords / patch_size) clamped into [0, last], as int64.
+
+    A floor beyond int64 is clamped before the cast, which would otherwise
+    wrap it to patch 0. The clamp to `last` is done on integers, which stay
+    exact where floats do not (a `last` above 2**53).
+    """
+    # np.minimum/np.maximum clamp as np.clip does, without its wrapper's overhead
+    floors = np.floor(coords / patch_size)
+    within = np.minimum(np.maximum(floors, 0.0), _MAX_CAST).astype(np.int64)
+    return np.where(floors > _MAX_CAST, last, np.minimum(within, last))
+
+
 def _patch_indices(
     samples: Sequence[Point], image_dims: tuple[int, int], patch_size: int
 ) -> tuple[int, int, np.ndarray, np.ndarray]:
@@ -67,9 +86,8 @@ def _patch_indices(
     pts = np.asarray(samples, dtype=float)
     if not np.all(np.isfinite(pts)):
         raise DensityError("sample coordinates must be finite")
-    # np.minimum/np.maximum clamp as np.clip does, without its wrapper's overhead
-    cols = np.minimum(np.maximum(np.floor(pts[:, 0] / patch_size).astype(int), 0), grid_w - 1)
-    rows = np.minimum(np.maximum(np.floor(pts[:, 1] / patch_size).astype(int), 0), grid_h - 1)
+    cols = _clamped_floor(pts[:, 0], patch_size, grid_w - 1)
+    rows = _clamped_floor(pts[:, 1], patch_size, grid_h - 1)
     return grid_h, grid_w, rows, cols
 
 
@@ -166,22 +184,76 @@ def sparse_region_scores(
 
     Returns what `score_regions` gives for
     `extract_regions(build_density_map(samples, image_dims, patch_size), beta)`,
-    bit for bit, but never builds the grid (see `occupied_patches`). Patches
-    are keyed by their row-major index, so each region is averaged over its
-    patches in row-major order, as on the dense path.
+    bit for bit, but never builds the grid. Clouds of up to
+    _PYTHON_CLOUD_LIMIT samples are binned in plain Python
+    (`_small_cloud_patches`), where a dozen small-array numpy calls would
+    cost more than their work; larger ones by `occupied_patches`. Both keep
+    the patches with density > beta * peak, keyed by row-major index, for
+    `_ranked_region_scores`.
     """
     if not 0.0 <= beta < 1.0:
         raise DensityError(f"beta must lie in [0, 1), got {beta}")
-    grid_w, cells, values = occupied_patches(samples, image_dims, patch_size)
-    retained = values > beta * values.max()
-    values = values[retained]
-    cells = cells[retained].tolist()
-    position = {cell: i for i, cell in enumerate(cells)}
+    if len(samples) <= _PYTHON_CLOUD_LIMIT:
+        grid_w, retained = _small_cloud_patches(samples, image_dims, patch_size, beta)
+    else:
+        grid_w, cells, values = occupied_patches(samples, image_dims, patch_size)
+        kept = values > beta * values.max()
+        retained = dict(zip(cells[kept].tolist(), values[kept].tolist()))
+    return _ranked_region_scores(retained, grid_w)
+
+
+def _small_cloud_patches(
+    samples: Sequence[Point], image_dims: tuple[int, int], patch_size: int, beta: float
+) -> tuple[int, dict[int, float]]:
+    """Grid width, and row-major index -> density of each patch above beta * peak.
+
+    The retention test of `sparse_region_scores` in plain Python, with the
+    float operations of the numpy path: `count / n` and
+    `value > beta * peak`. A sample's patch is `math.floor`'s exact integer,
+    clamped into the grid as `_clamped_floor` clamps it. Checks and errors
+    are those of `_patch_indices`, in its order.
+    """
+    grid_h, grid_w = _checked_grid(len(samples), image_dims, patch_size)
+    last_row, last_col = grid_h - 1, grid_w - 1
+    isfinite, floor = math.isfinite, math.floor
+    counts: dict[int, int] = {}
+    for x, y in samples:
+        if not (isfinite(x) and isfinite(y)):
+            raise DensityError("sample coordinates must be finite")
+        col, row = floor(x / patch_size), floor(y / patch_size)
+        if col < 0:
+            col = 0
+        elif col > last_col:
+            col = last_col
+        if row < 0:
+            row = 0
+        elif row > last_row:
+            row = last_row
+        cell = row * grid_w + col
+        counts[cell] = counts.get(cell, 0) + 1
+    n = len(samples)
+    threshold = beta * (max(counts.values()) / n)  # the peak density, as rounding is monotone
+    return grid_w, {cell: value for cell, count in counts.items() if (value := count / n) > threshold}
+
+
+# ndarray.mean adds fewer items than this left to right, and more in pairwise blocks.
+_SEQUENTIAL_SUM_LIMIT = 8
+
+
+def _ranked_region_scores(
+    retained: dict[int, float], grid_w: int
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Mean density of each 4-connected region of `retained`, ranked, and their distribution.
+
+    `retained` maps row-major patch index -> density, and is emptied. Each region is
+    averaged over its patches in row-major order, as on the dense path:
+    left to right below _SEQUENTIAL_SUM_LIMIT patches and by `ndarray.mean`
+    from there (see `region_means`).
+    """
     scores = []
-    for anchor in cells:
-        if anchor not in position:
-            continue
-        members = [position.pop(anchor)]
+    while retained:  # the regions come in any order: they are ranked below
+        anchor, value = retained.popitem()
+        members = [(anchor, value)]
         stack = [anchor]
         while stack:
             cell = stack.pop()
@@ -193,22 +265,24 @@ def sparse_region_scores(
             if col < grid_w - 1:
                 neighbours.append(cell + 1)
             for nb in neighbours:
-                i = position.pop(nb, None)
-                if i is not None:
-                    members.append(i)
+                value = retained.pop(nb, None)
+                if value is not None:
+                    members.append((nb, value))
                     stack.append(nb)
         if len(members) == 1:  # the mean of one value is that value, exactly
-            scores.append(float(values[members[0]]))
+            scores.append(members[0][1])
+            continue
+        members.sort()
+        if len(members) < _SEQUENTIAL_SUM_LIMIT:
+            total = 0.0
+            for _, value in members:
+                total += value
+            scores.append(total / len(members))
         else:
-            members.sort()
-            scores.append(float(values[members].mean()))
+            scores.append(float(np.array([value for _, value in members]).mean()))
     scores.sort(reverse=True)
     total = sum(scores)
     return tuple(scores), tuple(score / total for score in scores)
-
-
-# ndarray.mean adds fewer items than this left to right, and more in pairwise blocks.
-_SEQUENTIAL_SUM_LIMIT = 8
 
 
 def region_means(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -259,8 +333,8 @@ def _batch_patch_cells(
         _checked_grid(int(sizes[first]), dims[first], patch_size)  # raises unless only a coordinate is bad
         raise DensityError("sample coordinates must be finite")
     h, w = grid_h[owner], grid_w[owner]
-    cols = np.minimum(np.maximum(np.floor(points[:, 0] / patch_size).astype(int), 0), w - 1)
-    rows = np.minimum(np.maximum(np.floor(points[:, 1] / patch_size).astype(int), 0), h - 1)
+    cols = _clamped_floor(points[:, 0], patch_size, w - 1)
+    rows = _clamped_floor(points[:, 1], patch_size, h - 1)
     return owner, rows * w + cols, grid_w, max((h + 1) * w for h, w in shapes.values())
 
 

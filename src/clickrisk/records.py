@@ -19,7 +19,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator
 
 import numpy as np
@@ -300,13 +300,6 @@ def mlg_index(record_id: str, n_samples: int, seed: int) -> int:
     """Index of the sample `select_mlg` picks for a record without an `mlg` field."""
     digest = hashlib.sha256(f"{seed}:{record_id}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") % n_samples
-
-
-def with_mlg(record: GroundingRecord, seed: int = 0) -> GroundingRecord:
-    """Copy of `record` with the acted-on prediction materialized."""
-    if record.mlg is not None:
-        return record
-    return replace(record, mlg=select_mlg(record, seed))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ from clickrisk.records import (
     select_mlg,
     serialize_records,
     split,
-    with_mlg,
 )
 
 
@@ -228,13 +227,6 @@ def test_select_mlg_varies_with_seed_and_id():
     picks_b = [select_mlg(r, seed=1) for r in records]
     assert picks_a != picks_b  # different seeds reshuffle the choices
     assert len(set(picks_a)) > 1  # different ids get different draws
-
-
-def test_with_mlg_materializes_choice():
-    record = make_record()
-    fixed = with_mlg(record, seed=2)
-    assert fixed.mlg == select_mlg(record, seed=2)
-    assert with_mlg(fixed, seed=99).mlg == fixed.mlg
 
 
 def test_split_sizes_follow_ratio():

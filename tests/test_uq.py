@@ -297,7 +297,7 @@ def squeeze(indices):
     return [new[i] for i in indices]
 
 
-def dense_chain(samples, dims, patch, beta):
+def dense_chain(samples, dims, patch, beta, region_sizes=None):
     """Oracle: scores and probs of the dense grid -> regions -> ranking chain.
 
     Grids above DENSE_CELL_LIMIT patches (4K and 8K at patch 1) would take
@@ -305,6 +305,7 @@ def dense_chain(samples, dims, patch, beta):
     sample moves to the centre of its clamped patch, and the occupied rows
     and columns are renumbered by `squeeze`. That keeps each patch's value,
     which patches touch, and row-major order, so the chain's output is the same.
+    `region_sizes`, when given, collects the number of patches of each region.
     """
     grid_h, grid_w = math.ceil(dims[1] / patch), math.ceil(dims[0] / patch)
     if grid_h * grid_w > DENSE_CELL_LIMIT:
@@ -314,7 +315,10 @@ def dense_chain(samples, dims, patch, beta):
         samples = [((c + 0.5) * patch, (r + 0.5) * patch) for c, r in zip(cols, rows)]
         dims = ((max(cols) + 2) * patch, (max(rows) + 2) * patch)
     dmap = build_density_map(samples, dims, patch)
-    return score_regions(dmap, extract_regions(dmap, beta))
+    regions = extract_regions(dmap, beta)
+    if region_sizes is not None:
+        region_sizes.extend(map(len, regions))
+    return score_regions(dmap, regions)
 
 
 def cloud(rng, kind, k, dims, patch):
@@ -340,17 +344,22 @@ def cloud(rng, kind, k, dims, patch):
     )
 
 
+# cloud sizes on both sides of the plain-Python cutoff of `sparse_region_scores`
+CLOUD_SIZES = (1, 10, 50, density._PYTHON_CLOUD_LIMIT, density._PYTHON_CLOUD_LIMIT + 1, 500)
+
+
 @pytest.mark.parametrize("dims", [(840, 840), (1920, 1080), (3840, 2160), (7680, 4320)])
 def test_sparse_scoring_equals_dense_chain(dims):
     rng = np.random.default_rng(dims[0])
-    for k in (1, 10, 50):
+    for k in CLOUD_SIZES:
+        region_sizes = []
         for beta in (0.0, 0.3, 0.99):
             for patch in (1, 14, 28):
                 cfg = UqConfig(k_samples=k, patch_size=patch, beta=beta)
                 records, expected = [], []
                 for kind in ("cluster", "spread", "edges", "wrap", "outside"):
                     samples = [tuple(p) for p in cloud(rng, kind, k, dims, patch).tolist()]
-                    scores, probs = dense_chain(samples, dims, patch, beta)
+                    scores, probs = dense_chain(samples, dims, patch, beta, region_sizes)
                     assert sparse_region_scores(samples, dims, patch, beta) == (scores, probs)
                     records.append(record_with_samples(samples, *dims))
                     score = score_record(records[-1], cfg)
@@ -361,6 +370,66 @@ def test_sparse_scoring_equals_dense_chain(dims):
                     assert score.combined == combine(cd, ie, ta, cfg.weights)
                     expected.append(score)
                 assert score_batch(records, cfg) == expected
+        if k >= 50:  # some region is averaged pairwise, as ndarray.mean sums 8 members and more
+            assert max(region_sizes) >= 8
+
+
+@pytest.mark.parametrize("patch", [1, 14])
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("far", [1e300, -1e300, 1e20, -1e20])
+def test_samples_beyond_int64_patches_land_in_the_border_patch(patch, axis, far):
+    """A finite sample whose floor(coordinate / patch) is 2**63 or more clamps to the border, on every path."""
+    dims, inside = (840, 560), (300.0, 200.0)
+    grid_w = math.ceil(dims[0] / patch)
+    far_point = list(inside)
+    far_point[axis] = far if abs(far) > 1e100 else far * patch
+    row, col = int(inside[1] // patch), int(inside[0] // patch)
+    if axis == 0:
+        col = grid_w - 1 if far > 0 else 0
+    else:
+        row = math.ceil(dims[1] / patch) - 1 if far > 0 else 0
+    small = [tuple(far_point), inside, (inside[0] + 15.0, inside[1])]
+    large = small + [inside] * (density._PYTHON_CLOUD_LIMIT - 2)  # scored by the numpy body
+    for samples in (small, large):
+        dmap = build_density_map(samples, dims, patch)
+        assert dmap.values[row, col] > 0
+        expected = score_regions(dmap, extract_regions(dmap, 0.0))
+        assert sparse_region_scores(samples, dims, patch, 0.0) == expected
+        _, cells, values = density.occupied_patches(samples, dims, patch)
+        assert row * grid_w + col in cells.tolist()
+        assert values.tolist() == dmap.values[dmap.values > 0].tolist()
+        cfg = UqConfig(k_samples=len(samples), patch_size=patch, beta=0.0)
+        record = record_with_samples(samples, *dims)
+        assert score_batch([record], cfg) == [score_record(record, cfg)]
+    assert len(large) > density._PYTHON_CLOUD_LIMIT >= len(small)
+
+
+def test_the_right_edge_of_a_grid_wider_than_float_precision_stays_exact():
+    dims, edge = (2**60, 1), 2**60 - 1  # the last column is not a float
+    samples = [(1e300, 0.0), (2.0**59, 0.0)]
+    _, cells, _ = density.occupied_patches(samples, dims, 1)
+    assert cells.tolist() == [2**59, edge]
+    expected = sparse_region_scores(samples, dims, 1, 0.0)
+    assert expected == ((0.5, 0.5), (0.5, 0.5))
+    wide = samples * (density._PYTHON_CLOUD_LIMIT // 2 + 1)
+    assert sparse_region_scores(wide, dims, 1, 0.0) == expected
+    record, cfg = record_with_samples(samples, *dims), UqConfig(beta=0.0)
+    assert score_batch([record], cfg) == [score_record(record, cfg)]
+
+
+@pytest.mark.parametrize("samples, dims, patch, beta, message", [
+    ([(math.nan, 3.0)], (28, 28), 14, 1.0, "beta must lie"),  # beta is checked first
+    ([], (28, 28), 14, 0.3, "at least one sample"),
+    ([(math.nan, 3.0)], (28, 28), 0, 0.3, "patch_size"),  # then the grid, then the coordinates
+    ([(math.nan, 3.0)], (0, 28), 14, 0.3, "dimensions must be positive"),
+    ([(math.nan, 3.0)], (2**62, 2**62), 1, 0.3, "too large to index"),
+    ([(3.0, 3.0), (3.0, -math.inf)], (28, 28), 14, 0.3, "must be finite"),
+])
+def test_both_binning_paths_raise_the_same_error(samples, dims, patch, beta, message):
+    padded = samples + [(3.0, 3.0)] * (density._PYTHON_CLOUD_LIMIT + 1 - len(samples))
+    for given in (samples, padded) if samples else (samples,):  # an empty cloud is never padded
+        with pytest.raises(DensityError, match=message):
+            sparse_region_scores(given, dims, patch, beta)
 
 
 def test_huge_declared_image_scores_in_bounded_memory():
