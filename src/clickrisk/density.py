@@ -24,11 +24,6 @@ Patch = tuple[int, int]  # (row, col) on the grid
 _MAX_CELLS = int(np.iinfo(np.int64).max)  # row-major patch indices are int64
 _MAX_CAST = 2.0**63 - 1024  # the largest float64 below 2**63: floats up to it cast to int64 exactly
 
-# `sparse_region_scores` bins clouds of up to this many samples in plain
-# Python and larger ones with numpy, which is as fast from about 500 samples
-# on (measured crossover in CHANGES.md).
-_PYTHON_CLOUD_LIMIT = 256
-
 
 class DensityError(ValueError):
     """Invalid input to density-map construction or region extraction."""
@@ -184,34 +179,25 @@ def sparse_region_scores(
 
     Returns what `score_regions` gives for
     `extract_regions(build_density_map(samples, image_dims, patch_size), beta)`,
-    bit for bit, but never builds the grid. Clouds of up to
-    _PYTHON_CLOUD_LIMIT samples are binned in plain Python
-    (`_small_cloud_patches`), where a dozen small-array numpy calls would
-    cost more than their work; larger ones by `occupied_patches`. Both keep
-    the patches with density > beta * peak, keyed by row-major index, for
-    `_ranked_region_scores`.
+    bit for bit, but never builds the grid. This is the per-click path, so
+    it runs in plain Python: at the few dozen samples of a click, a dozen
+    small-array numpy calls would cost more than their work.
     """
     if not 0.0 <= beta < 1.0:
         raise DensityError(f"beta must lie in [0, 1), got {beta}")
-    if len(samples) <= _PYTHON_CLOUD_LIMIT:
-        grid_w, retained = _small_cloud_patches(samples, image_dims, patch_size, beta)
-    else:
-        grid_w, cells, values = occupied_patches(samples, image_dims, patch_size)
-        kept = values > beta * values.max()
-        retained = dict(zip(cells[kept].tolist(), values[kept].tolist()))
+    grid_w, retained = _retained_patches(samples, image_dims, patch_size, beta)
     return _ranked_region_scores(retained, grid_w)
 
 
-def _small_cloud_patches(
+def _retained_patches(
     samples: Sequence[Point], image_dims: tuple[int, int], patch_size: int, beta: float
 ) -> tuple[int, dict[int, float]]:
     """Grid width, and row-major index -> density of each patch above beta * peak.
 
-    The retention test of `sparse_region_scores` in plain Python, with the
-    float operations of the numpy path: `count / n` and
-    `value > beta * peak`. A sample's patch is `math.floor`'s exact integer,
-    clamped into the grid as `_clamped_floor` clamps it. Checks and errors
-    are those of `_patch_indices`, in its order.
+    The densities are `count / n`, as `build_density_map` divides them, and
+    the test is `value > beta * peak`. A sample's patch is `math.floor`'s
+    exact integer, clamped into the grid as `_clamped_floor` clamps it.
+    Checks and errors are those of `_patch_indices`, in its order.
     """
     grid_h, grid_w = _checked_grid(len(samples), image_dims, patch_size)
     last_row, last_col = grid_h - 1, grid_w - 1

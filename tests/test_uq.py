@@ -344,14 +344,10 @@ def cloud(rng, kind, k, dims, patch):
     )
 
 
-# cloud sizes on both sides of the plain-Python cutoff of `sparse_region_scores`
-CLOUD_SIZES = (1, 10, 50, density._PYTHON_CLOUD_LIMIT, density._PYTHON_CLOUD_LIMIT + 1, 500)
-
-
 @pytest.mark.parametrize("dims", [(840, 840), (1920, 1080), (3840, 2160), (7680, 4320)])
 def test_sparse_scoring_equals_dense_chain(dims):
     rng = np.random.default_rng(dims[0])
-    for k in CLOUD_SIZES:
+    for k in (1, 10, 50, 500):
         region_sizes = []
         for beta in (0.0, 0.3, 0.99):
             for patch in (1, 14, 28):
@@ -388,20 +384,17 @@ def test_samples_beyond_int64_patches_land_in_the_border_patch(patch, axis, far)
         col = grid_w - 1 if far > 0 else 0
     else:
         row = math.ceil(dims[1] / patch) - 1 if far > 0 else 0
-    small = [tuple(far_point), inside, (inside[0] + 15.0, inside[1])]
-    large = small + [inside] * (density._PYTHON_CLOUD_LIMIT - 2)  # scored by the numpy body
-    for samples in (small, large):
-        dmap = build_density_map(samples, dims, patch)
-        assert dmap.values[row, col] > 0
-        expected = score_regions(dmap, extract_regions(dmap, 0.0))
-        assert sparse_region_scores(samples, dims, patch, 0.0) == expected
-        _, cells, values = density.occupied_patches(samples, dims, patch)
-        assert row * grid_w + col in cells.tolist()
-        assert values.tolist() == dmap.values[dmap.values > 0].tolist()
-        cfg = UqConfig(k_samples=len(samples), patch_size=patch, beta=0.0)
-        record = record_with_samples(samples, *dims)
-        assert score_batch([record], cfg) == [score_record(record, cfg)]
-    assert len(large) > density._PYTHON_CLOUD_LIMIT >= len(small)
+    samples = [tuple(far_point), inside, (inside[0] + 15.0, inside[1])]
+    dmap = build_density_map(samples, dims, patch)
+    assert dmap.values[row, col] > 0
+    expected = score_regions(dmap, extract_regions(dmap, 0.0))
+    assert sparse_region_scores(samples, dims, patch, 0.0) == expected
+    _, cells, values = density.occupied_patches(samples, dims, patch)
+    assert row * grid_w + col in cells.tolist()
+    assert values.tolist() == dmap.values[dmap.values > 0].tolist()
+    cfg = UqConfig(k_samples=len(samples), patch_size=patch, beta=0.0)
+    record = record_with_samples(samples, *dims)
+    assert score_batch([record], cfg) == [score_record(record, cfg)]
 
 
 def test_the_right_edge_of_a_grid_wider_than_float_precision_stays_exact():
@@ -411,8 +404,6 @@ def test_the_right_edge_of_a_grid_wider_than_float_precision_stays_exact():
     assert cells.tolist() == [2**59, edge]
     expected = sparse_region_scores(samples, dims, 1, 0.0)
     assert expected == ((0.5, 0.5), (0.5, 0.5))
-    wide = samples * (density._PYTHON_CLOUD_LIMIT // 2 + 1)
-    assert sparse_region_scores(wide, dims, 1, 0.0) == expected
     record, cfg = record_with_samples(samples, *dims), UqConfig(beta=0.0)
     assert score_batch([record], cfg) == [score_record(record, cfg)]
 
@@ -425,11 +416,9 @@ def test_the_right_edge_of_a_grid_wider_than_float_precision_stays_exact():
     ([(math.nan, 3.0)], (2**62, 2**62), 1, 0.3, "too large to index"),
     ([(3.0, 3.0), (3.0, -math.inf)], (28, 28), 14, 0.3, "must be finite"),
 ])
-def test_both_binning_paths_raise_the_same_error(samples, dims, patch, beta, message):
-    padded = samples + [(3.0, 3.0)] * (density._PYTHON_CLOUD_LIMIT + 1 - len(samples))
-    for given in (samples, padded) if samples else (samples,):  # an empty cloud is never padded
-        with pytest.raises(DensityError, match=message):
-            sparse_region_scores(given, dims, patch, beta)
+def test_sparse_scoring_checks_its_inputs_in_order(samples, dims, patch, beta, message):
+    with pytest.raises(DensityError, match=message):
+        sparse_region_scores(samples, dims, patch, beta)
 
 
 def test_huge_declared_image_scores_in_bounded_memory():
