@@ -9,12 +9,18 @@ ids can be exported as a manifest for an offline expert round trip.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .metrics import admission
+import numpy as np
+
+from .engine import split_counts
+from .metrics import admissions
 from .records import GroundingRecord, atomic_writer, select_mlg
+
+_NAN_PAIR = (math.nan, math.nan)  # an absent prediction, admissible nowhere
 
 
 class CascadeError(ValueError):
@@ -50,83 +56,67 @@ def decide(uncertainty: float, threshold: float) -> Decision:
     return Decision.ACCEPT if uncertainty <= threshold else Decision.DEFER
 
 
+def route(u: np.ndarray, adm: np.ndarray, expert: np.ndarray, has_expert: np.ndarray, ids: Sequence[str],
+          threshold: float) -> tuple[CascadeReport, np.ndarray]:
+    """Route every record by its uncertainty `u`; the system's report and the deferral mask.
+
+    `adm` and `expert` say whether each acted-on and each expert prediction
+    is admissible (`expert` is False where `has_expert` is). A record is
+    accepted iff `decide` accepts it and is then judged by the primary
+    prediction, otherwise by the expert's; a deferred record without an
+    expert prediction is a hard error naming the offending `ids`.
+    """
+    n_total = len(u)
+    if n_total == 0:
+        raise CascadeError("need at least one record")
+    deferred = ~(u <= threshold)
+    missing = np.flatnonzero(deferred & ~has_expert).tolist()
+    if missing:
+        raise CascadeError(f"deferred records lack expert predictions: {[ids[i] for i in missing]}")
+    counts = split_counts(u, adm, threshold, expert)
+    n_experts = int(np.count_nonzero(has_expert))
+    return CascadeReport(
+        system_accuracy=counts.system_accuracy,
+        primary_accuracy=counts.n_admissible / n_total,
+        expert_only_accuracy=int(np.count_nonzero(expert)) / n_experts if n_experts else None,
+        cascading_rate=counts.cascading_rate,
+        n_total=n_total,
+        n_accepted=counts.n_accepted,
+        n_deferred=n_total - counts.n_accepted,
+        n_correct_accepted=counts.n_retained,
+        n_correct_deferred=counts.n_expert_correct,
+    ), deferred
+
+
+def _uncertainties(records: Sequence[GroundingRecord], uncertainties: Sequence[float]) -> np.ndarray:
+    if len(records) != len(uncertainties):
+        raise CascadeError(f"length mismatch: {len(records)} records vs {len(uncertainties)} uncertainties")
+    return np.asarray(uncertainties, dtype=float)
+
+
 def evaluate_cascade(
     records: Sequence[GroundingRecord],
     uncertainties: Sequence[float],
     threshold: float,
     mlg_seed: int = 0,
 ) -> CascadeReport:
-    """Route each record by its uncertainty and score the mixed system.
-
-    Accepted records are judged by the primary prediction, deferred ones
-    by the recorded expert prediction; a deferred record without an
-    expert prediction is a hard error naming the offending ids.
-    """
-    if len(records) != len(uncertainties):
-        raise CascadeError(
-            f"length mismatch: {len(records)} records vs {len(uncertainties)} uncertainties"
-        )
-    if len(records) == 0:
-        raise CascadeError("need at least one record")
-    missing = [
-        r.id
-        for r, u in zip(records, uncertainties)
-        if decide(u, threshold) is Decision.DEFER and r.expert is None
-    ]
-    if missing:
-        raise CascadeError(f"deferred records lack expert predictions: {missing}")
-
-    n_accepted = 0
-    n_deferred = 0
-    correct_accepted = 0
-    correct_deferred = 0
-    primary_correct = 0
-    expert_correct = 0
-    expert_present = 0
-    for record, u in zip(records, uncertainties):
-        primary_point = select_mlg(record, mlg_seed)
-        primary_hit = admission(primary_point, record.gt_box)
-        primary_correct += primary_hit
-        if record.expert is not None:
-            expert_present += 1
-            expert_correct += admission(record.expert, record.gt_box)
-        if decide(u, threshold) is Decision.ACCEPT:
-            n_accepted += 1
-            correct_accepted += primary_hit
-        else:
-            n_deferred += 1
-            correct_deferred += admission(record.expert, record.gt_box)
-
-    n_total = len(records)
-    return CascadeReport(
-        system_accuracy=(correct_accepted + correct_deferred) / n_total,
-        primary_accuracy=primary_correct / n_total,
-        expert_only_accuracy=(expert_correct / expert_present) if expert_present else None,
-        cascading_rate=n_deferred / n_total,
-        n_total=n_total,
-        n_accepted=n_accepted,
-        n_deferred=n_deferred,
-        n_correct_accepted=correct_accepted,
-        n_correct_deferred=correct_deferred,
-    )
+    """`route` for records, each acting on `select_mlg(record, mlg_seed)`."""
+    u = _uncertainties(records, uncertainties)
+    boxes, experts = [r.gt_box for r in records], [r.expert or _NAN_PAIR for r in records]
+    adm = admissions([select_mlg(r, mlg_seed) for r in records], boxes)
+    has_expert = np.array([r.expert is not None for r in records], dtype=bool)
+    return route(u, adm, admissions(experts, boxes), has_expert, [r.id for r in records], threshold)[0]
 
 
-def deferred_manifest(
-    records: Sequence[GroundingRecord], uncertainties: Sequence[float], threshold: float
-) -> list[dict]:
-    """Manifest entries ({"id", "instruction"?}) for every deferred record."""
-    if len(records) != len(uncertainties):
-        raise CascadeError(
-            f"length mismatch: {len(records)} records vs {len(uncertainties)} uncertainties"
-        )
-    entries = []
-    for record, u in zip(records, uncertainties):
-        if decide(u, threshold) is Decision.DEFER:
-            entry: dict = {"id": record.id}
-            if record.instruction is not None:
-                entry["instruction"] = record.instruction
-            entries.append(entry)
-    return entries
+def write_manifest(path, ids: Sequence[str], instructions: Sequence[str | None], deferred: np.ndarray) -> list[str]:
+    """Write the manifest atomically, one {"id", "instruction"?} line per record `deferred` marks; their ids."""
+    rows = np.flatnonzero(deferred).tolist()
+    with atomic_writer(path) as fh:
+        for i in rows:
+            entry = {"id": ids[i]} if instructions[i] is None else {"id": ids[i], "instruction": instructions[i]}
+            fh.write(json.dumps(entry, separators=(",", ":")))
+            fh.write("\n")
+    return [ids[i] for i in rows]
 
 
 def emit_deferrals(
@@ -135,10 +125,6 @@ def emit_deferrals(
     threshold: float,
     path,
 ) -> list[str]:
-    """Write the deferral manifest as line-delimited JSON, atomically; returns the ids."""
-    entries = deferred_manifest(records, uncertainties, threshold)
-    with atomic_writer(path) as fh:
-        for entry in entries:
-            fh.write(json.dumps(entry, separators=(",", ":")))
-            fh.write("\n")
-    return [entry["id"] for entry in entries]
+    """`write_manifest` for the records the threshold defers; returns their ids."""
+    deferred = ~(_uncertainties(records, uncertainties) <= threshold)
+    return write_manifest(path, [r.id for r in records], [r.instruction for r in records], deferred)

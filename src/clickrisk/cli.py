@@ -15,6 +15,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, fields, replace
+from typing import Iterator
 
 import numpy as np
 
@@ -22,31 +23,33 @@ from . import cascade as cascade_mod
 from . import engine
 from . import metrics as metrics_mod
 from .records import (
-    GroundingRecord,
+    Columns,
     RecordError,
     SplitPlan,
     atomic_writer,
-    load_records,
+    column_lines,
+    mlg_column,
+    read_columns,
     save_records,
-    select_mlg,
     split_indices,
 )
 from .density import occupied_patches
 from .risk import CalibrationOutcome, RiskSpec, calibrate_threshold
 from .synthgen import SynthConfig, generate_dataset, run_guarantee_trials
 from .uq import (
-    SCORE_CHUNK,
     VARIANTS,
     WEIGHT_PRESETS,
     UqConfig,
     combine,
-    score_batch,
-    variant_value,
+    missing_score,
+    score_columns,
+    variant_column,
 )
 
-# Unused here, but bench/spans.py wraps them at these bindings.
+# Unused here, but bench/spans.py wraps them at these bindings (ROADMAP item 5
+# points the spans at the column path and drops these).
 from .density import build_density_map  # noqa: F401
-from .records import split  # noqa: F401
+from .records import load_records, split  # noqa: F401
 from .uq import score_record  # noqa: F401
 
 DEFAULT_ALPHA = 0.1
@@ -101,9 +104,10 @@ def _write_json(path: str, obj) -> None:
         fh.write(json.dumps(obj, indent=2) + "\n")
 
 
-def _load_scored(path: str) -> list[GroundingRecord]:
+def _read(path: str) -> Iterator[Columns]:
+    """`read_columns(path)`, with a missing file or a bad record as a CliError naming `path`."""
     try:
-        return load_records(path)
+        yield from read_columns(path)
     except FileNotFoundError:
         raise CliError(f"input file not found: {path}")
     except RecordError as exc:
@@ -230,12 +234,35 @@ def _check_variant(variant: str) -> str:
 # ---------------------------------------------------------------------------
 # shared evaluation plumbing: per-record vectors for the split engine
 
-def _variant_values(records: list[GroundingRecord], variant: str) -> np.ndarray:
-    return np.array([variant_value(r, variant) for r in records], dtype=float)
+def _admissible(chunk: Columns, seed: int) -> np.ndarray:
+    """Whether each record's acted-on click (`select_mlg`) lies in its box."""
+    return metrics_mod.admissions(mlg_column(chunk, seed), chunk.boxes)
 
 
-def _admissible(records: list[GroundingRecord], seed: int) -> np.ndarray:
-    return metrics_mod.admissions([select_mlg(r, seed) for r in records], [r.gt_box for r in records])
+def _expert(chunk: Columns) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each record's expert click lies in its box (False where there is none), and whether it has one."""
+    return metrics_mod.admissions(chunk.expert, chunk.boxes), ~np.isnan(chunk.expert[:, 0])
+
+
+def _stacked(rows: list[tuple], width: int) -> list[np.ndarray]:
+    """Per-chunk tuples of `width` arrays, joined position by position; empty arrays for no chunks."""
+    return [np.concatenate(column) for column in zip(*rows)] if rows else [np.zeros(0)] * width
+
+
+def _scored_chunks(path: str, variant: str, seed: int) -> Iterator[tuple[Columns, np.ndarray, np.ndarray]]:
+    """Each chunk of `path` with its variant values and its acted-on clicks' admissibility.
+
+    A record without the variant fails once the whole file has been read,
+    so a malformed record anywhere in it is reported first.
+    """
+    missing = None
+    for chunk in _read(path):
+        u = variant_column(chunk, variant)
+        if missing is None and np.isnan(u).any():
+            missing = chunk.ids[int(np.isnan(u).argmax())]
+        yield chunk, u, _admissible(chunk, seed)
+    if missing is not None:
+        raise missing_score(missing, variant)
 
 
 def _mean_std(values: list[float]) -> list:
@@ -259,45 +286,36 @@ def _artifact_obj(outcome: CalibrationOutcome, spec: RiskSpec, variant: str) -> 
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _density_dump_names(records: list[GroundingRecord]) -> list[str]:
-    """One CSV file name per record; fails if two ids would share a file."""
-    owners: dict[str, str] = {}
-    for record in records:
-        safe_id = "".join(c if c.isalnum() or c in "-_." else "_" for c in record.id)
-        name = f"{safe_id}.csv"
-        if name in owners:
-            raise CliError(
-                f"--dump-density: ids {owners[name]!r} and {record.id!r} would both be written to {name}"
-            )
-        owners[name] = record.id
-    return list(owners)
+def _dump_name(rec_id: str) -> str:
+    """The --dump-density file of a record."""
+    return "".join(c if c.isalnum() or c in "-_." else "_" for c in rec_id) + ".csv"
 
 
 def cmd_score(args) -> int:
-    uq_cfg = _uq_config(args)
-    records = _load_scored(args.input)
-    dump_names = _density_dump_names(records) if args.dump_density else []
-    # a chunk at a time, so the whole file's scores never sit beside the scored copies
-    scored: list[GroundingRecord] = []
-    for start in range(0, len(records), SCORE_CHUNK):
-        chunk = records[start : start + SCORE_CHUNK]
-        scored.extend(replace(r, mlg=select_mlg(r, args.seed), uq=s.as_dict())
-                      for r, s in zip(chunk, score_batch(chunk, uq_cfg)))
-    save_records(args.output, scored)
-    if args.dump_density:
+    uq_cfg, memo = _uq_config(args), {}
+    owners: dict[str, str] = {}  # --dump-density file name -> the first id written to it
+    clash, n_records = None, 0
+    with atomic_writer(args.output) as fh:
+        for chunk in _read(args.input):  # a chunk at a time: read, score, write
+            scores = score_columns(chunk.points, chunk.offsets, chunk.dims, uq_cfg, memo)
+            fh.writelines(line + "\n" for line in column_lines(chunk, mlg_column(chunk, args.seed), scores))
+            n_records += len(chunk.ids)
+            for rec_id in chunk.ids if args.dump_density else ():
+                name = _dump_name(rec_id)
+                if owners.setdefault(name, rec_id) != rec_id and clash is None:
+                    clash = f"--dump-density: ids {owners[name]!r} and {rec_id!r} would both be written to {name}"
+        if clash:  # raised inside the writer, so no scored file is left either
+            raise CliError(clash)
+    if args.dump_density:  # from the finished file, so that a failure anywhere in the input leaves no dump
         os.makedirs(args.dump_density, exist_ok=True)
-        for record, name in zip(scored, dump_names):
-            grid_w, cells, values = occupied_patches(
-                record.samples[: uq_cfg.k_samples],
-                (record.image_width, record.image_height),
-                uq_cfg.patch_size,
-            )
-            _write_csv(
-                os.path.join(args.dump_density, name),
-                ["row", "col", "value"],
-                zip((cells // grid_w).tolist(), (cells % grid_w).tolist(), values.tolist()),
-            )
-    print(f"scored {len(scored)} records -> {args.output}")
+        for chunk in _read(args.output):
+            bounds = chunk.offsets.tolist()
+            for rec_id, dims, a, b in zip(chunk.ids, chunk.dims, bounds, bounds[1:]):
+                cloud = chunk.points[a : min(b, a + uq_cfg.k_samples)]
+                grid_w, cells, values = occupied_patches(cloud, dims, uq_cfg.patch_size)
+                _write_csv(os.path.join(args.dump_density, _dump_name(rec_id)), ["row", "col", "value"],
+                           zip((cells // grid_w).tolist(), (cells % grid_w).tolist(), values.tolist()))
+    print(f"scored {n_records} records -> {args.output}")
     return 0
 
 
@@ -305,16 +323,14 @@ def cmd_calibrate(args) -> int:
     spec = RiskSpec(alpha=args.alpha, delta=args.delta)
     plan = _split_plan(args)
     variant = _check_variant(args.variant)
-    records = _load_scored(args.input)
-    u = _variant_values(records, variant)
-    adm = _admissible(records, args.seed)
+    u, adm = _stacked([(u, adm) for _, u, adm in _scored_chunks(args.input, variant, args.seed)], 2)
 
     single = plan.repetitions == 1
     if not single:
         os.makedirs(args.out, exist_ok=True)
     fdrs = []
     for rep in range(plan.repetitions):
-        cal, test = split_indices(len(records), plan, rep)
+        cal, test = split_indices(u.size, plan, rep)
         outcome = calibrate_threshold(u[cal], ~adm[cal], spec)  # the full trace, for the artifact
         if outcome.feasible:
             fdrs.append(engine.split_counts(u[test], adm[test], outcome.threshold).fdr)
@@ -351,9 +367,7 @@ def cmd_evaluate(args) -> int:
     spec = RiskSpec(alpha=args.alpha, delta=args.delta)
     plan = _split_plan(args)
     variant = _check_variant(args.variant)
-    records = _load_scored(args.input)
-    u = _variant_values(records, variant)
-    adm = _admissible(records, args.seed)
+    u, adm = _stacked([(u, adm) for _, u, adm in _scored_chunks(args.input, variant, args.seed)], 2)
 
     per_split: dict[str, list[float]] = {k: [] for k in ("auroc", "auarc", "test_fdr", "power", "n_accepted")}
     for rep, (test, (counts,)) in enumerate(engine.run_splits(u, adm, plan, [spec.alpha], spec.delta)):
@@ -375,7 +389,7 @@ def cmd_evaluate(args) -> int:
         "calibration_ratio": plan.calibration_ratio,
         "repetitions": plan.repetitions,
         "seed": args.seed,
-        "n_records": len(records),
+        "n_records": u.size,
         "infeasible_splits": plan.repetitions - len(per_split["test_fdr"]),
         "splits": {
             name: dict(zip(("mean", "std"), _mean_std(vals))) if vals else None
@@ -429,9 +443,12 @@ def cmd_cascade(args) -> int:
     threshold, alpha, artifact_variant = _threshold_from_args(args)
     # the flag, then the artifact's variant, then the config file's, then com
     variant = _check_variant(args.variant or artifact_variant or args.fallback_variant)
-    records = _load_scored(args.input)
-    u = _variant_values(records, variant).tolist()
-    report = cascade_mod.evaluate_cascade(records, u, threshold, mlg_seed=args.seed)
+    ids, instructions, per_chunk = [], [], []
+    for chunk, u, adm in _scored_chunks(args.input, variant, args.seed):
+        ids += chunk.ids
+        instructions += chunk.instructions
+        per_chunk.append((u, adm, *_expert(chunk)))
+    report, deferred = cascade_mod.route(*_stacked(per_chunk, 4), ids, threshold)
 
     report_obj = {
         "input": args.input,
@@ -444,8 +461,8 @@ def cmd_cascade(args) -> int:
     if args.report:
         _write_json(args.report, report_obj)
     if args.manifest:
-        ids = cascade_mod.emit_deferrals(records, u, threshold, args.manifest)
-        print(f"deferral manifest: {len(ids)} records -> {args.manifest}", file=sys.stderr)
+        written = cascade_mod.write_manifest(args.manifest, ids, instructions, deferred)
+        print(f"deferral manifest: {len(written)} records -> {args.manifest}", file=sys.stderr)
     if args.csv:
         label = args.label or os.path.basename(args.input)
         _append_csv_row(args.csv, CASCADE_CSV_HEADER, [label] + [report_obj[k] for k in CASCADE_CSV_HEADER[1:]])
@@ -501,16 +518,20 @@ def cmd_sweep(args) -> int:
     ranking_rows: list[list] = []
     risk_rows: list[list] = []
     for path in args.inputs:
-        records = _load_scored(path)
-        if not records:
+        dims, per_chunk = [], []
+        for chunk in _read(path):  # the sample column is kept: it is re-scored at each k
+            dims += chunk.dims
+            per_chunk.append((chunk.points, np.diff(chunk.offsets), _admissible(chunk, args.seed), *_expert(chunk),
+                              chunk.pc))
+        if not dims:
             raise CliError(f"{path}: no records")
         name = os.path.basename(path)
-        adm = _admissible(records, args.seed)
-        expert = None
-        if all(r.expert is not None for r in records):
-            expert = metrics_mod.admissions([r.expert for r in records], [r.gt_box for r in records])
+        points, sizes, adm, expert, has_expert, pc = _stacked(per_chunk, 6)
+        offsets = np.concatenate([[0], np.cumsum(sizes)])
+        expert = expert if has_expert.all() else None
         base_accuracy = int(adm.sum()) / adm.size
         splits: dict = {}  # the same index arrays serve every combination
+        memo: dict = {}  # the components of each ranked-score tuple, per k
 
         def emit(head: list, ranking: list, risk: list[list]) -> None:
             ranking_rows.append(head + ranking + [base_accuracy])
@@ -521,9 +542,8 @@ def cmd_sweep(args) -> int:
         # under every preset
         rows: dict[tuple, tuple[list, list[list]]] = {}  # per key: its ranking tail and risk tails
         for k in k_values:
-            scores = score_batch(records, replace(base_uq, k_samples=k))
-            parts = {v: np.array([getattr(s, v) for s in scores]) for v in ("ta", "ie", "cd")}
-            del scores  # so they do not outlive this k's calibrations and the next k's scoring
+            scores = score_columns(points, offsets, dims, replace(base_uq, k_samples=k), memo)
+            parts = {v: scores[:, i] for i, v in enumerate(("ta", "ie", "cd"))}
             for preset in presets:
                 for variant in variants:
                     if variant == "pc":
@@ -536,7 +556,7 @@ def cmd_sweep(args) -> int:
                         rows[key] = _combo_rows(u, adm, expert, plan, alphas, args.delta, splits)
                     emit([name, variant, preset, k], *rows[key])
         if "pc" in variants:
-            u = np.array([r.pc for r in records], dtype=float) if all(r.pc is not None for r in records) else None
+            u = None if np.isnan(pc).any() else pc
             emit([name, "pc", None, None], *_combo_rows(u, adm, expert, plan, alphas, args.delta, splits))
 
     os.makedirs(args.out_dir, exist_ok=True)

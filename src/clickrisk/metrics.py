@@ -71,17 +71,19 @@ def _check_pair(uncertainties, flags) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties assigned their group average."""
+    """1-based ranks with ties assigned their group average.
+
+    A tie group spans sorted positions i..j and each member gets
+    0.5 * (i + j) + 1.0; NaN ties nothing, as `==` never holds for it.
+    """
     order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size, dtype=float)
     sorted_vals = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    starts_group = np.ones(values.size, dtype=bool)
+    starts_group[1:] = sorted_vals[1:] != sorted_vals[:-1]
+    starts = np.flatnonzero(starts_group)
+    ends = np.append(starts[1:], values.size) - 1
+    ranks = np.empty(values.size, dtype=float)
+    ranks[order] = (0.5 * (starts + ends) + 1.0)[np.cumsum(starts_group) - 1]
     return ranks
 
 

@@ -20,7 +20,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -28,6 +28,11 @@ Point = tuple[float, float]
 Box = tuple[float, float, float, float]
 
 UQ_KEYS = ("ta", "ie", "cd", "com")
+
+# Records per chunk of `read_columns` and per array pass of `uq.score_columns`:
+# large enough to amortize the numpy calls, small enough that a whole file's
+# arrays never coexist.
+SCORE_CHUNK = 256
 
 
 class RecordError(ValueError):
@@ -54,12 +59,20 @@ def _as_float(value, name: str) -> float:
         raise RecordError(f"{name}: expected a number, got {value!r}") from None
 
 
-def _as_point(value, name: str) -> Point:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in value)
-    ):
+def _real(value) -> bool:
+    """A JSON number: an int or a float, never a bool."""
+    return type(value) is float or (isinstance(value, (int, float)) and not isinstance(value, bool))
+
+
+def _point(value, name: str, index: int | None = None) -> Point:
+    """A validated [x, y] pair of finite coordinates, as floats; `index` names an item of field `name`."""
+    if type(value) is list and len(value) == 2:
+        x, y = value
+        if type(x) is float and type(y) is float and x - x == 0.0 == y - y:  # finite floats, as JSON gives them
+            return (x, y)
+    if index is not None:
+        name = f"{name}[{index}]"
+    if not isinstance(value, (list, tuple)) or len(value) != 2 or not (_real(value[0]) and _real(value[1])):
         raise RecordError(f"{name}: expected a [x, y] pair of numbers, got {value!r}")
     x, y = _as_float(value[0], name), _as_float(value[1], name)
     if not (math.isfinite(x) and math.isfinite(y)):
@@ -67,27 +80,23 @@ def _as_point(value, name: str) -> Point:
     return (x, y)
 
 
-_REAL_TYPES = frozenset((int, float))  # exact types: bool and other subclasses take the slow path
-
-
-def _as_points(values: list, name: str) -> tuple[Point, ...]:
-    """`_as_point` for every item of `values`, checking a plain JSON list in one pass.
-
-    Only when some item is not a two-item list of exact ints and floats,
-    a float conversion overflows, or a coordinate is not finite, the items
-    go through `_as_point` one by one, which raises its usual error.
-    """
-    if all(type(p) is list and len(p) == 2 and type(p[0]) in _REAL_TYPES and type(p[1]) in _REAL_TYPES
-           for p in values):
-        try:
-            points = tuple((float(x), float(y)) for x, y in values)
-        except OverflowError:
-            pass
-        else:
-            # a sum of finite floats is finite unless it overflows, which takes the slow path too
-            if math.isfinite(sum(itertools.chain.from_iterable(points))):
-                return points
-    return tuple(_as_point(p, f"{name}[{i}]") for i, p in enumerate(values))
+def _check_record(rec_id: str, width: int, height: int, gt_box: Box, n_samples: int, pc: float | None) -> None:
+    """The record-level invariants, in `GroundingRecord.validate`'s order."""
+    if not rec_id:
+        raise RecordError("id: must be a non-empty string")
+    if width <= 0 or height <= 0:
+        raise RecordError(f"image: dimensions must be positive, got {width}x{height}")
+    x_min, y_min, x_max, y_max = gt_box
+    if not all(map(math.isfinite, gt_box)):
+        raise RecordError(f"gt_box: coordinates must be finite, got {gt_box}")
+    if not (x_min < x_max and y_min < y_max):
+        raise RecordError(f"gt_box: requires x_min < x_max and y_min < y_max, got {gt_box}")
+    if x_min < 0 or y_min < 0 or x_max > width or y_max > height:
+        raise RecordError(f"gt_box: {gt_box} exceeds image bounds {width}x{height}")
+    if n_samples == 0:
+        raise RecordError("samples: must contain at least one coordinate pair")
+    if pc is not None and not 0.0 <= pc <= 1.0:
+        raise RecordError(f"pc: must lie in [0, 1], got {pc}")
 
 
 @dataclass(frozen=True)
@@ -113,110 +122,96 @@ class GroundingRecord:
 
     def validate(self) -> None:
         """Record-level invariants; each sample is checked where it is parsed
-        (`_as_points`) and where it is scored (`density`)."""
-        if not self.id:
-            raise RecordError("id: must be a non-empty string")
-        if self.image_width <= 0 or self.image_height <= 0:
-            raise RecordError(f"image: dimensions must be positive, got {self.image_width}x{self.image_height}")
-        x_min, y_min, x_max, y_max = self.gt_box
-        if not all(math.isfinite(v) for v in self.gt_box):
-            raise RecordError(f"gt_box: coordinates must be finite, got {self.gt_box}")
-        if not (x_min < x_max and y_min < y_max):
-            raise RecordError(f"gt_box: requires x_min < x_max and y_min < y_max, got {self.gt_box}")
-        if x_min < 0 or y_min < 0 or x_max > self.image_width or y_max > self.image_height:
-            raise RecordError(
-                f"gt_box: {self.gt_box} exceeds image bounds {self.image_width}x{self.image_height}"
-            )
-        if len(self.samples) == 0:
-            raise RecordError("samples: must contain at least one coordinate pair")
-        if self.pc is not None and not 0.0 <= self.pc <= 1.0:
-            raise RecordError(f"pc: must lie in [0, 1], got {self.pc}")
+        (`record_fields`) and where it is scored (`density`)."""
+        _check_record(self.id, self.image_width, self.image_height, self.gt_box, len(self.samples), self.pc)
 
 
-def record_from_obj(obj: dict) -> GroundingRecord:
-    """Build and validate a record from one decoded JSON object."""
+_UQ_KEY_SET = frozenset(UQ_KEYS)
+_UQ_NAMES = tuple(f"uq.{k}" for k in UQ_KEYS)
+
+
+def record_fields(obj) -> tuple:
+    """The validated fields of one decoded JSON record: (id, width, height,
+    instruction, gt_box, samples, mlg, expert, pc, uq).
+
+    `samples` comes as one flat list of coordinates (x0, y0, x1, y1, ...),
+    `uq` as a 4-tuple in UQ_KEYS order, and an absent field as None. The
+    first failed check raises: a missing key, the types of id, image,
+    instruction, gt_box, samples, pc and uq, the float conversions (uq,
+    gt_box, samples, mlg, expert, pc), then `GroundingRecord.validate`'s.
+    """
     if not isinstance(obj, dict):
         raise RecordError(f"expected a JSON object, got {type(obj).__name__}")
     try:
-        rec_id = obj["id"]
-        image = obj["image"]
-        gt_box = obj["gt_box"]
-        samples = obj["samples"]
+        rec_id, image, gt_box, samples = obj["id"], obj["image"], obj["gt_box"], obj["samples"]
     except KeyError as exc:
         raise RecordError(f"missing required field {exc.args[0]!r}") from None
     if not isinstance(rec_id, str):
         raise RecordError(f"id: expected a string, got {rec_id!r}")
-    if (
-        not isinstance(image, dict)
-        or not {"w", "h"} <= set(image)
-        or not all(isinstance(image[k], int) and not isinstance(image[k], bool) for k in ("w", "h"))
-    ):
+    width, height = (image.get("w"), image.get("h")) if isinstance(image, dict) else (None, None)
+    if not (isinstance(width, int) and isinstance(height, int)) or isinstance(width, bool) or isinstance(height, bool):
         raise RecordError('image: expected an object with integer fields "w" and "h"')
     instruction = obj.get("instruction")
     if instruction is not None and not isinstance(instruction, str):
         raise RecordError(f"instruction: expected a string, got {instruction!r}")
-    if (
-        not isinstance(gt_box, (list, tuple))
-        or len(gt_box) != 4
-        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in gt_box)
-    ):
+    if not isinstance(gt_box, (list, tuple)) or len(gt_box) != 4 or not all(map(_real, gt_box)):
         raise RecordError(f"gt_box: expected [x_min, y_min, x_max, y_max], got {gt_box!r}")
     if not isinstance(samples, list) or len(samples) == 0:
         raise RecordError("samples: must be a non-empty list of [x, y] pairs")
     pc = obj.get("pc")
-    if pc is not None and (not isinstance(pc, (int, float)) or isinstance(pc, bool)):
+    if pc is not None and not _real(pc):
         raise RecordError(f"pc: expected a real in [0, 1], got {pc!r}")
-    uq = obj.get("uq")
+    uq = raw_uq = obj.get("uq")
     if uq is not None:
-        if not isinstance(uq, dict) or not set(UQ_KEYS) <= set(uq):
+        if not isinstance(uq, dict) or not _UQ_KEY_SET <= uq.keys():
             raise RecordError(f"uq: expected an object with fields {UQ_KEYS}")
-        uq = {k: _as_float(uq[k], f"uq.{k}") for k in UQ_KEYS}
-        if not all(map(math.isfinite, uq.values())):
-            k = next(k for k, v in uq.items() if not math.isfinite(v))
-            raise RecordError(f"uq.{k}: must be finite, got {obj['uq'][k]!r}")
-    record = GroundingRecord(
-        id=rec_id,
-        image_width=int(image["w"]),
-        image_height=int(image["h"]),
-        gt_box=tuple(_as_float(v, "gt_box") for v in gt_box),
-        samples=_as_points(samples, "samples"),
-        instruction=instruction,
-        mlg=_as_point(obj["mlg"], "mlg") if obj.get("mlg") is not None else None,
-        expert=_as_point(obj["expert"], "expert") if obj.get("expert") is not None else None,
-        pc=_as_float(pc, "pc") if pc is not None else None,
-        uq=uq,
-    )
-    record.validate()
-    return record
+        uq = tuple(_as_float(raw_uq[k], name) for k, name in zip(UQ_KEYS, _UQ_NAMES))
+        if not all(map(math.isfinite, uq)):
+            k = next(k for k, v in zip(UQ_KEYS, uq) if not math.isfinite(v))
+            raise RecordError(f"uq.{k}: must be finite, got {raw_uq[k]!r}")
+    gt_box = tuple(_as_float(v, "gt_box") for v in gt_box)
+    coords: list[float] = []  # sample i is (coords[2 * i], coords[2 * i + 1])
+    for p in samples:  # `_point`'s first test, inlined: this loop is the hottest of the reader
+        if type(p) is list and len(p) == 2:
+            x, y = p
+            if type(x) is float and type(y) is float and x - x == 0.0 == y - y:
+                coords += p
+                continue
+        coords += _point(p, "samples", len(coords) // 2)
+    mlg, expert = obj.get("mlg"), obj.get("expert")
+    mlg = _point(mlg, "mlg") if mlg is not None else None
+    expert = _point(expert, "expert") if expert is not None else None
+    pc = _as_float(pc, "pc") if pc is not None else None
+    width, height = int(width), int(height)
+    _check_record(rec_id, width, height, gt_box, len(samples), pc)
+    return rec_id, width, height, instruction, gt_box, coords, mlg, expert, pc, uq
 
 
-def record_to_obj(record: GroundingRecord) -> dict:
-    obj: dict = {
-        "id": record.id,
-        "image": {"w": record.image_width, "h": record.image_height},
-    }
-    if record.instruction is not None:
-        obj["instruction"] = record.instruction
-    obj["gt_box"] = list(record.gt_box)
-    obj["samples"] = [list(s) for s in record.samples]
-    if record.mlg is not None:
-        obj["mlg"] = list(record.mlg)
-    if record.expert is not None:
-        obj["expert"] = list(record.expert)
-    if record.pc is not None:
-        obj["pc"] = record.pc
-    if record.uq is not None:
-        obj["uq"] = {k: record.uq[k] for k in UQ_KEYS}
-    return obj
+def _record(fields: tuple) -> GroundingRecord:
+    rec_id, width, height, instruction, gt_box, coords, mlg, expert, pc, uq = fields
+    xy = iter(coords)
+    uq = None if uq is None else dict(zip(UQ_KEYS, uq))
+    return GroundingRecord(rec_id, width, height, gt_box, tuple(zip(xy, xy)), instruction, mlg, expert, pc, uq)
 
 
-def parse_records(stream: IO | Iterable[str | bytes]) -> list[GroundingRecord]:
-    """Parse line-delimited records, preserving input order.
+def record_from_obj(obj: dict) -> GroundingRecord:
+    """Build a record from one decoded JSON object, validated by `record_fields`."""
+    return _record(record_fields(obj))
 
-    Raises `RecordError` with the offending line number on malformed JSON,
-    duplicate ids, or invariant violations. Blank lines are ignored.
+
+def _line(rec_id, width, height, instruction, gt_box, samples, mlg, expert, pc, uq) -> str:
+    """One record's JSON line (no newline), its fields in this order and None ones left out."""
+    obj = {"id": rec_id, "image": {"w": width, "h": height}, "instruction": instruction, "gt_box": list(gt_box),
+           "samples": [list(s) for s in samples], "mlg": mlg and list(mlg), "expert": expert and list(expert),
+           "pc": pc, "uq": uq and dict(zip(UQ_KEYS, uq))}
+    return json.dumps({k: v for k, v in obj.items() if v is not None}, separators=(",", ":"))
+
+
+def _line_fields(stream: IO | Iterable[str | bytes]) -> Iterator[tuple]:
+    """`record_fields` of each non-blank str or UTF-8 bytes line: the one loop every reader runs.
+
+    A RecordError names the line: malformed JSON, a failed check, or an id seen on an earlier line.
     """
-    records: list[GroundingRecord] = []
     seen: set[str] = set()
     for lineno, raw in enumerate(stream, start=1):
         if isinstance(raw, bytes):
@@ -231,25 +226,94 @@ def parse_records(stream: IO | Iterable[str | bytes]) -> list[GroundingRecord]:
         except ValueError as exc:  # an integer literal longer than int's digit limit
             raise RecordError(f"unreadable number: {exc}", line=lineno) from None
         try:
-            record = record_from_obj(obj)
+            fields = record_fields(obj)
         except RecordError as exc:
             raise RecordError(str(exc), line=lineno) from None
-        if record.id in seen:
-            raise RecordError(f"duplicate id {record.id!r}", line=lineno)
-        seen.add(record.id)
-        records.append(record)
-    return records
+        if fields[0] in seen:
+            raise RecordError(f"duplicate id {fields[0]!r}", line=lineno)
+        seen.add(fields[0])
+        yield fields
+
+
+def parse_records(stream: IO | Iterable[str | bytes]) -> list[GroundingRecord]:
+    """The records of the non-blank lines of `stream`, in order; errors as `_line_fields` raises them."""
+    return [_record(fields) for fields in _line_fields(stream)]
 
 
 def serialize_records(records: Iterable[GroundingRecord]) -> Iterator[str]:
     """Yield one JSON line per record (no trailing newline)."""
-    for record in records:
-        yield json.dumps(record_to_obj(record), separators=(",", ":"))
+    for r in records:
+        uq = None if r.uq is None else [r.uq[k] for k in UQ_KEYS]
+        yield _line(r.id, r.image_width, r.image_height, r.instruction, r.gt_box, r.samples, r.mlg, r.expert, r.pc, uq)
 
 
 def load_records(path) -> list[GroundingRecord]:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_records(fh)
+
+
+class Columns(NamedTuple):
+    """Up to SCORE_CHUNK consecutive records of a file, record i in row i.
+
+    Record i's samples are `points[offsets[i]:offsets[i + 1]]`, the column
+    `uq.score_columns` scores. An absent mlg, expert, pc or uq is NaN: the
+    reader accepts only finite values, so `np.isnan` is the absence mask.
+    """
+
+    ids: list[str]
+    instructions: list[str | None]
+    dims: list[tuple[int, int]]  # (width, height)
+    boxes: np.ndarray  # (n, 4) float64: x_min, y_min, x_max, y_max
+    points: np.ndarray  # (m, 2) float64
+    offsets: np.ndarray  # (n + 1,) int64
+    mlg: np.ndarray  # (n, 2) float64
+    expert: np.ndarray  # (n, 2) float64
+    pc: np.ndarray  # (n,) float64
+    uq: np.ndarray  # (n, 4) float64, in UQ_KEYS order
+
+
+_NAN_PAIR, _NAN_UQ = (math.nan,) * 2, (math.nan,) * len(UQ_KEYS)
+
+
+def _matrix(rows, width: int) -> np.ndarray:
+    """Sequences of floats, `width` per row, as one float array."""
+    return np.fromiter(itertools.chain.from_iterable(rows), dtype=float).reshape(-1, width)
+
+
+def read_columns(path) -> Iterator[Columns]:
+    """The records of the file at `path` as `Columns`, SCORE_CHUNK at a time, one chunk held at a time.
+
+    The checks, errors and line numbers are `load_records`'; an id repeated in any later chunk is a duplicate.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        rows = _line_fields(fh)
+        while chunk := list(itertools.islice(rows, SCORE_CHUNK)):
+            ids, widths, heights, instructions, boxes, coords, mlg, expert, pc, uq = zip(*chunk)
+            yield Columns(
+                ids=list(ids),
+                instructions=list(instructions),
+                dims=list(zip(widths, heights)),
+                boxes=_matrix(boxes, 4),
+                points=_matrix(coords, 2),
+                offsets=np.cumsum([0] + [len(c) // 2 for c in coords]),
+                mlg=_matrix([m or _NAN_PAIR for m in mlg], 2),
+                expert=_matrix([e or _NAN_PAIR for e in expert], 2),
+                pc=np.array([math.nan if p is None else p for p in pc], dtype=float),
+                uq=_matrix([u or _NAN_UQ for u in uq], 4),
+            )
+
+
+def column_lines(chunk: Columns, mlg: np.ndarray, uq: np.ndarray) -> Iterator[str]:
+    """The chunk's records as `serialize_records` writes them, with `mlg` and `uq` for theirs.
+
+    `mlg` is (n, 2) and `uq` (n, 4) in UQ_KEYS order, one row per record.
+    """
+    points, starts = chunk.points.tolist(), chunk.offsets.tolist()
+    rows = zip(chunk.ids, chunk.dims, chunk.instructions, chunk.boxes.tolist(), starts, starts[1:],
+               mlg.tolist(), chunk.expert.tolist(), chunk.pc.tolist(), uq.tolist())
+    for rec_id, (width, height), instruction, box, a, b, click, expert, pc, scores in rows:
+        yield _line(rec_id, width, height, instruction, box, points[a:b], click,
+                    None if expert[0] != expert[0] else expert, None if pc != pc else pc, scores)
 
 
 @contextlib.contextmanager
@@ -300,6 +364,15 @@ def mlg_index(record_id: str, n_samples: int, seed: int) -> int:
     """Index of the sample `select_mlg` picks for a record without an `mlg` field."""
     digest = hashlib.sha256(f"{seed}:{record_id}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") % n_samples
+
+
+def mlg_column(chunk: Columns, seed: int = 0) -> np.ndarray:
+    """`select_mlg` of every record of a chunk, as an (n, 2) array."""
+    clicks = chunk.mlg.copy()
+    drawn = np.flatnonzero(np.isnan(clicks[:, 0])).tolist()
+    starts, sizes = chunk.offsets[:-1].tolist(), np.diff(chunk.offsets).tolist()
+    clicks[drawn] = chunk.points[[starts[i] + mlg_index(chunk.ids[i], sizes[i], seed) for i in drawn]]
+    return clicks
 
 
 @dataclass(frozen=True)

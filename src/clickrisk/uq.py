@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -26,13 +25,9 @@ import numpy as np
 # The dense chain stays importable here: bench/spans.py wraps it at these bindings.
 from .density import build_density_map, extract_regions, score_regions  # noqa: F401
 from .density import batch_region_scores, sparse_region_scores
-from .records import UQ_KEYS, GroundingRecord
+from .records import SCORE_CHUNK, UQ_KEYS, Columns, GroundingRecord
 
 VARIANTS = ("com", "ta", "ie", "cd", "pc")
-
-# Records scored per array pass in `score_batch`: large enough to amortize
-# the numpy calls, small enough that a whole file's arrays never coexist.
-SCORE_CHUNK = 256
 
 DEFAULT_WEIGHTS = (0.6, 0.2, 0.2)  # (w_cd, w_ie, w_ta)
 
@@ -177,15 +172,6 @@ def score_record(record: GroundingRecord, config: UqConfig = UqConfig()) -> Unce
     return _score(scores, probs, config, record.pc)
 
 
-def _columns(records: Sequence[GroundingRecord], k: int) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]:
-    """The records' first k samples as one column: (points, offsets, dims), see `batch_region_scores`."""
-    clouds = [r.samples[:k] for r in records]
-    offsets = np.zeros(len(clouds) + 1, dtype=np.int64)
-    np.cumsum([len(c) for c in clouds], out=offsets[1:])
-    points = np.array(list(chain.from_iterable(clouds)), dtype=float).reshape(-1, 2)
-    return points, offsets, [(r.image_width, r.image_height) for r in records]
-
-
 def _memoized_scores(
     points: np.ndarray, offsets: np.ndarray, dims: Sequence[tuple[int, int]], config: UqConfig, memo: dict
 ) -> list[UncertaintyScore]:
@@ -204,29 +190,6 @@ def _memoized_scores(
     return out
 
 
-def score_batch(records: Sequence[GroundingRecord], config: UqConfig = UqConfig()) -> list[UncertaintyScore]:
-    """`score_record` for every record, bit for bit, with array passes over chunks.
-
-    Records are scored SCORE_CHUNK at a time by `density.batch_region_scores`,
-    a fixed number of numpy calls per chunk instead of about 15 per record;
-    chunking keeps the arrays small whatever the file's length. Region means
-    follow ndarray.mean's summation order (left to right below 8 members,
-    pairwise from 8), see `density.region_means`. The components are computed
-    by the same code as `score_record`, once per distinct ranked-score tuple
-    in the call (`_memoized_scores`); each record keeps its own `pc`. The
-    first record that `score_record` would reject raises the same error here.
-    A single record is faster through `score_record`.
-    """
-    memo: dict = {}
-    out: list[UncertaintyScore] = []
-    for start in range(0, len(records), SCORE_CHUNK):
-        chunk = records[start : start + SCORE_CHUNK]
-        scores = _memoized_scores(*_columns(chunk, config.k_samples), config, memo)
-        out.extend(s if r.pc is None else UncertaintyScore(s.ta, s.ie, s.cd, s.combined, r.pc)
-                   for r, s in zip(chunk, scores))
-    return out
-
-
 def score_columns(
     points: np.ndarray,
     offsets: np.ndarray,
@@ -234,15 +197,16 @@ def score_columns(
     config: UqConfig,
     memo: dict,
 ) -> np.ndarray:
-    """`score_batch` for clouds given as one column of samples, as an (n, 4) array.
+    """`score_record` for clouds given as one column of samples, bit for bit, as an (n, 4) array.
 
     Cloud i is `points[offsets[i]:offsets[i + 1]]` on an image of size
-    `dims[i]` (see `density.batch_region_scores`); its first
-    `config.k_samples` samples are scored. Row i holds ta, ie, cd and the
-    combined score, the values `score_batch` gives for a record with that
-    cloud, without building a record. `memo` is a dict the caller owns
-    (a new one scores this column alone): it keeps the components of every
-    ranked-score tuple seen, one table per config, so a caller that scores
+    `dims[i]`; its first `config.k_samples` samples are scored, and row i
+    holds its ta, ie, cd and combined score. SCORE_CHUNK clouds at a time
+    go through `density.batch_region_scores` (a fixed number of numpy
+    calls per chunk), and each distinct ranked-score tuple through the
+    components once (`_memoized_scores`). The first cloud `score_record`
+    would reject raises its error here. `memo` is a dict the caller owns:
+    it keeps one table of components per config, so a caller that scores
     many columns passes the same dict to each and drops it when done.
     """
     sizes = np.diff(offsets)
@@ -270,11 +234,19 @@ def variant_value(record: GroundingRecord, variant: str) -> float:
     """
     if variant not in VARIANTS:
         raise MissingScoreError(f"unknown uncertainty variant {variant!r}; expected one of {VARIANTS}")
+    value = record.pc if variant == "pc" else None if record.uq is None else record.uq[variant]
+    if value is None:
+        raise missing_score(record.id, variant)
+    return value
+
+
+def variant_column(chunk: Columns, variant: str) -> np.ndarray:
+    """`variant_value` of every record of a chunk, NaN where a record has none."""
+    return chunk.pc if variant == "pc" else chunk.uq[:, UQ_KEYS.index(variant)]
+
+
+def missing_score(record_id: str, variant: str) -> MissingScoreError:
+    """The error for a record that lacks the value of `variant`."""
     if variant == "pc":
-        if record.pc is None:
-            raise MissingScoreError(f"record {record.id!r} has no pc field")
-        return record.pc
-    if record.uq is None:
-        raise MissingScoreError(f"record {record.id!r} has no uq fields; run scoring first")
-    assert variant in UQ_KEYS
-    return record.uq[variant]
+        return MissingScoreError(f"record {record_id!r} has no pc field")
+    return MissingScoreError(f"record {record_id!r} has no uq fields; run scoring first")

@@ -7,7 +7,6 @@ from clickrisk.cascade import (
     CascadeError,
     Decision,
     decide,
-    deferred_manifest,
     emit_deferrals,
     evaluate_cascade,
 )
@@ -112,9 +111,11 @@ def test_cascading_rate_non_increasing_in_threshold():
     assert all(b <= a for a, b in zip(rates, rates[1:]))
 
 
-def test_manifest_empty_when_everything_accepted():
+def test_manifest_empty_when_everything_accepted(tmp_path):
     records = [make_record("a", INSIDE, expert=INSIDE)]
-    assert deferred_manifest(records, [0.3], 0.9) == []
+    path = tmp_path / "deferred.jsonl"
+    assert emit_deferrals(records, [0.3], 0.9, path) == []
+    assert path.read_text() == ""
 
 
 def test_manifest_lists_everyone_under_full_deferral(tmp_path):

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -88,17 +89,47 @@ def test_score_density_dump(tmp_path, mixed_file):
         assert [(int(a), int(b), float(v)) for a, b, v in (row.split(",") for row in rows)] == expected
 
 
-def test_score_density_dump_refuses_colliding_ids(tmp_path, mixed_file, capsys):
-    src = tmp_path / "colliding.jsonl"
-    lines = mixed_file.read_text().splitlines()
-    objs = [json.loads(line) for line in lines[:3]]
-    objs[0]["id"], objs[2]["id"] = "a/b", "a_b"  # both sanitize to a_b.csv
+def test_score_density_dump_refuses_colliding_ids(tmp_path, capsys):
+    raw, src = tmp_path / "raw.jsonl", tmp_path / "colliding.jsonl"
+    assert run("synth", "--out", raw, "--n-records", 310) == 0
+    objs = [json.loads(line) for line in raw.read_text().splitlines()]
+    objs[0]["id"], objs[300]["id"] = "a/b", "a_b"  # both sanitize to a_b.csv, in different chunks
     src.write_text("".join(json.dumps(obj) + "\n" for obj in objs))
-    dump = tmp_path / "maps"
-    assert run("score", "-i", src, "-o", tmp_path / "s.jsonl", "--dump-density", dump) == 1
-    err = capsys.readouterr().err
-    assert "'a/b'" in err and "'a_b'" in err
-    assert not dump.exists() or not any(dump.iterdir())
+    dump, out = tmp_path / "maps", tmp_path / "s.jsonl"
+    capsys.readouterr()
+    assert run("score", "-i", src, "-o", out, "--dump-density", dump) == 1
+    assert capsys.readouterr().err == "error: --dump-density: ids 'a/b' and 'a_b' would both be written to a_b.csv\n"
+    assert not dump.exists() and not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["colliding.jsonl", "raw.jsonl"]
+
+
+@pytest.mark.parametrize("argv, empty, one", [
+    (["score", "-o", "out.jsonl"], None, None),
+    (["calibrate", "-o", "a.json", "-r", 1], "need at least 2 records to split, got 0",
+     "need at least 2 records to split, got 1"),
+    (["calibrate", "-o", "cal", "-r", 3], "need at least 2 records to split, got 0",
+     "need at least 2 records to split, got 1"),
+    (["evaluate", "-r", 2], "need at least 2 records to split, got 0", "need at least 2 records to split, got 1"),
+    (["evaluate", "--variant", "pc", "-r", 2], "need at least 2 records to split, got 0",
+     "record 'synth-00000' has no pc field"),
+    (["cascade", "--tau", 0.5], "need at least one record", None),
+    (["cascade", "--tau", -1, "--manifest", "m.jsonl"], "need at least one record", None),
+    (["sweep", "--out-dir", "sweep", "-r", 2], "{path}: no records", "need at least 2 records to split, got 1"),
+], ids=["score", "calibrate", "calibrate-r3", "evaluate", "evaluate-pc", "cascade", "cascade-manifest", "sweep"])
+def test_an_empty_and_a_one_record_file_give_the_same_errors(tmp_path, monkeypatch, capsys, argv, empty, one):
+    monkeypatch.chdir(tmp_path)
+    assert run("synth", "--out", "raw.jsonl", "--n-records", 1) == 0
+    assert run("score", "-i", "raw.jsonl", "-o", "one.jsonl") == 0
+    Path("empty.jsonl").write_text("\n\n")
+    for path, message in (("empty.jsonl", empty), ("one.jsonl", one)):
+        capsys.readouterr()
+        command, *rest = argv
+        code = run(command, "-i", path, *rest)
+        err = capsys.readouterr().err
+        if message is None:
+            assert code == 0 and not err.startswith("error")
+        else:
+            assert (code, err) == (1, f"error: {message.format(path=path)}\n")
 
 
 def test_score_missing_input_is_operational_error(tmp_path, capsys):
@@ -144,6 +175,24 @@ def test_calibrate_repeated_splits_writes_artifacts_and_summary(tmp_path, mixed_
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["repetitions"] == 10
     assert summary["test_fdr"] is None or set(summary["test_fdr"]) == {"mean", "std"}
+
+
+def test_a_malformed_record_is_reported_before_a_missing_score(tmp_path, capsys):
+    raw, src = tmp_path / "raw.jsonl", tmp_path / "scored.jsonl"
+    assert run("synth", "--out", raw, "--n-records", 300) == 0
+    assert run("score", "-i", raw, "-o", src) == 0
+    objs = [json.loads(line) for line in src.read_text().splitlines()]
+    del objs[2]["uq"]  # in the first chunk
+    objs[289]["gt_box"] = [5.0, 5.0, 1.0, 1.0]  # in the second
+    src.write_text("".join(json.dumps(obj) + "\n" for obj in objs))
+    capsys.readouterr()
+    assert run("calibrate", "-i", src, "-o", tmp_path / "a.json", "-r", 1) == 1
+    assert capsys.readouterr().err == (
+        f"error: {src}: line 290: gt_box: requires x_min < x_max and y_min < y_max, got (5.0, 5.0, 1.0, 1.0)\n")
+    objs[289]["gt_box"] = objs[288]["gt_box"]
+    src.write_text("".join(json.dumps(obj) + "\n" for obj in objs))
+    assert run("calibrate", "-i", src, "-o", tmp_path / "a.json", "-r", 1) == 1
+    assert capsys.readouterr().err == "error: record 'synth-00002' has no uq fields; run scoring first\n"
 
 
 # --- evaluate -------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from clickrisk.metrics import (
     MetricError,
+    _average_ranks,
     admission,
     admissions,
     aggregate,
@@ -31,6 +32,34 @@ def pairwise_auroc_oracle(u, adm):
             elif p == q:
                 total += 0.5
     return total / (len(pos) * len(neg))
+
+
+def loop_average_ranks(values):
+    """Walks the sorted values group by group; each tie group at sorted positions i..j gets 0.5 * (i + j) + 1."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(values.size, dtype=float)
+    sorted_vals = values[order]
+    i = 0
+    while i < values.size:
+        j = i
+        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+@pytest.mark.parametrize("distinct", [1, 2, 4, 7, None])
+def test_average_ranks_equal_the_group_walk(distinct):
+    rng = np.random.default_rng(distinct or 0)
+    for n in (0, 1, 2, 3, 10, 257, 2000):
+        if distinct is None:  # untied
+            values = rng.random(n)
+        else:  # heavily tied, with signed zeros and NaN among the values
+            values = rng.choice(np.array([-0.0, 0.0, 0.5, np.nan, 1.0, 0.25, 0.75])[:distinct], size=n)
+        got, expected = _average_ranks(values), loop_average_ranks(values)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+        assert got.tobytes() == expected.tobytes()
 
 
 # --- admission ----------------------------------------------------------------

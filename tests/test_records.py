@@ -2,17 +2,23 @@ import io
 import json
 import math
 import os
+import re
+import tempfile
 
 import numpy as np
 import pytest
 
 from clickrisk.records import (
+    SCORE_CHUNK,
     GroundingRecord,
     RecordError,
     SplitError,
     SplitPlan,
     atomic_writer,
+    load_records,
+    mlg_column,
     parse_records,
+    read_columns,
     record_from_obj,
     save_records,
     select_mlg,
@@ -34,7 +40,27 @@ def make_record(rec_id="r1", **overrides):
 
 
 def lines(*objs):
-    return io.StringIO("\n".join(json.dumps(o) for o in objs) + "\n")
+    return io.StringIO(text(*objs))
+
+
+def text(*objs):
+    return "\n".join(json.dumps(o) for o in objs) + "\n"
+
+
+def rejected(content: str) -> str:
+    """The error both readers give `content`: `parse_records` on its lines, `read_columns` on a file of it."""
+    with pytest.raises(RecordError) as by_records:
+        parse_records(io.StringIO(content))
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "records.jsonl")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(content)
+        with pytest.raises(RecordError) as by_columns:
+            for _ in read_columns(path):
+                pass
+    assert str(by_columns.value) == str(by_records.value)
+    assert by_columns.value.line == by_records.value.line is not None
+    return str(by_records.value)
 
 
 VALID = {
@@ -61,47 +87,38 @@ def test_parse_accepts_bytes_and_skips_blank_lines():
 
 def test_parse_reports_inverted_box_with_line_number():
     bad = dict(VALID, id="b", gt_box=[30, 10, 10, 30])
-    with pytest.raises(RecordError, match=r"line 2.*gt_box"):
-        parse_records(lines(VALID, bad))
+    assert re.search(r"line 2.*gt_box", rejected(text(VALID, bad)))
 
 
 def test_parse_reports_empty_samples():
     bad = dict(VALID, id="b", samples=[])
-    with pytest.raises(RecordError, match="samples"):
-        parse_records(lines(bad))
+    assert "samples" in rejected(text(bad))
 
 
 def test_parse_reports_duplicate_id():
-    with pytest.raises(RecordError, match=r"line 2.*duplicate id"):
-        parse_records(lines(VALID, VALID))
+    assert re.search(r"line 2.*duplicate id", rejected(text(VALID, VALID)))
 
 
 def test_parse_reports_malformed_json_line():
-    stream = io.StringIO(json.dumps(VALID) + "\nnot json\n")
-    with pytest.raises(RecordError, match="line 2"):
-        parse_records(stream)
+    assert "line 2" in rejected(json.dumps(VALID) + "\nnot json\n")
 
 
 def test_parse_rejects_box_outside_image():
     bad = dict(VALID, gt_box=[10, 10, 120, 30])
-    with pytest.raises(RecordError, match="gt_box"):
-        parse_records(lines(bad))
+    assert "gt_box" in rejected(text(bad))
 
 
 def test_parse_rejects_pc_out_of_range():
     bad = dict(VALID, pc=1.5)
-    with pytest.raises(RecordError, match="pc"):
-        parse_records(lines(bad))
+    assert "pc" in rejected(text(bad))
 
 
 def test_parse_rejects_nonfinite_sample():
     bad = dict(VALID, samples=[[1, 2], [float("nan"), 3]])
-    with pytest.raises(RecordError, match="samples"):
-        parse_records(lines(bad))
+    assert "samples" in rejected(text(bad))
 
 
-# Sample lists that fail the one-pass check in `record_from_obj` and go to the
-# per-pair `_as_point` loop, with the error that loop raises for each.
+# Sample lists with a pair that fails its check, with the error for the first such pair.
 REJECTED_SAMPLES = {
     "bool": ("[[1, 2], [true, 3]]", RecordError,
              "line 1: samples[1]: expected a [x, y] pair of numbers, got [True, 3]"),
@@ -125,10 +142,8 @@ REJECTED_SAMPLES = {
 @pytest.mark.parametrize("case", sorted(REJECTED_SAMPLES))
 def test_parse_names_the_first_bad_sample_pair(case):
     samples, error, message = REJECTED_SAMPLES[case]
-    text = json.dumps(VALID).replace('[[12, 15], [20, 25]]', samples)
-    with pytest.raises(error) as info:
-        parse_records(io.StringIO(text + "\n"))
-    assert str(info.value) == message
+    line = json.dumps(VALID).replace('[[12, 15], [20, 25]]', samples)
+    assert error is RecordError and rejected(line + "\n") == message
 
 
 HUGE = 10**400  # a JSON integer that no float can hold
@@ -141,27 +156,23 @@ HUGE = 10**400  # a JSON integer that no float can hold
     ("pc", HUGE),
 ])
 def test_parse_names_a_field_too_large_for_a_float(field, value):
-    text = json.dumps(dict(VALID, **{field: value}))
-    with pytest.raises(RecordError) as info:
-        parse_records(io.StringIO(text + "\n"))
-    assert str(info.value) == f"line 1: {field}: an integer too large for a float"
+    line = json.dumps(dict(VALID, **{field: value}))
+    assert rejected(line + "\n") == f"line 1: {field}: an integer too large for a float"
 
 
 def test_parse_names_the_line_of_an_integer_too_long_to_read():
-    text = json.dumps(VALID).replace("[12, 15]", "[1" + "0" * 5000 + ", 15]")
-    with pytest.raises(RecordError, match=r"^line 2: unreadable number: Exceeds the limit"):
-        parse_records(io.StringIO(json.dumps(dict(VALID, id="b")) + "\n" + text + "\n"))
+    line = json.dumps(VALID).replace("[12, 15]", "[1" + "0" * 5000 + ", 15]")
+    message = rejected(json.dumps(dict(VALID, id="b")) + "\n" + line + "\n")
+    assert message.startswith("line 2: unreadable number: Exceeds the limit")
 
 
 def test_parse_names_a_bad_uq_value():
     scored = dict(VALID, uq={"ta": 0.1, "ie": 0.0, "cd": 0.0, "com": 0.02})
-    rejected = [(None, "expected a number, got None"), ("x", "expected a number, got 'x'"),
+    bad_values = [(None, "expected a number, got None"), ("x", "expected a number, got 'x'"),
                 ([1], "expected a number, got [1]"), (HUGE, "an integer too large for a float")]
-    for value, message in rejected:
-        text = json.dumps(VALID) + "\n" + json.dumps(dict(scored, id="b", uq=dict(scored["uq"], cd=value)))
-        with pytest.raises(RecordError) as info:
-            parse_records(io.StringIO(text + "\n"))
-        assert str(info.value) == f"line 2: uq.cd: {message}"
+    for value, message in bad_values:
+        content = text(VALID, dict(scored, id="b", uq=dict(scored["uq"], cd=value)))
+        assert rejected(content) == f"line 2: uq.cd: {message}"
     # everything float() takes is still accepted
     for value, parsed in [("0.5", 0.5), (True, 1.0), (1, 1.0), (" 2e-1 ", 0.2)]:
         record = record_from_obj(dict(scored, uq=dict(scored["uq"], cd=value)))
@@ -173,10 +184,8 @@ def test_parse_names_a_bad_uq_value():
 ])
 def test_parse_rejects_a_nonfinite_uq_value(value, shown):
     scored = dict(VALID, uq={"ta": 0.1, "ie": 0.0, "cd": 0.0, "com": 0.02})
-    text = json.dumps(VALID) + "\n" + json.dumps(dict(scored, id="b", uq=dict(scored["uq"], com=value)))
-    with pytest.raises(RecordError) as info:
-        parse_records(io.StringIO(text + "\n"))
-    assert str(info.value) == f"line 2: uq.com: must be finite, got {shown}"
+    content = text(VALID, dict(scored, id="b", uq=dict(scored["uq"], com=value)))
+    assert rejected(content) == f"line 2: uq.com: must be finite, got {shown}"
 
 
 def test_samples_outside_the_one_pass_check_still_parse():
@@ -202,6 +211,72 @@ def test_round_trip_is_field_equal():
     text = "\n".join(serialize_records(first)) + "\n"
     second = parse_records(io.StringIO(text))
     assert first == second
+
+
+# --- read_columns: the same records as columns, SCORE_CHUNK at a time ------------------
+
+def mixed_objs(n):
+    """n valid records that set and omit each optional field in turn, some with integer coordinates."""
+    objs = []
+    for i in range(n):
+        obj = dict(VALID, id=f"r{i}", samples=[[12.5 + i % 7, 15.25], [20, 25], [21.5, 24.0 + i % 3]][: 1 + i % 3])
+        if i % 2:
+            obj["instruction"] = f"click {i}"
+        if i % 3 == 0:
+            obj["mlg"] = [13.0, 14.5]
+        if i % 4:
+            obj["expert"] = [20, 20.5]
+        if i % 5 == 0:
+            obj["pc"] = (i % 11) / 10
+        if i % 6 < 3:
+            obj["uq"] = {"ta": 0.1, "ie": 0.0, "cd": i / n, "com": 0.5}
+        objs.append(obj)
+    return objs
+
+
+@pytest.mark.parametrize("n", [1, SCORE_CHUNK - 1, SCORE_CHUNK, SCORE_CHUNK + 1, 2 * SCORE_CHUNK + 3])
+def test_read_columns_holds_what_load_records_does(tmp_path, n):
+    path = tmp_path / "records.jsonl"
+    path.write_text(text(*mixed_objs(n)).replace("\n", "\n\n", 7))  # blank lines are skipped
+    records = load_records(path)
+    chunks = list(read_columns(path))
+    assert [len(c.ids) for c in chunks] == [min(SCORE_CHUNK, n - i) for i in range(0, n, SCORE_CHUNK)]
+    nan_pair = (math.nan, math.nan)
+    got = [
+        (rec_id, instruction, dims, tuple(box), tuple(map(tuple, c.points[a:b].tolist())), tuple(m), tuple(e),
+         p, tuple(u), tuple(click))
+        for c in chunks
+        for rec_id, instruction, dims, box, a, b, m, e, p, u, click in zip(
+            c.ids, c.instructions, c.dims, c.boxes.tolist(), c.offsets[:-1].tolist(), c.offsets[1:].tolist(),
+            c.mlg.tolist(), c.expert.tolist(), c.pc.tolist(), c.uq.tolist(), mlg_column(c, 5).tolist())
+    ]
+    expected = [
+        (r.id, r.instruction, (r.image_width, r.image_height), r.gt_box, r.samples, r.mlg or nan_pair,
+         r.expert or nan_pair, math.nan if r.pc is None else r.pc,
+         (math.nan,) * 4 if r.uq is None else tuple(r.uq.values()), select_mlg(r, 5))
+        for r in records
+    ]
+    assert repr(got) == repr(expected)  # repr: NaN marks an absent field on both sides
+
+
+def test_a_duplicate_id_is_caught_across_chunks():
+    objs = mixed_objs(SCORE_CHUNK + 20)
+    objs[SCORE_CHUNK + 10]["id"] = "r3"
+    assert rejected(text(*objs)) == f"line {SCORE_CHUNK + 11}: duplicate id 'r3'"
+
+
+def test_blank_lines_count_toward_the_line_number():
+    content = text(VALID).replace("\n", "\n\n  \n") + json.dumps(dict(VALID, id="b", pc=2)) + "\n"
+    assert rejected(content) == "line 4: pc: must lie in [0, 1], got 2.0"
+
+
+def test_bytes_lines_read_as_their_text(tmp_path):
+    content = text(*mixed_objs(40))
+    path = tmp_path / "records.jsonl"
+    path.write_text(content)
+    from_bytes = parse_records(io.BytesIO(content.encode()))
+    assert from_bytes == parse_records(io.StringIO(content)) == load_records(path)
+    assert [r.id for r in from_bytes] == [i for c in read_columns(path) for i in c.ids]
 
 
 def test_select_mlg_prefers_explicit_field():

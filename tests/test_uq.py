@@ -16,15 +16,15 @@ from clickrisk.density import (
     score_regions,
     sparse_region_scores,
 )
-from clickrisk.records import GroundingRecord, save_records
+from clickrisk.records import GroundingRecord, load_records, save_records
 from clickrisk.uq import (
     SCORE_CHUNK,
+    UncertaintyScore,
     UqConfig,
     WEIGHT_PRESETS,
     combine,
     concentration_deficit,
     info_dispersion,
-    score_batch,
     score_columns,
     score_record,
     top_ambiguity,
@@ -157,6 +157,20 @@ def record_with_samples(samples, width=280, height=280, **overrides):
     )
     fields.update(overrides)
     return GroundingRecord(**fields)
+
+
+def columns_of(records):
+    """The records' samples as one (points, offsets, dims) column, see `score_columns`."""
+    offsets = np.zeros(len(records) + 1, dtype=np.int64)
+    np.cumsum([len(r.samples) for r in records], out=offsets[1:])
+    points = np.array([p for r in records for p in r.samples], dtype=float).reshape(-1, 2)
+    return points, offsets, [(r.image_width, r.image_height) for r in records]
+
+
+def column_scores(records, config=UqConfig()):
+    """The batch path: every record scored by one `score_columns` call, each keeping its pc."""
+    rows = score_columns(*columns_of(records), config, {}).tolist()
+    return [UncertaintyScore(*row, pc=r.pc) for r, row in zip(records, rows)]
 
 
 def test_degenerate_cloud_trace():
@@ -365,7 +379,7 @@ def test_sparse_scoring_equals_dense_chain(dims):
                     assert (score.ta, score.ie, score.cd) == (ta, ie, cd)
                     assert score.combined == combine(cd, ie, ta, cfg.weights)
                     expected.append(score)
-                assert score_batch(records, cfg) == expected
+                assert column_scores(records, cfg) == expected
         if k >= 50:  # some region is averaged pairwise, as ndarray.mean sums 8 members and more
             assert max(region_sizes) >= 8
 
@@ -394,7 +408,7 @@ def test_samples_beyond_int64_patches_land_in_the_border_patch(patch, axis, far)
     assert values.tolist() == dmap.values[dmap.values > 0].tolist()
     cfg = UqConfig(k_samples=len(samples), patch_size=patch, beta=0.0)
     record = record_with_samples(samples, *dims)
-    assert score_batch([record], cfg) == [score_record(record, cfg)]
+    assert column_scores([record], cfg) == [score_record(record, cfg)]
 
 
 def test_the_right_edge_of_a_grid_wider_than_float_precision_stays_exact():
@@ -405,7 +419,7 @@ def test_the_right_edge_of_a_grid_wider_than_float_precision_stays_exact():
     expected = sparse_region_scores(samples, dims, 1, 0.0)
     assert expected == ((0.5, 0.5), (0.5, 0.5))
     record, cfg = record_with_samples(samples, *dims), UqConfig(beta=0.0)
-    assert score_batch([record], cfg) == [score_record(record, cfg)]
+    assert column_scores([record], cfg) == [score_record(record, cfg)]
 
 
 @pytest.mark.parametrize("samples, dims, patch, beta, message", [
@@ -480,7 +494,7 @@ def dense_nonzero(record, k, patch):
     return list(zip(rows.tolist(), cols.tolist(), dmap.values[rows, cols].tolist()))
 
 
-# --- score_batch against score_record ------------------------------------------
+# --- the batch path (score_columns) against score_record ------------------------
 
 def cloud_records(rng, dims, k, patch, per_kind=1):
     return [
@@ -500,7 +514,7 @@ def test_score_batch_mixes_image_sizes_and_sample_counts():
     order = rng.permutation(len(records))
     records = [records[i] for i in order]
     for cfg in (UqConfig(), UqConfig(k_samples=50, beta=0.0), UqConfig(k_samples=3, patch_size=28)):
-        assert score_batch(records, cfg) == [score_record(r, cfg) for r in records]
+        assert column_scores(records, cfg) == [score_record(r, cfg) for r in records]
 
 
 @pytest.mark.parametrize("n", [0, 1, SCORE_CHUNK, SCORE_CHUNK + 1])
@@ -510,7 +524,7 @@ def test_score_batch_across_chunk_boundaries(n):
     while len(records) < n:
         records += cloud_records(rng, (1920, 1080), int(rng.integers(1, 20)), 14, per_kind=2)
     records = records[:n]
-    assert score_batch(records) == [score_record(r) for r in records]
+    assert column_scores(records) == [score_record(r) for r in records]
 
 
 def test_score_batch_averages_large_regions_pairwise(monkeypatch):
@@ -528,7 +542,7 @@ def test_score_batch_averages_large_regions_pairwise(monkeypatch):
         centre = rng.uniform(100, 700, size=2)
         samples = centre + rng.normal(0, float(rng.uniform(10, 30)), size=(50, 2))
         records.append(record_with_samples([tuple(p) for p in samples.tolist()], 840, 840))
-    assert score_batch(records, cfg) == [score_record(r, cfg) for r in records]
+    assert column_scores(records, cfg) == [score_record(r, cfg) for r in records]
     assert max(seen) >= 8
 
 
@@ -553,10 +567,10 @@ def test_region_means_reproduce_ndarray_mean():
 def test_score_batch_with_a_huge_declared_image_stays_in_bounded_memory():
     samples = [(10.0 * i, 5e5 + 3.0 * i) for i in range(10)]
     records = [record_with_samples(samples), record_with_samples(samples, width=10**6, height=10**6)]
-    score_batch(records)  # warm up lazy imports and caches
+    column_scores(records)  # warm up lazy imports and caches
     tracemalloc.start()
     try:
-        scores = score_batch(records)
+        scores = column_scores(records)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -575,12 +589,12 @@ def test_score_batch_rejects_the_first_bad_record_as_score_record_does():
         with pytest.raises(DensityError) as expected:
             score_record(bad, cfg)
         with pytest.raises(DensityError) as got:
-            score_batch(batch, cfg)
+            column_scores(batch, cfg)
         assert str(got.value) == str(expected.value)
     assert "too large to index" in str(expected.value)
 
 
-# --- the per-call memo of score_batch and score_columns ------------------------
+# --- the per-call memo of score_columns -----------------------------------------
 
 def repeated_tuple_records(rng, n):
     """n records over a few cloud shapes, each placed at a random patch offset.
@@ -604,26 +618,29 @@ def test_score_batch_memo_equals_score_record_on_repeated_tuples(monkeypatch):
     calls = []
     real_score = uq._score
     monkeypatch.setattr(uq, "_score", lambda *a: calls.append(a[0]) or real_score(*a))
-    got = score_batch(records)
+    got = column_scores(records)
     monkeypatch.undo()
     assert got == [score_record(r) for r in records]
     assert len(calls) == len(set(calls)) < 10  # one component evaluation per distinct tuple
 
 
-def test_score_batch_memo_keeps_each_records_pc():
+def test_score_batch_memo_keeps_each_records_pc(tmp_path):
+    """`score` writes each record's own pc, though the records share one cloud and its scores."""
     samples = [(20.0, 20.0), (22.0, 21.0), (100.0, 100.0)]
     a = record_with_samples(samples, id="a", pc=0.25)
     b = record_with_samples(samples, id="b", pc=0.75)
     c = record_with_samples(samples, id="c")
-    got = score_batch([a, b, c])
-    assert [s.pc for s in got] == [0.25, 0.75, None]
-    assert got == [score_record(r) for r in (a, b, c)]
-    assert dataclasses.replace(got[0], pc=None) == got[2]
+    save_records(tmp_path / "in.jsonl", [a, b, c])
+    assert cli.main(["score", "-i", str(tmp_path / "in.jsonl"), "-o", str(tmp_path / "out.jsonl")]) == 0
+    got = load_records(tmp_path / "out.jsonl")
+    assert [r.pc for r in got] == [0.25, 0.75, None]
+    expected = [score_record(r) for r in (a, b, c)]
+    assert [r.uq for r in got] == [s.as_dict() for s in expected]
 
 
 def test_score_batch_twice_gives_identical_results():
     records = repeated_tuple_records(np.random.default_rng(6), 300)
-    assert score_batch(records) == score_batch(records)
+    assert column_scores(records) == column_scores(records)
 
 
 def test_uq_holds_no_module_level_state_after_a_call():
@@ -633,8 +650,8 @@ def test_uq_holds_no_module_level_state_after_a_call():
 
     records = repeated_tuple_records(np.random.default_rng(7), 300)
     before = snapshot()
-    score_batch(records)
-    score_columns(*uq._columns(records, 10), UqConfig(), {})
+    column_scores(records)
+    score_columns(*columns_of(records), UqConfig(k_samples=5), {})
     assert snapshot() == before
 
 
@@ -642,17 +659,17 @@ def test_score_columns_equals_score_batch_and_caps_k():
     rng = np.random.default_rng(9)
     records = cloud_records(rng, (840, 840), 30, 14, per_kind=40) + repeated_tuple_records(rng, 100)
     for cfg in (UqConfig(), UqConfig(k_samples=30, beta=0.0), UqConfig(k_samples=3, patch_size=28)):
-        points, offsets, dims = uq._columns(records, 50)  # every sample, so score_columns caps at k
-        expected = [[s.ta, s.ie, s.cd, s.combined] for s in score_batch(records, cfg)]
+        points, offsets, dims = columns_of(records)  # every sample, so score_columns caps at k
+        expected = [[s.ta, s.ie, s.cd, s.combined] for s in (score_record(r, cfg) for r in records)]
         assert score_columns(points, offsets, dims, cfg, {}).tolist() == expected
 
 
 def test_score_columns_memo_keeps_configs_apart():
     records = repeated_tuple_records(np.random.default_rng(10), 200)
-    columns = uq._columns(records, 10)
+    columns = columns_of(records)
     memo: dict = {}
     for cfg in (UqConfig(), UqConfig(weights=WEIGHT_PRESETS["v2"]), UqConfig()):
-        expected = [[s.ta, s.ie, s.cd, s.combined] for s in score_batch(records, cfg)]
+        expected = [[s.ta, s.ie, s.cd, s.combined] for s in (score_record(r, cfg) for r in records)]
         assert score_columns(*columns, cfg, memo).tolist() == expected
     assert len(memo) == 2
 
@@ -670,4 +687,4 @@ def test_score_batch_near_the_int64_patch_limit_equals_score_record():
         record_with_samples(edge[:3] * 2, width=28, height=28, id="small"),
     ]
     for batch in (records, records[::-1], records * 3, records[:1] * 2):
-        assert score_batch(batch, cfg) == [score_record(r, cfg) for r in batch]
+        assert column_scores(batch, cfg) == [score_record(r, cfg) for r in batch]
