@@ -21,7 +21,7 @@ import numpy as np
 
 from .engine import run_splits
 from .metrics import admission, admissions
-from .records import GroundingRecord, SplitPlan, mlg_index
+from .records import Columns, GroundingRecord, SplitPlan, mlg_column
 from .risk import RiskSpec
 from .uq import UqConfig, score_columns
 
@@ -83,32 +83,19 @@ class TrialOutcome(NamedTuple):
     test_fdr: float | None
 
 
-class SynthBatch(NamedTuple):
-    """A synthetic dataset as arrays, record i in row i.
-
-    Record i's samples are `points[offsets[i]:offsets[i + 1]]`;
-    (points, offsets, dims) is the column `uq.score_columns` scores.
-    """
-
-    points: np.ndarray  # (n * k, 2) float64
-    offsets: np.ndarray  # (n + 1,) int64
-    dims: list[tuple[int, int]]  # (width, height) per record
-    boxes: np.ndarray  # (n, 4) float64: x_min, y_min, x_max, y_max
-    experts: np.ndarray  # (n, 2) float64
-
-
 def _record_id(i: int) -> str:
     return f"synth-{i:05d}"
 
 
-def generate_arrays(config: SynthConfig = SynthConfig()) -> SynthBatch:
-    """Deterministic synthetic dataset with the configured easy/hard mix, as arrays.
+def generate_arrays(config: SynthConfig = SynthConfig()) -> Columns:
+    """Deterministic synthetic dataset with the configured easy/hard mix, as `records.Columns`.
 
     The draws are made record by record, in a fixed order that fixes every
     dataset (tests pin digests): the box corner, then the samples' draws,
     then the expert's. Each sample is uniform in a disc around its centre,
     from one angle and one radius draw; the raw draws are kept in arrays
-    and the disc arithmetic runs once over the whole dataset.
+    and the disc arithmetic runs once over the whole dataset. The ids are
+    synth-00000, synth-00001, ...; no record has an mlg, pc or uq.
     """
     rng = np.random.default_rng(config.seed)
     n, k = config.n_records, config.k_samples
@@ -167,34 +154,39 @@ def generate_arrays(config: SynthConfig = SynthConfig()) -> SynthBatch:
     np.sin(angles, out=shift)
     shift *= radii
     points[:, :, 1] += shift
-    return SynthBatch(
-        points=np.clip(points, 0.0, size, out=points).reshape(n * k, 2),
-        offsets=np.arange(0, n * k + 1, k),
+    return Columns(
+        ids=[_record_id(i) for i in range(n)],
+        instructions=[f"locate target {i}" for i in range(n)],
         dims=[(config.image_size, config.image_size)] * n,
         boxes=np.concatenate([low, low + box], axis=1),
-        experts=np.array(experts).reshape(n, 2),
+        points=np.clip(points, 0.0, size, out=points).reshape(n * k, 2),
+        offsets=np.arange(0, n * k + 1, k),
+        mlg=np.full((n, 2), math.nan),
+        expert=np.array(experts).reshape(n, 2),
+        pc=np.full(n, math.nan),
+        uq=np.full((n, 4), math.nan),
     )
 
 
 def generate_dataset(config: SynthConfig = SynthConfig()) -> list[GroundingRecord]:
-    """`generate_arrays` as records, ids synth-00000, synth-00001, ..."""
+    """`generate_arrays` as records."""
     batch = generate_arrays(config)
     k = config.k_samples
     # tuples built straight from flat lists of floats, so no per-row list is made and dropped
     xy = iter(batch.points.ravel().tolist())
     samples = tuple(zip(xy, xy))
-    boxes, experts = zip(*batch.boxes.T.tolist()), zip(*batch.experts.T.tolist())
+    boxes, experts = zip(*batch.boxes.T.tolist()), zip(*batch.expert.T.tolist())
     return [
         GroundingRecord(
-            id=_record_id(i),
+            id=rec_id,
             image_width=config.image_size,
             image_height=config.image_size,
-            instruction=f"locate target {i}",
+            instruction=instruction,
             gt_box=box,
             samples=samples[i * k : (i + 1) * k],
             expert=expert,
         )
-        for i, (box, expert) in enumerate(zip(boxes, experts))
+        for i, (rec_id, instruction, box, expert) in enumerate(zip(batch.ids, batch.instructions, boxes, experts))
     ]
 
 
@@ -227,7 +219,6 @@ def run_guarantee_trials(
     plan = SplitPlan(calibration_ratio=calibration_ratio, seed=config.seed, repetitions=1)
     uq_cfg = UqConfig()
 
-    ids = [_record_id(i) for i in range(config.n_records)]  # the same in every trial
     memo: dict = {}  # the trials' datasets repeat ranked-score tuples; scored once per call
     violations = 0
     infeasible = 0
@@ -236,8 +227,7 @@ def run_guarantee_trials(
         seed_t = _trial_seed(config.seed, t)
         batch = generate_arrays(replace(config, seed=seed_t))
         u = score_columns(batch.points, batch.offsets, batch.dims, uq_cfg, memo)[:, 3]
-        picks = [mlg_index(record_id, config.k_samples, seed_t) for record_id in ids]
-        adm = admissions(batch.points[batch.offsets[:-1] + picks], batch.boxes)
+        adm = admissions(mlg_column(batch, seed_t), batch.boxes)
         [(_, [counts])] = run_splits(u, adm, replace(plan, seed=seed_t), [spec.alpha], spec.delta)
         if counts is None:
             infeasible += 1

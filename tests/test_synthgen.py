@@ -232,7 +232,7 @@ def test_columnar_generator_equals_the_per_record_one(k, easy_fraction):
             id=f"synth-{i:05d}", image_width=w, image_height=h, instruction=f"locate target {i}",
             gt_box=tuple(batch.boxes[i].tolist()),
             samples=tuple(map(tuple, batch.points[batch.offsets[i] : batch.offsets[i + 1]].tolist())),
-            expert=tuple(batch.experts[i].tolist()),
+            expert=tuple(batch.expert[i].tolist()),
         )
         for i, (w, h) in enumerate(batch.dims)
     ]
