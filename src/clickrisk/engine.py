@@ -19,7 +19,7 @@ import numpy as np
 
 from .metrics import MetricError
 from .records import SplitPlan, split_indices
-from .risk import critical_counts, threshold_candidates
+from .risk import critical_counts, largest_feasible, threshold_candidates
 
 
 class SplitCounts(NamedTuple):
@@ -66,16 +66,11 @@ def thresholds(
 ) -> list[float | None]:
     """`calibrate_threshold(u_cal, err_cal, RiskSpec(alpha, delta)).threshold` per alpha.
 
-    One sort serves every alpha: a candidate is feasible when its error
-    count is at most the critical count for its acceptance count, and the
-    threshold is the largest feasible candidate (None when there is none).
+    One sort serves every alpha: each alpha's threshold is
+    `risk.largest_feasible` over the same candidates.
     """
-    taus, n_accepted, n_errors = threshold_candidates(u_cal, err_cal)
-    out: list[float | None] = []
-    for alpha in alphas:
-        feasible = np.flatnonzero(n_errors <= critical_counts(u_cal.size, alpha, delta)[n_accepted])
-        out.append(float(taus[feasible[-1]]) if feasible.size else None)
-    return out
+    candidates = threshold_candidates(u_cal, err_cal)
+    return [largest_feasible(candidates, critical_counts(u_cal.size, alpha, delta)) for alpha in alphas]
 
 
 def split_counts(

@@ -9,16 +9,25 @@ candidate qualifies the requested level is reported as infeasible rather
 than raised.
 
 Whether a bound stays at or below alpha needs no quantile: for X < n,
-bound(X, n) <= alpha exactly when I_alpha(X+1, n-X) >= 1-delta (the
-binomial-beta duality), one incomplete-beta evaluation where the quantile
-bisection needs forty. `bound_at_most` decides that way away from the
-boundary and falls back to the bisected bound inside a narrow guard band,
-so it always agrees with `cp_upper_bound(X, n, delta) <= alpha`.
-`critical_counts` tabulates, per n, the largest feasible X.
+bound(X, n) <= alpha exactly when I_alpha(X+1, n-X) >= 1-delta, that is
+when F(X; n) := P(Bin(n, alpha) <= X) <= delta (the binomial-beta
+duality). `bound_at_most` decides one (X, n) by one incomplete-beta
+evaluation where the quantile bisection needs forty, and falls back to
+the bisected bound inside a narrow guard band, so it always agrees with
+`cp_upper_bound(X, n, delta) <= alpha`. `critical_counts` tabulates, per
+n, the largest feasible X by walking the binomial CDF along the table's
+edge with two exact float recurrences (one step up in X, one step to
+n+1); it asks `bound_at_most` only where F lies so close to delta that
+the first two tests of `bound_at_most` might not settle the step as F
+does. Every threshold is `largest_feasible` over `threshold_candidates`:
+the largest candidate whose error count is at most the critical count
+of its acceptance count.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -32,6 +41,11 @@ class RiskError(ValueError):
     """Invalid counts or mismatched inputs for risk computations."""
 
 
+def _check_unit(name: str, value: float) -> None:
+    if not 0.0 < value < 1.0:
+        raise RiskError(f"{name} must lie strictly inside (0, 1), got {value}")
+
+
 @dataclass(frozen=True)
 class RiskSpec:
     """Target risk level (alpha) and significance level (delta)."""
@@ -43,10 +57,8 @@ class RiskSpec:
         self.validate()
 
     def validate(self) -> None:
-        if not 0.0 < self.alpha < 1.0:
-            raise RiskError(f"alpha must lie strictly inside (0, 1), got {self.alpha}")
-        if not 0.0 < self.delta < 1.0:
-            raise RiskError(f"delta must lie strictly inside (0, 1), got {self.delta}")
+        _check_unit("alpha", self.alpha)
+        _check_unit("delta", self.delta)
 
 
 class TracePoint(NamedTuple):
@@ -82,8 +94,7 @@ def _check_counts(n_errors: int, n_accepted: int, delta: float) -> None:
         raise RiskError(f"n_accepted must be >= 1, got {n_accepted}")
     if not 0 <= n_errors <= n_accepted:
         raise RiskError(f"n_errors must lie in [0, {n_accepted}], got {n_errors}")
-    if not 0.0 < delta < 1.0:
-        raise RiskError(f"delta must lie strictly inside (0, 1), got {delta}")
+    _check_unit("delta", delta)
 
 
 def cp_upper_bound(n_errors: int, n_accepted: int, delta: float) -> float:
@@ -106,21 +117,26 @@ _DUAL_VALUE_EPS = 1e-9
 def bound_at_most(n_errors: int, n_accepted: int, alpha: float, delta: float) -> bool:
     """`cp_upper_bound(n_errors, n_accepted, delta) <= alpha`, mostly without bisection."""
     _check_counts(n_errors, n_accepted, delta)
-    if not 0.0 < alpha < 1.0:
-        raise RiskError(f"alpha must lie strictly inside (0, 1), got {alpha}")
+    _check_unit("alpha", alpha)
     if n_errors == n_accepted:
         return False  # the bound is 1.0 and alpha < 1
     a, b, level = n_errors + 1, n_accepted - n_errors, 1.0 - delta
     # The bisection keeps a point on the high side exactly when I_x(a, b)
     # >= level, so a clear margin at alpha +/- eps decides the comparison.
-    # The infeasible side goes first: `critical_counts` mostly asks about
-    # the first count past the boundary.
     if betainc(a, b, alpha + _DUAL_ARG_EPS) < level - _DUAL_VALUE_EPS:
         return False
     if betainc(a, b, alpha - _DUAL_ARG_EPS) >= level + _DUAL_VALUE_EPS:
         return True
     return cp_upper_bound(n_errors, n_accepted, delta) <= alpha
 
+
+# Slack of the walk's margin per unit of n, beyond bound_at_most's own guard
+# band: it covers the walk's rounding (a few ulp per step, at most 2n steps)
+# and that of `betainc` near the boundary (its log prefactor is a difference
+# of lgamma values of size about n log n, each good to an ulp), and the
+# rounding of 1 - delta, at every n.
+_WALK_EPS = 1e-10
+_TINY = sys.float_info.min
 
 # (alpha, delta) -> table[n] = largest X with bound(X, n) <= alpha, -1 if none
 _critical: dict[tuple[float, float], np.ndarray] = {}
@@ -130,23 +146,79 @@ def critical_counts(n_max: int, alpha: float, delta: float) -> np.ndarray:
     """Largest feasible error count for every n in [0, n_max] (-1: none).
 
     `bound_at_most(x, n, alpha, delta)` holds exactly when x <= table[n].
-    The bound grows with x and shrinks with n, by steps far wider than its
-    rounding, so table[n] is non-decreasing: each n starts from the count
-    of n - 1 and steps up while the next count passes. That is about
-    n_max + table[n_max] evaluations, cached per (alpha, delta) and
-    extended on demand.
+    The bound grows with x and shrinks with n, so table[n] is
+    non-decreasing: each n starts from k = table[n - 1] + 1 and steps k up
+    while k < n and `bound_at_most(k, n, alpha, delta)`. By the duality
+    that test is F(k; n) := P(Bin(n, alpha) <= k) <= delta, and the walk
+    carries F and pmf = P(Bin(n, alpha) = k) along in floats, by two exact
+    recurrences:
+
+    - up in k: pmf(k+1; n) = pmf(k; n) (n-k)/(k+1) alpha/(1-alpha), F += pmf;
+    - to n+1: F(k; n+1) = F(k; n) - alpha pmf(k; n) and
+      pmf(k; n+1) = pmf(k; n) (1-alpha)(n+1)/(n+1-k).
+
+    A step is decided by F against delta only when they differ by more
+    than margin(n) = (_DUAL_ARG_EPS + _WALK_EPS) n + _DUAL_VALUE_EPS +
+    _WALK_EPS. `bound_at_most` first tests I(k+1, n-k) at alpha + eps,
+    which is 1 - F(k; n) there, against 1 - delta - _DUAL_VALUE_EPS, then
+    at alpha - eps against 1 - delta + _DUAL_VALUE_EPS. Moving alpha by eps
+    moves F by at most n eps, since |dF/dalpha| = n pmf(k; n-1) <= n, so
+    outside the margin its first test (F > delta) or its second (F < delta)
+    returns the walk's answer. Every other step, and every step once pmf
+    leaves the normal floats, is decided by `bound_at_most` itself, so the
+    table is the one its own scalar walk gives. That is about
+    n_max + table[n_max] float steps and a handful of `betainc` calls,
+    cached per (alpha, delta) and rebuilt when a longer table is asked for.
     """
-    key = (float(alpha), float(delta))
+    if n_max < 0:
+        raise RiskError(f"n_max must be >= 0, got {n_max}")
+    _check_unit("alpha", alpha)
+    _check_unit("delta", delta)
+    alpha, delta = float(alpha), float(delta)
+    key = (alpha, delta)
     table = _critical.get(key)
-    if table is None or table.size <= n_max:
-        grown = [-1] if table is None else table.tolist()
-        x = grown[-1]
-        for n in range(len(grown), n_max + 1):
-            while x + 1 < n and bound_at_most(x + 1, n, alpha, delta):
-                x += 1
-            grown.append(x)
-        table = _critical[key] = np.array(grown)
+    if table is not None and table.size > n_max:
+        return table
+    q = 1.0 - alpha
+    odds = alpha / q
+    # bound_at_most's tests at alpha + eps and alpha - eps decide nothing
+    # once that argument leaves (0, 1); the walk then leaves that side to it
+    can_fail = alpha + _DUAL_ARG_EPS < 1.0
+    can_pass = alpha - _DUAL_ARG_EPS > 0.0
+    counts = [-1]
+    k, cdf, pmf = 0, q, q  # at n = 1
+    for n in range(1, n_max + 1):
+        margin = (_DUAL_ARG_EPS + _WALK_EPS) * n + _DUAL_VALUE_EPS + _WALK_EPS
+        while k < n:
+            if not pmf >= _TINY:
+                cdf = pmf = math.nan  # lost precision: every later step falls back
+            gap = cdf - delta
+            if can_fail and gap > margin:
+                break
+            if not (can_pass and -gap > margin) and not bound_at_most(k, n, alpha, delta):
+                break
+            pmf *= (n - k) / (k + 1) * odds
+            cdf += pmf
+            k += 1
+        counts.append(k - 1)
+        cdf -= alpha * pmf
+        pmf *= q * (n + 1) / (n + 1 - k)
+    table = _critical[key] = np.array(counts)
     return table
+
+
+def largest_feasible(
+    candidates: tuple[np.ndarray, np.ndarray, np.ndarray], table: np.ndarray
+) -> float | None:
+    """The largest candidate tau whose error count is at most `table[n_accepted]`.
+
+    `candidates` is `threshold_candidates`' (tau, n_accepted, n_errors) and
+    `table` the `critical_counts` of the calibration size; None when no
+    candidate is feasible. This is the one selection rule of the package.
+    """
+    taus, n_accepted, n_errors = candidates
+    feasible = np.flatnonzero(n_errors <= table[n_accepted])
+    return float(taus[feasible[-1]]) if feasible.size else None
 
 
 def _check_flags(flags: Sequence[int]) -> np.ndarray:
@@ -199,7 +271,9 @@ def calibrate_threshold(
 
     Candidates are the sorted unique uncertainty values; records tied at
     a candidate are accepted jointly. Returns an infeasible outcome (not
-    an error) when every candidate's bound exceeds alpha.
+    an error) when every candidate's bound exceeds alpha. The threshold
+    comes from `largest_feasible` and the critical-count table; the
+    bisected bounds are computed only for the trace.
     """
     u = np.asarray(uncertainties, dtype=float)
     err = _check_flags(error_flags)
@@ -208,11 +282,10 @@ def calibrate_threshold(
     if u.size == 0:
         raise RiskError("need at least one calibration point")
 
-    trace: list[TracePoint] = []
-    threshold: float | None = None
-    for tau, n_accepted, n_errors in zip(*(c.tolist() for c in threshold_candidates(u, err))):
-        bound = cp_upper_bound(n_errors, n_accepted, spec.delta)
-        trace.append(TracePoint(tau, n_accepted, n_errors, bound))
-        if bound <= spec.alpha:
-            threshold = tau
-    return CalibrationOutcome(feasible=threshold is not None, threshold=threshold, trace=tuple(trace))
+    candidates = threshold_candidates(u, err)
+    threshold = largest_feasible(candidates, critical_counts(u.size, spec.alpha, spec.delta))
+    trace = tuple(
+        TracePoint(tau, n_accepted, n_errors, cp_upper_bound(n_errors, n_accepted, spec.delta))
+        for tau, n_accepted, n_errors in zip(*(c.tolist() for c in candidates))
+    )
+    return CalibrationOutcome(feasible=threshold is not None, threshold=threshold, trace=trace)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from clickrisk import risk, special
 from clickrisk.risk import (
     CalibrationOutcome,
     RiskError,
@@ -18,6 +19,16 @@ from clickrisk.risk import (
 def binom_cdf(k, n, p):
     """Exact binomial tail sum P(Bin(n, p) <= k); the independent oracle."""
     return math.fsum(math.comb(n, i) * p**i * (1.0 - p) ** (n - i) for i in range(k + 1))
+
+
+def scalar_critical_counts(n_max, alpha, delta):
+    """The table by its definition: per n, step x up while `bound_at_most(x + 1, n)`."""
+    table, x = [-1], -1
+    for n in range(1, n_max + 1):
+        while x + 1 < n and bound_at_most(x + 1, n, alpha, delta):
+            x += 1
+        table.append(x)
+    return np.array(table)
 
 
 def brute_force_calibrate(uncertainties, errors, spec):
@@ -147,10 +158,84 @@ def test_bound_at_most_edges_and_validation():
             bound_at_most(*bad)
 
 
-def test_critical_counts_extend_consistently():
+@pytest.fixture
+def cold(monkeypatch):
+    """No cached critical-count tables: every table is built in the test."""
+    monkeypatch.setattr(risk, "_critical", {})
+
+
+def test_critical_counts_equal_the_scalar_walk_on_the_grid(cold):
+    for delta in GRID_DELTAS:
+        for alpha in GRID_ALPHAS:
+            assert np.array_equal(critical_counts(1000, alpha, delta), scalar_critical_counts(1000, alpha, delta))
+
+
+@pytest.mark.parametrize("n_max, alpha, delta", [(5000, 0.2, 0.05), (400, 0.34, 0.05), (400, 0.42, 0.05),
+                                                 (400, 0.5, 0.05)])
+def test_critical_counts_equal_the_scalar_walk_at_the_bench_sizes(cold, n_max, alpha, delta):
+    assert np.array_equal(critical_counts(n_max, alpha, delta), scalar_critical_counts(n_max, alpha, delta))
+
+
+@pytest.mark.parametrize("alpha", [1e-4, 0.9, 0.999])
+@pytest.mark.parametrize("delta", [1e-6, 0.5])
+def test_critical_counts_equal_the_scalar_walk_at_extremes(cold, alpha, delta):
+    assert np.array_equal(critical_counts(3000, alpha, delta), scalar_critical_counts(3000, alpha, delta))
+
+
+def test_critical_counts_inside_the_walks_margin(cold):
+    # alpha on the bisected bound of (x, n), or one float step either side, puts
+    # the walk's step at (x, n) inside its margin, where bound_at_most decides
+    for x, n, delta in ((7, 150, 0.01), (40, 400, 0.1)):
+        bound = cp_upper_bound(x, n, delta)
+        for alpha in (bound, np.nextafter(bound, 0.0), np.nextafter(bound, 1.0)):
+            table = critical_counts(n, float(alpha), delta)
+            assert table[n] == scalar_critical_counts(n, float(alpha), delta)[n]
+            assert (table[n] >= x) == (bound <= alpha)
+
+
+def test_critical_counts_extend_consistently(cold, monkeypatch):
     small = critical_counts(30, 0.27, 0.05).copy()
-    large = critical_counts(300, 0.27, 0.05)
-    assert large.size >= 301 and list(large[: small.size]) == list(small)
+    large = critical_counts(300, 0.27, 0.05).copy()
+    largest = critical_counts(5000, 0.27, 0.05)
+    assert large.size == 301 and list(large[: small.size]) == list(small)
+    assert largest.size == 5001 and list(largest[: large.size]) == list(large)
+    assert critical_counts(100, 0.27, 0.05) is largest  # a shorter request reads the cached table
+    monkeypatch.setattr(risk, "_critical", {})
+    assert np.array_equal(critical_counts(5000, 0.27, 0.05), largest)
+
+
+def test_critical_counts_validate_before_caching(cold):
+    for n_max, alpha, delta, message in (
+        (0, 1.5, 0.05, "alpha must lie strictly inside"),
+        (10, 0.0, 0.05, "alpha must lie strictly inside"),
+        (10, 1.0, 0.05, "alpha must lie strictly inside"),
+        (10, math.nan, 0.05, "alpha must lie strictly inside"),
+        (10, 0.2, 0.0, "delta must lie strictly inside"),
+        (10, 0.2, 1.0, "delta must lie strictly inside"),
+        (10, 0.2, math.nan, "delta must lie strictly inside"),
+        (-3, 0.2, 0.05, "n_max must be >= 0"),
+    ):
+        with pytest.raises(RiskError, match=message):
+            critical_counts(n_max, alpha, delta)
+    assert risk._critical == {}
+    assert list(critical_counts(0, 0.2, 0.05)) == [-1]
+
+
+def test_a_cold_table_takes_a_handful_of_incomplete_betas(cold, monkeypatch):
+    # the walk decides almost every step in floats; evaluating the bound at
+    # every n (the scalar walk) costs 6,908 incomplete betas here
+    calls = []
+    real = special.betainc
+
+    def counted(a, b, x):
+        calls.append(x)
+        return real(a, b, x)
+
+    monkeypatch.setattr(risk, "betainc", counted)
+    monkeypatch.setattr(special, "betainc", counted)  # the bisection's calls count too
+    risk._cp_upper_cached.cache_clear()
+    critical_counts(5000, 0.2, 0.05)
+    assert 0 < len(calls) <= 200
 
 
 # --- empirical_fdr -------------------------------------------------------------
