@@ -35,7 +35,9 @@ for record in (confident, torn):
     print(f"grid {dmap.grid_h}x{dmap.grid_w}, peak density {dmap.values.max():.2f}")
 
     regions = extract_regions(dmap, config.beta)
-    scores, probs = score_regions(dmap, regions)
+    scores = score_regions(dmap, regions)
+    total = sum(scores)  # the ranked scores induce a distribution over the regions
+    probs = [score / total for score in scores]
     print(f"{len(regions)} region(s); scores {np.round(scores, 3)}, probs {np.round(probs, 3)}")
 
     score = score_record(record, config)

@@ -23,6 +23,7 @@ from . import cascade as cascade_mod
 from . import engine
 from . import metrics as metrics_mod
 from .records import (
+    UQ_KEYS,
     Columns,
     RecordError,
     SplitPlan,
@@ -311,10 +312,10 @@ def cmd_score(args) -> int:
         for chunk in _read(args.output):
             bounds = chunk.offsets.tolist()
             for rec_id, dims, a, b in zip(chunk.ids, chunk.dims, bounds, bounds[1:]):
-                cloud = chunk.points[a : min(b, a + uq_cfg.k_samples)]
-                grid_w, cells, values = occupied_patches(cloud, dims, uq_cfg.patch_size)
+                cloud = chunk.points[a : min(b, a + uq_cfg.k_samples)].tolist()
+                grid_w, patches = occupied_patches(cloud, dims, uq_cfg.patch_size)
                 _write_csv(os.path.join(args.dump_density, _dump_name(rec_id)), ["row", "col", "value"],
-                           zip((cells // grid_w).tolist(), (cells % grid_w).tolist(), values.tolist()))
+                           [(*divmod(cell, grid_w), value) for cell, value in patches])
     print(f"scored {n_records} records -> {args.output}")
     return 0
 
@@ -420,16 +421,20 @@ def _threshold_from_args(args) -> tuple[float, float | None, str | None]:
     if not args.artifact:
         raise CliError("provide either --tau or --artifact")
     artifact = _load_json_object(args.artifact, "artifact")
-    threshold = artifact.get("threshold")
-    if not artifact.get("feasible") or threshold is None:
+    feasible, threshold, alpha = (artifact.get(k) for k in ("feasible", "threshold", "alpha"))
+    if not isinstance(feasible, bool):
+        raise CliError(f"artifact {args.artifact}: feasible must be true or false, got {json.dumps(feasible)}")
+    if not feasible or threshold is None:
         raise CliError(
             f"artifact {args.artifact} is infeasible; no threshold available for cascading"
         )
-    if not isinstance(threshold, (int, float)):
+    if isinstance(threshold, bool) or not isinstance(threshold, (int, float)):
         raise CliError(f"artifact {args.artifact}: threshold must be a number, got {json.dumps(threshold)}")
     if not abs(threshold) <= sys.float_info.max:  # NaN, +-inf, or an int too large for a float
         raise CliError(f"artifact {args.artifact}: threshold must be finite, got {json.dumps(threshold)}")
-    return float(threshold), artifact.get("alpha"), artifact.get("uq_variant")
+    if alpha is not None and (isinstance(alpha, bool) or not isinstance(alpha, (int, float)) or not 0 < alpha < 1):
+        raise CliError(f"artifact {args.artifact}: alpha must be a number in (0, 1), got {json.dumps(alpha)}")
+    return float(threshold), alpha, artifact.get("uq_variant")
 
 
 CASCADE_CSV_HEADER = [
@@ -531,7 +536,7 @@ def cmd_sweep(args) -> int:
         expert = expert if has_expert.all() else None
         base_accuracy = int(adm.sum()) / adm.size
         splits: dict = {}  # the same index arrays serve every combination
-        memo: dict = {}  # the components of each ranked-score tuple, per k
+        memo: dict = {}  # the score row of each ranked-score tuple, per k
 
         def emit(head: list, ranking: list, risk: list[list]) -> None:
             ranking_rows.append(head + ranking + [base_accuracy])
@@ -543,7 +548,7 @@ def cmd_sweep(args) -> int:
         rows: dict[tuple, tuple[list, list[list]]] = {}  # per key: its ranking tail and risk tails
         for k in k_values:
             scores = score_columns(points, offsets, dims, replace(base_uq, k_samples=k), memo)
-            parts = {v: scores[:, i] for i, v in enumerate(("ta", "ie", "cd"))}
+            parts = dict(zip(UQ_KEYS, scores.T))
             for preset in presets:
                 for variant in variants:
                     if variant == "pc":

@@ -3,8 +3,8 @@
 Sampled click coordinates are binned onto a grid of square patches and
 normalized into a spatial probability map. Patches above an adaptive
 threshold (a fixed fraction of the peak density) are grouped into
-4-connected regions, each scored by its average density; the ranked
-scores induce a categorical distribution over candidate target regions.
+4-connected regions, each scored by its average density, and the scores
+are ranked.
 """
 
 from __future__ import annotations
@@ -73,19 +73,6 @@ def _clamped_floor(coords: np.ndarray, patch_size: int, last: int | np.ndarray) 
     return np.where(floors > _MAX_CAST, last, np.minimum(within, last))
 
 
-def _patch_indices(
-    samples: Sequence[Point], image_dims: tuple[int, int], patch_size: int
-) -> tuple[int, int, np.ndarray, np.ndarray]:
-    """Grid shape and each sample's (row, col) patch, clamped into the grid."""
-    grid_h, grid_w = _checked_grid(len(samples), image_dims, patch_size)
-    pts = np.asarray(samples, dtype=float)
-    if not np.all(np.isfinite(pts)):
-        raise DensityError("sample coordinates must be finite")
-    cols = _clamped_floor(pts[:, 0], patch_size, grid_w - 1)
-    rows = _clamped_floor(pts[:, 1], patch_size, grid_h - 1)
-    return grid_h, grid_w, rows, cols
-
-
 def build_density_map(
     samples: Sequence[Point], image_dims: tuple[int, int], patch_size: int
 ) -> DensityMap:
@@ -95,7 +82,12 @@ def build_density_map(
     coordinates outside the image are clamped to the nearest valid patch,
     so every sample contributes.
     """
-    grid_h, grid_w, rows, cols = _patch_indices(samples, image_dims, patch_size)
+    grid_h, grid_w = _checked_grid(len(samples), image_dims, patch_size)
+    pts = np.asarray(samples, dtype=float)
+    if not np.all(np.isfinite(pts)):
+        raise DensityError("sample coordinates must be finite")
+    cols = _clamped_floor(pts[:, 0], patch_size, grid_w - 1)
+    rows = _clamped_floor(pts[:, 1], patch_size, grid_h - 1)
     counts = np.zeros((grid_h, grid_w), dtype=float)
     np.add.at(counts, (rows, cols), 1.0)
     values = counts / counts.sum()
@@ -136,14 +128,8 @@ def extract_regions(density_map: DensityMap, beta: float) -> list[frozenset[Patc
     return regions
 
 
-def score_regions(
-    density_map: DensityMap, regions: Iterable[frozenset[Patch]]
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Each region's mean patch density, ranked descending, and their distribution.
-
-    `probs[i]` is `scores[i]` normalized by the total score mass, so the
-    vector sums to 1 and keeps the score order.
-    """
+def score_regions(density_map: DensityMap, regions: Iterable[frozenset[Patch]]) -> tuple[float, ...]:
+    """Each region's mean patch density, ranked descending."""
     region_list = [frozenset(r) for r in regions]
     if not region_list or any(len(r) == 0 for r in region_list):
         raise DensityError("regions must be a non-empty collection of non-empty patch sets")
@@ -153,29 +139,28 @@ def score_regions(
         rows, cols = zip(*sorted(region))
         scores.append(float(values[list(rows), list(cols)].mean()))
     scores.sort(reverse=True)
-    total = sum(scores)
-    return tuple(scores), tuple(score / total for score in scores)
+    return tuple(scores)
 
 
 def occupied_patches(
     samples: Sequence[Point], image_dims: tuple[int, int], patch_size: int
-) -> tuple[int, np.ndarray, np.ndarray]:
-    """Grid width, and the occupied patches' row-major indices and densities.
+) -> tuple[int, list[tuple[int, float]]]:
+    """Grid width, and each occupied patch's (row-major index, density), ascending.
 
-    Patch (row, col) has index row * grid_w + col; the indices ascend, and
-    the densities are the nonzero cells of `build_density_map` in row-major
-    order, bit for bit. K samples occupy at most K patches, so cost and
-    memory do not grow with the image.
+    Patch (row, col) has index row * grid_w + col. This is the per-click
+    binning at beta = 0, which retains every occupied patch: the densities
+    are the nonzero cells of `build_density_map` in row-major order, bit
+    for bit. K samples occupy at most K patches, so cost and memory do not
+    grow with the image.
     """
-    _, grid_w, rows, cols = _patch_indices(samples, image_dims, patch_size)
-    cells, counts = np.unique(rows * grid_w + cols, return_counts=True)
-    return grid_w, cells, counts / counts.sum()
+    grid_w, retained = _retained_patches(samples, image_dims, patch_size, 0.0)
+    return grid_w, sorted(retained.items())
 
 
 def sparse_region_scores(
     samples: Sequence[Point], image_dims: tuple[int, int], patch_size: int, beta: float
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Ranked region scores and their distribution, from occupied patches only.
+) -> tuple[float, ...]:
+    """Ranked region scores, from occupied patches only.
 
     Returns what `score_regions` gives for
     `extract_regions(build_density_map(samples, image_dims, patch_size), beta)`,
@@ -197,7 +182,7 @@ def _retained_patches(
     The densities are `count / n`, as `build_density_map` divides them, and
     the test is `value > beta * peak`. A sample's patch is `math.floor`'s
     exact integer, clamped into the grid as `_clamped_floor` clamps it.
-    Checks and errors are those of `_patch_indices`, in its order.
+    Checks and errors are those of `build_density_map`, in its order.
     """
     grid_h, grid_w = _checked_grid(len(samples), image_dims, patch_size)
     last_row, last_col = grid_h - 1, grid_w - 1
@@ -226,10 +211,8 @@ def _retained_patches(
 _SEQUENTIAL_SUM_LIMIT = 8
 
 
-def _ranked_region_scores(
-    retained: dict[int, float], grid_w: int
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Mean density of each 4-connected region of `retained`, ranked, and their distribution.
+def _ranked_region_scores(retained: dict[int, float], grid_w: int) -> tuple[float, ...]:
+    """Mean density of each 4-connected region of `retained`, ranked.
 
     `retained` maps row-major patch index -> density, and is emptied. Each region is
     averaged over its patches in row-major order, as on the dense path:
@@ -267,8 +250,7 @@ def _ranked_region_scores(
         else:
             scores.append(float(np.array([value for _, value in members]).mean()))
     scores.sort(reverse=True)
-    total = sum(scores)
-    return tuple(scores), tuple(score / total for score in scores)
+    return tuple(scores)
 
 
 def region_means(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -299,7 +281,7 @@ def _batch_patch_cells(
     """Each sample's cloud and row-major patch index, each cloud's grid width, and a key stride.
 
     The stride is the largest (grid_h + 1) * grid_w: more than any patch
-    index plus a grid width. Checks every cloud as `_patch_indices` does,
+    index plus a grid width. Checks every cloud as `build_density_map` does,
     in order, so the first bad cloud raises the error it raises alone. Each
     distinct image size is checked once.
     """
@@ -352,7 +334,7 @@ def batch_region_scores(
     dims: Sequence[tuple[int, int]],
     patch_size: int,
     beta: float,
-) -> list[tuple[tuple[float, ...], tuple[float, ...]]]:
+) -> list[tuple[float, ...]]:
     """`sparse_region_scores` for many clouds at once, bit for bit.
 
     The clouds come as one column of samples: cloud i is
@@ -366,8 +348,7 @@ def batch_region_scores(
     its neighbour below is found by a binary search for key + grid width;
     `_components` labels the 4-connected regions. Each region is averaged
     by `region_means` over its patches in row-major order and the regions
-    are ranked by one lexsort on (cloud, -score); only the per-cloud total
-    is left to Python, as in the one-cloud path. A batch whose keys would
+    are ranked by one lexsort on (cloud, -score). A batch whose keys would
     overflow int64 (declared images of about 2**63 / n patches) is scored
     in halves.
     """
@@ -415,11 +396,6 @@ def batch_region_scores(
     sizes = np.bincount(region, minlength=anchors.size)
     scores = region_means(values[members], sizes)
     region_owner = owner[anchors]
-    ranked_scores = scores[np.lexsort((-scores, region_owner))]
-    per_cloud = np.bincount(region_owner, minlength=n).tolist()
-    bounds = list(accumulate(per_cloud, initial=0))
-    as_floats = ranked_scores.tolist()
-    groups = [tuple(as_floats[a:b]) for a, b in zip(bounds, bounds[1:])]
-    # each total is Python's sum, as in the one-cloud path; the division is the same per element
-    probs = (ranked_scores / np.repeat([sum(g) for g in groups], per_cloud)).tolist()
-    return [(g, tuple(probs[a:b])) for g, a, b in zip(groups, bounds, bounds[1:])]
+    ranked = scores[np.lexsort((-scores, region_owner))].tolist()
+    bounds = list(accumulate(np.bincount(region_owner, minlength=n).tolist(), initial=0))
+    return [tuple(ranked[a:b]) for a, b in zip(bounds, bounds[1:])]

@@ -131,13 +131,9 @@ def arc_points(
     u, adm = _check_pair(uncertainties, admissible)
     if u.size == 0:
         raise MetricError("need at least one record")
-    flags = _sorted_flags(u, adm)
-    prefix = np.cumsum(flags)
-    n = u.size
-    return [
-        (float(j / n), float(prefix[n - j - 1] / (n - j)))
-        for j in range(n)
-    ]
+    retained = np.arange(u.size, 0, -1)  # records left after rejecting j = 0..n-1
+    accuracy = np.cumsum(_sorted_flags(u, adm))[::-1] / retained
+    return list(zip((np.arange(u.size) / u.size).tolist(), accuracy.tolist()))
 
 
 def roc_points(
@@ -145,21 +141,23 @@ def roc_points(
 ) -> list[tuple[float, float]]:
     """(fpr, tpr) pairs for detecting inadmissible records by uncertainty.
 
-    Sweeps the decision threshold across the observed values; a record is
-    flagged when its uncertainty is >= the threshold.
+    Sweeps the decision threshold down the distinct observed values; a
+    record is flagged when its uncertainty is >= the threshold. After one
+    descending sort, the records flagged at a value are those up to the
+    end of its group of equal values, so each point is a cumulative count.
     """
     u, adm = _check_pair(uncertainties, admissible)
     n_pos = int((adm == 0).sum())
     n_neg = int((adm == 1).sum())
     if n_pos == 0 or n_neg == 0:
         raise MetricError("roc needs at least one admissible and one inadmissible record")
-    points = [(0.0, 0.0)]
-    for t in sorted(set(u.tolist()), reverse=True):
-        flagged = u >= t
-        tpr = float((flagged & (adm == 0)).sum() / n_pos)
-        fpr = float((flagged & (adm == 1)).sum() / n_neg)
-        points.append((fpr, tpr))
-    return points
+    order = np.argsort(u)[::-1]
+    values = u[order]
+    ends = np.flatnonzero(np.append(values[1:] != values[:-1], True))
+    flagged_neg = np.cumsum(adm[order])[ends]
+    tpr = (ends + 1 - flagged_neg) / n_pos
+    fpr = flagged_neg / n_neg
+    return [(0.0, 0.0)] + list(zip(fpr.tolist(), tpr.tolist()))
 
 
 def fdr_at(uncertainties: Sequence[float], admissible: Sequence[int], tau: float) -> float:

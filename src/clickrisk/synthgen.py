@@ -21,7 +21,7 @@ import numpy as np
 
 from .engine import run_splits
 from .metrics import admission, admissions
-from .records import Columns, GroundingRecord, SplitPlan, mlg_column
+from .records import UQ_KEYS, Columns, GroundingRecord, SplitPlan, mlg_column
 from .risk import RiskSpec
 from .uq import UqConfig, score_columns
 
@@ -226,7 +226,7 @@ def run_guarantee_trials(
     for t in range(trials):
         seed_t = _trial_seed(config.seed, t)
         batch = generate_arrays(replace(config, seed=seed_t))
-        u = score_columns(batch.points, batch.offsets, batch.dims, uq_cfg, memo)[:, 3]
+        u = score_columns(batch.points, batch.offsets, batch.dims, uq_cfg, memo)[:, UQ_KEYS.index("com")]
         adm = admissions(mlg_column(batch, seed_t), batch.boxes)
         [(_, [counts])] = run_splits(u, adm, replace(plan, seed=seed_t), [spec.alpha], spec.delta)
         if counts is None:

@@ -1,7 +1,9 @@
 """Spatial uncertainty components computed from ranked region scores.
 
-Three complementary signals are derived from the categorical distribution
-over candidate regions and blended with fixed weights:
+The ranked scores S_(1) >= S_(2) >= ... of a record's M regions induce a
+categorical distribution over candidate target regions, p_i = S_(i) / sum S.
+Three complementary signals are derived from the scores and that
+distribution and blended with fixed weights:
 
   ta  (top ambiguity)        1 - (S_(1) - S_(2)) / (S_(1) + eps); with a
                              single region, max(0.1, 1 - S_(1))
@@ -88,10 +90,6 @@ class UncertaintyScore:
     ie: float
     cd: float
     combined: float
-    pc: float | None = None
-
-    def as_dict(self) -> dict[str, float]:
-        return {"ta": self.ta, "ie": self.ie, "cd": self.cd, "com": self.combined}
 
 
 def _clamp01(x: float) -> float:
@@ -149,45 +147,24 @@ def combine(
     return w_cd * cd + w_ie * ie + w_ta * ta
 
 
-def _score(
-    scores: Sequence[float], probs: Sequence[float], config: UqConfig, pc: float | None
-) -> UncertaintyScore:
+def _score(scores: Sequence[float], config: UqConfig) -> tuple[float, float, float, float]:
+    """(ta, ie, cd, com) of one record's ranked region scores."""
+    total = sum(scores)
+    probs = [score / total for score in scores]
     ta = top_ambiguity(scores, config.epsilon)
     ie = info_dispersion(probs, config.epsilon)
     cd = concentration_deficit(probs)
-    combined = combine(cd, ie, ta, config.weights)
-    return UncertaintyScore(ta=ta, ie=ie, cd=cd, combined=combined, pc=pc)
+    return ta, ie, cd, combine(cd, ie, ta, config.weights)
 
 
 def score_record(record: GroundingRecord, config: UqConfig = UqConfig()) -> UncertaintyScore:
     """Full pipeline: occupied patches -> regions -> ranked scores -> components.
 
-    Uses the first `config.k_samples` samples. The record's precomputed
-    confidence baseline, when present, is carried through unchanged.
+    Uses the first `config.k_samples` samples.
     """
     samples = record.samples[: config.k_samples]
-    scores, probs = sparse_region_scores(
-        samples, (record.image_width, record.image_height), config.patch_size, config.beta
-    )
-    return _score(scores, probs, config, record.pc)
-
-
-def _memoized_scores(
-    points: np.ndarray, offsets: np.ndarray, dims: Sequence[tuple[int, int]], config: UqConfig, memo: dict
-) -> list[UncertaintyScore]:
-    """Each cloud's components (pc left None), computed once per distinct ranked-score tuple.
-
-    `_score` depends on nothing but the ranked scores and `config` (the
-    probabilities are derived from the scores), so a tuple seen before in
-    `memo` is not scored again; `memo` serves this one config.
-    """
-    out = []
-    for scores, probs in batch_region_scores(points, offsets, dims, config.patch_size, config.beta):
-        score = memo.get(scores)
-        if score is None:
-            score = memo[scores] = _score(scores, probs, config, None)
-        out.append(score)
-    return out
+    scores = sparse_region_scores(samples, (record.image_width, record.image_height), config.patch_size, config.beta)
+    return UncertaintyScore(*_score(scores, config))
 
 
 def score_columns(
@@ -201,13 +178,14 @@ def score_columns(
 
     Cloud i is `points[offsets[i]:offsets[i + 1]]` on an image of size
     `dims[i]`; its first `config.k_samples` samples are scored, and row i
-    holds its ta, ie, cd and combined score. SCORE_CHUNK clouds at a time
-    go through `density.batch_region_scores` (a fixed number of numpy
-    calls per chunk), and each distinct ranked-score tuple through the
-    components once (`_memoized_scores`). The first cloud `score_record`
-    would reject raises its error here. `memo` is a dict the caller owns:
-    it keeps one table of components per config, so a caller that scores
-    many columns passes the same dict to each and drops it when done.
+    holds its components in `UQ_KEYS` order: ta, ie, cd, com. SCORE_CHUNK
+    clouds at a time go through `density.batch_region_scores` (a fixed
+    number of numpy calls per chunk), and each distinct ranked-score tuple
+    through `_score` once. The first cloud `score_record` would reject
+    raises its error here. `memo` is a dict the caller owns: it keeps one
+    table per config from each ranked-score tuple to its row, so a caller
+    that scores many columns passes the same dict to each and drops it
+    when done.
     """
     sizes = np.diff(offsets)
     if sizes.max(initial=0) > config.k_samples:  # keep each cloud's leading k samples
@@ -216,14 +194,18 @@ def score_columns(
         offsets = np.zeros_like(offsets)
         np.cumsum(np.minimum(sizes, config.k_samples), out=offsets[1:])
     table = memo.setdefault(config, {})
-    scores: list[UncertaintyScore] = []
+    rows = []
     for start in range(0, len(offsets) - 1, SCORE_CHUNK):
         stop = min(start + SCORE_CHUNK, len(offsets) - 1)
         lo, hi = offsets[start], offsets[stop]
-        scores.extend(
-            _memoized_scores(points[lo:hi], offsets[start : stop + 1] - lo, dims[start:stop], config, table)
-        )
-    return np.array([(s.ta, s.ie, s.cd, s.combined) for s in scores], dtype=float).reshape(-1, 4)
+        for scores in batch_region_scores(
+            points[lo:hi], offsets[start : stop + 1] - lo, dims[start:stop], config.patch_size, config.beta
+        ):
+            row = table.get(scores)
+            if row is None:
+                row = table[scores] = _score(scores, config)
+            rows.append(row)
+    return np.array(rows, dtype=float).reshape(-1, 4)
 
 
 def variant_value(record: GroundingRecord, variant: str) -> float:

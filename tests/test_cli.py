@@ -582,12 +582,30 @@ def test_wrong_typed_config_value_names_file_and_key(tmp_path, mixed_file, capsy
     ({"feasible": True, "threshold": math.nan}, "threshold must be finite, got NaN"),
     ({"feasible": True, "threshold": -math.inf}, "threshold must be finite, got -Infinity"),
     ({"feasible": True, "threshold": 10**400}, f"threshold must be finite, got {10**400}"),
-], ids=["list", "list-threshold", "nan-threshold", "infinite-threshold", "int-too-large-threshold"])
+    ({"feasible": True, "threshold": True}, "threshold must be a number, got true"),
+    ({"feasible": 1, "threshold": 0.5}, "feasible must be true or false, got 1"),
+    ({"threshold": 0.5}, "feasible must be true or false, got null"),
+    ({"feasible": True, "threshold": 0.5, "alpha": "x"}, 'alpha must be a number in (0, 1), got "x"'),
+    ({"feasible": True, "threshold": 0.5, "alpha": False}, "alpha must be a number in (0, 1), got false"),
+    ({"feasible": True, "threshold": 0.5, "alpha": 1}, "alpha must be a number in (0, 1), got 1"),
+    ({"feasible": True, "threshold": 0.5, "alpha": math.nan}, "alpha must be a number in (0, 1), got NaN"),
+], ids=["list", "list-threshold", "nan-threshold", "infinite-threshold", "int-too-large-threshold",
+        "bool-threshold", "int-feasible", "missing-feasible", "string-alpha", "bool-alpha", "alpha-of-one",
+        "nan-alpha"])
 def test_cascade_rejects_a_malformed_artifact(tmp_path, mixed_file, capsys, artifact, message):
     path = tmp_path / "artifact.json"
     path.write_text(json.dumps(artifact))
     assert run("cascade", "-i", mixed_file, "--artifact", path) == 1
     assert capsys.readouterr().err == f"error: artifact {path}: {message}\n"
+
+
+def test_cascade_accepts_a_null_alpha_and_reports_it(tmp_path, mixed_file, capsys):
+    path, table, data = tmp_path / "artifact.json", tmp_path / "cascade.csv", scored(tmp_path, mixed_file)
+    path.write_text(json.dumps({"feasible": True, "threshold": 0.5, "alpha": None}))
+    capsys.readouterr()
+    assert run("cascade", "-i", data, "--artifact", path, "--csv", table) == 0
+    assert json.loads(capsys.readouterr().out)["alpha"] is None
+    assert table.read_text().splitlines()[1].split(",")[1] == ""
 
 
 def test_unknown_config_file_is_operational_error(tmp_path, capsys):

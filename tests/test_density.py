@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from clickrisk import uq
 from clickrisk.density import (
     DensityError,
     DensityMap,
@@ -9,6 +10,15 @@ from clickrisk.density import (
     score_regions,
     sparse_region_scores,
 )
+
+
+def distribution(scores):
+    """The categorical distribution `uq._score` derives from ranked scores, as it hands it on."""
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(uq, "concentration_deficit", lambda probs: seen.append(tuple(probs)) or 0.0)
+        uq._score(scores, uq.UqConfig())
+    return seen[0]
 
 
 def make_map(values, patch_size=14):
@@ -175,31 +185,31 @@ def test_region_score_is_mean_density():
     values[0, 0] = 0.5
     values[0, 1] = 0.3
     values[0, 2] = 0.2
-    scores, _ = score_regions(make_map(values), [frozenset({(0, 0), (0, 1)})])
+    scores = score_regions(make_map(values), [frozenset({(0, 0), (0, 1)})])
     assert scores == (pytest.approx(0.4),)
 
 
 def test_single_region_prob_is_one():
     values = np.array([[0.6, 0.4]])
-    _, probs = score_regions(make_map(values), [frozenset({(0, 0), (0, 1)})])
-    assert probs == (1.0,)
+    scores = score_regions(make_map(values), [frozenset({(0, 0), (0, 1)})])
+    assert distribution(scores) == (1.0,)
 
 
 def test_tied_scores_split_evenly():
     values = np.zeros((1, 4))
     values[0, 0] = 0.4
     values[0, 3] = 0.4
-    scores, probs = score_regions(make_map(values), [frozenset({(0, 3)}), frozenset({(0, 0)})])
+    scores = score_regions(make_map(values), [frozenset({(0, 3)}), frozenset({(0, 0)})])
     assert scores == (0.4, 0.4)
-    assert probs == (0.5, 0.5)
+    assert distribution(scores) == (0.5, 0.5)
 
 
 def test_scores_sorted_descending():
     values = np.array([[0.1, 0.6, 0.3]])
     regions = [frozenset({(0, 0)}), frozenset({(0, 1)}), frozenset({(0, 2)})]
-    scores, probs = score_regions(make_map(values), regions)
+    scores = score_regions(make_map(values), regions)
     assert scores == (0.6, 0.3, 0.1)
-    assert sum(probs) == pytest.approx(1.0, abs=1e-9)
+    assert sum(distribution(scores)) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_score_rejects_empty_regions():
@@ -212,7 +222,7 @@ def test_score_rejects_empty_regions():
 # --- pipeline invariants ----------------------------------------------------
 
 def run_pipeline(samples, dims, patch=14, beta=0.3):
-    """The regions as a set, and their ranked (scores, probs)."""
+    """The regions as a set, and their ranked scores."""
     dmap = build_density_map(samples, dims, patch)
     regions = extract_regions(dmap, beta)
     return set(regions), score_regions(dmap, regions)
@@ -230,8 +240,8 @@ def test_translation_by_patch_multiples_shifts_regions_only():
 def test_duplicating_samples_changes_nothing():
     rng = np.random.default_rng(23)
     samples = rng.uniform(0, 280, size=(12, 2)).tolist()
-    base_regions, (scores, probs) = run_pipeline(samples, (280, 280))
-    doubled_regions, (doubled_scores, doubled_probs) = run_pipeline(samples * 2, (280, 280))
+    base_regions, scores = run_pipeline(samples, (280, 280))
+    doubled_regions, doubled_scores = run_pipeline(samples * 2, (280, 280))
     assert scores == pytest.approx(doubled_scores)
-    assert probs == pytest.approx(doubled_probs)
+    assert distribution(scores) == pytest.approx(distribution(doubled_scores))
     assert base_regions == doubled_regions

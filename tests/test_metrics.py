@@ -282,6 +282,47 @@ def test_roc_points_span_unit_square():
     assert tprs == sorted(tprs)
 
 
+def roc_points_oracle(u, adm):
+    """The threshold sweep written out: one rescan of every record per distinct value."""
+    u, adm = np.asarray(u, dtype=float), np.asarray(adm, dtype=int)
+    n_pos, n_neg = int((adm == 0).sum()), int((adm == 1).sum())
+    points = [(0.0, 0.0)]
+    for t in sorted(set(u.tolist()), reverse=True):
+        flagged = u >= t
+        tpr = float((flagged & (adm == 0)).sum() / n_pos)
+        fpr = float((flagged & (adm == 1)).sum() / n_neg)
+        points.append((fpr, tpr))
+    return points
+
+
+def arc_points_oracle(u, adm):
+    """The rejection sweep written out: one retained-accuracy ratio per rejected count."""
+    u, adm = np.asarray(u, dtype=float), np.asarray(adm, dtype=int)
+    prefix = np.cumsum(adm[np.argsort(u, kind="stable")])
+    n = u.size
+    return [(float(j / n), float(prefix[n - j - 1] / (n - j))) for j in range(n)]
+
+
+def curve_cases():
+    rng = np.random.default_rng(47)
+    cases = [([0.3, 0.7], [0, 1]), ([0.7, 0.3], [0, 1]), ([0.5, 0.5], [1, 0])]  # one record per class
+    cases.append(([0.25] * 9, [0, 1, 1, 0, 1, 1, 1, 0, 1]))  # every value equal
+    cases.append(([0.0, -0.0, 0.0, 1.0], [1, 0, 0, 1]))  # signed zeros tie
+    for n in (2, 5, 40, 300, 2000):
+        for levels in (2, 7, n):  # heavy ties to (nearly) all distinct
+            u = rng.integers(0, levels, size=n) / levels
+            adm = rng.integers(0, 2, size=n)
+            adm[:2] = (0, 1)
+            cases.append((u.tolist(), adm.tolist()))
+    return cases
+
+
+def test_roc_and_arc_points_equal_their_sweeps_bit_for_bit():
+    for u, adm in curve_cases():
+        assert roc_points(u, adm) == roc_points_oracle(u, adm), (u, adm)
+        assert arc_points(u, adm) == arc_points_oracle(u, adm), (u, adm)
+
+
 def test_evaluate_split_bundles_counts():
     u = [0.1, 0.2, 0.6, 0.9]
     adm = [1, 1, 0, 1]

@@ -16,7 +16,7 @@ from clickrisk.density import (
     score_regions,
     sparse_region_scores,
 )
-from clickrisk.records import GroundingRecord, load_records, save_records
+from clickrisk.records import UQ_KEYS, GroundingRecord, load_records, save_records
 from clickrisk.uq import (
     SCORE_CHUNK,
     UncertaintyScore,
@@ -168,9 +168,13 @@ def columns_of(records):
 
 
 def column_scores(records, config=UqConfig()):
-    """The batch path: every record scored by one `score_columns` call, each keeping its pc."""
-    rows = score_columns(*columns_of(records), config, {}).tolist()
-    return [UncertaintyScore(*row, pc=r.pc) for r, row in zip(records, rows)]
+    """The batch path: every record scored by one `score_columns` call."""
+    return [UncertaintyScore(*row) for row in score_columns(*columns_of(records), config, {}).tolist()]
+
+
+def uq_fields(score):
+    """A score as the `uq` object of a scored record."""
+    return dict(zip(UQ_KEYS, dataclasses.astuple(score)))
 
 
 def test_degenerate_cloud_trace():
@@ -212,9 +216,12 @@ def test_k_cap_uses_leading_samples():
     assert capped.cd == 0.0  # first five samples form a single tight cluster
 
 
-def test_pc_passes_through():
+def test_pc_passes_through(tmp_path):
     record = record_with_samples([(3.0, 3.0)] * 10, pc=0.77)
-    assert score_record(record).pc == 0.77
+    assert score_record(record) == score_record(dataclasses.replace(record, pc=None))
+    save_records(tmp_path / "in.jsonl", [record])
+    assert cli.main(["score", "-i", str(tmp_path / "in.jsonl"), "-o", str(tmp_path / "out.jsonl")]) == 0
+    assert load_records(tmp_path / "out.jsonl")[0].pc == 0.77
 
 
 def test_components_stay_in_unit_interval():
@@ -279,7 +286,7 @@ def test_weight_presets_are_normalized():
 
 def test_attach_and_variant_roundtrip():
     record = record_with_samples([(3.0, 3.0)] * 10, pc=0.3)
-    scored = dataclasses.replace(record, uq=score_record(record).as_dict())
+    scored = dataclasses.replace(record, uq=uq_fields(score_record(record)))
     assert variant_value(scored, "com") == pytest.approx(0.02)
     assert variant_value(scored, "ta") == pytest.approx(0.1)
     assert variant_value(scored, "pc") == 0.3
@@ -312,7 +319,7 @@ def squeeze(indices):
 
 
 def dense_chain(samples, dims, patch, beta, region_sizes=None):
-    """Oracle: scores and probs of the dense grid -> regions -> ranking chain.
+    """Oracle: ranked scores of the dense grid -> regions -> ranking chain.
 
     Grids above DENSE_CELL_LIMIT patches (4K and 8K at patch 1) would take
     hundreds of MB, so there the chain runs on a small grid instead: every
@@ -369,8 +376,10 @@ def test_sparse_scoring_equals_dense_chain(dims):
                 records, expected = [], []
                 for kind in ("cluster", "spread", "edges", "wrap", "outside"):
                     samples = [tuple(p) for p in cloud(rng, kind, k, dims, patch).tolist()]
-                    scores, probs = dense_chain(samples, dims, patch, beta, region_sizes)
-                    assert sparse_region_scores(samples, dims, patch, beta) == (scores, probs)
+                    scores = dense_chain(samples, dims, patch, beta, region_sizes)
+                    assert sparse_region_scores(samples, dims, patch, beta) == scores
+                    total = sum(scores)
+                    probs = tuple(s / total for s in scores)  # p_i = S_i / sum S
                     records.append(record_with_samples(samples, *dims))
                     score = score_record(records[-1], cfg)
                     ta = top_ambiguity(scores, cfg.epsilon)
@@ -403,9 +412,10 @@ def test_samples_beyond_int64_patches_land_in_the_border_patch(patch, axis, far)
     assert dmap.values[row, col] > 0
     expected = score_regions(dmap, extract_regions(dmap, 0.0))
     assert sparse_region_scores(samples, dims, patch, 0.0) == expected
-    _, cells, values = density.occupied_patches(samples, dims, patch)
-    assert row * grid_w + col in cells.tolist()
-    assert values.tolist() == dmap.values[dmap.values > 0].tolist()
+    _, patches = density.occupied_patches(samples, dims, patch)
+    cells, values = zip(*patches)
+    assert row * grid_w + col in cells
+    assert list(values) == dmap.values[dmap.values > 0].tolist()
     cfg = UqConfig(k_samples=len(samples), patch_size=patch, beta=0.0)
     record = record_with_samples(samples, *dims)
     assert column_scores([record], cfg) == [score_record(record, cfg)]
@@ -414,10 +424,10 @@ def test_samples_beyond_int64_patches_land_in_the_border_patch(patch, axis, far)
 def test_the_right_edge_of_a_grid_wider_than_float_precision_stays_exact():
     dims, edge = (2**60, 1), 2**60 - 1  # the last column is not a float
     samples = [(1e300, 0.0), (2.0**59, 0.0)]
-    _, cells, _ = density.occupied_patches(samples, dims, 1)
-    assert cells.tolist() == [2**59, edge]
+    _, patches = density.occupied_patches(samples, dims, 1)
+    assert [cell for cell, _ in patches] == [2**59, edge]
     expected = sparse_region_scores(samples, dims, 1, 0.0)
-    assert expected == ((0.5, 0.5), (0.5, 0.5))
+    assert expected == (0.5, 0.5)
     record, cfg = record_with_samples(samples, *dims), UqConfig(beta=0.0)
     assert column_scores([record], cfg) == [score_record(record, cfg)]
 
@@ -454,12 +464,12 @@ def test_occupied_patches_of_a_huge_declared_image_take_bounded_memory():
     density.occupied_patches(samples, (280, 280), 14)  # warm up lazy imports and caches
     tracemalloc.start()
     try:
-        grid_w, cells, values = density.occupied_patches(samples, (10**6, 10**6), 14)
+        grid_w, patches = density.occupied_patches(samples, (10**6, 10**6), 14)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
-    assert grid_w == 71429 and cells.size == values.size <= 10
+    assert grid_w == 71429 and len(patches) <= 10
 
 
 @pytest.mark.parametrize("dims", [(840, 840), (1920, 1080)])
@@ -635,7 +645,7 @@ def test_score_batch_memo_keeps_each_records_pc(tmp_path):
     got = load_records(tmp_path / "out.jsonl")
     assert [r.pc for r in got] == [0.25, 0.75, None]
     expected = [score_record(r) for r in (a, b, c)]
-    assert [r.uq for r in got] == [s.as_dict() for s in expected]
+    assert [r.uq for r in got] == [uq_fields(s) for s in expected]
 
 
 def test_score_batch_twice_gives_identical_results():
