@@ -434,7 +434,13 @@ def _threshold_from_args(args) -> tuple[float, float | None, str | None]:
         raise CliError(f"artifact {args.artifact}: threshold must be finite, got {json.dumps(threshold)}")
     if alpha is not None and (isinstance(alpha, bool) or not isinstance(alpha, (int, float)) or not 0 < alpha < 1):
         raise CliError(f"artifact {args.artifact}: alpha must be a number in (0, 1), got {json.dumps(alpha)}")
-    return float(threshold), alpha, artifact.get("uq_variant")
+    variant = artifact.get("uq_variant")
+    if variant is not None and variant not in VARIANTS:
+        raise CliError(
+            f"artifact {args.artifact}: uq_variant must be one of {', '.join(VARIANTS)} or null,"
+            f" got {json.dumps(variant)}"
+        )
+    return float(threshold), alpha, variant
 
 
 CASCADE_CSV_HEADER = [

@@ -214,33 +214,50 @@ _SEQUENTIAL_SUM_LIMIT = 8
 def _ranked_region_scores(retained: dict[int, float], grid_w: int) -> tuple[float, ...]:
     """Mean density of each 4-connected region of `retained`, ranked.
 
-    `retained` maps row-major patch index -> density, and is emptied. Each region is
-    averaged over its patches in row-major order, as on the dense path:
-    left to right below _SEQUENTIAL_SUM_LIMIT patches and by `ndarray.mean`
-    from there (see `region_means`).
+    `retained` maps row-major patch index -> density, and is emptied. An
+    isolated patch scores its own density, since the mean of one value is
+    that value, exactly; only the patches of multi-patch regions are walked.
+    Each region is averaged over its patches in row-major order, as on the
+    dense path: left to right below _SEQUENTIAL_SUM_LIMIT patches and by
+    `ndarray.mean` from there (see `region_means`).
     """
     scores = []
+    last_col = grid_w - 1
     while retained:  # the regions come in any order: they are ranked below
         anchor, value = retained.popitem()
+        col = anchor % grid_w
+        # cells off the top or bottom of the grid are never keys; at the left
+        # edge cell - 1 is the previous row's last patch, at the right edge
+        # cell + 1 the next row's first
+        if (
+            anchor - grid_w not in retained
+            and anchor + grid_w not in retained
+            and (col == 0 or anchor - 1 not in retained)
+            and (col == last_col or anchor + 1 not in retained)
+        ):
+            scores.append(value)
+            continue
         members = [(anchor, value)]
         stack = [anchor]
-        while stack:
+        while stack:  # each neighbour is probed in line: a list or loop per cell costs more
             cell = stack.pop()
             col = cell % grid_w
-            # cells off the top or bottom of the grid are never keys
-            neighbours = [cell - grid_w, cell + grid_w]
-            if col > 0:
-                neighbours.append(cell - 1)
-            if col < grid_w - 1:
-                neighbours.append(cell + 1)
-            for nb in neighbours:
-                value = retained.pop(nb, None)
-                if value is not None:
-                    members.append((nb, value))
-                    stack.append(nb)
-        if len(members) == 1:  # the mean of one value is that value, exactly
-            scores.append(members[0][1])
-            continue
+            nb = cell - grid_w
+            if nb in retained:
+                members.append((nb, retained.pop(nb)))
+                stack.append(nb)
+            nb = cell + grid_w
+            if nb in retained:
+                members.append((nb, retained.pop(nb)))
+                stack.append(nb)
+            nb = cell - 1
+            if col and nb in retained:
+                members.append((nb, retained.pop(nb)))
+                stack.append(nb)
+            nb = cell + 1
+            if col < last_col and nb in retained:
+                members.append((nb, retained.pop(nb)))
+                stack.append(nb)
         members.sort()
         if len(members) < _SEQUENTIAL_SUM_LIMIT:
             total = 0.0

@@ -67,6 +67,9 @@ def _check_pair(uncertainties, flags) -> tuple[np.ndarray, np.ndarray]:
         raise MetricError(f"length mismatch: {u.shape[0]} uncertainties vs {adm.shape[0]} flags")
     if adm.size and not np.isin(adm, (0, 1)).all():
         raise MetricError("admissible flags must be 0 or 1")
+    nan = np.isnan(u)
+    if nan.any():
+        raise MetricError(f"uncertainty at position {int(nan.argmax())} is NaN")
     return u, adm
 
 
@@ -74,7 +77,8 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks with ties assigned their group average.
 
     A tie group spans sorted positions i..j and each member gets
-    0.5 * (i + j) + 1.0; NaN ties nothing, as `==` never holds for it.
+    0.5 * (i + j) + 1.0. The metrics never pass NaN (`_check_pair` rejects
+    it); here a NaN would tie nothing, as `==` never holds for it.
     """
     order = np.argsort(values, kind="stable")
     sorted_vals = values[order]

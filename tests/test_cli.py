@@ -576,6 +576,9 @@ def test_wrong_typed_config_value_names_file_and_key(tmp_path, mixed_file, capsy
     assert not (tmp_path / outputs[-1]).exists()
 
 
+VARIANT_CHOICES = "uq_variant must be one of com, ta, ie, cd, pc or null"
+
+
 @pytest.mark.parametrize("artifact, message", [
     ([1, 2], "expected a JSON object"),
     ({"feasible": True, "threshold": [0.5]}, "threshold must be a number, got [0.5]"),
@@ -589,14 +592,25 @@ def test_wrong_typed_config_value_names_file_and_key(tmp_path, mixed_file, capsy
     ({"feasible": True, "threshold": 0.5, "alpha": False}, "alpha must be a number in (0, 1), got false"),
     ({"feasible": True, "threshold": 0.5, "alpha": 1}, "alpha must be a number in (0, 1), got 1"),
     ({"feasible": True, "threshold": 0.5, "alpha": math.nan}, "alpha must be a number in (0, 1), got NaN"),
+    ({"feasible": True, "threshold": 0.5, "uq_variant": 5}, f"{VARIANT_CHOICES}, got 5"),
+    ({"feasible": True, "threshold": 0.5, "uq_variant": ["com"]}, f'{VARIANT_CHOICES}, got ["com"]'),
+    ({"feasible": True, "threshold": 0.5, "uq_variant": ""}, f'{VARIANT_CHOICES}, got ""'),
+    ({"feasible": True, "threshold": 0.5, "uq_variant": "xx"}, f'{VARIANT_CHOICES}, got "xx"'),
 ], ids=["list", "list-threshold", "nan-threshold", "infinite-threshold", "int-too-large-threshold",
         "bool-threshold", "int-feasible", "missing-feasible", "string-alpha", "bool-alpha", "alpha-of-one",
-        "nan-alpha"])
+        "nan-alpha", "int-variant", "list-variant", "empty-variant", "unknown-variant"])
 def test_cascade_rejects_a_malformed_artifact(tmp_path, mixed_file, capsys, artifact, message):
     path = tmp_path / "artifact.json"
     path.write_text(json.dumps(artifact))
     assert run("cascade", "-i", mixed_file, "--artifact", path) == 1
     assert capsys.readouterr().err == f"error: artifact {path}: {message}\n"
+
+
+def test_cascade_checks_the_artifacts_variant_when_the_flag_overrides_it(tmp_path, mixed_file, capsys):
+    path = tmp_path / "artifact.json"
+    path.write_text(json.dumps({"feasible": True, "threshold": 0.5, "uq_variant": ""}))
+    assert run("cascade", "-i", mixed_file, "--artifact", path, "--variant", "com") == 1
+    assert capsys.readouterr().err == f'error: artifact {path}: {VARIANT_CHOICES}, got ""\n'
 
 
 def test_cascade_accepts_a_null_alpha_and_reports_it(tmp_path, mixed_file, capsys):

@@ -245,3 +245,78 @@ def test_duplicating_samples_changes_nothing():
     assert scores == pytest.approx(doubled_scores)
     assert distribution(scores) == pytest.approx(distribution(doubled_scores))
     assert base_regions == doubled_regions
+
+
+# --- sparse scoring on clouds that reach every branch of the region walk --------
+
+def patch_cloud(rng, cells, patch=14, most=3):
+    """Samples inside the given (row, col) patches, 1 to `most` per patch, shuffled."""
+    samples = []
+    for r, c in cells:
+        for _ in range(int(rng.integers(1, most + 1))):
+            samples.append(((c + rng.random()) * patch, (r + rng.random()) * patch))
+    return [samples[i] for i in rng.permutation(len(samples))]
+
+
+def assert_sparse_equals_dense(samples, dims, patch=14, betas=(0.0, 0.3, 0.5)):
+    """Sparse scores equal the dense chain's; returns each beta's region sizes."""
+    sizes = []
+    for beta in betas:
+        regions, scores = run_pipeline(samples, dims, patch, beta)
+        assert sparse_region_scores(samples, dims, patch, beta) == scores
+        sizes.append(sorted(map(len, regions)))
+    return sizes
+
+
+def test_sparse_scores_of_isolated_patches_equal_the_dense_chain():
+    rng = np.random.default_rng(140)
+    for k in (1, 2, 3, 10, 50, 200, 1000):
+        side = 2 * int(np.ceil(np.sqrt(k))) + 1
+        lattice = [(2 * i, 2 * j) for i in range(side // 2 + 1) for j in range(side // 2 + 1)]
+        for most in (1, 3):  # one sample per patch (every score tied), or 1 to 3
+            cells = [lattice[i] for i in rng.choice(len(lattice), size=k, replace=False)]
+            samples = patch_cloud(rng, cells, most=most)
+            sizes = assert_sparse_equals_dense(samples, (side * 14, side * 14))
+            assert sizes[0] == [1] * k
+
+
+def test_sparse_scores_of_checkerboards_equal_the_dense_chain():
+    rng = np.random.default_rng(141)
+    for h in range(1, 8):
+        for w in range(1, 8):
+            cells = [(r, c) for r in range(h) for c in range(w) if (r + c) % 2 == 0]
+            sizes = assert_sparse_equals_dense(patch_cloud(rng, cells), (w * 14, h * 14))
+            assert sizes[0] == [1] * len(cells)  # diagonal neighbours only
+
+
+@pytest.mark.parametrize("run", [1, 2])
+@pytest.mark.parametrize("w", [1, 2, 3, 5])
+def test_sparse_scores_of_patches_on_the_left_and_right_edges_equal_the_dense_chain(w, run):
+    # cell - 1 of a first-column patch and cell + 1 of a last-column one are
+    # the row-major neighbours in the row above and below, which never touch;
+    # runs of one row reach the isolation probe, runs of two the stack walk
+    rng = np.random.default_rng(142 + w + 10 * run)
+    for h in (2, 3, 6, 11):
+        cells = [(r, 0 if r // run % 2 == 0 else w - 1) for r in range(h)]
+        sizes = assert_sparse_equals_dense(patch_cloud(rng, cells), (w * 14, h * 14))
+        assert sizes[0] == ([h] if w == 1 else sorted([run] * (h // run) + [h % run] * (h % run > 0)))
+
+
+@pytest.mark.parametrize("w", [1, 2])
+def test_sparse_scores_of_grids_one_and_two_patches_wide_equal_the_dense_chain(w):
+    rng = np.random.default_rng(144 + w)
+    for k in (1, 5, 20, 60, 200):
+        for h in (1, 4, 40):
+            dims = (w * 14, h * 14)
+            samples = rng.uniform((-5, -5), (dims[0] + 5, dims[1] + 5), size=(k, 2)).tolist()
+            assert_sparse_equals_dense(samples, dims)
+
+
+def test_sparse_scores_of_a_large_region_beside_isolated_patches_equal_the_dense_chain():
+    rng = np.random.default_rng(146)
+    for size in (3, 4, 5):
+        block = [(r, c) for r in range(1, size + 1) for c in range(1, size + 1)]
+        for _ in range(10):
+            isolated = [(r, c) for r in range(0, 20, 2) for c in range(size + 3, 20, 2) if rng.random() < 0.5]
+            sizes = assert_sparse_equals_dense(patch_cloud(rng, block + isolated), (20 * 14, 20 * 14), betas=(0.0,))
+            assert sizes[0][-1] == size * size >= 8 and sizes[0][:-1] == [1] * len(isolated)

@@ -334,6 +334,26 @@ def test_evaluate_split_bundles_counts():
     assert 0.0 <= report.auroc <= 1.0
 
 
+@pytest.mark.parametrize(
+    "metric",
+    [
+        auroc,
+        auarc,
+        roc_points,
+        arc_points,
+        lambda u, adm: fdr_at(u, adm, 0.5),
+        lambda u, adm: power_at(u, adm, 0.5),
+        lambda u, adm: evaluate_split(u, adm, 0.5),
+    ],
+    ids=["auroc", "auarc", "roc_points", "arc_points", "fdr_at", "power_at", "evaluate_split"],
+)
+def test_metrics_reject_a_nan_uncertainty_naming_its_position(metric):
+    with pytest.raises(MetricError, match=r"^uncertainty at position 0 is NaN$"):
+        metric([np.nan, 0.5, 0.2, np.nan], [0, 1, 0, 1])
+    with pytest.raises(MetricError, match=r"^uncertainty at position 2 is NaN$"):
+        metric(np.array([0.1, 0.5, np.nan, 0.3, np.nan]), [0, 1, 0, 1, 1])
+
+
 def test_aggregate_population_std():
     stat = aggregate([1.0, 2.0, 3.0, 4.0])
     assert stat.mean == pytest.approx(2.5)

@@ -123,6 +123,82 @@ def test_deficit_rejects_non_distribution():
         concentration_deficit(())
 
 
+def per_element_dispersion(probs, epsilon):
+    """Oracle: normalized entropy with one fsum term per element, checks included."""
+    m = len(probs)
+    if m == 0:
+        raise ValueError("probs must be non-empty")
+    if abs(math.fsum(probs) - 1.0) > 1e-9:
+        raise ValueError(f"probs must sum to 1, got {math.fsum(probs)}")
+    if m == 1:
+        return 0.0
+    entropy = -math.fsum(p * math.log(p + epsilon) for p in probs)
+    return min(1.0, max(0.0, entropy / math.log(m)))
+
+
+def tied_distributions(rng):
+    """Distributions of 1 to 5 distinct values repeated up to M = 1000 times.
+
+    Each comes as floats in ranked order, as `uq._score` passes them, as
+    shuffled floats, and as shuffled Fractions that sum to 1 exactly.
+    """
+    for m in (1, 2, 3, 5, 8, 47, 200, 1000):
+        for distinct in range(1, min(m, 5) + 1):
+            counts = (1 + rng.multinomial(m - distinct, np.ones(distinct) / distinct)).tolist()
+            weights = (rng.uniform(0.01, 1.0, size=distinct) ** rng.uniform(0.2, 5.0)).tolist()
+            total = math.fsum(w * c for w, c in zip(weights, counts))
+            ranked = sorted((w / total for w, c in zip(weights, counts) for _ in range(c)), reverse=True)
+            exact_total = sum(Fraction(w) * c for w, c in zip(weights, counts))
+            exact = [Fraction(w) / exact_total for w, c in zip(weights, counts) for _ in range(c)]
+            yield ranked
+            yield [ranked[i] for i in rng.permutation(m)]
+            yield [exact[i] for i in rng.permutation(m)]
+
+
+def test_components_cost_per_distinct_value_and_keep_every_bit():
+    rng = np.random.default_rng(14)
+    cases = 0
+    for probs in tied_distributions(rng):
+        for given in (tuple(probs), list(probs), np.array(probs, dtype=np.float64)):
+            if isinstance(probs[0], Fraction) and isinstance(given, np.ndarray):
+                continue  # a float64 array of Fractions is the float case again
+            assert concentration_deficit(given) == fraction_deficit(probs), probs
+            assert info_dispersion(given, EPS) == per_element_dispersion(probs, EPS), probs
+            cases += 1
+    assert cases > 200
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except Exception as exc:  # noqa: BLE001 - the exact type and message are the point
+        return type(exc), str(exc)
+
+
+NAN_RATIO = (ValueError, "cannot convert NaN to integer ratio")
+INF_RATIO = (OverflowError, "cannot convert Infinity to integer ratio")
+
+
+@pytest.mark.parametrize("probs, deficit", [
+    ((), (ValueError, "probs must be non-empty")),
+    ((math.nan,), NAN_RATIO),
+    ((math.nan, 0.5), NAN_RATIO),
+    ((0.5, 0.5, math.nan, math.nan), NAN_RATIO),
+    ((math.inf, 0.5), INF_RATIO),
+    ((0.5, 0.5, -math.inf), INF_RATIO),
+    ((math.inf, -math.inf), INF_RATIO),
+    ((0.5, 0.2), (ValueError, "probs must sum to 1, got 0.7")),
+    ((0.4,) * 3, (ValueError, "probs must sum to 1, got 1.2000000000000002")),
+    ((0.3, 0.3), (ValueError, "probs must sum to 1, got 0.6")),
+    ((1.0, -0.0, 0.0), 0.0),
+], ids=["empty", "nan", "nan-first", "nan-run", "inf", "minus-inf-run", "inf-minus-inf", "short", "long",
+        "tied-short", "signed-zeros"])
+def test_components_reject_what_they_rejected_with_the_same_errors(probs, deficit):
+    for given in (probs, list(probs), np.array(probs, dtype=np.float64)):
+        assert outcome(info_dispersion, given, EPS) == outcome(per_element_dispersion, probs, EPS)
+        assert outcome(concentration_deficit, given) == deficit
+
+
 # --- combine -----------------------------------------------------------------
 
 def test_weighted_combination():
