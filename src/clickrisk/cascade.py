@@ -111,11 +111,13 @@ def evaluate_cascade(
 def write_manifest(path, ids: Sequence[str], instructions: Sequence[str | None], deferred: np.ndarray) -> list[str]:
     """Write the manifest atomically, one {"id", "instruction"?} line per record `deferred` marks; their ids."""
     rows = np.flatnonzero(deferred).tolist()
+    encode = json.encoder.encode_basestring_ascii  # a str as json.dumps writes it
     with atomic_writer(path) as fh:
         for i in rows:
-            entry = {"id": ids[i]} if instructions[i] is None else {"id": ids[i], "instruction": instructions[i]}
-            fh.write(json.dumps(entry, separators=(",", ":")))
-            fh.write("\n")
+            if instructions[i] is None:
+                fh.write('{"id":%s}\n' % encode(ids[i]))
+            else:
+                fh.write('{"id":%s,"instruction":%s}\n' % (encode(ids[i]), encode(instructions[i])))
     return [ids[i] for i in rows]
 
 

@@ -36,7 +36,7 @@ from .records import (
 )
 from .density import occupied_patches
 from .risk import CalibrationOutcome, RiskSpec, calibrate_threshold
-from .synthgen import SynthConfig, generate_dataset, run_guarantee_trials
+from .synthgen import SynthConfig, generate_arrays, run_guarantee_trials
 from .uq import (
     VARIANTS,
     WEIGHT_PRESETS,
@@ -51,6 +51,7 @@ from .uq import (
 # points the spans at the column path and drops these).
 from .density import build_density_map  # noqa: F401
 from .records import load_records, split  # noqa: F401
+from .synthgen import generate_dataset  # noqa: F401
 from .uq import score_record  # noqa: F401
 
 DEFAULT_ALPHA = 0.1
@@ -300,7 +301,7 @@ def cmd_score(args) -> int:
         for chunk in _read(args.input):  # a chunk at a time: read, score, write
             scores = score_columns(chunk.points, chunk.offsets, chunk.dims, uq_cfg, memo)
             fh.writelines(line + "\n" for line in column_lines(chunk, mlg_column(chunk, args.seed), scores))
-            n_records += len(chunk.ids)
+            n_records += len(chunk)
             for rec_id in chunk.ids if args.dump_density else ():
                 name = _dump_name(rec_id)
                 if owners.setdefault(name, rec_id) != rec_id and clash is None:
@@ -592,9 +593,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    records = generate_dataset(_synth_config(args))
-    save_records(args.out, records)
-    print(f"generated {len(records)} records -> {args.out}")
+    batch = generate_arrays(_synth_config(args))
+    save_records(args.out, batch)
+    print(f"generated {len(batch)} records -> {args.out}")
     return 0
 
 

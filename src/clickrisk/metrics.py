@@ -97,7 +97,10 @@ def auroc(uncertainties: Sequence[float], admissible: Sequence[int]) -> float:
     Rank-based (Mann-Whitney) with ties counting one half. Requires both
     classes to be present.
     """
-    u, adm = _check_pair(uncertainties, admissible)
+    return _auroc(*_check_pair(uncertainties, admissible))
+
+
+def _auroc(u: np.ndarray, adm: np.ndarray) -> float:
     n_pos = int((adm == 0).sum())  # inadmissible: the high-uncertainty class
     n_neg = int((adm == 1).sum())
     if n_pos == 0 or n_neg == 0:
@@ -119,7 +122,10 @@ def auarc(uncertainties: Sequence[float], admissible: Sequence[int]) -> float:
     rejecting j = 0..N-1 from the top leaves the N-j lowest-uncertainty
     records, whose mean admissibility is averaged uniformly over j.
     """
-    u, adm = _check_pair(uncertainties, admissible)
+    return _auarc(*_check_pair(uncertainties, admissible))
+
+
+def _auarc(u: np.ndarray, adm: np.ndarray) -> float:
     if u.size == 0:
         raise MetricError("auarc needs at least one record")
     flags = _sorted_flags(u, adm)
@@ -166,13 +172,19 @@ def roc_points(
 
 def fdr_at(uncertainties: Sequence[float], admissible: Sequence[int], tau: float) -> float:
     """FDR of the acceptance rule u <= tau; 0 when nothing is accepted."""
-    _, adm = _check_pair(uncertainties, admissible)
-    return empirical_fdr(uncertainties, (1 - adm).tolist(), tau)
+    return _fdr_at(*_check_pair(uncertainties, admissible), tau)
+
+
+def _fdr_at(u: np.ndarray, adm: np.ndarray, tau: float) -> float:
+    return empirical_fdr(u, (1 - adm).tolist(), tau)
 
 
 def power_at(uncertainties: Sequence[float], admissible: Sequence[int], tau: float) -> float:
     """Fraction of admissible records retained by the rule u <= tau."""
-    u, adm = _check_pair(uncertainties, admissible)
+    return _power_at(*_check_pair(uncertainties, admissible), tau)
+
+
+def _power_at(u: np.ndarray, adm: np.ndarray, tau: float) -> float:
     n_admissible = int((adm == 1).sum())
     if n_admissible == 0:
         raise MetricError("power undefined without admissible records")
@@ -183,13 +195,13 @@ def power_at(uncertainties: Sequence[float], admissible: Sequence[int], tau: flo
 def evaluate_split(
     uncertainties: Sequence[float], admissible: Sequence[int], tau: float
 ) -> EvalReport:
-    """Bundle the four metrics plus acceptance counts at one threshold."""
+    """Bundle the four metrics plus acceptance counts at one threshold; the pair is checked once."""
     u, adm = _check_pair(uncertainties, admissible)
     return EvalReport(
-        auroc=auroc(u, adm),
-        auarc=auarc(u, adm),
-        fdr=fdr_at(u, adm, tau),
-        power=power_at(u, adm, tau),
+        auroc=_auroc(u, adm),
+        auarc=_auarc(u, adm),
+        fdr=_fdr_at(u, adm, tau),
+        power=_power_at(u, adm, tau),
         n_accepted=int((u <= tau).sum()),
         n_total=int(u.size),
     )

@@ -17,10 +17,11 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 import os
 import tempfile
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import IO, Iterable, Iterator, NoReturn
 
 import numpy as np
 
@@ -128,6 +129,7 @@ class GroundingRecord:
 
 _UQ_KEY_SET = frozenset(UQ_KEYS)
 _UQ_NAMES = tuple(f"uq.{k}" for k in UQ_KEYS)
+_uq_values = operator.itemgetter(*UQ_KEYS)
 
 
 def record_fields(obj) -> tuple:
@@ -139,6 +141,8 @@ def record_fields(obj) -> tuple:
     first failed check raises: a missing key, the types of id, image,
     instruction, gt_box, samples, pc and uq, the float conversions (uq,
     gt_box, samples, mlg, expert, pc), then `GroundingRecord.validate`'s.
+    An all-float gt_box or uq, as JSON gives them, passes its type and
+    conversion checks with one type test.
     """
     if not isinstance(obj, dict):
         raise RecordError(f"expected a JSON object, got {type(obj).__name__}")
@@ -154,7 +158,11 @@ def record_fields(obj) -> tuple:
     instruction = obj.get("instruction")
     if instruction is not None and not isinstance(instruction, str):
         raise RecordError(f"instruction: expected a string, got {instruction!r}")
-    if not isinstance(gt_box, (list, tuple)) or len(gt_box) != 4 or not all(map(_real, gt_box)):
+    box = None  # gt_box as floats, once it is known to convert
+    if type(gt_box) is list and len(gt_box) == 4 and type(gt_box[0]) is type(gt_box[1]) is type(gt_box[2]) \
+            is type(gt_box[3]) is float:
+        box = tuple(gt_box)
+    elif not isinstance(gt_box, (list, tuple)) or len(gt_box) != 4 or not all(map(_real, gt_box)):
         raise RecordError(f"gt_box: expected [x_min, y_min, x_max, y_max], got {gt_box!r}")
     if not isinstance(samples, list) or len(samples) == 0:
         raise RecordError("samples: must be a non-empty list of [x, y] pairs")
@@ -165,11 +173,14 @@ def record_fields(obj) -> tuple:
     if uq is not None:
         if not isinstance(uq, dict) or not _UQ_KEY_SET <= uq.keys():
             raise RecordError(f"uq: expected an object with fields {UQ_KEYS}")
-        uq = tuple(_as_float(raw_uq[k], name) for k, name in zip(UQ_KEYS, _UQ_NAMES))
-        if not all(map(math.isfinite, uq)):
-            k = next(k for k, v in zip(UQ_KEYS, uq) if not math.isfinite(v))
-            raise RecordError(f"uq.{k}: must be finite, got {raw_uq[k]!r}")
-    gt_box = tuple(_as_float(v, "gt_box") for v in gt_box)
+        uq = ta, ie, cd, com = _uq_values(raw_uq)
+        # finite floats, as JSON gives them; anything else takes the per-value conversions and checks
+        if not (type(ta) is type(ie) is type(cd) is type(com) is float and ta - ta == ie - ie == cd - cd == com - com):
+            uq = tuple(_as_float(raw_uq[k], name) for k, name in zip(UQ_KEYS, _UQ_NAMES))
+            if not all(map(math.isfinite, uq)):
+                k = next(k for k, v in zip(UQ_KEYS, uq) if not math.isfinite(v))
+                raise RecordError(f"uq.{k}: must be finite, got {raw_uq[k]!r}")
+    gt_box = box or tuple(_as_float(v, "gt_box") for v in gt_box)
     coords: list[float] = []  # sample i is (coords[2 * i], coords[2 * i + 1])
     for p in samples:  # `_point`'s first test, inlined: this loop is the hottest of the reader
         if type(p) is list and len(p) == 2:
@@ -207,12 +218,26 @@ def _line(rec_id, width, height, instruction, gt_box, samples, mlg, expert, pc, 
     return json.dumps({k: v for k, v in obj.items() if v is not None}, separators=(",", ":"))
 
 
+def _json_error(line: str, lineno: int) -> NoReturn:
+    """Raise the RecordError for a line that is not one JSON value, with `json.loads`' own message."""
+    try:
+        json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise RecordError(f"invalid JSON: {exc.msg}", line=lineno) from None
+    except ValueError as exc:  # an integer literal longer than int's digit limit
+        raise RecordError(f"unreadable number: {exc}", line=lineno) from None
+    raise RecordError("invalid JSON", line=lineno)  # not reached: json.loads accepts what the scanner does
+
+
 def _line_fields(stream: IO | Iterable[str | bytes]) -> Iterator[tuple]:
     """`record_fields` of each non-blank str or UTF-8 bytes line: the one loop every reader runs.
 
     A RecordError names the line: malformed JSON, a failed check, or an id seen on an earlier line.
     """
     seen: set[str] = set()
+    # `json.loads` without its per-call checks: the line is stripped, so the scanner accepts it exactly
+    # when it reads one value that ends where the line does
+    scan = json.scanner.make_scanner(json.JSONDecoder())
     for lineno, raw in enumerate(stream, start=1):
         if isinstance(raw, bytes):
             raw = raw.decode("utf-8")
@@ -220,11 +245,11 @@ def _line_fields(stream: IO | Iterable[str | bytes]) -> Iterator[tuple]:
         if not line:
             continue
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise RecordError(f"invalid JSON: {exc.msg}", line=lineno) from None
-        except ValueError as exc:  # an integer literal longer than int's digit limit
-            raise RecordError(f"unreadable number: {exc}", line=lineno) from None
+            obj, end = scan(line, 0)
+        except (StopIteration, ValueError):  # no value at all, malformed JSON, or an over-long integer
+            end = -1
+        if end != len(line):
+            _json_error(line, lineno)
         try:
             fields = record_fields(obj)
         except RecordError as exc:
@@ -252,12 +277,14 @@ def load_records(path) -> list[GroundingRecord]:
         return parse_records(fh)
 
 
-class Columns(NamedTuple):
-    """Up to SCORE_CHUNK consecutive records of a file, record i in row i.
+@dataclass(frozen=True, slots=True)
+class Columns:
+    """Consecutive records, record i in row i: up to SCORE_CHUNK of a file, or a generated dataset.
 
     Record i's samples are `points[offsets[i]:offsets[i + 1]]`, the column
     `uq.score_columns` scores. An absent mlg, expert, pc or uq is NaN: the
     reader accepts only finite values, so `np.isnan` is the absence mask.
+    `len` is the number of records.
     """
 
     ids: list[str]
@@ -270,6 +297,16 @@ class Columns(NamedTuple):
     expert: np.ndarray  # (n, 2) float64
     pc: np.ndarray  # (n,) float64
     uq: np.ndarray  # (n, 4) float64, in UQ_KEYS order
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def rows(self, start: int, stop: int) -> Columns:
+        """Records start..stop-1 as their own `Columns`; the arrays are views."""
+        a, b = self.offsets[start], self.offsets[min(stop, len(self.ids))]
+        return Columns(self.ids[start:stop], self.instructions[start:stop], self.dims[start:stop],
+                       self.boxes[start:stop], self.points[a:b], self.offsets[start:stop + 1] - a,
+                       self.mlg[start:stop], self.expert[start:stop], self.pc[start:stop], self.uq[start:stop])
 
 
 _NAN_PAIR, _NAN_UQ = (math.nan,) * 2, (math.nan,) * len(UQ_KEYS)
@@ -303,17 +340,56 @@ def read_columns(path) -> Iterator[Columns]:
             )
 
 
+def _line_format(k: int, instruction: bool, mlg: bool, expert: bool, pc: bool, uq: bool) -> str:
+    """The %-format of a `_line` with `k` samples and the optional fields flagged present."""
+    return "".join((
+        '{"id":%s,"image":{"w":%d,"h":%d}',
+        ',"instruction":%s' if instruction else "",
+        ',"gt_box":[%r,%r,%r,%r],"samples":[', ",".join(["[%r,%r]"] * k), "]",
+        ',"mlg":[%r,%r]' if mlg else "",
+        ',"expert":[%r,%r]' if expert else "",
+        ',"pc":%r' if pc else "",
+        ',"uq":{' + ",".join(f'"{key}":%r' for key in UQ_KEYS) + "}" if uq else "",
+        "}",
+    ))
+
+
+def _present(name: str, column: np.ndarray) -> list[bool]:
+    """Which rows of a 2-d optional column hold a value: an all-NaN row is an absent field."""
+    absent = np.isnan(column).all(axis=1)
+    if not (absent | np.isfinite(column).all(axis=1)).all():
+        raise ValueError(f"{name}: a row must be finite or all NaN")
+    return (~absent).tolist()
+
+
 def column_lines(chunk: Columns, mlg: np.ndarray, uq: np.ndarray) -> Iterator[str]:
     """The chunk's records as `serialize_records` writes them, with `mlg` and `uq` for theirs.
 
-    `mlg` is (n, 2) and `uq` (n, 4) in UQ_KEYS order, one row per record.
+    `mlg` is (n, 2) and `uq` (n, 4) in UQ_KEYS order, one row per record; an
+    all-NaN mlg, expert, pc or uq row is left out, as `Columns` defines
+    absence. Each line is one %-format: `%r` of a finite float is its
+    shortest repr, which is what `json.dumps` writes, and the id and the
+    instruction go through json's own string encoder. Any other non-finite
+    value is a ValueError, since no JSON number can hold it.
     """
-    points, starts = chunk.points.tolist(), chunk.offsets.tolist()
-    rows = zip(chunk.ids, chunk.dims, chunk.instructions, chunk.boxes.tolist(), starts, starts[1:],
-               mlg.tolist(), chunk.expert.tolist(), chunk.pc.tolist(), uq.tolist())
-    for rec_id, (width, height), instruction, box, a, b, click, expert, pc, scores in rows:
-        yield _line(rec_id, width, height, instruction, box, points[a:b], click,
-                    None if expert[0] != expert[0] else expert, None if pc != pc else pc, scores)
+    if not (np.isfinite(chunk.boxes).all() and np.isfinite(chunk.points).all()):
+        raise ValueError("gt_box and samples must be finite")
+    encode = json.encoder.encode_basestring_ascii  # a str as json.dumps writes it
+    optional = (("mlg", mlg), ("expert", chunk.expert), ("pc", chunk.pc[:, None]), ("uq", uq))
+    present = [_present(name, column) for name, column in optional]
+    # each record's values of each field, none where it is absent
+    values = [[row if p else () for row, p in zip(column.tolist(), has)]
+              for (_, column), has in zip(optional, present)]
+    instructions = [() if s is None else (encode(s),) for s in chunk.instructions]
+    layouts = zip(np.diff(chunk.offsets).tolist(), map(bool, instructions), *present)
+    formats: dict[tuple, str] = {}  # a layout's format, built once per call
+    coords, starts = chunk.points.ravel().tolist(), (2 * chunk.offsets).tolist()
+    rows = zip(layouts, chunk.ids, chunk.dims, instructions, chunk.boxes.tolist(), starts, starts[1:], *values)
+    for layout, rec_id, (width, height), instruction, box, a, b, click, expert, pc, score in rows:
+        fmt = formats.get(layout)
+        if fmt is None:
+            fmt = formats[layout] = _line_format(*layout)
+        yield fmt % (encode(rec_id), width, height, *instruction, *box, *coords[a:b], *click, *expert, *pc, *score)
 
 
 @contextlib.contextmanager
@@ -340,9 +416,18 @@ def atomic_writer(path) -> Iterator[IO[str]]:
         raise
 
 
-def save_records(path, records: Iterable[GroundingRecord]) -> None:
-    """Write one JSON line per record, atomically (see `atomic_writer`)."""
+def save_records(path, records: Iterable[GroundingRecord] | Columns) -> None:
+    """Write one JSON line per record, atomically (see `atomic_writer`).
+
+    `Columns` go through `column_lines`, SCORE_CHUNK rows at a time so that
+    its Python lists stay small; records through `serialize_records`.
+    """
     with atomic_writer(path) as fh:
+        if isinstance(records, Columns):
+            for start in range(0, len(records), SCORE_CHUNK):
+                chunk = records.rows(start, start + SCORE_CHUNK)
+                fh.writelines(line + "\n" for line in column_lines(chunk, chunk.mlg, chunk.uq))
+            return
         for line in serialize_records(records):
             fh.write(line)
             fh.write("\n")

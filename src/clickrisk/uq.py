@@ -110,7 +110,7 @@ def info_dispersion(probs: Sequence[float], epsilon: float = 1e-8) -> float:
     m = len(probs)
     if m == 0:
         raise ValueError("probs must be non-empty")
-    if abs(math.fsum(probs) - 1.0) > 1e-9:
+    if not abs(math.fsum(probs) - 1.0) <= 1e-9:  # written so that a NaN sum fails too
         raise ValueError(f"probs must sum to 1, got {math.fsum(probs)}")
     if m == 1:
         return 0.0

@@ -131,24 +131,15 @@ def test_manifest_lists_everyone_under_full_deferral(tmp_path):
     assert entries[1] == {"id": "b"}
 
 
-def test_manifest_is_written_atomically(tmp_path, monkeypatch):
+def test_manifest_is_written_atomically(tmp_path):
     records = [make_record("a", INSIDE, expert=INSIDE), make_record("b", INSIDE, expert=INSIDE)]
     path = tmp_path / "deferred.jsonl"
     path.write_text("previous\n")
-    real_dumps = json.dumps
-    written = []
-
-    def dumps_once(obj, **kwargs):
-        if written:
-            raise RuntimeError("disk full")
-        written.append(obj)
-        return real_dumps(obj, **kwargs)
-
-    monkeypatch.setattr(json, "dumps", dumps_once)
-    with pytest.raises(RuntimeError):
-        emit_deferrals(records, [0.8, 0.9], 0.1, path)
-    monkeypatch.undo()
-    assert written and path.read_text() == "previous\n"
+    # the second deferred id is no JSON string, so the write fails after the first line
+    unwritable = [records[0], make_record(object(), INSIDE, expert=INSIDE)]
+    with pytest.raises(TypeError):
+        emit_deferrals(unwritable, [0.8, 0.9], 0.1, path)
+    assert path.read_text() == "previous\n"
     assert [p.name for p in tmp_path.iterdir()] == ["deferred.jsonl"]
     assert emit_deferrals(records, [0.8, 0.9], 0.1, path) == ["a", "b"]
     assert path.read_text() == '{"id":"a"}\n{"id":"b"}\n'

@@ -7,7 +7,8 @@ import pytest
 
 from clickrisk import cli
 from clickrisk.density import build_density_map
-from clickrisk.records import SplitPlan, load_records, split
+from clickrisk.records import SplitPlan, load_records, serialize_records, split
+from clickrisk.synthgen import SynthConfig, generate_dataset
 from clickrisk.uq import variant_value
 
 
@@ -381,6 +382,15 @@ def test_synth_is_deterministic(tmp_path):
     assert run("--seed", 5, "synth", "--out", a, "--n-records", 30) == 0
     assert run("--seed", 5, "synth", "--out", b, "--n-records", 30) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("easy_fraction", [0.0, 0.6, 1.0])
+def test_synth_writes_the_generated_records_as_serialize_records_does(tmp_path, easy_fraction):
+    """The columns go out SCORE_CHUNK rows at a time; 600 records cross two chunk boundaries."""
+    out = tmp_path / "synth.jsonl"
+    assert run("--seed", 9, "synth", "--out", out, "--n-records", 600, "--easy-fraction", easy_fraction) == 0
+    records = generate_dataset(SynthConfig(n_records=600, easy_fraction=easy_fraction, seed=9))
+    assert out.read_text() == "".join(line + "\n" for line in serialize_records(records))
 
 
 def test_synth_and_guarantee_reject_the_same_bad_config(tmp_path, capsys):

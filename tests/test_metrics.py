@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from clickrisk.metrics import (
+    EvalReport,
     MetricError,
     _average_ranks,
     admission,
@@ -352,6 +353,19 @@ def test_metrics_reject_a_nan_uncertainty_naming_its_position(metric):
         metric([np.nan, 0.5, 0.2, np.nan], [0, 1, 0, 1])
     with pytest.raises(MetricError, match=r"^uncertainty at position 2 is NaN$"):
         metric(np.array([0.1, 0.5, np.nan, 0.3, np.nan]), [0, 1, 0, 1, 1])
+
+
+def test_evaluate_split_checks_its_pair_once(monkeypatch):
+    from clickrisk import metrics
+
+    calls = []
+    check = metrics._check_pair
+    monkeypatch.setattr(metrics, "_check_pair", lambda u, adm: calls.append(1) or check(u, adm))
+    u, adm = [0.1, 0.2, 0.6, 0.9, 0.4], [1, 1, 0, 1, 0]
+    report = evaluate_split(u, adm, 0.5)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert report == EvalReport(auroc(u, adm), auarc(u, adm), fdr_at(u, adm, 0.5), power_at(u, adm, 0.5), 3, 5)
 
 
 def test_aggregate_population_std():

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -10,15 +11,19 @@ import pytest
 
 from clickrisk.records import (
     SCORE_CHUNK,
+    Columns,
     GroundingRecord,
     RecordError,
     SplitError,
     SplitPlan,
+    _line,
     atomic_writer,
+    column_lines,
     load_records,
     mlg_column,
     parse_records,
     read_columns,
+    record_fields,
     record_from_obj,
     save_records,
     select_mlg,
@@ -361,6 +366,156 @@ def test_split_plan_validation():
         SplitPlan(calibration_ratio=1.0, seed=0).validate()
     with pytest.raises(SplitError):
         SplitPlan(calibration_ratio=0.5, seed=0, repetitions=0).validate()
+
+
+# --- column_lines: one %-format per line, the json.dumps line of the same fields --------
+
+# repr's edge cases: subnormal, largest, where repr switches to an exponent, integral, signed zero
+EDGE_FLOATS = [5e-324, 1.7976931348623157e308, 1e16, 9999999999999998.0, 1e-5, 1e-4, -0.0, 0.0, 3.0, 840.0,
+               0.1, 1 / 3, -2.5e-300, 123456789012345.67]
+AWKWARD_TEXT = ["plain", 'a "quote"', "back\\slash", "tab\tnew\nline\x00\x1f\x7f", "naïve 点击 \U0001f600", ""]
+
+
+def random_columns(rng, n, k):
+    """`Columns` of n records with k samples each: edge and random floats, and record i omitting the
+    optional fields (instruction, mlg, expert, pc, uq) whose bits are set in i % 32."""
+    def floats(*shape):
+        edge = rng.choice(EDGE_FLOATS, size=shape)
+        wide = rng.standard_normal(shape) * 10.0 ** rng.integers(-12, 20, size=shape)
+        integral = rng.integers(-10**6, 10**6, size=shape).astype(float)
+        return np.choose(rng.integers(0, 3, size=shape), [edge, wide, integral])
+
+    absent = [[bool(i % 32 & 1 << bit) for bit in range(5)] for i in range(n)]
+    optional = [floats(n, 2), floats(n, 2), floats(n), floats(n, 4)]
+    for column, bit in zip(optional, range(1, 5)):
+        column[[a[bit] for a in absent]] = math.nan
+    return Columns(
+        ids=[AWKWARD_TEXT[i % len(AWKWARD_TEXT)] + str(i) for i in range(n)],
+        instructions=[None if a[0] else AWKWARD_TEXT[i % len(AWKWARD_TEXT)] for i, a in enumerate(absent)],
+        dims=[(int(w), int(h)) for w, h in rng.integers(1, 2**40, size=(n, 2))],
+        boxes=floats(n, 4), points=floats(n * k, 2), offsets=np.arange(0, n * k + 1, k),
+        mlg=optional[0], expert=optional[1], pc=optional[2], uq=optional[3],
+    )
+
+
+def json_lines(c: Columns) -> list[str]:
+    """The oracle: `json.dumps` of each record's fields, an all-NaN row left out."""
+    def present(row):
+        return None if np.isnan(row).all() else row.tolist()
+
+    return [
+        _line(c.ids[i], *c.dims[i], c.instructions[i], c.boxes[i].tolist(),
+              c.points[c.offsets[i]:c.offsets[i + 1]].tolist(), present(c.mlg[i]), present(c.expert[i]),
+              present(c.pc[i]), present(c.uq[i]))
+        for i in range(len(c))
+    ]
+
+
+@pytest.mark.parametrize("k", [1, 7, 50])
+def test_column_lines_equal_the_json_dumps_lines(k):
+    rng = np.random.default_rng(k)
+    cols = random_columns(rng, 96, k)  # every combination of absent fields three times
+    got = list(column_lines(cols, cols.mlg, cols.uq))
+    assert got == json_lines(cols)
+    assert [json.loads(line)["id"] for line in got] == cols.ids
+
+
+def test_column_lines_write_each_edge_float_as_json_does():
+    for x in EDGE_FLOATS:
+        cols = Columns(["e"], [None], [(1, 1)], np.full((1, 4), x), np.full((1, 2), x), np.array([0, 1]),
+                       np.full((1, 2), x), np.full((1, 2), x), np.full(1, x), np.full((1, 4), x))
+        [line] = column_lines(cols, cols.mlg, cols.uq)
+        assert line == json_lines(cols)[0]
+        assert json.loads(line)["pc"] == x and math.copysign(1.0, json.loads(line)["pc"]) == math.copysign(1.0, x)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("mlg", [math.nan, 1.0]), ("expert", [math.inf, 1.0]), ("pc", math.inf), ("uq", [0.1, 0.2, math.nan, 0.4]),
+])
+def test_column_lines_reject_a_nonfinite_value_that_is_no_absent_row(field, value):
+    cols = random_columns(np.random.default_rng(0), 2, 3)
+    column = getattr(cols, field).copy()
+    column[1] = value
+    cols = dataclasses.replace(cols, **{field: column})
+    with pytest.raises(ValueError, match=f"^{field}: a row must be finite or all NaN$"):
+        list(column_lines(cols, cols.mlg, cols.uq))
+
+
+@pytest.mark.parametrize("field", ["boxes", "points"])
+def test_column_lines_reject_a_nonfinite_coordinate(field):
+    cols = random_columns(np.random.default_rng(0), 2, 3)
+    column = getattr(cols, field).copy()
+    column[1, 0] = math.inf
+    cols = dataclasses.replace(cols, **{field: column})
+    with pytest.raises(ValueError, match="^gt_box and samples must be finite$"):
+        list(column_lines(cols, cols.mlg, cols.uq))
+
+
+@pytest.mark.parametrize("n", [0, 1, SCORE_CHUNK, 2 * SCORE_CHUNK + 3])
+def test_save_records_writes_columns_as_the_json_dumps_lines(tmp_path, n):
+    cols = random_columns(np.random.default_rng(n), n, 2)
+    path = tmp_path / "cols.jsonl"
+    save_records(path, cols)
+    assert path.read_text() == "".join(line + "\n" for line in json_lines(cols))
+    assert len(cols) == n and list(column_lines(cols, cols.mlg, cols.uq)) == json_lines(cols)
+    assert len(cols.rows(max(n - 1, 0), n + 5)) == min(n, 1)
+
+
+# --- the line loop: one scanner call, json.loads' errors ----------------------------
+
+def json_loads_error(content: str) -> str:
+    """The oracle: the first error of a reader that decodes each stripped line with `json.loads`."""
+    for lineno, raw in enumerate(io.StringIO(content), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            return f"line {lineno}: invalid JSON: {exc.msg}"
+        except ValueError as exc:
+            return f"line {lineno}: unreadable number: {exc}"
+        try:
+            record_fields(obj)
+        except RecordError as exc:
+            return f"line {lineno}: {exc}"
+    raise AssertionError("every line reads")
+
+
+GOOD = json.dumps(dict(VALID, gt_box=[10.5, 10.0, 30.0, 30.25], uq={"ta": 0.1, "ie": 0.0, "cd": 0.0, "com": 0.5}))
+MALFORMED = {
+    "bom": "\ufeff" + GOOD,
+    "extra-data": GOOD + " {}",
+    "extra-text": GOOD + "x",
+    "two-objects": GOOD + GOOD,
+    "truncated": GOOD[:-7],
+    "unterminated-string": '{"id": "a',
+    "nan-literal": GOOD.replace("10.5", "NaN"),
+    "infinity-in-uq": GOOD.replace('"com": 0.5', '"com": -Infinity'),
+    "over-long-integer": GOOD.replace("10.5", "1" * 5000),
+    "null": "null",
+    "a-list": "[1, 2]",
+    "a-bare-word": "nope",
+    "a-number": "12",
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_a_malformed_line_fails_as_json_loads_says(case):
+    content = GOOD + "\n\n" + MALFORMED[case] + "\n" + GOOD.replace('"a"', '"b"') + "\n"
+    message = rejected(content)
+    assert message == json_loads_error(content)
+    assert message.startswith("line 3: ")
+
+
+def test_float_boxes_and_scores_read_as_their_converted_forms():
+    """The one-type-test paths give what the per-value conversions give."""
+    obj = json.loads(GOOD)
+    as_ints = dict(obj, gt_box=[10, 10, 30, 30], uq={"ta": 0, "ie": 1, "cd": 0, "com": 0.5})
+    fields, int_fields = record_fields(obj), record_fields(as_ints)
+    assert fields[4] == (10.5, 10.0, 30.0, 30.25) and fields[9] == (0.1, 0.0, 0.0, 0.5)
+    assert int_fields[4] == (10.0, 10.0, 30.0, 30.0) and int_fields[9] == (0.0, 1.0, 0.0, 0.5)
+    assert all(type(v) is float for v in int_fields[4] + int_fields[9])
 
 
 # --- atomic output ----------------------------------------------------------------
