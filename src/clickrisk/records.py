@@ -215,7 +215,7 @@ def _line(rec_id, width, height, instruction, gt_box, samples, mlg, expert, pc, 
     obj = {"id": rec_id, "image": {"w": width, "h": height}, "instruction": instruction, "gt_box": list(gt_box),
            "samples": [list(s) for s in samples], "mlg": mlg and list(mlg), "expert": expert and list(expert),
            "pc": pc, "uq": uq and dict(zip(UQ_KEYS, uq))}
-    return json.dumps({k: v for k, v in obj.items() if v is not None}, separators=(",", ":"))
+    return json.dumps({k: v for k, v in obj.items() if v is not None}, separators=(",", ":"), allow_nan=False)
 
 
 def _json_error(line: str, lineno: int) -> NoReturn:
@@ -266,10 +266,19 @@ def parse_records(stream: IO | Iterable[str | bytes]) -> list[GroundingRecord]:
 
 
 def serialize_records(records: Iterable[GroundingRecord]) -> Iterator[str]:
-    """Yield one JSON line per record (no trailing newline)."""
+    """Yield one JSON line per record (no trailing newline).
+
+    A NaN or infinite value is a ValueError naming the record, since no
+    JSON number can hold it (and `load_records` would reject the line).
+    """
     for r in records:
         uq = None if r.uq is None else [r.uq[k] for k in UQ_KEYS]
-        yield _line(r.id, r.image_width, r.image_height, r.instruction, r.gt_box, r.samples, r.mlg, r.expert, r.pc, uq)
+        try:
+            line = _line(r.id, r.image_width, r.image_height, r.instruction, r.gt_box, r.samples, r.mlg, r.expert,
+                         r.pc, uq)
+        except ValueError as exc:
+            raise ValueError(f"record {r.id!r}: {exc}") from None
+        yield line
 
 
 def load_records(path) -> list[GroundingRecord]:

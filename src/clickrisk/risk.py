@@ -258,10 +258,10 @@ def threshold_candidates(
     order = np.argsort(u, kind="stable")
     u_sorted = u[order]
     err_cum = np.cumsum(err[order])
-    # index of the last occurrence of each unique candidate value
-    candidates, last_idx = np.unique(u_sorted[::-1], return_index=True)
-    last_idx = u.size - 1 - last_idx
-    return candidates, last_idx + 1, err_cum[last_idx]
+    # the last index of each group of equal values; the NaNs, sorted last, form one group
+    ends = (u_sorted[1:] != u_sorted[:-1]) & ~np.isnan(u_sorted[:-1])
+    last_idx = np.flatnonzero(np.append(ends, u.size > 0))
+    return u_sorted[last_idx], last_idx + 1, err_cum[last_idx]
 
 
 def calibrate_threshold(

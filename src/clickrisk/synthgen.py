@@ -106,7 +106,11 @@ def generate_arrays(config: SynthConfig = SynthConfig()) -> Columns:
     is_easy[:n_easy] = True
     rng.shuffle(is_easy)
 
-    uniform, random, integers = rng.uniform, rng.random, rng.integers
+    # Every uniform draw is `uniform`'s own formula, low + (high - low) * random(),
+    # on the same stream: the same floats at a fifth of a scalar `uniform`'s cost
+    # (so an expert's x_max - x_min stays as it is; it need not round to `box`).
+    random, integers = rng.random, rng.integers
+    span = size - box
     draws = np.empty((n, 2 * k))  # each record's angle and radius draws, in draw order
     easy_draws, hard_draws = draws.reshape(n, 2, k), draws.reshape(n, k, 2)
     corners: list[tuple[float, float]] = []
@@ -114,8 +118,8 @@ def generate_arrays(config: SynthConfig = SynthConfig()) -> Columns:
     picks: list[np.ndarray] = []  # and the cluster of each of its samples
     experts: list[tuple[float, float]] = []
     for i, easy in enumerate(is_easy.tolist()):
-        x_min = uniform(0.0, size - box)
-        y_min = uniform(0.0, size - box)
+        x_min = span * random()
+        y_min = span * random()
         corners.append((x_min, y_min))
         if easy:
             # tight cloud strictly inside the box; every angle is drawn before any radius
@@ -123,16 +127,17 @@ def generate_arrays(config: SynthConfig = SynthConfig()) -> Columns:
         else:
             # several clusters scattered over the screen; each sample's draws are adjacent
             n_clusters = int(integers(2, 5))
-            clusters.append(uniform(0.0, size, size=(n_clusters, 2)))
+            clusters.append(size * random((n_clusters, 2)))
             picks.append(integers(0, n_clusters, size=k))
             random(out=hard_draws[i])
 
         if random() < config.expert_accuracy:
-            experts.append((uniform(x_min, x_min + box), uniform(y_min, y_min + box)))
+            x_max, y_max = x_min + box, y_min + box
+            experts.append((x_min + (x_max - x_min) * random(), y_min + (y_max - y_min) * random()))
         else:
             gt_box = (x_min, y_min, x_min + box, y_min + box)
             while True:
-                candidate = (uniform(0.0, size), uniform(0.0, size))
+                candidate = (size * random(), size * random())
                 if not admission(candidate, gt_box):
                     experts.append(candidate)
                     break

@@ -176,7 +176,8 @@ def _score(scores: Sequence[float], config: UqConfig) -> tuple[float, float, flo
     ta = top_ambiguity(scores, config.epsilon)
     ie = info_dispersion(probs, config.epsilon)
     cd = concentration_deficit(probs)
-    return ta, ie, cd, combine(cd, ie, ta, config.weights)
+    w_cd, w_ie, w_ta = config.weights  # checked when the config was built
+    return ta, ie, cd, w_cd * cd + w_ie * ie + w_ta * ta
 
 
 def score_record(record: GroundingRecord, config: UqConfig = UqConfig()) -> UncertaintyScore:

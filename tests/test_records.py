@@ -520,6 +520,24 @@ def test_float_boxes_and_scores_read_as_their_converted_forms():
 
 # --- atomic output ----------------------------------------------------------------
 
+@pytest.mark.parametrize("overrides", [
+    {"mlg": (math.nan, 3.0)},
+    {"uq": {"ta": math.inf, "ie": 0.1, "cd": 0.2, "com": 0.3}},
+    {"pc": -math.inf},
+], ids=["nan-mlg", "inf-uq", "inf-pc"])
+def test_a_non_finite_field_is_refused_before_the_file_changes(tmp_path, overrides):
+    # a NaN/Infinity literal is not JSON and the readers reject it, so it is never written
+    path = tmp_path / "out.jsonl"
+    path.write_text("previous\n")
+    records = [make_record(rec_id="good"), make_record(rec_id="bad", **overrides)]
+    with pytest.raises(ValueError, match="record 'bad': Out of range float values are not JSON compliant"):
+        list(serialize_records(records))
+    with pytest.raises(ValueError, match="record 'bad'"):
+        save_records(path, records)
+    assert path.read_text() == "previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+
+
 def test_save_records_replaces_the_file_only_when_complete(tmp_path):
     path = tmp_path / "out.jsonl"
     path.write_text("previous\n")

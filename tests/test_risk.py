@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from clickrisk import risk, special
+from clickrisk.metrics import admissions
+from clickrisk.records import UQ_KEYS, mlg_column
 from clickrisk.risk import (
     CalibrationOutcome,
     RiskError,
@@ -13,7 +15,10 @@ from clickrisk.risk import (
     cp_upper_bound,
     critical_counts,
     empirical_fdr,
+    threshold_candidates,
 )
+from clickrisk.synthgen import SynthConfig, generate_arrays
+from clickrisk.uq import UqConfig, score_columns
 
 
 def binom_cdf(k, n, p):
@@ -238,6 +243,28 @@ def test_a_cold_table_takes_a_handful_of_incomplete_betas(cold, monkeypatch):
     assert 0 < len(calls) <= 200
 
 
+def test_a_trace_quantile_takes_about_ten_incomplete_betas(monkeypatch):
+    # the bisection took 40 per trace point; Newton locates its cell in far fewer
+    batch = generate_arrays(SynthConfig(n_records=5000, seed=3))
+    u = score_columns(batch.points, batch.offsets, batch.dims, UqConfig(), {})[:, UQ_KEYS.index("com")]
+    err = ~admissions(mlg_column(batch, 3), batch.boxes)
+    spec = RiskSpec(alpha=0.2, delta=0.05)
+    critical_counts(u.size, spec.alpha, spec.delta)  # the table is counted elsewhere
+    calls = []
+    real = special.betainc
+
+    def counted(a, b, x):
+        calls.append(x)
+        return real(a, b, x)
+
+    monkeypatch.setattr(risk, "betainc", counted)
+    monkeypatch.setattr(special, "betainc", counted)
+    risk._cp_upper_cached.cache_clear()
+    outcome = calibrate_threshold(u, err, spec)
+    assert len(outcome.trace) > 100
+    assert len(calls) <= 12 * len(outcome.trace)
+
+
 # --- empirical_fdr -------------------------------------------------------------
 
 def test_fdr_direct_count():
@@ -261,6 +288,34 @@ def test_fdr_rejects_mismatched_lengths():
         empirical_fdr([0.1, 0.2], [1], 0.5)
     with pytest.raises(RiskError):
         empirical_fdr([0.1], [2], 0.5)
+
+
+# --- threshold_candidates --------------------------------------------------------
+
+def unique_candidates(u, err):
+    """Each tie group's end by `np.unique` of the reversed sort: the oracle of the one-sort version."""
+    order = np.argsort(u, kind="stable")
+    u_sorted = u[order]
+    err_cum = np.cumsum(err[order])
+    candidates, last_idx = np.unique(u_sorted[::-1], return_index=True)
+    last_idx = u.size - 1 - last_idx
+    return candidates, last_idx + 1, err_cum[last_idx]
+
+
+def test_threshold_candidates_equal_the_unique_oracle():
+    rng = np.random.default_rng(17)
+    cases = [np.array([0.3]), np.full(7, 0.25), np.array([0.0, -0.0, 0.0, -0.0]), np.array([-0.0, 0.0]),
+             np.array([0.2, np.nan, 0.1, np.nan, 0.2]), np.full(3, np.nan), np.array([np.nan]), np.array([])]
+    for _ in range(300):
+        n = int(rng.integers(1, 60))
+        cases.append(rng.choice([-0.0, 0.0, 0.5, 1.0, -1.0, np.nan], size=n))  # signed zeros, ties, NaN
+        cases.append(np.round(rng.random(n), 1))
+    for u in cases:
+        flags = rng.random(u.size) < 0.4
+        for err in (flags, flags.astype(np.int64)):
+            got, want = threshold_candidates(u, err), unique_candidates(u, err)
+            # the same arrays and dtypes, byte for byte: a signed zero keeps its sign
+            assert [(a.dtype, a.tobytes()) for a in got] == [(a.dtype, a.tobytes()) for a in want]
 
 
 # --- calibrate_threshold ---------------------------------------------------------

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import math
 import re
 from dataclasses import replace
@@ -222,26 +223,29 @@ def per_record_dataset(config):
     return records
 
 
-@pytest.mark.parametrize("k", [1, 10, 50])
+@pytest.mark.parametrize("k", [1, 7, 10, 50])
 @pytest.mark.parametrize("easy_fraction", [0.0, 0.6, 1.0])
 def test_columnar_generator_equals_the_per_record_one(k, easy_fraction):
-    cfg = SynthConfig(n_records=120, k_samples=k, easy_fraction=easy_fraction, expert_accuracy=0.5, seed=k)
-    batch = generate_arrays(cfg)
-    from_arrays = [
-        GroundingRecord(
-            id=f"synth-{i:05d}", image_width=w, image_height=h, instruction=f"locate target {i}",
-            gt_box=tuple(batch.boxes[i].tolist()),
-            samples=tuple(map(tuple, batch.points[batch.offsets[i] : batch.offsets[i + 1]].tolist())),
-            expert=tuple(batch.expert[i].tolist()),
-        )
-        for i, (w, h) in enumerate(batch.dims)
-    ]
-    records = generate_dataset(cfg)
-    expected = per_record_dataset(cfg)
-    for got, built, want in zip(records, from_arrays, expected, strict=True):
-        for f in dataclasses.fields(GroundingRecord):
-            assert getattr(got, f.name) == getattr(built, f.name) == getattr(want, f.name), f.name
-    assert batch.offsets.tolist() == list(range(0, 120 * k + 1, k))
+    # the second image is barely larger than its box, so most inaccurate experts are redrawn many times
+    for expert_accuracy, (image_size, box_size) in itertools.product((0.0, 0.5, 0.85, 1.0), ((840, 120), (200, 196))):
+        cfg = SynthConfig(n_records=120, k_samples=k, image_size=image_size, box_size=box_size,
+                          easy_fraction=easy_fraction, expert_accuracy=expert_accuracy, seed=k)
+        batch = generate_arrays(cfg)
+        from_arrays = [
+            GroundingRecord(
+                id=f"synth-{i:05d}", image_width=w, image_height=h, instruction=f"locate target {i}",
+                gt_box=tuple(batch.boxes[i].tolist()),
+                samples=tuple(map(tuple, batch.points[batch.offsets[i] : batch.offsets[i + 1]].tolist())),
+                expert=tuple(batch.expert[i].tolist()),
+            )
+            for i, (w, h) in enumerate(batch.dims)
+        ]
+        records = generate_dataset(cfg)
+        expected = per_record_dataset(cfg)
+        for got, built, want in zip(records, from_arrays, expected, strict=True):
+            for f in dataclasses.fields(GroundingRecord):
+                assert getattr(got, f.name) == getattr(built, f.name) == getattr(want, f.name), f.name
+        assert batch.offsets.tolist() == list(range(0, 120 * k + 1, k))
 
 
 def test_guarantee_admission_from_arrays_equals_the_per_record_rule():
