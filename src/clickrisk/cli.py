@@ -28,15 +28,15 @@ from .records import (
     RecordError,
     SplitPlan,
     atomic_writer,
-    column_lines,
     mlg_column,
     read_columns,
     save_records,
     split_indices,
+    write_columns,
 )
 from .density import occupied_patches
 from .risk import CalibrationOutcome, RiskSpec, calibrate_threshold
-from .synthgen import SynthConfig, generate_arrays, run_guarantee_trials
+from .synthgen import SynthConfig, generate_chunks, run_guarantee_trials
 from .uq import (
     VARIANTS,
     WEIGHT_PRESETS,
@@ -300,7 +300,7 @@ def cmd_score(args) -> int:
     with atomic_writer(args.output) as fh:
         for chunk in _read(args.input):  # a chunk at a time: read, score, write
             scores = score_columns(chunk.points, chunk.offsets, chunk.dims, uq_cfg, memo)
-            fh.writelines(line + "\n" for line in column_lines(chunk, mlg_column(chunk, args.seed), scores))
+            write_columns(fh, chunk, mlg_column(chunk, args.seed), scores)
             n_records += len(chunk)
             for rec_id in chunk.ids if args.dump_density else ():
                 name = _dump_name(rec_id)
@@ -592,10 +592,27 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+class _Generated:
+    """A synthetic dataset as `generate_chunks` draws it, one chunk at a time on each pass.
+
+    Sized like any collection `save_records` is given (bench/spans.py
+    counts the records saved by `len`), without holding the records.
+    """
+
+    def __init__(self, config: SynthConfig):
+        self.config = config
+
+    def __len__(self) -> int:
+        return self.config.n_records
+
+    def __iter__(self) -> Iterator[Columns]:
+        return generate_chunks(self.config)
+
+
 def cmd_synth(args) -> int:
-    batch = generate_arrays(_synth_config(args))
-    save_records(args.out, batch)
-    print(f"generated {len(batch)} records -> {args.out}")
+    records = _Generated(_synth_config(args))
+    save_records(args.out, records)  # each chunk is written before the next is drawn
+    print(f"generated {len(records)} records -> {args.out}")
     return 0
 
 

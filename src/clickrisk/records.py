@@ -401,6 +401,11 @@ def column_lines(chunk: Columns, mlg: np.ndarray, uq: np.ndarray) -> Iterator[st
         yield fmt % (encode(rec_id), width, height, *instruction, *box, *coords[a:b], *click, *expert, *pc, *score)
 
 
+def write_columns(fh: IO[str], chunk: Columns, mlg: np.ndarray, uq: np.ndarray) -> None:
+    """Write `column_lines(chunk, mlg, uq)` to `fh`, one line each."""
+    fh.writelines(line + "\n" for line in column_lines(chunk, mlg, uq))
+
+
 @contextlib.contextmanager
 def atomic_writer(path) -> Iterator[IO[str]]:
     """Text handle on a temporary file that replaces `path` on a clean exit.
@@ -425,19 +430,27 @@ def atomic_writer(path) -> Iterator[IO[str]]:
         raise
 
 
-def save_records(path, records: Iterable[GroundingRecord] | Columns) -> None:
+def save_records(path, records: Iterable[GroundingRecord] | Iterable[Columns] | Columns) -> None:
     """Write one JSON line per record, atomically (see `atomic_writer`).
 
-    `Columns` go through `column_lines`, SCORE_CHUNK rows at a time so that
-    its Python lists stay small; records through `serialize_records`.
+    `records` is records, one `Columns`, or consecutive `Columns` chunks,
+    drawn one at a time while the file is written. Columns go through
+    `write_columns`, at most SCORE_CHUNK rows at a time so that its Python
+    lists stay small; records through `serialize_records`.
     """
+    if isinstance(records, Columns):
+        whole = records
+        records = (whole.rows(start, start + SCORE_CHUNK) for start in range(0, len(whole), SCORE_CHUNK))
     with atomic_writer(path) as fh:
-        if isinstance(records, Columns):
-            for start in range(0, len(records), SCORE_CHUNK):
-                chunk = records.rows(start, start + SCORE_CHUNK)
-                fh.writelines(line + "\n" for line in column_lines(chunk, chunk.mlg, chunk.uq))
+        items = iter(records)
+        first = next(items, None)
+        if first is None:
             return
-        for line in serialize_records(records):
+        if isinstance(first, Columns):
+            for chunk in itertools.chain([first], items):
+                write_columns(fh, chunk, chunk.mlg, chunk.uq)
+            return
+        for line in serialize_records(itertools.chain([first], items)):
             fh.write(line)
             fh.write("\n")
 

@@ -74,8 +74,8 @@ def betainc(a: float, b: float, x: float) -> float:
 
     Equals the CDF of a Beta(a, b) variate evaluated at x.
     """
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError(f"shape parameters must be positive, got a={a}, b={b}")
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):  # NaN fails both comparisons
+        raise ValueError(f"shape parameters must be positive and finite, got a={a}, b={b}")
     if x <= 0.0:
         return 0.0
     if x >= 1.0:

@@ -6,22 +6,24 @@ uncertainty, admissible predictions) and "hard" records whose samples are
 spread over several clusters straddling the screen (fragmented regions,
 high uncertainty, mostly inadmissible predictions). Sample noise is
 isotropic with bounded support (uniform in a disc), truncated to the
-image. The guarantee harness redraws dataset and split each trial,
-calibrates a threshold, and counts trials whose test FDR exceeds the
-target level.
+image. `generate_chunks` draws a dataset SCORE_CHUNK records at a time,
+so `synth` and the guarantee harness hold one chunk of samples whatever
+the dataset's size. The guarantee harness redraws dataset and split each
+trial, calibrates a threshold, and counts trials whose test FDR exceeds
+the target level.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .engine import run_splits
 from .metrics import admission, admissions
-from .records import UQ_KEYS, Columns, GroundingRecord, SplitPlan, mlg_column
+from .records import SCORE_CHUNK, UQ_KEYS, Columns, GroundingRecord, SplitPlan, mlg_column
 from .risk import RiskSpec
 from .uq import UqConfig, score_columns
 
@@ -87,24 +89,34 @@ def _record_id(i: int) -> str:
     return f"synth-{i:05d}"
 
 
-def generate_arrays(config: SynthConfig = SynthConfig()) -> Columns:
-    """Deterministic synthetic dataset with the configured easy/hard mix, as `records.Columns`.
+def generate_chunks(config: SynthConfig = SynthConfig()) -> Iterator[Columns]:
+    """Deterministic synthetic dataset with the configured easy/hard mix, SCORE_CHUNK records per `Columns`.
 
-    The draws are made record by record, in a fixed order that fixes every
-    dataset (tests pin digests): the box corner, then the samples' draws,
-    then the expert's. Each sample is uniform in a disc around its centre,
-    from one angle and one radius draw; the raw draws are kept in arrays
-    and the disc arithmetic runs once over the whole dataset. The ids are
-    synth-00000, synth-00001, ...; no record has an mlg, pc or uq.
+    The draws are made in a fixed order that fixes every dataset (tests
+    pin digests): which records are easy, for the whole dataset (one byte
+    per record, the only state kept from chunk to chunk); then, record by
+    record, the box corner, the samples' draws and the expert's. Each
+    sample is uniform in a disc around its centre, from one angle and one
+    radius draw; a chunk's raw draws are kept in arrays and the disc
+    arithmetic runs once over the chunk. The ids are synth-00000,
+    synth-00001, ... across chunks; no record has an mlg, pc or uq. Every
+    chunk continues the stream where the one before it left off, so each
+    is drawn when it is asked for.
     """
     rng = np.random.default_rng(config.seed)
-    n, k = config.n_records, config.k_samples
+    n = config.n_records
+    is_easy = np.zeros(n, dtype=bool)
+    is_easy[: round(config.easy_fraction * n)] = True
+    rng.shuffle(is_easy)
+    for start in range(0, n, SCORE_CHUNK):
+        yield _chunk(config, rng, is_easy[start : start + SCORE_CHUNK], start)
+
+
+def _chunk(config: SynthConfig, rng: np.random.Generator, is_easy: np.ndarray, start: int) -> Columns:
+    """Records start, start + 1, ..., one per entry of `is_easy`, drawn from `rng` in `generate_chunks`' order."""
+    n, k = len(is_easy), config.k_samples
     size = float(config.image_size)
     box = float(config.box_size)
-    n_easy = round(config.easy_fraction * n)
-    is_easy = np.zeros(n, dtype=bool)
-    is_easy[:n_easy] = True
-    rng.shuffle(is_easy)
 
     # Every uniform draw is `uniform`'s own formula, low + (high - low) * random(),
     # on the same stream: the same floats at a fifth of a scalar `uniform`'s cost
@@ -148,7 +160,7 @@ def generate_arrays(config: SynthConfig = SynthConfig()) -> Columns:
     if clusters:
         first = np.cumsum([0] + [len(c) for c in clusters[:-1]])  # each record's first row in the stack
         points[~is_easy] = np.concatenate(clusters)[np.array(picks) + first[:, None]]
-    # the disc arithmetic, once for all samples and in place where it can be
+    # the disc arithmetic, once for the chunk's samples and in place where it can be
     hard_draws[is_easy] = easy_draws[is_easy].transpose(0, 2, 1)  # every record as (angle, radius) pairs
     angles = hard_draws[:, :, 0] * (2.0 * math.pi)
     radii = np.sqrt(hard_draws[:, :, 1])
@@ -160,8 +172,8 @@ def generate_arrays(config: SynthConfig = SynthConfig()) -> Columns:
     shift *= radii
     points[:, :, 1] += shift
     return Columns(
-        ids=[_record_id(i) for i in range(n)],
-        instructions=[f"locate target {i}" for i in range(n)],
+        ids=[_record_id(i) for i in range(start, start + n)],
+        instructions=[f"locate target {i}" for i in range(start, start + n)],
         dims=[(config.image_size, config.image_size)] * n,
         boxes=np.concatenate([low, low + box], axis=1),
         points=np.clip(points, 0.0, size, out=points).reshape(n * k, 2),
@@ -173,26 +185,48 @@ def generate_arrays(config: SynthConfig = SynthConfig()) -> Columns:
     )
 
 
+def generate_arrays(config: SynthConfig = SynthConfig()) -> Columns:
+    """`generate_chunks` as one `Columns`: the chunks joined, or a lone chunk as it is."""
+    chunks = list(generate_chunks(config))
+    if len(chunks) == 1:
+        return chunks[0]
+    n, k = config.n_records, config.k_samples
+    return Columns(
+        ids=[rec_id for c in chunks for rec_id in c.ids],
+        instructions=[text for c in chunks for text in c.instructions],
+        dims=[dims for c in chunks for dims in c.dims],
+        boxes=np.concatenate([c.boxes for c in chunks]),
+        points=np.concatenate([c.points for c in chunks]),
+        offsets=np.arange(0, n * k + 1, k),
+        mlg=np.concatenate([c.mlg for c in chunks]),
+        expert=np.concatenate([c.expert for c in chunks]),
+        pc=np.concatenate([c.pc for c in chunks]),
+        uq=np.concatenate([c.uq for c in chunks]),
+    )
+
+
 def generate_dataset(config: SynthConfig = SynthConfig()) -> list[GroundingRecord]:
-    """`generate_arrays` as records."""
-    batch = generate_arrays(config)
+    """`generate_chunks` as records."""
     k = config.k_samples
-    # tuples built straight from flat lists of floats, so no per-row list is made and dropped
-    xy = iter(batch.points.ravel().tolist())
-    samples = tuple(zip(xy, xy))
-    boxes, experts = zip(*batch.boxes.T.tolist()), zip(*batch.expert.T.tolist())
-    return [
-        GroundingRecord(
-            id=rec_id,
-            image_width=config.image_size,
-            image_height=config.image_size,
-            instruction=instruction,
-            gt_box=box,
-            samples=samples[i * k : (i + 1) * k],
-            expert=expert,
+    records = []
+    for chunk in generate_chunks(config):
+        # tuples built straight from flat lists of floats, so no per-row list is made and dropped
+        xy = iter(chunk.points.ravel().tolist())
+        samples = tuple(zip(xy, xy))
+        boxes, experts = zip(*chunk.boxes.T.tolist()), zip(*chunk.expert.T.tolist())
+        records += (
+            GroundingRecord(
+                id=rec_id,
+                image_width=config.image_size,
+                image_height=config.image_size,
+                instruction=instruction,
+                gt_box=box,
+                samples=samples[i * k : (i + 1) * k],
+                expert=expert,
+            )
+            for i, (rec_id, instruction, box, expert) in enumerate(zip(chunk.ids, chunk.instructions, boxes, experts))
         )
-        for i, (rec_id, instruction, box, expert) in enumerate(zip(batch.ids, batch.instructions, boxes, experts))
-    ]
+    return records
 
 
 def _trial_seed(seed: int, trial: int) -> int:
@@ -225,14 +259,19 @@ def run_guarantee_trials(
     uq_cfg = UqConfig()
 
     memo: dict = {}  # the trials' datasets repeat ranked-score tuples; scored once per call
+    com = UQ_KEYS.index("com")
     violations = 0
     infeasible = 0
     outcomes: list[TrialOutcome] = []
     for t in range(trials):
         seed_t = _trial_seed(config.seed, t)
-        batch = generate_arrays(replace(config, seed=seed_t))
-        u = score_columns(batch.points, batch.offsets, batch.dims, uq_cfg, memo)[:, UQ_KEYS.index("com")]
-        adm = admissions(mlg_column(batch, seed_t), batch.boxes)
+        # a chunk at a time: only each record's uncertainty and admissibility outlive its chunk
+        scored = [
+            (score_columns(chunk.points, chunk.offsets, chunk.dims, uq_cfg, memo)[:, com],
+             admissions(mlg_column(chunk, seed_t), chunk.boxes))
+            for chunk in generate_chunks(replace(config, seed=seed_t))
+        ]
+        u, adm = (np.concatenate(column) for column in zip(*scored))
         [(_, [counts])] = run_splits(u, adm, replace(plan, seed=seed_t), [spec.alpha], spec.delta)
         if counts is None:
             infeasible += 1

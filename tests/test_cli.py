@@ -1,13 +1,16 @@
+import contextlib
+import io
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from clickrisk import cli
+from clickrisk import cli, synthgen
 from clickrisk.density import build_density_map
-from clickrisk.records import SplitPlan, load_records, serialize_records, split
+from clickrisk.records import SCORE_CHUNK, SplitPlan, load_records, serialize_records, split
 from clickrisk.synthgen import SynthConfig, generate_dataset
 from clickrisk.uq import variant_value
 
@@ -400,6 +403,49 @@ def test_synth_and_guarantee_reject_the_same_bad_config(tmp_path, capsys):
     assert run("guarantee", "--trials", 2, "--box-size", 900) == 1
     assert capsys.readouterr().err == synth_err == "error: box_size must be smaller than image_size\n"
     assert not out.exists()
+
+
+def test_a_failed_synth_leaves_the_output_as_it_was(tmp_path, monkeypatch, capsys):
+    """Chunks are written as they are drawn, so a failure after the first must still change nothing."""
+    out = tmp_path / "synth.jsonl"
+    out.write_bytes(b"the previous file\n")
+    generate = synthgen.generate_chunks
+
+    def one_chunk_then_fail(config):
+        chunks = generate(config)
+        yield next(chunks)
+        raise ValueError("generator failed")
+
+    monkeypatch.setattr(cli, "generate_chunks", one_chunk_then_fail)
+    assert run("synth", "--out", out, "--n-records", 3 * SCORE_CHUNK) == 1
+    assert capsys.readouterr().err == "error: generator failed\n"
+    assert out.read_bytes() == b"the previous file\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["synth.jsonl"]  # no .tmp-*.part left
+
+
+def traced_peak(*argv) -> int:
+    """Peak bytes that Python allocates while `cli.main` runs `argv`, by tracemalloc (the same on any host)."""
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(*argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("command", [["synth", "--out", "synth.jsonl"], ["guarantee", "--trials", 1]])
+def test_synth_and_guarantee_memory_stays_flat_in_the_record_count(tmp_path, monkeypatch, command):
+    """Both hold one SCORE_CHUNK of samples: ten times the records costs no more than a few bytes each."""
+    monkeypatch.chdir(tmp_path)
+    small, large = 4 * SCORE_CHUNK, 40 * SCORE_CHUNK
+    traced_peak(*command, "--n-records", small)  # first-use allocations (imports, caches) out of the way
+    small_peak = traced_peak(*command, "--n-records", small)
+    large_peak = traced_peak(*command, "--n-records", large)
+    if command[0] == "synth":
+        assert large_peak <= 1.25 * small_peak
+    else:  # only each record's uncertainty, admissibility and split indices outlive its chunk
+        assert (large_peak - small_peak) / (large - small) < 100
 
 
 def test_sweep_rejects_an_empty_input(tmp_path, capsys):

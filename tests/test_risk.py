@@ -127,7 +127,7 @@ def test_bound_at_most_equals_bisected_bound_on_the_full_small_grid():
     assert mismatches == []
 
 
-def test_bound_at_most_equals_bisected_bound_around_the_critical_count():
+def test_bound_at_most_equals_bisected_bound_around_the_critical_count(cold):
     mismatches = []
     for delta in GRID_DELTAS:
         for alpha in GRID_ALPHAS:

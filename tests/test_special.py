@@ -81,6 +81,19 @@ def test_betainc_rejects_bad_shapes():
         betainc(1.0, -2.0, 0.5)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("which", ["a", "b"])
+def test_non_finite_shapes_are_rejected_at_once(bad, which):
+    # NaN passes a `<= 0` test and spun the continued fraction into an ArithmeticError;
+    # an infinite shape reached log_beta's domain error
+    a, b = (bad, 2.0) if which == "a" else (2.0, bad)
+    message = "shape parameters must be positive and finite"
+    with pytest.raises(ValueError, match=message):
+        betainc(a, b, 0.3)
+    with pytest.raises(ValueError, match=message):
+        beta_quantile(0.95, a, b)
+
+
 def test_beta_quantile_inverts_cdf():
     rng = np.random.default_rng(5)
     for _ in range(200):

@@ -11,10 +11,12 @@ import pytest
 from clickrisk import synthgen
 from clickrisk.metrics import admission, admissions
 from clickrisk.records import (
-    GroundingRecord, SplitError, SplitPlan, mlg_index, select_mlg, serialize_records, split,
+    SCORE_CHUNK, GroundingRecord, SplitError, SplitPlan, mlg_index, select_mlg, serialize_records, split,
 )
 from clickrisk.risk import RiskSpec, calibrate_threshold
-from clickrisk.synthgen import SynthConfig, _trial_seed, generate_arrays, generate_dataset, run_guarantee_trials
+from clickrisk.synthgen import (
+    SynthConfig, _trial_seed, generate_arrays, generate_chunks, generate_dataset, run_guarantee_trials,
+)
 from clickrisk.uq import score_record
 
 
@@ -101,11 +103,67 @@ def test_guarantee_trials_keep_their_digest():
     assert digest == "2542f64cb95e319bc63b7d8b685de79c516ff3bd6bf63e8293359583217d64c9"
 
 
+def columns_digest(batch):
+    """sha256 of every field of a `Columns`, the arrays by their bytes."""
+    h = hashlib.sha256(repr((batch.ids, batch.instructions, batch.dims)).encode())
+    for a in (batch.boxes, batch.points, batch.offsets.astype(np.int64), batch.mlg, batch.expert, batch.pc, batch.uq):
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+# Recorded before the generator drew its samples a chunk at a time: datasets just
+# below, at and above one SCORE_CHUNK (256) and across two boundaries. With
+# easy_fraction 1 no chunk has a hard record, so none has cluster centres.
+@pytest.mark.parametrize("n, k, easy_fraction, digest", [
+    (255, 1, 0.0, "53d9a4019c2682534646f4372c2f9247d4c384632a32b8909cf76557da4f67bc"),
+    (255, 1, 1.0, "dfa339787c3519061f042603d074d09c7b1ee46781ccfe02d8939e3dc1b11a7f"),
+    (255, 7, 0.0, "46a49168304d3dbac0f7eafa03bdc90c6f7226c8fb048197986ee62c64b4a9fc"),
+    (255, 7, 1.0, "5d4f08ac6fa2b97ff998e58ea9ca2d6c0ac939d207ecef2f3da7afab8421a110"),
+    (256, 1, 0.0, "9fa7423a6abace7e6b155a4a48717634e379cf21f1863e8d7446383f029804b3"),
+    (256, 1, 1.0, "15c5ed509ec23c20bdbf6f4203e8797bc5e40d16a2fc9711ce2184b2d6669b8b"),
+    (256, 7, 0.0, "4f87dd220da59a6357363532902a0a105fec7e1679d1360c06a0788b38e6917c"),
+    (256, 7, 1.0, "b094b3fdc02d226ea9edd8ce9caf0310ad3e6653eb1578be988f7e229a5863b8"),
+    (257, 1, 0.0, "591013171ad136da2a2ad26b79f48feb71b42f471fb8bdcfd7fbb7649ec0e5e3"),
+    (257, 1, 1.0, "595c2bb4ddad65a030cc04302cb78c293971ddc7fa43be0ef5a0a1d635246c96"),
+    (257, 7, 0.0, "16975d0247a6fdc2aeb4c08d83289600799eb667bfd58eabefa21df7017481f1"),
+    (257, 7, 1.0, "6ca5a8cc87b7461ce071cea635eb307b7eaf1499052b5b59e9a22eba010f4844"),
+    (513, 1, 0.0, "8af9ef9a5ba2f805f2a8d52d581db024ec0744ff5ed5b7f347d09058fccced11"),
+    (513, 1, 1.0, "b33a1d9c927557f5fee111660a76e2035aacfc85c0debaa7e237d6cc1d1a5585"),
+    (513, 7, 0.0, "df1a5384120bc9a3ec2dacd9c2d294c8f45acc5f10021f1f8a2ba55489f8e8be"),
+    (513, 7, 1.0, "8af6311ab6802c5f39282f0dfa40d21fa1c8edb38b3fa6489ff560b096795ba2"),
+])
+def test_datasets_across_chunk_boundaries_keep_their_digests(n, k, easy_fraction, digest):
+    cfg = SynthConfig(n_records=n, k_samples=k, easy_fraction=easy_fraction, seed=n + k)
+    assert columns_digest(generate_arrays(cfg)) == digest
+
+
+def test_guarantee_trials_across_chunk_boundaries_keep_their_digest():
+    # 600 records a trial: three chunks, scored and judged chunk by chunk
+    result, outcomes = run_guarantee_trials(SynthConfig(n_records=600, seed=12), alpha=0.1, delta=0.3, trials=6)
+    assert (result.violations, result.infeasible) == (1, 0)
+    digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
+    assert digest == "c1a480e0415df373720bac48e7376ef343dd24a3442d3e3fb7c8b452c1239876"
+
+
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 513])
+def test_chunks_hold_at_most_score_chunk_records_and_join_to_the_arrays(n):
+    cfg = SynthConfig(n_records=n, k_samples=3, seed=n)
+    chunks = list(generate_chunks(cfg))
+    assert [len(c) for c in chunks] == [min(SCORE_CHUNK, n - start) for start in range(0, n, SCORE_CHUNK)]
+    for c in chunks:
+        assert c.offsets.tolist() == list(range(0, 3 * len(c) + 1, 3)) and len(c.points) == 3 * len(c)
+    batch = generate_arrays(cfg)
+    assert [rec_id for c in chunks for rec_id in c.ids] == batch.ids == [f"synth-{i:05d}" for i in range(n)]
+    assert np.array_equal(np.concatenate([c.points for c in chunks]), batch.points)
+    if n <= SCORE_CHUNK:
+        assert columns_digest(chunks[0]) == columns_digest(batch)
+
+
 def test_guarantee_rejects_a_bad_ratio_before_any_trial(monkeypatch):
     def never(config):
         raise AssertionError("a dataset was generated")
 
-    monkeypatch.setattr(synthgen, "generate_arrays", never)
+    monkeypatch.setattr(synthgen, "generate_chunks", never)
     with pytest.raises(SplitError, match=re.escape("calibration_ratio must lie in (0, 1), got 1.5")):
         run_guarantee_trials(SynthConfig(n_records=40), alpha=0.2, delta=0.05, trials=3, calibration_ratio=1.5)
 
@@ -246,6 +304,14 @@ def test_columnar_generator_equals_the_per_record_one(k, easy_fraction):
             for f in dataclasses.fields(GroundingRecord):
                 assert getattr(got, f.name) == getattr(built, f.name) == getattr(want, f.name), f.name
         assert batch.offsets.tolist() == list(range(0, 120 * k + 1, k))
+
+
+@pytest.mark.parametrize("easy_fraction", [0.0, 0.6, 1.0])
+def test_chunked_generator_equals_the_per_record_one_across_chunks(easy_fraction):
+    cfg = SynthConfig(n_records=2 * SCORE_CHUNK + 1, k_samples=4, easy_fraction=easy_fraction, seed=17)
+    for f in dataclasses.fields(GroundingRecord):
+        assert [getattr(r, f.name) for r in generate_dataset(cfg)] == \
+            [getattr(r, f.name) for r in per_record_dataset(cfg)], f.name
 
 
 def test_guarantee_admission_from_arrays_equals_the_per_record_rule():
