@@ -47,7 +47,7 @@ from .uq import (
     variant_column,
 )
 
-# Unused here, but bench/spans.py wraps them at these bindings (ROADMAP item 5
+# Unused here, but bench/spans.py wraps them at these bindings (ROADMAP item 4
 # points the spans at the column path and drops these).
 from .density import build_density_map  # noqa: F401
 from .records import load_records, split  # noqa: F401
@@ -96,9 +96,21 @@ def _append_csv_row(path: str, header: list[str], row: list) -> None:
     found = existing.partition("\n")[0]
     if existing and found != expected:
         raise CliError(f"--csv {path}: existing header {found!r} does not match {expected!r}")
+    if existing and not existing.endswith("\n"):
+        existing += "\n"  # so the row starts a line of its own
     with atomic_writer(path) as fh:
         fh.write(existing or expected + "\n")
         csv.writer(fh, lineterminator="\n").writerow([_fmt(v) for v in row])
+
+
+def _distinct_outputs(args, *flags: str) -> None:
+    """A CliError naming both flags when two of the output `flags` given name one file."""
+    first: dict[str, str] = {}  # real path -> the first flag naming it
+    for flag in flags:
+        path = getattr(args, flag[2:].replace("-", "_"))
+        other = path and first.setdefault(os.path.realpath(path), flag)
+        if other and other != flag:
+            raise CliError(f"{other} and {flag} name the same file: {path}")
 
 
 def _write_json(path: str, obj) -> None:
@@ -366,6 +378,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    _distinct_outputs(args, "--report", "--roc-csv", "--arc-csv")
     spec = RiskSpec(alpha=args.alpha, delta=args.delta)
     plan = _split_plan(args)
     variant = _check_variant(args.variant)
@@ -452,6 +465,7 @@ CASCADE_CSV_HEADER = [
 
 
 def cmd_cascade(args) -> int:
+    _distinct_outputs(args, "--report", "--manifest", "--csv")
     threshold, alpha, artifact_variant = _threshold_from_args(args)
     # the flag, then the artifact's variant, then the config file's, then com
     variant = _check_variant(args.variant or artifact_variant or args.fallback_variant)
@@ -595,8 +609,8 @@ def cmd_sweep(args) -> int:
 class _Generated:
     """A synthetic dataset as `generate_chunks` draws it, one chunk at a time on each pass.
 
-    Sized like any collection `save_records` is given (bench/spans.py
-    counts the records saved by `len`), without holding the records.
+    `save_records` only iterates it; `len` is for bench/spans.py, which
+    counts the records saved by `len` (ROADMAP item 4 drops that).
     """
 
     def __init__(self, config: SynthConfig):

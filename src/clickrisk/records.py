@@ -205,19 +205,6 @@ def _record(fields: tuple) -> GroundingRecord:
     return GroundingRecord(rec_id, width, height, gt_box, tuple(zip(xy, xy)), instruction, mlg, expert, pc, uq)
 
 
-def record_from_obj(obj: dict) -> GroundingRecord:
-    """Build a record from one decoded JSON object, validated by `record_fields`."""
-    return _record(record_fields(obj))
-
-
-def _line(rec_id, width, height, instruction, gt_box, samples, mlg, expert, pc, uq) -> str:
-    """One record's JSON line (no newline), its fields in this order and None ones left out."""
-    obj = {"id": rec_id, "image": {"w": width, "h": height}, "instruction": instruction, "gt_box": list(gt_box),
-           "samples": [list(s) for s in samples], "mlg": mlg and list(mlg), "expert": expert and list(expert),
-           "pc": pc, "uq": uq and dict(zip(UQ_KEYS, uq))}
-    return json.dumps({k: v for k, v in obj.items() if v is not None}, separators=(",", ":"), allow_nan=False)
-
-
 def _json_error(line: str, lineno: int) -> NoReturn:
     """Raise the RecordError for a line that is not one JSON value, with `json.loads`' own message."""
     try:
@@ -265,22 +252,6 @@ def parse_records(stream: IO | Iterable[str | bytes]) -> list[GroundingRecord]:
     return [_record(fields) for fields in _line_fields(stream)]
 
 
-def serialize_records(records: Iterable[GroundingRecord]) -> Iterator[str]:
-    """Yield one JSON line per record (no trailing newline).
-
-    A NaN or infinite value is a ValueError naming the record, since no
-    JSON number can hold it (and `load_records` would reject the line).
-    """
-    for r in records:
-        uq = None if r.uq is None else [r.uq[k] for k in UQ_KEYS]
-        try:
-            line = _line(r.id, r.image_width, r.image_height, r.instruction, r.gt_box, r.samples, r.mlg, r.expert,
-                         r.pc, uq)
-        except ValueError as exc:
-            raise ValueError(f"record {r.id!r}: {exc}") from None
-        yield line
-
-
 def load_records(path) -> list[GroundingRecord]:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_records(fh)
@@ -309,13 +280,6 @@ class Columns:
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def rows(self, start: int, stop: int) -> Columns:
-        """Records start..stop-1 as their own `Columns`; the arrays are views."""
-        a, b = self.offsets[start], self.offsets[min(stop, len(self.ids))]
-        return Columns(self.ids[start:stop], self.instructions[start:stop], self.dims[start:stop],
-                       self.boxes[start:stop], self.points[a:b], self.offsets[start:stop + 1] - a,
-                       self.mlg[start:stop], self.expert[start:stop], self.pc[start:stop], self.uq[start:stop])
 
 
 _NAN_PAIR, _NAN_UQ = (math.nan,) * 2, (math.nan,) * len(UQ_KEYS)
@@ -350,7 +314,7 @@ def read_columns(path) -> Iterator[Columns]:
 
 
 def _line_format(k: int, instruction: bool, mlg: bool, expert: bool, pc: bool, uq: bool) -> str:
-    """The %-format of a `_line` with `k` samples and the optional fields flagged present."""
+    """The %-format of a record's line with `k` samples and the optional fields flagged present."""
     return "".join((
         '{"id":%s,"image":{"w":%d,"h":%d}',
         ',"instruction":%s' if instruction else "",
@@ -372,7 +336,7 @@ def _present(name: str, column: np.ndarray) -> list[bool]:
 
 
 def column_lines(chunk: Columns, mlg: np.ndarray, uq: np.ndarray) -> Iterator[str]:
-    """The chunk's records as `serialize_records` writes them, with `mlg` and `uq` for theirs.
+    """The chunk's records as compact JSON lines, with `mlg` and `uq` for theirs; the only record writer.
 
     `mlg` is (n, 2) and `uq` (n, 4) in UQ_KEYS order, one row per record; an
     all-NaN mlg, expert, pc or uq row is left out, as `Columns` defines
@@ -430,29 +394,14 @@ def atomic_writer(path) -> Iterator[IO[str]]:
         raise
 
 
-def save_records(path, records: Iterable[GroundingRecord] | Iterable[Columns] | Columns) -> None:
-    """Write one JSON line per record, atomically (see `atomic_writer`).
+def save_records(path, chunks: Iterable[Columns]) -> None:
+    """Write consecutive `Columns` chunks, one JSON line per record, atomically (see `atomic_writer`).
 
-    `records` is records, one `Columns`, or consecutive `Columns` chunks,
-    drawn one at a time while the file is written. Columns go through
-    `write_columns`, at most SCORE_CHUNK rows at a time so that its Python
-    lists stay small; records through `serialize_records`.
+    Each chunk goes through `write_columns` before the next is drawn, so a generator's chunks never coexist.
     """
-    if isinstance(records, Columns):
-        whole = records
-        records = (whole.rows(start, start + SCORE_CHUNK) for start in range(0, len(whole), SCORE_CHUNK))
     with atomic_writer(path) as fh:
-        items = iter(records)
-        first = next(items, None)
-        if first is None:
-            return
-        if isinstance(first, Columns):
-            for chunk in itertools.chain([first], items):
-                write_columns(fh, chunk, chunk.mlg, chunk.uq)
-            return
-        for line in serialize_records(itertools.chain([first], items)):
-            fh.write(line)
-            fh.write("\n")
+        for chunk in chunks:
+            write_columns(fh, chunk, chunk.mlg, chunk.uq)
 
 
 def select_mlg(record: GroundingRecord, seed: int = 0) -> Point:

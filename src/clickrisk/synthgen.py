@@ -23,7 +23,7 @@ import numpy as np
 
 from .engine import run_splits
 from .metrics import admission, admissions
-from .records import SCORE_CHUNK, UQ_KEYS, Columns, GroundingRecord, SplitPlan, mlg_column
+from .records import SCORE_CHUNK, UQ_KEYS, Columns, GroundingRecord, SplitPlan, column_lines, mlg_column, parse_records
 from .risk import RiskSpec
 from .uq import UqConfig, score_columns
 
@@ -206,27 +206,8 @@ def generate_arrays(config: SynthConfig = SynthConfig()) -> Columns:
 
 
 def generate_dataset(config: SynthConfig = SynthConfig()) -> list[GroundingRecord]:
-    """`generate_chunks` as records."""
-    k = config.k_samples
-    records = []
-    for chunk in generate_chunks(config):
-        # tuples built straight from flat lists of floats, so no per-row list is made and dropped
-        xy = iter(chunk.points.ravel().tolist())
-        samples = tuple(zip(xy, xy))
-        boxes, experts = zip(*chunk.boxes.T.tolist()), zip(*chunk.expert.T.tolist())
-        records += (
-            GroundingRecord(
-                id=rec_id,
-                image_width=config.image_size,
-                image_height=config.image_size,
-                instruction=instruction,
-                gt_box=box,
-                samples=samples[i * k : (i + 1) * k],
-                expert=expert,
-            )
-            for i, (rec_id, instruction, box, expert) in enumerate(zip(chunk.ids, chunk.instructions, boxes, experts))
-        )
-    return records
+    """`generate_chunks` as records: the lines `synth` writes, read back as `load_records` reads them."""
+    return parse_records(line for chunk in generate_chunks(config) for line in column_lines(chunk, chunk.mlg, chunk.uq))
 
 
 def _trial_seed(seed: int, trial: int) -> int:

@@ -231,22 +231,8 @@ def score_columns(
     return np.array(rows, dtype=float).reshape(-1, 4)
 
 
-def variant_value(record: GroundingRecord, variant: str) -> float:
-    """Uncertainty value of the chosen variant for a scored record.
-
-    Variants com/ta/ie/cd read the appended uncertainty fields; pc reads
-    the precomputed confidence baseline.
-    """
-    if variant not in VARIANTS:
-        raise MissingScoreError(f"unknown uncertainty variant {variant!r}; expected one of {VARIANTS}")
-    value = record.pc if variant == "pc" else None if record.uq is None else record.uq[variant]
-    if value is None:
-        raise missing_score(record.id, variant)
-    return value
-
-
 def variant_column(chunk: Columns, variant: str) -> np.ndarray:
-    """`variant_value` of every record of a chunk, NaN where a record has none."""
+    """Each record's value of `variant`: its `pc`, or its `uq` field of that name; NaN where it has none."""
     return chunk.pc if variant == "pc" else chunk.uq[:, UQ_KEYS.index(variant)]
 
 

@@ -10,9 +10,9 @@ import pytest
 
 from clickrisk import cli, synthgen
 from clickrisk.density import build_density_map
-from clickrisk.records import SCORE_CHUNK, SplitPlan, load_records, serialize_records, split
+from clickrisk.records import SCORE_CHUNK, SplitPlan, load_records, split
 from clickrisk.synthgen import SynthConfig, generate_dataset
-from clickrisk.uq import variant_value
+from test_records import record_lines
 
 
 def run(*argv):
@@ -152,7 +152,7 @@ def test_calibrate_all_correct_accepts_max_uncertainty(tmp_path, easy_file):
     assert obj["feasible"] is True
     records = load_records(src)
     cal, _ = split(records, SplitPlan(calibration_ratio=0.5, seed=3, repetitions=1), 0)
-    assert obj["threshold"] == max(variant_value(r, "com") for r in cal)
+    assert obj["threshold"] == max(r.uq["com"] for r in cal)
     assert obj["trace"][-1][3] <= 0.1
 
 
@@ -239,7 +239,7 @@ def test_cascade_with_artifact_manifest_and_csv(tmp_path, mixed_file):
     obj = json.loads(report.read_text())
     tau = obj["threshold"]
     records = load_records(src)
-    expected = [r.id for r in records if variant_value(r, "com") > tau]
+    expected = [r.id for r in records if r.uq["com"] > tau]
     got = [json.loads(line)["id"] for line in manifest.read_text().splitlines()]
     assert got == expected
     assert obj["n_deferred"] == len(expected)
@@ -269,6 +269,37 @@ def test_cascade_csv_gives_an_empty_file_a_header(tmp_path, mixed_file):
     assert run("--seed", 3, "cascade", "-i", src, "--tau", 0.5, "--csv", table) == 0
     lines = table.read_text().splitlines()
     assert lines[0].startswith("label,alpha,variant") and len(lines) == 2
+
+
+@pytest.mark.parametrize("tail", ["", "\nold,0.1,com,0.5,0.9,0.8,0.7,0.2,80,64,16"], ids=["header", "row"])
+def test_cascade_csv_starts_its_row_on_a_line_of_its_own(tmp_path, mixed_file, tail):
+    """A table whose last line lacks its newline keeps that line whole."""
+    src = scored(tmp_path, mixed_file)
+    table = tmp_path / "rows.csv"
+    existing = ",".join(cli.CASCADE_CSV_HEADER) + tail
+    table.write_text(existing)
+    assert run("--seed", 3, "cascade", "-i", src, "--tau", 0.5, "--csv", table, "--label", "new") == 0
+    *kept, row, end = table.read_text().split("\n")
+    assert kept == existing.split("\n") and row.startswith("new,,com,0.5,") and end == ""
+
+
+@pytest.mark.parametrize("command, first, second", [
+    ("evaluate", "--report", "--roc-csv"),
+    ("evaluate", "--report", "--arc-csv"),
+    ("evaluate", "--roc-csv", "--arc-csv"),
+    ("cascade", "--report", "--manifest"),
+    ("cascade", "--report", "--csv"),
+    ("cascade", "--manifest", "--csv"),
+])
+def test_two_output_flags_naming_one_file_fail_before_any_work(tmp_path, mixed_file, capsys, command, first, second):
+    src = scored(tmp_path, mixed_file)
+    (tmp_path / "link").symlink_to(tmp_path)
+    out, alias = tmp_path / "x.out", tmp_path / "link" / "x.out"  # one file, two spellings
+    threshold = ["--tau", 0.5] if command == "cascade" else []
+    capsys.readouterr()
+    assert run(command, "-i", src, *threshold, first, out, second, alias) == 1
+    assert capsys.readouterr() == ("", f"error: {first} and {second} name the same file: {alias}\n")
+    assert not out.exists()
 
 
 def test_cascade_requires_threshold_source(tmp_path, mixed_file, capsys):
@@ -388,12 +419,13 @@ def test_synth_is_deterministic(tmp_path):
 
 
 @pytest.mark.parametrize("easy_fraction", [0.0, 0.6, 1.0])
-def test_synth_writes_the_generated_records_as_serialize_records_does(tmp_path, easy_fraction):
+def test_synth_writes_the_generated_records_as_json_dumps_does(tmp_path, easy_fraction):
     """The columns go out SCORE_CHUNK rows at a time; 600 records cross two chunk boundaries."""
     out = tmp_path / "synth.jsonl"
     assert run("--seed", 9, "synth", "--out", out, "--n-records", 600, "--easy-fraction", easy_fraction) == 0
     records = generate_dataset(SynthConfig(n_records=600, easy_fraction=easy_fraction, seed=9))
-    assert out.read_text() == "".join(line + "\n" for line in serialize_records(records))
+    assert out.read_text() == "".join(line + "\n" for line in record_lines(records))
+    assert records == load_records(out)
 
 
 def test_synth_and_guarantee_reject_the_same_bad_config(tmp_path, capsys):

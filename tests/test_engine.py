@@ -13,7 +13,6 @@ from clickrisk.cascade import evaluate_cascade
 from clickrisk.metrics import MetricError, admission, fdr_at, power_at
 from clickrisk.records import GroundingRecord, SplitError, SplitPlan, select_mlg, split, split_indices
 from clickrisk.risk import RiskSpec, calibrate_threshold
-from clickrisk.uq import variant_value
 
 BOX = (40.0, 40.0, 60.0, 60.0)
 INSIDE = (50.0, 50.0)
@@ -44,15 +43,20 @@ def make_records(u, hits, expert_hits=None, variant="com"):
     return records
 
 
+def value(record, variant):
+    """The record's uncertainty under `variant`, read from its fields."""
+    return record.pc if variant == "pc" else record.uq[variant]
+
+
 def oracle(records, variant, plan, alphas, delta, seed=0):
     """Per repetition, per alpha: None or (tau, fdr, power, system accuracy, cascading rate)."""
     with_expert = all(r.expert is not None for r in records)
     out = []
     for rep in range(plan.repetitions):
         cal, test = split(records, plan, rep)
-        cal_u = [variant_value(r, variant) for r in cal]
+        cal_u = [value(r, variant) for r in cal]
         cal_err = [1 - admission(select_mlg(r, seed), r.gt_box) for r in cal]
-        test_u = [variant_value(r, variant) for r in test]
+        test_u = [value(r, variant) for r in test]
         test_adm = [admission(select_mlg(r, seed), r.gt_box) for r in test]
         per_alpha = []
         for alpha in alphas:
@@ -73,7 +77,7 @@ def oracle(records, variant, plan, alphas, delta, seed=0):
 
 
 def via_engine(records, variant, plan, alphas, delta, seed=0, splits=None):
-    u = np.array([variant_value(r, variant) for r in records], dtype=float)
+    u = np.array([value(r, variant) for r in records], dtype=float)
     adm = np.array([admission(select_mlg(r, seed), r.gt_box) for r in records], dtype=bool)
     expert = None
     if all(r.expert is not None for r in records):

@@ -16,7 +16,7 @@ from clickrisk.records import (
     RecordError,
     SplitError,
     SplitPlan,
-    _line,
+    UQ_KEYS,
     atomic_writer,
     column_lines,
     load_records,
@@ -24,12 +24,33 @@ from clickrisk.records import (
     parse_records,
     read_columns,
     record_fields,
-    record_from_obj,
     save_records,
     select_mlg,
-    serialize_records,
     split,
 )
+
+
+def _line(rec_id, width, height, instruction, gt_box, samples, mlg, expert, pc, uq) -> str:
+    """One record's `json.dumps` line (no newline), its fields in this order and None ones left out.
+
+    The oracle of `column_lines`, and through `record_lines` the writer of the tests' record fixtures.
+    """
+    obj = {"id": rec_id, "image": {"w": width, "h": height}, "instruction": instruction, "gt_box": list(gt_box),
+           "samples": [list(s) for s in samples], "mlg": mlg and list(mlg), "expert": expert and list(expert),
+           "pc": pc, "uq": uq and dict(zip(UQ_KEYS, uq))}
+    return json.dumps({k: v for k, v in obj.items() if v is not None}, separators=(",", ":"), allow_nan=False)
+
+
+def record_lines(records) -> list[str]:
+    """`GroundingRecord`s as the oracle writes them, one line each: how tests write record fixtures."""
+    return [_line(r.id, r.image_width, r.image_height, r.instruction, r.gt_box, r.samples, r.mlg, r.expert, r.pc,
+                  r.uq and [r.uq[k] for k in UQ_KEYS]) for r in records]
+
+
+def write_records(path, records) -> None:
+    """A JSONL file of `record_lines(records)`."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(line + "\n" for line in record_lines(records))
 
 
 def make_record(rec_id="r1", **overrides):
@@ -180,7 +201,7 @@ def test_parse_names_a_bad_uq_value():
         assert rejected(content) == f"line 2: uq.cd: {message}"
     # everything float() takes is still accepted
     for value, parsed in [("0.5", 0.5), (True, 1.0), (1, 1.0), (" 2e-1 ", 0.2)]:
-        record = record_from_obj(dict(scored, uq=dict(scored["uq"], cd=value)))
+        [record] = parse_records(lines(dict(scored, uq=dict(scored["uq"], cd=value))))
         assert record.uq["cd"] == parsed
 
 
@@ -200,11 +221,11 @@ def test_samples_outside_the_one_pass_check_still_parse():
         "a coordinate sum that overflows": [[1e308, 1e308], [20.5, 25]],
     }
     for samples in accepted.values():
-        record = record_from_obj(dict(VALID, samples=samples))
-        assert record.samples == tuple((float(x), float(y)) for x, y in samples)
-        assert all(type(c) is float for point in record.samples for c in point)
+        coords = record_fields(dict(VALID, samples=samples))[5]
+        assert coords == [float(c) for point in samples for c in point]
+        assert all(type(c) is float for c in coords)
     with pytest.raises(RecordError, match=r"samples\[0\]: expected a \[x, y\] pair of numbers"):
-        record_from_obj(dict(VALID, samples=[(1, 2, 3)]))
+        record_fields(dict(VALID, samples=[(1, 2, 3)]))
 
 
 def test_round_trip_is_field_equal():
@@ -213,8 +234,7 @@ def test_round_trip_is_field_equal():
         dict(VALID, id="y", expert=[20, 20], uq={"ta": 0.1, "ie": 0.0, "cd": 0.0, "com": 0.02}),
     ]
     first = parse_records(lines(*objs))
-    text = "\n".join(serialize_records(first)) + "\n"
-    second = parse_records(io.StringIO(text))
+    second = parse_records(record_lines(first))
     assert first == second
 
 
@@ -453,12 +473,10 @@ def test_column_lines_reject_a_nonfinite_coordinate(field):
 
 @pytest.mark.parametrize("n", [0, 1, SCORE_CHUNK, 2 * SCORE_CHUNK + 3])
 def test_save_records_writes_columns_as_the_json_dumps_lines(tmp_path, n):
-    cols = random_columns(np.random.default_rng(n), n, 2)
+    chunks = [random_columns(np.random.default_rng(n + i), size, 2) for i, size in enumerate((n, n // 2, 0))]
     path = tmp_path / "cols.jsonl"
-    save_records(path, cols)
-    assert path.read_text() == "".join(line + "\n" for line in json_lines(cols))
-    assert len(cols) == n and list(column_lines(cols, cols.mlg, cols.uq)) == json_lines(cols)
-    assert len(cols.rows(max(n - 1, 0), n + 5)) == min(n, 1)
+    save_records(path, iter(chunks))
+    assert path.read_text() == "".join(line + "\n" for c in chunks for line in json_lines(c))
 
 
 # --- the line loop: one scanner call, json.loads' errors ----------------------------
@@ -520,20 +538,18 @@ def test_float_boxes_and_scores_read_as_their_converted_forms():
 
 # --- atomic output ----------------------------------------------------------------
 
-@pytest.mark.parametrize("overrides", [
-    {"mlg": (math.nan, 3.0)},
-    {"uq": {"ta": math.inf, "ie": 0.1, "cd": 0.2, "com": 0.3}},
-    {"pc": -math.inf},
+@pytest.mark.parametrize("field, value", [
+    ("mlg", [math.nan, 3.0]), ("uq", [math.inf, 0.1, 0.2, 0.3]), ("pc", -math.inf),
 ], ids=["nan-mlg", "inf-uq", "inf-pc"])
-def test_a_non_finite_field_is_refused_before_the_file_changes(tmp_path, overrides):
+def test_a_non_finite_field_is_refused_before_the_file_changes(tmp_path, field, value):
     # a NaN/Infinity literal is not JSON and the readers reject it, so it is never written
     path = tmp_path / "out.jsonl"
     path.write_text("previous\n")
-    records = [make_record(rec_id="good"), make_record(rec_id="bad", **overrides)]
-    with pytest.raises(ValueError, match="record 'bad': Out of range float values are not JSON compliant"):
-        list(serialize_records(records))
-    with pytest.raises(ValueError, match="record 'bad'"):
-        save_records(path, records)
+    good, bad = (random_columns(np.random.default_rng(seed), 2, 3) for seed in (0, 1))
+    column = getattr(bad, field).copy()
+    column[1] = value
+    with pytest.raises(ValueError, match=f"^{field}: a row must be finite or all NaN$"):
+        save_records(path, [good, dataclasses.replace(bad, **{field: column})])
     assert path.read_text() == "previous\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
 
@@ -542,8 +558,10 @@ def test_save_records_replaces_the_file_only_when_complete(tmp_path):
     path = tmp_path / "out.jsonl"
     path.write_text("previous\n")
 
+    chunk = random_columns(np.random.default_rng(0), 2, 3)
+
     def failing():
-        yield make_record(rec_id="a")
+        yield chunk
         raise RuntimeError("stream broke")
 
     with pytest.raises(RuntimeError):
@@ -551,9 +569,8 @@ def test_save_records_replaces_the_file_only_when_complete(tmp_path):
     assert path.read_text() == "previous\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
 
-    records = [make_record(rec_id="a"), make_record(rec_id="b")]
-    save_records(path, records)
-    assert path.read_text() == "".join(line + "\n" for line in serialize_records(records))
+    save_records(path, [chunk])
+    assert path.read_text() == "".join(line + "\n" for line in json_lines(chunk))
     assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
 
 

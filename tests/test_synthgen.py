@@ -11,19 +11,20 @@ import pytest
 from clickrisk import synthgen
 from clickrisk.metrics import admission, admissions
 from clickrisk.records import (
-    SCORE_CHUNK, GroundingRecord, SplitError, SplitPlan, mlg_index, select_mlg, serialize_records, split,
+    SCORE_CHUNK, GroundingRecord, SplitError, SplitPlan, mlg_index, select_mlg, split,
 )
 from clickrisk.risk import RiskSpec, calibrate_threshold
 from clickrisk.synthgen import (
     SynthConfig, _trial_seed, generate_arrays, generate_chunks, generate_dataset, run_guarantee_trials,
 )
 from clickrisk.uq import score_record
+from test_records import record_lines
 
 
 def test_same_seed_gives_identical_bytes():
     cfg = SynthConfig(n_records=40, seed=13)
-    a = "\n".join(serialize_records(generate_dataset(cfg)))
-    b = "\n".join(serialize_records(generate_dataset(cfg)))
+    a = "\n".join(record_lines(generate_dataset(cfg)))
+    b = "\n".join(record_lines(generate_dataset(cfg)))
     assert a == b
 
 
@@ -92,7 +93,7 @@ def test_config_validation():
      "da6326ee02f3a0e5e1be78bf7ed12c6b0cacf51ff52da2c731d64bfe4635c7de"),
 ])
 def test_generated_datasets_keep_their_digests(kwargs, digest):
-    text = "\n".join(serialize_records(generate_dataset(SynthConfig(**kwargs))))
+    text = "\n".join(record_lines(generate_dataset(SynthConfig(**kwargs))))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 

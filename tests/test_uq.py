@@ -16,7 +16,7 @@ from clickrisk.density import (
     score_regions,
     sparse_region_scores,
 )
-from clickrisk.records import UQ_KEYS, GroundingRecord, load_records, save_records
+from clickrisk.records import UQ_KEYS, GroundingRecord, load_records, read_columns
 from clickrisk.uq import (
     SCORE_CHUNK,
     UncertaintyScore,
@@ -28,9 +28,11 @@ from clickrisk.uq import (
     score_columns,
     score_record,
     top_ambiguity,
-    variant_value,
+    variant_column,
+    missing_score,
     MissingScoreError,
 )
+from test_records import write_records
 
 EPS = 1e-8
 
@@ -301,7 +303,7 @@ def test_k_cap_uses_leading_samples():
 def test_pc_passes_through(tmp_path):
     record = record_with_samples([(3.0, 3.0)] * 10, pc=0.77)
     assert score_record(record) == score_record(dataclasses.replace(record, pc=None))
-    save_records(tmp_path / "in.jsonl", [record])
+    write_records(tmp_path / "in.jsonl", [record])
     assert cli.main(["score", "-i", str(tmp_path / "in.jsonl"), "-o", str(tmp_path / "out.jsonl")]) == 0
     assert load_records(tmp_path / "out.jsonl")[0].pc == 0.77
 
@@ -366,23 +368,22 @@ def test_weight_presets_are_normalized():
         assert abs(sum(weights) - 1.0) < 1e-12, name
 
 
-def test_attach_and_variant_roundtrip():
+def test_attach_and_variant_roundtrip(tmp_path):
     record = record_with_samples([(3.0, 3.0)] * 10, pc=0.3)
-    scored = dataclasses.replace(record, uq=uq_fields(score_record(record)))
-    assert variant_value(scored, "com") == pytest.approx(0.02)
-    assert variant_value(scored, "ta") == pytest.approx(0.1)
-    assert variant_value(scored, "pc") == 0.3
-    assert dataclasses.replace(scored, uq=None).samples == record.samples
+    write_records(tmp_path / "in.jsonl", [record])
+    assert cli.main(["score", "-i", str(tmp_path / "in.jsonl"), "-o", str(tmp_path / "out.jsonl")]) == 0
+    [chunk] = read_columns(tmp_path / "out.jsonl")
+    assert variant_column(chunk, "com").tolist() == [pytest.approx(0.02)]
+    assert variant_column(chunk, "ta").tolist() == [pytest.approx(0.1)]
+    assert variant_column(chunk, "pc").tolist() == [0.3]
+    [unscored] = read_columns(tmp_path / "in.jsonl")
+    assert np.isnan(variant_column(unscored, "com")).all()
 
 
 def test_variant_errors_name_the_field():
-    record = record_with_samples([(3.0, 3.0)] * 10)
-    with pytest.raises(MissingScoreError, match="pc"):
-        variant_value(record, "pc")
-    with pytest.raises(MissingScoreError, match="uq"):
-        variant_value(record, "com")
-    with pytest.raises(MissingScoreError, match="variant"):
-        variant_value(record, "nope")
+    assert isinstance(missing_score("rec", "pc"), MissingScoreError)
+    assert str(missing_score("rec", "pc")) == "record 'rec' has no pc field"
+    assert str(missing_score("rec", "com")) == "record 'rec' has no uq fields; run scoring first"
 
 
 # --- sparse scoring against the dense chain ------------------------------------
@@ -564,7 +565,7 @@ def test_density_dump_lists_the_dense_grids_nonzero_cells(tmp_path, dims):
             for kind in ("cluster", "spread", "edges", "wrap", "outside")
         ]
         src, dump = tmp_path / f"p{patch}.jsonl", tmp_path / f"dump{patch}"
-        save_records(src, records)
+        write_records(src, records)
         argv = ["score", "-i", src, "-o", tmp_path / "scored.jsonl", "--k-samples", 50,
                 "--patch-size", patch, "--dump-density", dump]
         assert cli.main([str(a) for a in argv]) == 0
@@ -722,7 +723,7 @@ def test_score_batch_memo_keeps_each_records_pc(tmp_path):
     a = record_with_samples(samples, id="a", pc=0.25)
     b = record_with_samples(samples, id="b", pc=0.75)
     c = record_with_samples(samples, id="c")
-    save_records(tmp_path / "in.jsonl", [a, b, c])
+    write_records(tmp_path / "in.jsonl", [a, b, c])
     assert cli.main(["score", "-i", str(tmp_path / "in.jsonl"), "-o", str(tmp_path / "out.jsonl")]) == 0
     got = load_records(tmp_path / "out.jsonl")
     assert [r.pc for r in got] == [0.25, 0.75, None]
