@@ -104,7 +104,11 @@ def _append_csv_row(path: str, header: list[str], row: list) -> None:
 
 
 def _distinct_outputs(args, *flags: str) -> None:
-    """A CliError naming both flags when two of the output `flags` given name one file."""
+    """A CliError naming both flags when two of the file `flags` given name one file.
+
+    Callers list the files a command reads ahead of those it writes, so
+    that no output replaces an input or another output.
+    """
     first: dict[str, str] = {}  # real path -> the first flag naming it
     for flag in flags:
         path = getattr(args, flag[2:].replace("-", "_"))
@@ -334,6 +338,7 @@ def cmd_score(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    _distinct_outputs(args, "--input", "--out")
     spec = RiskSpec(alpha=args.alpha, delta=args.delta)
     plan = _split_plan(args)
     variant = _check_variant(args.variant)
@@ -378,7 +383,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    _distinct_outputs(args, "--report", "--roc-csv", "--arc-csv")
+    _distinct_outputs(args, "--input", "--report", "--roc-csv", "--arc-csv")
     spec = RiskSpec(alpha=args.alpha, delta=args.delta)
     plan = _split_plan(args)
     variant = _check_variant(args.variant)
@@ -465,7 +470,7 @@ CASCADE_CSV_HEADER = [
 
 
 def cmd_cascade(args) -> int:
-    _distinct_outputs(args, "--report", "--manifest", "--csv")
+    _distinct_outputs(args, "--input", "--artifact", "--report", "--manifest", "--csv")
     threshold, alpha, artifact_variant = _threshold_from_args(args)
     # the flag, then the artifact's variant, then the config file's, then com
     variant = _check_variant(args.variant or artifact_variant or args.fallback_variant)

@@ -97,10 +97,7 @@ def auroc(uncertainties: Sequence[float], admissible: Sequence[int]) -> float:
     Rank-based (Mann-Whitney) with ties counting one half. Requires both
     classes to be present.
     """
-    return _auroc(*_check_pair(uncertainties, admissible))
-
-
-def _auroc(u: np.ndarray, adm: np.ndarray) -> float:
+    u, adm = _check_pair(uncertainties, admissible)
     n_pos = int((adm == 0).sum())  # inadmissible: the high-uncertainty class
     n_neg = int((adm == 1).sum())
     if n_pos == 0 or n_neg == 0:
@@ -122,10 +119,7 @@ def auarc(uncertainties: Sequence[float], admissible: Sequence[int]) -> float:
     rejecting j = 0..N-1 from the top leaves the N-j lowest-uncertainty
     records, whose mean admissibility is averaged uniformly over j.
     """
-    return _auarc(*_check_pair(uncertainties, admissible))
-
-
-def _auarc(u: np.ndarray, adm: np.ndarray) -> float:
+    u, adm = _check_pair(uncertainties, admissible)
     if u.size == 0:
         raise MetricError("auarc needs at least one record")
     flags = _sorted_flags(u, adm)
@@ -172,19 +166,13 @@ def roc_points(
 
 def fdr_at(uncertainties: Sequence[float], admissible: Sequence[int], tau: float) -> float:
     """FDR of the acceptance rule u <= tau; 0 when nothing is accepted."""
-    return _fdr_at(*_check_pair(uncertainties, admissible), tau)
-
-
-def _fdr_at(u: np.ndarray, adm: np.ndarray, tau: float) -> float:
-    return empirical_fdr(u, (1 - adm).tolist(), tau)
+    u, adm = _check_pair(uncertainties, admissible)
+    return empirical_fdr(u, 1 - adm, tau)
 
 
 def power_at(uncertainties: Sequence[float], admissible: Sequence[int], tau: float) -> float:
     """Fraction of admissible records retained by the rule u <= tau."""
-    return _power_at(*_check_pair(uncertainties, admissible), tau)
-
-
-def _power_at(u: np.ndarray, adm: np.ndarray, tau: float) -> float:
+    u, adm = _check_pair(uncertainties, admissible)
     n_admissible = int((adm == 1).sum())
     if n_admissible == 0:
         raise MetricError("power undefined without admissible records")
@@ -195,13 +183,13 @@ def _power_at(u: np.ndarray, adm: np.ndarray, tau: float) -> float:
 def evaluate_split(
     uncertainties: Sequence[float], admissible: Sequence[int], tau: float
 ) -> EvalReport:
-    """Bundle the four metrics plus acceptance counts at one threshold; the pair is checked once."""
-    u, adm = _check_pair(uncertainties, admissible)
+    """Bundle the four metrics plus acceptance counts at one threshold."""
+    u = np.asarray(uncertainties, dtype=float)
     return EvalReport(
-        auroc=_auroc(u, adm),
-        auarc=_auarc(u, adm),
-        fdr=_fdr_at(u, adm, tau),
-        power=_power_at(u, adm, tau),
+        auroc=auroc(u, admissible),
+        auarc=auarc(u, admissible),
+        fdr=fdr_at(u, admissible, tau),
+        power=power_at(u, admissible, tau),
         n_accepted=int((u <= tau).sum()),
         n_total=int(u.size),
     )

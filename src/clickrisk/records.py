@@ -440,9 +440,6 @@ class SplitPlan:
     repetitions: int = 1
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
         if not 0.0 < self.calibration_ratio < 1.0:
             raise SplitError(f"calibration_ratio must lie in (0, 1), got {self.calibration_ratio}")
         if self.repetitions < 1:

@@ -54,9 +54,6 @@ class RiskSpec:
     delta: float = 0.05
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
         _check_unit("alpha", self.alpha)
         _check_unit("delta", self.delta)
 

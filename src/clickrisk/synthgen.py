@@ -47,9 +47,6 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
         if self.n_records < 1:
             raise ValueError(f"n_records must be positive, got {self.n_records}")
         if self.k_samples < 1:
@@ -60,8 +57,8 @@ class SynthConfig:
             raise ValueError("box_size must be smaller than image_size")
         if not 0.0 <= self.easy_fraction <= 1.0:
             raise ValueError(f"easy_fraction must lie in [0, 1], got {self.easy_fraction}")
-        if self.dispersion <= 0.0:
-            raise ValueError(f"dispersion must be positive, got {self.dispersion}")
+        if not 0.0 < self.dispersion < math.inf:  # written so that NaN fails too
+            raise ValueError(f"dispersion must be positive and finite, got {self.dispersion}")
         if not 0.0 <= self.expert_accuracy <= 1.0:
             raise ValueError(f"expert_accuracy must lie in [0, 1], got {self.expert_accuracy}")
         if self.seed < 0:

@@ -65,20 +65,17 @@ class UqConfig:
     weights: tuple[float, float, float] = DEFAULT_WEIGHTS
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
         if self.k_samples < 1:
             raise ValueError(f"k_samples must be positive, got {self.k_samples}")
         if self.patch_size < 1:
             raise ValueError(f"patch_size must be positive, got {self.patch_size}")
         if not 0.0 <= self.beta < 1.0:
             raise ValueError(f"beta must lie in [0, 1), got {self.beta}")
-        if self.epsilon <= 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if len(self.weights) != 3 or any(w < 0 for w in self.weights):
+        if not 0.0 < self.epsilon < math.inf:  # written so that NaN fails too, as below
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        if len(self.weights) != 3 or not all(w >= 0 for w in self.weights):
             raise ValueError(f"weights must be three non-negative reals, got {self.weights}")
-        if abs(sum(self.weights) - 1.0) > 1e-12:
+        if not abs(sum(self.weights) - 1.0) <= 1e-12:
             raise ValueError(f"weights must sum to 1, got {self.weights}")
 
 
@@ -163,7 +160,7 @@ def combine(
     cd: float, ie: float, ta: float, weights: tuple[float, float, float] = DEFAULT_WEIGHTS
 ) -> float:
     """Fixed weighted combination w_cd*cd + w_ie*ie + w_ta*ta."""
-    if any(w < 0 for w in weights) or abs(sum(weights) - 1.0) > 1e-12:
+    if not (all(w >= 0 for w in weights) and abs(sum(weights) - 1.0) <= 1e-12):  # NaN fails too
         raise ValueError(f"weights must be non-negative and sum to 1, got {weights}")
     w_cd, w_ie, w_ta = weights
     return w_cd * cd + w_ie * ie + w_ta * ta

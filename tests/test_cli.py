@@ -64,6 +64,15 @@ def test_score_is_idempotent(tmp_path, mixed_file):
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_score_rescores_a_file_in_place(tmp_path):
+    """The output replaces the input only after the last of its three chunks has been read."""
+    data, elsewhere = tmp_path / "data.jsonl", tmp_path / "elsewhere.jsonl"
+    assert run("synth", "--out", data, "--n-records", 2 * SCORE_CHUNK + 1) == 0
+    assert run("score", "-i", data, "-o", elsewhere) == 0
+    assert run("score", "-i", data, "-o", tmp_path / "." / "data.jsonl") == 0
+    assert data.read_bytes() == elsewhere.read_bytes()
+
+
 def test_score_k_cap_matches_pretruncated_file(tmp_path, mixed_file):
     capped = scored(tmp_path, mixed_file, "capped.jsonl", "--k-samples", 5)
     truncated_src = tmp_path / "trunc.jsonl"
@@ -141,6 +150,34 @@ def test_score_missing_input_is_operational_error(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["score", "--epsilon", "nan"], "epsilon must be positive and finite, got nan"),
+    (["score", "--weights", "nan,0.5,0.5"], "weights must be three non-negative reals, got (nan, 0.5, 0.5)"),
+    (["synth", "--dispersion", "nan"], "dispersion must be positive and finite, got nan"),
+], ids=["score-epsilon", "score-weights", "synth-dispersion"])
+def test_a_nan_setting_fails_before_anything_is_written(tmp_path, mixed_file, capsys, argv, message):
+    out = tmp_path / "out.jsonl"
+    command, *flags = argv
+    source = ["-i", mixed_file] if command == "score" else []
+    capsys.readouterr()
+    assert run(command, *source, "-o", out, *flags) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("weights, message", [
+    ("0.5,0.5", "weights must be a preset (original, v1, v2, v3, v4, v5, v6) or three comma-separated reals,"
+                " got '0.5,0.5'"),
+    ("a,b,c", "weights must be numeric, got 'a,b,c'"),
+], ids=["two-weights", "non-numeric"])
+def test_a_malformed_weights_flag_is_an_error(tmp_path, mixed_file, capsys, weights, message):
+    out = tmp_path / "out.jsonl"
+    capsys.readouterr()
+    assert run("score", "-i", mixed_file, "-o", out, "--weights", weights) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
 # --- calibrate ------------------------------------------------------------------
 
 def test_calibrate_all_correct_accepts_max_uncertainty(tmp_path, easy_file):
@@ -167,6 +204,17 @@ def test_calibrate_infeasible_alpha_exits_zero(tmp_path, easy_file, capsys):
     assert obj["feasible"] is False
     assert obj["threshold"] is None
     assert obj["trace"]  # trace still present for inspection
+
+
+def test_calibrate_infeasible_on_every_split_writes_a_null_test_fdr(tmp_path, mixed_file, capsys):
+    src = scored(tmp_path, mixed_file)
+    out_dir = tmp_path / "cal"
+    capsys.readouterr()
+    assert run("calibrate", "-i", src, "-o", out_dir, "-r", 3, "--alpha", 0.001) == 0
+    assert capsys.readouterr() == (
+        f"infeasible on all 3 splits: no threshold satisfies alpha=0.001 at delta=0.05 -> {out_dir}\n", "")
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert (summary["infeasible_splits"], summary["test_fdr"]) == (3, None)
 
 
 def test_calibrate_repeated_splits_writes_artifacts_and_summary(tmp_path, mixed_file):
@@ -222,6 +270,14 @@ def test_evaluate_pc_variant_without_pc_field(tmp_path, mixed_file, capsys):
     assert run("--seed", 3, "evaluate", "-i", src, "--variant", "pc",
                "--alpha", 0.3, "--ratio", 0.5, "-r", 2) == 1
     assert "pc" in capsys.readouterr().err
+
+
+def test_evaluate_on_an_all_correct_file_names_the_split(tmp_path, easy_file, capsys):
+    src = scored(tmp_path, easy_file)
+    capsys.readouterr()
+    assert run("evaluate", "-i", src, "-r", 2) == 1
+    assert capsys.readouterr() == (
+        "", "error: repetition 0: auroc needs at least one admissible and one inadmissible record\n")
 
 
 # --- cascade --------------------------------------------------------------------
@@ -290,16 +346,26 @@ def test_cascade_csv_starts_its_row_on_a_line_of_its_own(tmp_path, mixed_file, t
     ("cascade", "--report", "--manifest"),
     ("cascade", "--report", "--csv"),
     ("cascade", "--manifest", "--csv"),
+    ("calibrate", "--input", "--out"),
+    ("evaluate", "--input", "--roc-csv"),
+    ("cascade", "--input", "--manifest"),
+    ("cascade", "--artifact", "--report"),
 ])
 def test_two_output_flags_naming_one_file_fail_before_any_work(tmp_path, mixed_file, capsys, command, first, second):
+    """No output may replace another output or a file the command reads."""
     src = scored(tmp_path, mixed_file)
     (tmp_path / "link").symlink_to(tmp_path)
-    out, alias = tmp_path / "x.out", tmp_path / "link" / "x.out"  # one file, two spellings
-    threshold = ["--tau", 0.5] if command == "cascade" else []
+    out = src if first == "--input" else tmp_path / "x.out"
+    alias = tmp_path / "link" / out.name  # one file, two spellings
+    if first == "--artifact":
+        out.write_text(json.dumps({"feasible": True, "threshold": 0.5}))
+    before = out.read_bytes() if out.exists() else None
+    source = [] if first == "--input" else ["-i", src]
+    threshold = ["--tau", 0.5] if command == "cascade" and first != "--artifact" else []
     capsys.readouterr()
-    assert run(command, "-i", src, *threshold, first, out, second, alias) == 1
+    assert run(command, *source, *threshold, first, out, second, alias) == 1
     assert capsys.readouterr() == ("", f"error: {first} and {second} name the same file: {alias}\n")
-    assert not out.exists()
+    assert (out.read_bytes() if out.exists() else None) == before
 
 
 def test_cascade_requires_threshold_source(tmp_path, mixed_file, capsys):
@@ -405,6 +471,9 @@ def test_sweep_rejects_bad_alpha_or_k_before_loading(tmp_path, capsys):
     assert capsys.readouterr().err == "error: --alphas: cannot read 'x' as float\n"
     assert run("sweep", "-i", missing, "--out-dir", out_dir, "--k-values", "5,y") == 1
     assert capsys.readouterr().err == "error: --k-values: cannot read 'y' as int\n"
+    assert run("sweep", "-i", missing, "--out-dir", out_dir, "--weight-presets", "v9") == 1
+    assert capsys.readouterr().err == (
+        "error: unknown weight preset 'v9'; expected one of ['original', 'v1', 'v2', 'v3', 'v4', 'v5', 'v6']\n")
     assert not out_dir.exists()
 
 
@@ -549,6 +618,17 @@ def test_config_weights_preset_scores_like_the_flag(tmp_path, mixed_file):
     assert from_config.read_bytes() != scored(tmp_path, mixed_file).read_bytes()
 
 
+def test_weights_flag_scores_like_the_same_weights_in_a_config_file(tmp_path, mixed_file, capsys):
+    config = write_config(tmp_path, {"uq": {"weights": [0.5, 0.3, 0.2]}})
+    from_flag = scored(tmp_path, mixed_file, "flag.jsonl", "--weights", "0.5,0.3,0.2")
+    from_config = tmp_path / "config.jsonl"
+    capsys.readouterr()
+    assert run("--config", config, "--seed", 3, "score", "-i", mixed_file, "-o", from_config) == 0
+    assert capsys.readouterr().err == ""
+    assert from_config.read_bytes() == from_flag.read_bytes()
+    assert from_config.read_bytes() != scored(tmp_path, mixed_file).read_bytes()
+
+
 def sweep_column(out_dir, table, column):
     rows = (out_dir / table).read_text().splitlines()
     index = rows[0].split(",").index(column)
@@ -662,6 +742,19 @@ def test_wrong_typed_config_value_names_file_and_key(tmp_path, mixed_file, capsy
     assert run("--config", path, command, "-i", mixed_file, *outputs) == 1
     assert capsys.readouterr().err == f"error: config file {path}: {message}\n"
     assert not (tmp_path / outputs[-1]).exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("not json", "config file {path}: invalid JSON: Expecting value"),
+    ('{"variant": "xx"}', "unknown variant 'xx'; expected one of ('com', 'ta', 'ie', 'cd', 'pc')"),
+], ids=["not-json", "unknown-variant"])
+def test_a_config_file_that_cannot_be_used_is_an_error(tmp_path, mixed_file, capsys, text, message):
+    path, out = tmp_path / "config.json", tmp_path / "a.json"
+    path.write_text(text)
+    capsys.readouterr()
+    assert run("--config", path, "calibrate", "-i", mixed_file, "-o", out, "-r", 1) == 1
+    assert capsys.readouterr() == ("", f"error: {message.format(path=path)}\n")
+    assert not out.exists()
 
 
 VARIANT_CHOICES = "uq_variant must be one of com, ta, ie, cd, pc or null"

@@ -1,9 +1,10 @@
-"""Each demo runs to completion against the package namespace it imports from, and the package
-needs nothing at run time but numpy and the standard library."""
+"""Each demo and the README's Python example run to completion against the package namespace they
+import from, and the package needs nothing at run time but numpy and the standard library."""
 
 import ast
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -17,13 +18,25 @@ def test_all_five_demos_are_found():
     assert len(DEMOS) == 5
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
-def test_demo_runs(demo):
+def run_python(*argv) -> subprocess.CompletedProcess:
+    """`python argv...` in a fresh process that imports the package from `src`."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, str(demo)], env=env, cwd=ROOT, capture_output=True, text=True,
-                            timeout=120)
+    return subprocess.run([sys.executable, *argv], env=env, cwd=ROOT, capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(demo):
+    result = run_python(str(demo))
     assert result.returncode == 0, result.stderr
+
+
+def test_the_readme_python_example_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (example,) = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.M | re.S)
+    result = run_python("-c", example)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("threshold ")  # the calibration was feasible, so every line ran
 
 
 def test_the_package_imports_only_numpy_and_the_standard_library():

@@ -333,6 +333,9 @@ def test_evaluate_split_bundles_counts():
     assert report.fdr == 0.0
     assert report.power == pytest.approx(2 / 3)
     assert 0.0 <= report.auroc <= 1.0
+    u, adm = [0.1, 0.2, 0.6, 0.9, 0.4], [1, 1, 0, 1, 0]
+    report = evaluate_split(u, adm, 0.5)
+    assert report == EvalReport(auroc(u, adm), auarc(u, adm), fdr_at(u, adm, 0.5), power_at(u, adm, 0.5), 3, 5)
 
 
 @pytest.mark.parametrize(
@@ -353,19 +356,6 @@ def test_metrics_reject_a_nan_uncertainty_naming_its_position(metric):
         metric([np.nan, 0.5, 0.2, np.nan], [0, 1, 0, 1])
     with pytest.raises(MetricError, match=r"^uncertainty at position 2 is NaN$"):
         metric(np.array([0.1, 0.5, np.nan, 0.3, np.nan]), [0, 1, 0, 1, 1])
-
-
-def test_evaluate_split_checks_its_pair_once(monkeypatch):
-    from clickrisk import metrics
-
-    calls = []
-    check = metrics._check_pair
-    monkeypatch.setattr(metrics, "_check_pair", lambda u, adm: calls.append(1) or check(u, adm))
-    u, adm = [0.1, 0.2, 0.6, 0.9, 0.4], [1, 1, 0, 1, 0]
-    report = evaluate_split(u, adm, 0.5)
-    assert len(calls) == 1
-    monkeypatch.undo()
-    assert report == EvalReport(auroc(u, adm), auarc(u, adm), fdr_at(u, adm, 0.5), power_at(u, adm, 0.5), 3, 5)
 
 
 def test_aggregate_population_std():

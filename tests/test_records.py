@@ -383,9 +383,9 @@ def test_split_rejects_tiny_dataset_and_bad_index():
 
 def test_split_plan_validation():
     with pytest.raises(SplitError):
-        SplitPlan(calibration_ratio=1.0, seed=0).validate()
+        SplitPlan(calibration_ratio=1.0, seed=0)
     with pytest.raises(SplitError):
-        SplitPlan(calibration_ratio=0.5, seed=0, repetitions=0).validate()
+        SplitPlan(calibration_ratio=0.5, seed=0, repetitions=0)
 
 
 # --- column_lines: one %-format per line, the json.dumps line of the same fields --------

@@ -73,13 +73,13 @@ def test_record_ids_and_fields_are_well_formed():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        SynthConfig(n_records=0).validate()
+        SynthConfig(n_records=0)
     with pytest.raises(ValueError):
-        SynthConfig(box_size=900, image_size=800).validate()
+        SynthConfig(box_size=900, image_size=800)
     with pytest.raises(ValueError):
-        SynthConfig(easy_fraction=1.2).validate()
+        SynthConfig(easy_fraction=1.2)
     with pytest.raises(ValueError):
-        SynthConfig(seed=-1).validate()
+        SynthConfig(seed=-1)
 
 
 # sha256 of the serialized datasets: any change to the order or arithmetic

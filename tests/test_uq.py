@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -229,6 +230,12 @@ def test_combine_rejects_bad_weights():
         combine(0.5, 0.5, 0.5, (-0.2, 0.6, 0.6))
 
 
+@pytest.mark.parametrize("weights", [(math.nan, 0.5, 0.5), (0.0, 0.0, math.nan)])
+def test_combine_rejects_nan_weights(weights):
+    with pytest.raises(ValueError, match=re.escape(f"weights must be non-negative and sum to 1, got {weights}")):
+        combine(0.5, 0.5, 0.5, weights)
+
+
 # --- score_record ---------------------------------------------------------------
 
 def record_with_samples(samples, width=280, height=280, **overrides):
@@ -355,12 +362,12 @@ def test_score_scaling_invariance():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        UqConfig(weights=(0.5, 0.5, 0.5)).validate()
+        UqConfig(weights=(0.5, 0.5, 0.5))
     with pytest.raises(ValueError):
-        UqConfig(beta=1.0).validate()
+        UqConfig(beta=1.0)
     with pytest.raises(ValueError):
-        UqConfig(k_samples=0).validate()
-    UqConfig().validate()
+        UqConfig(k_samples=0)
+    UqConfig()
 
 
 def test_weight_presets_are_normalized():
