@@ -103,18 +103,22 @@ def _append_csv_row(path: str, header: list[str], row: list) -> None:
         csv.writer(fh, lineterminator="\n").writerow([_fmt(v) for v in row])
 
 
-def _distinct_outputs(args, *flags: str) -> None:
-    """A CliError naming both flags when two of the file `flags` given name one file.
+def _distinct_outputs(args, *flags) -> None:
+    """A CliError naming both flags when two of the files `flags` give name one file.
 
-    Callers list the files a command reads ahead of those it writes, so
-    that no output replaces an input or another output.
+    A flag stands for the file its option names, or each of them when the
+    option takes a list; a (flag, paths) pair stands for the files a command
+    writes into the directory that flag names. Callers list the files a
+    command reads ahead of those it writes, so that no output replaces an
+    input or another output.
     """
     first: dict[str, str] = {}  # real path -> the first flag naming it
     for flag in flags:
-        path = getattr(args, flag[2:].replace("-", "_"))
-        other = path and first.setdefault(os.path.realpath(path), flag)
-        if other and other != flag:
-            raise CliError(f"{other} and {flag} name the same file: {path}")
+        flag, paths = flag if isinstance(flag, tuple) else (flag, getattr(args, flag[2:].replace("-", "_")))
+        for path in paths if isinstance(paths, list) else [paths]:
+            other = path and first.setdefault(os.path.realpath(path), flag)
+            if other and other != flag:
+                raise CliError(f"{other} and {flag} name the same file: {path}")
 
 
 def _write_json(path: str, obj) -> None:
@@ -312,16 +316,21 @@ def _dump_name(rec_id: str) -> str:
 def cmd_score(args) -> int:
     uq_cfg, memo = _uq_config(args), {}
     owners: dict[str, str] = {}  # --dump-density file name -> the first id written to it
+    # the files no dump may replace; when -i X -o X rescores in place, X is named by --input
+    files = {os.path.realpath(args.output): "--output", os.path.realpath(args.input): "--input"}
     clash, n_records = None, 0
     with atomic_writer(args.output) as fh:
         for chunk in _read(args.input):  # a chunk at a time: read, score, write
             scores = score_columns(chunk.points, chunk.offsets, chunk.dims, uq_cfg, memo)
             write_columns(fh, chunk, mlg_column(chunk, args.seed), scores)
             n_records += len(chunk)
-            for rec_id in chunk.ids if args.dump_density else ():
+            for rec_id in chunk.ids if args.dump_density and clash is None else ():
                 name = _dump_name(rec_id)
-                if owners.setdefault(name, rec_id) != rec_id and clash is None:
+                dump = os.path.join(args.dump_density, name)
+                if owners.setdefault(name, rec_id) != rec_id:
                     clash = f"--dump-density: ids {owners[name]!r} and {rec_id!r} would both be written to {name}"
+                elif flag := files.get(os.path.realpath(dump)):
+                    clash = f"{flag} and --dump-density name the same file: {dump}"
         if clash:  # raised inside the writer, so no scored file is left either
             raise CliError(clash)
     if args.dump_density:  # from the finished file, so that a failure anywhere in the input leaves no dump
@@ -338,13 +347,16 @@ def cmd_score(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    _distinct_outputs(args, "--input", "--out")
+    single = args.repetitions == 1
+    summary = os.path.join(args.out, "summary.json")
+    artifacts = [args.out] if single else [
+        os.path.join(args.out, f"calibration_r{rep:03d}.json") for rep in range(args.repetitions)]
+    _distinct_outputs(args, "--input", ("--out", artifacts if single else [args.out, *artifacts, summary]))
     spec = RiskSpec(alpha=args.alpha, delta=args.delta)
     plan = _split_plan(args)
     variant = _check_variant(args.variant)
     u, adm = _stacked([(u, adm) for _, u, adm in _scored_chunks(args.input, variant, args.seed)], 2)
 
-    single = plan.repetitions == 1
     if not single:
         os.makedirs(args.out, exist_ok=True)
     fdrs = []
@@ -353,12 +365,11 @@ def cmd_calibrate(args) -> int:
         outcome = calibrate_threshold(u[cal], ~adm[cal], spec)  # the full trace, for the artifact
         if outcome.feasible:
             fdrs.append(engine.split_counts(u[test], adm[test], outcome.threshold).fdr)
-        path = args.out if single else os.path.join(args.out, f"calibration_r{rep:03d}.json")
-        _write_json(path, _artifact_obj(outcome, spec, variant))
+        _write_json(artifacts[rep], _artifact_obj(outcome, spec, variant))
     infeasible = plan.repetitions - len(fdrs)
     mean, std = _mean_std(fdrs)
     if not single:
-        _write_json(os.path.join(args.out, "summary.json"), {
+        _write_json(summary, {
             "alpha": spec.alpha,
             "delta": spec.delta,
             "uq_variant": variant,
@@ -433,6 +444,8 @@ def cmd_evaluate(args) -> int:
 
 def _threshold_from_args(args) -> tuple[float, float | None, str | None]:
     """(threshold, alpha, variant) from --tau or a calibration artifact."""
+    if args.tau is not None and args.artifact is not None:
+        raise CliError("--tau and --artifact are mutually exclusive")
     if args.tau is not None:
         if not math.isfinite(args.tau):
             raise CliError(f"--tau must be finite, got {args.tau!r}")
@@ -545,6 +558,8 @@ def cmd_sweep(args) -> int:
         if preset not in WEIGHT_PRESETS:
             raise CliError(f"unknown weight preset {preset!r}; expected one of {sorted(WEIGHT_PRESETS)}")
     plan = _split_plan(args)
+    tables = [os.path.join(args.out_dir, name) for name in ("ranking.csv", "risk.csv")]
+    _distinct_outputs(args, "--inputs", ("--out-dir", tables))
 
     ranking_rows: list[list] = []
     risk_rows: list[list] = []
@@ -592,12 +607,12 @@ def cmd_sweep(args) -> int:
 
     os.makedirs(args.out_dir, exist_ok=True)
     _write_csv(
-        os.path.join(args.out_dir, "ranking.csv"),
+        tables[0],
         ["input", "variant", "weights", "k", "auroc", "auarc", "accuracy"],
         ranking_rows,
     )
     _write_csv(
-        os.path.join(args.out_dir, "risk.csv"),
+        tables[1],
         [
             "input", "variant", "weights", "k", "alpha", "delta",
             "feasible_splits", "infeasible_splits", "tau_mean",

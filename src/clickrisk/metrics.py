@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .records import Box, Point
-from .risk import empirical_fdr
+from .risk import empirical_fdr, threshold_candidates
 
 
 class MetricError(ValueError):
@@ -73,38 +73,24 @@ def _check_pair(uncertainties, flags) -> tuple[np.ndarray, np.ndarray]:
     return u, adm
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties assigned their group average.
-
-    A tie group spans sorted positions i..j and each member gets
-    0.5 * (i + j) + 1.0. The metrics never pass NaN (`_check_pair` rejects
-    it); here a NaN would tie nothing, as `==` never holds for it.
-    """
-    order = np.argsort(values, kind="stable")
-    sorted_vals = values[order]
-    starts_group = np.ones(values.size, dtype=bool)
-    starts_group[1:] = sorted_vals[1:] != sorted_vals[:-1]
-    starts = np.flatnonzero(starts_group)
-    ends = np.append(starts[1:], values.size) - 1
-    ranks = np.empty(values.size, dtype=float)
-    ranks[order] = (0.5 * (starts + ends) + 1.0)[np.cumsum(starts_group) - 1]
-    return ranks
-
-
 def auroc(uncertainties: Sequence[float], admissible: Sequence[int]) -> float:
     """Probability that an inadmissible record out-scores an admissible one.
 
-    Rank-based (Mann-Whitney) with ties counting one half. Requires both
-    classes to be present.
+    Mann-Whitney U over the tie groups of `threshold_candidates`: each
+    inadmissible record counts the admissible ones below its group and half
+    of those in it. 2U is an integer sum, so only the last division rounds.
+    Requires both classes to be present.
     """
     u, adm = _check_pair(uncertainties, admissible)
     n_pos = int((adm == 0).sum())  # inadmissible: the high-uncertainty class
     n_neg = int((adm == 1).sum())
     if n_pos == 0 or n_neg == 0:
         raise MetricError("auroc needs at least one admissible and one inadmissible record")
-    ranks = _average_ranks(u)
-    rank_sum = float(ranks[adm == 0].sum())
-    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    _, n_le, pos_le = threshold_candidates(u, 1 - adm)
+    pos = np.diff(pos_le, prepend=0)
+    neg = np.diff(n_le, prepend=0) - pos
+    two_u = int((pos * (2 * (n_le - pos_le) - neg)).sum())
+    return two_u / 2 / (n_pos * n_neg)
 
 
 def _sorted_flags(u: np.ndarray, adm: np.ndarray) -> np.ndarray:
@@ -146,21 +132,20 @@ def roc_points(
     """(fpr, tpr) pairs for detecting inadmissible records by uncertainty.
 
     Sweeps the decision threshold down the distinct observed values; a
-    record is flagged when its uncertainty is >= the threshold. After one
-    descending sort, the records flagged at a value are those up to the
-    end of its group of equal values, so each point is a cumulative count.
+    record is flagged when its uncertainty is >= the threshold. Those are
+    the records above the previous value of `threshold_candidates`, so
+    each point is a difference of its cumulative counts.
     """
     u, adm = _check_pair(uncertainties, admissible)
     n_pos = int((adm == 0).sum())
     n_neg = int((adm == 1).sum())
     if n_pos == 0 or n_neg == 0:
         raise MetricError("roc needs at least one admissible and one inadmissible record")
-    order = np.argsort(u)[::-1]
-    values = u[order]
-    ends = np.flatnonzero(np.append(values[1:] != values[:-1], True))
-    flagged_neg = np.cumsum(adm[order])[ends]
-    tpr = (ends + 1 - flagged_neg) / n_pos
-    fpr = flagged_neg / n_neg
+    _, n_le, pos_le = threshold_candidates(u, 1 - adm)
+    flagged = u.size - np.append(0, n_le[:-1])[::-1]
+    flagged_pos = n_pos - np.append(0, pos_le[:-1])[::-1]
+    tpr = flagged_pos / n_pos
+    fpr = (flagged - flagged_pos) / n_neg
     return [(0.0, 0.0)] + list(zip(fpr.tolist(), tpr.tolist()))
 
 

@@ -218,11 +218,14 @@ def largest_feasible(
     return float(taus[feasible[-1]]) if feasible.size else None
 
 
-def _check_flags(flags: Sequence[int]) -> np.ndarray:
-    arr = np.asarray(flags, dtype=int)
-    if arr.size and not np.isin(arr, (0, 1)).all():
+def _check_pair(uncertainties: Sequence[float], error_flags: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    u = np.asarray(uncertainties, dtype=float)
+    err = np.asarray(error_flags, dtype=int)
+    if err.size and not np.isin(err, (0, 1)).all():
         raise RiskError("error flags must be 0 or 1")
-    return arr
+    if u.shape != err.shape:
+        raise RiskError(f"length mismatch: {u.shape[0]} uncertainties vs {err.shape[0]} flags")
+    return u, err
 
 
 def empirical_fdr(
@@ -233,10 +236,7 @@ def empirical_fdr(
     Acceptance is inclusive (u <= tau). Returns 0 when nothing is
     accepted.
     """
-    u = np.asarray(uncertainties, dtype=float)
-    err = _check_flags(error_flags)
-    if u.shape != err.shape:
-        raise RiskError(f"length mismatch: {u.shape[0]} uncertainties vs {err.shape[0]} flags")
+    u, err = _check_pair(uncertainties, error_flags)
     accepted = u <= tau
     n = int(accepted.sum())
     if n == 0:
@@ -272,10 +272,7 @@ def calibrate_threshold(
     comes from `largest_feasible` and the critical-count table; the
     bisected bounds are computed only for the trace.
     """
-    u = np.asarray(uncertainties, dtype=float)
-    err = _check_flags(error_flags)
-    if u.shape != err.shape:
-        raise RiskError(f"length mismatch: {u.shape[0]} uncertainties vs {err.shape[0]} flags")
+    u, err = _check_pair(uncertainties, error_flags)
     if u.size == 0:
         raise RiskError("need at least one calibration point")
 

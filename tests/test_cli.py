@@ -374,6 +374,64 @@ def test_cascade_requires_threshold_source(tmp_path, mixed_file, capsys):
     assert "--tau or --artifact" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, name", [
+    ("sweep", "ranking.csv"),
+    ("sweep", "risk.csv"),
+    ("calibrate", "calibration_r001.json"),
+    ("calibrate", "summary.json"),
+])
+def test_a_file_written_into_a_directory_may_not_replace_an_input(tmp_path, mixed_file, capsys, command, name):
+    out_dir = tmp_path / "d"
+    out_dir.mkdir()
+    src = out_dir / name
+    src.write_bytes((scored(tmp_path, mixed_file) if command == "calibrate" else mixed_file).read_bytes())
+    before = src.read_bytes()
+    if command == "sweep":
+        argv, flags = ["sweep", "-i", src, "--out-dir", out_dir], "--inputs and --out-dir"
+    else:
+        argv, flags = ["calibrate", "-i", src, "-o", out_dir, "-r", 2], "--input and --out"
+    capsys.readouterr()
+    assert run(*argv) == 1
+    assert capsys.readouterr() == ("", f"error: {flags} name the same file: {src}\n")
+    assert src.read_bytes() == before
+    assert [p.name for p in out_dir.iterdir()] == [name]
+
+
+@pytest.mark.parametrize("clashing", ["--input", "--output", "both"])
+def test_a_density_dump_may_not_replace_the_input_or_the_output(tmp_path, mixed_file, capsys, clashing):
+    """The first record's dump would land on the named file; nothing is written."""
+    dump = tmp_path / "dd"
+    dump.mkdir()
+    target = dump / f"{load_records(mixed_file)[0].id}.csv"
+    src, out = mixed_file, tmp_path / "s2.jsonl"
+    if clashing != "--output":
+        src = target
+        src.write_bytes(mixed_file.read_bytes())
+    if clashing != "--input":
+        out = target
+    before = target.read_bytes() if target.exists() else None
+    capsys.readouterr()
+    assert run("score", "-i", src, "-o", out, "--dump-density", dump) == 1
+    flag = "--output" if clashing == "--output" else "--input"
+    assert capsys.readouterr() == ("", f"error: {flag} and --dump-density name the same file: {target}\n")
+    assert (target.read_bytes() if target.exists() else None) == before
+    assert [p.name for p in dump.iterdir()] == ([] if before is None else [target.name])
+    assert not (tmp_path / "s2.jsonl").exists()
+
+
+def test_cascade_takes_one_threshold_source(tmp_path, mixed_file, capsys):
+    """--tau with --artifact fails before the input is read, whether or not the artifact could be used."""
+    src = scored(tmp_path, mixed_file)
+    artifact, manifest = tmp_path / "artifact.json", tmp_path / "m.jsonl"
+    artifact.write_text(json.dumps({"feasible": True, "threshold": 0.5}))
+    for path in (artifact, tmp_path / "nonexistent.json"):
+        for source in (src, tmp_path / "missing.jsonl"):
+            capsys.readouterr()
+            assert run("cascade", "-i", source, "--tau", 0.3, "--artifact", path, "--manifest", manifest) == 1
+            assert capsys.readouterr() == ("", "error: --tau and --artifact are mutually exclusive\n")
+    assert not manifest.exists()
+
+
 @pytest.mark.parametrize("tau", ["nan", "inf", "-inf"])
 def test_cascade_rejects_a_nonfinite_tau(tmp_path, mixed_file, capsys, tau):
     src = scored(tmp_path, mixed_file)

@@ -284,10 +284,12 @@ def test_fdr_inclusive_boundary():
 
 
 def test_fdr_rejects_mismatched_lengths():
-    with pytest.raises(RiskError):
+    with pytest.raises(RiskError, match=r"^length mismatch: 2 uncertainties vs 1 flags$"):
         empirical_fdr([0.1, 0.2], [1], 0.5)
-    with pytest.raises(RiskError):
+    with pytest.raises(RiskError, match=r"^error flags must be 0 or 1$"):
         empirical_fdr([0.1], [2], 0.5)
+    with pytest.raises(RiskError, match=r"^error flags must be 0 or 1$"):  # the flags are checked first
+        empirical_fdr([0.1, 0.2], [2], 0.5)
 
 
 # --- threshold_candidates --------------------------------------------------------
@@ -386,10 +388,12 @@ def test_calibrate_validates_inputs():
         calibrate_threshold([], [], RiskSpec(alpha=0.1))
     with pytest.raises(RiskError):
         calibrate_threshold([0.1], [1], RiskSpec(alpha=1.5))
-    with pytest.raises(RiskError):
+    with pytest.raises(RiskError, match=r"^length mismatch: 2 uncertainties vs 1 flags$"):
         calibrate_threshold([0.1, 0.2], [1], RiskSpec(alpha=0.1))
-    with pytest.raises(RiskError):
+    with pytest.raises(RiskError, match=r"^error flags must be 0 or 1$"):
         calibrate_threshold([0.1], [3], RiskSpec(alpha=0.1))
+    with pytest.raises(RiskError, match=r"^error flags must be 0 or 1$"):  # the flags are checked first
+        calibrate_threshold([0.1, 0.2], [3], RiskSpec(alpha=0.1))
 
 
 def test_outcome_is_plain_data():
