@@ -55,7 +55,6 @@ from .synthgen import generate_dataset  # noqa: F401
 from .uq import score_record  # noqa: F401
 
 DEFAULT_ALPHA = 0.1
-DEFAULT_DELTA = 0.05
 
 
 class CliError(Exception):
@@ -167,7 +166,7 @@ def _list_of(cast):
 # flag. The top-level "variant" is also allowed and is checked where it is used.
 CONFIG_FIELDS = {
     "an integer": (_integer, ("seed", "uq.k_samples", "uq.patch_size", "split.repetitions")),
-    "a number": (_number, ("uq.beta", "uq.epsilon", "risk.alpha", "risk.delta", "split.calibration_ratio")),
+    "a number": (_number, ("uq.beta", "risk.alpha", "risk.delta", "split.calibration_ratio")),
     "a preset name or a list of numbers": (
         lambda v: v if isinstance(v, str) else tuple(_list_of(_number)(v)), ("uq.weights",)),
     "a list of numbers": (_list_of(_number), ("sweep.alphas",)),
@@ -231,8 +230,7 @@ def _parse_weights(text: str) -> tuple[float, float, float]:
 
 
 def _uq_config(args) -> UqConfig:
-    return UqConfig(k_samples=args.k_samples, patch_size=args.patch_size, beta=args.beta,
-                    epsilon=args.epsilon, weights=args.weights)
+    return UqConfig(k_samples=args.k_samples, patch_size=args.patch_size, beta=args.beta, weights=args.weights)
 
 
 def _split_plan(args) -> SplitPlan:
@@ -697,26 +695,19 @@ class _ListFlag(argparse.Action):
             setattr(namespace, self.dest, items)
 
 
-def _add_uq_flags(parser: argparse.ArgumentParser, setting, with_k: bool = True) -> None:
-    if with_k:
-        parser.add_argument("--k-samples", type=int, help="use only the first K samples of each record")
+def _add_uq_flags(parser: argparse.ArgumentParser, setting) -> None:
     # sweep has no --k-samples, but its k falls back to this value
     parser.set_defaults(k_samples=setting("uq.k_samples", UqConfig.k_samples))
     parser.add_argument("--patch-size", type=int, default=setting("uq.patch_size", UqConfig.patch_size),
                         help="patch size in pixels")
     parser.add_argument("--beta", type=float, default=setting("uq.beta", UqConfig.beta),
                         help="region threshold ratio in [0,1)")
-    parser.add_argument("--epsilon", type=float, default=setting("uq.epsilon", UqConfig.epsilon),
-                        help="numerical stability term")
-    # argparse also casts a string default, so a config file's preset name arrives as a tuple
-    parser.add_argument("--weights", type=_parse_weights, default=setting("uq.weights", UqConfig.weights),
-                        help="component weights: preset name or 'w_cd,w_ie,w_ta'")
 
 
 def _add_risk_flags(parser: argparse.ArgumentParser, setting, default_alpha: float = DEFAULT_ALPHA) -> None:
     parser.add_argument("--alpha", type=float, default=setting("risk.alpha", default_alpha),
                         help="target risk level in (0,1)")
-    parser.add_argument("--delta", type=float, default=setting("risk.delta", DEFAULT_DELTA),
+    parser.add_argument("--delta", type=float, default=setting("risk.delta", RiskSpec.delta),
                         help="significance level in (0,1)")
 
 
@@ -746,7 +737,11 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p = sub.add_parser("score", help="append spatial uncertainty scores to a record file")
     p.add_argument("--input", "-i", required=True)
     p.add_argument("--output", "-o", required=True)
+    p.add_argument("--k-samples", type=int, help="use only the first K samples of each record")
     _add_uq_flags(p, setting)
+    # argparse also casts a string default, so a config file's preset name arrives as a tuple
+    p.add_argument("--weights", type=_parse_weights, default=setting("uq.weights", UqConfig.weights),
+                   help="component weights: preset name or 'w_cd,w_ie,w_ta'")
     p.add_argument("--dump-density", default=None, metavar="DIR",
                    help="also write each record's occupied patches as row,col,value CSV")
     p.set_defaults(func=cmd_score)
@@ -792,10 +787,11 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
                    help=f"comma-separated presets from {sorted(WEIGHT_PRESETS)}")
     p.add_argument("--k-values", action=_ListFlag, cast=int, default=setting("sweep.k_values"),
                    help="comma-separated sample budgets")
-    p.add_argument("--delta", type=float, default=setting("risk.delta", DEFAULT_DELTA))
+    p.add_argument("--delta", type=float, default=setting("risk.delta", RiskSpec.delta))
     _add_split_flags(p, setting)
-    _add_uq_flags(p, setting, with_k=False)
-    p.set_defaults(func=cmd_sweep)
+    _add_uq_flags(p, setting)
+    # com is recombined under each of --weight-presets, so the base config's weights reach no output
+    p.set_defaults(func=cmd_sweep, weights=UqConfig.weights)
 
     p = sub.add_parser("synth", help="generate a synthetic grounding dataset")
     p.add_argument("--out", "-o", required=True)

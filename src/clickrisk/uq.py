@@ -33,6 +33,8 @@ VARIANTS = ("com", "ta", "ie", "cd", "pc")
 
 DEFAULT_WEIGHTS = (0.6, 0.2, 0.2)  # (w_cd, w_ie, w_ta)
 
+EPSILON = 1e-8  # the eps of ta and ie: a numerical-stability term, not a setting
+
 # Named weight presets for sweep experiments, ordered (w_cd, w_ie, w_ta).
 WEIGHT_PRESETS: dict[str, tuple[float, float, float]] = {
     "original": DEFAULT_WEIGHTS,
@@ -61,7 +63,6 @@ class UqConfig:
     k_samples: int = 10
     patch_size: int = 14
     beta: float = 0.3
-    epsilon: float = 1e-8
     weights: tuple[float, float, float] = DEFAULT_WEIGHTS
 
     def __post_init__(self) -> None:
@@ -71,8 +72,6 @@ class UqConfig:
             raise ValueError(f"patch_size must be positive, got {self.patch_size}")
         if not 0.0 <= self.beta < 1.0:
             raise ValueError(f"beta must lie in [0, 1), got {self.beta}")
-        if not 0.0 < self.epsilon < math.inf:  # written so that NaN fails too, as below
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if len(self.weights) != 3 or not all(w >= 0 for w in self.weights):
             raise ValueError(f"weights must be three non-negative reals, got {self.weights}")
         if not abs(sum(self.weights) - 1.0) <= 1e-12:
@@ -93,7 +92,7 @@ def _clamp01(x: float) -> float:
     return min(1.0, max(0.0, x))
 
 
-def top_ambiguity(scores: Sequence[float], epsilon: float = 1e-8) -> float:
+def top_ambiguity(scores: Sequence[float], epsilon: float = EPSILON) -> float:
     """Margin-based ambiguity between the two leading region scores."""
     if len(scores) == 0:
         raise ValueError("scores must be non-empty")
@@ -102,7 +101,7 @@ def top_ambiguity(scores: Sequence[float], epsilon: float = 1e-8) -> float:
     return _clamp01(max(0.1, 1.0 - scores[0]))
 
 
-def info_dispersion(probs: Sequence[float], epsilon: float = 1e-8) -> float:
+def info_dispersion(probs: Sequence[float], epsilon: float = EPSILON) -> float:
     """Normalized entropy of the region distribution; 0 for a single region."""
     m = len(probs)
     if m == 0:
@@ -170,8 +169,8 @@ def _score(scores: Sequence[float], config: UqConfig) -> tuple[float, float, flo
     """(ta, ie, cd, com) of one record's ranked region scores."""
     total = sum(scores)
     probs = [score / total for score in scores]
-    ta = top_ambiguity(scores, config.epsilon)
-    ie = info_dispersion(probs, config.epsilon)
+    ta = top_ambiguity(scores)
+    ie = info_dispersion(probs)
     cd = concentration_deficit(probs)
     w_cd, w_ie, w_ta = config.weights  # checked when the config was built
     return ta, ie, cd, w_cd * cd + w_ie * ie + w_ta * ta

@@ -151,10 +151,10 @@ def test_score_missing_input_is_operational_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["score", "--epsilon", "nan"], "epsilon must be positive and finite, got nan"),
+    (["score", "--beta", "nan"], "beta must lie in [0, 1), got nan"),
     (["score", "--weights", "nan,0.5,0.5"], "weights must be three non-negative reals, got (nan, 0.5, 0.5)"),
     (["synth", "--dispersion", "nan"], "dispersion must be positive and finite, got nan"),
-], ids=["score-epsilon", "score-weights", "synth-dispersion"])
+], ids=["score-beta", "score-weights", "synth-dispersion"])
 def test_a_nan_setting_fails_before_anything_is_written(tmp_path, mixed_file, capsys, argv, message):
     out = tmp_path / "out.jsonl"
     command, *flags = argv
@@ -765,6 +765,22 @@ def test_cascade_variant_order(tmp_path, mixed_file, capsys, config, flags, arti
     assert json.loads(capsys.readouterr().out)["variant"] == variant
 
 
+@pytest.mark.parametrize("argv", [
+    ["score", "-o", "s.jsonl", "--epsilon", "1e-6"],
+    ["sweep", "--out-dir", "sweep", "--epsilon", "1e-6"],
+    ["sweep", "--out-dir", "sweep", "--weights", "v2"],
+], ids=["score-epsilon", "sweep-epsilon", "sweep-weights"])
+def test_a_setting_that_changed_no_output_is_not_accepted(tmp_path, mixed_file, monkeypatch, capsys, argv):
+    # epsilon is a numerical-stability constant, and sweep recombines com under each of --weight-presets
+    monkeypatch.chdir(tmp_path)
+    command, *rest = argv
+    with pytest.raises(SystemExit) as caught:
+        run(command, "-i", mixed_file, *rest)
+    assert caught.value.code == 2
+    assert f"unrecognized arguments: {' '.join(rest[-2:])}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [mixed_file]
+
+
 @pytest.mark.parametrize("config, argv, message", [
     ({"risk": {"alpha": None}}, ["calibrate", "-o", "a.json"], "risk.alpha must be a number, got null"),
     ({"sweep": {"alphas": 0.3}}, ["sweep", "--out-dir", "sweep"], "sweep.alphas must be a list of numbers, got 0.3"),
@@ -776,6 +792,7 @@ def test_cascade_variant_order(tmp_path, mixed_file, capsys, config, flags, arti
     ({"Seed": 1}, ["score", "-o", "s.jsonl"], "unknown key Seed"),
     ({"risk.alpha": 0.3}, ["calibrate", "-o", "a.json"], "unknown key risk.alpha"),
     ({"uq": {"variant": "ta"}}, ["calibrate", "-o", "a.json"], "unknown key uq.variant"),
+    ({"uq": {"epsilon": 1e-8}}, ["score", "-o", "s.jsonl"], "unknown key uq.epsilon"),
     ({"uq": {"k_samples": 2.7}}, ["score", "-o", "s.jsonl"], "uq.k_samples must be an integer, got 2.7"),
     ({"split": {"repetitions": True}}, ["calibrate", "-o", "a.json"],
      "split.repetitions must be an integer, got true"),
@@ -790,7 +807,7 @@ def test_cascade_variant_order(tmp_path, mixed_file, capsys, config, flags, arti
     ({"uq": {"weights": [True, 0.0, 0.0]}}, ["score", "-o", "s.jsonl"],
      "uq.weights must be a preset name or a list of numbers, got [true, 0.0, 0.0]"),
 ], ids=["null-alpha", "scalar-alphas", "scalar-weights", "string-section", "string-k",
-        "misspelled-key", "misspelled-top-level", "dotted-top-level", "top-level-key-in-a-section",
+        "misspelled-key", "misspelled-top-level", "dotted-top-level", "top-level-key-in-a-section", "removed-epsilon",
         "fractional-k", "bool-repetitions", "fractional-k-and-bool-repetitions", "bool-seed", "bool-alpha",
         "fractional-k-value", "bool-in-alphas", "bool-in-weights"])
 def test_wrong_typed_config_value_names_file_and_key(tmp_path, mixed_file, capsys, config, argv, message):

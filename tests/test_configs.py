@@ -18,8 +18,6 @@ CASES = [
     (UqConfig(), {"weights": (0.5, 0.5, 0.5)}, ValueError, "weights must sum to 1, got (0.5, 0.5, 0.5)"),
     (UqConfig(), {"weights": (math.nan, 0.5, 0.5)}, ValueError,
      "weights must be three non-negative reals, got (nan, 0.5, 0.5)"),
-    (UqConfig(), {"epsilon": math.nan}, ValueError, "epsilon must be positive and finite, got nan"),
-    (UqConfig(), {"epsilon": math.inf}, ValueError, "epsilon must be positive and finite, got inf"),
     (RiskSpec(alpha=0.2), {"alpha": 1.5}, RiskError, "alpha must lie strictly inside (0, 1), got 1.5"),
     (RiskSpec(alpha=0.2), {"delta": 0.0}, RiskError, "delta must lie strictly inside (0, 1), got 0.0"),
     (SplitPlan(calibration_ratio=0.5), {"calibration_ratio": 1.0}, SplitError,

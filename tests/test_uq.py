@@ -19,6 +19,7 @@ from clickrisk.density import (
 )
 from clickrisk.records import UQ_KEYS, GroundingRecord, load_records, read_columns
 from clickrisk.uq import (
+    EPSILON,
     SCORE_CHUNK,
     UncertaintyScore,
     UqConfig,
@@ -472,8 +473,8 @@ def test_sparse_scoring_equals_dense_chain(dims):
                     probs = tuple(s / total for s in scores)  # p_i = S_i / sum S
                     records.append(record_with_samples(samples, *dims))
                     score = score_record(records[-1], cfg)
-                    ta = top_ambiguity(scores, cfg.epsilon)
-                    ie = info_dispersion(probs, cfg.epsilon)
+                    ta = top_ambiguity(scores, EPSILON)
+                    ie = info_dispersion(probs, EPSILON)
                     cd = fraction_deficit(probs)
                     assert (score.ta, score.ie, score.cd) == (ta, ie, cd)
                     assert score.combined == combine(cd, ie, ta, cfg.weights)
