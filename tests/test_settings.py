@@ -1,11 +1,13 @@
 """Every setting changes an output.
 
-Each optional flag of the file-to-file commands is run twice on one
-120-record file: once at its default and once at a value from `FLAGS`. The
-two runs must differ in some byte of stdout or of a file they write, so a
-flag that is accepted but reaches no output fails here, and so does a flag
-the table does not list. Every config-file key must be the default of a
-flag that this scan covers.
+Each optional flag of every command is run twice: once at its default and
+once at a value from `FLAGS`, the file-to-file commands on one 120-record
+file. The two runs must differ in some byte of stdout or of a file they
+write, so a flag that is accepted but reaches no output fails here, and so
+does a flag the table does not list. `guarantee` runs 5 trials, not its
+default 1000, and its runs write the per-trial CSV, since the summary's
+counts can hide a changed trial. Every config-file key must be the default
+of a flag that this scan covers.
 """
 
 import argparse
@@ -41,7 +43,12 @@ COMMANDS = {
     "evaluate": ["evaluate", "-i", "{scored}"],
     "cascade": ["cascade", "-i", "{scored}"],
     "sweep": ["sweep", "-i", "{raw}", "--out-dir", "sweep"],
+    "synth": ["synth", "--out", "synth.jsonl", "--n-records", 120],
+    "guarantee": ["guarantee", "--trials", 5],
 }
+
+SYNTH_VALUES = {"--n-records": 60, "--k-samples": 3, "--image-size": 1000, "--box-size": 100,
+                "--easy-fraction": 0.3, "--dispersion": 50.0, "--expert-accuracy": 0.5}
 
 # (command, flag) -> (the default run's extra arguments, the other run's).
 # `cli` stands for the options before the command, with calibrate as the command.
@@ -83,6 +90,13 @@ FLAGS = {
     ("sweep", "--repetitions"): change("--repetitions", 3),
     ("sweep", "--patch-size"): change("--patch-size", 28),
     ("sweep", "--beta"): change("--beta", 0.6),
+    **{("synth", flag): change(flag, value) for flag, value in SYNTH_VALUES.items()},
+    **{("guarantee", flag): change(flag, value, "--out-csv", "trials.csv") for flag, value in SYNTH_VALUES.items()},
+    ("guarantee", "--trials"): change("--trials", 6),
+    ("guarantee", "--alpha"): change("--alpha", 0.3, "--out-csv", "trials.csv"),
+    ("guarantee", "--delta"): change("--delta", 0.2, "--out-csv", "trials.csv"),
+    ("guarantee", "--ratio"): change("--ratio", 0.3, "--out-csv", "trials.csv"),
+    ("guarantee", "--out-csv"): change("--out-csv", "trials.csv"),
 }
 
 

@@ -10,7 +10,7 @@ gives the exact probability of that event; the promise is that it stays at
 or below delta.
 
 In the flat regime (e_i = p for every i) every n is bad once p > alpha, and
-the scan's false selection exceeds delta there: the pinned case below.
+the scan's false selection exceeds delta there: the pinned cases below.
 """
 
 from fractions import Fraction
@@ -107,8 +107,9 @@ def test_monte_carlo_through_the_engine_covers_the_oracle(e, expected):
     assert lower <= exact <= upper
 
 
-def test_the_scan_breaks_its_promise_in_the_flat_regime():
-    """Known defect: at p = 0.21 every threshold has error rate 0.21 > alpha, yet the scan selects one 14.9% of the time."""
-    exact = false_selection(critical_counts(200, ALPHA, DELTA), [0.21] * 200, ALPHA)
-    assert exact == pytest.approx(0.1494, abs=5e-5)
+@pytest.mark.parametrize("size, p, expected", [(200, 0.21, 0.14944), (800, 0.21, 0.18294), (200, 0.20001, 0.20715)])
+def test_the_scan_breaks_its_promise_in_the_flat_regime(size, p, expected):
+    """Known defect: at p > alpha every threshold has error rate p, yet the scan selects one this often."""
+    exact = false_selection(critical_counts(size, ALPHA, DELTA), [p] * size, ALPHA)
+    assert exact == pytest.approx(expected, abs=5e-5)
     assert exact > DELTA
