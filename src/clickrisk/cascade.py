@@ -56,23 +56,28 @@ def decide(uncertainty: float, threshold: float) -> Decision:
     return Decision.ACCEPT if uncertainty <= threshold else Decision.DEFER
 
 
-def route(u: np.ndarray, adm: np.ndarray, expert: np.ndarray, has_expert: np.ndarray, ids: Sequence[str],
-          threshold: float) -> tuple[CascadeReport, np.ndarray]:
-    """Route every record by its uncertainty `u`; the system's report and the deferral mask.
+def deferred_rows(u: np.ndarray, threshold: float) -> np.ndarray:
+    """The positions of the records `decide` defers at `threshold`, in order."""
+    return np.flatnonzero(~(u <= threshold))
+
+
+def route(u: np.ndarray, adm: np.ndarray, expert: np.ndarray, has_expert: np.ndarray, deferred_ids: Sequence[str],
+          threshold: float) -> CascadeReport:
+    """Route every record by its uncertainty `u`; the system's report.
 
     `adm` and `expert` say whether each acted-on and each expert prediction
     is admissible (`expert` is False where `has_expert` is). A record is
     accepted iff `decide` accepts it and is then judged by the primary
     prediction, otherwise by the expert's; a deferred record without an
-    expert prediction is a hard error naming the offending `ids`.
+    expert prediction is a hard error naming it from `deferred_ids`, the
+    ids of the records at `deferred_rows(u, threshold)`.
     """
     n_total = len(u)
     if n_total == 0:
         raise CascadeError("need at least one record")
-    deferred = ~(u <= threshold)
-    missing = np.flatnonzero(deferred & ~has_expert).tolist()
+    missing = np.flatnonzero(~has_expert[deferred_rows(u, threshold)]).tolist()
     if missing:
-        raise CascadeError(f"deferred records lack expert predictions: {[ids[i] for i in missing]}")
+        raise CascadeError(f"deferred records lack expert predictions: {[deferred_ids[i] for i in missing]}")
     counts = split_counts(u, adm, threshold, expert)
     n_experts = int(np.count_nonzero(has_expert))
     return CascadeReport(
@@ -85,7 +90,7 @@ def route(u: np.ndarray, adm: np.ndarray, expert: np.ndarray, has_expert: np.nda
         n_deferred=n_total - counts.n_accepted,
         n_correct_accepted=counts.n_retained,
         n_correct_deferred=counts.n_expert_correct,
-    ), deferred
+    )
 
 
 def _uncertainties(records: Sequence[GroundingRecord], uncertainties: Sequence[float]) -> np.ndarray:
@@ -105,20 +110,19 @@ def evaluate_cascade(
     boxes, experts = [r.gt_box for r in records], [r.expert or _NAN_PAIR for r in records]
     adm = admissions([select_mlg(r, mlg_seed) for r in records], boxes)
     has_expert = np.array([r.expert is not None for r in records], dtype=bool)
-    return route(u, adm, admissions(experts, boxes), has_expert, [r.id for r in records], threshold)[0]
+    deferred_ids = [records[i].id for i in deferred_rows(u, threshold).tolist()]
+    return route(u, adm, admissions(experts, boxes), has_expert, deferred_ids, threshold)
 
 
-def write_manifest(path, ids: Sequence[str], instructions: Sequence[str | None], deferred: np.ndarray) -> list[str]:
-    """Write the manifest atomically, one {"id", "instruction"?} line per record `deferred` marks; their ids."""
-    rows = np.flatnonzero(deferred).tolist()
+def write_manifest(path, ids: Sequence[str], instructions: Sequence[str | None]) -> None:
+    """Write the manifest atomically, one {"id", "instruction"?} line per deferred record, in order."""
     encode = json.encoder.encode_basestring_ascii  # a str as json.dumps writes it
     with atomic_writer(path) as fh:
-        for i in rows:
-            if instructions[i] is None:
-                fh.write('{"id":%s}\n' % encode(ids[i]))
+        for rec_id, instruction in zip(ids, instructions):
+            if instruction is None:
+                fh.write('{"id":%s}\n' % encode(rec_id))
             else:
-                fh.write('{"id":%s,"instruction":%s}\n' % (encode(ids[i]), encode(instructions[i])))
-    return [ids[i] for i in rows]
+                fh.write('{"id":%s,"instruction":%s}\n' % (encode(rec_id), encode(instruction)))
 
 
 def emit_deferrals(
@@ -128,5 +132,7 @@ def emit_deferrals(
     path,
 ) -> list[str]:
     """`write_manifest` for the records the threshold defers; returns their ids."""
-    deferred = ~(_uncertainties(records, uncertainties) <= threshold)
-    return write_manifest(path, [r.id for r in records], [r.instruction for r in records], deferred)
+    rows = deferred_rows(_uncertainties(records, uncertainties), threshold).tolist()
+    ids = [records[i].id for i in rows]
+    write_manifest(path, ids, [records[i].instruction for i in rows])
+    return ids

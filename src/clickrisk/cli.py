@@ -277,7 +277,7 @@ def _scored_chunks(path: str, variant: str, seed: int) -> Iterator[tuple[Columns
     """
     missing = None
     for chunk in _read(path):
-        u = variant_column(chunk, variant)
+        u = variant_column(chunk, variant).copy()  # not a view that would keep the chunk's (n, 4) uq array
         if missing is None and np.isnan(u).any():
             missing = chunk.ids[int(np.isnan(u).argmax())]
         yield chunk, u, _admissible(chunk, seed)
@@ -312,14 +312,14 @@ def _dump_name(rec_id: str) -> str:
 
 
 def cmd_score(args) -> int:
-    uq_cfg, memo = _uq_config(args), {}
+    uq_cfg = _uq_config(args)
     owners: dict[str, str] = {}  # --dump-density file name -> the first id written to it
     # the files no dump may replace; when -i X -o X rescores in place, X is named by --input
     files = {os.path.realpath(args.output): "--output", os.path.realpath(args.input): "--input"}
     clash, n_records = None, 0
     with atomic_writer(args.output) as fh:
         for chunk in _read(args.input):  # a chunk at a time: read, score, write
-            scores = score_columns(chunk.points, chunk.offsets, chunk.dims, uq_cfg, memo)
+            scores = score_columns(chunk.points, chunk.offsets, chunk.dims, uq_cfg)
             write_columns(fh, chunk, mlg_column(chunk, args.seed), scores)
             n_records += len(chunk)
             for rec_id in chunk.ids if args.dump_density and clash is None else ():
@@ -485,12 +485,13 @@ def cmd_cascade(args) -> int:
     threshold, alpha, artifact_variant = _threshold_from_args(args)
     # the flag, then the artifact's variant, then the config file's, then com
     variant = _check_variant(args.variant or artifact_variant or args.fallback_variant)
-    ids, instructions, per_chunk = [], [], []
+    ids, instructions, per_chunk = [], [], []  # the ids and instructions of the deferred records only
     for chunk, u, adm in _scored_chunks(args.input, variant, args.seed):
-        ids += chunk.ids
-        instructions += chunk.instructions
+        for i in cascade_mod.deferred_rows(u, threshold).tolist():
+            ids.append(chunk.ids[i])
+            instructions.append(chunk.instructions[i])
         per_chunk.append((u, adm, *_expert(chunk)))
-    report, deferred = cascade_mod.route(*_stacked(per_chunk, 4), ids, threshold)
+    report = cascade_mod.route(*_stacked(per_chunk, 4), ids, threshold)
 
     report_obj = {
         "input": args.input,
@@ -503,8 +504,8 @@ def cmd_cascade(args) -> int:
     if args.report:
         _write_json(args.report, report_obj)
     if args.manifest:
-        written = cascade_mod.write_manifest(args.manifest, ids, instructions, deferred)
-        print(f"deferral manifest: {len(written)} records -> {args.manifest}", file=sys.stderr)
+        cascade_mod.write_manifest(args.manifest, ids, instructions)
+        print(f"deferral manifest: {len(ids)} records -> {args.manifest}", file=sys.stderr)
     if args.csv:
         label = args.label or os.path.basename(args.input)
         _append_csv_row(args.csv, CASCADE_CSV_HEADER, [label] + [report_obj[k] for k in CASCADE_CSV_HEADER[1:]])
@@ -575,7 +576,6 @@ def cmd_sweep(args) -> int:
         expert = expert if has_expert.all() else None
         base_accuracy = int(adm.sum()) / adm.size
         splits: dict = {}  # the same index arrays serve every combination
-        memo: dict = {}  # the score row of each ranked-score tuple, per k
 
         def emit(head: list, ranking: list, risk: list[list]) -> None:
             ranking_rows.append(head + ranking + [base_accuracy])
@@ -586,7 +586,7 @@ def cmd_sweep(args) -> int:
         # under every preset
         rows: dict[tuple, tuple[list, list[list]]] = {}  # per key: its ranking tail and risk tails
         for k in k_values:
-            scores = score_columns(points, offsets, dims, replace(base_uq, k_samples=k), memo)
+            scores = score_columns(points, offsets, dims, replace(base_uq, k_samples=k))
             parts = dict(zip(UQ_KEYS, scores.T))
             for preset in presets:
                 for variant in variants:

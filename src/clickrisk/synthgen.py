@@ -236,7 +236,6 @@ def run_guarantee_trials(
     plan = SplitPlan(calibration_ratio=calibration_ratio, seed=config.seed, repetitions=1)
     uq_cfg = UqConfig()
 
-    memo: dict = {}  # the trials' datasets repeat ranked-score tuples; scored once per call
     com = UQ_KEYS.index("com")
     violations = 0
     infeasible = 0
@@ -245,7 +244,7 @@ def run_guarantee_trials(
         seed_t = _trial_seed(config.seed, t)
         # a chunk at a time: only each record's uncertainty and admissibility outlive its chunk
         scored = [
-            (score_columns(chunk.points, chunk.offsets, chunk.dims, uq_cfg, memo)[:, com],
+            (score_columns(chunk.points, chunk.offsets, chunk.dims, uq_cfg)[:, com],
              admissions(mlg_column(chunk, seed_t), chunk.boxes))
             for chunk in generate_chunks(replace(config, seed=seed_t))
         ]

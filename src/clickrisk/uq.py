@@ -18,6 +18,7 @@ can otherwise push them marginally outside.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -165,14 +166,21 @@ def combine(
     return w_cd * cd + w_ie * ie + w_ta * ta
 
 
-def _score(scores: Sequence[float], config: UqConfig) -> tuple[float, float, float, float]:
-    """(ta, ie, cd, com) of one record's ranked region scores."""
+@functools.lru_cache(maxsize=4096)
+def _score(scores: tuple[float, ...], w_cd: float, w_ie: float, w_ta: float) -> tuple[float, float, float, float]:
+    """(ta, ie, cd, com) of one record's ranked region scores, once per distinct (scores, weights).
+
+    A pure function of hashable floats that returns an immutable tuple, so
+    a hit is exactly what a fresh evaluation would give: every score is a
+    positive finite density, and equal keys are equal bit for bit. The
+    cache is bounded, so it holds at most 4096 rows however many records
+    are scored.
+    """
     total = sum(scores)
     probs = [score / total for score in scores]
     ta = top_ambiguity(scores)
     ie = info_dispersion(probs)
     cd = concentration_deficit(probs)
-    w_cd, w_ie, w_ta = config.weights  # checked when the config was built
     return ta, ie, cd, w_cd * cd + w_ie * ie + w_ta * ta
 
 
@@ -183,7 +191,7 @@ def score_record(record: GroundingRecord, config: UqConfig = UqConfig()) -> Unce
     """
     samples = record.samples[: config.k_samples]
     scores = sparse_region_scores(samples, (record.image_width, record.image_height), config.patch_size, config.beta)
-    return UncertaintyScore(*_score(scores, config))
+    return UncertaintyScore(*_score(scores, *config.weights))
 
 
 def score_columns(
@@ -191,7 +199,6 @@ def score_columns(
     offsets: np.ndarray,
     dims: Sequence[tuple[int, int]],
     config: UqConfig,
-    memo: dict,
 ) -> np.ndarray:
     """`score_record` for clouds given as one column of samples, bit for bit, as an (n, 4) array.
 
@@ -199,12 +206,9 @@ def score_columns(
     `dims[i]`; its first `config.k_samples` samples are scored, and row i
     holds its components in `UQ_KEYS` order: ta, ie, cd, com. SCORE_CHUNK
     clouds at a time go through `density.batch_region_scores` (a fixed
-    number of numpy calls per chunk), and each distinct ranked-score tuple
-    through `_score` once. The first cloud `score_record` would reject
-    raises its error here. `memo` is a dict the caller owns: it keeps one
-    table per config from each ranked-score tuple to its row, so a caller
-    that scores many columns passes the same dict to each and drops it
-    when done.
+    number of numpy calls per chunk), and each ranked-score tuple through
+    `_score`, whose cache `score_record` shares. The first cloud
+    `score_record` would reject raises its error here.
     """
     sizes = np.diff(offsets)
     if sizes.max(initial=0) > config.k_samples:  # keep each cloud's leading k samples
@@ -212,7 +216,6 @@ def score_columns(
         points = points[rank < config.k_samples]
         offsets = np.zeros_like(offsets)
         np.cumsum(np.minimum(sizes, config.k_samples), out=offsets[1:])
-    table = memo.setdefault(config, {})
     rows = []
     for start in range(0, len(offsets) - 1, SCORE_CHUNK):
         stop = min(start + SCORE_CHUNK, len(offsets) - 1)
@@ -220,10 +223,7 @@ def score_columns(
         for scores in batch_region_scores(
             points[lo:hi], offsets[start : stop + 1] - lo, dims[start:stop], config.patch_size, config.beta
         ):
-            row = table.get(scores)
-            if row is None:
-                row = table[scores] = _score(scores, config)
-            rows.append(row)
+            rows.append(_score(scores, *config.weights))
     return np.array(rows, dtype=float).reshape(-1, 4)
 
 

@@ -2,15 +2,16 @@ import contextlib
 import io
 import json
 import math
+import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from clickrisk import cli, synthgen
+from clickrisk import cascade, cli, synthgen, uq
 from clickrisk.density import build_density_map
-from clickrisk.records import SCORE_CHUNK, SplitPlan, load_records, split
+from clickrisk.records import SCORE_CHUNK, GroundingRecord, SplitPlan, load_records, split
 from clickrisk.synthgen import SynthConfig, generate_dataset
 from test_records import record_lines
 
@@ -463,6 +464,27 @@ def test_cascade_rejects_infeasible_artifact(tmp_path, easy_file, capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
+def test_cascade_names_every_deferred_record_without_an_expert_across_chunks(tmp_path, capsys):
+    """The manifest and the missing-expert error list the deferred records of every chunk, in file order."""
+    records = [GroundingRecord(id=f"r{i}", image_width=100, image_height=80, gt_box=(10.0, 10.0, 30.0, 30.0),
+                               samples=((12.0, 15.0),), instruction=f"click {i}" if i % 3 else None,
+                               expert=(20.0, 20.0) if i % 7 else None,
+                               uq=dict.fromkeys(("ta", "ie", "cd", "com"), (i % 10) / 10))
+               for i in range(2 * SCORE_CHUNK + 9)]
+    src, manifest = tmp_path / "scored.jsonl", tmp_path / "deferred.jsonl"
+    src.write_text("".join(line + "\n" for line in record_lines(records)))
+    deferred = [r for r in records if r.uq["com"] > 0.75]
+    assert run("cascade", "-i", src, "--tau", 0.75, "--manifest", manifest) == 1
+    missing = [r.id for r in deferred if r.expert is None]
+    assert capsys.readouterr().err == f"error: deferred records lack expert predictions: {missing}\n"
+    assert not manifest.exists()
+    src.write_text("".join(line + "\n" for line in record_lines(r for r in records if r.id not in missing)))
+    assert run("cascade", "-i", src, "--tau", 0.75, "--manifest", manifest) == 0
+    assert manifest.read_text() == "".join(
+        json.dumps({"id": r.id} | ({"instruction": r.instruction} if r.instruction else {}), separators=(",", ":"))
+        + "\n" for r in deferred if r.expert is not None)
+
+
 # --- sweep ----------------------------------------------------------------------
 
 def test_sweep_produces_both_tables(tmp_path, mixed_file):
@@ -605,6 +627,74 @@ def test_synth_and_guarantee_memory_stays_flat_in_the_record_count(tmp_path, mon
         assert large_peak <= 1.25 * small_peak
     else:  # only each record's uncertainty, admissibility and split indices outlive its chunk
         assert (large_peak - small_peak) / (large - small) < 100
+
+
+def test_cascade_memory_keeps_no_row_of_a_record_it_accepts(tmp_path, monkeypatch):
+    """Cascade keeps four vectors per record, and an id and instruction only for each record it defers.
+
+    At tau 0.94 it defers none of these records (their largest `com` is
+    0.93999999). The traced memory it holds when it routes, and its peak,
+    are compared between 512 and 5120 records.
+    """
+    monkeypatch.chdir(tmp_path)
+    small, large = 2 * SCORE_CHUNK, 20 * SCORE_CHUNK
+    assert run("synth", "--out", "synth.jsonl", "--n-records", large) == 0
+    scored(tmp_path, "synth.jsonl", "large.jsonl")
+    with open("large.jsonl") as fh:
+        Path("small.jsonl").write_text("".join(next(fh) for _ in range(small)))
+    held, route = [], cascade.route
+
+    def traced_route(*args):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return route(*args)
+
+    monkeypatch.setattr(cascade, "route", traced_route)
+    argv = ["cascade", "--tau", 0.94, "--manifest", "deferred.jsonl", "-i"]
+    traced_peak(*argv, "small.jsonl")  # first-use allocations (imports, caches) out of the way
+    small_peak, large_peak = traced_peak(*argv, "small.jsonl"), traced_peak(*argv, "large.jsonl")
+    assert Path("deferred.jsonl").read_text() == ""
+    assert (held[2] - held[1]) / (large - small) < 40  # about 25; 195 with every id and instruction
+    # the reader's set of seen ids is most of the peak
+    assert (large_peak - small_peak) / (large - small) < 240  # about 180; 290 with every id and instruction
+
+
+def partitions(n: int, largest: int) -> list[tuple[int, ...]]:
+    """The partitions of n into parts of at most `largest`, largest part first."""
+    if n == 0:
+        return [()]
+    return [(first, *rest) for first in range(min(n, largest), 0, -1) for rest in partitions(n - first, first)]
+
+
+def test_score_memory_stays_flat_once_the_score_cache_is_full(tmp_path, monkeypatch):
+    """Past the 4096 rows `uq._score` keeps, more distinct ranked-score tuples cost `score` no memory.
+
+    One record per partition of each k from 15 to 23, in a seeded shuffle,
+    with a part's samples in a patch of their own: a record's ranked scores
+    are its parts over k, so two records share a tuple only when their
+    partitions differ by a common factor. The live Python blocks
+    (`sys.getallocatedblocks`) are read after each chunk is written; once
+    the cache is full a new row replaces an evicted one, and what still
+    grows is the reader's set of seen ids. (Tracing with tracemalloc would
+    make the run eight times as long.)
+    """
+    every = [parts for k in range(15, 24) for parts in partitions(k, k)]
+    records = [GroundingRecord(id=f"r{i}", image_width=840, image_height=14, gt_box=(0.0, 0.0, 14.0, 14.0),
+                               samples=tuple((28.0 * j + 7.0, 7.0) for j, part in enumerate(parts) for _ in range(part)))
+               for i, parts in enumerate(every[i] for i in np.random.default_rng(0).permutation(len(every)))]
+    (tmp_path / "in.jsonl").write_text("".join(line + "\n" for line in record_lines(records)))
+    blocks, write = [], cli.write_columns
+
+    def counted_write(*args):
+        write(*args)
+        blocks.append(sys.getallocatedblocks())
+
+    monkeypatch.setattr(cli, "write_columns", counted_write)
+    assert run("score", "-i", tmp_path / "in.jsonl", "-o", tmp_path / "out.jsonl", "--beta", 0,
+               "--k-samples", 23) == 0
+    assert uq._score.cache_info().misses > 4096 + 3 * SCORE_CHUNK
+    full = -(-4096 // SCORE_CHUNK)  # the chunks written by when the cache holds 4096 rows
+    per_record = (blocks[-2] - blocks[full]) / ((len(blocks) - 2 - full) * SCORE_CHUNK)  # full chunks only
+    assert per_record < 5  # about 2 here; 15 when every distinct tuple's row is kept
 
 
 def test_sweep_rejects_an_empty_input(tmp_path, capsys):

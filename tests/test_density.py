@@ -17,7 +17,7 @@ def distribution(scores):
     seen = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(uq, "concentration_deficit", lambda probs: seen.append(tuple(probs)) or 0.0)
-        uq._score(scores, uq.UqConfig())
+        uq._score.__wrapped__(scores, *uq.DEFAULT_WEIGHTS)  # uncached: a hit would call nothing
     return seen[0]
 
 

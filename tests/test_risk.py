@@ -246,7 +246,7 @@ def test_a_cold_table_takes_a_handful_of_incomplete_betas(cold, monkeypatch):
 def test_a_trace_quantile_takes_about_ten_incomplete_betas(monkeypatch):
     # the bisection took 40 per trace point; Newton locates its cell in far fewer
     batch = generate_arrays(SynthConfig(n_records=5000, seed=3))
-    u = score_columns(batch.points, batch.offsets, batch.dims, UqConfig(), {})[:, UQ_KEYS.index("com")]
+    u = score_columns(batch.points, batch.offsets, batch.dims, UqConfig())[:, UQ_KEYS.index("com")]
     err = ~admissions(mlg_column(batch, 3), batch.boxes)
     spec = RiskSpec(alpha=0.2, delta=0.05)
     critical_counts(u.size, spec.alpha, spec.delta)  # the table is counted elsewhere

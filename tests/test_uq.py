@@ -19,6 +19,7 @@ from clickrisk.density import (
 )
 from clickrisk.records import UQ_KEYS, GroundingRecord, load_records, read_columns
 from clickrisk.uq import (
+    DEFAULT_WEIGHTS,
     EPSILON,
     SCORE_CHUNK,
     UncertaintyScore,
@@ -261,7 +262,7 @@ def columns_of(records):
 
 def column_scores(records, config=UqConfig()):
     """The batch path: every record scored by one `score_columns` call."""
-    return [UncertaintyScore(*row) for row in score_columns(*columns_of(records), config, {}).tolist()]
+    return [UncertaintyScore(*row) for row in score_columns(*columns_of(records), config).tolist()]
 
 
 def uq_fields(score):
@@ -695,7 +696,7 @@ def test_score_batch_rejects_the_first_bad_record_as_score_record_does():
     assert "too large to index" in str(expected.value)
 
 
-# --- the per-call memo of score_columns -----------------------------------------
+# --- the bounded cache of _score, which both paths share ------------------------
 
 def repeated_tuple_records(rng, n):
     """n records over a few cloud shapes, each placed at a random patch offset.
@@ -714,15 +715,20 @@ def repeated_tuple_records(rng, n):
     return records
 
 
-def test_score_batch_memo_equals_score_record_on_repeated_tuples(monkeypatch):
+def distinct_tuples(records, config=UqConfig()):
+    """The distinct ranked-score tuples of the records' clouds."""
+    return {sparse_region_scores(r.samples[: config.k_samples], (r.image_width, r.image_height),
+                                 config.patch_size, config.beta) for r in records}
+
+
+def test_score_batch_memo_equals_score_record_on_repeated_tuples():
     records = repeated_tuple_records(np.random.default_rng(5), 3 * SCORE_CHUNK)
-    calls = []
-    real_score = uq._score
-    monkeypatch.setattr(uq, "_score", lambda *a: calls.append(a[0]) or real_score(*a))
     got = column_scores(records)
-    monkeypatch.undo()
+    info = uq._score.cache_info()
+    assert info.misses == len(distinct_tuples(records)) < 10  # one component evaluation per distinct tuple
+    assert info.hits + info.misses == len(records)
     assert got == [score_record(r) for r in records]
-    assert len(calls) == len(set(calls)) < 10  # one component evaluation per distinct tuple
+    assert uq._score.cache_info().misses == info.misses  # the per-click path reads the same rows
 
 
 def test_score_batch_memo_keeps_each_records_pc(tmp_path):
@@ -744,7 +750,8 @@ def test_score_batch_twice_gives_identical_results():
     assert column_scores(records) == column_scores(records)
 
 
-def test_uq_holds_no_module_level_state_after_a_call():
+def test_uq_holds_no_state_but_the_bounded_score_cache():
+    """No module dict, list or set of `uq` grows with scoring; `_score`'s bounded cache is its only state."""
     def snapshot():
         return {name: (id(value), len(value) if isinstance(value, (dict, list, set)) else None)
                 for name, value in vars(uq).items()}
@@ -752,8 +759,45 @@ def test_uq_holds_no_module_level_state_after_a_call():
     records = repeated_tuple_records(np.random.default_rng(7), 300)
     before = snapshot()
     column_scores(records)
-    score_columns(*columns_of(records), UqConfig(k_samples=5), {})
+    score_columns(*columns_of(records), UqConfig(k_samples=5))
+    for r in records:
+        score_record(r, UqConfig(weights=WEIGHT_PRESETS["v2"]))
     assert snapshot() == before
+    assert [name for name, value in vars(uq).items() if hasattr(value, "cache_info")] == ["_score"]
+    info = uq._score.cache_info()
+    assert info.maxsize == 4096
+    keys = ({(t, DEFAULT_WEIGHTS) for t in distinct_tuples(records) | distinct_tuples(records, UqConfig(k_samples=5))}
+            | {(t, WEIGHT_PRESETS["v2"]) for t in distinct_tuples(records)})
+    assert info.currsize == info.misses == len(keys)  # one row per distinct (tuple, weights)
+
+
+def test_a_cached_row_equals_a_cold_one_bit_for_bit():
+    rng = np.random.default_rng(11)
+    records = cloud_records(rng, (840, 840), 10, 14, per_kind=20) + repeated_tuple_records(rng, 200)
+    cfg = UqConfig(weights=WEIGHT_PRESETS["v1"])
+
+    def bits(rows):
+        return [tuple(float.hex(x) for x in row) for row in rows]
+
+    cold = []
+    for r in records:
+        uq._score.cache_clear()
+        cold.append(dataclasses.astuple(score_record(r, cfg)))
+    assert uq._score.cache_info().hits == 0
+    assert bits(dataclasses.astuple(score_record(r, cfg)) for r in records) == bits(cold)
+    uq._score.cache_clear()
+    cold_columns = score_columns(*columns_of(records), cfg).tolist()
+    assert uq._score.cache_info().misses < len(records)  # the batch repeats tuples, so some rows are hits
+    assert bits(cold_columns) == bits(cold)
+    assert bits(score_columns(*columns_of(records), cfg).tolist()) == bits(cold)
+    assert uq._score.cache_info().misses == len(distinct_tuples(records))
+
+
+def test_a_list_of_weights_scores_as_its_tuple():
+    records = repeated_tuple_records(np.random.default_rng(12), 100)
+    listed, tupled = UqConfig(weights=[0.2, 0.2, 0.6]), UqConfig(weights=(0.2, 0.2, 0.6))
+    assert column_scores(records, listed) == column_scores(records, tupled)
+    assert [score_record(r, listed) for r in records] == [score_record(r, tupled) for r in records]
 
 
 def test_score_columns_equals_score_batch_and_caps_k():
@@ -762,17 +806,20 @@ def test_score_columns_equals_score_batch_and_caps_k():
     for cfg in (UqConfig(), UqConfig(k_samples=30, beta=0.0), UqConfig(k_samples=3, patch_size=28)):
         points, offsets, dims = columns_of(records)  # every sample, so score_columns caps at k
         expected = [[s.ta, s.ie, s.cd, s.combined] for s in (score_record(r, cfg) for r in records)]
-        assert score_columns(points, offsets, dims, cfg, {}).tolist() == expected
+        assert score_columns(points, offsets, dims, cfg).tolist() == expected
 
 
 def test_score_columns_memo_keeps_configs_apart():
     records = repeated_tuple_records(np.random.default_rng(10), 200)
     columns = columns_of(records)
-    memo: dict = {}
+    got = []
     for cfg in (UqConfig(), UqConfig(weights=WEIGHT_PRESETS["v2"]), UqConfig()):
+        got.append(score_columns(*columns, cfg))
         expected = [[s.ta, s.ie, s.cd, s.combined] for s in (score_record(r, cfg) for r in records)]
-        assert score_columns(*columns, cfg, memo).tolist() == expected
-    assert len(memo) == 2
+        assert got[-1].tolist() == expected
+    assert (got[0][:, :3] == got[1][:, :3]).all()  # ta, ie and cd do not depend on the weights
+    assert (got[0][:, 3] != got[1][:, 3]).any()
+    assert uq._score.cache_info().misses == 2 * len(distinct_tuples(records))  # one row per tuple per weight setting
 
 
 def test_score_batch_near_the_int64_patch_limit_equals_score_record():
