@@ -399,7 +399,7 @@ def cmd_evaluate(args) -> int:
     u, adm = _stacked([(u, adm) for _, u, adm in _scored_chunks(args.input, variant, args.seed)], 2)
 
     per_split: dict[str, list[float]] = {k: [] for k in ("auroc", "auarc", "test_fdr", "power", "n_accepted")}
-    for rep, (test, (counts,)) in enumerate(engine.run_splits(u, adm, plan, [spec.alpha], spec.delta)):
+    for rep, (test, [(counts,)]) in enumerate(engine.run_splits([u], adm, plan, [spec.alpha], spec.delta)):
         try:
             per_split["auroc"].append(metrics_mod.auroc(u[test], adm[test]))
         except metrics_mod.MetricError as exc:
@@ -512,19 +512,14 @@ def cmd_cascade(args) -> int:
     return 0
 
 
-def _combo_rows(u, adm, expert, plan, alphas, delta, splits) -> tuple[list, list[list]]:
+def _combo_rows(u, adm, expert, plan, alphas, delta, feasible) -> tuple[list, list[list]]:
     """One sweep combination's AUROC/AUARC and its per-alpha risk columns.
 
     `u` is None when the variant is absent from the records ("--" style
-    empty columns); `splits` is `engine.run_splits`' index-array cache.
+    empty columns); `feasible` holds, per alpha, the counts of its feasible splits.
     """
     if u is None:
         return [None, None], [[alpha, delta] + [None] * 11 for alpha in alphas]
-    feasible: list[list[engine.SplitCounts]] = [[] for _ in alphas]
-    for _, per_alpha in engine.run_splits(u, adm, plan, alphas, delta, expert, splits):
-        for kept, counts in zip(feasible, per_alpha):
-            if counts is not None:
-                kept.append(counts)
     risk = []
     for alpha, kept in zip(alphas, feasible):
         cascaded = kept if expert is not None else []
@@ -539,11 +534,63 @@ def _combo_rows(u, adm, expert, plan, alphas, delta, splits) -> tuple[list, list
     return [metrics_mod.auroc(u, adm), metrics_mod.auarc(u, adm)], risk
 
 
+def _sweep_input(path: str, args, base_uq: UqConfig, k_values: list[int], plan: SplitPlan) -> tuple[list, list]:
+    """One input's ranking rows and risk rows, in table order.
+
+    Each distinct combination's column is built first, then one
+    `engine.run_splits` pass draws each split once for all of them.
+    """
+    alphas, variants = args.alphas, args.variants
+    dims, per_chunk = [], []
+    for chunk in _read(path):  # the sample column is kept: it is re-scored at each k
+        dims += chunk.dims
+        per_chunk.append((chunk.points, np.diff(chunk.offsets), _admissible(chunk, args.seed), *_expert(chunk),
+                          chunk.pc))
+    if not dims:
+        raise CliError(f"{path}: no records")
+    name = os.path.basename(path)
+    points, sizes, adm, expert, has_expert, pc = _stacked(per_chunk, 6)
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    expert = expert if has_expert.all() else None
+
+    # component scores are computed once per k; only com depends on the weight
+    # preset, so ta, ie and cd get one column per k, repeated under every preset
+    columns: dict[tuple, np.ndarray | None] = {}  # per key: its uncertainty vector, None for an absent pc
+    heads: list[tuple[list, tuple]] = []  # per table row: its head and its column's key
+    for k in k_values:
+        scores = score_columns(points, offsets, dims, replace(base_uq, k_samples=k))
+        parts = dict(zip(UQ_KEYS, scores.T))
+        for preset in args.weight_presets:
+            for variant in variants:
+                if variant == "pc":
+                    continue
+                key = (variant, k, preset if variant == "com" else None)
+                if key not in columns:
+                    columns[key] = parts[variant] if variant != "com" else combine(
+                        parts["cd"], parts["ie"], parts["ta"], WEIGHT_PRESETS[preset]
+                    )
+                heads.append(([name, variant, preset, k], key))
+    if "pc" in variants:
+        columns["pc", None, None] = None if np.isnan(pc).any() else pc
+        heads.append(([name, "pc", None, None], ("pc", None, None)))
+
+    present = [key for key, u in columns.items() if u is not None]
+    feasible = {key: [[] for _ in alphas] for key in columns}
+    for _, per_column in engine.run_splits([columns[key] for key in present], adm, plan, alphas, args.delta, expert):
+        for key, per_alpha in zip(present, per_column):
+            for kept, counts in zip(feasible[key], per_alpha):
+                if counts is not None:
+                    kept.append(counts)
+    rows = {key: _combo_rows(u, adm, expert, plan, alphas, args.delta, feasible[key]) for key, u in columns.items()}
+    base_accuracy = int(adm.sum()) / adm.size
+    return ([head + rows[key][0] + [base_accuracy] for head, key in heads],
+            [head + row for head, key in heads for row in rows[key][1]])
+
+
 def cmd_sweep(args) -> int:
     base_uq = _uq_config(args)
-    alphas, variants, presets = args.alphas, args.variants, args.weight_presets
     k_values = args.k_values if args.k_values is not None else [base_uq.k_samples]
-    for alpha in alphas:
+    for alpha in args.alphas:
         try:
             RiskSpec(alpha=alpha, delta=args.delta)
         except ValueError as exc:
@@ -551,9 +598,9 @@ def cmd_sweep(args) -> int:
     for k in k_values:
         if k < 1:
             raise CliError(f"--k-values: k must be >= 1, got {k}")
-    for variant in variants:
+    for variant in args.variants:
         _check_variant(variant)
-    for preset in presets:
+    for preset in args.weight_presets:
         if preset not in WEIGHT_PRESETS:
             raise CliError(f"unknown weight preset {preset!r}; expected one of {sorted(WEIGHT_PRESETS)}")
     plan = _split_plan(args)
@@ -563,45 +610,12 @@ def cmd_sweep(args) -> int:
     ranking_rows: list[list] = []
     risk_rows: list[list] = []
     for path in args.inputs:
-        dims, per_chunk = [], []
-        for chunk in _read(path):  # the sample column is kept: it is re-scored at each k
-            dims += chunk.dims
-            per_chunk.append((chunk.points, np.diff(chunk.offsets), _admissible(chunk, args.seed), *_expert(chunk),
-                              chunk.pc))
-        if not dims:
-            raise CliError(f"{path}: no records")
-        name = os.path.basename(path)
-        points, sizes, adm, expert, has_expert, pc = _stacked(per_chunk, 6)
-        offsets = np.concatenate([[0], np.cumsum(sizes)])
-        expert = expert if has_expert.all() else None
-        base_accuracy = int(adm.sum()) / adm.size
-        splits: dict = {}  # the same index arrays serve every combination
-
-        def emit(head: list, ranking: list, risk: list[list]) -> None:
-            ranking_rows.append(head + ranking + [base_accuracy])
-            risk_rows.extend(head + row for row in risk)
-
-        # component scores are computed once per k; only com depends on the weight
-        # preset, so ta, ie and cd get one key per k and their rows are repeated
-        # under every preset
-        rows: dict[tuple, tuple[list, list[list]]] = {}  # per key: its ranking tail and risk tails
-        for k in k_values:
-            scores = score_columns(points, offsets, dims, replace(base_uq, k_samples=k))
-            parts = dict(zip(UQ_KEYS, scores.T))
-            for preset in presets:
-                for variant in variants:
-                    if variant == "pc":
-                        continue
-                    key = (variant, k, preset if variant == "com" else None)
-                    if key not in rows:
-                        u = parts[variant] if variant != "com" else combine(
-                            parts["cd"], parts["ie"], parts["ta"], WEIGHT_PRESETS[preset]
-                        )
-                        rows[key] = _combo_rows(u, adm, expert, plan, alphas, args.delta, splits)
-                    emit([name, variant, preset, k], *rows[key])
-        if "pc" in variants:
-            u = None if np.isnan(pc).any() else pc
-            emit([name, "pc", None, None], *_combo_rows(u, adm, expert, plan, alphas, args.delta, splits))
+        try:
+            ranking, risk = _sweep_input(path, args, base_uq, k_values, plan)
+        except ValueError as exc:
+            raise CliError(f"{path}: {exc}")
+        ranking_rows += ranking
+        risk_rows += risk
 
     os.makedirs(args.out_dir, exist_ok=True)
     _write_csv(

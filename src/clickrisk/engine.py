@@ -92,31 +92,32 @@ def split_counts(
 
 
 def run_splits(
-    u: np.ndarray,
+    columns: Sequence[np.ndarray],
     adm: np.ndarray,
     plan: SplitPlan,
     alphas: Sequence[float],
     delta: float,
     expert: np.ndarray | None = None,
-    splits: dict | None = None,
-) -> Iterator[tuple[np.ndarray, list[SplitCounts | None]]]:
-    """Per repetition of `plan`: the test indices and, per alpha, the counts.
+) -> Iterator[tuple[np.ndarray, list[list[SplitCounts | None]]]]:
+    """Per repetition of `plan`: the test indices and, per column of `columns`, the counts per alpha.
 
-    A threshold is calibrated on each calibration side (errors are the
-    inadmissible records) and the rule is measured on the test side; an
-    infeasible alpha gives None. `splits`, when given, caches the index
-    arrays by repetition across calls on records of the same length.
+    Each split is drawn once and serves every uncertainty column; with no
+    column nothing is measured and no split is drawn. A threshold is
+    calibrated on each calibration side (errors are the inadmissible
+    records) and the rule is measured on the test side; an infeasible
+    alpha gives None.
     """
+    if not columns:
+        return
     for rep in range(plan.repetitions):
-        if splits is None:
-            cal, test = split_indices(u.size, plan, rep)
-        else:
-            if rep not in splits:
-                splits[rep] = split_indices(u.size, plan, rep)
-            cal, test = splits[rep]
-        u_test, adm_test = u[test], adm[test]
+        cal, test = split_indices(adm.size, plan, rep)
+        err_cal, adm_test = ~adm[cal], adm[test]
         expert_test = None if expert is None else expert[test]
         yield test, [
-            None if tau is None else split_counts(u_test, adm_test, tau, expert_test)
-            for tau in thresholds(u[cal], ~adm[cal], alphas, delta)
+            [
+                None if tau is None else split_counts(u_test, adm_test, tau, expert_test)
+                for tau in thresholds(u[cal], err_cal, alphas, delta)
+            ]
+            for u in columns
+            for u_test in [u[test]]  # one gather per column, which does not outlive the yield
         ]

@@ -111,16 +111,7 @@ def info_dispersion(probs: Sequence[float], epsilon: float = EPSILON) -> float:
         raise ValueError(f"probs must sum to 1, got {math.fsum(probs)}")
     if m == 1:
         return 0.0
-    # fsum rounds the exact sum once, so a run of equal values can repeat one term
-    log = math.log
-    terms = []
-    prev = None
-    for p in probs:
-        if p != prev:
-            prev = p
-            term = p * log(p + epsilon)
-        terms.append(term)
-    return _clamp01(-math.fsum(terms) / math.log(m))
+    return _clamp01(-math.fsum(p * math.log(p + epsilon) for p in probs) / math.log(m))
 
 
 def concentration_deficit(probs: Sequence[float]) -> float:
@@ -128,28 +119,17 @@ def concentration_deficit(probs: Sequence[float]) -> float:
 
     Evaluated exactly over a common denominator D (a power of two for
     floats) as (D^2 - sum n_i^2) / D^2 and rounded once at the end, so
-    identities like the uniform case (M-1)/M hold to the last bit. The
-    integer work is done once per run of equal adjacent values, weighted
-    by its length: ranked probabilities cost per distinct value.
+    identities like the uniform case (M-1)/M hold to the last bit.
     """
     if len(probs) == 0:
         raise ValueError("probs must be non-empty")
-    runs = []  # (integer ratio, length) of each run of equal adjacent values
-    values = iter(probs)
-    prev, count = next(values), 1
-    for p in values:
-        if p == prev:
-            count += 1
-        else:
-            runs.append((prev.as_integer_ratio(), count))
-            prev, count = p, 1
-    runs.append((prev.as_integer_ratio(), count))
-    denom = math.lcm(*(d for (_, d), _ in runs))
+    ratios = [p.as_integer_ratio() for p in probs]
+    denom = math.lcm(*(d for _, d in ratios))
     total = squares = 0
-    for (n, d), count in runs:
+    for n, d in ratios:
         n *= denom // d
-        total += count * n
-        squares += count * n * n
+        total += n
+        squares += n * n
     if abs(total - denom) * 10**9 > denom:
         raise ValueError(f"probs must sum to 1, got {total / denom}")
     square = denom * denom

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from clickrisk import cascade, cli, synthgen, uq
+from clickrisk import cascade, cli, engine, synthgen, uq
 from clickrisk.density import build_density_map
 from clickrisk.records import SCORE_CHUNK, GroundingRecord, SplitPlan, load_records, split
 from clickrisk.synthgen import SynthConfig, generate_dataset
@@ -128,8 +128,10 @@ def test_score_density_dump_refuses_colliding_ids(tmp_path, capsys):
      "record 'synth-00000' has no pc field"),
     (["cascade", "--tau", 0.5], "need at least one record", None),
     (["cascade", "--tau", -1, "--manifest", "m.jsonl"], "need at least one record", None),
-    (["sweep", "--out-dir", "sweep", "-r", 2], "{path}: no records", "need at least 2 records to split, got 1"),
-], ids=["score", "calibrate", "calibrate-r3", "evaluate", "evaluate-pc", "cascade", "cascade-manifest", "sweep"])
+    (["sweep", "--out-dir", "sweep", "-r", 2], "{path}: no records", "{path}: need at least 2 records to split, got 1"),
+    (["sweep", "--out-dir", "sweep", "--variants", "pc", "-r", 2], "{path}: no records", None),
+], ids=["score", "calibrate", "calibrate-r3", "evaluate", "evaluate-pc", "cascade", "cascade-manifest", "sweep",
+        "sweep-pc"])
 def test_an_empty_and_a_one_record_file_give_the_same_errors(tmp_path, monkeypatch, capsys, argv, empty, one):
     monkeypatch.chdir(tmp_path)
     assert run("synth", "--out", "raw.jsonl", "--n-records", 1) == 0
@@ -536,6 +538,52 @@ def test_sweep_pc_rows_empty_without_pc(tmp_path, mixed_file):
     assert len(ranking) == 2
     row = ranking[1].split(",")
     assert row[1] == "pc" and row[4] == "" and row[5] == ""
+
+
+def test_sweep_names_the_input_that_fails(tmp_path, monkeypatch, mixed_file, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run("synth", "--out", "one.jsonl", "--n-records", 1) == 0
+    assert run("synth", "--out", "easy.jsonl", "--n-records", 20, "--easy-fraction", 1.0) == 0
+    for second, message in (("one.jsonl", "need at least 2 records to split, got 1"),
+                            ("easy.jsonl", "auroc needs at least one admissible and one inadmissible record")):
+        capsys.readouterr()
+        assert run("sweep", "-i", mixed_file, second, "--out-dir", "sweep", "-r", 2) == 1
+        assert capsys.readouterr().err == f"error: {second}: {message}\n"
+    assert not Path("sweep").exists()
+
+
+def test_sweep_draws_each_split_once_per_input(tmp_path, monkeypatch, mixed_file):
+    """-r splits per input, however many combinations share them; none when no column is present."""
+    src = scored(tmp_path, mixed_file)
+    drawn, draw = [], engine.split_indices
+
+    def counted(n, plan, rep):
+        drawn.append((n, rep))
+        return draw(n, plan, rep)
+
+    monkeypatch.setattr(engine, "split_indices", counted)
+    assert run("sweep", "-i", src, mixed_file, "--out-dir", tmp_path / "all", "--variants", "com,ta,ie,cd,pc",
+               "--weight-presets", "original,v1,v2", "--k-values", "5,10", "--alphas", "0.2,0.3", "-r", 3) == 0
+    assert drawn == [(80, rep) for rep in range(3)] * 2
+    drawn.clear()
+    assert run("sweep", "-i", mixed_file, "--out-dir", tmp_path / "pc", "--variants", "pc", "-r", 3) == 0
+    assert drawn == []
+    ranking = (tmp_path / "pc" / "ranking.csv").read_text().splitlines()
+    assert ranking[1].split(",")[1:6] == ["pc", "", "", "", ""]
+
+
+def test_sweep_memory_stays_flat_in_the_repetitions(tmp_path, monkeypatch):
+    """One split is held at a time: ten times the repetitions costs no more than a few kilobytes.
+
+    Holding every repetition's index arrays until the input is done would
+    add 45 x 2000 int64 indices, about 720 KB, between -r 5 and -r 50.
+    """
+    monkeypatch.chdir(tmp_path)
+    assert run("synth", "--out", "synth.jsonl", "--n-records", 2000) == 0
+    argv = ["sweep", "-i", "synth.jsonl", "--out-dir", "sweep", "--variants", "com", "--weight-presets", "original",
+            "--alphas", "0.3", "-r"]
+    traced_peak(*argv, 5)  # first-use allocations (imports, caches) out of the way
+    assert traced_peak(*argv, 50) - traced_peak(*argv, 5) < 64_000
 
 
 def test_sweep_rejects_bad_alpha_or_k_before_loading(tmp_path, capsys):

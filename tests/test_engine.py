@@ -76,22 +76,31 @@ def oracle(records, variant, plan, alphas, delta, seed=0):
     return out
 
 
-def via_engine(records, variant, plan, alphas, delta, seed=0, splits=None):
+def columns_of(records, variant, seed=0):
+    """The engine's inputs for `records`: the uncertainty, admissibility and expert vectors."""
     u = np.array([value(r, variant) for r in records], dtype=float)
     adm = np.array([admission(select_mlg(r, seed), r.gt_box) for r in records], dtype=bool)
     expert = None
     if all(r.expert is not None for r in records):
         expert = np.array([admission(r.expert, r.gt_box) for r in records], dtype=bool)
-    out = []
-    for _, per_alpha in engine.run_splits(u, adm, plan, alphas, delta, expert, splits):
-        out.append([
-            None if c is None else (
-                c.tau, c.fdr, c.power,
-                None if expert is None else c.system_accuracy,
-                None if expert is None else c.cascading_rate,
-            )
-            for c in per_alpha
-        ])
+    return u, adm, expert
+
+
+def via_engine(records, variant, plan, alphas, delta, seed=0, columns=None):
+    """`oracle`'s cells from one `run_splits` pass, per column of `columns` (default: the records' `variant`)."""
+    u, adm, expert = columns_of(records, variant, seed)
+    columns = [u] if columns is None else columns
+    out = [[] for _ in columns]
+    for _, per_column in engine.run_splits(columns, adm, plan, alphas, delta, expert):
+        for cells, per_alpha in zip(out, per_column):
+            cells.append([
+                None if c is None else (
+                    c.tau, c.fdr, c.power,
+                    None if expert is None else c.system_accuracy,
+                    None if expert is None else c.cascading_rate,
+                )
+                for c in per_alpha
+            ])
     return out
 
 
@@ -109,12 +118,13 @@ def assert_same(records, variant, plan, alphas, delta):
         with pytest.raises(MetricError):
             via_engine(records, variant, plan, alphas, delta)
         raise
-    got = via_engine(records, variant, plan, alphas, delta)
+    [got] = via_engine(records, variant, plan, alphas, delta)
     assert got == expected
-    # a shared split cache gives the same answer on a second pass
-    cache = {}
-    assert via_engine(records, variant, plan, alphas, delta, splits=cache) == expected
-    assert via_engine(records, variant, plan, alphas, delta, splits=cache) == expected
+    # several columns in one pass each get exactly what a pass over that column alone gives
+    u = columns_of(records, variant)[0]
+    others = [u[::-1].copy(), np.round(u, 1), np.zeros_like(u)]
+    alone = [via_engine(records, variant, plan, alphas, delta, columns=[column])[0] for column in others]
+    assert via_engine(records, variant, plan, alphas, delta, columns=[u, *others]) == [expected, *alone]
     return expected
 
 
@@ -204,6 +214,7 @@ def test_too_few_records_raise_split_error():
             oracle(records, "com", plan, (0.3,), 0.05)
         with pytest.raises(SplitError):
             via_engine(records, "com", plan, (0.3,), 0.05)
+        assert list(engine.run_splits([], np.ones(n, dtype=bool), plan, (0.3,), 0.05)) == []  # no column, no split
 
 
 def test_split_indices_match_split():

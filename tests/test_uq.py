@@ -160,7 +160,7 @@ def tied_distributions(rng):
             yield [exact[i] for i in rng.permutation(m)]
 
 
-def test_components_cost_per_distinct_value_and_keep_every_bit():
+def test_components_keep_every_bit_on_tied_distributions():
     rng = np.random.default_rng(14)
     cases = 0
     for probs in tied_distributions(rng):
