@@ -285,6 +285,20 @@ def _scored_chunks(path: str, variant: str, seed: int) -> Iterator[tuple[Columns
         raise missing_score(missing, variant)
 
 
+def _scores(path: str, chunk: Columns, config: UqConfig) -> np.ndarray:
+    """`score_columns` of `chunk`; a record it cannot score is a CliError naming `path` and the record."""
+    try:
+        return score_columns(chunk.points, chunk.offsets, chunk.dims, config)
+    except ValueError:
+        bounds = chunk.offsets.tolist()
+        for i, (a, b) in enumerate(zip(bounds, bounds[1:])):  # the first record that fails alone
+            try:
+                score_columns(chunk.points[a:b], np.array([0, b - a]), chunk.dims[i : i + 1], config)
+            except ValueError as exc:
+                raise CliError(f"{path}: record {chunk.ids[i]!r}: {exc}") from None
+        raise
+
+
 def _mean_std(values: list[float]) -> list:
     if not values:
         return [None, None]
@@ -319,8 +333,7 @@ def cmd_score(args) -> int:
     clash, n_records = None, 0
     with atomic_writer(args.output) as fh:
         for chunk in _read(args.input):  # a chunk at a time: read, score, write
-            scores = score_columns(chunk.points, chunk.offsets, chunk.dims, uq_cfg)
-            write_columns(fh, chunk, mlg_column(chunk, args.seed), scores)
+            write_columns(fh, chunk, mlg_column(chunk, args.seed), _scores(args.input, chunk, uq_cfg))
             n_records += len(chunk)
             for rec_id in chunk.ids if args.dump_density and clash is None else ():
                 name = _dump_name(rec_id)
@@ -537,28 +550,26 @@ def _combo_rows(u, adm, expert, plan, alphas, delta, feasible) -> tuple[list, li
 def _sweep_input(path: str, args, base_uq: UqConfig, k_values: list[int], plan: SplitPlan) -> tuple[list, list]:
     """One input's ranking rows and risk rows, in table order.
 
-    Each distinct combination's column is built first, then one
-    `engine.run_splits` pass draws each split once for all of them.
+    Each chunk is scored at every k as it is read, so only per-record
+    vectors outlive it. Each distinct combination's column is built next,
+    then one `engine.run_splits` pass draws each split once for all of them.
     """
     alphas, variants = args.alphas, args.variants
-    dims, per_chunk = [], []
-    for chunk in _read(path):  # the sample column is kept: it is re-scored at each k
-        dims += chunk.dims
-        per_chunk.append((chunk.points, np.diff(chunk.offsets), _admissible(chunk, args.seed), *_expert(chunk),
-                          chunk.pc))
-    if not dims:
+    configs = [replace(base_uq, k_samples=k) for k in k_values]
+    adm, expert, has_expert, pc, *per_k = _stacked([
+        (_admissible(chunk, args.seed), *_expert(chunk), chunk.pc, *(_scores(path, chunk, cfg) for cfg in configs))
+        for chunk in _read(path)
+    ], 4 + len(configs))
+    if not adm.size:
         raise CliError(f"{path}: no records")
     name = os.path.basename(path)
-    points, sizes, adm, expert, has_expert, pc = _stacked(per_chunk, 6)
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
     expert = expert if has_expert.all() else None
 
     # component scores are computed once per k; only com depends on the weight
     # preset, so ta, ie and cd get one column per k, repeated under every preset
     columns: dict[tuple, np.ndarray | None] = {}  # per key: its uncertainty vector, None for an absent pc
     heads: list[tuple[list, tuple]] = []  # per table row: its head and its column's key
-    for k in k_values:
-        scores = score_columns(points, offsets, dims, replace(base_uq, k_samples=k))
+    for k, scores in zip(k_values, per_k):
         parts = dict(zip(UQ_KEYS, scores.T))
         for preset in args.weight_presets:
             for variant in variants:

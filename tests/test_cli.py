@@ -586,6 +586,47 @@ def test_sweep_memory_stays_flat_in_the_repetitions(tmp_path, monkeypatch):
     assert traced_peak(*argv, 50) - traced_peak(*argv, 5) < 64_000
 
 
+def test_sweep_memory_stays_flat_in_the_sample_count(tmp_path, monkeypatch):
+    """Each chunk is scored at every k as it is read, so no record's samples outlive its chunk.
+
+    At K = 50 a record's samples are 100 floats; at k = 1 `uq._score`'s
+    cache holds one row however many records are scored. Keeping the
+    sample column to re-score it at each k costs about 2400 bytes per
+    record; of the about 210 left, most is the reader's set of seen ids.
+    """
+    monkeypatch.chdir(tmp_path)
+    small, large = 2 * SCORE_CHUNK, 20 * SCORE_CHUNK
+    for n in (small, large):
+        assert run("synth", "--out", f"{n}.jsonl", "--n-records", n, "--k-samples", 50) == 0
+    argv = ["sweep", "--out-dir", "sweep", "--variants", "com", "--weight-presets", "original", "--alphas", "0.3",
+            "-r", 2, "--k-values", 1, "-i"]
+    traced_peak(*argv, f"{small}.jsonl")  # first-use allocations (imports, caches) out of the way
+    small_peak, large_peak = traced_peak(*argv, f"{small}.jsonl"), traced_peak(*argv, f"{large}.jsonl")
+    assert (large_peak - small_peak) / (large - small) < 512
+
+
+@pytest.mark.parametrize("command", ["score", "sweep"])
+def test_score_and_sweep_name_the_first_record_they_cannot_score(tmp_path, capsys, command):
+    """The reader takes any positive image size, so the grid check fails later; the error names the file
+    and the record. Both commands score a chunk as they read it, so the record at line 4 is reported
+    before the malformed line 301, which is in the second chunk."""
+    path = tmp_path / "huge.jsonl"
+    assert run("synth", "--out", path, "--n-records", 300) == 0
+    lines = path.read_text().splitlines(keepends=True)
+    record = json.loads(lines[3])
+    record["image"] = {"w": 10**12, "h": 10**12}
+    path.write_text("".join(lines[:3] + [json.dumps(record) + "\n"] + lines[4:]) + "{\n")
+    argv = ["score", "-i", path, "-o", tmp_path / "out.jsonl"] if command == "score" else [
+        "sweep", "-i", path, "--out-dir", tmp_path / "sweep"]
+    assert run(*argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: record 'synth-00003': a 71428571429x71428571429 patch grid is too large to index\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.jsonl"]
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[SCORE_CHUNK:]))  # the second chunk alone
+    assert run(*argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: line {301 - SCORE_CHUNK}: invalid JSON")
+
+
 def test_sweep_rejects_bad_alpha_or_k_before_loading(tmp_path, capsys):
     missing = tmp_path / "never-read.jsonl"
     out_dir = tmp_path / "sweep"
