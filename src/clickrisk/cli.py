@@ -587,11 +587,18 @@ def _sweep_input(path: str, args, base_uq: UqConfig, k_values: list[int], plan: 
 
     present = [key for key, u in columns.items() if u is not None]
     feasible = {key: [[] for _ in alphas] for key in columns}
-    for _, per_column in engine.run_splits([columns[key] for key in present], adm, plan, alphas, args.delta, expert):
+    splits = engine.run_splits([columns[key] for key in present], adm, plan, alphas, args.delta, expert)
+    for rep, (_, per_column) in enumerate(splits):
         for key, per_alpha in zip(present, per_column):
             for kept, counts in zip(feasible[key], per_alpha):
-                if counts is not None:
-                    kept.append(counts)
+                if counts is None:
+                    continue
+                if not counts.n_admissible:  # its power is undefined; name the split, as evaluate does
+                    try:
+                        counts.power
+                    except metrics_mod.MetricError as exc:
+                        raise metrics_mod.MetricError(f"repetition {rep}: {exc}") from None
+                kept.append(counts)
     rows = {key: _combo_rows(u, adm, expert, plan, alphas, args.delta, feasible[key]) for key, u in columns.items()}
     base_accuracy = int(adm.sum()) / adm.size
     return ([head + rows[key][0] + [base_accuracy] for head, key in heads],

@@ -19,9 +19,10 @@ n, the largest feasible X by walking the binomial CDF along the table's
 edge with two exact float recurrences (one step up in X, one step to
 n+1); it asks `bound_at_most` only where F lies so close to delta that
 the first two tests of `bound_at_most` might not settle the step as F
-does. Every threshold is `largest_feasible` over `threshold_candidates`:
-the largest candidate whose error count is at most the critical count
-of its acceptance count.
+does. Values are tie-grouped in one place, `tie_groups`, and every
+threshold is `largest_feasible` over such groups (`threshold_candidates`
+for one calibration side, or many rows at once): the largest candidate
+whose error count is at most the critical count of its acceptance count.
 """
 
 from __future__ import annotations
@@ -205,17 +206,22 @@ def critical_counts(n_max: int, alpha: float, delta: float) -> np.ndarray:
 
 
 def largest_feasible(
-    candidates: tuple[np.ndarray, np.ndarray, np.ndarray], table: np.ndarray
-) -> float | None:
-    """The largest candidate tau whose error count is at most `table[n_accepted]`.
+    n_accepted: np.ndarray, n_errors: np.ndarray, table: np.ndarray, ends: Sequence[int]
+) -> np.ndarray:
+    """Per row of candidates, the index of its last one whose error count is at most `table[n_accepted]`.
 
-    `candidates` is `threshold_candidates`' (tau, n_accepted, n_errors) and
-    `table` the `critical_counts` of the calibration size; None when no
-    candidate is feasible. This is the one selection rule of the package.
+    The candidates of every row lie one row after another, each row
+    ascending in tau, and row r ends just before index `ends[r]` (a single
+    row of `threshold_candidates`' counts has `ends = [n]`). `table` is the
+    `critical_counts` of the calibration size; a row without a feasible
+    candidate gets -1. This is the one selection rule of the package.
     """
-    taus, n_accepted, n_errors = candidates
-    feasible = np.flatnonzero(n_errors <= table[n_accepted])
-    return float(taus[feasible[-1]]) if feasible.size else None
+    ends = np.asarray(ends)
+    # -1, then the feasible indices: entry i is the last feasible index below the i-th one
+    feasible = np.append(-1, np.flatnonzero(n_errors <= table[n_accepted]))
+    best = feasible[np.searchsorted(feasible[1:], ends)]
+    starts = np.append(0, ends[:-1])
+    return np.where(best >= starts, best, -1)
 
 
 def _check_pair(uncertainties: Sequence[float], error_flags: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -244,21 +250,29 @@ def empirical_fdr(
     return float((err[accepted] == 1).sum() / n)
 
 
+def tie_groups(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A stable ascending order of `u` and, in that order, the last index of each group of equal values.
+
+    This is the package's one tie-grouping: -0.0 and 0.0 tie, and the
+    NaNs, sorted last, form one group.
+    """
+    order = np.argsort(u, kind="stable")
+    u_sorted = u[order]
+    ends = (u_sorted[1:] != u_sorted[:-1]) & ~np.isnan(u_sorted[:-1])
+    return order, np.flatnonzero(np.append(ends, u.size > 0))
+
+
 def threshold_candidates(
     u: np.ndarray, err: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(tau, n_accepted, n_errors) for every candidate threshold, ascending.
 
-    Candidates are the unique values of `u`; records tied at a candidate
-    are accepted jointly. `err` holds 0/1 error flags.
+    Candidates are the `tie_groups` of `u`, each at the value of its last
+    record; records tied at a candidate are accepted jointly. `err` holds
+    0/1 error flags.
     """
-    order = np.argsort(u, kind="stable")
-    u_sorted = u[order]
-    err_cum = np.cumsum(err[order])
-    # the last index of each group of equal values; the NaNs, sorted last, form one group
-    ends = (u_sorted[1:] != u_sorted[:-1]) & ~np.isnan(u_sorted[:-1])
-    last_idx = np.flatnonzero(np.append(ends, u.size > 0))
-    return u_sorted[last_idx], last_idx + 1, err_cum[last_idx]
+    order, last_idx = tie_groups(u)
+    return u[order[last_idx]], last_idx + 1, np.cumsum(err[order])[last_idx]
 
 
 def calibrate_threshold(
@@ -276,10 +290,12 @@ def calibrate_threshold(
     if u.size == 0:
         raise RiskError("need at least one calibration point")
 
-    candidates = threshold_candidates(u, err)
-    threshold = largest_feasible(candidates, critical_counts(u.size, spec.alpha, spec.delta))
+    taus, n_accepted, n_errors = candidates = threshold_candidates(u, err)
+    table = critical_counts(u.size, spec.alpha, spec.delta)
+    [best] = largest_feasible(n_accepted, n_errors, table, [taus.size]).tolist()
+    threshold = float(taus[best]) if best >= 0 else None
     trace = tuple(
-        TracePoint(tau, n_accepted, n_errors, cp_upper_bound(n_errors, n_accepted, spec.delta))
-        for tau, n_accepted, n_errors in zip(*(c.tolist() for c in candidates))
+        TracePoint(tau, n_acc, n_err, cp_upper_bound(n_err, n_acc, spec.delta))
+        for tau, n_acc, n_err in zip(*(c.tolist() for c in candidates))
     )
     return CalibrationOutcome(feasible=threshold is not None, threshold=threshold, trace=trace)

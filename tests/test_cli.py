@@ -11,7 +11,7 @@ import pytest
 
 from clickrisk import cascade, cli, engine, synthgen, uq
 from clickrisk.density import build_density_map
-from clickrisk.records import SCORE_CHUNK, GroundingRecord, SplitPlan, load_records, split
+from clickrisk.records import SCORE_CHUNK, UQ_KEYS, GroundingRecord, SplitPlan, load_records, split, split_indices
 from clickrisk.synthgen import SynthConfig, generate_dataset
 from test_records import record_lines
 
@@ -570,6 +570,48 @@ def test_sweep_draws_each_split_once_per_input(tmp_path, monkeypatch, mixed_file
     assert drawn == []
     ranking = (tmp_path / "pc" / "ranking.csv").read_text().splitlines()
     assert ranking[1].split(",")[1:6] == ["pc", "", "", "", ""]
+
+
+def test_evaluate_and_sweep_sort_each_column_once_per_input(tmp_path, monkeypatch, mixed_file):
+    """-r 20 sorts each uncertainty column once per input, however many splits; no split sorts a column."""
+    src = scored(tmp_path, mixed_file)
+    sorted_sizes, sort = [], engine.tie_groups
+
+    def counted(u):
+        sorted_sizes.append(u.size)
+        return sort(u)
+
+    def per_split_sort(*args):
+        raise AssertionError("a split sorted a column")
+
+    monkeypatch.setattr(engine, "tie_groups", counted)
+    monkeypatch.setattr(engine, "threshold_candidates", per_split_sort)
+    assert run("evaluate", "-i", src, "--ratio", 0.5, "-r", 20) == 0
+    assert sorted_sizes == [80]
+    sorted_sizes.clear()
+    # per input: com under two presets, and ta
+    assert run("sweep", "-i", src, mixed_file, "--out-dir", tmp_path / "sweep", "--variants", "com,ta",
+               "--weight-presets", "original,v1", "--k-values", 5, "--alphas", "0.3,0.5", "-r", 20) == 0
+    assert sorted_sizes == [80] * 6
+
+
+def test_sweep_and_evaluate_name_the_repetition_without_admissible_test_records(tmp_path, monkeypatch, capsys):
+    """At --seed 0 --ratio 0.5 the test side of repetition 0 holds exactly the records made inadmissible."""
+    monkeypatch.chdir(tmp_path)
+    _, test = split_indices(12, SplitPlan(calibration_ratio=0.5, seed=0), 0)
+    records = [
+        GroundingRecord(id=f"r{i}", image_width=100, image_height=100, gt_box=(40.0, 40.0, 60.0, 60.0),
+                        samples=((50.0, 50.0), (52.0, 48.0)), mlg=(5.0, 5.0) if i in test else (50.0, 50.0),
+                        uq=dict.fromkeys(UQ_KEYS, 0.5))
+        for i in range(12)
+    ]
+    Path("s.jsonl").write_text("".join(line + "\n" for line in record_lines(records)))
+    assert run("--seed", 0, "sweep", "-i", "s.jsonl", "--out-dir", "sweep", "--alphas", 0.5, "--variants", "com",
+               "-r", 1, "--ratio", 0.5) == 1
+    assert capsys.readouterr().err == "error: s.jsonl: repetition 0: power undefined without admissible records\n"
+    assert run("--seed", 0, "evaluate", "-i", "s.jsonl", "-r", 1, "--ratio", 0.5) == 1
+    assert capsys.readouterr().err == (
+        "error: repetition 0: auroc needs at least one admissible and one inadmissible record\n")
 
 
 def test_sweep_memory_stays_flat_in_the_repetitions(tmp_path, monkeypatch):

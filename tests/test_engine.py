@@ -3,7 +3,13 @@
 The oracle is the record-list protocol: `split` -> `calibrate_threshold`
 on the calibration side -> `fdr_at` / `power_at` / `evaluate_cascade` on
 the test side. Every float must come out identical (`==`), not close.
+`per_column_splits` is the engine's direct form: each split sorts each
+column's calibration side and compares every test record with each
+threshold. The engine, which sorts each column once per input, must give
+its counts bit for bit.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +18,7 @@ from clickrisk import engine
 from clickrisk.cascade import evaluate_cascade
 from clickrisk.metrics import MetricError, admission, fdr_at, power_at
 from clickrisk.records import GroundingRecord, SplitError, SplitPlan, select_mlg, split, split_indices
-from clickrisk.risk import RiskSpec, calibrate_threshold
+from clickrisk.risk import RiskSpec, calibrate_threshold, critical_counts, threshold_candidates
 
 BOX = (40.0, 40.0, 60.0, 60.0)
 INSIDE = (50.0, 50.0)
@@ -238,3 +244,133 @@ def test_thresholds_equal_calibrate_threshold():
         alphas = rng.uniform(0.01, 0.6, size=4).tolist()
         expected = [calibrate_threshold(u, err, RiskSpec(alpha=a, delta=delta)).threshold for a in alphas]
         assert engine.thresholds(u, err, alphas, delta) == expected
+
+
+# --- one sort per column per input ---------------------------------------------------
+
+
+def per_column_splits(columns, adm, plan, alphas, delta, expert=None):
+    """`run_splits` by a sort of each column's calibration side per split and a comparison per test record."""
+    for rep in range(plan.repetitions):
+        cal, test = split_indices(adm.size, plan, rep)
+        err_cal, adm_test = ~adm[cal], adm[test]
+        expert_test = None if expert is None else expert[test]
+        per_column = []
+        for u in columns:
+            taus, n_accepted, n_errors = threshold_candidates(u[cal], err_cal)
+            cells = []
+            for alpha in alphas:
+                feasible = np.flatnonzero(n_errors <= critical_counts(cal.size, alpha, delta)[n_accepted])
+                tau = float(taus[feasible[-1]]) if feasible.size else None
+                cells.append(None if tau is None else engine.split_counts(u[test], adm_test, tau, expert_test))
+            per_column.append(cells)
+        yield test, per_column
+
+
+def exact(counts):
+    """A cell's fields as they print: the threshold by `float.hex`, every count as a Python int."""
+    if counts is None:
+        return None
+    assert type(counts.tau) is float
+    assert all(type(n) is int for n in counts[1:] if n is not None)
+    return (counts.tau.hex(), *counts[1:])
+
+
+def edge_column(rng, kind, n, cal):
+    """A column of `kind`; 'constant' and 'between' are shaped on the calibration side `cal`."""
+    if kind == "nan":
+        return rng.choice([np.nan, 0.1, 0.3, 0.5, 0.7, 0.9], size=n)
+    if kind == "inf":
+        return rng.choice([-np.inf, np.inf, -1.0, 0.0, 0.5, 1.0], size=n)
+    if kind == "signed zero":
+        return rng.choice([-0.0, 0.0, -0.0, 0.0, 0.5, 1.0, np.nan], size=n)
+    u = np.round(rng.random(n), 1)
+    if kind == "constant":  # one value on the calibration side
+        u[cal] = rng.choice([-0.0, 0.0, 0.5, np.nan])
+    if kind == "between":  # every test-only group lies between calibration groups
+        u = 2.0 * rng.integers(0, 6, size=n) + 1.0
+        u[cal] -= 1.0
+    return u
+
+
+EDGE_KINDS = ("nan", "inf", "signed zero", "constant", "between")
+
+
+def test_engine_equals_the_per_column_engine_bit_for_bit_on_edge_cases():
+    rng = np.random.default_rng(43)
+    seen = {"nan tau": 0, "-0.0 tau": 0, "0.0 tau": 0, "inf tau": 0, "infeasible": 0}
+    for case in range(300):
+        n = int(rng.integers(2, 40))
+        plan = SplitPlan(calibration_ratio=float(rng.uniform(0.2, 0.8)), seed=case, repetitions=3)
+        cal = split_indices(n, plan, 0)[0]
+        kinds = rng.choice(EDGE_KINDS, size=int(rng.integers(1, 6)))
+        columns = [edge_column(rng, kind, n, cal) for kind in kinds]
+        adm = rng.random(n) < rng.uniform(0.5, 1.0)
+        alphas, delta = (0.05, 0.2, 0.5, 0.9), float(rng.choice([0.05, 0.2]))
+        for expert in (None, rng.random(n) < 0.8):
+            got = list(engine.run_splits(columns, adm, plan, alphas, delta, expert))
+            want = list(per_column_splits(columns, adm, plan, alphas, delta, expert))
+            assert len(got) == len(want) == plan.repetitions
+            for rep, ((test, per_column), (want_test, want_per_column)) in enumerate(zip(got, want)):
+                assert test.tolist() == want_test.tolist()
+                assert [[exact(c) for c in cells] for cells in per_column] == \
+                    [[exact(c) for c in cells] for cells in want_per_column]
+                cal_side = split_indices(n, plan, rep)[0]
+                for u, cells in zip(columns, want_per_column):
+                    taus = engine.thresholds(u[cal_side], ~adm[cal_side], alphas, delta)
+                    assert [None if t is None else t.hex() for t in taus] == \
+                        [None if c is None else c.tau.hex() for c in cells]
+                    for c in cells:
+                        if c is None:
+                            seen["infeasible"] += 1
+                        elif c.tau != c.tau:
+                            seen["nan tau"] += 1
+                        elif c.tau == 0:
+                            seen["-0.0 tau" if np.signbit(c.tau) else "0.0 tau"] += 1
+                        elif np.isinf(c.tau):
+                            seen["inf tau"] += 1
+    assert min(seen.values()) > 20, seen  # every edge is picked as a threshold, and infeasibility too
+
+
+def test_signed_zero_threshold_is_the_last_calibration_record():
+    """-0.0 and 0.0 tie; the threshold is the one the group's last calibration record holds, not its last record."""
+    u = np.array([0.0, -0.0, 0.0, -0.0, 0.5, 1.0])
+    adm = np.array([True, True, True, True, False, False])
+    for seed in range(40):
+        plan = SplitPlan(calibration_ratio=0.5, seed=seed)
+        cal = split_indices(u.size, plan, 0)[0]
+        [(_, [[counts]])] = engine.run_splits([u], adm, plan, [0.5], 0.2)
+        zeros = [i for i in cal.tolist() if u[i] == 0]
+        if counts is not None and counts.tau == 0:
+            assert counts.tau.hex() == u[zeros[-1]].hex()
+
+
+def traced_peak(columns, adm, plan, expert):
+    """Peak bytes that tracemalloc sees while `run_splits` yields every repetition."""
+    tracemalloc.start()
+    try:
+        for _ in engine.run_splits(columns, adm, plan, ALPHAS, 0.05, expert):
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("groups, bound", [("one per record", 40), ("about a hundred", 8)])
+def test_memory_per_record_and_column_stays_bounded(groups, bound):
+    """A column keeps an int32 group label per record and 20 bytes per tie group; a split's temporaries stay
+    within a block of columns.
+
+    At a group per record (distinct values, the worst case) each of four
+    more columns costs about 34 bytes per record, and at about a hundred
+    groups about 6. Per-group counts of 8 bytes or a pass that takes every
+    column at once break the first bound, and labels of 8 bytes the second.
+    """
+    n = 20_000
+    rng = np.random.default_rng(47)
+    adm, expert = rng.random(n) < 0.7, rng.random(n) < 0.8
+    plan = SplitPlan(calibration_ratio=0.5, seed=3, repetitions=3)
+    columns = [rng.random(n) if groups == "one per record" else np.round(rng.random(n), 2) for _ in range(6)]
+    traced_peak(columns[:1], adm, plan, expert)  # first-use allocations (the critical-count tables) out of the way
+    two, six = traced_peak(columns[:2], adm, plan, expert), traced_peak(columns, adm, plan, expert)
+    assert (six - two) / (4 * n) < bound
