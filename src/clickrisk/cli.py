@@ -74,11 +74,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: str, header: list[str], rows: list, formatted: bool = True) -> None:
+    """Write `header` and `rows`, each cell through `_fmt`.
+
+    Rows that hold only floats may pass `formatted=False`: `csv` writes a
+    float as its `repr`, as `_fmt` does, without a Python call per cell.
+    """
     with atomic_writer(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows([_fmt(v) for v in row] for row in rows)
+        writer.writerows(([_fmt(v) for v in row] for row in rows) if formatted else rows)
 
 
 def _append_csv_row(path: str, header: list[str], row: list) -> None:
@@ -412,17 +417,20 @@ def cmd_evaluate(args) -> int:
     u, adm = _stacked([(u, adm) for _, u, adm in _scored_chunks(args.input, variant, args.seed)], 2)
 
     per_split: dict[str, list[float]] = {k: [] for k in ("auroc", "auarc", "test_fdr", "power", "n_accepted")}
-    for rep, (test, [(counts,)]) in enumerate(engine.run_splits([u], adm, plan, [spec.alpha], spec.delta)):
+    ranked = engine.SortedColumns([u], adm)
+    for rep, (test, [(counts,)]) in enumerate(ranked.splits(plan, [spec.alpha], spec.delta)):
+        ranking = ranked.ranking(0, test)
         try:
-            per_split["auroc"].append(metrics_mod.auroc(u[test], adm[test]))
+            per_split["auroc"].append(ranking.auroc())
         except metrics_mod.MetricError as exc:
             raise CliError(f"repetition {rep}: {exc}")
-        per_split["auarc"].append(metrics_mod.auarc(u[test], adm[test]))
+        per_split["auarc"].append(ranking.auarc())
         if counts is not None:
             per_split["test_fdr"].append(counts.fdr)
             per_split["power"].append(counts.power)
             per_split["n_accepted"].append(float(counts.n_accepted))
 
+    full = ranked.ranking(0)
     report_obj = {
         "input": args.input,
         "variant": variant,
@@ -439,17 +447,17 @@ def cmd_evaluate(args) -> int:
         },
         "full_dataset": {
             "accuracy": int(adm.sum()) / adm.size,
-            "auroc": metrics_mod.auroc(u, adm),
-            "auarc": metrics_mod.auarc(u, adm),
+            "auroc": full.auroc(),
+            "auarc": full.auarc(),
         },
     }
     print(json.dumps(report_obj, indent=2))
     if args.report:
         _write_json(args.report, report_obj)
     if args.roc_csv:
-        _write_csv(args.roc_csv, ["fpr", "tpr"], metrics_mod.roc_points(u, adm))
+        _write_csv(args.roc_csv, ["fpr", "tpr"], full.roc_points(), formatted=False)
     if args.arc_csv:
-        _write_csv(args.arc_csv, ["rejection_rate", "accuracy"], metrics_mod.arc_points(u, adm))
+        _write_csv(args.arc_csv, ["rejection_rate", "accuracy"], full.arc_points(), formatted=False)
     return 0
 
 
@@ -525,13 +533,13 @@ def cmd_cascade(args) -> int:
     return 0
 
 
-def _combo_rows(u, adm, expert, plan, alphas, delta, feasible) -> tuple[list, list[list]]:
+def _combo_rows(ranking, expert, plan, alphas, delta, feasible) -> tuple[list, list[list]]:
     """One sweep combination's AUROC/AUARC and its per-alpha risk columns.
 
-    `u` is None when the variant is absent from the records ("--" style
+    `ranking` is None when the variant is absent from the records ("--" style
     empty columns); `feasible` holds, per alpha, the counts of its feasible splits.
     """
-    if u is None:
+    if ranking is None:
         return [None, None], [[alpha, delta] + [None] * 11 for alpha in alphas]
     risk = []
     for alpha, kept in zip(alphas, feasible):
@@ -544,7 +552,7 @@ def _combo_rows(u, adm, expert, plan, alphas, delta, feasible) -> tuple[list, li
             + _mean_std([c.system_accuracy for c in cascaded])
             + _mean_std([c.cascading_rate for c in cascaded])
         )
-    return [metrics_mod.auroc(u, adm), metrics_mod.auarc(u, adm)], risk
+    return [ranking.auroc(), ranking.auarc()], risk
 
 
 def _sweep_input(path: str, args, base_uq: UqConfig, k_values: list[int], plan: SplitPlan) -> tuple[list, list]:
@@ -552,7 +560,8 @@ def _sweep_input(path: str, args, base_uq: UqConfig, k_values: list[int], plan: 
 
     Each chunk is scored at every k as it is read, so only per-record
     vectors outlive it. Each distinct combination's column is built next,
-    then one `engine.run_splits` pass draws each split once for all of them.
+    then one `engine.SortedColumns` sorts each of them once: its splits are
+    drawn once for all of them, and its rankings give each one's AUROC/AUARC.
     """
     alphas, variants = args.alphas, args.variants
     configs = [replace(base_uq, k_samples=k) for k in k_values]
@@ -587,8 +596,8 @@ def _sweep_input(path: str, args, base_uq: UqConfig, k_values: list[int], plan: 
 
     present = [key for key, u in columns.items() if u is not None]
     feasible = {key: [[] for _ in alphas] for key in columns}
-    splits = engine.run_splits([columns[key] for key in present], adm, plan, alphas, args.delta, expert)
-    for rep, (_, per_column) in enumerate(splits):
+    ranked = engine.SortedColumns([columns[key] for key in present], adm, expert)
+    for rep, (_, per_column) in enumerate(ranked.splits(plan, alphas, args.delta)):
         for key, per_alpha in zip(present, per_column):
             for kept, counts in zip(feasible[key], per_alpha):
                 if counts is None:
@@ -599,7 +608,12 @@ def _sweep_input(path: str, args, base_uq: UqConfig, k_values: list[int], plan: 
                     except metrics_mod.MetricError as exc:
                         raise metrics_mod.MetricError(f"repetition {rep}: {exc}") from None
                 kept.append(counts)
-    rows = {key: _combo_rows(u, adm, expert, plan, alphas, args.delta, feasible[key]) for key, u in columns.items()}
+    index = {key: c for c, key in enumerate(present)}
+    rows = {
+        key: _combo_rows(ranked.ranking(index[key]) if key in index else None,
+                         expert, plan, alphas, args.delta, feasible[key])
+        for key in columns
+    }
     base_accuracy = int(adm.sum()) / adm.size
     return ([head + rows[key][0] + [base_accuracy] for head, key in heads],
             [head + row for head, key in heads for row in rows[key][1]])

@@ -1,4 +1,4 @@
-"""Array engine behind every repeated calibration/test split.
+"""Array engine behind every repeated calibration/test split and every rank metric.
 
 `calibrate -r N`, `evaluate`, `sweep` and the guarantee harness all repeat
 one protocol: split the records, calibrate a threshold on one side, and
@@ -8,12 +8,12 @@ prediction is admissible, whether the expert's is), a split is a pair of
 sorted index arrays (`records.split_indices`), and every count is taken
 per tie group.
 
-Each column is sorted once per input (`risk.tie_groups`), and each record
-is labelled with its group; each group keeps how many records, admissible
-records and expert hits lie at or below it. A split then sorts nothing and
-compares no test record: the calibration records' labels, counted per
-group and summed up each column, give every candidate's acceptance and
-error counts (the groups holding a calibration record are the
+Each column is sorted once per input (`risk.tie_groups`), and its stable
+order is kept with the end of each tie group in it; each group keeps the
+admissible records and expert hits at or below it. A split then sorts
+nothing and compares no test record: its calibration records, marked in
+each column's order and summed along it, give every candidate's acceptance
+and error counts (the groups holding a calibration record are the
 candidates), one `risk.largest_feasible` call per alpha picks every
 column's threshold, and the test side's counts at a threshold are the
 group's totals less the calibration side's. All columns go through one
@@ -23,6 +23,13 @@ threshold is the value of its group's last calibration record, as
 and 0.0 stay apart; a NaN threshold accepts nothing, as `u <= nan` does.
 The test-side counts are divided exactly as the per-record functions in
 `metrics` and `cascade` divide them, so every float comes out the same.
+
+The rank metrics (AUROC, AUARC and their curves) read the same order: a
+column's ranking of a split's test side is its order restricted to the
+test records, which is the test side's own stable sort, since
+`split_indices` returns sorted indices. `metrics.auroc`, `auarc`,
+`roc_points` and `arc_points` stay the reference, and `Ranking` gives
+their floats bit for bit.
 """
 
 from __future__ import annotations
@@ -110,46 +117,111 @@ def split_counts(
     )
 
 
-class _Groups(NamedTuple):
-    """The tie groups of a block of columns: group g of column c is number `c * width + g`.
+class Ranking(NamedTuple):
+    """Records ranked by one column, as `metrics`' rank metrics rank them, from the column's one sort.
 
-    `labels[c, i]` is the number of record i's group in column c; the other
-    arrays hold one entry per number (the unused ones hold no record), and
-    `tau` is the value of the group's last record.
+    The records are taken in ascending uncertainty, ties by record index
+    (the column's stable order restricted to them): `prefix[j]` counts the
+    admissible ones among the first j + 1, and `n_le` holds, per tie group
+    that holds one of them, how many lie at or below it. `nan_at` is the
+    position among them of the first NaN uncertainty, or None. Each metric
+    checks and computes on the same integers as its namesake in `metrics`,
+    so it returns the same float and raises the same `MetricError`.
     """
 
-    labels: np.ndarray  # (columns, records) int32
-    width: int  # the most groups of a column
+    prefix: np.ndarray
+    n_le: np.ndarray
+    nan_at: int | None
+
+    def _check(self) -> None:
+        if self.nan_at is not None:
+            raise MetricError(f"uncertainty at position {self.nan_at} is NaN")
+
+    def _classes(self, name: str) -> tuple[int, int, np.ndarray]:
+        """(inadmissible, admissible, inadmissible records at or below each group), both classes required."""
+        self._check()
+        n_neg = int(self.prefix[-1]) if self.prefix.size else 0
+        n_pos = self.prefix.size - n_neg
+        if n_pos == 0 or n_neg == 0:
+            raise MetricError(f"{name} needs at least one admissible and one inadmissible record")
+        return n_pos, n_neg, self.n_le - self.prefix[self.n_le - 1]
+
+    def auroc(self) -> float:
+        """`metrics.auroc`: 2U summed over the tie groups, then one division."""
+        n_pos, n_neg, pos_le = self._classes("auroc")
+        pos = np.diff(pos_le, prepend=0)
+        neg = np.diff(self.n_le, prepend=0) - pos
+        two_u = int((pos * (2 * (self.n_le - pos_le) - neg)).sum())
+        return two_u / 2 / (n_pos * n_neg)
+
+    def roc_points(self) -> list[tuple[float, float]]:
+        """`metrics.roc_points`: (fpr, tpr) as the threshold steps down the groups."""
+        n_pos, n_neg, pos_le = self._classes("roc")
+        flagged = self.prefix.size - np.append(0, self.n_le[:-1])[::-1]
+        flagged_pos = n_pos - np.append(0, pos_le[:-1])[::-1]
+        tpr = flagged_pos / n_pos
+        fpr = (flagged - flagged_pos) / n_neg
+        return [(0.0, 0.0)] + list(zip(fpr.tolist(), tpr.tolist()))
+
+    def auarc(self) -> float:
+        """`metrics.auarc`: the mean retained accuracy over every per-record rejection level."""
+        self._check()
+        if not self.prefix.size:
+            raise MetricError("auarc needs at least one record")
+        return float((self.prefix / np.arange(1, self.prefix.size + 1)).mean())
+
+    def arc_points(self) -> list[tuple[float, float]]:
+        """`metrics.arc_points`: (rejection rate, retained accuracy) per rejection level."""
+        self._check()
+        n = self.prefix.size
+        if not n:
+            raise MetricError("need at least one record")
+        accuracy = self.prefix[::-1] / np.arange(n, 0, -1)
+        return list(zip((np.arange(n) / n).tolist(), accuracy.tolist()))
+
+
+class _Groups(NamedTuple):
+    """The tie groups of a block of columns, each column's after the one before's.
+
+    `order[c]` is column c's stable ascending order; column c's groups are
+    numbers `starts[c]` to `starts[c + 1] - 1`, and group g ends at position
+    `ends[g]` of `order.ravel()`. The other arrays hold one entry per group:
+    `tau` is the value of its last record, and each count takes the column's
+    records at or below the group.
+    """
+
+    order: np.ndarray  # (columns, records) int32
+    starts: np.ndarray
+    ends: np.ndarray
     tau: np.ndarray
-    n_le: np.ndarray  # int32: records at or below the group
     adm_le: np.ndarray  # int32: admissible records at or below the group
     hits_le: np.ndarray | None  # int32: expert hits at or below the group; None without an expert vector
 
 
 def _tie_groups(columns: Sequence[np.ndarray], adm: np.ndarray, expert: np.ndarray | None) -> _Groups:
-    """Sort each column of a block once (`risk.tie_groups`) and label each record with its group."""
-    groups = [tie_groups(u) for u in columns]
-    width = max(last.size for _, last in groups)
-    flags = [adm] if expert is None else [adm, expert]
-    labels = np.empty((len(columns), adm.size), dtype=np.int32)
-    tau = np.zeros(len(columns) * width)
-    n_le, *flags_le = np.zeros((1 + len(flags), tau.size), dtype=np.int32)
-    for c, (u, (order, last)) in enumerate(zip(columns, groups)):
-        at = slice(c * width, c * width + last.size)
-        labels[c, order] = np.repeat(np.arange(at.start, at.stop, dtype=np.int32), np.diff(last, prepend=-1))
-        tau[at], n_le[at] = u[order[last]], last + 1
-        for f, f_le in zip(flags, flags_le):
-            f_le[at] = np.cumsum(f[order])[last]
-    adm_le, *hits_le = flags_le
-    return _Groups(labels, width, tau, n_le, adm_le, hits_le[0] if hits_le else None)
+    """Sort each column of a block once (`risk.tie_groups`) and find where its groups end."""
+    n = adm.size
+    order = np.empty((len(columns), n), dtype=np.int32)
+    ends, tau = [], []
+    for c, u in enumerate(columns):
+        order[c], last = tie_groups(u)
+        ends.append(last + c * n)
+        tau.append(u[order[c, last]])
+    ends = np.concatenate(ends)
+    starts = np.cumsum([0] + [t.size for t in tau])
+
+    def at_or_below(flags: np.ndarray) -> np.ndarray:
+        return np.cumsum(np.take(flags, order), axis=1, dtype=np.int32).ravel()[ends]
+
+    return _Groups(order, starts, ends, np.concatenate(tau), at_or_below(adm),
+                   None if expert is None else at_or_below(expert))
 
 
 class _Side(NamedTuple):
     """One split's calibration side, and the test side's totals, which every column shares."""
 
-    cal: np.ndarray  # calibration indices
-    errors: np.ndarray  # positions in `cal` of the inadmissible records
-    hits: np.ndarray | None  # positions in `cal` of the expert hits; None without an expert vector
+    # uint8 per record: bit 0 on the calibration side, bit 1 there and inadmissible, bit 2 there and an expert hit
+    marks: np.ndarray
     n_test: int
     n_admissible: int
     n_hits: int | None
@@ -159,36 +231,39 @@ def _block_counts(
     groups: _Groups, columns: Sequence[np.ndarray], side: _Side, tables: list[np.ndarray]
 ) -> list[list[SplitCounts | None]]:
     """Per column of a block, per table, the test-side counts of its threshold, or None."""
-    shape = (len(columns), groups.width)
-    keys = np.take(groups.labels, side.cal, axis=1)
+    n = side.marks.size
+    marks = np.take(side.marks, groups.order)  # each column's marks in its sorted order
 
-    def at_or_below(positions: np.ndarray) -> np.ndarray:
-        """Per group, the calibration records at `positions` in it and in the groups below it."""
-        counts = np.bincount(np.take(keys, positions, axis=1).ravel(), minlength=shape[0] * shape[1])
-        return np.cumsum(counts.reshape(shape), axis=1).ravel()
+    def at_or_below(bit: int) -> np.ndarray:
+        """Per group, the calibration records with `bit` set in it and in the column's groups below it."""
+        return np.cumsum(marks & (1 << bit), axis=1, dtype=np.int32).ravel()[groups.ends] >> bit
 
-    held = np.bincount(keys.ravel(), minlength=shape[0] * shape[1])
-    candidates = np.flatnonzero(held)  # the groups holding a calibration record
-    ends = np.searchsorted(candidates, groups.width * np.arange(1, shape[0] + 1))
-    n_accepted = np.cumsum(held.reshape(shape), axis=1).ravel()[candidates]
-    n_errors = at_or_below(side.errors)[candidates]
+    held_le = at_or_below(0)
+    below = np.append(0, held_le[:-1])
+    below[groups.starts[:-1]] = 0
+    candidates = np.flatnonzero(held_le > below)  # the groups holding a calibration record
+    ends = np.searchsorted(candidates, groups.starts[1:])
+    n_accepted = held_le[candidates]
+    n_errors = at_or_below(1)[candidates]
     picks = np.array([largest_feasible(n_accepted, n_errors, table, ends) for table in tables], dtype=np.intp)
-    picks = picks.reshape(len(tables), shape[0])
     at = np.maximum(picks, 0)
     g = candidates[at]
     tau = groups.tau[g]
+    n_le = groups.ends[g] + 1 - n * np.arange(len(columns))
     # per column, per table: pick, records accepted, admissible records accepted, expert hits accepted
-    per_cell = [picks, groups.n_le[g] - n_accepted[at], groups.adm_le[g] - (n_accepted - n_errors)[at]]
-    if side.hits is not None:
-        per_cell.append(groups.hits_le[g] - at_or_below(side.hits)[g])
+    per_cell = [picks, n_le - n_accepted[at], groups.adm_le[g] - (n_accepted - n_errors)[at]]
+    if side.n_hits is not None:
+        per_cell.append(groups.hits_le[g] - at_or_below(2)[g])
     cells = np.stack(per_cell, axis=-1).transpose(1, 0, 2).tolist()
     taus = tau.T.tolist()
     # Equal values share their bits but for signed zeros and NaN payloads: only there
     # is the group's last calibration record, whose value a sort of the calibration
     # side gives, looked up. A NaN threshold accepts no test record (u <= nan).
+    flat = marks.ravel()
     for a, c in zip(*np.nonzero((picks >= 0) & ((tau == 0) | np.isnan(tau)))):
-        last = np.flatnonzero(keys[c] == g[a, c])[-1]
-        taus[c][a] = float(columns[c][side.cal[last]])
+        first = groups.ends[g[a, c] - 1] + 1 if g[a, c] > groups.starts[c] else c * n
+        last = first + np.flatnonzero(flat[first : groups.ends[g[a, c]] + 1] & 1)[-1]
+        taus[c][a] = float(columns[c][groups.order.ravel()[last]])
         if taus[c][a] != taus[c][a]:
             cells[c][a][1:] = [0] * (len(per_cell) - 1)
     n_total, n_admissible, n_hits = side.n_test, side.n_admissible, side.n_hits
@@ -200,37 +275,67 @@ def _block_counts(
     ]
 
 
-def run_splits(
-    columns: Sequence[np.ndarray],
-    adm: np.ndarray,
-    plan: SplitPlan,
-    alphas: Sequence[float],
-    delta: float,
-    expert: np.ndarray | None = None,
-) -> Iterator[tuple[np.ndarray, list[list[SplitCounts | None]]]]:
-    """Per repetition of `plan`: the test indices and, per column of `columns`, the counts per alpha.
+class SortedColumns:
+    """Uncertainty columns over the same records, each sorted once: the state every split and rank metric reads.
 
-    Each column is sorted once and each split is drawn once, for every
-    column; with no column nothing is sorted and no split is drawn. A
-    threshold is calibrated on each calibration side (errors are the
-    inadmissible records) and the rule is measured on the test side; an
-    infeasible alpha gives None.
+    `adm` and `expert` are boolean vectors aligned with every column. The
+    columns are sorted in blocks that bound a split's temporaries.
     """
-    if not columns:
-        return
-    # a column has at most a group per record, so this bounds a block's labels and groups
-    step = max(1, _BLOCK // max(adm.size, 1))
-    blocks = [(columns[lo : lo + step], _tie_groups(columns[lo : lo + step], adm, expert))
-              for lo in range(0, len(columns), step)]
-    n_admissible = int(np.count_nonzero(adm))
-    n_hits = None if expert is None else int(np.count_nonzero(expert))
-    for rep in range(plan.repetitions):
-        cal, test = split_indices(adm.size, plan, rep)
-        errors = np.flatnonzero(~adm[cal])
-        hits = None if expert is None else np.flatnonzero(expert[cal])
-        side = _Side(
-            cal, errors, hits, test.size, n_admissible - (cal.size - errors.size),
-            None if hits is None else n_hits - hits.size,
-        )
-        tables = [critical_counts(cal.size, alpha, delta) for alpha in alphas]
-        yield test, [cells for block, groups in blocks for cells in _block_counts(groups, block, side, tables)]
+
+    def __init__(self, columns: Sequence[np.ndarray], adm: np.ndarray, expert: np.ndarray | None = None):
+        self.columns, self.adm, self.expert = list(columns), adm, expert
+        # a column has at most a group per record, so this bounds a block's orders and groups
+        self._step = max(1, _BLOCK // max(adm.size, 1))
+        self._blocks = [_tie_groups(self.columns[lo : lo + self._step], adm, expert)
+                        for lo in range(0, len(self.columns), self._step)]
+
+    def ranking(self, c: int, records: np.ndarray | None = None) -> Ranking:
+        """How column c ranks `records` (sorted indices; default: every record), as `metrics` ranks `u[records]`."""
+        groups, i = self._blocks[c // self._step], c % self._step
+        order = groups.order[i]
+        lo, hi = groups.starts[i], groups.starts[i + 1]
+        last = groups.ends[lo:hi] - i * order.size
+        if records is None:
+            n_le = last + 1
+        else:
+            keep = np.zeros(order.size, dtype=bool)
+            keep[records] = True
+            kept = keep[order]
+            order, n_le = order[kept], np.cumsum(kept)[last]
+            n_le = n_le[np.diff(n_le, prepend=0) > 0]  # the groups that hold one of the records
+        nan_at = None
+        if hi > lo and groups.tau[hi - 1] != groups.tau[hi - 1]:  # the column holds a NaN, which sorts last
+            nan = np.isnan(self.columns[c] if records is None else self.columns[c][records])
+            nan_at = int(nan.argmax()) if nan.any() else None
+        return Ranking(np.cumsum(self.adm[order]), n_le, nan_at)
+
+    def splits(
+        self, plan: SplitPlan, alphas: Sequence[float], delta: float
+    ) -> Iterator[tuple[np.ndarray, list[list[SplitCounts | None]]]]:
+        """Per repetition of `plan`: the test indices and, per column, the counts per alpha.
+
+        Each split is drawn once, for every column; with no column no split
+        is drawn. A threshold is calibrated on each calibration side (errors
+        are the inadmissible records) and the rule is measured on the test
+        side; an infeasible alpha gives None.
+        """
+        if not self._blocks:
+            return
+        adm, expert = self.adm, self.expert
+        n_admissible = int(np.count_nonzero(adm))
+        n_hits = None if expert is None else int(np.count_nonzero(expert))
+        for rep in range(plan.repetitions):
+            cal, test = split_indices(adm.size, plan, rep)
+            errors = ~adm[cal]
+            marks = np.zeros(adm.size, dtype=np.uint8)
+            marks[cal] = 1 + 2 * errors if expert is None else 1 + 2 * errors + 4 * expert[cal]
+            n_errors = int(np.count_nonzero(errors))
+            side = _Side(marks, test.size, n_admissible - (cal.size - n_errors),
+                         None if expert is None else n_hits - int(np.count_nonzero(expert[cal])))
+            tables = [critical_counts(cal.size, alpha, delta) for alpha in alphas]
+            yield test, [
+                cells
+                for b, groups in enumerate(self._blocks)
+                for cells in _block_counts(groups, self.columns[b * self._step : (b + 1) * self._step], side, tables)
+            ]
+

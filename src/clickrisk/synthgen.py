@@ -21,7 +21,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .engine import run_splits
+from .engine import SortedColumns
 from .metrics import admission, admissions
 from .records import SCORE_CHUNK, UQ_KEYS, Columns, GroundingRecord, SplitPlan, column_lines, mlg_column, parse_records
 from .risk import RiskSpec
@@ -249,7 +249,7 @@ def run_guarantee_trials(
             for chunk in generate_chunks(replace(config, seed=seed_t))
         ]
         u, adm = (np.concatenate(column) for column in zip(*scored))
-        [(_, [[counts]])] = run_splits([u], adm, replace(plan, seed=seed_t), [spec.alpha], spec.delta)
+        [(_, [[counts]])] = SortedColumns([u], adm).splits(replace(plan, seed=seed_t), [spec.alpha], spec.delta)
         if counts is None:
             infeasible += 1
             outcomes.append(TrialOutcome(trial=t, feasible=False, tau=None, test_fdr=None))

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from clickrisk import cascade, cli, engine, synthgen, uq
+from clickrisk import cascade, cli, engine, metrics, synthgen, uq
 from clickrisk.density import build_density_map
 from clickrisk.records import SCORE_CHUNK, UQ_KEYS, GroundingRecord, SplitPlan, load_records, split, split_indices
 from clickrisk.synthgen import SynthConfig, generate_dataset
@@ -573,7 +573,11 @@ def test_sweep_draws_each_split_once_per_input(tmp_path, monkeypatch, mixed_file
 
 
 def test_evaluate_and_sweep_sort_each_column_once_per_input(tmp_path, monkeypatch, mixed_file):
-    """-r 20 sorts each uncertainty column once per input, however many splits; no split sorts a column."""
+    """-r 20 sorts each uncertainty column once per input, however many splits; no split and no rank metric sorts.
+
+    AUROC, AUARC and the ROC/ARC curves come off the engine's one sort:
+    neither a split nor `metrics`' own sorts run.
+    """
     src = scored(tmp_path, mixed_file)
     sorted_sizes, sort = [], engine.tie_groups
 
@@ -581,13 +585,17 @@ def test_evaluate_and_sweep_sort_each_column_once_per_input(tmp_path, monkeypatc
         sorted_sizes.append(u.size)
         return sort(u)
 
-    def per_split_sort(*args):
-        raise AssertionError("a split sorted a column")
+    def forbidden(*args):
+        raise AssertionError("a split or a rank metric sorted a column")
 
     monkeypatch.setattr(engine, "tie_groups", counted)
-    monkeypatch.setattr(engine, "threshold_candidates", per_split_sort)
-    assert run("evaluate", "-i", src, "--ratio", 0.5, "-r", 20) == 0
+    monkeypatch.setattr(engine, "threshold_candidates", forbidden)
+    monkeypatch.setattr(metrics, "threshold_candidates", forbidden)
+    monkeypatch.setattr(metrics, "_sorted_flags", forbidden)
+    assert run("evaluate", "-i", src, "--ratio", 0.5, "-r", 20,
+               "--roc-csv", tmp_path / "roc.csv", "--arc-csv", tmp_path / "arc.csv") == 0
     assert sorted_sizes == [80]
+    assert len((tmp_path / "arc.csv").read_text().splitlines()) == 81  # the header and a row per record
     sorted_sizes.clear()
     # per input: com under two presets, and ta
     assert run("sweep", "-i", src, mixed_file, "--out-dir", tmp_path / "sweep", "--variants", "com,ta",

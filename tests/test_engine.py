@@ -6,7 +6,8 @@ the test side. Every float must come out identical (`==`), not close.
 `per_column_splits` is the engine's direct form: each split sorts each
 column's calibration side and compares every test record with each
 threshold. The engine, which sorts each column once per input, must give
-its counts bit for bit.
+its counts bit for bit. Its rankings must give the rank metrics of
+`metrics` (AUROC, AUARC and their curves) bit for bit, errors included.
 """
 
 import tracemalloc
@@ -14,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from clickrisk import engine
+from clickrisk import engine, metrics
 from clickrisk.cascade import evaluate_cascade
 from clickrisk.metrics import MetricError, admission, fdr_at, power_at
 from clickrisk.records import GroundingRecord, SplitError, SplitPlan, select_mlg, split, split_indices
@@ -93,11 +94,11 @@ def columns_of(records, variant, seed=0):
 
 
 def via_engine(records, variant, plan, alphas, delta, seed=0, columns=None):
-    """`oracle`'s cells from one `run_splits` pass, per column of `columns` (default: the records' `variant`)."""
+    """`oracle`'s cells from one pass of the engine's splits, per column of `columns` (default: `variant`'s)."""
     u, adm, expert = columns_of(records, variant, seed)
     columns = [u] if columns is None else columns
     out = [[] for _ in columns]
-    for _, per_column in engine.run_splits(columns, adm, plan, alphas, delta, expert):
+    for _, per_column in engine.SortedColumns(columns, adm, expert).splits(plan, alphas, delta):
         for cells, per_alpha in zip(out, per_column):
             cells.append([
                 None if c is None else (
@@ -220,7 +221,8 @@ def test_too_few_records_raise_split_error():
             oracle(records, "com", plan, (0.3,), 0.05)
         with pytest.raises(SplitError):
             via_engine(records, "com", plan, (0.3,), 0.05)
-        assert list(engine.run_splits([], np.ones(n, dtype=bool), plan, (0.3,), 0.05)) == []  # no column, no split
+        no_column = engine.SortedColumns([], np.ones(n, dtype=bool))
+        assert list(no_column.splits(plan, (0.3,), 0.05)) == []  # nothing to sort and no split drawn
 
 
 def test_split_indices_match_split():
@@ -250,7 +252,7 @@ def test_thresholds_equal_calibrate_threshold():
 
 
 def per_column_splits(columns, adm, plan, alphas, delta, expert=None):
-    """`run_splits` by a sort of each column's calibration side per split and a comparison per test record."""
+    """The engine's splits by a sort of each column's calibration side per split and a comparison per test record."""
     for rep in range(plan.repetitions):
         cal, test = split_indices(adm.size, plan, rep)
         err_cal, adm_test = ~adm[cal], adm[test]
@@ -308,7 +310,7 @@ def test_engine_equals_the_per_column_engine_bit_for_bit_on_edge_cases():
         adm = rng.random(n) < rng.uniform(0.5, 1.0)
         alphas, delta = (0.05, 0.2, 0.5, 0.9), float(rng.choice([0.05, 0.2]))
         for expert in (None, rng.random(n) < 0.8):
-            got = list(engine.run_splits(columns, adm, plan, alphas, delta, expert))
+            got = list(engine.SortedColumns(columns, adm, expert).splits(plan, alphas, delta))
             want = list(per_column_splits(columns, adm, plan, alphas, delta, expert))
             assert len(got) == len(want) == plan.repetitions
             for rep, ((test, per_column), (want_test, want_per_column)) in enumerate(zip(got, want)):
@@ -339,17 +341,98 @@ def test_signed_zero_threshold_is_the_last_calibration_record():
     for seed in range(40):
         plan = SplitPlan(calibration_ratio=0.5, seed=seed)
         cal = split_indices(u.size, plan, 0)[0]
-        [(_, [[counts]])] = engine.run_splits([u], adm, plan, [0.5], 0.2)
+        [(_, [[counts]])] = engine.SortedColumns([u], adm).splits(plan, [0.5], 0.2)
         zeros = [i for i in cal.tolist() if u[i] == 0]
         if counts is not None and counts.tau == 0:
             assert counts.tau.hex() == u[zeros[-1]].hex()
 
 
+# --- rank metrics off the one sort -----------------------------------------------------
+
+RANK_METRICS = ("auroc", "auarc", "roc_points", "arc_points")
+
+
+def outcome(metric, *args):
+    """What `metric(*args)` gives: floats by `float.hex`, or the text of its MetricError."""
+    try:
+        value = metric(*args)
+    except MetricError as exc:
+        return "MetricError: " + str(exc)
+    if isinstance(value, float):
+        return value.hex()
+    return [(x.hex(), y.hex()) for x, y in value]
+
+
+def ranked_outcomes(ranking):
+    return [outcome(getattr(ranking, name)) for name in RANK_METRICS]
+
+
+def reference_outcomes(u, adm, records=None):
+    """`metrics`' outcomes on `u[records]`, `adm[records]` (default: every record)."""
+    if records is not None:
+        u, adm = u[records], adm[records]
+    return [outcome(getattr(metrics, name), u, adm) for name in RANK_METRICS]
+
+
+def test_rankings_equal_the_metrics_bit_for_bit_on_edge_cases():
+    """Every column's ranking of all records and of each test side gives what `metrics` gives on them."""
+    rng = np.random.default_rng(53)
+    seen = {"value": 0, "NaN": 0, "one class": 0}
+    for case in range(150):
+        n = int(rng.integers(2, 40))
+        plan = SplitPlan(calibration_ratio=float(rng.uniform(0.2, 0.8)), seed=case, repetitions=3)
+        cal = split_indices(n, plan, 0)[0]
+        kinds = rng.choice(EDGE_KINDS, size=int(rng.integers(1, 6)))
+        columns = [edge_column(rng, kind, n, cal) for kind in kinds] + [rng.random(n)]
+        adm = rng.random(n) < rng.uniform(0.5, 1.0)
+        for expert in (None, rng.random(n) < 0.8):
+            ranked = engine.SortedColumns(columns, adm, expert)
+            sides = [None] + [test for test, _ in ranked.splits(plan, (0.2,), 0.05)]
+            for records in sides:
+                for c, u in enumerate(columns):
+                    want = reference_outcomes(u, adm, records)
+                    assert ranked_outcomes(ranked.ranking(c, records)) == want
+                    first = want[0]
+                    seen["NaN" if "is NaN" in first else "one class" if "needs" in first else "value"] += 1
+    assert min(seen.values()) > 100, seen  # NaN columns, one-class sides and values alike
+
+
+@pytest.mark.parametrize("block", ["shared", "one per column"])
+def test_rankings_of_long_columns_equal_the_metrics(block, monkeypatch):
+    """Past numpy's pairwise-summation block the means still agree bit for bit, however the columns are blocked."""
+    if block == "one per column":
+        monkeypatch.setattr(engine, "_BLOCK", 1)
+    rng = np.random.default_rng(59)
+    n = 3000
+    adm = rng.random(n) < 0.7
+    columns = [rng.random(n), np.round(rng.random(n), 2), np.where(adm, rng.random(n), rng.random(n) + 0.3)]
+    plan = SplitPlan(calibration_ratio=0.3, seed=8, repetitions=2)
+    ranked = engine.SortedColumns(columns, adm)
+    for records in [None] + [test for test, _ in ranked.splits(plan, (0.2,), 0.05)]:
+        for c, u in enumerate(columns):
+            assert ranked_outcomes(ranked.ranking(c, records)) == reference_outcomes(u, adm, records)
+
+
+def test_one_class_test_side_raises_the_metrics_error():
+    n = 40
+    plan = SplitPlan(calibration_ratio=0.5, seed=6)
+    cal, test = split_indices(n, plan, 0)
+    adm = np.isin(np.arange(n), cal)  # calibration side all admissible, test side none
+    u = np.linspace(0.0, 1.0, n)
+    ranked = engine.SortedColumns([u], adm)
+    [(split_test, _)] = ranked.splits(plan, (0.3,), 0.05)
+    ranking = ranked.ranking(0, split_test)
+    assert ranked_outcomes(ranking) == reference_outcomes(u, adm, test)
+    assert outcome(ranking.auroc) == "MetricError: auroc needs at least one admissible and one inadmissible record"
+    assert outcome(ranking.roc_points) == "MetricError: roc needs at least one admissible and one inadmissible record"
+    assert outcome(ranking.auarc) == outcome(metrics.auarc, u[test], adm[test]) == (0.0).hex()
+
+
 def traced_peak(columns, adm, plan, expert):
-    """Peak bytes that tracemalloc sees while `run_splits` yields every repetition."""
+    """Peak bytes that tracemalloc sees while the engine sorts the columns and yields every split."""
     tracemalloc.start()
     try:
-        for _ in engine.run_splits(columns, adm, plan, ALPHAS, 0.05, expert):
+        for _ in engine.SortedColumns(columns, adm, expert).splits(plan, ALPHAS, 0.05):
             pass
         return tracemalloc.get_traced_memory()[1]
     finally:
@@ -358,13 +441,14 @@ def traced_peak(columns, adm, plan, expert):
 
 @pytest.mark.parametrize("groups, bound", [("one per record", 40), ("about a hundred", 8)])
 def test_memory_per_record_and_column_stays_bounded(groups, bound):
-    """A column keeps an int32 group label per record and 20 bytes per tie group; a split's temporaries stay
+    """A column keeps its int32 sorted order and 24 bytes per tie group; a split's temporaries stay
     within a block of columns.
 
     At a group per record (distinct values, the worst case) each of four
-    more columns costs about 34 bytes per record, and at about a hundred
-    groups about 6. Per-group counts of 8 bytes or a pass that takes every
-    column at once break the first bound, and labels of 8 bytes the second.
+    more columns costs about 36 bytes per record, and at about a hundred
+    groups about 7. Per-group counts of 8 bytes or a pass that takes every
+    column at once break the first bound, and an 8-byte order, or a 4-byte
+    order kept beside 4-byte group labels, the second.
     """
     n = 20_000
     rng = np.random.default_rng(47)
