@@ -30,9 +30,10 @@ from .records import (
     atomic_writer,
     mlg_column,
     read_columns,
+    record_writer,
     save_records,
+    sidecar_path,
     split_indices,
-    write_columns,
 )
 from .density import occupied_patches
 from .risk import CalibrationOutcome, RiskSpec, calibrate_threshold
@@ -107,6 +108,10 @@ def _append_csv_row(path: str, header: list[str], row: list) -> None:
         csv.writer(fh, lineterminator="\n").writerow([_fmt(v) for v in row])
 
 
+# The flags that name record files: each such file has a sidecar (`records.sidecar_path`)
+RECORD_FLAGS = ("--input", "--inputs", "--output")
+
+
 def _distinct_outputs(args, *flags) -> None:
     """A CliError naming both flags when two of the files `flags` give name one file.
 
@@ -114,12 +119,17 @@ def _distinct_outputs(args, *flags) -> None:
     option takes a list; a (flag, paths) pair stands for the files a command
     writes into the directory that flag names. Callers list the files a
     command reads ahead of those it writes, so that no output replaces an
-    input or another output.
+    input or another output. The flags in RECORD_FLAGS also stand for the
+    sidecar of each record file they name, which the command reads or writes
+    with it.
     """
     first: dict[str, str] = {}  # real path -> the first flag naming it
     for flag in flags:
         flag, paths = flag if isinstance(flag, tuple) else (flag, getattr(args, flag[2:].replace("-", "_")))
-        for path in paths if isinstance(paths, list) else [paths]:
+        paths = paths if isinstance(paths, list) else [paths]
+        if flag in RECORD_FLAGS:
+            paths = [p for path in paths if path for p in (path, sidecar_path(path))]
+        for path in paths:
             other = path and first.setdefault(os.path.realpath(path), flag)
             if other and other != flag:
                 raise CliError(f"{other} and {flag} name the same file: {path}")
@@ -335,10 +345,12 @@ def cmd_score(args) -> int:
     owners: dict[str, str] = {}  # --dump-density file name -> the first id written to it
     # the files no dump may replace; when -i X -o X rescores in place, X is named by --input
     files = {os.path.realpath(args.output): "--output", os.path.realpath(args.input): "--input"}
+    if len(files) == 2:  # -i X -o X rescores X in place, the one output that may replace an input
+        _distinct_outputs(args, "--input", "--output")
     clash, n_records = None, 0
-    with atomic_writer(args.output) as fh:
+    with record_writer(args.output) as out:
         for chunk in _read(args.input):  # a chunk at a time: read, score, write
-            write_columns(fh, chunk, mlg_column(chunk, args.seed), _scores(args.input, chunk, uq_cfg))
+            out.write(chunk, mlg_column(chunk, args.seed), _scores(args.input, chunk, uq_cfg))
             n_records += len(chunk)
             for rec_id in chunk.ids if args.dump_density and clash is None else ():
                 name = _dump_name(rec_id)

@@ -40,7 +40,7 @@ import numpy as np
 
 from .metrics import MetricError
 from .records import SplitPlan, split_indices
-from .risk import critical_counts, largest_feasible, threshold_candidates, tie_groups
+from .risk import critical_counts, largest_feasible, tie_groups
 
 # Columns x records in one block of a split's pass (a block has one column at least)
 _BLOCK = 1 << 16
@@ -83,20 +83,6 @@ class SplitCounts(NamedTuple):
     def cascading_rate(self) -> float:
         """`cascade.evaluate_cascade`: the share of records deferred."""
         return (self.n_total - self.n_accepted) / self.n_total
-
-
-def thresholds(
-    u_cal: np.ndarray, err_cal: np.ndarray, alphas: Sequence[float], delta: float
-) -> list[float | None]:
-    """`calibrate_threshold(u_cal, err_cal, RiskSpec(alpha, delta)).threshold` per alpha.
-
-    One sort serves every alpha: each alpha's threshold is
-    `risk.largest_feasible` over the same candidates, as one row.
-    """
-    taus, n_accepted, n_errors = threshold_candidates(u_cal, err_cal)
-    best = [largest_feasible(n_accepted, n_errors, critical_counts(u_cal.size, alpha, delta), [taus.size])
-            for alpha in alphas]
-    return [float(taus[i]) if i >= 0 else None for [i] in best]
 
 
 def split_counts(

@@ -8,6 +8,13 @@ One record per line, JSON-encoded::
 
 Coordinates are pixels, origin at the top-left corner, x rightward and
 y downward. `uq` is absent in raw files and appended by the scoring stage.
+
+A file written here (`record_writer`, `save_records`) gets a column sidecar,
+`<file>.cols`, in the same atomic pass: the same records as little-endian
+arrays, bound to the file by its size and sha256 (`clickrisk.sidecar` holds
+the format, and this module is its only user). `read_columns` serves a file
+from its sidecar while the binding holds and parses the lines otherwise, so
+deleting a sidecar is always safe and an edited file ignores its own.
 """
 
 from __future__ import annotations
@@ -21,9 +28,12 @@ import operator
 import os
 import tempfile
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator, NoReturn
+from typing import IO, TYPE_CHECKING, Iterable, Iterator, NoReturn
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .sidecar import RecordWriter
 
 Point = tuple[float, float]
 Box = tuple[float, float, float, float]
@@ -290,11 +300,44 @@ def _matrix(rows, width: int) -> np.ndarray:
     return np.fromiter(itertools.chain.from_iterable(rows), dtype=float).reshape(-1, width)
 
 
+def sidecar_path(path) -> str:
+    """The column sidecar of the record file at `path`: `<path>.cols` (see `clickrisk.sidecar`)."""
+    return os.fspath(path) + ".cols"
+
+
+def _open_sidecar(path) -> IO[bytes] | None:
+    """The sidecar of the record file at `path`, open for reading; None when there is none that can be read.
+
+    A missing sidecar is the common case. Its error is raised and dropped in
+    this frame, not in `read_columns`' generator frame: there it kept the
+    peak RSS of a `sweep` over 2000 records about 0.6 MB higher.
+    """
+    try:
+        return open(sidecar_path(path), "rb")
+    except OSError:
+        return None
+
+
 def read_columns(path) -> Iterator[Columns]:
     """The records of the file at `path` as `Columns`, SCORE_CHUNK at a time, one chunk held at a time.
 
-    The checks, errors and line numbers are `load_records`'; an id repeated in any later chunk is a duplicate.
+    The chunks come from the file's sidecar (`sidecar_path`) when its header
+    holds the file's current size and sha256 and its body's sha256 checks
+    out; otherwise from the lines, with `load_records`' checks, errors and
+    line numbers. A served chunk passes the same checks as array passes, so
+    both paths accept the same records, and an id repeated in any later
+    chunk is a duplicate either way. A served record that fails names the
+    sidecar, the record and its line.
     """
+    cols = _open_sidecar(path)
+    if cols is not None:
+        with cols:
+            from . import sidecar  # loaded only where there is a sidecar
+
+            count = sidecar.bound_count(path, cols)
+            if count is not None:
+                yield from sidecar.served_columns(cols, count)
+                return
     with open(path, "r", encoding="utf-8") as fh:
         rows = _line_fields(fh)
         while chunk := list(itertools.islice(rows, SCORE_CHUNK)):
@@ -336,7 +379,7 @@ def _present(name: str, column: np.ndarray) -> list[bool]:
 
 
 def column_lines(chunk: Columns, mlg: np.ndarray, uq: np.ndarray) -> Iterator[str]:
-    """The chunk's records as compact JSON lines, with `mlg` and `uq` for theirs; the only record writer.
+    """The chunk's records as compact JSON lines, with `mlg` and `uq` for theirs: what `record_writer` writes.
 
     `mlg` is (n, 2) and `uq` (n, 4) in UQ_KEYS order, one row per record; an
     all-NaN mlg, expert, pc or uq row is left out, as `Columns` defines
@@ -365,14 +408,9 @@ def column_lines(chunk: Columns, mlg: np.ndarray, uq: np.ndarray) -> Iterator[st
         yield fmt % (encode(rec_id), width, height, *instruction, *box, *coords[a:b], *click, *expert, *pc, *score)
 
 
-def write_columns(fh: IO[str], chunk: Columns, mlg: np.ndarray, uq: np.ndarray) -> None:
-    """Write `column_lines(chunk, mlg, uq)` to `fh`, one line each."""
-    fh.writelines(line + "\n" for line in column_lines(chunk, mlg, uq))
-
-
 @contextlib.contextmanager
-def atomic_writer(path) -> Iterator[IO[str]]:
-    """Text handle on a temporary file that replaces `path` on a clean exit.
+def atomic_writer(path, binary: bool = False) -> Iterator[IO]:
+    """Text (or, with `binary`, bytes) handle on a temporary file that replaces `path` on a clean exit.
 
     The temporary file sits in the target's directory, so the final rename
     never crosses a file system; on any error it is removed and `path` is
@@ -385,7 +423,7 @@ def atomic_writer(path) -> Iterator[IO[str]]:
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+        with os.fdopen(fd, "wb") if binary else os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -394,14 +432,31 @@ def atomic_writer(path) -> Iterator[IO[str]]:
         raise
 
 
-def save_records(path, chunks: Iterable[Columns]) -> None:
-    """Write consecutive `Columns` chunks, one JSON line per record, atomically (see `atomic_writer`).
+@contextlib.contextmanager
+def record_writer(path) -> Iterator[RecordWriter]:
+    """A `sidecar.RecordWriter` on `path` and `sidecar_path(path)`, which replace both files on a clean exit.
 
-    Each chunk goes through `write_columns` before the next is drawn, so a generator's chunks never coexist.
+    Each file is written atomically (see `atomic_writer`), and on any error
+    both are left as they were. The sidecar is renamed first: until the
+    record file follows, the new sidecar does not hold the size and sha256
+    of the file beside it, so no reader serves it.
     """
-    with atomic_writer(path) as fh:
+    from .sidecar import RecordWriter  # loaded only by a command that writes a record file
+
+    with atomic_writer(path, binary=True) as lines, atomic_writer(sidecar_path(path), binary=True) as cols:
+        writer = RecordWriter(lines, cols)
+        yield writer
+        writer.close()
+
+
+def save_records(path, chunks: Iterable[Columns]) -> None:
+    """Write consecutive `Columns` chunks through `record_writer`: a JSON line per record, and the sidecar.
+
+    Each chunk is written before the next is drawn, so a generator's chunks never coexist.
+    """
+    with record_writer(path) as writer:
         for chunk in chunks:
-            write_columns(fh, chunk, chunk.mlg, chunk.uq)
+            writer.write(chunk, chunk.mlg, chunk.uq)
 
 
 def select_mlg(record: GroundingRecord, seed: int = 0) -> Point:

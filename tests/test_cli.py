@@ -9,11 +9,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from clickrisk import cascade, cli, engine, metrics, synthgen, uq
+from clickrisk import cascade, cli, engine, metrics, records, risk, synthgen, uq
 from clickrisk.density import build_density_map
-from clickrisk.records import SCORE_CHUNK, UQ_KEYS, GroundingRecord, SplitPlan, load_records, split, split_indices
+from clickrisk.records import (
+    SCORE_CHUNK, UQ_KEYS, GroundingRecord, SplitPlan, load_records, read_columns, save_records, sidecar_path, split,
+    split_indices)
+from clickrisk.sidecar import RecordWriter
 from clickrisk.synthgen import SynthConfig, generate_dataset
-from test_records import record_lines
+from test_records import assert_same_columns, no_lines, record_lines, served_and_parsed
 
 
 def run(*argv):
@@ -66,12 +69,41 @@ def test_score_is_idempotent(tmp_path, mixed_file):
 
 
 def test_score_rescores_a_file_in_place(tmp_path):
-    """The output replaces the input only after the last of its three chunks has been read."""
+    """The output and its sidecar replace the input's only after the last of its three chunks has been read."""
     data, elsewhere = tmp_path / "data.jsonl", tmp_path / "elsewhere.jsonl"
     assert run("synth", "--out", data, "--n-records", 2 * SCORE_CHUNK + 1) == 0
     assert run("score", "-i", data, "-o", elsewhere) == 0
     assert run("score", "-i", data, "-o", tmp_path / "." / "data.jsonl") == 0
     assert data.read_bytes() == elsewhere.read_bytes()
+    assert Path(sidecar_path(data)).read_bytes() == Path(sidecar_path(elsewhere)).read_bytes()
+
+
+@pytest.mark.parametrize("n", [1, SCORE_CHUNK - 1, SCORE_CHUNK, SCORE_CHUNK + 1, 600])
+def test_synth_and_score_sidecars_serve_what_their_lines_hold(tmp_path, monkeypatch, n):
+    """Synth's output, then a copy with non-ASCII text, a lone surrogate and absent instructions, then its
+    score output: each file's sidecar serves the chunks its lines parse to."""
+    raw, text, out = tmp_path / "raw.jsonl", tmp_path / "text.jsonl", tmp_path / "scored.jsonl"
+    assert run("--seed", 2, "synth", "--out", raw, "--n-records", n) == 0
+    chunks = list(read_columns(raw))
+    for chunk in chunks:
+        for i, rec_id in enumerate(chunk.ids):
+            chunk.instructions[i] = [None, "klick ‘Öffnen’ 点击 \U0001f600", "lone \ud800 surrogate"][i % 3]
+            chunk.ids[i] = rec_id + "-é" if i % 5 == 0 else rec_id
+    save_records(text, chunks)
+    assert run("--seed", 3, "score", "-i", text, "-o", out) == 0
+    for path in (raw, text, out):
+        assert_same_columns(*served_and_parsed(path, monkeypatch))
+
+
+def test_calibrate_reads_a_scored_file_from_its_sidecar(tmp_path, monkeypatch, mixed_file):
+    """No line is parsed, and the artifact is the one the lines give."""
+    src = scored(tmp_path, mixed_file)
+    with monkeypatch.context() as patch:
+        patch.setattr(records, "_line_fields", no_lines)
+        assert run("--seed", 3, "calibrate", "-i", src, "-o", tmp_path / "served.json", "-r", 1) == 0
+    Path(sidecar_path(src)).unlink()
+    assert run("--seed", 3, "calibrate", "-i", src, "-o", tmp_path / "parsed.json", "-r", 1) == 0
+    assert (tmp_path / "served.json").read_bytes() == (tmp_path / "parsed.json").read_bytes()
 
 
 def test_score_k_cap_matches_pretruncated_file(tmp_path, mixed_file):
@@ -114,7 +146,7 @@ def test_score_density_dump_refuses_colliding_ids(tmp_path, capsys):
     assert run("score", "-i", src, "-o", out, "--dump-density", dump) == 1
     assert capsys.readouterr().err == "error: --dump-density: ids 'a/b' and 'a_b' would both be written to a_b.csv\n"
     assert not dump.exists() and not out.exists()
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["colliding.jsonl", "raw.jsonl"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["colliding.jsonl", "raw.jsonl", "raw.jsonl.cols"]
 
 
 @pytest.mark.parametrize("argv, empty, one", [
@@ -371,6 +403,25 @@ def test_two_output_flags_naming_one_file_fail_before_any_work(tmp_path, mixed_f
     assert (out.read_bytes() if out.exists() else None) == before
 
 
+@pytest.mark.parametrize("command, first, second", [
+    ("cascade", "--input", "--manifest"),
+    ("score", "--input", "--output"),
+], ids=["cascade-manifest-on-the-input-sidecar", "score-input-on-the-output-sidecar"])
+def test_a_sidecar_counts_as_a_file_the_command_reads_or_writes(tmp_path, mixed_file, capsys, command, first,
+                                                                 second):
+    """`cascade -i s.jsonl --manifest s.jsonl.cols` would replace what it reads; `score -i b.jsonl.cols -o b.jsonl`
+    would write the sidecar of its output over its input."""
+    src = scored(tmp_path, mixed_file, "s.jsonl")
+    cols = Path(sidecar_path(src))
+    before = cols.read_bytes()
+    argv = ["cascade", "-i", src, "--tau", 0.5, "--manifest", cols] if command == "cascade" else [
+        "score", "-i", cols, "-o", src]
+    capsys.readouterr()
+    assert run(*argv) == 1
+    assert capsys.readouterr() == ("", f"error: {first} and {second} name the same file: {cols}\n")
+    assert cols.read_bytes() == before
+
+
 def test_cascade_requires_threshold_source(tmp_path, mixed_file, capsys):
     src = scored(tmp_path, mixed_file)
     assert run("cascade", "-i", src) == 1
@@ -589,7 +640,7 @@ def test_evaluate_and_sweep_sort_each_column_once_per_input(tmp_path, monkeypatc
         raise AssertionError("a split or a rank metric sorted a column")
 
     monkeypatch.setattr(engine, "tie_groups", counted)
-    monkeypatch.setattr(engine, "threshold_candidates", forbidden)
+    monkeypatch.setattr(risk, "threshold_candidates", forbidden)
     monkeypatch.setattr(metrics, "threshold_candidates", forbidden)
     monkeypatch.setattr(metrics, "_sorted_flags", forbidden)
     assert run("evaluate", "-i", src, "--ratio", 0.5, "-r", 20,
@@ -671,7 +722,7 @@ def test_score_and_sweep_name_the_first_record_they_cannot_score(tmp_path, capsy
     assert run(*argv) == 1
     assert capsys.readouterr().err == (
         f"error: {path}: record 'synth-00003': a 71428571429x71428571429 patch grid is too large to index\n")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.jsonl"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.jsonl", "huge.jsonl.cols"]
     path.write_text("".join(path.read_text().splitlines(keepends=True)[SCORE_CHUNK:]))  # the second chunk alone
     assert run(*argv) == 1
     assert capsys.readouterr().err.startswith(f"error: {path}: line {301 - SCORE_CHUNK}: invalid JSON")
@@ -768,12 +819,15 @@ def test_synth_and_guarantee_memory_stays_flat_in_the_record_count(tmp_path, mon
         assert (large_peak - small_peak) / (large - small) < 100
 
 
-def test_cascade_memory_keeps_no_row_of_a_record_it_accepts(tmp_path, monkeypatch):
+def check_cascade_memory(tmp_path, monkeypatch, sidecar: bool) -> None:
     """Cascade keeps four vectors per record, and an id and instruction only for each record it defers.
 
     At tau 0.94 it defers none of these records (their largest `com` is
     0.93999999). The traced memory it holds when it routes, and its peak,
-    are compared between 512 and 5120 records.
+    are compared between 512 and 5120 records, read from their sidecars
+    (where no line is parsed) or from their lines. The same bounds hold on
+    both paths: the served path holds one sidecar block at a time, which it
+    can only do while the writer writes one block per SCORE_CHUNK records.
     """
     monkeypatch.chdir(tmp_path)
     small, large = 2 * SCORE_CHUNK, 20 * SCORE_CHUNK
@@ -781,6 +835,12 @@ def test_cascade_memory_keeps_no_row_of_a_record_it_accepts(tmp_path, monkeypatc
     scored(tmp_path, "synth.jsonl", "large.jsonl")
     with open("large.jsonl") as fh:
         Path("small.jsonl").write_text("".join(next(fh) for _ in range(small)))
+    scored(tmp_path, "small.jsonl", "small.jsonl")  # the same bytes, rewritten in place with a sidecar
+    if sidecar:
+        monkeypatch.setattr(records, "_line_fields", None)  # no line is parsed
+    else:
+        for name in ("small.jsonl.cols", "large.jsonl.cols"):
+            Path(name).unlink()
     held, route = [], cascade.route
 
     def traced_route(*args):
@@ -795,6 +855,14 @@ def test_cascade_memory_keeps_no_row_of_a_record_it_accepts(tmp_path, monkeypatc
     assert (held[2] - held[1]) / (large - small) < 40  # about 25; 195 with every id and instruction
     # the reader's set of seen ids is most of the peak
     assert (large_peak - small_peak) / (large - small) < 240  # about 180; 290 with every id and instruction
+
+
+def test_cascade_memory_keeps_no_row_of_a_record_it_accepts(tmp_path, monkeypatch):
+    check_cascade_memory(tmp_path, monkeypatch, sidecar=False)
+
+
+def test_cascade_memory_keeps_no_row_of_a_record_it_accepts_when_served_from_sidecars(tmp_path, monkeypatch):
+    check_cascade_memory(tmp_path, monkeypatch, sidecar=True)
 
 
 def partitions(n: int, largest: int) -> list[tuple[int, ...]]:
@@ -821,13 +889,13 @@ def test_score_memory_stays_flat_once_the_score_cache_is_full(tmp_path, monkeypa
                                samples=tuple((28.0 * j + 7.0, 7.0) for j, part in enumerate(parts) for _ in range(part)))
                for i, parts in enumerate(every[i] for i in np.random.default_rng(0).permutation(len(every)))]
     (tmp_path / "in.jsonl").write_text("".join(line + "\n" for line in record_lines(records)))
-    blocks, write = [], cli.write_columns
+    blocks, write = [], RecordWriter.write
 
     def counted_write(*args):
         write(*args)
         blocks.append(sys.getallocatedblocks())
 
-    monkeypatch.setattr(cli, "write_columns", counted_write)
+    monkeypatch.setattr(RecordWriter, "write", counted_write)
     assert run("score", "-i", tmp_path / "in.jsonl", "-o", tmp_path / "out.jsonl", "--beta", 0,
                "--k-samples", 23) == 0
     assert uq._score.cache_info().misses > 4096 + 3 * SCORE_CHUNK
@@ -1007,7 +1075,7 @@ def test_a_setting_that_changed_no_output_is_not_accepted(tmp_path, mixed_file, 
         run(command, "-i", mixed_file, *rest)
     assert caught.value.code == 2
     assert f"unrecognized arguments: {' '.join(rest[-2:])}" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == [mixed_file]
+    assert sorted(tmp_path.iterdir()) == [mixed_file, tmp_path / "mixed.jsonl.cols"]
 
 
 @pytest.mark.parametrize("config, argv, message", [

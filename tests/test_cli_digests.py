@@ -5,7 +5,9 @@ evaluate, cascade and sweep on seeds 1 and 2. Its input mixes what the
 file path must carry through unchanged: a `pc` on every record, an
 explicit `mlg` on every seventh, integer coordinates on every eleventh,
 and blank lines. The digests were recorded before the commands read
-files as columns; any change to an output's bytes fails here.
+files as columns; any change to an output's bytes fails here. The column
+sidecars that synth and score write beside their record files are pinned
+too.
 """
 
 import hashlib
@@ -32,10 +34,12 @@ DIGESTS = {
         "dumps/*": "8b82da367d7b33369828215915a442888f50b3ac7ac5ea47e9d9cc79e9d5f0f2",
         "mixed.jsonl": "46367e9a64c15f8af9391468728510a5d7c0be21800b60b00a2659878650df65",
         "raw.jsonl": "7e1378728e3af9fff09822c05e0c5e980a719cab3bcb86c8bd57ee149e2bfe60",
+        "raw.jsonl.cols": "91209e741a7d1cc924446594b1465541c31c01d26b07cfe35c8bdec5cc5b5c7e",
         "report.json": "32eab0c74d1dc3749f815f92d94ea0c4d8597146844dd4fe06991fc7ad97862c",
         "report_pc.json": "4a71a4800137443823f7b538ee26c46ba40ed20358d4f6a4f9f02e97a5b48524",
         "roc.csv": "30513ff8c269d67f477d968e85d4055c81f6ef7240d5e8b73cca448902c88db4",
         "scored.jsonl": "0ba0b3122c48af43b693eef5bb496ad67b258ee3e2450fd6d9a71158dbcd219f",
+        "scored.jsonl.cols": "050764360e7e6dbba3095564c49837bc1c0db90f643804228d0b23c7e36fbfee",
         "sweep/ranking.csv": "cbe9bf500bd908febcfba9e010c99dd6cfd95f0ebe231a751b74b61ea25d6ece",
         "sweep/risk.csv": "cc45069e9af899136b63b4e3be560c337596bd2c7102783880b5177df39571ec",
     },
@@ -52,10 +56,12 @@ DIGESTS = {
         "dumps/*": "dbe8f111d806973cdb3d4267fa6067643e3facc33fd68ab13e7f7a0b8acea56d",
         "mixed.jsonl": "1ec1c400d4c36209daae873df05cf8205c2fbb3aa62b468ea7137900e4bb4268",
         "raw.jsonl": "4164c0f8647496a8b55d66efb8142961257460130891784361e8c5b126981328",
+        "raw.jsonl.cols": "eac6e6505e7b4a923c0f9f1185c09855373c6d64f10b29dabdbff54a0cecd5d2",
         "report.json": "f10ea6669a42c4ce19f6387e63fc3b5a69da4fb787aebf0fc1aea7d01379473a",
         "report_pc.json": "e661744aec190b86fc09711cba6390675ba00bc4c23799699403d422a8ce9eee",
         "roc.csv": "a518e7fa7989122fd4e670571b448509d49e05ca00ec36428a66b29d41614bab",
         "scored.jsonl": "4dcc696f537a42d1f9249bcbc4c390403d5d25bfeaa428af8f4cb391269b1326",
+        "scored.jsonl.cols": "e90ebca854f78d8df6689011715d011439e162b6c12f13d1ebf1e2349c6c6d42",
         "sweep/ranking.csv": "b62e56373d0a631d994516ea386fe34f3cc5e71bac34036d22063a3c851d61c0",
         "sweep/risk.csv": "72a562c1f80b969a8a30fb64ae89e31c7228fd0165f1b60faeef0601c5b5e523",
     },

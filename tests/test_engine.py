@@ -19,7 +19,7 @@ from clickrisk import engine, metrics
 from clickrisk.cascade import evaluate_cascade
 from clickrisk.metrics import MetricError, admission, fdr_at, power_at
 from clickrisk.records import GroundingRecord, SplitError, SplitPlan, select_mlg, split, split_indices
-from clickrisk.risk import RiskSpec, calibrate_threshold, critical_counts, threshold_candidates
+from clickrisk.risk import RiskSpec, calibrate_threshold, critical_counts, largest_feasible, threshold_candidates
 
 BOX = (40.0, 40.0, 60.0, 60.0)
 INSIDE = (50.0, 50.0)
@@ -236,6 +236,17 @@ def test_split_indices_match_split():
         assert list(cal_idx) == sorted(cal_idx) and list(test_idx) == sorted(test_idx)
 
 
+def thresholds(u_cal, err_cal, alphas, delta) -> list[float | None]:
+    """`calibrate_threshold(u_cal, err_cal, RiskSpec(alpha, delta)).threshold` per alpha, from one sort.
+
+    Each alpha's threshold is `risk.largest_feasible` over the same candidates, as one row.
+    """
+    taus, n_accepted, n_errors = threshold_candidates(u_cal, err_cal)
+    best = [largest_feasible(n_accepted, n_errors, critical_counts(u_cal.size, alpha, delta), [taus.size])
+            for alpha in alphas]
+    return [float(taus[i]) if i >= 0 else None for [i] in best]
+
+
 def test_thresholds_equal_calibrate_threshold():
     rng = np.random.default_rng(29)
     for _ in range(100):
@@ -245,7 +256,7 @@ def test_thresholds_equal_calibrate_threshold():
         delta = float(rng.choice([0.01, 0.05, 0.1]))
         alphas = rng.uniform(0.01, 0.6, size=4).tolist()
         expected = [calibrate_threshold(u, err, RiskSpec(alpha=a, delta=delta)).threshold for a in alphas]
-        assert engine.thresholds(u, err, alphas, delta) == expected
+        assert thresholds(u, err, alphas, delta) == expected
 
 
 # --- one sort per column per input ---------------------------------------------------
@@ -319,7 +330,7 @@ def test_engine_equals_the_per_column_engine_bit_for_bit_on_edge_cases():
                     [[exact(c) for c in cells] for cells in want_per_column]
                 cal_side = split_indices(n, plan, rep)[0]
                 for u, cells in zip(columns, want_per_column):
-                    taus = engine.thresholds(u[cal_side], ~adm[cal_side], alphas, delta)
+                    taus = thresholds(u[cal_side], ~adm[cal_side], alphas, delta)
                     assert [None if t is None else t.hex() for t in taus] == \
                         [None if c is None else c.tau.hex() for c in cells]
                     for c in cells:

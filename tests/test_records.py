@@ -1,14 +1,17 @@
 import dataclasses
+import hashlib
 import io
 import json
 import math
 import os
 import re
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from clickrisk import records, sidecar
 from clickrisk.records import (
     SCORE_CHUNK,
     Columns,
@@ -26,6 +29,7 @@ from clickrisk.records import (
     record_fields,
     save_records,
     select_mlg,
+    sidecar_path,
     split,
 )
 
@@ -571,7 +575,7 @@ def test_save_records_replaces_the_file_only_when_complete(tmp_path):
 
     save_records(path, [chunk])
     assert path.read_text() == "".join(line + "\n" for line in json_lines(chunk))
-    assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.jsonl", "out.jsonl.cols"]
 
 
 def test_atomic_writer_creates_directories_and_honours_the_umask(tmp_path):
@@ -582,3 +586,192 @@ def test_atomic_writer_creates_directories_and_honours_the_umask(tmp_path):
     umask = os.umask(0)
     os.umask(umask)
     assert path.stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+# --- the column sidecar: written with the lines, served in place of them --------------
+
+ARRAY_FIELDS = ("boxes", "points", "offsets", "mlg", "expert", "pc", "uq")
+
+
+def no_lines(stream):
+    raise AssertionError("a line was parsed")
+
+
+def assert_same_columns(got: list[Columns], expected: list[Columns]) -> None:
+    """Chunk by chunk: the same ids, instructions and dims, and arrays of the same dtype, shape and bytes."""
+    assert [len(c) for c in got] == [len(c) for c in expected]
+    for g, e in zip(got, expected):
+        assert (g.ids, g.instructions, g.dims) == (e.ids, e.instructions, e.dims)
+        for name in ARRAY_FIELDS:
+            a, b = getattr(g, name), getattr(e, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
+def served_and_parsed(path, monkeypatch) -> tuple[list[Columns], list[Columns]]:
+    """`read_columns(path)` from the sidecar, with no line parsed, and from the lines, with the sidecar set aside."""
+    with monkeypatch.context() as patch:
+        patch.setattr(records, "_line_fields", no_lines)
+        served = list(read_columns(path))
+    cols = Path(sidecar_path(path))
+    aside = cols.rename(cols.with_name(cols.name + ".aside"))
+    try:
+        parsed = list(read_columns(path))
+    finally:
+        aside.rename(cols)
+    return served, parsed
+
+
+def pieces(chunks, size: int):
+    """The chunks' records cut into pieces of `size` records across their boundaries; each piece keeps
+    its chunk's whole sample column, with offsets that do not start at 0."""
+    for c in chunks:
+        for a in range(0, len(c), size):
+            b = min(a + size, len(c))
+            yield Columns(ids=c.ids[a:b], instructions=c.instructions[a:b], dims=c.dims[a:b], boxes=c.boxes[a:b],
+                          points=c.points, offsets=c.offsets[a : b + 1], mlg=c.mlg[a:b], expert=c.expert[a:b],
+                          pc=c.pc[a:b], uq=c.uq[a:b])
+
+
+def sidecar_objs(n):
+    """`mixed_objs(n)` with non-ASCII text and a lone surrogate among the ids and instructions."""
+    objs = mixed_objs(n)
+    for i, obj in enumerate(objs):
+        if i % 7 == 0:
+            obj["instruction"] = "naïve 点击 \U0001f600"
+        if i % 11 == 0:
+            obj["id"] += " \udc80"
+    return objs
+
+
+@pytest.mark.parametrize("n", [1, SCORE_CHUNK - 1, SCORE_CHUNK, SCORE_CHUNK + 1, 600])
+def test_served_chunks_equal_parsed_chunks(tmp_path, monkeypatch, n):
+    """Records written in pieces of 100 go to the sidecar in blocks of SCORE_CHUNK, bound to the file."""
+    src, path = tmp_path / "src.jsonl", tmp_path / "out.jsonl"
+    src.write_text(text(*sidecar_objs(n)))
+    assert not os.path.exists(sidecar_path(src))  # only the writer makes a sidecar
+    save_records(path, pieces(read_columns(src), 100))
+    served, parsed = served_and_parsed(path, monkeypatch)
+    assert_same_columns(served, parsed)
+    assert_same_columns(parsed, list(read_columns(src)))
+    header = json.loads(Path(sidecar_path(path)).read_bytes()[: sidecar._HEADER_BYTES])
+    assert header["size"] == path.stat().st_size and header["records"] == n
+    assert header["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_an_empty_file_has_an_empty_sidecar(tmp_path, monkeypatch):
+    path = tmp_path / "empty.jsonl"
+    save_records(path, [])
+    assert path.read_bytes() == b""
+    assert served_and_parsed(path, monkeypatch) == ([], [])
+
+
+def test_a_dimension_past_the_float_range_is_served_as_parsed(tmp_path, monkeypatch):
+    """The lines compare such a width as an integer, so every box fits; so do the array checks."""
+    src, path = tmp_path / "src.jsonl", tmp_path / "out.jsonl"
+    src.write_text(text(dict(VALID, image={"w": 10**400, "h": 80}), dict(VALID, id="b")))
+    save_records(path, read_columns(src))
+    served, parsed = served_and_parsed(path, monkeypatch)
+    assert_same_columns(served, parsed)
+    assert served[0].dims == [(10**400, 80), (100, 80)]
+
+
+def objs_columns(tmp_path) -> list[Columns]:
+    """`mixed_objs(600)` as chunks."""
+    src = tmp_path / "objs.jsonl"
+    src.write_text(text(*mixed_objs(600)))
+    return list(read_columns(src))
+
+
+def with_box_past_the_image(chunks: list[Columns]) -> list[Columns]:
+    """The record on line 300 (id 'r299') given a gt_box past its image's right edge."""
+    chunks[1].boxes[300 - 1 - SCORE_CHUNK, 2] = 100.5
+    return chunks
+
+
+def damage(path: Path, how: str) -> None:
+    cols = Path(sidecar_path(path))
+    data = bytearray(cols.read_bytes())
+    if how == "stale":  # the record file edited after it was written: same records, one more blank line
+        path.write_bytes(path.read_bytes() + b"\n")
+    elif how == "truncated":
+        cols.write_bytes(data[:-8])
+    elif how == "flipped-body-byte":
+        data[len(data) // 2] ^= 0x01
+        cols.write_bytes(data)
+    else:  # another format's tag, of the same length
+        cols.write_bytes(data.replace(sidecar.FORMAT.encode(), sidecar.FORMAT[:-1].encode() + b"0", 1))
+
+
+@pytest.mark.parametrize("broken", [False, True], ids=["valid", "box-past-the-image"])
+@pytest.mark.parametrize("how", ["stale", "truncated", "flipped-body-byte", "wrong-format"])
+def test_a_sidecar_that_is_not_bound_takes_the_parse_path(tmp_path, monkeypatch, how, broken):
+    """The same chunks, or the same `line N:` error, as with no sidecar; and the lines are parsed."""
+    path = tmp_path / "out.jsonl"
+    chunks = objs_columns(tmp_path)
+    save_records(path, with_box_past_the_image(chunks) if broken else chunks)
+    damage(path, how)
+    parsed_lines = []
+    parse = records._line_fields
+
+    def counted(stream):
+        parsed_lines.append(True)
+        return parse(stream)
+
+    monkeypatch.setattr(records, "_line_fields", counted)
+    if broken:
+        with pytest.raises(RecordError) as served:
+            list(read_columns(path))
+        assert str(served.value) == "line 300: gt_box: (10.0, 10.0, 100.5, 30.0) exceeds image bounds 100x80"
+        assert served.value.line == 300
+    else:
+        got = list(read_columns(path))
+        Path(sidecar_path(path)).unlink()
+        assert_same_columns(got, list(read_columns(path)))
+    assert parsed_lines
+
+
+
+def rebound(path: Path, chunks: list[Columns], monkeypatch) -> None:
+    """Rewrite `path`'s sidecar from `chunks`, unchecked, with its digests recomputed: bound to `path` as it is."""
+    with monkeypatch.context() as patch:
+        patch.setattr(sidecar, "column_lines", lambda *args: iter(()))  # no lines, so no value is checked
+        body = io.BytesIO()
+        writer = sidecar.RecordWriter(io.BytesIO(), body)
+        for chunk in chunks:
+            writer.write(chunk, chunk.mlg, chunk.uq)
+        writer.close()
+    size = sidecar._HEADER_BYTES
+    header = json.loads(body.getvalue()[:size])
+    header.update(size=path.stat().st_size, sha256=hashlib.sha256(path.read_bytes()).hexdigest())
+    Path(sidecar_path(path)).write_bytes(json.dumps(header).encode().ljust(size - 1) + b"\n" + body.getvalue()[size:])
+
+
+def nan_sample(chunks: list[Columns]) -> list[Columns]:
+    """The first sample of the record on line 300 given a NaN y."""
+    chunk = chunks[1]
+    chunk.points[chunk.offsets[300 - 1 - SCORE_CHUNK], 1] = math.nan
+    return chunks
+
+
+def duplicate_id(chunks: list[Columns]) -> list[Columns]:
+    """The record on line 300 given the id of the record on line 4, in the chunk before."""
+    chunks[1].ids[300 - 1 - SCORE_CHUNK] = "r3"
+    return chunks
+
+
+@pytest.mark.parametrize("edit, record, message", [
+    (with_box_past_the_image, "r299", "gt_box: (10.0, 10.0, 100.5, 30.0) exceeds image bounds 100x80"),
+    (nan_sample, "r299", "samples[0]: coordinates must be finite, got [17.5, nan]"),
+    (duplicate_id, "r3", "duplicate id 'r3'"),
+], ids=["box-past-the-image", "nan-sample", "duplicate-id"])
+def test_a_bound_sidecar_with_a_broken_record_names_the_sidecar_and_the_record(tmp_path, monkeypatch, edit,
+                                                                              record, message):
+    """The served path checks what the parse path checks, though the record file itself is valid."""
+    path = tmp_path / "out.jsonl"
+    save_records(path, objs_columns(tmp_path))
+    rebound(path, edit(objs_columns(tmp_path)), monkeypatch)
+    monkeypatch.setattr(records, "_line_fields", no_lines)
+    with pytest.raises(RecordError) as served:
+        list(read_columns(path))
+    assert str(served.value) == f"line 300: {sidecar_path(path)}: record {record!r}: {message}"
+    assert served.value.line == 300

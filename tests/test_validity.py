@@ -18,8 +18,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from clickrisk import engine
 from clickrisk.risk import cp_upper_bound, critical_counts
+from test_engine import thresholds
 
 
 def false_selection(table, e, alpha) -> float:
@@ -99,7 +99,7 @@ def test_monte_carlo_through_the_engine_covers_the_oracle(e, expected):
     rng = np.random.default_rng(7)
     violations = 0
     for _ in range(trials):
-        (tau,) = engine.thresholds(u, (rng.random(size) < e).astype(int), [ALPHA], DELTA)
+        (tau,) = thresholds(u, (rng.random(size) < e).astype(int), [ALPHA], DELTA)
         violations += tau is not None and bool(bad[int(tau)])
     # a two-sided 95% Clopper-Pearson interval for the violation rate
     upper = cp_upper_bound(violations, trials, 0.025)
