@@ -350,7 +350,7 @@ def cmd_score(args) -> int:
     clash, n_records = None, 0
     with record_writer(args.output) as out:
         for chunk in _read(args.input):  # a chunk at a time: read, score, write
-            out.write(chunk, mlg_column(chunk, args.seed), _scores(args.input, chunk, uq_cfg))
+            out.write(replace(chunk, mlg=mlg_column(chunk, args.seed), uq=_scores(args.input, chunk, uq_cfg)))
             n_records += len(chunk)
             for rec_id in chunk.ids if args.dump_density and clash is None else ():
                 name = _dump_name(rec_id)

@@ -11,10 +11,11 @@ y downward. `uq` is absent in raw files and appended by the scoring stage.
 
 A file written here (`record_writer`, `save_records`) gets a column sidecar,
 `<file>.cols`, in the same atomic pass: the same records as little-endian
-arrays, bound to the file by its size and sha256 (`clickrisk.sidecar` holds
-the format, and this module is its only user). `read_columns` serves a file
-from its sidecar while the binding holds and parses the lines otherwise, so
-deleting a sidecar is always safe and an edited file ignores its own.
+arrays, a block of at most SCORE_CHUNK per chunk written, bound to the file
+by its size and sha256 (`clickrisk.sidecar` holds the format, and this
+module is its only user). `read_columns` serves a file from its sidecar
+while the binding holds and parses the lines otherwise, so deleting a
+sidecar is always safe and an edited file ignores its own.
 """
 
 from __future__ import annotations
@@ -319,15 +320,15 @@ def _open_sidecar(path) -> IO[bytes] | None:
 
 
 def read_columns(path) -> Iterator[Columns]:
-    """The records of the file at `path` as `Columns`, SCORE_CHUNK at a time, one chunk held at a time.
+    """The records of the file at `path` as `Columns`, at most SCORE_CHUNK at a time, one chunk held at a time.
 
-    The chunks come from the file's sidecar (`sidecar_path`) when its header
-    holds the file's current size and sha256 and its body's sha256 checks
-    out; otherwise from the lines, with `load_records`' checks, errors and
-    line numbers. A served chunk passes the same checks as array passes, so
-    both paths accept the same records, and an id repeated in any later
-    chunk is a duplicate either way. A served record that fails names the
-    sidecar, the record and its line.
+    The chunks are the blocks of the file's sidecar (`sidecar_path`) when
+    its header holds the file's current size and sha256 and its body's
+    sha256 checks out; otherwise SCORE_CHUNK lines each, with
+    `load_records`' checks, errors and line numbers. A served chunk passes
+    the same checks as array passes, so both paths accept the same records,
+    and an id repeated in any later chunk is a duplicate either way. A
+    served record that fails names the sidecar, the record and its line.
     """
     cols = _open_sidecar(path)
     if cols is not None:
@@ -378,11 +379,10 @@ def _present(name: str, column: np.ndarray) -> list[bool]:
     return (~absent).tolist()
 
 
-def column_lines(chunk: Columns, mlg: np.ndarray, uq: np.ndarray) -> Iterator[str]:
-    """The chunk's records as compact JSON lines, with `mlg` and `uq` for theirs: what `record_writer` writes.
+def column_lines(chunk: Columns) -> Iterator[str]:
+    """The chunk's records as compact JSON lines: what `record_writer` writes.
 
-    `mlg` is (n, 2) and `uq` (n, 4) in UQ_KEYS order, one row per record; an
-    all-NaN mlg, expert, pc or uq row is left out, as `Columns` defines
+    An all-NaN mlg, expert, pc or uq row is left out, as `Columns` defines
     absence. Each line is one %-format: `%r` of a finite float is its
     shortest repr, which is what `json.dumps` writes, and the id and the
     instruction go through json's own string encoder. Any other non-finite
@@ -391,7 +391,7 @@ def column_lines(chunk: Columns, mlg: np.ndarray, uq: np.ndarray) -> Iterator[st
     if not (np.isfinite(chunk.boxes).all() and np.isfinite(chunk.points).all()):
         raise ValueError("gt_box and samples must be finite")
     encode = json.encoder.encode_basestring_ascii  # a str as json.dumps writes it
-    optional = (("mlg", mlg), ("expert", chunk.expert), ("pc", chunk.pc[:, None]), ("uq", uq))
+    optional = (("mlg", chunk.mlg), ("expert", chunk.expert), ("pc", chunk.pc[:, None]), ("uq", chunk.uq))
     present = [_present(name, column) for name, column in optional]
     # each record's values of each field, none where it is absent
     values = [[row if p else () for row, p in zip(column.tolist(), has)]
@@ -456,7 +456,7 @@ def save_records(path, chunks: Iterable[Columns]) -> None:
     """
     with record_writer(path) as writer:
         for chunk in chunks:
-            writer.write(chunk, chunk.mlg, chunk.uq)
+            writer.write(chunk)
 
 
 def select_mlg(record: GroundingRecord, seed: int = 0) -> Point:

@@ -7,17 +7,16 @@ this module only then, so a command that meets no sidecar never loads it.
 
 `<file>.cols` is a header line of _HEADER_BYTES (JSON padded with spaces:
 the format tag, the record file's size and sha256, the body's sha256 and
-the record count), then the body: one block per SCORE_CHUNK records, a
-JSON line of their ids, instructions, dims and sample count followed by
-the little-endian bytes of each of _BLOCK_ARRAYS in turn, as
-`read_columns` reads the record file's lines back.
+the record count), then the body: one block per chunk the writer was
+handed, at most SCORE_CHUNK records (a longer chunk is cut into
+SCORE_CHUNK blocks), each a JSON line of its ids, instructions, dims and
+sample count followed by the little-endian bytes of each of _BLOCK_ARRAYS
+in turn, as `read_columns` reads the record file's lines back.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -96,11 +95,16 @@ def _block(cols: IO[bytes], head: bytes) -> Columns:
         )
     except (ValueError, KeyError, TypeError):
         well_formed = False
-    if not well_formed:
+    if not well_formed or n > SCORE_CHUNK:
         raise RecordError(f"{cols.name}: a malformed block")
+    shapes = [(name, dtype, m if name == "points" else n + 1 if name == "offsets" else n, width)
+              for name, dtype, width in _BLOCK_ARRAYS]
+    # before any allocation, so that no sample count can ask for more memory than the sidecar holds
+    if sum(np.dtype(dtype).itemsize * rows * (width or 1) for _, dtype, rows, width in shapes) \
+            > os.fstat(cols.fileno()).st_size - cols.tell():
+        raise RecordError(f"{cols.name}: a block cut short")
     arrays = {}
-    for name, dtype, width in _BLOCK_ARRAYS:
-        rows = m if name == "points" else n + 1 if name == "offsets" else n
+    for name, dtype, rows, width in shapes:
         arrays[name] = np.empty(rows if width is None else (rows, width), dtype)
         if cols.readinto(arrays[name]) != arrays[name].nbytes:
             raise RecordError(f"{cols.name}: a block cut short")
@@ -170,96 +174,50 @@ def _line_object(chunk: Columns, i: int) -> dict:
     return obj
 
 
-def _read_back(chunk: Columns, mlg: np.ndarray, uq: np.ndarray) -> Columns:
-    """A copy of `chunk` with `mlg` and `uq` for its own, as `read_columns` reads its lines back.
-
-    The arrays become float64 and int64, the offsets start at 0, and every
-    absent value (a NaN, as `column_lines` has checked) becomes the reader's
-    NaN. Nothing in it is the caller's, so a caller may change its chunk
-    while the writer holds the copy for a block still short of SCORE_CHUNK.
-    """
-    a, b = chunk.offsets[[0, -1]].tolist()
-    return Columns(
-        ids=list(chunk.ids), instructions=list(chunk.instructions), dims=list(chunk.dims),
-        boxes=np.array(chunk.boxes, dtype=float), points=np.array(chunk.points[a:b], dtype=float),
-        offsets=np.asarray(chunk.offsets, dtype=np.int64) - a, mlg=_absent_as_nan(mlg),
-        expert=_absent_as_nan(chunk.expert), pc=_absent_as_nan(chunk.pc), uq=_absent_as_nan(uq),
-    )
-
-
 def _absent_as_nan(column: np.ndarray) -> np.ndarray:
     """`column` as float64 with every NaN the one the reader puts in an absent field."""
     return np.where(np.isnan(column), math.nan, column)
-
-
-def _rows(chunk: Columns, a: int, b: int) -> Columns:
-    """Records a to b - 1 of a chunk whose offsets start at 0, with offsets that do too."""
-    lo, hi = chunk.offsets[[a, b]].tolist()
-    return Columns(
-        ids=chunk.ids[a:b], instructions=chunk.instructions[a:b], dims=chunk.dims[a:b], boxes=chunk.boxes[a:b],
-        points=chunk.points[lo:hi], offsets=chunk.offsets[a : b + 1] - lo, mlg=chunk.mlg[a:b],
-        expert=chunk.expert[a:b], pc=chunk.pc[a:b], uq=chunk.uq[a:b],
-    )
-
-
-def _joined(pieces: list[Columns]) -> Columns:
-    """Consecutive chunks whose offsets start at 0 as one, or a lone chunk as it is."""
-    if len(pieces) == 1:
-        return pieces[0]
-    joined = {}
-    for f in dataclasses.fields(Columns):
-        parts = [getattr(piece, f.name) for piece in pieces]
-        joined[f.name] = list(itertools.chain.from_iterable(parts)) if type(parts[0]) is list else np.concatenate(parts)
-    starts = np.cumsum([0] + [len(piece.points) for piece in pieces])
-    joined["offsets"] = np.concatenate([p.offsets[:-1] + s for p, s in zip(pieces, starts.tolist())] + [starts[-1:]])
-    return Columns(**joined)
 
 
 class RecordWriter:
     """The one record-file writer: JSON lines to one handle and their column sidecar to another.
 
     `record_writer` opens both. Each `write` goes out before it returns: its
-    lines, and each SCORE_CHUNK of records gathered as one sidecar block.
-    `close` writes the last block and then the header, which takes the place
-    the first write to the sidecar kept for it.
+    lines, then its records as sidecar blocks of at most SCORE_CHUNK, so a
+    sidecar holds one block per chunk the writer is handed, cut where a chunk
+    is longer. `close` writes the header, which takes the place the first
+    write to the sidecar kept for it.
     """
 
     def __init__(self, lines: IO[bytes], cols: IO[bytes]):
         self._lines, self._cols = lines, cols
-        self._size = self._count = self._held = 0
+        self._size = self._count = 0
         self._digest, self._body = hashlib.sha256(), hashlib.sha256()
-        self._pending: list[Columns] = []  # the next block's records, `_held` of them, fewer than SCORE_CHUNK
         cols.write(b" " * (_HEADER_BYTES - 1) + b"\n")
 
-    def write(self, chunk: Columns, mlg: np.ndarray, uq: np.ndarray) -> None:
-        """Append `chunk`'s records, with `mlg` and `uq` for theirs (see `column_lines`)."""
-        data = "".join([line + "\n" for line in column_lines(chunk, mlg, uq)]).encode("ascii")
+    def write(self, chunk: Columns) -> None:
+        """Append `chunk`'s records (see `column_lines`)."""
+        data = "".join([line + "\n" for line in column_lines(chunk)]).encode("ascii")
         self._lines.write(data)
         self._digest.update(data)
         self._size += len(data)
-        rows, start = _read_back(chunk, mlg, uq), 0
-        while start < len(rows):
-            stop = min(len(rows), start + SCORE_CHUNK - self._held)
-            self._pending.append(rows if stop - start == len(rows) else _rows(rows, start, stop))
-            self._held += stop - start
-            start = stop
-            if self._held == SCORE_CHUNK:
-                self._flush()
-
-    def _flush(self) -> None:
-        block = _joined(self._pending)
-        head = {"ids": block.ids, "instructions": block.instructions, "dims": block.dims, "samples": len(block.points)}
-        data = b"".join([json.dumps(head, separators=(",", ":"), default=int).encode("ascii") + b"\n"] + [
-            np.ascontiguousarray(getattr(block, name), dtype=dtype).tobytes() for name, dtype, _ in _BLOCK_ARRAYS])
-        self._cols.write(data)
-        self._body.update(data)
-        self._count += len(block)
-        self._pending, self._held = [], 0
+        for a in range(0, len(chunk), SCORE_CHUNK):
+            b = min(a + SCORE_CHUNK, len(chunk))
+            lo, hi = chunk.offsets[[a, b]].tolist()
+            head = {"ids": chunk.ids[a:b], "instructions": chunk.instructions[a:b], "dims": chunk.dims[a:b],
+                    "samples": hi - lo}
+            # the arrays as `read_columns` reads the lines back: float64 and int64, the offsets from 0, and
+            # every absent value the reader's NaN
+            arrays = (chunk.boxes[a:b], chunk.points[lo:hi], chunk.offsets[a : b + 1] - lo,
+                      *map(_absent_as_nan, (chunk.mlg[a:b], chunk.expert[a:b], chunk.pc[a:b], chunk.uq[a:b])))
+            data = b"".join([json.dumps(head, separators=(",", ":"), default=int).encode("ascii") + b"\n"] + [
+                array.astype(dtype, copy=False).tobytes() for array, (_, dtype, _) in zip(arrays, _BLOCK_ARRAYS)])
+            self._cols.write(data)
+            self._body.update(data)
+        self._count += len(chunk)
 
     def close(self) -> None:
-        """Write the last block, if short, and the header."""
-        if self._pending:
-            self._flush()
+        """Write the header."""
         header = json.dumps({"format": FORMAT, "size": self._size, "sha256": self._digest.hexdigest(),
                              "body_sha256": self._body.hexdigest(), "records": self._count},
                             separators=(",", ":")).encode("ascii")  # at most 244 bytes for sizes below 2**63

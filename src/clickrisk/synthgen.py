@@ -204,7 +204,7 @@ def generate_arrays(config: SynthConfig = SynthConfig()) -> Columns:
 
 def generate_dataset(config: SynthConfig = SynthConfig()) -> list[GroundingRecord]:
     """`generate_chunks` as records: the lines `synth` writes, read back as `load_records` reads them."""
-    return parse_records(line for chunk in generate_chunks(config) for line in column_lines(chunk, chunk.mlg, chunk.uq))
+    return parse_records(line for chunk in generate_chunks(config) for line in column_lines(chunk))
 
 
 def _trial_seed(seed: int, trial: int) -> int:

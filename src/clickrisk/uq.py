@@ -93,16 +93,16 @@ def _clamp01(x: float) -> float:
     return min(1.0, max(0.0, x))
 
 
-def top_ambiguity(scores: Sequence[float], epsilon: float = EPSILON) -> float:
+def top_ambiguity(scores: Sequence[float]) -> float:
     """Margin-based ambiguity between the two leading region scores."""
     if len(scores) == 0:
         raise ValueError("scores must be non-empty")
     if len(scores) >= 2:
-        return _clamp01(1.0 - (scores[0] - scores[1]) / (scores[0] + epsilon))
+        return _clamp01(1.0 - (scores[0] - scores[1]) / (scores[0] + EPSILON))
     return _clamp01(max(0.1, 1.0 - scores[0]))
 
 
-def info_dispersion(probs: Sequence[float], epsilon: float = EPSILON) -> float:
+def info_dispersion(probs: Sequence[float]) -> float:
     """Normalized entropy of the region distribution; 0 for a single region."""
     m = len(probs)
     if m == 0:
@@ -111,7 +111,7 @@ def info_dispersion(probs: Sequence[float], epsilon: float = EPSILON) -> float:
         raise ValueError(f"probs must sum to 1, got {math.fsum(probs)}")
     if m == 1:
         return 0.0
-    return _clamp01(-math.fsum(p * math.log(p + epsilon) for p in probs) / math.log(m))
+    return _clamp01(-math.fsum(p * math.log(p + EPSILON) for p in probs) / math.log(m))
 
 
 def concentration_deficit(probs: Sequence[float]) -> float:

@@ -152,16 +152,16 @@ def test_criterion_6_uncertainty_formula_checks():
         cd = concentration_deficit(exact_probs)
         if cd != float(Fraction(m - 1, m)):
             failures.append(f"cd(M={m})={cd!r}")
-        ie = info_dispersion((1.0 / m,) * m, 1e-8)
+        ie = info_dispersion((1.0 / m,) * m)
         if abs(ie - 1.0) > 1e-6:
             failures.append(f"ie(M={m})={ie!r}")
-    if abs(top_ambiguity((0.37, 0.37), 1e-8) - 1.0) > 1e-6:
+    if abs(top_ambiguity((0.37, 0.37)) - 1.0) > 1e-6:
         failures.append("tied top-two ta != 1")
     for s1 in (0.2, 0.8, 0.95, 1.0):
-        ta = top_ambiguity((s1,), 1e-8)
+        ta = top_ambiguity((s1,))
         if ta != max(0.1, 1.0 - s1):
             failures.append(f"single-region ta(S1={s1})={ta!r}")
-    if info_dispersion((1.0,), 1e-8) != 0.0 or concentration_deficit((1.0,)) != 0.0:
+    if info_dispersion((1.0,)) != 0.0 or concentration_deficit((1.0,)) != 0.0:
         failures.append("single-region ie/cd not zero")
     ok = not failures
     report(6, ok, "uniform/tied/single-region component identities"

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -16,7 +18,7 @@ from clickrisk.records import (
     split_indices)
 from clickrisk.sidecar import RecordWriter
 from clickrisk.synthgen import SynthConfig, generate_dataset
-from test_records import assert_same_columns, no_lines, record_lines, served_and_parsed
+from test_records import assert_same_columns, no_lines, pieces, record_lines, served_and_parsed
 
 
 def run(*argv):
@@ -95,6 +97,20 @@ def test_synth_and_score_sidecars_serve_what_their_lines_hold(tmp_path, monkeypa
         assert_same_columns(*served_and_parsed(path, monkeypatch))
 
 
+def test_score_writes_the_same_lines_whatever_blocks_its_input_sidecar_holds(tmp_path, monkeypatch):
+    """An input written in pieces of 100, so that its sidecar serves blocks of 100, 100, 56 and 44 records,
+    scores to the bytes its lines alone score to."""
+    raw, blocks, lines = tmp_path / "raw.jsonl", tmp_path / "blocks.jsonl", tmp_path / "lines.jsonl"
+    assert run("--seed", 2, "synth", "--out", raw, "--n-records", 300) == 0
+    save_records(blocks, pieces(read_columns(raw), 100))
+    lines.write_bytes(blocks.read_bytes())
+    assert [len(c) for c in served_and_parsed(blocks, monkeypatch)[0]] == [100, 100, 56, 44]
+    with monkeypatch.context() as patch:
+        patch.setattr(records, "_line_fields", no_lines)
+        from_blocks = scored(tmp_path, blocks, "from_blocks.jsonl")
+    assert from_blocks.read_bytes() == scored(tmp_path, lines, "from_lines.jsonl").read_bytes()
+
+
 def test_calibrate_reads_a_scored_file_from_its_sidecar(tmp_path, monkeypatch, mixed_file):
     """No line is parsed, and the artifact is the one the lines give."""
     src = scored(tmp_path, mixed_file)
@@ -104,6 +120,29 @@ def test_calibrate_reads_a_scored_file_from_its_sidecar(tmp_path, monkeypatch, m
     Path(sidecar_path(src)).unlink()
     assert run("--seed", 3, "calibrate", "-i", src, "-o", tmp_path / "parsed.json", "-r", 1) == 0
     assert (tmp_path / "served.json").read_bytes() == (tmp_path / "parsed.json").read_bytes()
+
+
+def test_the_sidecar_module_loads_only_where_a_sidecar_is_met(tmp_path, mixed_file):
+    """`import clickrisk` and a `sweep` over a file with no sidecar leave `clickrisk.sidecar` unloaded, which
+    keeps a command's start-up flat; a `calibrate` that reads a sidecar loads it. In a fresh process."""
+    plain = tmp_path / "plain.jsonl"
+    plain.write_bytes(mixed_file.read_bytes())
+    script = """if True:
+        import sys, clickrisk, clickrisk.cli
+        plain, served, out = sys.argv[1:]
+        loaded = ["clickrisk.sidecar" in sys.modules]
+        for argv in (["sweep", "-i", plain, "--out-dir", out], ["calibrate", "-i", served, "-o", out + ".json"]):
+            assert clickrisk.cli.main(argv) == 0
+            loaded.append("clickrisk.sidecar" in sys.modules)
+        print("loaded:", *loaded)
+    """
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", script, plain, scored(tmp_path, mixed_file), tmp_path / "sweep"],
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "loaded: False False True"
 
 
 def test_score_k_cap_matches_pretruncated_file(tmp_path, mixed_file):
@@ -826,8 +865,8 @@ def check_cascade_memory(tmp_path, monkeypatch, sidecar: bool) -> None:
     0.93999999). The traced memory it holds when it routes, and its peak,
     are compared between 512 and 5120 records, read from their sidecars
     (where no line is parsed) or from their lines. The same bounds hold on
-    both paths: the served path holds one sidecar block at a time, which it
-    can only do while the writer writes one block per SCORE_CHUNK records.
+    both paths: the served path holds one sidecar block at a time, and a
+    block holds at most SCORE_CHUNK records, as `score` writes them.
     """
     monkeypatch.chdir(tmp_path)
     small, large = 2 * SCORE_CHUNK, 20 * SCORE_CHUNK

@@ -439,7 +439,7 @@ def json_lines(c: Columns) -> list[str]:
 def test_column_lines_equal_the_json_dumps_lines(k):
     rng = np.random.default_rng(k)
     cols = random_columns(rng, 96, k)  # every combination of absent fields three times
-    got = list(column_lines(cols, cols.mlg, cols.uq))
+    got = list(column_lines(cols))
     assert got == json_lines(cols)
     assert [json.loads(line)["id"] for line in got] == cols.ids
 
@@ -448,7 +448,7 @@ def test_column_lines_write_each_edge_float_as_json_does():
     for x in EDGE_FLOATS:
         cols = Columns(["e"], [None], [(1, 1)], np.full((1, 4), x), np.full((1, 2), x), np.array([0, 1]),
                        np.full((1, 2), x), np.full((1, 2), x), np.full(1, x), np.full((1, 4), x))
-        [line] = column_lines(cols, cols.mlg, cols.uq)
+        [line] = column_lines(cols)
         assert line == json_lines(cols)[0]
         assert json.loads(line)["pc"] == x and math.copysign(1.0, json.loads(line)["pc"]) == math.copysign(1.0, x)
 
@@ -462,7 +462,7 @@ def test_column_lines_reject_a_nonfinite_value_that_is_no_absent_row(field, valu
     column[1] = value
     cols = dataclasses.replace(cols, **{field: column})
     with pytest.raises(ValueError, match=f"^{field}: a row must be finite or all NaN$"):
-        list(column_lines(cols, cols.mlg, cols.uq))
+        list(column_lines(cols))
 
 
 @pytest.mark.parametrize("field", ["boxes", "points"])
@@ -472,7 +472,7 @@ def test_column_lines_reject_a_nonfinite_coordinate(field):
     column[1, 0] = math.inf
     cols = dataclasses.replace(cols, **{field: column})
     with pytest.raises(ValueError, match="^gt_box and samples must be finite$"):
-        list(column_lines(cols, cols.mlg, cols.uq))
+        list(column_lines(cols))
 
 
 @pytest.mark.parametrize("n", [0, 1, SCORE_CHUNK, 2 * SCORE_CHUNK + 3])
@@ -643,19 +643,65 @@ def sidecar_objs(n):
     return objs
 
 
+def joined(chunks: list[Columns]) -> Columns:
+    """Consecutive chunks whose offsets start at 0 as one: the records they hold, whatever their boundaries."""
+    starts = np.cumsum([0] + [len(c.points) for c in chunks])
+    return Columns(
+        ids=[i for c in chunks for i in c.ids], instructions=[s for c in chunks for s in c.instructions],
+        dims=[d for c in chunks for d in c.dims], boxes=np.concatenate([c.boxes for c in chunks]),
+        points=np.concatenate([c.points for c in chunks]),
+        offsets=np.concatenate([c.offsets[:-1] + s for c, s in zip(chunks, starts.tolist())] + [starts[-1:]]),
+        mlg=np.concatenate([c.mlg for c in chunks]), expert=np.concatenate([c.expert for c in chunks]),
+        pc=np.concatenate([c.pc for c in chunks]), uq=np.concatenate([c.uq for c in chunks]),
+    )
+
+
+def assert_served_blocks(path, monkeypatch, sizes: list[int]) -> None:
+    """The sidecar of `path` is bound to it and serves blocks of `sizes` records, which hold the records its
+    lines parse to."""
+    served, parsed = served_and_parsed(path, monkeypatch)
+    assert [len(c) for c in served] == sizes
+    assert_same_columns([joined(served)], [joined(parsed)])
+    header = json.loads(Path(sidecar_path(path)).read_bytes()[: sidecar._HEADER_BYTES])
+    assert header["size"] == path.stat().st_size and header["records"] == sum(sizes)
+    assert header["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 @pytest.mark.parametrize("n", [1, SCORE_CHUNK - 1, SCORE_CHUNK, SCORE_CHUNK + 1, 600])
 def test_served_chunks_equal_parsed_chunks(tmp_path, monkeypatch, n):
-    """Records written in pieces of 100 go to the sidecar in blocks of SCORE_CHUNK, bound to the file."""
+    """Records written in pieces of 100 go to the sidecar as blocks of those pieces, bound to the file."""
     src, path = tmp_path / "src.jsonl", tmp_path / "out.jsonl"
     src.write_text(text(*sidecar_objs(n)))
     assert not os.path.exists(sidecar_path(src))  # only the writer makes a sidecar
     save_records(path, pieces(read_columns(src), 100))
-    served, parsed = served_and_parsed(path, monkeypatch)
-    assert_same_columns(served, parsed)
-    assert_same_columns(parsed, list(read_columns(src)))
-    header = json.loads(Path(sidecar_path(path)).read_bytes()[: sidecar._HEADER_BYTES])
-    assert header["size"] == path.stat().st_size and header["records"] == n
-    assert header["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert_served_blocks(path, monkeypatch, [len(p) for p in pieces(read_columns(src), 100)])
+    assert_same_columns([joined(list(read_columns(path)))], [joined(list(read_columns(src)))])
+
+
+def test_a_chunk_longer_than_score_chunk_goes_to_the_sidecar_in_blocks_of_score_chunk(tmp_path, monkeypatch):
+    """The same two files as the chunks `read_columns` cuts the lines into."""
+    src, path, chunked = tmp_path / "src.jsonl", tmp_path / "out.jsonl", tmp_path / "chunked.jsonl"
+    src.write_text(text(*sidecar_objs(600)))
+    save_records(path, [joined(list(read_columns(src)))])
+    assert_served_blocks(path, monkeypatch, [SCORE_CHUNK, SCORE_CHUNK, 600 - 2 * SCORE_CHUNK])
+    save_records(chunked, read_columns(src))
+    assert path.read_bytes() == chunked.read_bytes()
+    assert Path(sidecar_path(path)).read_bytes() == Path(sidecar_path(chunked)).read_bytes()
+
+
+def test_a_chunk_changed_after_write_returns_leaves_both_files_as_they_were(tmp_path):
+    src, kept, changed = tmp_path / "src.jsonl", tmp_path / "kept.jsonl", tmp_path / "changed.jsonl"
+    src.write_text(text(*sidecar_objs(300)))
+    save_records(kept, read_columns(src))
+    with records.record_writer(changed) as writer:
+        for chunk in read_columns(src):
+            writer.write(chunk)
+            for name in ARRAY_FIELDS:
+                getattr(chunk, name)[...] = 0
+            for values in (chunk.ids, chunk.instructions, chunk.dims):
+                values.reverse()
+    assert changed.read_bytes() == kept.read_bytes()
+    assert Path(sidecar_path(changed)).read_bytes() == Path(sidecar_path(kept)).read_bytes()
 
 
 def test_an_empty_file_has_an_empty_sidecar(tmp_path, monkeypatch):
@@ -731,19 +777,23 @@ def test_a_sidecar_that_is_not_bound_takes_the_parse_path(tmp_path, monkeypatch,
 
 
 
+def bind(path: Path, body: bytes, count: int) -> None:
+    """Write `body` as the sidecar of `path`, under a header of `count` records that binds it to `path` as it is."""
+    header = {"format": sidecar.FORMAT, "size": path.stat().st_size,
+              "sha256": hashlib.sha256(path.read_bytes()).hexdigest(), "body_sha256": hashlib.sha256(body).hexdigest(),
+              "records": count}
+    Path(sidecar_path(path)).write_bytes(json.dumps(header).encode().ljust(sidecar._HEADER_BYTES - 1) + b"\n" + body)
+
+
 def rebound(path: Path, chunks: list[Columns], monkeypatch) -> None:
-    """Rewrite `path`'s sidecar from `chunks`, unchecked, with its digests recomputed: bound to `path` as it is."""
+    """Rewrite `path`'s sidecar from `chunks`, unchecked, bound to `path` as it is."""
     with monkeypatch.context() as patch:
-        patch.setattr(sidecar, "column_lines", lambda *args: iter(()))  # no lines, so no value is checked
+        patch.setattr(sidecar, "column_lines", lambda chunk: iter(()))  # no lines, so no value is checked
         body = io.BytesIO()
         writer = sidecar.RecordWriter(io.BytesIO(), body)
         for chunk in chunks:
-            writer.write(chunk, chunk.mlg, chunk.uq)
-        writer.close()
-    size = sidecar._HEADER_BYTES
-    header = json.loads(body.getvalue()[:size])
-    header.update(size=path.stat().st_size, sha256=hashlib.sha256(path.read_bytes()).hexdigest())
-    Path(sidecar_path(path)).write_bytes(json.dumps(header).encode().ljust(size - 1) + b"\n" + body.getvalue()[size:])
+            writer.write(chunk)
+    bind(path, body.getvalue()[sidecar._HEADER_BYTES:], sum(map(len, chunks)))
 
 
 def nan_sample(chunks: list[Columns]) -> list[Columns]:
@@ -775,3 +825,29 @@ def test_a_bound_sidecar_with_a_broken_record_names_the_sidecar_and_the_record(t
         list(read_columns(path))
     assert str(served.value) == f"line 300: {sidecar_path(path)}: record {record!r}: {message}"
     assert served.value.line == 300
+
+
+def served_error(path, monkeypatch) -> str:
+    """The RecordError `read_columns(path)` raises with no line parsed."""
+    monkeypatch.setattr(records, "_line_fields", no_lines)
+    with pytest.raises(RecordError) as served:
+        list(read_columns(path))
+    return str(served.value)
+
+
+def test_a_bound_block_of_more_than_score_chunk_records_is_malformed(tmp_path, monkeypatch):
+    path = tmp_path / "out.jsonl"
+    save_records(path, objs_columns(tmp_path))
+    with monkeypatch.context() as patch:
+        patch.setattr(sidecar, "SCORE_CHUNK", 600)  # so the writer writes the 600 records as one block
+        rebound(path, [joined(objs_columns(tmp_path))], monkeypatch)
+    assert served_error(path, monkeypatch) == f"{sidecar_path(path)}: a malformed block"
+
+
+def test_a_bound_block_that_claims_more_samples_than_the_sidecar_holds_is_cut_short(tmp_path, monkeypatch):
+    """Found before anything is allocated: 2**62 samples would take 2**66 bytes."""
+    path = tmp_path / "out.jsonl"
+    save_records(path, objs_columns(tmp_path))
+    head = {"ids": ["r0"], "instructions": [None], "dims": [[100, 80]], "samples": 2**62}
+    bind(path, json.dumps(head).encode() + b"\n" + bytes(1024), 1)
+    assert served_error(path, monkeypatch) == f"{sidecar_path(path)}: a block cut short"

@@ -20,7 +20,6 @@ from clickrisk.density import (
 from clickrisk.records import UQ_KEYS, GroundingRecord, load_records, read_columns
 from clickrisk.uq import (
     DEFAULT_WEIGHTS,
-    EPSILON,
     SCORE_CHUNK,
     UncertaintyScore,
     UqConfig,
@@ -37,51 +36,51 @@ from clickrisk.uq import (
 )
 from test_records import write_records
 
-EPS = 1e-8
+EPS = 1e-8  # the oracles' eps, which `uq.EPSILON` must equal
 
 
 # --- top ambiguity ---------------------------------------------------------
 
 def test_tied_leaders_give_full_ambiguity():
-    assert top_ambiguity((0.4, 0.4), EPS) == pytest.approx(1.0, abs=1e-7)
+    assert top_ambiguity((0.4, 0.4)) == pytest.approx(1.0, abs=1e-7)
 
 
 def test_clear_margin():
     # frozen: 1 - 0.3/(0.4 + 1e-8)
-    assert top_ambiguity((0.4, 0.1), EPS) == pytest.approx(0.25, abs=1e-6)
+    assert top_ambiguity((0.4, 0.1)) == pytest.approx(0.25, abs=1e-6)
 
 
 def test_single_region_floor():
-    assert top_ambiguity((0.95,), EPS) == 0.1
-    assert top_ambiguity((0.5,), EPS) == 0.5
+    assert top_ambiguity((0.95,)) == 0.1
+    assert top_ambiguity((0.5,)) == 0.5
 
 
 def test_top_ambiguity_requires_scores():
     with pytest.raises(ValueError):
-        top_ambiguity((), EPS)
+        top_ambiguity(())
 
 
 # --- info dispersion ---------------------------------------------------------
 
 def test_uniform_two_regions_maximal():
-    assert info_dispersion((0.5, 0.5), EPS) == pytest.approx(1.0, abs=1e-7)
+    assert info_dispersion((0.5, 0.5)) == pytest.approx(1.0, abs=1e-7)
 
 
 def test_single_region_convention():
-    assert info_dispersion((1.0,), EPS) == 0.0
+    assert info_dispersion((1.0,)) == 0.0
 
 
 def test_dispersion_matches_independent_evaluation():
     p = (0.7, 0.2, 0.1)
     expected = -(1.0 / math.log(3)) * sum(pi * math.log(pi + EPS) for pi in p)
-    assert info_dispersion(p, EPS) == pytest.approx(expected, abs=1e-12)
+    assert info_dispersion(p) == pytest.approx(expected, abs=1e-12)
     # frozen value from the same formula evaluated independently up front
-    assert info_dispersion(p, EPS) == pytest.approx(0.7298466718549214, abs=1e-12)
+    assert info_dispersion(p) == pytest.approx(0.7298466718549214, abs=1e-12)
 
 
 def test_dispersion_rejects_non_distribution():
     with pytest.raises(ValueError):
-        info_dispersion((0.5, 0.2), EPS)
+        info_dispersion((0.5, 0.2))
 
 
 # --- concentration deficit ----------------------------------------------------
@@ -168,7 +167,7 @@ def test_components_keep_every_bit_on_tied_distributions():
             if isinstance(probs[0], Fraction) and isinstance(given, np.ndarray):
                 continue  # a float64 array of Fractions is the float case again
             assert concentration_deficit(given) == fraction_deficit(probs), probs
-            assert info_dispersion(given, EPS) == per_element_dispersion(probs, EPS), probs
+            assert info_dispersion(given) == per_element_dispersion(probs, EPS), probs
             cases += 1
     assert cases > 200
 
@@ -206,7 +205,7 @@ def test_components_reject_what_they_rejected_with_the_same_errors(probs, disper
     if dispersion is ORACLE:
         dispersion = outcome(per_element_dispersion, probs, EPS)
     for given in (probs, list(probs), np.array(probs, dtype=np.float64)):
-        assert outcome(info_dispersion, given, EPS) == dispersion
+        assert outcome(info_dispersion, given) == dispersion
         assert outcome(concentration_deficit, given) == deficit
 
 
@@ -335,7 +334,7 @@ def test_uniform_fragmentation_monotonicity():
         cd = concentration_deficit(probs)
         assert cd > last_cd
         assert cd == pytest.approx(1.0 - 1.0 / m)
-        assert info_dispersion(probs, EPS) == pytest.approx(1.0, abs=1e-6)
+        assert info_dispersion(probs) == pytest.approx(1.0, abs=1e-6)
         last_cd = cd
 
 
@@ -349,11 +348,11 @@ def test_score_scaling_invariance():
         for c in (0.5, 2.0):
             scaled = tuple(float(s * c) for s in scores)
             scaled_probs = tuple(s / (total * c) for s in scaled)
-            assert top_ambiguity(scaled, EPS) == pytest.approx(
-                top_ambiguity(tuple(scores), EPS), abs=1e-6
+            assert top_ambiguity(scaled) == pytest.approx(
+                top_ambiguity(tuple(scores)), abs=1e-6
             )
-            assert info_dispersion(scaled_probs, EPS) == pytest.approx(
-                info_dispersion(probs, EPS), abs=1e-12
+            assert info_dispersion(scaled_probs) == pytest.approx(
+                info_dispersion(probs), abs=1e-12
             )
             assert concentration_deficit(scaled_probs) == pytest.approx(
                 concentration_deficit(probs), abs=1e-12
@@ -474,8 +473,8 @@ def test_sparse_scoring_equals_dense_chain(dims):
                     probs = tuple(s / total for s in scores)  # p_i = S_i / sum S
                     records.append(record_with_samples(samples, *dims))
                     score = score_record(records[-1], cfg)
-                    ta = top_ambiguity(scores, EPSILON)
-                    ie = info_dispersion(probs, EPSILON)
+                    ta = top_ambiguity(scores)
+                    ie = info_dispersion(probs)
                     cd = fraction_deficit(probs)
                     assert (score.ta, score.ie, score.cd) == (ta, ie, cd)
                     assert score.combined == combine(cd, ie, ta, cfg.weights)

@@ -11,8 +11,11 @@ or below delta.
 
 In the flat regime (e_i = p for every i) every n is bad once p > alpha, and
 the scan's false selection exceeds delta there: the pinned cases below.
+`worst_case_search` climbs `false_selection` from other profiles, exactly
+along each coordinate, and finds none that beats flat at N = 30.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -113,3 +116,85 @@ def test_the_scan_breaks_its_promise_in_the_flat_regime(size, p, expected):
     exact = false_selection(critical_counts(size, ALPHA, DELTA), [p] * size, ALPHA)
     assert exact == pytest.approx(expected, abs=5e-5)
     assert exact > DELTA
+
+
+# --- a worst-case search over error profiles ------------------------------------------------------------------
+
+def line_candidates(e: np.ndarray, i: int, alpha: float) -> list[float]:
+    """Where `false_selection` can peak as e_i moves over [0, 1]: 0, 1, and both sides of each breakpoint.
+
+    For a fixed set of bad ranks the false selection is multilinear in e,
+    so linear in e_i alone. Rank n >= i + 1 turns bad just above the
+    breakpoint alpha * n - sum(e_j, j <= n, j != i), so each piece of e_i
+    between breakpoints peaks at one of its ends.
+    """
+    breaks = alpha * np.arange(i + 1, e.size + 1) - (np.cumsum(e)[i:] - e[i])
+    sides = [math.nextafter(b, side) for b in breaks.tolist() if 0.0 <= b < 1.0 for side in (-math.inf, math.inf)]
+    return [0.0, 1.0] + [x for x in sides if 0.0 <= x <= 1.0]
+
+
+def worst_case_search(table, start, alpha, sweeps: int = 40) -> tuple[float, np.ndarray]:
+    """Coordinate ascent on `false_selection` from `start`, with the exact line search of `line_candidates`.
+
+    Stops after a sweep over every coordinate that gains nothing, or after
+    `sweeps` sweeps; returns the value reached and its profile.
+    """
+    e = np.array(start, dtype=float)
+    best = false_selection(table, e, alpha)
+    for _ in range(sweeps):
+        gained = False
+        for i in range(e.size):
+            for x in line_candidates(e, i, alpha):
+                trial = e.copy()
+                trial[i] = x
+                value = false_selection(table, trial, alpha)
+                if value > best + 1e-12:
+                    best, e, gained = value, trial, True
+        if not gained:
+            break
+    return best, e
+
+
+SEARCH_SIZE = 30
+
+
+def search_starts(size: int) -> dict[str, np.ndarray]:
+    """The starts of the search: the flat profile just above alpha, and one per earlier family of profiles."""
+    rng = np.random.default_rng(0)
+    flat = np.full(size, math.nextafter(ALPHA, 1.0))
+    uniform = rng.uniform(0.0, 0.6, size)
+    return {
+        "flat": flat,
+        "sorted-uniform": np.sort(uniform),
+        "uniform": uniform,
+        "flat-plus-noise": np.clip(flat + rng.normal(0.0, 0.05, size), 0.0, 1.0),
+        "two-level": np.array(two_level(size, size // 2, 0.05, 0.5)),
+        "ramp": np.linspace(0.0, 0.4, size),
+    }
+
+
+def test_no_error_profile_found_breaks_the_scan_more_often_than_flat():
+    """Flat is a coordinate-wise local maximum of the scan's false selection, and no start climbs above it.
+
+    Evidence, not proof: the search is local and N is small.
+    """
+    table = critical_counts(SEARCH_SIZE, ALPHA, DELTA)
+    starts = search_starts(SEARCH_SIZE)
+    flat = false_selection(table, starts["flat"], ALPHA)
+    assert flat == pytest.approx(0.0855, abs=5e-5)
+    found, profile = worst_case_search(table, starts["flat"], ALPHA, sweeps=1)
+    assert found == flat and (profile == starts.pop("flat")).all()
+    for name, start in starts.items():
+        found, _ = worst_case_search(table, start, ALPHA)
+        assert found <= flat, name
+
+
+def test_the_search_finds_a_planted_loosening_of_the_table():
+    """The table loosened by 2 at n <= 10 (at most n - 1 errors): the search climbs far above its flat value."""
+    table = critical_counts(SEARCH_SIZE, ALPHA, DELTA).copy()
+    n = np.arange(11)
+    table[n] = np.minimum(table[n] + 2, n - 1)
+    flat = np.full(SEARCH_SIZE, math.nextafter(ALPHA, 1.0))
+    assert false_selection(table, flat, ALPHA) == pytest.approx(0.3125, abs=5e-5)
+    found, _ = worst_case_search(table, flat, ALPHA)
+    assert found > 0.9  # 0.9601: flat is no local maximum here
