@@ -65,26 +65,12 @@ class CliError(Exception):
 # ---------------------------------------------------------------------------
 # file helpers
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _write_csv(path: str, header: list[str], rows: list, formatted: bool = True) -> None:
-    """Write `header` and `rows`, each cell through `_fmt`.
-
-    Rows that hold only floats may pass `formatted=False`: `csv` writes a
-    float as its `repr`, as `_fmt` does, without a Python call per cell.
-    """
+def _write_csv(path: str, header: list[str], rows: list) -> None:
+    """Write `header` and `rows`: `csv` writes None as an empty cell and a float as its `repr`."""
     with atomic_writer(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(([_fmt(v) for v in row] for row in rows) if formatted else rows)
+        writer.writerows(rows)
 
 
 def _append_csv_row(path: str, header: list[str], row: list) -> None:
@@ -105,7 +91,7 @@ def _append_csv_row(path: str, header: list[str], row: list) -> None:
         existing += "\n"  # so the row starts a line of its own
     with atomic_writer(path) as fh:
         fh.write(existing or expected + "\n")
-        csv.writer(fh, lineterminator="\n").writerow([_fmt(v) for v in row])
+        csv.writer(fh, lineterminator="\n").writerow(row)
 
 
 # The flags that name record files: each such file has a sidecar (`records.sidecar_path`)
@@ -167,6 +153,15 @@ def _number(value) -> float:
     return float(value)
 
 
+def _name_in(names):
+    """Cast for one of `names`."""
+    def parse(value) -> str:
+        if value not in names:
+            raise ValueError(value)
+        return value
+    return parse
+
+
 def _list_of(cast):
     """Cast for a JSON list whose every item takes `cast`."""
     def parse(value) -> list:
@@ -177,20 +172,22 @@ def _list_of(cast):
 
 
 # The config-file settings, as "section.key", grouped by the cast each gets at
-# load and what that cast accepts; `build_parser` makes each the default of its
-# flag. The top-level "variant" is also allowed and is checked where it is used.
+# load and what that cast accepts; `build_parser` makes each the default of its flag.
 CONFIG_FIELDS = {
     "an integer": (_integer, ("seed", "uq.k_samples", "uq.patch_size", "split.repetitions")),
     "a number": (_number, ("uq.beta", "risk.alpha", "risk.delta", "split.calibration_ratio")),
     "a preset name or a list of numbers": (
-        lambda v: v if isinstance(v, str) else tuple(_list_of(_number)(v)), ("uq.weights",)),
+        lambda v: _parse_weights(v) if isinstance(v, str) else tuple(_list_of(_number)(v)), ("uq.weights",)),
     "a list of numbers": (_list_of(_number), ("sweep.alphas",)),
     "a list of integers": (_list_of(_integer), ("sweep.k_values",)),
-    "a list of names": (_list_of(str), ("sweep.variants", "sweep.weight_presets")),
+    f"one of {', '.join(VARIANTS)}": (_name_in(VARIANTS), ("variant",)),
+    f"a list of names from {', '.join(VARIANTS)}": (_list_of(_name_in(VARIANTS)), ("sweep.variants",)),
+    f"a list of names from {', '.join(sorted(WEIGHT_PRESETS))}": (
+        _list_of(_name_in(WEIGHT_PRESETS)), ("sweep.weight_presets",)),
 }
 _CASTS = {field: (kind, cast) for kind, (cast, names) in CONFIG_FIELDS.items() for field in names}
 _SECTIONS = {field.partition(".")[0] for field in _CASTS if "." in field}
-_TOP_LEVEL = {field for field in _CASTS if "." not in field} | {"variant"}
+_TOP_LEVEL = {field for field in _CASTS if "." not in field}
 
 
 def _load_json_object(path: str, what: str) -> dict:
@@ -224,7 +221,7 @@ def _load_config(path: str) -> dict:
         if field in settings:
             try:
                 settings[field] = cast(settings[field])
-            except (TypeError, ValueError, OverflowError):
+            except (TypeError, ValueError, OverflowError, CliError):
                 raise CliError(f"config file {path}: {field} must be {kind}, got {json.dumps(settings[field])}")
     return settings
 
@@ -258,12 +255,6 @@ SYNTH_FLAGS = tuple(f for f in fields(SynthConfig) if f.name != "seed")
 
 def _synth_config(args) -> SynthConfig:
     return SynthConfig(seed=args.seed, **{f.name: getattr(args, f.name) for f in SYNTH_FLAGS})
-
-
-def _check_variant(variant: str) -> str:
-    if variant not in VARIANTS:
-        raise CliError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    return variant
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +373,7 @@ def cmd_calibrate(args) -> int:
     _distinct_outputs(args, "--input", ("--out", artifacts if single else [args.out, *artifacts, summary]))
     spec = RiskSpec(alpha=args.alpha, delta=args.delta)
     plan = _split_plan(args)
-    variant = _check_variant(args.variant)
-    u, adm = _stacked([(u, adm) for _, u, adm in _scored_chunks(args.input, variant, args.seed)], 2)
+    u, adm = _stacked([(u, adm) for _, u, adm in _scored_chunks(args.input, args.variant, args.seed)], 2)
 
     if not single:
         os.makedirs(args.out, exist_ok=True)
@@ -393,14 +383,14 @@ def cmd_calibrate(args) -> int:
         outcome = calibrate_threshold(u[cal], ~adm[cal], spec)  # the full trace, for the artifact
         if outcome.feasible:
             fdrs.append(engine.split_counts(u[test], adm[test], outcome.threshold).fdr)
-        _write_json(artifacts[rep], _artifact_obj(outcome, spec, variant))
+        _write_json(artifacts[rep], _artifact_obj(outcome, spec, args.variant))
     infeasible = plan.repetitions - len(fdrs)
     mean, std = _mean_std(fdrs)
     if not single:
         _write_json(summary, {
             "alpha": spec.alpha,
             "delta": spec.delta,
-            "uq_variant": variant,
+            "uq_variant": args.variant,
             "repetitions": plan.repetitions,
             "calibration_ratio": plan.calibration_ratio,
             "seed": args.seed,
@@ -425,8 +415,7 @@ def cmd_evaluate(args) -> int:
     _distinct_outputs(args, "--input", "--report", "--roc-csv", "--arc-csv")
     spec = RiskSpec(alpha=args.alpha, delta=args.delta)
     plan = _split_plan(args)
-    variant = _check_variant(args.variant)
-    u, adm = _stacked([(u, adm) for _, u, adm in _scored_chunks(args.input, variant, args.seed)], 2)
+    u, adm = _stacked([(u, adm) for _, u, adm in _scored_chunks(args.input, args.variant, args.seed)], 2)
 
     per_split: dict[str, list[float]] = {k: [] for k in ("auroc", "auarc", "test_fdr", "power", "n_accepted")}
     ranked = engine.SortedColumns([u], adm)
@@ -445,7 +434,7 @@ def cmd_evaluate(args) -> int:
     full = ranked.ranking(0)
     report_obj = {
         "input": args.input,
-        "variant": variant,
+        "variant": args.variant,
         "alpha": spec.alpha,
         "delta": spec.delta,
         "calibration_ratio": plan.calibration_ratio,
@@ -467,9 +456,9 @@ def cmd_evaluate(args) -> int:
     if args.report:
         _write_json(args.report, report_obj)
     if args.roc_csv:
-        _write_csv(args.roc_csv, ["fpr", "tpr"], full.roc_points(), formatted=False)
+        _write_csv(args.roc_csv, ["fpr", "tpr"], full.roc_points())
     if args.arc_csv:
-        _write_csv(args.arc_csv, ["rejection_rate", "accuracy"], full.arc_points(), formatted=False)
+        _write_csv(args.arc_csv, ["rejection_rate", "accuracy"], full.arc_points())
     return 0
 
 
@@ -517,7 +506,7 @@ def cmd_cascade(args) -> int:
     _distinct_outputs(args, "--input", "--artifact", "--report", "--manifest", "--csv")
     threshold, alpha, artifact_variant = _threshold_from_args(args)
     # the flag, then the artifact's variant, then the config file's, then com
-    variant = _check_variant(args.variant or artifact_variant or args.fallback_variant)
+    variant = args.variant or artifact_variant or args.fallback_variant
     ids, instructions, per_chunk = [], [], []  # the ids and instructions of the deferred records only
     for chunk, u, adm in _scored_chunks(args.input, variant, args.seed):
         for i in cascade_mod.deferred_rows(u, threshold).tolist():
@@ -643,7 +632,8 @@ def cmd_sweep(args) -> int:
         if k < 1:
             raise CliError(f"--k-values: k must be >= 1, got {k}")
     for variant in args.variants:
-        _check_variant(variant)
+        if variant not in VARIANTS:
+            raise CliError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     for preset in args.weight_presets:
         if preset not in WEIGHT_PRESETS:
             raise CliError(f"unknown weight preset {preset!r}; expected one of {sorted(WEIGHT_PRESETS)}")
@@ -725,7 +715,7 @@ def cmd_guarantee(args) -> int:
         _write_csv(
             args.out_csv,
             ["trial", "feasible", "tau", "test_fdr"],
-            [[o.trial, o.feasible, o.tau, o.test_fdr] for o in outcomes],
+            [[o.trial, "true" if o.feasible else "false", o.tau, o.test_fdr] for o in outcomes],
         )
     return 0
 
@@ -797,7 +787,6 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--output", "-o", required=True)
     p.add_argument("--k-samples", type=int, help="use only the first K samples of each record")
     _add_uq_flags(p, setting)
-    # argparse also casts a string default, so a config file's preset name arrives as a tuple
     p.add_argument("--weights", type=_parse_weights, default=setting("uq.weights", UqConfig.weights),
                    help="component weights: preset name or 'w_cd,w_ie,w_ta'")
     p.add_argument("--dump-density", default=None, metavar="DIR",

@@ -20,9 +20,10 @@ group's totals less the calibration side's. All columns go through one
 pass per split, in blocks of columns that bound its temporaries. A
 threshold is the value of its group's last calibration record, as
 `risk.threshold_candidates` over the calibration side gives it, so -0.0
-and 0.0 stay apart; a NaN threshold accepts nothing, as `u <= nan` does.
-The test-side counts are divided exactly as the per-record functions in
-`metrics` and `cascade` divide them, so every float comes out the same.
+and 0.0 stay apart. A column may hold no NaN, as `metrics` requires: the
+columns are checked once, when they are sorted. The test-side counts
+are divided exactly as the per-record functions in `metrics` and
+`cascade` divide them, so every float comes out the same.
 
 The rank metrics (AUROC, AUARC and their curves) read the same order: a
 column's ranking of a split's test side is its order restricted to the
@@ -109,23 +110,16 @@ class Ranking(NamedTuple):
     The records are taken in ascending uncertainty, ties by record index
     (the column's stable order restricted to them): `prefix[j]` counts the
     admissible ones among the first j + 1, and `n_le` holds, per tie group
-    that holds one of them, how many lie at or below it. `nan_at` is the
-    position among them of the first NaN uncertainty, or None. Each metric
+    that holds one of them, how many lie at or below it. Each metric
     checks and computes on the same integers as its namesake in `metrics`,
     so it returns the same float and raises the same `MetricError`.
     """
 
     prefix: np.ndarray
     n_le: np.ndarray
-    nan_at: int | None
-
-    def _check(self) -> None:
-        if self.nan_at is not None:
-            raise MetricError(f"uncertainty at position {self.nan_at} is NaN")
 
     def _classes(self, name: str) -> tuple[int, int, np.ndarray]:
         """(inadmissible, admissible, inadmissible records at or below each group), both classes required."""
-        self._check()
         n_neg = int(self.prefix[-1]) if self.prefix.size else 0
         n_pos = self.prefix.size - n_neg
         if n_pos == 0 or n_neg == 0:
@@ -151,14 +145,12 @@ class Ranking(NamedTuple):
 
     def auarc(self) -> float:
         """`metrics.auarc`: the mean retained accuracy over every per-record rejection level."""
-        self._check()
         if not self.prefix.size:
             raise MetricError("auarc needs at least one record")
         return float((self.prefix / np.arange(1, self.prefix.size + 1)).mean())
 
     def arc_points(self) -> list[tuple[float, float]]:
         """`metrics.arc_points`: (rejection rate, retained accuracy) per rejection level."""
-        self._check()
         n = self.prefix.size
         if not n:
             raise MetricError("need at least one record")
@@ -242,16 +234,13 @@ def _block_counts(
         per_cell.append(groups.hits_le[g] - at_or_below(2)[g])
     cells = np.stack(per_cell, axis=-1).transpose(1, 0, 2).tolist()
     taus = tau.T.tolist()
-    # Equal values share their bits but for signed zeros and NaN payloads: only there
-    # is the group's last calibration record, whose value a sort of the calibration
-    # side gives, looked up. A NaN threshold accepts no test record (u <= nan).
+    # Equal values share their bits but for signed zeros: only there is the group's
+    # last calibration record, whose value a sort of the calibration side gives, looked up.
     flat = marks.ravel()
-    for a, c in zip(*np.nonzero((picks >= 0) & ((tau == 0) | np.isnan(tau)))):
+    for a, c in zip(*np.nonzero((picks >= 0) & (tau == 0))):
         first = groups.ends[g[a, c] - 1] + 1 if g[a, c] > groups.starts[c] else c * n
         last = first + np.flatnonzero(flat[first : groups.ends[g[a, c]] + 1] & 1)[-1]
         taus[c][a] = float(columns[c][groups.order.ravel()[last]])
-        if taus[c][a] != taus[c][a]:
-            cells[c][a][1:] = [0] * (len(per_cell) - 1)
     n_total, n_admissible, n_hits = side.n_test, side.n_admissible, side.n_hits
     return [
         [None if cell[0] < 0 else SplitCounts(
@@ -264,12 +253,18 @@ def _block_counts(
 class SortedColumns:
     """Uncertainty columns over the same records, each sorted once: the state every split and rank metric reads.
 
-    `adm` and `expert` are boolean vectors aligned with every column. The
-    columns are sorted in blocks that bound a split's temporaries.
+    `adm` and `expert` are boolean vectors aligned with every column. A
+    column holding a NaN is a `MetricError` naming the column and the
+    position. The columns are sorted in blocks that bound a split's
+    temporaries.
     """
 
     def __init__(self, columns: Sequence[np.ndarray], adm: np.ndarray, expert: np.ndarray | None = None):
         self.columns, self.adm, self.expert = list(columns), adm, expert
+        for c, u in enumerate(self.columns):
+            nan = np.isnan(u)
+            if nan.any():
+                raise MetricError(f"column {c}: uncertainty at position {int(nan.argmax())} is NaN")
         # a column has at most a group per record, so this bounds a block's orders and groups
         self._step = max(1, _BLOCK // max(adm.size, 1))
         self._blocks = [_tie_groups(self.columns[lo : lo + self._step], adm, expert)
@@ -289,11 +284,7 @@ class SortedColumns:
             kept = keep[order]
             order, n_le = order[kept], np.cumsum(kept)[last]
             n_le = n_le[np.diff(n_le, prepend=0) > 0]  # the groups that hold one of the records
-        nan_at = None
-        if hi > lo and groups.tau[hi - 1] != groups.tau[hi - 1]:  # the column holds a NaN, which sorts last
-            nan = np.isnan(self.columns[c] if records is None else self.columns[c][records])
-            nan_at = int(nan.argmax()) if nan.any() else None
-        return Ranking(np.cumsum(self.adm[order]), n_le, nan_at)
+        return Ranking(np.cumsum(self.adm[order]), n_le)
 
     def splits(
         self, plan: SplitPlan, alphas: Sequence[float], delta: float

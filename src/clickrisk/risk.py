@@ -231,6 +231,9 @@ def _check_pair(uncertainties: Sequence[float], error_flags: Sequence[int]) -> t
         raise RiskError("error flags must be 0 or 1")
     if u.shape != err.shape:
         raise RiskError(f"length mismatch: {u.shape[0]} uncertainties vs {err.shape[0]} flags")
+    nan = np.isnan(u)
+    if nan.any():
+        raise RiskError(f"uncertainty at position {int(nan.argmax())} is NaN")
     return u, err
 
 
@@ -253,13 +256,12 @@ def empirical_fdr(
 def tie_groups(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A stable ascending order of `u` and, in that order, the last index of each group of equal values.
 
-    This is the package's one tie-grouping: -0.0 and 0.0 tie, and the
-    NaNs, sorted last, form one group.
+    This is the package's one tie-grouping: -0.0 and 0.0 tie. `u` holds no
+    NaN; every caller checks that first.
     """
     order = np.argsort(u, kind="stable")
     u_sorted = u[order]
-    ends = (u_sorted[1:] != u_sorted[:-1]) & ~np.isnan(u_sorted[:-1])
-    return order, np.flatnonzero(np.append(ends, u.size > 0))
+    return order, np.flatnonzero(np.append(u_sorted[1:] != u_sorted[:-1], u.size > 0))
 
 
 def threshold_candidates(
@@ -268,8 +270,8 @@ def threshold_candidates(
     """(tau, n_accepted, n_errors) for every candidate threshold, ascending.
 
     Candidates are the `tie_groups` of `u`, each at the value of its last
-    record; records tied at a candidate are accepted jointly. `err` holds
-    0/1 error flags.
+    record; records tied at a candidate are accepted jointly. `u` holds no
+    NaN, and `err` holds 0/1 error flags.
     """
     order, last_idx = tie_groups(u)
     return u[order[last_idx]], last_idx + 1, np.cumsum(err[order])[last_idx]

@@ -630,6 +630,25 @@ def test_sweep_pc_rows_empty_without_pc(tmp_path, mixed_file):
     assert row[1] == "pc" and row[4] == "" and row[5] == ""
 
 
+def test_a_file_where_some_records_lack_pc(tmp_path, mixed_file, capsys):
+    """sweep leaves the pc cells empty, and evaluate --variant pc names the first record without one."""
+    objs = [json.loads(line) for line in scored(tmp_path, mixed_file).read_text().splitlines()]
+    for i, obj in enumerate(objs):
+        if i not in (30, 50):
+            obj["pc"] = (i % 10) / 10
+    src = tmp_path / "some_pc.jsonl"
+    src.write_text("".join(json.dumps(obj) + "\n" for obj in objs))
+    assert run("sweep", "-i", src, "--out-dir", tmp_path / "sweep", "--variants", "com,pc", "-r", 2) == 0
+    com, pc = (row.split(",") for row in (tmp_path / "sweep" / "ranking.csv").read_text().splitlines()[1:])
+    assert com[1] == "com" and "" not in com
+    assert pc[1:6] == ["pc", "", "", "", ""]
+    [pc_risk] = [row.split(",") for row in (tmp_path / "sweep" / "risk.csv").read_text().splitlines() if ",pc," in row]
+    assert pc_risk[6:] == [""] * 11
+    capsys.readouterr()
+    assert run("evaluate", "-i", src, "--variant", "pc", "-r", 2) == 1
+    assert capsys.readouterr().err == f"error: record {objs[30]['id']!r} has no pc field\n"
+
+
 def test_sweep_names_the_input_that_fails(tmp_path, monkeypatch, mixed_file, capsys):
     monkeypatch.chdir(tmp_path)
     assert run("synth", "--out", "one.jsonl", "--n-records", 1) == 0
@@ -783,6 +802,8 @@ def test_sweep_rejects_bad_alpha_or_k_before_loading(tmp_path, capsys):
     assert run("sweep", "-i", missing, "--out-dir", out_dir, "--weight-presets", "v9") == 1
     assert capsys.readouterr().err == (
         "error: unknown weight preset 'v9'; expected one of ['original', 'v1', 'v2', 'v3', 'v4', 'v5', 'v6']\n")
+    assert run("sweep", "-i", missing, "--out-dir", out_dir, "--variants", "com,xx") == 1
+    assert capsys.readouterr().err == "error: unknown variant 'xx'; expected one of ('com', 'ta', 'ie', 'cd', 'pc')\n"
     assert not out_dir.exists()
 
 
@@ -1117,6 +1138,19 @@ def test_a_setting_that_changed_no_output_is_not_accepted(tmp_path, mixed_file, 
     assert sorted(tmp_path.iterdir()) == [mixed_file, tmp_path / "mixed.jsonl.cols"]
 
 
+# Names a command checks only where it uses them fail at load for every command, as a wrong type does.
+UNKNOWN_NAMES = {
+    "unknown-variant": ({"variant": "xx"}, 'variant must be one of com, ta, ie, cd, pc, got "xx"'),
+    "int-variant": ({"variant": 5}, "variant must be one of com, ta, ie, cd, pc, got 5"),
+    "unknown-sweep-variant": ({"sweep": {"variants": ["com", "xx"]}},
+                              'sweep.variants must be a list of names from com, ta, ie, cd, pc, got ["com", "xx"]'),
+    "unknown-weight-preset": ({"sweep": {"weight_presets": ["vv"]}}, "sweep.weight_presets must be a list of names"
+                              f" from {', '.join(sorted(uq.WEIGHT_PRESETS))}, got [\"vv\"]"),
+    "unknown-weights": ({"uq": {"weights": "zz"}}, 'uq.weights must be a preset name or a list of numbers, got "zz"'),
+}
+COMMAND_OUTPUTS = {"score": ["-o", "s.jsonl"], "calibrate": ["-o", "a.json"], "sweep": ["--out-dir", "sweep"]}
+
+
 @pytest.mark.parametrize("config, argv, message", [
     ({"risk": {"alpha": None}}, ["calibrate", "-o", "a.json"], "risk.alpha must be a number, got null"),
     ({"sweep": {"alphas": 0.3}}, ["sweep", "--out-dir", "sweep"], "sweep.alphas must be a list of numbers, got 0.3"),
@@ -1142,11 +1176,16 @@ def test_a_setting_that_changed_no_output_is_not_accepted(tmp_path, mixed_file, 
      "sweep.alphas must be a list of numbers, got [0.2, false]"),
     ({"uq": {"weights": [True, 0.0, 0.0]}}, ["score", "-o", "s.jsonl"],
      "uq.weights must be a preset name or a list of numbers, got [true, 0.0, 0.0]"),
+    *[(config, [command, *outputs], message)
+      for config, message in UNKNOWN_NAMES.values() for command, outputs in COMMAND_OUTPUTS.items()],
 ], ids=["null-alpha", "scalar-alphas", "scalar-weights", "string-section", "string-k",
         "misspelled-key", "misspelled-top-level", "dotted-top-level", "top-level-key-in-a-section", "removed-epsilon",
         "fractional-k", "bool-repetitions", "fractional-k-and-bool-repetitions", "bool-seed", "bool-alpha",
-        "fractional-k-value", "bool-in-alphas", "bool-in-weights"])
-def test_wrong_typed_config_value_names_file_and_key(tmp_path, mixed_file, capsys, config, argv, message):
+        "fractional-k-value", "bool-in-alphas", "bool-in-weights",
+        *[f"{case}-{command}" for case in UNKNOWN_NAMES for command in COMMAND_OUTPUTS]])
+def test_wrong_typed_config_value_names_file_and_key(tmp_path, monkeypatch, mixed_file, capsys, config, argv,
+                                                     message):
+    monkeypatch.chdir(tmp_path)  # where the relative outputs would go
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     command, *outputs = argv
@@ -1157,8 +1196,7 @@ def test_wrong_typed_config_value_names_file_and_key(tmp_path, mixed_file, capsy
 
 @pytest.mark.parametrize("text, message", [
     ("not json", "config file {path}: invalid JSON: Expecting value"),
-    ('{"variant": "xx"}', "unknown variant 'xx'; expected one of ('com', 'ta', 'ie', 'cd', 'pc')"),
-], ids=["not-json", "unknown-variant"])
+], ids=["not-json"])
 def test_a_config_file_that_cannot_be_used_is_an_error(tmp_path, mixed_file, capsys, text, message):
     path, out = tmp_path / "config.json", tmp_path / "a.json"
     path.write_text(text)

@@ -1,7 +1,7 @@
 """Every CLI output pinned by sha256, across several SCORE_CHUNK boundaries.
 
 The pipeline below runs synth, score (with --dump-density), calibrate,
-evaluate, cascade and sweep on seeds 1 and 2. Its input mixes what the
+evaluate, cascade, sweep and guarantee on seeds 1 and 2. Its input mixes what the
 file path must carry through unchanged: a `pc` on every record, an
 explicit `mlg` on every seventh, integer coordinates on every eleventh,
 and blank lines. The digests were recorded before the commands read
@@ -42,6 +42,7 @@ DIGESTS = {
         "scored.jsonl.cols": "050764360e7e6dbba3095564c49837bc1c0db90f643804228d0b23c7e36fbfee",
         "sweep/ranking.csv": "cbe9bf500bd908febcfba9e010c99dd6cfd95f0ebe231a751b74b61ea25d6ece",
         "sweep/risk.csv": "cc45069e9af899136b63b4e3be560c337596bd2c7102783880b5177df39571ec",
+        "trials.csv": "db9557ce6f0cc4776b2a26e41f5a43af18220c7204a71a7ef2778434eaee196e",
     },
     2: {
         "arc.csv": "1a4d9a376156b0f2f5ce26f3b7710d08d9c0f8765c2f93226c7e2e0db97eeb60",
@@ -64,6 +65,7 @@ DIGESTS = {
         "scored.jsonl.cols": "e90ebca854f78d8df6689011715d011439e162b6c12f13d1ebf1e2349c6c6d42",
         "sweep/ranking.csv": "b62e56373d0a631d994516ea386fe34f3cc5e71bac34036d22063a3c851d61c0",
         "sweep/risk.csv": "72a562c1f80b969a8a30fb64ae89e31c7228fd0165f1b60faeef0601c5b5e523",
+        "trials.csv": "fd43f278d0e1c48d038574b1687afe4a92a5e0caf822642ff1e479de0f07ebe6",
     },
 }
 
@@ -104,6 +106,9 @@ def pipeline(seed: int) -> dict[str, str]:
         "--manifest", "deferred.jsonl", "--csv", "cascade.csv")
     run(*s, "sweep", "-i", mixed, scored, "--out-dir", "sweep", "--alphas", "0.2,0.3",
         "--variants", "com,cd,pc", "--weight-presets", "original,v2", "--k-values", "5,10", "--ratio", 0.5, "-r", 3)
+    run(*s, "guarantee", "--trials", 10, "--n-records", 40, "--alpha", 0.25, "--out-csv", "trials.csv")
+    feasible = {line.split(",")[1] for line in Path("trials.csv").read_text().splitlines()[1:]}
+    assert feasible == {"true", "false"}  # both cells of the one boolean column are pinned
     digests = {p.as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
                for p in sorted(Path().rglob("*")) if p.is_file() and p.parent.name != "dumps"}
     dumps = hashlib.sha256()

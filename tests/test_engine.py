@@ -291,27 +291,25 @@ def exact(counts):
 
 def edge_column(rng, kind, n, cal):
     """A column of `kind`; 'constant' and 'between' are shaped on the calibration side `cal`."""
-    if kind == "nan":
-        return rng.choice([np.nan, 0.1, 0.3, 0.5, 0.7, 0.9], size=n)
     if kind == "inf":
         return rng.choice([-np.inf, np.inf, -1.0, 0.0, 0.5, 1.0], size=n)
     if kind == "signed zero":
-        return rng.choice([-0.0, 0.0, -0.0, 0.0, 0.5, 1.0, np.nan], size=n)
+        return rng.choice([-0.0, 0.0, -0.0, 0.0, 0.5, 1.0], size=n)
     u = np.round(rng.random(n), 1)
     if kind == "constant":  # one value on the calibration side
-        u[cal] = rng.choice([-0.0, 0.0, 0.5, np.nan])
+        u[cal] = rng.choice([-0.0, 0.0, 0.5])
     if kind == "between":  # every test-only group lies between calibration groups
         u = 2.0 * rng.integers(0, 6, size=n) + 1.0
         u[cal] -= 1.0
     return u
 
 
-EDGE_KINDS = ("nan", "inf", "signed zero", "constant", "between")
+EDGE_KINDS = ("inf", "signed zero", "constant", "between")
 
 
 def test_engine_equals_the_per_column_engine_bit_for_bit_on_edge_cases():
     rng = np.random.default_rng(43)
-    seen = {"nan tau": 0, "-0.0 tau": 0, "0.0 tau": 0, "inf tau": 0, "infeasible": 0}
+    seen = {"-0.0 tau": 0, "0.0 tau": 0, "inf tau": 0, "infeasible": 0}
     for case in range(300):
         n = int(rng.integers(2, 40))
         plan = SplitPlan(calibration_ratio=float(rng.uniform(0.2, 0.8)), seed=case, repetitions=3)
@@ -336,8 +334,6 @@ def test_engine_equals_the_per_column_engine_bit_for_bit_on_edge_cases():
                     for c in cells:
                         if c is None:
                             seen["infeasible"] += 1
-                        elif c.tau != c.tau:
-                            seen["nan tau"] += 1
                         elif c.tau == 0:
                             seen["-0.0 tau" if np.signbit(c.tau) else "0.0 tau"] += 1
                         elif np.isinf(c.tau):
@@ -356,6 +352,15 @@ def test_signed_zero_threshold_is_the_last_calibration_record():
         zeros = [i for i in cal.tolist() if u[i] == 0]
         if counts is not None and counts.tau == 0:
             assert counts.tau.hex() == u[zeros[-1]].hex()
+
+
+def test_a_nan_uncertainty_is_rejected_naming_its_column_and_position():
+    adm = np.array([True, False, True, False, True])
+    finite = np.array([0.1, 0.5, 0.2, 0.3, 0.4])
+    with pytest.raises(MetricError, match=r"^column 0: uncertainty at position 0 is NaN$"):
+        engine.SortedColumns([np.array([np.nan, 0.5, 0.2, np.nan, 0.1])], adm)
+    with pytest.raises(MetricError, match=r"^column 2: uncertainty at position 2 is NaN$"):
+        engine.SortedColumns([finite, finite, np.array([0.1, 0.5, np.nan, 0.3, np.nan])], adm, adm)
 
 
 # --- rank metrics off the one sort -----------------------------------------------------
@@ -388,7 +393,7 @@ def reference_outcomes(u, adm, records=None):
 def test_rankings_equal_the_metrics_bit_for_bit_on_edge_cases():
     """Every column's ranking of all records and of each test side gives what `metrics` gives on them."""
     rng = np.random.default_rng(53)
-    seen = {"value": 0, "NaN": 0, "one class": 0}
+    seen = {"value": 0, "one class": 0}
     for case in range(150):
         n = int(rng.integers(2, 40))
         plan = SplitPlan(calibration_ratio=float(rng.uniform(0.2, 0.8)), seed=case, repetitions=3)
@@ -404,8 +409,8 @@ def test_rankings_equal_the_metrics_bit_for_bit_on_edge_cases():
                     want = reference_outcomes(u, adm, records)
                     assert ranked_outcomes(ranked.ranking(c, records)) == want
                     first = want[0]
-                    seen["NaN" if "is NaN" in first else "one class" if "needs" in first else "value"] += 1
-    assert min(seen.values()) > 100, seen  # NaN columns, one-class sides and values alike
+                    seen["one class" if "needs" in first else "value"] += 1
+    assert min(seen.values()) > 100, seen  # one-class sides and values alike
 
 
 @pytest.mark.parametrize("block", ["shared", "one per column"])

@@ -159,10 +159,16 @@ SEARCH_SIZE = 30
 
 
 def search_starts(size: int) -> dict[str, np.ndarray]:
-    """The starts of the search: the flat profile just above alpha, and one per earlier family of profiles."""
+    """The starts of the search: the flat profile just above alpha, and one per earlier family of profiles.
+
+    The three-level starts put a third of the ranks at each of 0.05, just
+    above alpha and 0.5, in ascending and in descending order.
+    """
     rng = np.random.default_rng(0)
-    flat = np.full(size, math.nextafter(ALPHA, 1.0))
+    above = math.nextafter(ALPHA, 1.0)
+    flat = np.full(size, above)
     uniform = rng.uniform(0.0, 0.6, size)
+    thirds = np.arange(size) * 3 // size
     return {
         "flat": flat,
         "sorted-uniform": np.sort(uniform),
@@ -170,6 +176,8 @@ def search_starts(size: int) -> dict[str, np.ndarray]:
         "flat-plus-noise": np.clip(flat + rng.normal(0.0, 0.05, size), 0.0, 1.0),
         "two-level": np.array(two_level(size, size // 2, 0.05, 0.5)),
         "ramp": np.linspace(0.0, 0.4, size),
+        "three-level": np.array([0.05, above, 0.5])[thirds],
+        "three-level-descending": np.array([0.5, above, 0.05])[thirds],
     }
 
 
