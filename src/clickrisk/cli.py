@@ -176,7 +176,8 @@ def _list_of(cast):
 CONFIG_FIELDS = {
     "an integer": (_integer, ("seed", "uq.k_samples", "uq.patch_size", "split.repetitions")),
     "a number": (_number, ("uq.beta", "risk.alpha", "risk.delta", "split.calibration_ratio")),
-    "a preset name or a list of numbers": (
+    f"a preset name ({', '.join(sorted(WEIGHT_PRESETS))}), three comma-separated numbers in a string,"
+    " or a list of numbers": (
         lambda v: _parse_weights(v) if isinstance(v, str) else tuple(_list_of(_number)(v)), ("uq.weights",)),
     "a list of numbers": (_list_of(_number), ("sweep.alphas",)),
     "a list of integers": (_list_of(_integer), ("sweep.k_values",)),

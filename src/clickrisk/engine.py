@@ -28,9 +28,10 @@ are divided exactly as the per-record functions in `metrics` and
 The rank metrics (AUROC, AUARC and their curves) read the same order: a
 column's ranking of a split's test side is its order restricted to the
 test records, which is the test side's own stable sort, since
-`split_indices` returns sorted indices. `metrics.auroc`, `auarc`,
-`roc_points` and `arc_points` stay the reference, and `Ranking` gives
-their floats bit for bit.
+`split_indices` returns sorted indices. `ranking` hands that order to
+`metrics.Ranking`, the one implementation of every rank metric;
+`metrics.auroc`, `auarc`, `roc_points` and `arc_points` build theirs
+with `Ranking.of`, from one sort of the column they are handed.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .metrics import MetricError
+from .metrics import MetricError, Ranking
 from .records import SplitPlan, split_indices
 from .risk import critical_counts, largest_feasible, tie_groups
 
@@ -102,60 +103,6 @@ def split_counts(
         n_retained=int(np.count_nonzero(accepted & adm)),
         n_expert_correct=None if expert is None else int(np.count_nonzero(expert & ~accepted)),
     )
-
-
-class Ranking(NamedTuple):
-    """Records ranked by one column, as `metrics`' rank metrics rank them, from the column's one sort.
-
-    The records are taken in ascending uncertainty, ties by record index
-    (the column's stable order restricted to them): `prefix[j]` counts the
-    admissible ones among the first j + 1, and `n_le` holds, per tie group
-    that holds one of them, how many lie at or below it. Each metric
-    checks and computes on the same integers as its namesake in `metrics`,
-    so it returns the same float and raises the same `MetricError`.
-    """
-
-    prefix: np.ndarray
-    n_le: np.ndarray
-
-    def _classes(self, name: str) -> tuple[int, int, np.ndarray]:
-        """(inadmissible, admissible, inadmissible records at or below each group), both classes required."""
-        n_neg = int(self.prefix[-1]) if self.prefix.size else 0
-        n_pos = self.prefix.size - n_neg
-        if n_pos == 0 or n_neg == 0:
-            raise MetricError(f"{name} needs at least one admissible and one inadmissible record")
-        return n_pos, n_neg, self.n_le - self.prefix[self.n_le - 1]
-
-    def auroc(self) -> float:
-        """`metrics.auroc`: 2U summed over the tie groups, then one division."""
-        n_pos, n_neg, pos_le = self._classes("auroc")
-        pos = np.diff(pos_le, prepend=0)
-        neg = np.diff(self.n_le, prepend=0) - pos
-        two_u = int((pos * (2 * (self.n_le - pos_le) - neg)).sum())
-        return two_u / 2 / (n_pos * n_neg)
-
-    def roc_points(self) -> list[tuple[float, float]]:
-        """`metrics.roc_points`: (fpr, tpr) as the threshold steps down the groups."""
-        n_pos, n_neg, pos_le = self._classes("roc")
-        flagged = self.prefix.size - np.append(0, self.n_le[:-1])[::-1]
-        flagged_pos = n_pos - np.append(0, pos_le[:-1])[::-1]
-        tpr = flagged_pos / n_pos
-        fpr = (flagged - flagged_pos) / n_neg
-        return [(0.0, 0.0)] + list(zip(fpr.tolist(), tpr.tolist()))
-
-    def auarc(self) -> float:
-        """`metrics.auarc`: the mean retained accuracy over every per-record rejection level."""
-        if not self.prefix.size:
-            raise MetricError("auarc needs at least one record")
-        return float((self.prefix / np.arange(1, self.prefix.size + 1)).mean())
-
-    def arc_points(self) -> list[tuple[float, float]]:
-        """`metrics.arc_points`: (rejection rate, retained accuracy) per rejection level."""
-        n = self.prefix.size
-        if not n:
-            raise MetricError("need at least one record")
-        accuracy = self.prefix[::-1] / np.arange(n, 0, -1)
-        return list(zip((np.arange(n) / n).tolist(), accuracy.tolist()))
 
 
 class _Groups(NamedTuple):
@@ -271,7 +218,7 @@ class SortedColumns:
                         for lo in range(0, len(self.columns), self._step)]
 
     def ranking(self, c: int, records: np.ndarray | None = None) -> Ranking:
-        """How column c ranks `records` (sorted indices; default: every record), as `metrics` ranks `u[records]`."""
+        """How column c ranks `records` (sorted indices; default: every record): `Ranking.of` on them."""
         groups, i = self._blocks[c // self._step], c % self._step
         order = groups.order[i]
         lo, hi = groups.starts[i], groups.starts[i + 1]

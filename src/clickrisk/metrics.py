@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .records import Box, Point
-from .risk import empirical_fdr, threshold_candidates
+from .risk import empirical_fdr, tie_groups
 
 
 class MetricError(ValueError):
@@ -73,29 +73,73 @@ def _check_pair(uncertainties, flags) -> tuple[np.ndarray, np.ndarray]:
     return u, adm
 
 
-def auroc(uncertainties: Sequence[float], admissible: Sequence[int]) -> float:
-    """Probability that an inadmissible record out-scores an admissible one.
+class Ranking(NamedTuple):
+    """Records ranked by uncertainty, the one implementation of every rank metric.
 
-    Mann-Whitney U over the tie groups of `threshold_candidates`: each
-    inadmissible record counts the admissible ones below its group and half
-    of those in it. 2U is an integer sum, so only the last division rounds.
-    Requires both classes to be present.
+    The records are taken in ascending uncertainty, ties by record index
+    (a stable sort): `prefix[j]` counts the admissible ones among the first
+    j + 1, and `n_le` holds, per tie group of equal values (`risk.tie_groups`,
+    so -0.0 and 0.0 tie), how many records lie at or below it. Every count
+    is an integer, so each metric rounds only in its last divisions.
+    `Ranking.of` ranks a column; `engine.SortedColumns.ranking` gives the
+    same ranking of any subset of its records from the column's one sort.
     """
-    u, adm = _check_pair(uncertainties, admissible)
-    n_pos = int((adm == 0).sum())  # inadmissible: the high-uncertainty class
-    n_neg = int((adm == 1).sum())
-    if n_pos == 0 or n_neg == 0:
-        raise MetricError("auroc needs at least one admissible and one inadmissible record")
-    _, n_le, pos_le = threshold_candidates(u, 1 - adm)
-    pos = np.diff(pos_le, prepend=0)
-    neg = np.diff(n_le, prepend=0) - pos
-    two_u = int((pos * (2 * (n_le - pos_le) - neg)).sum())
-    return two_u / 2 / (n_pos * n_neg)
+
+    prefix: np.ndarray
+    n_le: np.ndarray
+
+    @classmethod
+    def of(cls, u: np.ndarray, adm: np.ndarray) -> Ranking:
+        """The ranking of NaN-free uncertainties `u` with 0/1 admissibility `adm`."""
+        order, last = tie_groups(u)
+        return cls(np.cumsum(adm[order]), last + 1)
+
+    def _classes(self, name: str) -> tuple[int, int, np.ndarray]:
+        """(inadmissible, admissible, inadmissible records at or below each group), both classes required."""
+        n_neg = int(self.prefix[-1]) if self.prefix.size else 0
+        n_pos = self.prefix.size - n_neg
+        if n_pos == 0 or n_neg == 0:
+            raise MetricError(f"{name} needs at least one admissible and one inadmissible record")
+        return n_pos, n_neg, self.n_le - self.prefix[self.n_le - 1]
+
+    def auroc(self) -> float:
+        """Mann-Whitney 2U summed in integers over the tie groups (ties count half), then one division."""
+        n_pos, n_neg, pos_le = self._classes("auroc")
+        pos = np.diff(pos_le, prepend=0)
+        neg = np.diff(self.n_le, prepend=0) - pos
+        two_u = int((pos * (2 * (self.n_le - pos_le) - neg)).sum())
+        return two_u / 2 / (n_pos * n_neg)
+
+    def roc_points(self) -> list[tuple[float, float]]:
+        """(fpr, tpr) as the threshold steps down the groups, flagging the records at or above it."""
+        n_pos, n_neg, pos_le = self._classes("roc")
+        flagged = self.prefix.size - np.append(0, self.n_le[:-1])[::-1]
+        flagged_pos = n_pos - np.append(0, pos_le[:-1])[::-1]
+        tpr = flagged_pos / n_pos
+        fpr = (flagged - flagged_pos) / n_neg
+        return [(0.0, 0.0)] + list(zip(fpr.tolist(), tpr.tolist()))
+
+    def auarc(self) -> float:
+        """The mean retained accuracy over every per-record rejection level."""
+        if not self.prefix.size:
+            raise MetricError("auarc needs at least one record")
+        return float((self.prefix / np.arange(1, self.prefix.size + 1)).mean())
+
+    def arc_points(self) -> list[tuple[float, float]]:
+        """(rejection rate, retained accuracy) per rejection level."""
+        n = self.prefix.size
+        if not n:
+            raise MetricError("need at least one record")
+        accuracy = self.prefix[::-1] / np.arange(n, 0, -1)
+        return list(zip((np.arange(n) / n).tolist(), accuracy.tolist()))
 
 
-def _sorted_flags(u: np.ndarray, adm: np.ndarray) -> np.ndarray:
-    order = np.argsort(u, kind="stable")  # ties keep record order
-    return adm[order]
+def auroc(uncertainties: Sequence[float], admissible: Sequence[int]) -> float:
+    """Probability that an inadmissible record out-scores an admissible one, ties counting half.
+
+    Requires both classes to be present (`Ranking.auroc`).
+    """
+    return Ranking.of(*_check_pair(uncertainties, admissible)).auroc()
 
 
 def auarc(uncertainties: Sequence[float], admissible: Sequence[int]) -> float:
@@ -105,25 +149,14 @@ def auarc(uncertainties: Sequence[float], admissible: Sequence[int]) -> float:
     rejecting j = 0..N-1 from the top leaves the N-j lowest-uncertainty
     records, whose mean admissibility is averaged uniformly over j.
     """
-    u, adm = _check_pair(uncertainties, admissible)
-    if u.size == 0:
-        raise MetricError("auarc needs at least one record")
-    flags = _sorted_flags(u, adm)
-    prefix = np.cumsum(flags)
-    retained_acc = prefix / np.arange(1, u.size + 1)
-    return float(retained_acc.mean())
+    return Ranking.of(*_check_pair(uncertainties, admissible)).auarc()
 
 
 def arc_points(
     uncertainties: Sequence[float], admissible: Sequence[int]
 ) -> list[tuple[float, float]]:
     """(rejection_rate, accuracy) pairs underlying the AUARC average."""
-    u, adm = _check_pair(uncertainties, admissible)
-    if u.size == 0:
-        raise MetricError("need at least one record")
-    retained = np.arange(u.size, 0, -1)  # records left after rejecting j = 0..n-1
-    accuracy = np.cumsum(_sorted_flags(u, adm))[::-1] / retained
-    return list(zip((np.arange(u.size) / u.size).tolist(), accuracy.tolist()))
+    return Ranking.of(*_check_pair(uncertainties, admissible)).arc_points()
 
 
 def roc_points(
@@ -132,21 +165,9 @@ def roc_points(
     """(fpr, tpr) pairs for detecting inadmissible records by uncertainty.
 
     Sweeps the decision threshold down the distinct observed values; a
-    record is flagged when its uncertainty is >= the threshold. Those are
-    the records above the previous value of `threshold_candidates`, so
-    each point is a difference of its cumulative counts.
+    record is flagged when its uncertainty is >= the threshold.
     """
-    u, adm = _check_pair(uncertainties, admissible)
-    n_pos = int((adm == 0).sum())
-    n_neg = int((adm == 1).sum())
-    if n_pos == 0 or n_neg == 0:
-        raise MetricError("roc needs at least one admissible and one inadmissible record")
-    _, n_le, pos_le = threshold_candidates(u, 1 - adm)
-    flagged = u.size - np.append(0, n_le[:-1])[::-1]
-    flagged_pos = n_pos - np.append(0, pos_le[:-1])[::-1]
-    tpr = flagged_pos / n_pos
-    fpr = (flagged - flagged_pos) / n_neg
-    return [(0.0, 0.0)] + list(zip(fpr.tolist(), tpr.tolist()))
+    return Ranking.of(*_check_pair(uncertainties, admissible)).roc_points()
 
 
 def fdr_at(uncertainties: Sequence[float], admissible: Sequence[int], tau: float) -> float:

@@ -230,7 +230,8 @@ def _json_error(line: str, lineno: int) -> NoReturn:
 def _line_fields(stream: IO | Iterable[str | bytes]) -> Iterator[tuple]:
     """`record_fields` of each non-blank str or UTF-8 bytes line: the one loop every reader runs.
 
-    A RecordError names the line: malformed JSON, a failed check, or an id seen on an earlier line.
+    A RecordError names the line: bytes that are not UTF-8, malformed JSON, a failed check, or an id
+    seen on an earlier line.
     """
     seen: set[str] = set()
     # `json.loads` without its per-call checks: the line is stripped, so the scanner accepts it exactly
@@ -238,7 +239,11 @@ def _line_fields(stream: IO | Iterable[str | bytes]) -> Iterator[tuple]:
     scan = json.scanner.make_scanner(json.JSONDecoder())
     for lineno, raw in enumerate(stream, start=1):
         if isinstance(raw, bytes):
-            raw = raw.decode("utf-8")
+            try:
+                raw = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise RecordError(f"not UTF-8 (byte 0x{raw[exc.start]:02x} at column {exc.start + 1})",
+                                  line=lineno) from None
         line = raw.strip()
         if not line:
             continue
@@ -264,7 +269,7 @@ def parse_records(stream: IO | Iterable[str | bytes]) -> list[GroundingRecord]:
 
 
 def load_records(path) -> list[GroundingRecord]:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         return parse_records(fh)
 
 
@@ -339,7 +344,7 @@ def read_columns(path) -> Iterator[Columns]:
             if count is not None:
                 yield from sidecar.served_columns(cols, count)
                 return
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         rows = _line_fields(fh)
         while chunk := list(itertools.islice(rows, SCORE_CHUNK)):
             ids, widths, heights, instructions, boxes, coords, mlg, expert, pc, uq = zip(*chunk)

@@ -547,6 +547,20 @@ def test_nonfinite_uq_value_fails_calibrate_naming_the_line(tmp_path, easy_file,
     assert not artifact.exists()
 
 
+@pytest.mark.parametrize("command, output", [("score", "-o"), ("calibrate", "-o")])
+def test_a_line_that_is_not_utf8_fails_naming_the_file_the_line_and_the_byte(tmp_path, easy_file, capsys,
+                                                                               command, output):
+    src = scored(tmp_path, easy_file)
+    lines = src.read_bytes().split(b"\n")
+    column = lines[2].index(b'"id":"') + len(b'"id":"')
+    lines[2] = lines[2][:column] + b"\xff" + lines[2][column:]
+    src.write_bytes(b"\n".join(lines))
+    out = tmp_path / "out"
+    assert run(command, "-i", src, output, out) == 1
+    assert capsys.readouterr().err == f"error: {src}: line 3: not UTF-8 (byte 0xff at column {column + 1})\n"
+    assert not out.exists()
+
+
 def test_cascade_rejects_infeasible_artifact(tmp_path, easy_file, capsys):
     src = scored(tmp_path, easy_file)
     artifact = tmp_path / "bad.json"
@@ -685,7 +699,7 @@ def test_evaluate_and_sweep_sort_each_column_once_per_input(tmp_path, monkeypatc
     """-r 20 sorts each uncertainty column once per input, however many splits; no split and no rank metric sorts.
 
     AUROC, AUARC and the ROC/ARC curves come off the engine's one sort:
-    neither a split nor `metrics`' own sorts run.
+    neither a split nor `metrics.Ranking.of` sorts.
     """
     src = scored(tmp_path, mixed_file)
     sorted_sizes, sort = [], engine.tie_groups
@@ -699,8 +713,7 @@ def test_evaluate_and_sweep_sort_each_column_once_per_input(tmp_path, monkeypatc
 
     monkeypatch.setattr(engine, "tie_groups", counted)
     monkeypatch.setattr(risk, "threshold_candidates", forbidden)
-    monkeypatch.setattr(metrics, "threshold_candidates", forbidden)
-    monkeypatch.setattr(metrics, "_sorted_flags", forbidden)
+    monkeypatch.setattr(metrics, "tie_groups", forbidden)  # `Ranking.of`'s sort
     assert run("evaluate", "-i", src, "--ratio", 0.5, "-r", 20,
                "--roc-csv", tmp_path / "roc.csv", "--arc-csv", tmp_path / "arc.csv") == 0
     assert sorted_sizes == [80]
@@ -1138,6 +1151,8 @@ def test_a_setting_that_changed_no_output_is_not_accepted(tmp_path, mixed_file, 
     assert sorted(tmp_path.iterdir()) == [mixed_file, tmp_path / "mixed.jsonl.cols"]
 
 
+WEIGHTS_KIND = (f"a preset name ({', '.join(sorted(uq.WEIGHT_PRESETS))}), three comma-separated numbers"
+                " in a string, or a list of numbers")
 # Names a command checks only where it uses them fail at load for every command, as a wrong type does.
 UNKNOWN_NAMES = {
     "unknown-variant": ({"variant": "xx"}, 'variant must be one of com, ta, ie, cd, pc, got "xx"'),
@@ -1146,7 +1161,7 @@ UNKNOWN_NAMES = {
                               'sweep.variants must be a list of names from com, ta, ie, cd, pc, got ["com", "xx"]'),
     "unknown-weight-preset": ({"sweep": {"weight_presets": ["vv"]}}, "sweep.weight_presets must be a list of names"
                               f" from {', '.join(sorted(uq.WEIGHT_PRESETS))}, got [\"vv\"]"),
-    "unknown-weights": ({"uq": {"weights": "zz"}}, 'uq.weights must be a preset name or a list of numbers, got "zz"'),
+    "unknown-weights": ({"uq": {"weights": "zz"}}, f'uq.weights must be {WEIGHTS_KIND}, got "zz"'),
 }
 COMMAND_OUTPUTS = {"score": ["-o", "s.jsonl"], "calibrate": ["-o", "a.json"], "sweep": ["--out-dir", "sweep"]}
 
@@ -1155,7 +1170,7 @@ COMMAND_OUTPUTS = {"score": ["-o", "s.jsonl"], "calibrate": ["-o", "a.json"], "s
     ({"risk": {"alpha": None}}, ["calibrate", "-o", "a.json"], "risk.alpha must be a number, got null"),
     ({"sweep": {"alphas": 0.3}}, ["sweep", "--out-dir", "sweep"], "sweep.alphas must be a list of numbers, got 0.3"),
     ({"uq": {"weights": 0.5}}, ["score", "-o", "s.jsonl"],
-     "uq.weights must be a preset name or a list of numbers, got 0.5"),
+     f"uq.weights must be {WEIGHTS_KIND}, got 0.5"),
     ({"uq": "x"}, ["score", "-o", "s.jsonl"], 'uq must be a JSON object, got "x"'),
     ({"uq": {"k_samples": "abc"}}, ["score", "-o", "s.jsonl"], 'uq.k_samples must be an integer, got "abc"'),
     ({"risk": {"Alpha": 0.02}}, ["calibrate", "-o", "a.json"], "unknown key risk.Alpha"),
@@ -1175,7 +1190,7 @@ COMMAND_OUTPUTS = {"score": ["-o", "s.jsonl"], "calibrate": ["-o", "a.json"], "s
     ({"sweep": {"alphas": [0.2, False]}}, ["sweep", "--out-dir", "sweep"],
      "sweep.alphas must be a list of numbers, got [0.2, false]"),
     ({"uq": {"weights": [True, 0.0, 0.0]}}, ["score", "-o", "s.jsonl"],
-     "uq.weights must be a preset name or a list of numbers, got [true, 0.0, 0.0]"),
+     f"uq.weights must be {WEIGHTS_KIND}, got [true, 0.0, 0.0]"),
     *[(config, [command, *outputs], message)
       for config, message in UNKNOWN_NAMES.values() for command, outputs in COMMAND_OUTPUTS.items()],
 ], ids=["null-alpha", "scalar-alphas", "scalar-weights", "string-section", "string-k",

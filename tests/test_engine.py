@@ -6,8 +6,10 @@ the test side. Every float must come out identical (`==`), not close.
 `per_column_splits` is the engine's direct form: each split sorts each
 column's calibration side and compares every test record with each
 threshold. The engine, which sorts each column once per input, must give
-its counts bit for bit. Its rankings must give the rank metrics of
-`metrics` (AUROC, AUARC and their curves) bit for bit, errors included.
+its counts bit for bit. Its ranking of a split's test side, cut from
+each column's one sort, must give what `metrics` (AUROC, AUARC and their
+curves, from `Ranking.of` on that side alone) gives, bit for bit, errors
+included.
 """
 
 import tracemalloc

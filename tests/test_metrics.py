@@ -275,6 +275,13 @@ def arc_points_oracle(u, adm):
     return [(float(j / n), float(prefix[n - j - 1] / (n - j))) for j in range(n)]
 
 
+def auarc_oracle(u, adm):
+    """The prefix mean written out: admissibility in stable-argsort order, its running share, averaged."""
+    u, adm = np.asarray(u, dtype=float), np.asarray(adm, dtype=int)
+    prefix = np.cumsum(adm[np.argsort(u, kind="stable")])
+    return float((prefix / np.arange(1, u.size + 1)).mean())
+
+
 def curve_cases():
     rng = np.random.default_rng(47)
     cases = [([0.3, 0.7], [0, 1]), ([0.7, 0.3], [0, 1]), ([0.5, 0.5], [1, 0])]  # one record per class
@@ -293,6 +300,11 @@ def test_roc_and_arc_points_equal_their_sweeps_bit_for_bit():
     for u, adm in curve_cases():
         assert roc_points(u, adm) == roc_points_oracle(u, adm), (u, adm)
         assert arc_points(u, adm) == arc_points_oracle(u, adm), (u, adm)
+
+
+def test_auarc_equals_its_prefix_mean_bit_for_bit():
+    for u, adm in curve_cases():
+        assert auarc(u, adm).hex() == auarc_oracle(u, adm).hex(), (u, adm)
 
 
 def test_auroc_equals_the_pairwise_count_on_every_curve_case():

@@ -308,6 +308,25 @@ def test_bytes_lines_read_as_their_text(tmp_path):
     assert [r.id for r in from_bytes] == [i for c in read_columns(path) for i in c.ids]
 
 
+def test_lines_end_at_newline_alone(tmp_path):
+    """A `\r` is JSON whitespace: `\r\n` endings read as `\n` ones, and a lone `\r` ends no line."""
+    content = text(*mixed_objs(40))
+    path = tmp_path / "records.jsonl"
+    path.write_bytes(content.replace("\n", "\r\n").encode())
+    assert load_records(path) == parse_records(io.StringIO(content))
+    assert rejected(json.dumps(VALID) + "\r" + json.dumps(dict(VALID, id="b")) + "\n") == \
+        "line 1: invalid JSON: Extra data"
+
+
+def test_a_line_that_is_not_utf8_names_the_byte_and_its_column(tmp_path):
+    path = tmp_path / "records.jsonl"
+    path.write_bytes(text(VALID).encode() + b'{"id": "b\xe9"}\n')
+    with pytest.raises(RecordError, match=r"^line 2: not UTF-8 \(byte 0xe9 at column 10\)$"):
+        load_records(path)
+    with pytest.raises(RecordError, match=r"^line 2: not UTF-8 \(byte 0xe9 at column 10\)$"):
+        list(read_columns(path))
+
+
 def test_select_mlg_prefers_explicit_field():
     record = make_record(mlg=(10.0, 20.0))
     assert select_mlg(record, seed=123) == (10.0, 20.0)
