@@ -16,8 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import split_counts
-from .metrics import admissions
+from .metrics import admissions, split_counts
 from .records import GroundingRecord, atomic_writer, select_mlg
 
 _NAN_PAIR = (math.nan, math.nan)  # an absent prediction, admissible nowhere

@@ -73,6 +73,22 @@ def _write_csv(path: str, header: list[str], rows: list) -> None:
         writer.writerows(rows)
 
 
+def _read_text(path: str, what: str) -> str:
+    """The file at `path` as UTF-8 text; a byte that is not UTF-8 is a CliError naming `what` and `path`."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{what} {path}: not UTF-8 (byte 0x{data[exc.start]:02x} at position {exc.start})") from None
+
+
+def _directory(flag: str, path: str) -> None:
+    """A CliError naming `flag` when the directory it names is an existing file."""
+    if os.path.exists(path) and not os.path.isdir(path):
+        raise CliError(f"{flag} {path}: not a directory")
+
+
 def _append_csv_row(path: str, header: list[str], row: list) -> None:
     """Append `row` to the table at `path`, which must start with `header`.
 
@@ -80,10 +96,7 @@ def _append_csv_row(path: str, header: list[str], row: list) -> None:
     the old file atomically.
     """
     expected = ",".join(header)
-    existing = ""
-    if os.path.exists(path):
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            existing = fh.read()
+    existing = _read_text(path, "--csv") if os.path.exists(path) else ""
     found = existing.partition("\n")[0]
     if existing and found != expected:
         raise CliError(f"--csv {path}: existing header {found!r} does not match {expected!r}")
@@ -193,8 +206,7 @@ _TOP_LEVEL = {field for field in _CASTS if "." not in field}
 
 def _load_json_object(path: str, what: str) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+        obj = json.loads(_read_text(path, what))
     except FileNotFoundError:
         raise CliError(f"{what} not found: {path}")
     except json.JSONDecodeError as exc:
@@ -334,6 +346,8 @@ def _dump_name(rec_id: str) -> str:
 
 def cmd_score(args) -> int:
     uq_cfg = _uq_config(args)
+    if args.dump_density:
+        _directory("--dump-density", args.dump_density)
     owners: dict[str, str] = {}  # --dump-density file name -> the first id written to it
     # the files no dump may replace; when -i X -o X rescores in place, X is named by --input
     files = {os.path.realpath(args.output): "--output", os.path.realpath(args.input): "--input"}
@@ -372,6 +386,8 @@ def cmd_calibrate(args) -> int:
     artifacts = [args.out] if single else [
         os.path.join(args.out, f"calibration_r{rep:03d}.json") for rep in range(args.repetitions)]
     _distinct_outputs(args, "--input", ("--out", artifacts if single else [args.out, *artifacts, summary]))
+    if not single:
+        _directory("--out", args.out)
     spec = RiskSpec(alpha=args.alpha, delta=args.delta)
     plan = _split_plan(args)
     u, adm = _stacked([(u, adm) for _, u, adm in _scored_chunks(args.input, args.variant, args.seed)], 2)
@@ -383,7 +399,7 @@ def cmd_calibrate(args) -> int:
         cal, test = split_indices(u.size, plan, rep)
         outcome = calibrate_threshold(u[cal], ~adm[cal], spec)  # the full trace, for the artifact
         if outcome.feasible:
-            fdrs.append(engine.split_counts(u[test], adm[test], outcome.threshold).fdr)
+            fdrs.append(metrics_mod.split_counts(u[test], adm[test], outcome.threshold).fdr)
         _write_json(artifacts[rep], _artifact_obj(outcome, spec, args.variant))
     infeasible = plan.repetitions - len(fdrs)
     mean, std = _mean_std(fdrs)
@@ -641,6 +657,7 @@ def cmd_sweep(args) -> int:
     plan = _split_plan(args)
     tables = [os.path.join(args.out_dir, name) for name in ("ranking.csv", "risk.csv")]
     _distinct_outputs(args, "--inputs", ("--out-dir", tables))
+    _directory("--out-dir", args.out_dir)
 
     ranking_rows: list[list] = []
     risk_rows: list[list] = []

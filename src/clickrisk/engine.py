@@ -1,12 +1,13 @@
 """Array engine behind every repeated calibration/test split and every rank metric.
 
-`calibrate -r N`, `evaluate`, `sweep` and the guarantee harness all repeat
-one protocol: split the records, calibrate a threshold on one side, and
-measure the rule on the other. Here the records are reduced once to
-per-record vectors (an uncertainty per column, whether the acted-on
-prediction is admissible, whether the expert's is), a split is a pair of
-sorted index arrays (`records.split_indices`), and every count is taken
-per tie group.
+`evaluate`, `sweep` and the guarantee harness all repeat one protocol:
+split the records, calibrate a threshold on one side, and measure the
+rule on the other (`calibrate -r N` calibrates each split with
+`risk.calibrate_threshold`, for its artifact's trace). Here the records
+are reduced once to per-record vectors (an uncertainty per column, whether
+the acted-on prediction is admissible, whether the expert's is), a split
+is a pair of sorted index arrays (`records.split_indices`), and every
+count is taken per tie group, as a `metrics.SplitCounts`.
 
 Each column is sorted once per input (`risk.tie_groups`), and its stable
 order is kept with the end of each tie group in it; each group keeps the
@@ -21,9 +22,7 @@ pass per split, in blocks of columns that bound its temporaries. A
 threshold is the value of its group's last calibration record, as
 `risk.threshold_candidates` over the calibration side gives it, so -0.0
 and 0.0 stay apart. A column may hold no NaN, as `metrics` requires: the
-columns are checked once, when they are sorted. The test-side counts
-are divided exactly as the per-record functions in `metrics` and
-`cascade` divide them, so every float comes out the same.
+columns are checked once, when they are sorted.
 
 The rank metrics (AUROC, AUARC and their curves) read the same order: a
 column's ranking of a split's test side is its order restricted to the
@@ -40,69 +39,12 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .metrics import MetricError, Ranking
+from .metrics import MetricError, Ranking, SplitCounts
 from .records import SplitPlan, split_indices
 from .risk import critical_counts, largest_feasible, tie_groups
 
 # Columns x records in one block of a split's pass (a block has one column at least)
 _BLOCK = 1 << 16
-
-
-class SplitCounts(NamedTuple):
-    """What the rule u <= tau does on one test split, as integer counts.
-
-    `n_expert_correct` counts the deferred records whose expert prediction
-    is admissible; it is None when the records carry no expert vector.
-    """
-
-    tau: float
-    n_total: int
-    n_accepted: int
-    n_admissible: int
-    n_retained: int  # accepted and admissible
-    n_expert_correct: int | None
-
-    @property
-    def fdr(self) -> float:
-        """`metrics.fdr_at`: false discoveries among the accepted; 0 when none is."""
-        if self.n_accepted == 0:
-            return 0.0
-        return (self.n_accepted - self.n_retained) / self.n_accepted
-
-    @property
-    def power(self) -> float:
-        """`metrics.power_at`: the share of admissible records retained."""
-        if self.n_admissible == 0:
-            raise MetricError("power undefined without admissible records")
-        return self.n_retained / self.n_admissible
-
-    @property
-    def system_accuracy(self) -> float:
-        """`cascade.evaluate_cascade`: primary hits among the accepted plus expert hits among the deferred."""
-        return (self.n_retained + self.n_expert_correct) / self.n_total
-
-    @property
-    def cascading_rate(self) -> float:
-        """`cascade.evaluate_cascade`: the share of records deferred."""
-        return (self.n_total - self.n_accepted) / self.n_total
-
-
-def split_counts(
-    u: np.ndarray, adm: np.ndarray, tau: float, expert: np.ndarray | None = None
-) -> SplitCounts:
-    """Counts of the rule u <= tau over records with admissibility `adm`.
-
-    `adm` and `expert` are boolean vectors aligned with `u`.
-    """
-    accepted = u <= tau
-    return SplitCounts(
-        tau=tau,
-        n_total=int(u.size),
-        n_accepted=int(np.count_nonzero(accepted)),
-        n_admissible=int(np.count_nonzero(adm)),
-        n_retained=int(np.count_nonzero(accepted & adm)),
-        n_expert_correct=None if expert is None else int(np.count_nonzero(expert & ~accepted)),
-    )
 
 
 class _Groups(NamedTuple):
@@ -120,10 +62,10 @@ class _Groups(NamedTuple):
     ends: np.ndarray
     tau: np.ndarray
     adm_le: np.ndarray  # int32: admissible records at or below the group
-    hits_le: np.ndarray | None  # int32: expert hits at or below the group; None without an expert vector
+    hits_le: np.ndarray  # int32: expert hits at or below the group
 
 
-def _tie_groups(columns: Sequence[np.ndarray], adm: np.ndarray, expert: np.ndarray | None) -> _Groups:
+def _tie_groups(columns: Sequence[np.ndarray], adm: np.ndarray, expert: np.ndarray) -> _Groups:
     """Sort each column of a block once (`risk.tie_groups`) and find where its groups end."""
     n = adm.size
     order = np.empty((len(columns), n), dtype=np.int32)
@@ -138,8 +80,7 @@ def _tie_groups(columns: Sequence[np.ndarray], adm: np.ndarray, expert: np.ndarr
     def at_or_below(flags: np.ndarray) -> np.ndarray:
         return np.cumsum(np.take(flags, order), axis=1, dtype=np.int32).ravel()[ends]
 
-    return _Groups(order, starts, ends, np.concatenate(tau), at_or_below(adm),
-                   None if expert is None else at_or_below(expert))
+    return _Groups(order, starts, ends, np.concatenate(tau), at_or_below(adm), at_or_below(expert))
 
 
 class _Side(NamedTuple):
@@ -149,7 +90,7 @@ class _Side(NamedTuple):
     marks: np.ndarray
     n_test: int
     n_admissible: int
-    n_hits: int | None
+    n_hits: int
 
 
 def _block_counts(
@@ -175,11 +116,9 @@ def _block_counts(
     g = candidates[at]
     tau = groups.tau[g]
     n_le = groups.ends[g] + 1 - n * np.arange(len(columns))
-    # per column, per table: pick, records accepted, admissible records accepted, expert hits accepted
-    per_cell = [picks, n_le - n_accepted[at], groups.adm_le[g] - (n_accepted - n_errors)[at]]
-    if side.n_hits is not None:
-        per_cell.append(groups.hits_le[g] - at_or_below(2)[g])
-    cells = np.stack(per_cell, axis=-1).transpose(1, 0, 2).tolist()
+    # per column, per table: pick, records accepted, admissible records accepted, expert hits deferred
+    cells = np.stack([picks, n_le - n_accepted[at], groups.adm_le[g] - (n_accepted - n_errors)[at],
+                      side.n_hits - (groups.hits_le[g] - at_or_below(2)[g])], axis=-1).transpose(1, 0, 2).tolist()
     taus = tau.T.tolist()
     # Equal values share their bits but for signed zeros: only there is the group's
     # last calibration record, whose value a sort of the calibration side gives, looked up.
@@ -188,11 +127,9 @@ def _block_counts(
         first = groups.ends[g[a, c] - 1] + 1 if g[a, c] > groups.starts[c] else c * n
         last = first + np.flatnonzero(flat[first : groups.ends[g[a, c]] + 1] & 1)[-1]
         taus[c][a] = float(columns[c][groups.order.ravel()[last]])
-    n_total, n_admissible, n_hits = side.n_test, side.n_admissible, side.n_hits
     return [
-        [None if cell[0] < 0 else SplitCounts(
-            t, n_total, cell[1], n_admissible, cell[2], None if n_hits is None else n_hits - cell[3],
-        ) for cell, t in zip(per_table, column_taus)]
+        [None if cell[0] < 0 else SplitCounts(t, side.n_test, cell[1], side.n_admissible, cell[2], cell[3])
+         for cell, t in zip(per_table, column_taus)]
         for per_table, column_taus in zip(cells, taus)
     ]
 
@@ -200,21 +137,22 @@ def _block_counts(
 class SortedColumns:
     """Uncertainty columns over the same records, each sorted once: the state every split and rank metric reads.
 
-    `adm` and `expert` are boolean vectors aligned with every column. A
-    column holding a NaN is a `MetricError` naming the column and the
-    position. The columns are sorted in blocks that bound a split's
-    temporaries.
+    `adm` and `expert` are boolean vectors aligned with every column (no
+    `expert`: no expert hit). A column holding a NaN is a `MetricError`
+    naming the column and the position. The columns are sorted in blocks
+    that bound a split's temporaries.
     """
 
     def __init__(self, columns: Sequence[np.ndarray], adm: np.ndarray, expert: np.ndarray | None = None):
-        self.columns, self.adm, self.expert = list(columns), adm, expert
+        self.columns, self.adm = list(columns), adm
+        self.expert = np.zeros_like(adm) if expert is None else expert
         for c, u in enumerate(self.columns):
             nan = np.isnan(u)
             if nan.any():
                 raise MetricError(f"column {c}: uncertainty at position {int(nan.argmax())} is NaN")
         # a column has at most a group per record, so this bounds a block's orders and groups
         self._step = max(1, _BLOCK // max(adm.size, 1))
-        self._blocks = [_tie_groups(self.columns[lo : lo + self._step], adm, expert)
+        self._blocks = [_tie_groups(self.columns[lo : lo + self._step], adm, self.expert)
                         for lo in range(0, len(self.columns), self._step)]
 
     def ranking(self, c: int, records: np.ndarray | None = None) -> Ranking:
@@ -247,15 +185,15 @@ class SortedColumns:
             return
         adm, expert = self.adm, self.expert
         n_admissible = int(np.count_nonzero(adm))
-        n_hits = None if expert is None else int(np.count_nonzero(expert))
+        n_hits = int(np.count_nonzero(expert))
         for rep in range(plan.repetitions):
             cal, test = split_indices(adm.size, plan, rep)
             errors = ~adm[cal]
             marks = np.zeros(adm.size, dtype=np.uint8)
-            marks[cal] = 1 + 2 * errors if expert is None else 1 + 2 * errors + 4 * expert[cal]
+            marks[cal] = 1 + 2 * errors + 4 * expert[cal]
             n_errors = int(np.count_nonzero(errors))
             side = _Side(marks, test.size, n_admissible - (cal.size - n_errors),
-                         None if expert is None else n_hits - int(np.count_nonzero(expert[cal])))
+                         n_hits - int(np.count_nonzero(expert[cal])))
             tables = [critical_counts(cal.size, alpha, delta) for alpha in alphas]
             yield test, [
                 cells

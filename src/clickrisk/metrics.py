@@ -4,7 +4,7 @@ A prediction is admissible when it lands inside the ground-truth box
 (boundary inclusive). AUROC measures how well uncertainty separates
 inadmissible from admissible predictions; AUARC averages the retained
 accuracy as the highest-uncertainty records are rejected one by one;
-FDR and power describe an acceptance rule at a fixed threshold.
+FDR and power describe an acceptance rule at a fixed threshold (`SplitCounts`).
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .records import Box, Point
-from .risk import empirical_fdr, tie_groups
+from .risk import tie_groups
+from .risk import empirical_fdr  # noqa: F401
 
 
 class MetricError(ValueError):
@@ -70,7 +71,7 @@ def _check_pair(uncertainties, flags) -> tuple[np.ndarray, np.ndarray]:
     nan = np.isnan(u)
     if nan.any():
         raise MetricError(f"uncertainty at position {int(nan.argmax())} is NaN")
-    return u, adm
+    return u, adm == 1
 
 
 class Ranking(NamedTuple):
@@ -134,6 +135,62 @@ class Ranking(NamedTuple):
         return list(zip((np.arange(n) / n).tolist(), accuracy.tolist()))
 
 
+class SplitCounts(NamedTuple):
+    """What the rule u <= tau does on some records, as integer counts: every threshold metric reads them.
+
+    `n_expert_correct` counts the deferred records whose expert prediction
+    is admissible; a record without an expert prediction counts as a miss.
+    """
+
+    tau: float
+    n_total: int
+    n_accepted: int
+    n_admissible: int
+    n_retained: int  # accepted and admissible
+    n_expert_correct: int
+
+    @property
+    def fdr(self) -> float:
+        """False discoveries among the accepted; 0 when none is."""
+        if self.n_accepted == 0:
+            return 0.0
+        return (self.n_accepted - self.n_retained) / self.n_accepted
+
+    @property
+    def power(self) -> float:
+        """The share of admissible records retained."""
+        if self.n_admissible == 0:
+            raise MetricError("power undefined without admissible records")
+        return self.n_retained / self.n_admissible
+
+    @property
+    def system_accuracy(self) -> float:
+        """Primary hits among the accepted plus expert hits among the deferred, over every record."""
+        return (self.n_retained + self.n_expert_correct) / self.n_total
+
+    @property
+    def cascading_rate(self) -> float:
+        """The share of records deferred."""
+        return (self.n_total - self.n_accepted) / self.n_total
+
+
+def split_counts(u: np.ndarray, adm: np.ndarray, tau: float, expert: np.ndarray | None = None) -> SplitCounts:
+    """Counts of the rule u <= tau over records with admissibility `adm`.
+
+    `adm` and `expert` are boolean vectors aligned with `u`; without
+    `expert`, no record has an expert prediction.
+    """
+    accepted = u <= tau
+    return SplitCounts(
+        tau=tau,
+        n_total=int(u.size),
+        n_accepted=int(np.count_nonzero(accepted)),
+        n_admissible=int(np.count_nonzero(adm)),
+        n_retained=int(np.count_nonzero(accepted & adm)),
+        n_expert_correct=0 if expert is None else int(np.count_nonzero(expert & ~accepted)),
+    )
+
+
 def auroc(uncertainties: Sequence[float], admissible: Sequence[int]) -> float:
     """Probability that an inadmissible record out-scores an admissible one, ties counting half.
 
@@ -172,33 +229,21 @@ def roc_points(
 
 def fdr_at(uncertainties: Sequence[float], admissible: Sequence[int], tau: float) -> float:
     """FDR of the acceptance rule u <= tau; 0 when nothing is accepted."""
-    u, adm = _check_pair(uncertainties, admissible)
-    return empirical_fdr(u, 1 - adm, tau)
+    return split_counts(*_check_pair(uncertainties, admissible), tau).fdr
 
 
 def power_at(uncertainties: Sequence[float], admissible: Sequence[int], tau: float) -> float:
     """Fraction of admissible records retained by the rule u <= tau."""
-    u, adm = _check_pair(uncertainties, admissible)
-    n_admissible = int((adm == 1).sum())
-    if n_admissible == 0:
-        raise MetricError("power undefined without admissible records")
-    retained = int(((u <= tau) & (adm == 1)).sum())
-    return retained / n_admissible
+    return split_counts(*_check_pair(uncertainties, admissible), tau).power
 
 
 def evaluate_split(
     uncertainties: Sequence[float], admissible: Sequence[int], tau: float
 ) -> EvalReport:
     """Bundle the four metrics plus acceptance counts at one threshold."""
-    u = np.asarray(uncertainties, dtype=float)
-    return EvalReport(
-        auroc=auroc(u, admissible),
-        auarc=auarc(u, admissible),
-        fdr=fdr_at(u, admissible, tau),
-        power=power_at(u, admissible, tau),
-        n_accepted=int((u <= tau).sum()),
-        n_total=int(u.size),
-    )
+    u, adm = _check_pair(uncertainties, admissible)
+    ranking, counts = Ranking.of(u, adm), split_counts(u, adm, tau)
+    return EvalReport(ranking.auroc(), ranking.auarc(), counts.fdr, counts.power, counts.n_accepted, counts.n_total)
 
 
 def aggregate(values: Iterable[float]) -> SummaryStat:

@@ -245,12 +245,10 @@ def empirical_fdr(
     Acceptance is inclusive (u <= tau). Returns 0 when nothing is
     accepted.
     """
+    from .metrics import split_counts  # here, since metrics imports risk
+
     u, err = _check_pair(uncertainties, error_flags)
-    accepted = u <= tau
-    n = int(accepted.sum())
-    if n == 0:
-        return 0.0
-    return float((err[accepted] == 1).sum() / n)
+    return split_counts(u, err == 0, tau).fdr
 
 
 def tie_groups(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

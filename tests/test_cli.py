@@ -561,6 +561,39 @@ def test_a_line_that_is_not_utf8_fails_naming_the_file_the_line_and_the_byte(tmp
     assert not out.exists()
 
 
+@pytest.mark.parametrize("what, argv", [
+    ("config file", ["--config", "{path}", "cascade", "-i", "{src}", "--tau", 0.5]),
+    ("artifact", ["cascade", "-i", "{src}", "--artifact", "{path}"]),
+    ("--csv", ["cascade", "-i", "{src}", "--tau", 0.5, "--csv", "{path}"]),
+], ids=["config", "artifact", "csv"])
+def test_a_file_the_cli_reads_that_is_not_utf8_fails_naming_the_file_and_the_byte(tmp_path, mixed_file, capsys,
+                                                                                   what, argv):
+    src, path = scored(tmp_path, mixed_file), tmp_path / "in.txt"
+    path.write_bytes(b'{"alpha": \xff}\n')
+    capsys.readouterr()
+    assert run(*(str(a).format(path=path, src=src) for a in argv)) == 1
+    assert capsys.readouterr().err == f"error: {what} {path}: not UTF-8 (byte 0xff at position 10)\n"
+    assert path.read_bytes() == b'{"alpha": \xff}\n'
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--dump-density", ["score", "-i", "{src}", "-o", "{dir}/out.jsonl", "--dump-density", "{src}"]),
+    ("--out", ["calibrate", "-i", "{src}", "-r", 3, "--out", "{dir}/file"]),
+    ("--out-dir", ["sweep", "-i", "{src}", "--out-dir", "{dir}/file"]),
+], ids=["score", "calibrate", "sweep"])
+def test_a_directory_flag_naming_a_file_fails_before_any_work(tmp_path, mixed_file, monkeypatch, capsys, flag, argv):
+    """The command reads no record and writes nothing: `score -i s.jsonl --dump-density s.jsonl` left its output."""
+    src = scored(tmp_path, mixed_file, "s.jsonl")
+    (tmp_path / "file").write_text("x")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    monkeypatch.setattr(cli, "read_columns", lambda path: pytest.fail(f"read {path}"))
+    argv = [str(a).format(src=src, dir=tmp_path) for a in argv]
+    capsys.readouterr()
+    assert run(*argv) == 1
+    assert capsys.readouterr().err == f"error: {flag} {argv[argv.index(flag) + 1]}: not a directory\n"
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_cascade_rejects_infeasible_artifact(tmp_path, easy_file, capsys):
     src = scored(tmp_path, easy_file)
     artifact = tmp_path / "bad.json"

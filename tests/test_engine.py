@@ -277,7 +277,7 @@ def per_column_splits(columns, adm, plan, alphas, delta, expert=None):
             for alpha in alphas:
                 feasible = np.flatnonzero(n_errors <= critical_counts(cal.size, alpha, delta)[n_accepted])
                 tau = float(taus[feasible[-1]]) if feasible.size else None
-                cells.append(None if tau is None else engine.split_counts(u[test], adm_test, tau, expert_test))
+                cells.append(None if tau is None else metrics.split_counts(u[test], adm_test, tau, expert_test))
             per_column.append(cells)
         yield test, per_column
 

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -16,7 +17,10 @@ from clickrisk.metrics import (
     fdr_at,
     power_at,
     roc_points,
+    split_counts,
 )
+from clickrisk.engine import SortedColumns
+from clickrisk.records import SplitPlan
 from clickrisk.risk import RiskSpec, calibrate_threshold
 
 
@@ -312,6 +316,84 @@ def test_auroc_equals_the_pairwise_count_on_every_curve_case():
     for u, adm in curve_cases():
         if len(u) <= 300:
             assert auroc(u, adm) == pairwise_auroc_oracle(u, adm), (u, adm)
+
+
+def threshold_oracle(u, adm, tau):
+    """The rule u <= tau counted record by record: (fdr, power, accepted, total), an undefined power as its text."""
+    accepted = retained = admissible = 0
+    for value, flag in zip(u, adm):
+        accepted += value <= tau
+        retained += value <= tau and flag == 1
+        admissible += flag == 1
+    fdr = (accepted - retained) / accepted if accepted else 0.0
+    power = retained / admissible if admissible else "power undefined without admissible records"
+    return fdr, power, accepted, len(u)
+
+
+def hexed(value):
+    return value.hex() if isinstance(value, float) else value
+
+
+def exactly(metric, *args):
+    """What `metric` gives, floats by `float.hex` and a report as its fields, or its MetricError's text."""
+    try:
+        result = metric(*args)
+    except MetricError as exc:
+        return str(exc)
+    return [hexed(v) for v in astuple(result)] if isinstance(result, EvalReport) else hexed(result)
+
+
+def threshold_cases():
+    """`curve_cases` and random ones (empty, one class, signed zeros), with thresholds on and off their values."""
+    rng = np.random.default_rng(53)
+    cases = curve_cases()
+    for _ in range(200):
+        n = int(rng.integers(0, 30))
+        u = rng.choice([-0.0, 0.0, 0.1, 0.5, 0.5, 0.9, 1.0], size=n) * rng.choice([1.0, -1.0], size=n)
+        adm = (rng.random(n) < rng.choice([0.0, 0.5, 1.0])).astype(int)
+        cases.append((u.tolist(), adm.tolist()))
+    for u, adm in cases:
+        on = rng.choice(u, size=min(len(u), 6), replace=False).tolist() if u else []
+        yield u, adm, on + [-np.inf, -0.0, 0.0, 0.05, np.inf, np.nan]
+
+
+def test_fdr_and_power_equal_a_per_record_count_to_the_bit():
+    for u, adm, taus in threshold_cases():
+        for tau in taus:
+            fdr, power, _, _ = threshold_oracle(u, adm, tau)
+            assert exactly(fdr_at, u, adm, tau) == fdr.hex(), (u, adm, tau)
+            assert exactly(power_at, u, adm, tau) == hexed(power), (u, adm, tau)
+
+
+def test_evaluate_split_equals_its_oracles_to_the_bit():
+    """fdr, power and the counts from the per-record count; AUROC pairwise and AUARC by its prefix mean."""
+    for u, adm, taus in threshold_cases():
+        if not 0 < sum(adm) < len(adm):
+            for tau in taus:
+                assert exactly(evaluate_split, u, adm, tau) == \
+                    "auroc needs at least one admissible and one inadmissible record"
+            continue
+        auroc_hex = pairwise_auroc_oracle(u, adm).hex() if len(u) <= 300 else auroc(u, adm).hex()
+        auarc_hex = auarc_oracle(u, adm).hex()
+        for tau in taus:
+            fdr, power, accepted, total = threshold_oracle(u, adm, tau)
+            assert exactly(evaluate_split, u, adm, tau) == \
+                [auroc_hex, auarc_hex, fdr.hex(), power.hex(), accepted, total], (u, adm, tau)
+
+
+def test_counts_without_an_expert_count_every_deferral_as_a_miss():
+    """Without an expert vector, `split_counts` and `SortedColumns.splits` count no expert hit."""
+    u = np.array([0.1, 0.4, 0.6, 0.9, 0.2, 0.3, 0.8, 0.7])
+    adm = np.array([True, False, True, True, True, True, False, True])
+    counts = split_counts(u, adm, 0.5)
+    assert type(counts.n_expert_correct) is int and counts.n_expert_correct == 0
+    assert counts.system_accuracy == 3 / 8 and type(counts.system_accuracy) is float
+    plan = SplitPlan(calibration_ratio=0.5, seed=0, repetitions=5)
+    cells = [c for _, [per_alpha] in SortedColumns([u], adm).splits(plan, [0.9], 0.5) for c in per_alpha]
+    assert any(c is not None for c in cells)
+    for c in filter(None, cells):
+        assert type(c.n_expert_correct) is int and c.n_expert_correct == 0
+        assert c.system_accuracy == c.n_retained / c.n_total and type(c.system_accuracy) is float
 
 
 def test_evaluate_split_bundles_counts():
