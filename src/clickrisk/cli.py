@@ -89,21 +89,26 @@ def _directory(flag: str, path: str) -> None:
         raise CliError(f"{flag} {path}: not a directory")
 
 
-def _append_csv_row(path: str, header: list[str], row: list) -> None:
-    """Append `row` to the table at `path`, which must start with `header`.
+def _csv_table(path: str, header: list[str]) -> str:
+    """The text of the table at `path` that a row is appended to, ending in a newline; it must start with `header`.
 
-    A missing or empty file gets the header first; the result replaces
-    the old file atomically.
+    A missing or empty file is `header`'s line alone. Read before the
+    command writes anything, so a table it would refuse leaves no output.
     """
     expected = ",".join(header)
     existing = _read_text(path, "--csv") if os.path.exists(path) else ""
+    if not existing:
+        return expected + "\n"
     found = existing.partition("\n")[0]
-    if existing and found != expected:
+    if found != expected:
         raise CliError(f"--csv {path}: existing header {found!r} does not match {expected!r}")
-    if existing and not existing.endswith("\n"):
-        existing += "\n"  # so the row starts a line of its own
+    return existing if existing.endswith("\n") else existing + "\n"  # so the row starts a line of its own
+
+
+def _append_csv_row(path: str, table: str, row: list) -> None:
+    """Write `table` (from `_csv_table`) and then `row` to `path`, replacing the old file atomically."""
     with atomic_writer(path) as fh:
-        fh.write(existing or expected + "\n")
+        fh.write(table)
         csv.writer(fh, lineterminator="\n").writerow(row)
 
 
@@ -211,6 +216,8 @@ def _load_json_object(path: str, what: str) -> dict:
         raise CliError(f"{what} not found: {path}")
     except json.JSONDecodeError as exc:
         raise CliError(f"{what} {path}: invalid JSON: {exc.msg}")
+    except RecursionError:
+        raise CliError(f"{what} {path}: invalid JSON: nested too deeply") from None
     if not isinstance(obj, dict):
         raise CliError(f"{what} {path}: expected a JSON object")
     return obj
@@ -522,6 +529,7 @@ CASCADE_CSV_HEADER = [
 def cmd_cascade(args) -> int:
     _distinct_outputs(args, "--input", "--artifact", "--report", "--manifest", "--csv")
     threshold, alpha, artifact_variant = _threshold_from_args(args)
+    table = _csv_table(args.csv, CASCADE_CSV_HEADER) if args.csv else None
     # the flag, then the artifact's variant, then the config file's, then com
     variant = args.variant or artifact_variant or args.fallback_variant
     ids, instructions, per_chunk = [], [], []  # the ids and instructions of the deferred records only
@@ -547,7 +555,7 @@ def cmd_cascade(args) -> int:
         print(f"deferral manifest: {len(ids)} records -> {args.manifest}", file=sys.stderr)
     if args.csv:
         label = args.label or os.path.basename(args.input)
-        _append_csv_row(args.csv, CASCADE_CSV_HEADER, [label] + [report_obj[k] for k in CASCADE_CSV_HEADER[1:]])
+        _append_csv_row(args.csv, table, [label] + [report_obj[k] for k in CASCADE_CSV_HEADER[1:]])
     return 0
 
 

@@ -9,6 +9,7 @@ are ranked.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -49,6 +50,17 @@ def _checked_grid(n_samples: int, image_dims: tuple[int, int], patch_size: int) 
     """Grid shape for a cloud of `n_samples` samples, or the reason there is none."""
     if n_samples == 0:
         raise DensityError("need at least one sample")
+    return _grid_shape(image_dims, patch_size)
+
+
+@functools.lru_cache(maxsize=256)
+def _grid_shape(image_dims: tuple[int, int], patch_size: int) -> tuple[int, int]:
+    """(grid_h, grid_w) of an image of (width, height) `image_dims`, or the reason there is none.
+
+    Cached per (image_dims, patch_size): a workload declares a handful of
+    image sizes, so the per-click path checks each once. A rejected size
+    raises again on every call, since an error is never cached.
+    """
     if patch_size < 1:
         raise DensityError(f"patch_size must be >= 1, got {patch_size}")
     width, height = image_dims
@@ -182,33 +194,55 @@ def _retained_patches(
     The densities are `count / n`, as `build_density_map` divides them, and
     the test is `value > beta * peak`. A sample's patch is `math.floor`'s
     exact integer, clamped into the grid as `_clamped_floor` clamps it.
-    Checks and errors are those of `build_density_map`, in its order.
+    Checks and errors are those of `build_density_map`, in its order. The
+    coordinates are not tested one by one: `math.floor` rejects a NaN or an
+    infinity itself, and only then does `_check_finite` walk the cloud again,
+    so the error is the one a per-sample `math.isfinite` test raises. (A
+    Decimal or Fraction beyond the float range, which `math.floor` reads
+    exactly, lands in the border patch.)
     """
     grid_h, grid_w = _checked_grid(len(samples), image_dims, patch_size)
     last_row, last_col = grid_h - 1, grid_w - 1
-    isfinite, floor = math.isfinite, math.floor
+    floor = math.floor
     counts: dict[int, int] = {}
-    for x, y in samples:
-        if not (isfinite(x) and isfinite(y)):
-            raise DensityError("sample coordinates must be finite")
-        col, row = floor(x / patch_size), floor(y / patch_size)
-        if col < 0:
-            col = 0
-        elif col > last_col:
-            col = last_col
-        if row < 0:
-            row = 0
-        elif row > last_row:
-            row = last_row
-        cell = row * grid_w + col
-        counts[cell] = counts.get(cell, 0) + 1
+    try:
+        for x, y in samples:
+            col, row = floor(x / patch_size), floor(y / patch_size)
+            if col < 0:
+                col = 0
+            elif col > last_col:
+                col = last_col
+            if row < 0:
+                row = 0
+            elif row > last_row:
+                row = last_row
+            cell = row * grid_w + col
+            counts[cell] = counts.get(cell, 0) + 1
+    except (TypeError, ValueError, OverflowError):
+        _check_finite(samples)
+        raise
     n = len(samples)
     threshold = beta * (max(counts.values()) / n)  # the peak density, as rounding is monotone
     return grid_w, {cell: value for cell, count in counts.items() if (value := count / n) > threshold}
 
 
+def _check_finite(samples: Sequence[Point]) -> None:
+    """Raise at the first sample with a coordinate that is not finite: a DensityError, or
+    `math.isfinite`'s own error for a value it cannot test (an int beyond the float range)."""
+    isfinite = math.isfinite
+    for x, y in samples:
+        if not (isfinite(x) and isfinite(y)):
+            raise DensityError("sample coordinates must be finite")
+
+
 # ndarray.mean adds fewer items than this left to right, and more in pairwise blocks.
 _SEQUENTIAL_SUM_LIMIT = 8
+
+
+def _pairwise_mean(values: np.ndarray) -> float:
+    """`values.mean()` bit for bit, without its wrapper's overhead: the same pairwise
+    `np.add.reduce`, divided by the count."""
+    return float(np.add.reduce(values)) / values.size
 
 
 def _ranked_region_scores(retained: dict[int, float], grid_w: int) -> tuple[float, ...]:
@@ -219,7 +253,7 @@ def _ranked_region_scores(retained: dict[int, float], grid_w: int) -> tuple[floa
     that value, exactly; only the patches of multi-patch regions are walked.
     Each region is averaged over its patches in row-major order, as on the
     dense path: left to right below _SEQUENTIAL_SUM_LIMIT patches and by
-    `ndarray.mean` from there (see `region_means`).
+    `_pairwise_mean` from there (see `region_means`).
     """
     scores = []
     last_col = grid_w - 1
@@ -265,7 +299,7 @@ def _ranked_region_scores(retained: dict[int, float], grid_w: int) -> tuple[floa
                 total += value
             scores.append(total / len(members))
         else:
-            scores.append(float(np.array([value for _, value in members]).mean()))
+            scores.append(_pairwise_mean(np.fromiter((value for _, value in members), float, len(members))))
     scores.sort(reverse=True)
     return tuple(scores)
 
@@ -276,9 +310,9 @@ def region_means(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     `values` holds the regions' members back to back, each region in its
     own member order, and `sizes` the length of each run. Below
     _SEQUENTIAL_SUM_LIMIT members the sum is built member by member,
-    vectorised across regions; larger regions call `mean` on their run,
-    because ndarray.mean sums those pairwise (np.add.reduceat would not match
-    from three members on).
+    vectorised across regions; a larger region's run goes to
+    `_pairwise_mean`, the pairwise `np.add.reduce` that `ndarray.mean` sums
+    with (np.add.reduceat would not match from three members on).
     """
     starts = np.cumsum(sizes) - sizes
     small = sizes < _SEQUENTIAL_SUM_LIMIT
@@ -288,7 +322,7 @@ def region_means(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
         sums[take] += values[starts[take] + j]
     means = sums / sizes
     for g in np.flatnonzero(~small).tolist():
-        means[g] = values[starts[g] : starts[g] + sizes[g]].mean()
+        means[g] = _pairwise_mean(values[starts[g] : starts[g] + sizes[g]])
     return means
 
 
@@ -307,7 +341,7 @@ def _batch_patch_cells(
     shapes = {}
     for image_dims in dict.fromkeys(dims):
         try:
-            shapes[image_dims] = _checked_grid(1, image_dims, patch_size)
+            shapes[image_dims] = _grid_shape(image_dims, patch_size)
         except DensityError:
             shapes[image_dims] = (0, 0)  # no grid: its clouds are bad below
     grid_h, grid_w = np.array([shapes[d] for d in dims], dtype=np.int64).reshape(-1, 2).T

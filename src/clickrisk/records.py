@@ -224,6 +224,8 @@ def _json_error(line: str, lineno: int) -> NoReturn:
         raise RecordError(f"invalid JSON: {exc.msg}", line=lineno) from None
     except ValueError as exc:  # an integer literal longer than int's digit limit
         raise RecordError(f"unreadable number: {exc}", line=lineno) from None
+    except RecursionError:  # arrays or objects nested past the recursion limit
+        raise RecordError("invalid JSON: nested too deeply", line=lineno) from None
     raise RecordError("invalid JSON", line=lineno)  # not reached: json.loads accepts what the scanner does
 
 
@@ -249,7 +251,7 @@ def _line_fields(stream: IO | Iterable[str | bytes]) -> Iterator[tuple]:
             continue
         try:
             obj, end = scan(line, 0)
-        except (StopIteration, ValueError):  # no value at all, malformed JSON, or an over-long integer
+        except (StopIteration, ValueError, RecursionError):  # no value, bad JSON, a long integer, deep nesting
             end = -1
         if end != len(line):
             _json_error(line, lineno)

@@ -93,7 +93,7 @@ def _block(cols: IO[bytes], head: bytes) -> Columns:
             and all(s is None or type(s) is str for s in instructions)
             and all(type(d) is list and len(d) == 2 and type(d[0]) is type(d[1]) is int for d in dims)
         )
-    except (ValueError, KeyError, TypeError):
+    except (ValueError, KeyError, TypeError, RecursionError):  # RecursionError: nested past the limit
         well_formed = False
     if not well_formed or n > SCORE_CHUNK:
         raise RecordError(f"{cols.name}: a malformed block")

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -79,7 +80,7 @@ class UqConfig:
             raise ValueError(f"weights must sum to 1, got {self.weights}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UncertaintyScore:
     """Per-record uncertainty components plus their weighted combination."""
 
@@ -147,13 +148,13 @@ def combine(
 
 
 @functools.lru_cache(maxsize=4096)
-def _score(scores: tuple[float, ...], w_cd: float, w_ie: float, w_ta: float) -> tuple[float, float, float, float]:
-    """(ta, ie, cd, com) of one record's ranked region scores, once per distinct (scores, weights).
+def _score(scores: tuple[float, ...], w_cd: float, w_ie: float, w_ta: float) -> UncertaintyScore:
+    """The components of one record's ranked region scores, once per distinct (scores, weights).
 
-    A pure function of hashable floats that returns an immutable tuple, so
-    a hit is exactly what a fresh evaluation would give: every score is a
-    positive finite density, and equal keys are equal bit for bit. The
-    cache is bounded, so it holds at most 4096 rows however many records
+    A pure function of hashable floats that returns a frozen score, so a
+    hit hands out exactly what a fresh evaluation would build: every score
+    is a positive finite density, and equal keys are equal bit for bit. The
+    cache is bounded, so it holds at most 4096 scores however many records
     are scored.
     """
     total = sum(scores)
@@ -161,17 +162,21 @@ def _score(scores: tuple[float, ...], w_cd: float, w_ie: float, w_ta: float) -> 
     ta = top_ambiguity(scores)
     ie = info_dispersion(probs)
     cd = concentration_deficit(probs)
-    return ta, ie, cd, w_cd * cd + w_ie * ie + w_ta * ta
+    return UncertaintyScore(ta, ie, cd, w_cd * cd + w_ie * ie + w_ta * ta)
 
 
 def score_record(record: GroundingRecord, config: UqConfig = UqConfig()) -> UncertaintyScore:
     """Full pipeline: occupied patches -> regions -> ranked scores -> components.
 
-    Uses the first `config.k_samples` samples.
+    Uses the first `config.k_samples` samples. Records with the same ranked
+    scores under the same weights get the same cached `UncertaintyScore`.
     """
     samples = record.samples[: config.k_samples]
     scores = sparse_region_scores(samples, (record.image_width, record.image_height), config.patch_size, config.beta)
-    return UncertaintyScore(*_score(scores, *config.weights))
+    return _score(scores, *config.weights)
+
+
+_ROW = operator.attrgetter("ta", "ie", "cd", "combined")  # a score's fields in UQ_KEYS order
 
 
 def score_columns(
@@ -203,7 +208,7 @@ def score_columns(
         for scores in batch_region_scores(
             points[lo:hi], offsets[start : stop + 1] - lo, dims[start:stop], config.patch_size, config.beta
         ):
-            rows.append(_score(scores, *config.weights))
+            rows.append(_ROW(_score(scores, *config.weights)))
     return np.array(rows, dtype=float).reshape(-1, 4)
 
 

@@ -18,7 +18,7 @@ from clickrisk.records import (
     split_indices)
 from clickrisk.sidecar import RecordWriter
 from clickrisk.synthgen import SynthConfig, generate_dataset
-from test_records import assert_same_columns, no_lines, pieces, record_lines, served_and_parsed
+from test_records import assert_same_columns, bind, no_lines, pieces, record_lines, served_and_parsed
 
 
 def run(*argv):
@@ -392,6 +392,20 @@ def test_cascade_csv_refuses_a_foreign_header(tmp_path, mixed_file, capsys):
     assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith(".tmp-")) == []
 
 
+@pytest.mark.parametrize("table", [b"foo,bar\n", b"label,\xff\n"], ids=["foreign-header", "not-utf8"])
+def test_cascade_checks_its_csv_table_before_writing_any_output(tmp_path, mixed_file, capsys, table):
+    src = scored(tmp_path, mixed_file)
+    path = tmp_path / "t.csv"
+    path.write_bytes(table)
+    capsys.readouterr()
+    assert run("--seed", 3, "cascade", "-i", src, "--tau", 0.5, "--report", tmp_path / "r.json",
+               "--manifest", tmp_path / "m.jsonl", "--csv", path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --csv {path}: ") and err.count("\n") == 1
+    assert not (tmp_path / "r.json").exists() and not (tmp_path / "m.jsonl").exists()
+    assert path.read_bytes() == table
+
+
 def test_cascade_csv_gives_an_empty_file_a_header(tmp_path, mixed_file):
     src = scored(tmp_path, mixed_file)
     table = tmp_path / "rows.csv"
@@ -574,6 +588,35 @@ def test_a_file_the_cli_reads_that_is_not_utf8_fails_naming_the_file_and_the_byt
     assert run(*(str(a).format(path=path, src=src) for a in argv)) == 1
     assert capsys.readouterr().err == f"error: {what} {path}: not UTF-8 (byte 0xff at position 10)\n"
     assert path.read_bytes() == b'{"alpha": \xff}\n'
+
+
+DEEP = "[" * 100_000 + "]" * 100_000  # nested far past the recursion limit
+
+
+@pytest.mark.parametrize("what, argv", [
+    ("{path}: line 2", ["score", "-i", "{path}", "-o", "{dir}/out.jsonl"]),
+    ("config file {path}", ["--config", "{path}", "score", "-i", "{src}", "-o", "{dir}/out.jsonl"]),
+    ("artifact {path}", ["cascade", "-i", "{src}", "--artifact", "{path}", "--report", "{dir}/out.jsonl"]),
+], ids=["record-line", "config", "artifact"])
+def test_json_nested_too_deeply_fails_naming_the_file(tmp_path, mixed_file, capsys, what, argv):
+    """One `error:` line, not a RecursionError traceback, and nothing written."""
+    src, path = scored(tmp_path, mixed_file, "s.jsonl"), tmp_path / "deep.json"
+    path.write_text(mixed_file.read_text().partition("\n")[0] + "\n" + DEEP + "\n" if "line" in what else DEEP)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    capsys.readouterr()
+    assert run(*(str(a).format(path=path, src=src, dir=tmp_path) for a in argv)) == 1
+    assert capsys.readouterr() == ("", f"error: {what.format(path=path)}: invalid JSON: nested too deeply\n")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_a_bound_sidecar_block_nested_too_deeply_is_malformed(tmp_path, mixed_file, capsys):
+    src = scored(tmp_path, mixed_file, "s.jsonl")
+    bind(src, DEEP.encode() + b"\n", 80)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    capsys.readouterr()
+    assert run("score", "-i", src, "-o", tmp_path / "out.jsonl") == 1
+    assert capsys.readouterr() == ("", f"error: {src}: {sidecar_path(src)}: a malformed block\n")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 @pytest.mark.parametrize("flag, argv", [

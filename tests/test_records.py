@@ -327,6 +327,16 @@ def test_a_line_that_is_not_utf8_names_the_byte_and_its_column(tmp_path):
         list(read_columns(path))
 
 
+@pytest.mark.parametrize("deep", ["[" * 100_000 + "]" * 100_000, '{"id": ' + "[" * 100_000],
+                         ids=["closed", "unclosed"])
+def test_a_line_nested_past_the_recursion_limit_is_invalid_json(tmp_path, deep):
+    path = tmp_path / "records.jsonl"
+    path.write_text(text(VALID) + deep + "\n")
+    for read in (load_records, lambda p: list(read_columns(p))):
+        with pytest.raises(RecordError, match=r"^line 2: invalid JSON: nested too deeply$"):
+            read(path)
+
+
 def test_select_mlg_prefers_explicit_field():
     record = make_record(mlg=(10.0, 20.0))
     assert select_mlg(record, seed=123) == (10.0, 20.0)

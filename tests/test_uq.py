@@ -835,3 +835,124 @@ def test_score_batch_near_the_int64_patch_limit_equals_score_record():
     ]
     for batch in (records, records[::-1], records * 3, records[:1] * 2):
         assert column_scores(batch, cfg) == [score_record(r, cfg) for r in batch]
+
+
+# --- the per-click path without per-call overhead --------------------------------
+
+def test_a_hit_returns_the_cached_score_object():
+    rng = np.random.default_rng(31)
+    record, cfg = cloud_records(rng, (1920, 1080), 10, 14)[0], UqConfig(weights=WEIGHT_PRESETS["v3"])
+    first = score_record(record, cfg)
+    assert score_record(record, cfg) is first
+    shifted = record_with_samples([(x + 28.0, y + 14.0) for x, y in record.samples], 1920, 1080, id="shifted")
+    assert score_record(shifted, cfg) is first  # moved by whole patches: the same ranked scores
+    assert uq._score.cache_info().misses == 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.ta = 0.0
+    assert not hasattr(first, "__dict__")  # slotted: a cached score costs no more than a tuple
+
+
+@pytest.mark.parametrize("dims", [(1920, 1080), (3840, 2160), (7680, 4320)])
+@pytest.mark.parametrize("k", [10, 50])
+@pytest.mark.parametrize("spread", [0.5, 40.0], ids=["tight", "dispersed"])
+def test_score_columns_rows_are_the_per_click_scores_bit_for_bit(dims, k, spread):
+    rng = np.random.default_rng([dims[0], k, int(spread)])
+    records = []
+    for i in range(30):
+        centre = rng.uniform((0, 0), dims)
+        samples = centre + rng.normal(0, spread * 14, size=(k, 2))
+        records.append(record_with_samples([tuple(p) for p in samples.tolist()], *dims, id=f"r{i}"))
+    cfg = UqConfig(k_samples=k)
+    per_click = [tuple(map(float.hex, dataclasses.astuple(score_record(r, cfg)))) for r in records]
+    uq._score.cache_clear()  # the batch path builds its own rows
+    rows = score_columns(*columns_of(records), cfg).tolist()
+    assert [tuple(map(float.hex, row)) for row in rows] == per_click
+
+
+FINITE_CLOUD = [(10.0 + 30 * i, 20.0 + 7 * i) for i in range(9)]
+
+
+def with_coordinate(value, at, axis):
+    samples = list(FINITE_CLOUD)
+    point = list(samples[at])
+    point[axis] = value
+    samples[at] = tuple(point)
+    return samples
+
+
+@pytest.mark.parametrize("at", [0, 4, 8], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("axis", [0, 1], ids=["x", "y"])
+@pytest.mark.parametrize("value, expected", [
+    (math.nan, (DensityError, "sample coordinates must be finite")),
+    (math.inf, (DensityError, "sample coordinates must be finite")),
+    (-math.inf, (DensityError, "sample coordinates must be finite")),
+    (np.float64("nan"), (DensityError, "sample coordinates must be finite")),
+    (10**400, (OverflowError, "int too large to convert to float")),  # math.isfinite's own error
+    (None, (TypeError, "must be real number, not NoneType")),
+], ids=["nan", "inf", "-inf", "numpy-nan", "int-past-float", "none"])
+def test_a_coordinate_that_is_not_finite_fails_as_a_per_sample_check_fails(at, axis, value, expected):
+    """`math.floor` finds the bad coordinate; the error is the one a per-sample `math.isfinite` raised."""
+    samples = with_coordinate(value, at, axis)
+    record = record_with_samples(samples, 1920, 1080)
+    assert outcome(sparse_region_scores, samples, (1920, 1080), 14, 0.3) == expected
+    assert outcome(density.occupied_patches, samples, (1920, 1080), 14) == expected
+    assert outcome(score_record, record, UqConfig()) == expected
+
+
+def test_the_first_bad_coordinate_decides_the_error():
+    nan_first = with_coordinate(10**400, 6, 1)
+    nan_first[2] = (math.nan, 1.0)
+    big_first = with_coordinate(math.nan, 6, 1)
+    big_first[2] = (10**400, 1.0)
+    assert outcome(sparse_region_scores, nan_first, (1920, 1080), 14, 0.3) == (
+        DensityError, "sample coordinates must be finite")
+    assert outcome(sparse_region_scores, big_first, (1920, 1080), 14, 0.3) == (
+        OverflowError, "int too large to convert to float")
+    three = [FINITE_CLOUD[0], (1.0, 2.0, 3.0)]
+    assert outcome(sparse_region_scores, three, (1920, 1080), 14, 0.3) == (
+        ValueError, "too many values to unpack (expected 2)")
+
+
+@pytest.mark.parametrize("value", [5, np.float64(33.5)], ids=["int", "numpy-float64"])
+def test_an_int_or_numpy_coordinate_scores_as_its_float(value):
+    samples = with_coordinate(value, 4, 0)
+    as_floats = with_coordinate(float(value), 4, 0)
+    assert sparse_region_scores(samples, (1920, 1080), 14, 0.3) == sparse_region_scores(
+        as_floats, (1920, 1080), 14, 0.3)
+    assert density.occupied_patches(samples, (1920, 1080), 14) == density.occupied_patches(as_floats, (1920, 1080), 14)
+
+
+def test_a_decimal_past_the_float_range_lands_in_the_border_patch():
+    """`math.floor` reads a Decimal exactly, so one beyond any float is a far finite coordinate.
+
+    Pinned: a per-sample `math.isfinite` converted it to inf and raised DensityError.
+    """
+    from decimal import Decimal
+
+    far = with_coordinate(Decimal("1e400"), 4, 0)
+    border = with_coordinate(1e300, 4, 0)
+    assert density.occupied_patches(far, (1920, 1080), 14) == density.occupied_patches(border, (1920, 1080), 14)
+
+
+def test_the_grid_shape_is_cached_per_image_size_and_a_rejected_size_is_not():
+    density._grid_shape.cache_clear()
+    for _ in range(3):
+        sparse_region_scores(FINITE_CLOUD, (1920, 1080), 14, 0.3)
+        sparse_region_scores(FINITE_CLOUD, (3840, 2160), 14, 0.3)
+        with pytest.raises(DensityError, match="dimensions must be positive"):
+            sparse_region_scores(FINITE_CLOUD, (0, 1080), 14, 0.3)
+    info = density._grid_shape.cache_info()
+    assert (info.currsize, info.hits) == (2, 4)
+    with pytest.raises(DensityError, match="at least one sample"):  # the empty-cloud check stays first
+        sparse_region_scores([], (0, 1080), 14, 0.3)
+
+
+def test_the_pairwise_mean_equals_ndarray_mean_bit_for_bit():
+    """The large-region mean of both paths, against `ndarray.mean`, at every size from 8 to 300."""
+    rng = np.random.default_rng(41)
+    for size in range(8, 301):
+        k = int(rng.integers(size, 4 * size))
+        for values in (rng.integers(1, k + 1, size=size) / k, rng.random(size), rng.lognormal(0, 5, size)):
+            expected = float.hex(float(values.mean()))
+            assert float.hex(density._pairwise_mean(values)) == expected, size
+            assert float.hex(float(region_means(values, np.array([size]))[0])) == expected, size
