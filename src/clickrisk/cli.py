@@ -171,19 +171,24 @@ def _number(value) -> float:
     return float(value)
 
 
-def _name_in(names):
-    """Cast for one of `names`."""
+def _name_in(names, what: str):
+    """Cast for one of `names`; anything else is a CliError naming `what` and listing `names`."""
     def parse(value) -> str:
         if value not in names:
-            raise ValueError(value)
+            raise CliError(f"unknown {what} {value!r}; expected one of {names!r}")
         return value
     return parse
 
 
+# The casts of a variant and a weight preset name, in a config file and in sweep's list flags
+_variant = _name_in(VARIANTS, "variant")
+_preset = _name_in(sorted(WEIGHT_PRESETS), "weight preset")
+
+
 def _list_of(cast):
-    """Cast for a JSON list whose every item takes `cast`."""
+    """Cast for a non-empty JSON list whose every item takes `cast`."""
     def parse(value) -> list:
-        if not isinstance(value, list):
+        if not isinstance(value, list) or not value:
             raise TypeError(value)
         return [cast(v) for v in value]
     return parse
@@ -197,12 +202,12 @@ CONFIG_FIELDS = {
     f"a preset name ({', '.join(sorted(WEIGHT_PRESETS))}), three comma-separated numbers in a string,"
     " or a list of numbers": (
         lambda v: _parse_weights(v) if isinstance(v, str) else tuple(_list_of(_number)(v)), ("uq.weights",)),
-    "a list of numbers": (_list_of(_number), ("sweep.alphas",)),
-    "a list of integers": (_list_of(_integer), ("sweep.k_values",)),
-    f"one of {', '.join(VARIANTS)}": (_name_in(VARIANTS), ("variant",)),
-    f"a list of names from {', '.join(VARIANTS)}": (_list_of(_name_in(VARIANTS)), ("sweep.variants",)),
-    f"a list of names from {', '.join(sorted(WEIGHT_PRESETS))}": (
-        _list_of(_name_in(WEIGHT_PRESETS)), ("sweep.weight_presets",)),
+    "a non-empty list of numbers": (_list_of(_number), ("sweep.alphas",)),
+    "a non-empty list of integers": (_list_of(_integer), ("sweep.k_values",)),
+    f"one of {', '.join(VARIANTS)}": (_variant, ("variant",)),
+    f"a non-empty list of names from {', '.join(VARIANTS)}": (_list_of(_variant), ("sweep.variants",)),
+    f"a non-empty list of names from {', '.join(sorted(WEIGHT_PRESETS))}": (
+        _list_of(_preset), ("sweep.weight_presets",)),
 }
 _CASTS = {field: (kind, cast) for kind, (cast, names) in CONFIG_FIELDS.items() for field in names}
 _SECTIONS = {field.partition(".")[0] for field in _CASTS if "." in field}
@@ -308,7 +313,7 @@ def _scored_chunks(path: str, variant: str, seed: int) -> Iterator[tuple[Columns
             missing = chunk.ids[int(np.isnan(u).argmax())]
         yield chunk, u, _admissible(chunk, seed)
     if missing is not None:
-        raise missing_score(missing, variant)
+        raise CliError(f"{path}: {missing_score(missing, variant)}")
 
 
 def _scores(path: str, chunk: Columns, config: UqConfig) -> np.ndarray:
@@ -443,7 +448,7 @@ def cmd_evaluate(args) -> int:
 
     per_split: dict[str, list[float]] = {k: [] for k in ("auroc", "auarc", "test_fdr", "power", "n_accepted")}
     ranked = engine.SortedColumns([u], adm)
-    for rep, (test, [(counts,)]) in enumerate(ranked.splits(plan, [spec.alpha], spec.delta)):
+    for rep, (test, [(counts,)]) in enumerate(ranked.splits(plan, [spec])):
         ranking = ranked.ranking(0, test)
         try:
             per_split["auroc"].append(ranking.auroc())
@@ -559,19 +564,19 @@ def cmd_cascade(args) -> int:
     return 0
 
 
-def _combo_rows(ranking, expert, plan, alphas, delta, feasible) -> tuple[list, list[list]]:
-    """One sweep combination's AUROC/AUARC and its per-alpha risk columns.
+def _combo_rows(ranking, expert, plan, specs, feasible) -> tuple[list, list[list]]:
+    """One sweep combination's AUROC/AUARC and its per-spec risk columns.
 
     `ranking` is None when the variant is absent from the records ("--" style
-    empty columns); `feasible` holds, per alpha, the counts of its feasible splits.
+    empty columns); `feasible` holds, per spec, the counts of its feasible splits.
     """
     if ranking is None:
-        return [None, None], [[alpha, delta] + [None] * 11 for alpha in alphas]
+        return [None, None], [[spec.alpha, spec.delta] + [None] * 11 for spec in specs]
     risk = []
-    for alpha, kept in zip(alphas, feasible):
+    for spec, kept in zip(specs, feasible):
         cascaded = kept if expert is not None else []
         risk.append(
-            [alpha, delta, len(kept), plan.repetitions - len(kept)]
+            [spec.alpha, spec.delta, len(kept), plan.repetitions - len(kept)]
             + _mean_std([c.tau for c in kept])[:1]
             + _mean_std([c.fdr for c in kept])
             + _mean_std([c.power for c in kept])
@@ -581,16 +586,15 @@ def _combo_rows(ranking, expert, plan, alphas, delta, feasible) -> tuple[list, l
     return [ranking.auroc(), ranking.auarc()], risk
 
 
-def _sweep_input(path: str, args, base_uq: UqConfig, k_values: list[int], plan: SplitPlan) -> tuple[list, list]:
+def _sweep_input(path: str, args, configs: list[UqConfig], specs: list[RiskSpec], plan: SplitPlan) -> tuple[list, list]:
     """One input's ranking rows and risk rows, in table order.
 
-    Each chunk is scored at every k as it is read, so only per-record
-    vectors outlive it. Each distinct combination's column is built next,
-    then one `engine.SortedColumns` sorts each of them once: its splits are
-    drawn once for all of them, and its rankings give each one's AUROC/AUARC.
+    Each chunk is scored under every config (one per k) as it is read, so
+    only per-record vectors outlive it. Each distinct combination's column
+    is built next, then one `engine.SortedColumns` sorts each of them once:
+    its splits are drawn once for all of them, at every spec, and its
+    rankings give each one's AUROC/AUARC.
     """
-    alphas, variants = args.alphas, args.variants
-    configs = [replace(base_uq, k_samples=k) for k in k_values]
     adm, expert, has_expert, pc, *per_k = _stacked([
         (_admissible(chunk, args.seed), *_expert(chunk), chunk.pc, *(_scores(path, chunk, cfg) for cfg in configs))
         for chunk in _read(path)
@@ -604,10 +608,10 @@ def _sweep_input(path: str, args, base_uq: UqConfig, k_values: list[int], plan: 
     # preset, so ta, ie and cd get one column per k, repeated under every preset
     columns: dict[tuple, np.ndarray | None] = {}  # per key: its uncertainty vector, None for an absent pc
     heads: list[tuple[list, tuple]] = []  # per table row: its head and its column's key
-    for k, scores in zip(k_values, per_k):
+    for k, scores in zip((config.k_samples for config in configs), per_k):
         parts = dict(zip(UQ_KEYS, scores.T))
         for preset in args.weight_presets:
-            for variant in variants:
+            for variant in args.variants:
                 if variant == "pc":
                     continue
                 key = (variant, k, preset if variant == "com" else None)
@@ -616,16 +620,16 @@ def _sweep_input(path: str, args, base_uq: UqConfig, k_values: list[int], plan: 
                         parts["cd"], parts["ie"], parts["ta"], WEIGHT_PRESETS[preset]
                     )
                 heads.append(([name, variant, preset, k], key))
-    if "pc" in variants:
+    if "pc" in args.variants:
         columns["pc", None, None] = None if np.isnan(pc).any() else pc
         heads.append(([name, "pc", None, None], ("pc", None, None)))
 
     present = [key for key, u in columns.items() if u is not None]
-    feasible = {key: [[] for _ in alphas] for key in columns}
+    feasible = {key: [[] for _ in specs] for key in columns}
     ranked = engine.SortedColumns([columns[key] for key in present], adm, expert)
-    for rep, (_, per_column) in enumerate(ranked.splits(plan, alphas, args.delta)):
-        for key, per_alpha in zip(present, per_column):
-            for kept, counts in zip(feasible[key], per_alpha):
+    for rep, (_, per_column) in enumerate(ranked.splits(plan, specs)):
+        for key, per_spec in zip(present, per_column):
+            for kept, counts in zip(feasible[key], per_spec):
                 if counts is None:
                     continue
                 if not counts.n_admissible:  # its power is undefined; name the split, as evaluate does
@@ -637,7 +641,7 @@ def _sweep_input(path: str, args, base_uq: UqConfig, k_values: list[int], plan: 
     index = {key: c for c, key in enumerate(present)}
     rows = {
         key: _combo_rows(ranked.ranking(index[key]) if key in index else None,
-                         expert, plan, alphas, args.delta, feasible[key])
+                         expert, plan, specs, feasible[key])
         for key in columns
     }
     base_accuracy = int(adm.sum()) / adm.size
@@ -647,21 +651,9 @@ def _sweep_input(path: str, args, base_uq: UqConfig, k_values: list[int], plan: 
 
 def cmd_sweep(args) -> int:
     base_uq = _uq_config(args)
-    k_values = args.k_values if args.k_values is not None else [base_uq.k_samples]
-    for alpha in args.alphas:
-        try:
-            RiskSpec(alpha=alpha, delta=args.delta)
-        except ValueError as exc:
-            raise CliError(f"--alphas: {exc}")
-    for k in k_values:
-        if k < 1:
-            raise CliError(f"--k-values: k must be >= 1, got {k}")
-    for variant in args.variants:
-        if variant not in VARIANTS:
-            raise CliError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    for preset in args.weight_presets:
-        if preset not in WEIGHT_PRESETS:
-            raise CliError(f"unknown weight preset {preset!r}; expected one of {sorted(WEIGHT_PRESETS)}")
+    # the grid, each entry checked as it is built, before any input is read
+    specs = [RiskSpec(alpha=alpha, delta=args.delta) for alpha in args.alphas]
+    configs = [replace(base_uq, k_samples=k) for k in args.k_values or [base_uq.k_samples]]
     plan = _split_plan(args)
     tables = [os.path.join(args.out_dir, name) for name in ("ranking.csv", "risk.csv")]
     _distinct_outputs(args, "--inputs", ("--out-dir", tables))
@@ -671,7 +663,7 @@ def cmd_sweep(args) -> int:
     risk_rows: list[list] = []
     for path in args.inputs:
         try:
-            ranking, risk = _sweep_input(path, args, base_uq, k_values, plan)
+            ranking, risk = _sweep_input(path, args, configs, specs, plan)
         except ValueError as exc:
             raise CliError(f"{path}: {exc}")
         ranking_rows += ranking
@@ -752,7 +744,9 @@ def cmd_guarantee(args) -> int:
 # config file over the built-in default.
 
 class _ListFlag(argparse.Action):
-    """A comma-separated list flag whose entries take `cast`; an empty value keeps the default."""
+    """A comma-separated list flag whose entries take `cast`; an empty value keeps the default.
+
+    A ValueError from `cast` names the flag; a CliError (`_name_in`'s) passes as it is."""
 
     def __init__(self, *args, cast, **kwargs):
         super().__init__(*args, **kwargs)
@@ -853,9 +847,9 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--alphas", action=_ListFlag, cast=float, default=setting("sweep.alphas", [DEFAULT_ALPHA]),
                    help="comma-separated risk levels")
-    p.add_argument("--variants", action=_ListFlag, cast=str, default=setting("sweep.variants", ["com"]),
+    p.add_argument("--variants", action=_ListFlag, cast=_variant, default=setting("sweep.variants", ["com"]),
                    help="comma-separated uncertainty variants")
-    p.add_argument("--weight-presets", action=_ListFlag, cast=str,
+    p.add_argument("--weight-presets", action=_ListFlag, cast=_preset,
                    default=setting("sweep.weight_presets", ["original"]),
                    help=f"comma-separated presets from {sorted(WEIGHT_PRESETS)}")
     p.add_argument("--k-values", action=_ListFlag, cast=int, default=setting("sweep.k_values"),

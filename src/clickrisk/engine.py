@@ -15,7 +15,7 @@ admissible records and expert hits at or below it. A split then sorts
 nothing and compares no test record: its calibration records, marked in
 each column's order and summed along it, give every candidate's acceptance
 and error counts (the groups holding a calibration record are the
-candidates), one `risk.largest_feasible` call per alpha picks every
+candidates), one `risk.largest_feasible` call per `RiskSpec` picks every
 column's threshold, and the test side's counts at a threshold are the
 group's totals less the calibration side's. All columns go through one
 pass per split, in blocks of columns that bound its temporaries. A
@@ -41,7 +41,7 @@ import numpy as np
 
 from .metrics import MetricError, Ranking, SplitCounts
 from .records import SplitPlan, split_indices
-from .risk import critical_counts, largest_feasible, tie_groups
+from .risk import RiskSpec, critical_counts, largest_feasible, tie_groups
 
 # Columns x records in one block of a split's pass (a block has one column at least)
 _BLOCK = 1 << 16
@@ -111,7 +111,8 @@ def _block_counts(
     ends = np.searchsorted(candidates, groups.starts[1:])
     n_accepted = held_le[candidates]
     n_errors = at_or_below(1)[candidates]
-    picks = np.array([largest_feasible(n_accepted, n_errors, table, ends) for table in tables], dtype=np.intp)
+    picks = np.array([largest_feasible(n_accepted, n_errors, table, ends) for table in tables],
+                     dtype=np.intp).reshape(len(tables), len(columns))
     at = np.maximum(picks, 0)
     g = candidates[at]
     tau = groups.tau[g]
@@ -172,14 +173,15 @@ class SortedColumns:
         return Ranking(np.cumsum(self.adm[order]), n_le)
 
     def splits(
-        self, plan: SplitPlan, alphas: Sequence[float], delta: float
+        self, plan: SplitPlan, specs: Sequence[RiskSpec]
     ) -> Iterator[tuple[np.ndarray, list[list[SplitCounts | None]]]]:
-        """Per repetition of `plan`: the test indices and, per column, the counts per alpha.
+        """Per repetition of `plan`: the test indices and, per column, the counts per spec.
 
         Each split is drawn once, for every column; with no column no split
-        is drawn. A threshold is calibrated on each calibration side (errors
-        are the inadmissible records) and the rule is measured on the test
-        side; an infeasible alpha gives None.
+        is drawn. A threshold is calibrated on each calibration side at each
+        spec's (alpha, delta), as `risk.calibrate_threshold` calibrates one
+        (errors are the inadmissible records), and the rule is measured on
+        the test side; an infeasible spec gives None.
         """
         if not self._blocks:
             return
@@ -194,7 +196,7 @@ class SortedColumns:
             n_errors = int(np.count_nonzero(errors))
             side = _Side(marks, test.size, n_admissible - (cal.size - n_errors),
                          n_hits - int(np.count_nonzero(expert[cal])))
-            tables = [critical_counts(cal.size, alpha, delta) for alpha in alphas]
+            tables = [critical_counts(cal.size, spec.alpha, spec.delta) for spec in specs]
             yield test, [
                 cells
                 for b, groups in enumerate(self._blocks)

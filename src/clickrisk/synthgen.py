@@ -249,7 +249,7 @@ def run_guarantee_trials(
             for chunk in generate_chunks(replace(config, seed=seed_t))
         ]
         u, adm = (np.concatenate(column) for column in zip(*scored))
-        [(_, [[counts]])] = SortedColumns([u], adm).splits(replace(plan, seed=seed_t), [spec.alpha], spec.delta)
+        [(_, [[counts]])] = SortedColumns([u], adm).splits(replace(plan, seed=seed_t), [spec])
         if counts is None:
             infeasible += 1
             outcomes.append(TrialOutcome(trial=t, feasible=False, tau=None, test_fdr=None))

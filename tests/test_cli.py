@@ -196,7 +196,7 @@ def test_score_density_dump_refuses_colliding_ids(tmp_path, capsys):
      "need at least 2 records to split, got 1"),
     (["evaluate", "-r", 2], "need at least 2 records to split, got 0", "need at least 2 records to split, got 1"),
     (["evaluate", "--variant", "pc", "-r", 2], "need at least 2 records to split, got 0",
-     "record 'synth-00000' has no pc field"),
+     "{path}: record 'synth-00000' has no pc field"),
     (["cascade", "--tau", 0.5], "need at least one record", None),
     (["cascade", "--tau", -1, "--manifest", "m.jsonl"], "need at least one record", None),
     (["sweep", "--out-dir", "sweep", "-r", 2], "{path}: no records", "{path}: need at least 2 records to split, got 1"),
@@ -318,7 +318,7 @@ def test_a_malformed_record_is_reported_before_a_missing_score(tmp_path, capsys)
     objs[289]["gt_box"] = objs[288]["gt_box"]
     src.write_text("".join(json.dumps(obj) + "\n" for obj in objs))
     assert run("calibrate", "-i", src, "-o", tmp_path / "a.json", "-r", 1) == 1
-    assert capsys.readouterr().err == "error: record 'synth-00002' has no uq fields; run scoring first\n"
+    assert capsys.readouterr().err == f"error: {src}: record 'synth-00002' has no uq fields; run scoring first\n"
 
 
 # --- evaluate -------------------------------------------------------------------
@@ -736,7 +736,7 @@ def test_a_file_where_some_records_lack_pc(tmp_path, mixed_file, capsys):
     assert pc_risk[6:] == [""] * 11
     capsys.readouterr()
     assert run("evaluate", "-i", src, "--variant", "pc", "-r", 2) == 1
-    assert capsys.readouterr().err == f"error: record {objs[30]['id']!r} has no pc field\n"
+    assert capsys.readouterr().err == f"error: {src}: record {objs[30]['id']!r} has no pc field\n"
 
 
 def test_sweep_names_the_input_that_fails(tmp_path, monkeypatch, mixed_file, capsys):
@@ -876,14 +876,15 @@ def test_score_and_sweep_name_the_first_record_they_cannot_score(tmp_path, capsy
 
 
 def test_sweep_rejects_bad_alpha_or_k_before_loading(tmp_path, capsys):
+    """Each grid entry fails as its config object words it, before the input is read."""
     missing = tmp_path / "never-read.jsonl"
     out_dir = tmp_path / "sweep"
     assert run("sweep", "-i", missing, "--out-dir", out_dir, "--alphas", "0.2,1.5") == 1
-    err = capsys.readouterr().err
-    assert "alpha" in err and "1.5" in err and "not found" not in err
+    assert capsys.readouterr().err == "error: alpha must lie strictly inside (0, 1), got 1.5\n"
     assert run("sweep", "-i", missing, "--out-dir", out_dir, "--k-values", "5,0") == 1
-    err = capsys.readouterr().err
-    assert "k must be >= 1, got 0" in err and "not found" not in err
+    assert capsys.readouterr().err == "error: k_samples must be positive, got 0\n"
+    assert run("sweep", "-i", missing, "--out-dir", out_dir, "--delta", 2) == 1
+    assert capsys.readouterr().err == "error: delta must lie strictly inside (0, 1), got 2.0\n"
     assert run("sweep", "-i", missing, "--out-dir", out_dir, "--alphas", "0.2,x") == 1
     assert capsys.readouterr().err == "error: --alphas: cannot read 'x' as float\n"
     assert run("sweep", "-i", missing, "--out-dir", out_dir, "--k-values", "5,y") == 1
@@ -1229,14 +1230,16 @@ def test_a_setting_that_changed_no_output_is_not_accepted(tmp_path, mixed_file, 
 
 WEIGHTS_KIND = (f"a preset name ({', '.join(sorted(uq.WEIGHT_PRESETS))}), three comma-separated numbers"
                 " in a string, or a list of numbers")
+VARIANT_LIST_KIND = "a non-empty list of names from com, ta, ie, cd, pc"
+PRESET_LIST_KIND = f"a non-empty list of names from {', '.join(sorted(uq.WEIGHT_PRESETS))}"
 # Names a command checks only where it uses them fail at load for every command, as a wrong type does.
 UNKNOWN_NAMES = {
     "unknown-variant": ({"variant": "xx"}, 'variant must be one of com, ta, ie, cd, pc, got "xx"'),
     "int-variant": ({"variant": 5}, "variant must be one of com, ta, ie, cd, pc, got 5"),
     "unknown-sweep-variant": ({"sweep": {"variants": ["com", "xx"]}},
-                              'sweep.variants must be a list of names from com, ta, ie, cd, pc, got ["com", "xx"]'),
-    "unknown-weight-preset": ({"sweep": {"weight_presets": ["vv"]}}, "sweep.weight_presets must be a list of names"
-                              f" from {', '.join(sorted(uq.WEIGHT_PRESETS))}, got [\"vv\"]"),
+                              f'sweep.variants must be {VARIANT_LIST_KIND}, got ["com", "xx"]'),
+    "unknown-weight-preset": ({"sweep": {"weight_presets": ["vv"]}},
+                              f'sweep.weight_presets must be {PRESET_LIST_KIND}, got ["vv"]'),
     "unknown-weights": ({"uq": {"weights": "zz"}}, f'uq.weights must be {WEIGHTS_KIND}, got "zz"'),
 }
 COMMAND_OUTPUTS = {"score": ["-o", "s.jsonl"], "calibrate": ["-o", "a.json"], "sweep": ["--out-dir", "sweep"]}
@@ -1244,7 +1247,8 @@ COMMAND_OUTPUTS = {"score": ["-o", "s.jsonl"], "calibrate": ["-o", "a.json"], "s
 
 @pytest.mark.parametrize("config, argv, message", [
     ({"risk": {"alpha": None}}, ["calibrate", "-o", "a.json"], "risk.alpha must be a number, got null"),
-    ({"sweep": {"alphas": 0.3}}, ["sweep", "--out-dir", "sweep"], "sweep.alphas must be a list of numbers, got 0.3"),
+    ({"sweep": {"alphas": 0.3}}, ["sweep", "--out-dir", "sweep"],
+     "sweep.alphas must be a non-empty list of numbers, got 0.3"),
     ({"uq": {"weights": 0.5}}, ["score", "-o", "s.jsonl"],
      f"uq.weights must be {WEIGHTS_KIND}, got 0.5"),
     ({"uq": "x"}, ["score", "-o", "s.jsonl"], 'uq must be a JSON object, got "x"'),
@@ -1262,9 +1266,17 @@ COMMAND_OUTPUTS = {"score": ["-o", "s.jsonl"], "calibrate": ["-o", "a.json"], "s
     ({"seed": False}, ["score", "-o", "s.jsonl"], "seed must be an integer, got false"),
     ({"risk": {"alpha": True}}, ["calibrate", "-o", "a.json"], "risk.alpha must be a number, got true"),
     ({"sweep": {"k_values": [3, 4.5]}}, ["sweep", "--out-dir", "sweep"],
-     "sweep.k_values must be a list of integers, got [3, 4.5]"),
+     "sweep.k_values must be a non-empty list of integers, got [3, 4.5]"),
     ({"sweep": {"alphas": [0.2, False]}}, ["sweep", "--out-dir", "sweep"],
-     "sweep.alphas must be a list of numbers, got [0.2, false]"),
+     "sweep.alphas must be a non-empty list of numbers, got [0.2, false]"),
+    ({"sweep": {"alphas": []}}, ["sweep", "--out-dir", "sweep"],
+     "sweep.alphas must be a non-empty list of numbers, got []"),
+    ({"sweep": {"k_values": []}}, ["sweep", "--out-dir", "sweep"],
+     "sweep.k_values must be a non-empty list of integers, got []"),
+    ({"sweep": {"variants": []}}, ["sweep", "--out-dir", "sweep"],
+     f"sweep.variants must be {VARIANT_LIST_KIND}, got []"),
+    ({"sweep": {"weight_presets": []}}, ["sweep", "--out-dir", "sweep"],
+     f"sweep.weight_presets must be {PRESET_LIST_KIND}, got []"),
     ({"uq": {"weights": [True, 0.0, 0.0]}}, ["score", "-o", "s.jsonl"],
      f"uq.weights must be {WEIGHTS_KIND}, got [true, 0.0, 0.0]"),
     *[(config, [command, *outputs], message)
@@ -1272,7 +1284,8 @@ COMMAND_OUTPUTS = {"score": ["-o", "s.jsonl"], "calibrate": ["-o", "a.json"], "s
 ], ids=["null-alpha", "scalar-alphas", "scalar-weights", "string-section", "string-k",
         "misspelled-key", "misspelled-top-level", "dotted-top-level", "top-level-key-in-a-section", "removed-epsilon",
         "fractional-k", "bool-repetitions", "fractional-k-and-bool-repetitions", "bool-seed", "bool-alpha",
-        "fractional-k-value", "bool-in-alphas", "bool-in-weights",
+        "fractional-k-value", "bool-in-alphas", "empty-alphas", "empty-k-values", "empty-variants",
+        "empty-weight-presets", "bool-in-weights",
         *[f"{case}-{command}" for case in UNKNOWN_NAMES for command in COMMAND_OUTPUTS]])
 def test_wrong_typed_config_value_names_file_and_key(tmp_path, monkeypatch, mixed_file, capsys, config, argv,
                                                      message):

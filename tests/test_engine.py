@@ -95,12 +95,17 @@ def columns_of(records, variant, seed=0):
     return u, adm, expert
 
 
+def specs(alphas, delta) -> list[RiskSpec]:
+    """A `RiskSpec` per alpha, all at `delta`: what `SortedColumns.splits` takes."""
+    return [RiskSpec(alpha=alpha, delta=delta) for alpha in alphas]
+
+
 def via_engine(records, variant, plan, alphas, delta, seed=0, columns=None):
     """`oracle`'s cells from one pass of the engine's splits, per column of `columns` (default: `variant`'s)."""
     u, adm, expert = columns_of(records, variant, seed)
     columns = [u] if columns is None else columns
     out = [[] for _ in columns]
-    for _, per_column in engine.SortedColumns(columns, adm, expert).splits(plan, alphas, delta):
+    for _, per_column in engine.SortedColumns(columns, adm, expert).splits(plan, specs(alphas, delta)):
         for cells, per_alpha in zip(out, per_column):
             cells.append([
                 None if c is None else (
@@ -224,7 +229,17 @@ def test_too_few_records_raise_split_error():
         with pytest.raises(SplitError):
             via_engine(records, "com", plan, (0.3,), 0.05)
         no_column = engine.SortedColumns([], np.ones(n, dtype=bool))
-        assert list(no_column.splits(plan, (0.3,), 0.05)) == []  # nothing to sort and no split drawn
+        assert list(no_column.splits(plan, specs((0.3,), 0.05))) == []  # nothing to sort and no split drawn
+
+
+def test_no_spec_gives_each_split_an_empty_list_per_column():
+    """With no spec nothing is calibrated, but every split is drawn and yields its test indices."""
+    u = np.array([0.1, 0.4, 0.6, 0.9, 0.2, 0.3, 0.8, 0.7])
+    adm = np.array([True, False, True, True, True, True, False, True])
+    plan = SplitPlan(calibration_ratio=0.5, seed=4, repetitions=3)
+    got = list(engine.SortedColumns([u, 1 - u], adm).splits(plan, []))
+    assert [test.tolist() for test, _ in got] == [split_indices(u.size, plan, rep)[1].tolist() for rep in range(3)]
+    assert [per_column for _, per_column in got] == [[[], []]] * 3
 
 
 def test_split_indices_match_split():
@@ -321,7 +336,7 @@ def test_engine_equals_the_per_column_engine_bit_for_bit_on_edge_cases():
         adm = rng.random(n) < rng.uniform(0.5, 1.0)
         alphas, delta = (0.05, 0.2, 0.5, 0.9), float(rng.choice([0.05, 0.2]))
         for expert in (None, rng.random(n) < 0.8):
-            got = list(engine.SortedColumns(columns, adm, expert).splits(plan, alphas, delta))
+            got = list(engine.SortedColumns(columns, adm, expert).splits(plan, specs(alphas, delta)))
             want = list(per_column_splits(columns, adm, plan, alphas, delta, expert))
             assert len(got) == len(want) == plan.repetitions
             for rep, ((test, per_column), (want_test, want_per_column)) in enumerate(zip(got, want)):
@@ -350,7 +365,7 @@ def test_signed_zero_threshold_is_the_last_calibration_record():
     for seed in range(40):
         plan = SplitPlan(calibration_ratio=0.5, seed=seed)
         cal = split_indices(u.size, plan, 0)[0]
-        [(_, [[counts]])] = engine.SortedColumns([u], adm).splits(plan, [0.5], 0.2)
+        [(_, [[counts]])] = engine.SortedColumns([u], adm).splits(plan, [RiskSpec(alpha=0.5, delta=0.2)])
         zeros = [i for i in cal.tolist() if u[i] == 0]
         if counts is not None and counts.tau == 0:
             assert counts.tau.hex() == u[zeros[-1]].hex()
@@ -405,7 +420,7 @@ def test_rankings_equal_the_metrics_bit_for_bit_on_edge_cases():
         adm = rng.random(n) < rng.uniform(0.5, 1.0)
         for expert in (None, rng.random(n) < 0.8):
             ranked = engine.SortedColumns(columns, adm, expert)
-            sides = [None] + [test for test, _ in ranked.splits(plan, (0.2,), 0.05)]
+            sides = [None] + [test for test, _ in ranked.splits(plan, specs((0.2,), 0.05))]
             for records in sides:
                 for c, u in enumerate(columns):
                     want = reference_outcomes(u, adm, records)
@@ -426,7 +441,7 @@ def test_rankings_of_long_columns_equal_the_metrics(block, monkeypatch):
     columns = [rng.random(n), np.round(rng.random(n), 2), np.where(adm, rng.random(n), rng.random(n) + 0.3)]
     plan = SplitPlan(calibration_ratio=0.3, seed=8, repetitions=2)
     ranked = engine.SortedColumns(columns, adm)
-    for records in [None] + [test for test, _ in ranked.splits(plan, (0.2,), 0.05)]:
+    for records in [None] + [test for test, _ in ranked.splits(plan, specs((0.2,), 0.05))]:
         for c, u in enumerate(columns):
             assert ranked_outcomes(ranked.ranking(c, records)) == reference_outcomes(u, adm, records)
 
@@ -438,7 +453,7 @@ def test_one_class_test_side_raises_the_metrics_error():
     adm = np.isin(np.arange(n), cal)  # calibration side all admissible, test side none
     u = np.linspace(0.0, 1.0, n)
     ranked = engine.SortedColumns([u], adm)
-    [(split_test, _)] = ranked.splits(plan, (0.3,), 0.05)
+    [(split_test, _)] = ranked.splits(plan, specs((0.3,), 0.05))
     ranking = ranked.ranking(0, split_test)
     assert ranked_outcomes(ranking) == reference_outcomes(u, adm, test)
     assert outcome(ranking.auroc) == "MetricError: auroc needs at least one admissible and one inadmissible record"
@@ -450,7 +465,7 @@ def traced_peak(columns, adm, plan, expert):
     """Peak bytes that tracemalloc sees while the engine sorts the columns and yields every split."""
     tracemalloc.start()
     try:
-        for _ in engine.SortedColumns(columns, adm, expert).splits(plan, ALPHAS, 0.05):
+        for _ in engine.SortedColumns(columns, adm, expert).splits(plan, specs(ALPHAS, 0.05)):
             pass
         return tracemalloc.get_traced_memory()[1]
     finally:

@@ -389,7 +389,8 @@ def test_counts_without_an_expert_count_every_deferral_as_a_miss():
     assert type(counts.n_expert_correct) is int and counts.n_expert_correct == 0
     assert counts.system_accuracy == 3 / 8 and type(counts.system_accuracy) is float
     plan = SplitPlan(calibration_ratio=0.5, seed=0, repetitions=5)
-    cells = [c for _, [per_alpha] in SortedColumns([u], adm).splits(plan, [0.9], 0.5) for c in per_alpha]
+    splits = SortedColumns([u], adm).splits(plan, [RiskSpec(alpha=0.9, delta=0.5)])
+    cells = [c for _, [per_spec] in splits for c in per_spec]
     assert any(c is not None for c in cells)
     for c in filter(None, cells):
         assert type(c.n_expert_correct) is int and c.n_expert_correct == 0

@@ -148,6 +148,42 @@ def test_parse_rejects_nonfinite_sample():
     assert "samples" in rejected(text(bad))
 
 
+MISSING = object()  # a field left out of the line
+IMAGE_FIELDS = 'image: expected an object with integer fields "w" and "h"'
+BOX_FIELDS = "gt_box: expected [x_min, y_min, x_max, y_max], got "
+UQ_FIELDS = "uq: expected an object with fields ('ta', 'ie', 'cd', 'com')"
+# A field of VALID replaced (or left out), with the error `record_fields` gives the record.
+REJECTED_FIELDS = {
+    "missing-image": ({"image": MISSING}, "missing required field 'image'"),
+    "missing-samples": ({"samples": MISSING}, "missing required field 'samples'"),
+    "int-id": ({"id": 5}, "id: expected a string, got 5"),
+    "empty-id": ({"id": ""}, "id: must be a non-empty string"),
+    "image-list": ({"image": [100, 80]}, IMAGE_FIELDS),
+    "image-without-h": ({"image": {"w": 100}}, IMAGE_FIELDS),
+    "float-width": ({"image": {"w": 100.0, "h": 80}}, IMAGE_FIELDS),
+    "bool-height": ({"image": {"w": 100, "h": True}}, IMAGE_FIELDS),
+    "zero-width": ({"image": {"w": 0, "h": 80}}, "image: dimensions must be positive, got 0x80"),
+    "negative-height": ({"image": {"w": 100, "h": -80}}, "image: dimensions must be positive, got 100x-80"),
+    "int-instruction": ({"instruction": 5}, "instruction: expected a string, got 5"),
+    "three-coordinate-box": ({"gt_box": [10, 10, 30]}, BOX_FIELDS + "[10, 10, 30]"),
+    "string-in-box": ({"gt_box": [10, "10", 30, 30]}, BOX_FIELDS + "[10, '10', 30, 30]"),
+    "bool-in-float-box": ({"gt_box": [10.0, 10.0, 30.0, True]}, BOX_FIELDS + "[10.0, 10.0, 30.0, True]"),
+    "string-box": ({"gt_box": "10,10,30,30"}, BOX_FIELDS + "'10,10,30,30'"),
+    "string-pc": ({"pc": "0.5"}, "pc: expected a real in [0, 1], got '0.5'"),
+    "bool-pc": ({"pc": True}, "pc: expected a real in [0, 1], got True"),
+    "uq-without-com": ({"uq": {"ta": 0.1, "ie": 0.0, "cd": 0.0}}, UQ_FIELDS),
+    "uq-list": ({"uq": [0.1, 0.0, 0.0, 0.5]}, UQ_FIELDS),
+}
+
+
+@pytest.mark.parametrize("case", REJECTED_FIELDS)
+def test_parse_names_a_field_of_the_wrong_shape(case):
+    """Both readers give each rejected field the same text, on the record's line."""
+    fields, message = REJECTED_FIELDS[case]
+    bad = {k: v for k, v in {**VALID, "id": "b", **fields}.items() if v is not MISSING}
+    assert rejected(text(VALID, bad)) == f"line 2: {message}"
+
+
 # Sample lists with a pair that fails its check, with the error for the first such pair.
 REJECTED_SAMPLES = {
     "bool": ("[[1, 2], [true, 3]]", RecordError,
@@ -773,12 +809,14 @@ def damage(path: Path, how: str) -> None:
     elif how == "flipped-body-byte":
         data[len(data) // 2] ^= 0x01
         cols.write_bytes(data)
+    elif how == "header-not-json":
+        cols.write_bytes(b"not json".ljust(sidecar._HEADER_BYTES - 1) + b"\n" + data[sidecar._HEADER_BYTES:])
     else:  # another format's tag, of the same length
         cols.write_bytes(data.replace(sidecar.FORMAT.encode(), sidecar.FORMAT[:-1].encode() + b"0", 1))
 
 
 @pytest.mark.parametrize("broken", [False, True], ids=["valid", "box-past-the-image"])
-@pytest.mark.parametrize("how", ["stale", "truncated", "flipped-body-byte", "wrong-format"])
+@pytest.mark.parametrize("how", ["stale", "truncated", "flipped-body-byte", "wrong-format", "header-not-json"])
 def test_a_sidecar_that_is_not_bound_takes_the_parse_path(tmp_path, monkeypatch, how, broken):
     """The same chunks, or the same `line N:` error, as with no sidecar; and the lines are parsed."""
     path = tmp_path / "out.jsonl"
@@ -838,11 +876,25 @@ def duplicate_id(chunks: list[Columns]) -> list[Columns]:
     return chunks
 
 
+def empty_id(chunks: list[Columns]) -> list[Columns]:
+    """The record on line 300 given an empty id."""
+    chunks[1].ids[300 - 1 - SCORE_CHUNK] = ""
+    return chunks
+
+
+def zero_width(chunks: list[Columns]) -> list[Columns]:
+    """The record on line 300 given an image no pixel wide."""
+    chunks[1].dims[300 - 1 - SCORE_CHUNK] = (0, 80)
+    return chunks
+
+
 @pytest.mark.parametrize("edit, record, message", [
     (with_box_past_the_image, "r299", "gt_box: (10.0, 10.0, 100.5, 30.0) exceeds image bounds 100x80"),
     (nan_sample, "r299", "samples[0]: coordinates must be finite, got [17.5, nan]"),
     (duplicate_id, "r3", "duplicate id 'r3'"),
-], ids=["box-past-the-image", "nan-sample", "duplicate-id"])
+    (empty_id, "", "id: must be a non-empty string"),
+    (zero_width, "r299", "image: dimensions must be positive, got 0x80"),
+], ids=["box-past-the-image", "nan-sample", "duplicate-id", "empty-id", "zero-width"])
 def test_a_bound_sidecar_with_a_broken_record_names_the_sidecar_and_the_record(tmp_path, monkeypatch, edit,
                                                                               record, message):
     """The served path checks what the parse path checks, though the record file itself is valid."""
@@ -880,3 +932,26 @@ def test_a_bound_block_that_claims_more_samples_than_the_sidecar_holds_is_cut_sh
     head = {"ids": ["r0"], "instructions": [None], "dims": [[100, 80]], "samples": 2**62}
     bind(path, json.dumps(head).encode() + b"\n" + bytes(1024), 1)
     assert served_error(path, monkeypatch) == f"{sidecar_path(path)}: a block cut short"
+
+
+@pytest.mark.parametrize("count", [0, 599, 601])
+def test_a_bound_header_whose_record_count_differs_from_its_blocks_is_refused(tmp_path, monkeypatch, count):
+    """The blocks are served as they are checked; the count is compared once the last one is read."""
+    path = tmp_path / "out.jsonl"
+    save_records(path, objs_columns(tmp_path))
+    bind(path, Path(sidecar_path(path)).read_bytes()[sidecar._HEADER_BYTES:], count)
+    assert served_error(path, monkeypatch) == f"{sidecar_path(path)}: holds 600 records where its header says {count}"
+
+
+def offsets_out_of_order(chunks: list[Columns]) -> list[Columns]:
+    """The sample offsets of the records on lines 300 and 301 swapped, so one record ends before it starts."""
+    chunk, i = chunks[1], 300 - 1 - SCORE_CHUNK
+    chunk.offsets[[i, i + 1]] = chunk.offsets[[i + 1, i]]
+    return chunks
+
+
+def test_a_bound_block_whose_offsets_are_out_of_order_is_malformed(tmp_path, monkeypatch):
+    path = tmp_path / "out.jsonl"
+    save_records(path, objs_columns(tmp_path))
+    rebound(path, offsets_out_of_order(objs_columns(tmp_path)), monkeypatch)
+    assert served_error(path, monkeypatch) == f"{sidecar_path(path)}: a block's offsets are out of order"
