@@ -116,27 +116,45 @@ def _append_csv_row(path: str, table: str, row: list) -> None:
 RECORD_FLAGS = ("--input", "--inputs", "--output")
 
 
-def _distinct_outputs(args, *flags) -> None:
-    """A CliError naming both flags when two of the files `flags` give name one file.
+def _named(args, flags) -> Iterator[tuple[str, str]]:
+    """Each (flag, path) pair that `flags` name.
 
     A flag stands for the file its option names, or each of them when the
     option takes a list; a (flag, paths) pair stands for the files a command
-    writes into the directory that flag names. Callers list the files a
-    command reads ahead of those it writes, so that no output replaces an
-    input or another output. The flags in RECORD_FLAGS also stand for the
-    sidecar of each record file they name, which the command reads or writes
-    with it.
+    writes into the directory that flag names. The flags in RECORD_FLAGS
+    also stand for the sidecar of each record file they name, which the
+    command reads or writes with it.
     """
-    first: dict[str, str] = {}  # real path -> the first flag naming it
     for flag in flags:
         flag, paths = flag if isinstance(flag, tuple) else (flag, getattr(args, flag[2:].replace("-", "_")))
         paths = paths if isinstance(paths, list) else [paths]
         if flag in RECORD_FLAGS:
             paths = [p for path in paths if path for p in (path, sidecar_path(path))]
-        for path in paths:
-            other = path and first.setdefault(os.path.realpath(path), flag)
-            if other and other != flag:
-                raise CliError(f"{other} and {flag} name the same file: {path}")
+        yield from ((flag, path) for path in paths if path)
+
+
+def _distinct_outputs(args, *flags) -> None:
+    """A CliError naming both flags when two of the files `flags` name (see `_named`) are one file.
+
+    Callers list the files a command reads ahead of those it writes, so
+    that no output replaces an input or another output.
+    """
+    first: dict[str, str] = {}  # real path -> the first flag naming it
+    for flag, path in _named(args, flags):
+        other = first.setdefault(os.path.realpath(path), flag)
+        if other != flag:
+            raise CliError(f"{other} and {flag} name the same file: {path}")
+
+
+def _not_directories(args, *flags) -> None:
+    """A CliError naming the flag when a file that `flags` name (see `_named`) is an existing directory.
+
+    Called with a command's outputs before it does any work, since the
+    rename that would put an output in place fails only once it is written.
+    """
+    for flag, path in _named(args, flags):
+        if os.path.isdir(path):
+            raise CliError(f"{flag} {path}: is a directory")
 
 
 def _write_json(path: str, obj) -> None:
@@ -158,7 +176,9 @@ def _read(path: str) -> Iterator[Columns]:
 # configuration: a config file's settings become the parser's defaults
 
 def _integer(value) -> int:
-    """`int(value)` for an integer, an integral float or a numeric string; never a bool or a fraction."""
+    """`int(value)` for an integer, an integral float or a string of either ("2", "2.0", "1e3"); no bool."""
+    if isinstance(value, str):  # digits alone go through `int`, exact past a float's 53 bits
+        value = int(value) if value.strip().lstrip("+-").isdigit() else float(value)
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(value)
     return int(value)
@@ -180,28 +200,39 @@ def _name_in(names, what: str):
     return parse
 
 
-# The casts of a variant and a weight preset name, in a config file and in sweep's list flags
+# The casts of a variant and a weight preset name
 _variant = _name_in(VARIANTS, "variant")
 _preset = _name_in(sorted(WEIGHT_PRESETS), "weight preset")
 
 
 def _list_of(cast):
-    """Cast for a non-empty JSON list whose every item takes `cast`."""
+    """Cast for a non-empty list, or a string of comma-separated items, whose every item takes `cast`."""
     def parse(value) -> list:
+        if isinstance(value, str):
+            value = value.split(",")
         if not isinstance(value, list) or not value:
             raise TypeError(value)
         return [cast(v) for v in value]
     return parse
 
 
-# The config-file settings, as "section.key", grouped by the cast each gets at
-# load and what that cast accepts; `build_parser` makes each the default of its flag.
+def _weights(value) -> tuple[float, ...]:
+    """A weight preset's weights, or three numbers given as a list or as a comma-separated string."""
+    if isinstance(value, str) and value in WEIGHT_PRESETS:
+        return WEIGHT_PRESETS[value]
+    weights = tuple(_list_of(_number)(value))
+    if len(weights) != 3:
+        raise ValueError(value)
+    return weights
+
+
+# The config-file settings, as "section.key", grouped by the one cast each gets,
+# at load and as its flag's text, and what that cast accepts.
 CONFIG_FIELDS = {
     "an integer": (_integer, ("seed", "uq.k_samples", "uq.patch_size", "split.repetitions")),
     "a number": (_number, ("uq.beta", "risk.alpha", "risk.delta", "split.calibration_ratio")),
     f"a preset name ({', '.join(sorted(WEIGHT_PRESETS))}), three comma-separated numbers in a string,"
-    " or a list of numbers": (
-        lambda v: _parse_weights(v) if isinstance(v, str) else tuple(_list_of(_number)(v)), ("uq.weights",)),
+    " or a list of three numbers": (_weights, ("uq.weights",)),
     "a non-empty list of numbers": (_list_of(_number), ("sweep.alphas",)),
     "a non-empty list of integers": (_list_of(_integer), ("sweep.k_values",)),
     f"one of {', '.join(VARIANTS)}": (_variant, ("variant",)),
@@ -209,7 +240,8 @@ CONFIG_FIELDS = {
     f"a non-empty list of names from {', '.join(sorted(WEIGHT_PRESETS))}": (
         _list_of(_preset), ("sweep.weight_presets",)),
 }
-_CASTS = {field: (kind, cast) for kind, (cast, names) in CONFIG_FIELDS.items() for field in names}
+_KINDS = {cast: kind for kind, (cast, _) in CONFIG_FIELDS.items()}
+_CASTS = {field: cast for cast, names in CONFIG_FIELDS.values() for field in names}
 _SECTIONS = {field.partition(".")[0] for field in _CASTS if "." in field}
 _TOP_LEVEL = {field for field in _CASTS if "." not in field}
 
@@ -242,28 +274,14 @@ def _load_config(path: str) -> dict:
             if field not in (_CASTS if key in _SECTIONS else _TOP_LEVEL):
                 raise CliError(f"config file {path}: unknown key {field}")
         settings.update(entries)
-    for field, (kind, cast) in _CASTS.items():
+    for field, cast in _CASTS.items():
         if field in settings:
             try:
                 settings[field] = cast(settings[field])
             except (TypeError, ValueError, OverflowError, CliError):
-                raise CliError(f"config file {path}: {field} must be {kind}, got {json.dumps(settings[field])}")
+                raise CliError(
+                    f"config file {path}: {field} must be {_KINDS[cast]}, got {json.dumps(settings[field])}")
     return settings
-
-
-def _parse_weights(text: str) -> tuple[float, float, float]:
-    if text in WEIGHT_PRESETS:
-        return WEIGHT_PRESETS[text]
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise CliError(
-            f"weights must be a preset ({', '.join(sorted(WEIGHT_PRESETS))}) "
-            f"or three comma-separated reals, got {text!r}"
-        )
-    try:
-        return tuple(float(p) for p in parts)  # type: ignore[return-value]
-    except ValueError:
-        raise CliError(f"weights must be numeric, got {text!r}")
 
 
 def _uq_config(args) -> UqConfig:
@@ -358,6 +376,7 @@ def _dump_name(rec_id: str) -> str:
 
 def cmd_score(args) -> int:
     uq_cfg = _uq_config(args)
+    _not_directories(args, "--output")
     if args.dump_density:
         _directory("--dump-density", args.dump_density)
     owners: dict[str, str] = {}  # --dump-density file name -> the first id written to it
@@ -400,6 +419,7 @@ def cmd_calibrate(args) -> int:
     _distinct_outputs(args, "--input", ("--out", artifacts if single else [args.out, *artifacts, summary]))
     if not single:
         _directory("--out", args.out)
+    _not_directories(args, ("--out", artifacts if single else [*artifacts, summary]))
     spec = RiskSpec(alpha=args.alpha, delta=args.delta)
     plan = _split_plan(args)
     u, adm = _stacked([(u, adm) for _, u, adm in _scored_chunks(args.input, args.variant, args.seed)], 2)
@@ -442,6 +462,7 @@ def cmd_calibrate(args) -> int:
 
 def cmd_evaluate(args) -> int:
     _distinct_outputs(args, "--input", "--report", "--roc-csv", "--arc-csv")
+    _not_directories(args, "--report", "--roc-csv", "--arc-csv")
     spec = RiskSpec(alpha=args.alpha, delta=args.delta)
     plan = _split_plan(args)
     u, adm = _stacked([(u, adm) for _, u, adm in _scored_chunks(args.input, args.variant, args.seed)], 2)
@@ -533,6 +554,7 @@ CASCADE_CSV_HEADER = [
 
 def cmd_cascade(args) -> int:
     _distinct_outputs(args, "--input", "--artifact", "--report", "--manifest", "--csv")
+    _not_directories(args, "--report", "--manifest", "--csv")
     threshold, alpha, artifact_variant = _threshold_from_args(args)
     table = _csv_table(args.csv, CASCADE_CSV_HEADER) if args.csv else None
     # the flag, then the artifact's variant, then the config file's, then com
@@ -653,11 +675,12 @@ def cmd_sweep(args) -> int:
     base_uq = _uq_config(args)
     # the grid, each entry checked as it is built, before any input is read
     specs = [RiskSpec(alpha=alpha, delta=args.delta) for alpha in args.alphas]
-    configs = [replace(base_uq, k_samples=k) for k in args.k_values or [base_uq.k_samples]]
+    configs = [replace(base_uq, k_samples=k) for k in args.k_values]
     plan = _split_plan(args)
     tables = [os.path.join(args.out_dir, name) for name in ("ranking.csv", "risk.csv")]
     _distinct_outputs(args, "--inputs", ("--out-dir", tables))
     _directory("--out-dir", args.out_dir)
+    _not_directories(args, ("--out-dir", tables))
 
     ranking_rows: list[list] = []
     risk_rows: list[list] = []
@@ -708,6 +731,7 @@ class _Generated:
 
 
 def cmd_synth(args) -> int:
+    _not_directories(args, ("--out", [args.out, sidecar_path(args.out)]))
     records = _Generated(_synth_config(args))
     save_records(args.out, records)  # each chunk is written before the next is drawn
     print(f"generated {len(records)} records -> {args.out}")
@@ -715,6 +739,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_guarantee(args) -> int:
+    _not_directories(args, "--out-csv")
     cfg = _synth_config(args)
     spec = RiskSpec(alpha=args.alpha, delta=args.delta)
     result, outcomes = run_guarantee_trials(cfg, spec.alpha, spec.delta, args.trials, calibration_ratio=args.ratio)
@@ -743,71 +768,69 @@ def cmd_guarantee(args) -> int:
 # holds what a run used. An explicit flag wins over the config file, and the
 # config file over the built-in default.
 
-class _ListFlag(argparse.Action):
-    """A comma-separated list flag whose entries take `cast`; an empty value keeps the default.
+def _typed(cast, default=None):
+    """The argparse `type` of a flag whose text takes `cast`: a text it refuses is argparse's usage error.
 
-    A ValueError from `cast` names the flag; a CliError (`_name_in`'s) passes as it is."""
-
-    def __init__(self, *args, cast, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.cast = cast
-
-    def __call__(self, parser, namespace, text, option_string=None):
-        items = []
-        for entry in filter(None, text.split(",")):
-            try:
-                items.append(self.cast(entry))
-            except ValueError:
-                raise CliError(f"{option_string}: cannot read {entry!r} as {self.cast.__name__}") from None
-        if items:
-            setattr(namespace, self.dest, items)
+    That error names the flag and what `cast` accepts, or keeps a name cast's
+    CliError text. A list flag's empty text keeps `default`, the config file's list or the built-in one."""
+    def parse(text: str):
+        if not text and isinstance(default, list):
+            return default
+        try:
+            return cast(text)
+        except CliError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        except (TypeError, ValueError, OverflowError):
+            raise argparse.ArgumentTypeError(f"must be {_KINDS[cast]}, got {text!r}") from None
+    return parse
 
 
 def _add_uq_flags(parser: argparse.ArgumentParser, setting) -> None:
-    # sweep has no --k-samples, but its k falls back to this value
-    parser.set_defaults(k_samples=setting("uq.k_samples", UqConfig.k_samples))
-    parser.add_argument("--patch-size", type=int, default=setting("uq.patch_size", UqConfig.patch_size),
-                        help="patch size in pixels")
-    parser.add_argument("--beta", type=float, default=setting("uq.beta", UqConfig.beta),
-                        help="region threshold ratio in [0,1)")
+    parser.add_argument("--patch-size", **setting("uq.patch_size", UqConfig.patch_size), help="patch size in pixels")
+    parser.add_argument("--beta", **setting("uq.beta", UqConfig.beta), help="region threshold ratio in [0,1)")
 
 
 def _add_risk_flags(parser: argparse.ArgumentParser, setting, default_alpha: float = DEFAULT_ALPHA) -> None:
-    parser.add_argument("--alpha", type=float, default=setting("risk.alpha", default_alpha),
-                        help="target risk level in (0,1)")
-    parser.add_argument("--delta", type=float, default=setting("risk.delta", RiskSpec.delta),
-                        help="significance level in (0,1)")
+    parser.add_argument("--alpha", **setting("risk.alpha", default_alpha), help="target risk level in (0,1)")
+    parser.add_argument("--delta", **setting("risk.delta", RiskSpec.delta), help="significance level in (0,1)")
 
 
 def _add_split_flags(parser: argparse.ArgumentParser, setting) -> None:
-    parser.add_argument("--ratio", type=float, default=setting("split.calibration_ratio", 0.2),
-                        help="calibration split ratio in (0,1)")
-    parser.add_argument("--repetitions", "-r", type=int, default=setting("split.repetitions", 100),
+    parser.add_argument("--ratio", **setting("split.calibration_ratio", 0.2), help="calibration split ratio in (0,1)")
+    parser.add_argument("--repetitions", "-r", **setting("split.repetitions", 100),
                         help="number of repeated calibration/test splits")
 
 
 def _add_synth_flags(parser: argparse.ArgumentParser) -> None:
     for f in SYNTH_FLAGS:
-        parser.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
+        cast = _integer if isinstance(f.default, int) else _number
+        parser.add_argument("--" + f.name.replace("_", "-"), type=_typed(cast), default=f.default)
 
 
 def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     """The CLI's parser, with a loaded config file's settings (`_load_config`) as its defaults."""
-    setting = (config or {}).get
+    get = (config or {}).get
+
+    def setting(key: str, default=None) -> dict:
+        """The `add_argument` keywords of config key `key`'s flag: the file's value (else `default`) and its cast."""
+        value = get(key, default)
+        return {"type": _typed(_CASTS[key], value), "default": value}
+
     parser = argparse.ArgumentParser(
         prog="clickrisk",
         description="Risk-controlled accept/defer decisions for recorded GUI-grounding predictions.",
     )
-    parser.add_argument("--seed", type=int, default=setting("seed", 0), help="global random seed (default 0)")
+    parser.add_argument("--seed", **setting("seed", 0), help="global random seed (default 0)")
     parser.add_argument("--config", default=None, help="JSON config file with defaults")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("score", help="append spatial uncertainty scores to a record file")
     p.add_argument("--input", "-i", required=True)
     p.add_argument("--output", "-o", required=True)
-    p.add_argument("--k-samples", type=int, help="use only the first K samples of each record")
+    p.add_argument("--k-samples", **setting("uq.k_samples", UqConfig.k_samples),
+                   help="use only the first K samples of each record")
     _add_uq_flags(p, setting)
-    p.add_argument("--weights", type=_parse_weights, default=setting("uq.weights", UqConfig.weights),
+    p.add_argument("--weights", **setting("uq.weights", UqConfig.weights),
                    help="component weights: preset name or 'w_cd,w_ie,w_ta'")
     p.add_argument("--dump-density", default=None, metavar="DIR",
                    help="also write each record's occupied patches as row,col,value CSV")
@@ -816,14 +839,14 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="calibrate an acceptance threshold with an FDR bound")
     p.add_argument("--input", "-i", required=True, help="scored record file")
     p.add_argument("--out", "-o", required=True, help="artifact file (or directory when --repetitions > 1)")
-    p.add_argument("--variant", default=setting("variant", "com"), choices=VARIANTS)
+    p.add_argument("--variant", **setting("variant", "com"), help=_KINDS[_variant])
     _add_risk_flags(p, setting)
     _add_split_flags(p, setting)
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("evaluate", help="selective-prediction metrics over repeated splits")
     p.add_argument("--input", "-i", required=True, help="scored record file")
-    p.add_argument("--variant", default=setting("variant", "com"), choices=VARIANTS)
+    p.add_argument("--variant", **setting("variant", "com"), help=_KINDS[_variant])
     _add_risk_flags(p, setting)
     _add_split_flags(p, setting)
     p.add_argument("--report", default=None, help="write the JSON report here")
@@ -833,32 +856,30 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
 
     p = sub.add_parser("cascade", help="apply a threshold: accept locally or defer to the expert")
     p.add_argument("--input", "-i", required=True, help="scored record file (test set)")
-    p.add_argument("--tau", type=float, default=None, help="explicit threshold")
+    p.add_argument("--tau", type=_typed(_number), default=None, help="explicit threshold")
     p.add_argument("--artifact", default=None, help="calibration artifact supplying the threshold")
-    p.add_argument("--variant", default=None, choices=VARIANTS)
+    p.add_argument("--variant", type=_typed(_variant), default=None, help=_KINDS[_variant])
     p.add_argument("--report", default=None, help="write the JSON report here")
     p.add_argument("--manifest", default=None, help="write deferral manifest (JSONL) here")
     p.add_argument("--csv", default=None, help="append a summary CSV row here")
     p.add_argument("--label", default=None, help="label for the CSV row (default: input basename)")
-    p.set_defaults(func=cmd_cascade, fallback_variant=setting("variant", "com"))
+    p.set_defaults(func=cmd_cascade, fallback_variant=get("variant", "com"))
 
     p = sub.add_parser("sweep", help="grid of (alpha x variant x weights x K) over input files")
     p.add_argument("--inputs", "-i", nargs="+", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--alphas", action=_ListFlag, cast=float, default=setting("sweep.alphas", [DEFAULT_ALPHA]),
-                   help="comma-separated risk levels")
-    p.add_argument("--variants", action=_ListFlag, cast=_variant, default=setting("sweep.variants", ["com"]),
-                   help="comma-separated uncertainty variants")
-    p.add_argument("--weight-presets", action=_ListFlag, cast=_preset,
-                   default=setting("sweep.weight_presets", ["original"]),
+    p.add_argument("--alphas", **setting("sweep.alphas", [DEFAULT_ALPHA]), help="comma-separated risk levels")
+    p.add_argument("--variants", **setting("sweep.variants", ["com"]), help="comma-separated uncertainty variants")
+    p.add_argument("--weight-presets", **setting("sweep.weight_presets", ["original"]),
                    help=f"comma-separated presets from {sorted(WEIGHT_PRESETS)}")
-    p.add_argument("--k-values", action=_ListFlag, cast=int, default=setting("sweep.k_values"),
-                   help="comma-separated sample budgets")
-    p.add_argument("--delta", type=float, default=setting("risk.delta", RiskSpec.delta))
+    # sweep has no --k-samples: its k values fall back to uq.k_samples
+    k_samples = get("uq.k_samples", UqConfig.k_samples)
+    p.add_argument("--k-values", **setting("sweep.k_values", [k_samples]), help="comma-separated sample budgets")
+    p.add_argument("--delta", **setting("risk.delta", RiskSpec.delta))
     _add_split_flags(p, setting)
     _add_uq_flags(p, setting)
     # com is recombined under each of --weight-presets, so the base config's weights reach no output
-    p.set_defaults(func=cmd_sweep, weights=UqConfig.weights)
+    p.set_defaults(func=cmd_sweep, k_samples=k_samples, weights=UqConfig.weights)
 
     p = sub.add_parser("synth", help="generate a synthetic grounding dataset")
     p.add_argument("--out", "-o", required=True)
@@ -866,10 +887,9 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("guarantee", help="Monte Carlo validation of the FDR guarantee")
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=_typed(_integer), default=1000)
     _add_risk_flags(p, setting, 0.2)
-    p.add_argument("--ratio", type=float, default=setting("split.calibration_ratio", 0.5),
-                   help="calibration split ratio (default 0.5)")
+    p.add_argument("--ratio", **setting("split.calibration_ratio", 0.5), help="calibration split ratio (default 0.5)")
     p.add_argument("--out-csv", default=None, help="write per-trial results here")
     _add_synth_flags(p)
     p.set_defaults(func=cmd_guarantee)

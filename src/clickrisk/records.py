@@ -21,6 +21,7 @@ sidecar is always safe and an edited file ignores its own.
 from __future__ import annotations
 
 import contextlib
+import errno
 import hashlib
 import itertools
 import json
@@ -422,7 +423,11 @@ def atomic_writer(path, binary: bool = False) -> Iterator[IO]:
     The temporary file sits in the target's directory, so the final rename
     never crosses a file system; on any error it is removed and `path` is
     left as it was. The result gets the permissions a plain `open` would.
+    A `path` that is an existing directory is refused before anything is
+    written, since the final rename would fail only then.
     """
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
@@ -444,7 +449,8 @@ def record_writer(path) -> Iterator[RecordWriter]:
     """A `sidecar.RecordWriter` on `path` and `sidecar_path(path)`, which replace both files on a clean exit.
 
     Each file is written atomically (see `atomic_writer`), and on any error
-    both are left as they were. The sidecar is renamed first: until the
+    both are left as they were; either one being a directory is refused
+    before the writer is handed out. The sidecar is renamed first: until the
     record file follows, the new sidecar does not hold the size and sha256
     of the file beside it, so no reader serves it.
     """

@@ -56,7 +56,7 @@ class RiskSpec:
 
     def __post_init__(self) -> None:
         _check_unit("alpha", self.alpha)
-        _check_unit("delta", self.delta)
+        _check_delta(self.delta)
 
 
 class TracePoint(NamedTuple):
@@ -92,7 +92,7 @@ def _check_counts(n_errors: int, n_accepted: int, delta: float) -> None:
         raise RiskError(f"n_accepted must be >= 1, got {n_accepted}")
     if not 0 <= n_errors <= n_accepted:
         raise RiskError(f"n_errors must lie in [0, {n_accepted}], got {n_errors}")
-    _check_unit("delta", delta)
+    _check_delta(delta)
 
 
 def cp_upper_bound(n_errors: int, n_accepted: int, delta: float) -> float:
@@ -110,6 +110,19 @@ def cp_upper_bound(n_errors: int, n_accepted: int, delta: float) -> float:
 # noise of the incomplete beta near the boundary.
 _DUAL_ARG_EPS = 1e-9
 _DUAL_VALUE_EPS = 1e-9
+
+
+def _check_delta(delta: float) -> None:
+    """`delta` must lie in [_DUAL_VALUE_EPS, 1).
+
+    Below 1e-9 the guard band above is wider than delta itself, and the
+    bound falls short of its closed form 1 - delta**(1/n) at no errors
+    (by 4.4e-7 at delta 1e-12, 5e-3 at 1e-16), so it would not be an upper
+    bound; at 1e-17, 1 - delta rounds to 1.0 and every bound is 1.0.
+    """
+    _check_unit("delta", delta)
+    if delta < _DUAL_VALUE_EPS:
+        raise RiskError(f"delta must be at least {_DUAL_VALUE_EPS!r}, got {delta}")
 
 
 def bound_at_most(n_errors: int, n_accepted: int, alpha: float, delta: float) -> bool:
@@ -171,7 +184,7 @@ def critical_counts(n_max: int, alpha: float, delta: float) -> np.ndarray:
     if n_max < 0:
         raise RiskError(f"n_max must be >= 0, got {n_max}")
     _check_unit("alpha", alpha)
-    _check_unit("delta", delta)
+    _check_delta(delta)
     alpha, delta = float(alpha), float(delta)
     key = (alpha, delta)
     table = _critical.get(key)

@@ -239,16 +239,22 @@ def test_a_nan_setting_fails_before_anything_is_written(tmp_path, mixed_file, ca
     assert not out.exists()
 
 
-@pytest.mark.parametrize("weights, message", [
-    ("0.5,0.5", "weights must be a preset (original, v1, v2, v3, v4, v5, v6) or three comma-separated reals,"
-                " got '0.5,0.5'"),
-    ("a,b,c", "weights must be numeric, got 'a,b,c'"),
-], ids=["two-weights", "non-numeric"])
-def test_a_malformed_weights_flag_is_an_error(tmp_path, mixed_file, capsys, weights, message):
-    out = tmp_path / "out.jsonl"
+def usage_error(capsys, *argv) -> str:
+    """The last stderr line of argparse's usage error for `argv`, which must exit 2."""
     capsys.readouterr()
-    assert run("score", "-i", mixed_file, "-o", out, "--weights", weights) == 1
-    assert capsys.readouterr() == ("", f"error: {message}\n")
+    with pytest.raises(SystemExit) as caught:
+        run(*argv)
+    assert caught.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    return err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("weights", ["0.5,0.5", "a,b,c"], ids=["two-weights", "non-numeric"])
+def test_a_malformed_weights_flag_is_an_error(tmp_path, mixed_file, capsys, weights):
+    out = tmp_path / "out.jsonl"
+    assert usage_error(capsys, "score", "-i", mixed_file, "-o", out, "--weights", weights) == (
+        f"clickrisk score: error: argument --weights: must be {WEIGHTS_KIND}, got {weights!r}")
     assert not out.exists()
 
 
@@ -637,6 +643,52 @@ def test_a_directory_flag_naming_a_file_fails_before_any_work(tmp_path, mixed_fi
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
+@pytest.mark.parametrize("argv, flag, directory", [
+    (["score", "-i", "{src}", "-o", "d"], "--output", "d"),
+    (["score", "-i", "{src}", "-o", "new.jsonl"], "--output", "new.jsonl.cols"),
+    (["score", "-i", "{src}", "-o", "d", "--dump-density", "dumps"], "--output", "d"),
+    (["calibrate", "-i", "{src}", "-r", 1, "-o", "d"], "--out", "d"),
+    (["calibrate", "-i", "{src}", "-r", 3, "-o", "cal"], "--out", "cal/calibration_r002.json"),
+    (["calibrate", "-i", "{src}", "-r", 3, "-o", "cal"], "--out", "cal/summary.json"),
+    (["evaluate", "-i", "{src}", "-r", 2, "--report", "d", "--roc-csv", "roc.csv"], "--report", "d"),
+    (["evaluate", "-i", "{src}", "-r", 2, "--report", "r.json", "--roc-csv", "d"], "--roc-csv", "d"),
+    (["evaluate", "-i", "{src}", "-r", 2, "--report", "r.json", "--roc-csv", "roc.csv", "--arc-csv", "d"],
+     "--arc-csv", "d"),
+    (["cascade", "-i", "{src}", "--tau", 0.5, "--report", "d"], "--report", "d"),
+    (["cascade", "-i", "{src}", "--tau", 0.5, "--report", "c.json", "--manifest", "d"], "--manifest", "d"),
+    (["cascade", "-i", "{src}", "--tau", 0.5, "--report", "c.json", "--csv", "d"], "--csv", "d"),
+    (["sweep", "-i", "{src}", "-r", 2, "--out-dir", "sweep"], "--out-dir", "sweep/ranking.csv"),
+    (["sweep", "-i", "{src}", "-r", 2, "--out-dir", "sweep"], "--out-dir", "sweep/risk.csv"),
+    (["synth", "--out", "d"], "--out", "d"),
+    (["synth", "--out", "new.jsonl"], "--out", "new.jsonl.cols"),
+    (["guarantee", "--trials", 2, "--out-csv", "d"], "--out-csv", "d"),
+], ids=["score", "score-sidecar", "score-with-dump", "calibrate", "calibrate-artifact", "calibrate-summary",
+        "evaluate-report", "evaluate-roc", "evaluate-arc", "cascade-report", "cascade-manifest", "cascade-csv",
+        "sweep-ranking", "sweep-risk", "synth", "synth-sidecar", "guarantee"])
+def test_a_file_output_naming_a_directory_fails_before_any_work(tmp_path, mixed_file, monkeypatch, capsys, argv, flag,
+                                                               directory):
+    """`evaluate --arc-csv d` wrote its --report first, and `score -o d` left `d.cols` behind."""
+    src = scored(tmp_path, mixed_file, "s.jsonl")
+    monkeypatch.chdir(tmp_path)
+    Path(directory).mkdir(parents=True)
+    before = {str(p): p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
+    for name in ("read_columns", "generate_chunks", "run_guarantee_trials"):
+        monkeypatch.setattr(cli, name, lambda *a, name=name: pytest.fail(f"{name} ran"))
+    capsys.readouterr()
+    assert run(*[str(a).format(src=src) for a in argv]) == 1
+    assert capsys.readouterr() == ("", f"error: {flag} {directory}: is a directory\n")
+    assert {str(p): p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")} == before
+
+
+@pytest.mark.parametrize("directory", ["out.jsonl", "out.jsonl.cols"])
+def test_record_writer_refuses_a_directory_before_it_writes(tmp_path, directory):
+    (tmp_path / directory).mkdir()
+    with pytest.raises(IsADirectoryError, match=directory):
+        with records.record_writer(tmp_path / "out.jsonl"):
+            pytest.fail("the writer was handed out")
+    assert [p.name for p in tmp_path.iterdir()] == [directory]
+
+
 def test_cascade_rejects_infeasible_artifact(tmp_path, easy_file, capsys):
     src = scored(tmp_path, easy_file)
     artifact = tmp_path / "bad.json"
@@ -885,15 +937,18 @@ def test_sweep_rejects_bad_alpha_or_k_before_loading(tmp_path, capsys):
     assert capsys.readouterr().err == "error: k_samples must be positive, got 0\n"
     assert run("sweep", "-i", missing, "--out-dir", out_dir, "--delta", 2) == 1
     assert capsys.readouterr().err == "error: delta must lie strictly inside (0, 1), got 2.0\n"
-    assert run("sweep", "-i", missing, "--out-dir", out_dir, "--alphas", "0.2,x") == 1
-    assert capsys.readouterr().err == "error: --alphas: cannot read 'x' as float\n"
-    assert run("sweep", "-i", missing, "--out-dir", out_dir, "--k-values", "5,y") == 1
-    assert capsys.readouterr().err == "error: --k-values: cannot read 'y' as int\n"
-    assert run("sweep", "-i", missing, "--out-dir", out_dir, "--weight-presets", "v9") == 1
-    assert capsys.readouterr().err == (
-        "error: unknown weight preset 'v9'; expected one of ['original', 'v1', 'v2', 'v3', 'v4', 'v5', 'v6']\n")
-    assert run("sweep", "-i", missing, "--out-dir", out_dir, "--variants", "com,xx") == 1
-    assert capsys.readouterr().err == "error: unknown variant 'xx'; expected one of ('com', 'ta', 'ie', 'cd', 'pc')\n"
+    sweep = ["sweep", "-i", missing, "--out-dir", out_dir]
+    # an entry its flag's cast refuses is argparse's usage error, naming the flag
+    assert usage_error(capsys, *sweep, "--alphas", "0.2,x") == (
+        "clickrisk sweep: error: argument --alphas: must be a non-empty list of numbers, got '0.2,x'")
+    assert usage_error(capsys, *sweep, "--k-values", "5,y") == (
+        "clickrisk sweep: error: argument --k-values: must be a non-empty list of integers, got '5,y'")
+    assert usage_error(capsys, *sweep, "--weight-presets", "v9") == (
+        "clickrisk sweep: error: argument --weight-presets: unknown weight preset 'v9';"
+        " expected one of ['original', 'v1', 'v2', 'v3', 'v4', 'v5', 'v6']")
+    assert usage_error(capsys, *sweep, "--variants", "com,xx") == (
+        "clickrisk sweep: error: argument --variants: unknown variant 'xx';"
+        " expected one of ('com', 'ta', 'ie', 'cd', 'pc')")
     assert not out_dir.exists()
 
 
@@ -1059,6 +1114,12 @@ def test_sweep_rejects_an_empty_input(tmp_path, capsys):
     empty.write_text("")
     assert run("sweep", "-i", empty, "--out-dir", tmp_path / "sweep") == 1
     assert "no records" in capsys.readouterr().err
+
+
+def test_guarantee_rejects_zero_trials(capsys):
+    capsys.readouterr()
+    assert run("guarantee", "--trials", 0) == 1
+    assert capsys.readouterr() == ("", "error: trials must be positive, got 0\n")
 
 
 def test_guarantee_writes_trial_csv(tmp_path, capsys):
@@ -1229,7 +1290,7 @@ def test_a_setting_that_changed_no_output_is_not_accepted(tmp_path, mixed_file, 
 
 
 WEIGHTS_KIND = (f"a preset name ({', '.join(sorted(uq.WEIGHT_PRESETS))}), three comma-separated numbers"
-                " in a string, or a list of numbers")
+                " in a string, or a list of three numbers")
 VARIANT_LIST_KIND = "a non-empty list of names from com, ta, ie, cd, pc"
 PRESET_LIST_KIND = f"a non-empty list of names from {', '.join(sorted(uq.WEIGHT_PRESETS))}"
 # Names a command checks only where it uses them fail at load for every command, as a wrong type does.
@@ -1279,13 +1340,15 @@ COMMAND_OUTPUTS = {"score": ["-o", "s.jsonl"], "calibrate": ["-o", "a.json"], "s
      f"sweep.weight_presets must be {PRESET_LIST_KIND}, got []"),
     ({"uq": {"weights": [True, 0.0, 0.0]}}, ["score", "-o", "s.jsonl"],
      f"uq.weights must be {WEIGHTS_KIND}, got [true, 0.0, 0.0]"),
+    ({"uq": {"weights": [0.5, 0.5]}}, ["score", "-o", "s.jsonl"],
+     f"uq.weights must be {WEIGHTS_KIND}, got [0.5, 0.5]"),
     *[(config, [command, *outputs], message)
       for config, message in UNKNOWN_NAMES.values() for command, outputs in COMMAND_OUTPUTS.items()],
 ], ids=["null-alpha", "scalar-alphas", "scalar-weights", "string-section", "string-k",
         "misspelled-key", "misspelled-top-level", "dotted-top-level", "top-level-key-in-a-section", "removed-epsilon",
         "fractional-k", "bool-repetitions", "fractional-k-and-bool-repetitions", "bool-seed", "bool-alpha",
         "fractional-k-value", "bool-in-alphas", "empty-alphas", "empty-k-values", "empty-variants",
-        "empty-weight-presets", "bool-in-weights",
+        "empty-weight-presets", "bool-in-weights", "two-weights",
         *[f"{case}-{command}" for case in UNKNOWN_NAMES for command in COMMAND_OUTPUTS]])
 def test_wrong_typed_config_value_names_file_and_key(tmp_path, monkeypatch, mixed_file, capsys, config, argv,
                                                      message):

@@ -5,6 +5,7 @@ from clickrisk import uq
 from clickrisk.density import (
     DensityError,
     DensityMap,
+    batch_region_scores,
     build_density_map,
     extract_regions,
     score_regions,
@@ -87,6 +88,17 @@ def test_rejects_bad_inputs():
         build_density_map([(float("nan"), 1.0)], (28, 28), 14)
     with pytest.raises(DensityError):
         build_density_map([(1.0, 1.0)], (28, 28), 0)
+
+
+@pytest.mark.parametrize("beta", [-0.1, 1.0])
+def test_a_batch_rejects_a_beta_outside_the_unit_interval(beta):
+    with pytest.raises(DensityError) as caught:
+        batch_region_scores(np.array([[1.0, 1.0]]), np.array([0, 1]), [(28, 28)], 14, beta)
+    assert str(caught.value) == f"beta must lie in [0, 1), got {beta}"
+
+
+def test_an_empty_batch_has_no_scores():
+    assert batch_region_scores(np.zeros((0, 2)), np.array([0]), [], 14, 0.3) == []
 
 
 def test_grid_too_large_to_index_is_rejected():

@@ -431,6 +431,23 @@ def test_metrics_reject_a_nan_uncertainty_naming_its_position(metric):
         metric(np.array([0.1, 0.5, np.nan, 0.3, np.nan]), [0, 1, 0, 1, 1])
 
 
+@pytest.mark.parametrize("metric", [auroc, lambda u, adm: fdr_at(u, adm, 0.5)], ids=["auroc", "fdr_at"])
+def test_metrics_check_the_lengths_and_then_the_flags(metric):
+    """The length first, where `risk._check_pair` checks the flags first."""
+    with pytest.raises(MetricError) as caught:
+        metric([0.1, 0.2, 0.3], [0, 2])
+    assert str(caught.value) == "length mismatch: 3 uncertainties vs 2 flags"
+    with pytest.raises(MetricError) as caught:
+        metric([0.1, 0.2, 0.3], [0, 1, 2])
+    assert str(caught.value) == "admissible flags must be 0 or 1"
+
+
+def test_arc_points_need_a_record():
+    with pytest.raises(MetricError) as caught:
+        arc_points([], [])
+    assert str(caught.value) == "need at least one record"
+
+
 def test_aggregate_population_std():
     stat = aggregate([1.0, 2.0, 3.0, 4.0])
     assert stat.mean == pytest.approx(2.5)

@@ -69,6 +69,12 @@ def make_record(rec_id="r1", **overrides):
     return GroundingRecord(**fields)
 
 
+def test_validate_rejects_a_record_without_samples():
+    with pytest.raises(RecordError) as caught:
+        make_record(samples=()).validate()
+    assert str(caught.value) == "samples: must contain at least one coordinate pair"
+
+
 def lines(*objs):
     return io.StringIO(text(*objs))
 

@@ -226,6 +226,31 @@ def test_critical_counts_validate_before_caching(cold):
     assert list(critical_counts(0, 0.2, 0.05)) == [-1]
 
 
+@pytest.mark.parametrize("bound", [
+    lambda delta: RiskSpec(alpha=0.5, delta=delta),
+    lambda delta: cp_upper_bound(0, 1000, delta),
+    lambda delta: bound_at_most(0, 1000, 0.5, delta),
+    lambda delta: critical_counts(1000, 0.5, delta),
+], ids=["RiskSpec", "cp_upper_bound", "bound_at_most", "critical_counts"])
+def test_a_delta_below_the_floor_is_rejected_wherever_a_delta_enters(cold, bound):
+    """Below 1e-9 the bound falls short of its closed form; at 1e-17 every bound would read 1.0."""
+    bound(1e-9)
+    for delta in (math.nextafter(1e-9, 0.0), 1e-12, 1e-17):
+        with pytest.raises(RiskError) as caught:
+            bound(delta)
+        assert str(caught.value) == f"delta must be at least 1e-09, got {delta}"
+    for delta in (0.0, -0.5, 1.0, math.nan):
+        with pytest.raises(RiskError) as caught:
+            bound(delta)
+        assert str(caught.value) == f"delta must lie strictly inside (0, 1), got {delta}"
+    assert risk._critical.keys() <= {(0.5, 1e-9)}
+
+
+def test_at_the_delta_floor_the_bound_stays_within_its_guard_band_of_the_closed_form():
+    shortfall = max(1 - 1e-9 ** (1 / n) - cp_upper_bound(0, n, 1e-9) for n in range(1, 5001, 7))
+    assert shortfall < risk._DUAL_VALUE_EPS
+
+
 def test_a_cold_table_takes_a_handful_of_incomplete_betas(cold, monkeypatch):
     # the walk decides almost every step in floats; evaluating the bound at
     # every n (the scalar walk) costs 6,908 incomplete betas here

@@ -8,9 +8,14 @@ does a flag the table does not list. `guarantee` runs 5 trials, not its
 default 1000, and its runs write the per-trial CSV, since the summary's
 counts can hide a changed trial. Every config-file key must be the default
 of a flag that this scan covers.
+
+Every config-file key and its flag are one setting: the flag's texts and the
+key's values in a config file (an integer as 3, 3.0 and "3.0" too) print
+and write the same bytes.
 """
 
 import argparse
+import json
 
 import pytest
 
@@ -174,3 +179,51 @@ def test_every_config_key_is_the_default_of_a_scanned_flag():
             if isinstance(action.default, Setting) and (command, max(action.option_strings, key=len)) in FLAGS:
                 scanned.add(action.default.key)
     assert sorted(config.read - scanned) == []
+
+
+def spellings(n: int) -> tuple[list[str], list]:
+    """The flag texts and the config-file values that all mean the integer `n`."""
+    return [str(n), f"{n}.0"], [n, float(n), f"{n}.0"]
+
+
+CALIBRATE = ["calibrate", "-i", "{scored}", "-o", "cal.json", "-r", 1]
+SWEEP = ["sweep", "-i", "{raw}", "--out-dir", "sweep", "-r", 2]
+
+# config key -> (the command's arguments, the key's flag, flag texts, config-file values), all one setting
+SAME_SETTING = {
+    "seed": (CALIBRATE, "--seed", *spellings(5)),
+    "uq.k_samples": (COMMANDS["score"], "--k-samples", *spellings(3)),
+    "uq.patch_size": (COMMANDS["score"], "--patch-size", *spellings(28)),
+    "uq.beta": (COMMANDS["score"], "--beta", ["0.6"], [0.6]),
+    "uq.weights": (COMMANDS["score"], "--weights", ["0.5,0.3,0.2"], [[0.5, 0.3, 0.2], "0.5,0.3,0.2"]),
+    "risk.alpha": (CALIBRATE, "--alpha", ["0.3"], [0.3]),
+    "risk.delta": (CALIBRATE, "--delta", ["0.2"], [0.2]),
+    "split.calibration_ratio": (CALIBRATE, "--ratio", ["0.5"], [0.5]),
+    "split.repetitions": (COMMANDS["evaluate"], "--repetitions", *spellings(3)),
+    "variant": (CALIBRATE, "--variant", ["ta"], ["ta"]),
+    "sweep.alphas": (SWEEP, "--alphas", ["0.3,0.4"], [[0.3, 0.4]]),
+    "sweep.k_values": (SWEEP, "--k-values", ["3,5", "3.0,5.0"], [[3, 5], [3.0, 5.0], ["3.0", "5.0"]]),
+    "sweep.variants": (SWEEP, "--variants", ["ta,ie"], [["ta", "ie"]]),
+    "sweep.weight_presets": (SWEEP, "--weight-presets", ["v1,v2"], [["v1", "v2"]]),
+}
+
+
+def test_every_config_key_has_a_same_setting_case():
+    assert set(SAME_SETTING) == set(cli._CASTS)
+
+
+@pytest.mark.parametrize("key", sorted(SAME_SETTING))
+def test_a_flag_and_its_config_key_are_one_setting(tmp_path, monkeypatch, capsys, inputs, key):
+    """Each text of the flag and each value of the key in a config file print and write the same bytes."""
+    command, flag, texts, values = SAME_SETTING[key]
+    command = [a.format(**inputs) if isinstance(a, str) else a for a in command]
+    section, _, name = key.rpartition(".")
+    runs = []
+    for i, text in enumerate(texts):
+        argv = [flag, text, *command] if flag == "--seed" else [*command, flag, text]
+        runs.append(run_at(tmp_path, f"flag-{i}", monkeypatch, capsys, argv))
+    for i, value in enumerate(values):
+        config = tmp_path / f"config-{i}.json"
+        config.write_text(json.dumps({section: {name: value}} if section else {name: value}))
+        runs.append(run_at(tmp_path, f"config-{i}", monkeypatch, capsys, ["--config", config, *command]))
+    assert all(run == runs[0] for run in runs[1:])

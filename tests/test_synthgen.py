@@ -82,6 +82,19 @@ def test_config_validation():
         SynthConfig(seed=-1)
 
 
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(k_samples=0), "k_samples must be positive, got 0"),
+    (dict(image_size=0), "image_size and box_size must be positive"),
+    (dict(box_size=0), "image_size and box_size must be positive"),
+    (dict(expert_accuracy=1.5), "expert_accuracy must lie in [0, 1], got 1.5"),
+])
+def test_config_validation_names_the_knob(kwargs, message):
+    with pytest.raises(ValueError) as caught:
+        SynthConfig(**kwargs)
+    assert str(caught.value) == message
+
+
 # sha256 of the serialized datasets: any change to the order or arithmetic
 # of the generator's draws changes every synthetic output, and these catch it.
 @pytest.mark.parametrize("kwargs, digest", [

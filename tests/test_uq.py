@@ -366,6 +366,8 @@ def test_config_validation():
         UqConfig(weights=(0.5, 0.5, 0.5))
     with pytest.raises(ValueError):
         UqConfig(beta=1.0)
+    with pytest.raises(ValueError, match=r"^patch_size must be positive, got 0$"):
+        UqConfig(patch_size=0)
     with pytest.raises(ValueError):
         UqConfig(k_samples=0)
     UqConfig()
