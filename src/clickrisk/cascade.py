@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -113,15 +113,20 @@ def evaluate_cascade(
     return route(u, adm, admissions(experts, boxes), has_expert, deferred_ids, threshold)
 
 
-def write_manifest(path, ids: Sequence[str], instructions: Sequence[str | None]) -> None:
-    """Write the manifest atomically, one {"id", "instruction"?} line per deferred record, in order."""
+def manifest_lines(ids: Sequence[str], instructions: Sequence[str | None]) -> Iterator[str]:
+    """The manifest's lines: one {"id", "instruction"?} per deferred record, in order."""
     encode = json.encoder.encode_basestring_ascii  # a str as json.dumps writes it
+    for rec_id, instruction in zip(ids, instructions):
+        if instruction is None:
+            yield '{"id":%s}\n' % encode(rec_id)
+        else:
+            yield '{"id":%s,"instruction":%s}\n' % (encode(rec_id), encode(instruction))
+
+
+def write_manifest(path, ids: Sequence[str], instructions: Sequence[str | None]) -> None:
+    """Write `manifest_lines` atomically."""
     with atomic_writer(path) as fh:
-        for rec_id, instruction in zip(ids, instructions):
-            if instruction is None:
-                fh.write('{"id":%s}\n' % encode(rec_id))
-            else:
-                fh.write('{"id":%s,"instruction":%s}\n' % (encode(rec_id), encode(instruction)))
+        fh.writelines(manifest_lines(ids, instructions))
 
 
 def emit_deferrals(

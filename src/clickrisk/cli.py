@@ -1,21 +1,24 @@
 """Command-line pipeline: score, calibrate, evaluate, cascade, sweep, synth, guarantee.
 
 Stages communicate through files (line-delimited records, JSON artifacts,
-CSV tables) so long experiments can be resumed and reproduced. All output
-files are written atomically (write-then-rename) and every run is
-deterministic given its inputs, configuration, and seed.
+CSV tables) so long experiments can be resumed and reproduced. A command's
+outputs are staged beside their targets and renamed together once it has
+computed them all, and every run is deterministic given its inputs,
+configuration, and seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
 import os
 import sys
 from dataclasses import asdict, fields, replace
-from typing import Iterator
+from itertools import chain
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -27,13 +30,13 @@ from .records import (
     Columns,
     RecordError,
     SplitPlan,
-    atomic_writer,
     mlg_column,
     read_columns,
     record_writer,
     save_records,
     sidecar_path,
     split_indices,
+    staged_files,
 )
 from .density import occupied_patches
 from .risk import CalibrationOutcome, RiskSpec, calibrate_threshold
@@ -63,15 +66,7 @@ class CliError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# file helpers
-
-def _write_csv(path: str, header: list[str], rows: list) -> None:
-    """Write `header` and `rows`: `csv` writes None as an empty cell and a float as its `repr`."""
-    with atomic_writer(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
+# files: each command names its own once, checks them before it reads a record, and writes them together
 
 def _read_text(path: str, what: str) -> str:
     """The file at `path` as UTF-8 text; a byte that is not UTF-8 is a CliError naming `what` and `path`."""
@@ -83,17 +78,14 @@ def _read_text(path: str, what: str) -> str:
         raise CliError(f"{what} {path}: not UTF-8 (byte 0x{data[exc.start]:02x} at position {exc.start})") from None
 
 
-def _directory(flag: str, path: str) -> None:
-    """A CliError naming `flag` when the directory it names is an existing file."""
-    if os.path.exists(path) and not os.path.isdir(path):
-        raise CliError(f"{flag} {path}: not a directory")
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2) + "\n"
 
 
 def _csv_table(path: str, header: list[str]) -> str:
     """The text of the table at `path` that a row is appended to, ending in a newline; it must start with `header`.
 
-    A missing or empty file is `header`'s line alone. Read before the
-    command writes anything, so a table it would refuse leaves no output.
+    A missing or empty file is `header`'s line alone.
     """
     expected = ",".join(header)
     existing = _read_text(path, "--csv") if os.path.exists(path) else ""
@@ -105,61 +97,81 @@ def _csv_table(path: str, header: list[str]) -> str:
     return existing if existing.endswith("\n") else existing + "\n"  # so the row starts a line of its own
 
 
-def _append_csv_row(path: str, table: str, row: list) -> None:
-    """Write `table` (from `_csv_table`) and then `row` to `path`, replacing the old file atomically."""
-    with atomic_writer(path) as fh:
-        fh.write(table)
-        csv.writer(fh, lineterminator="\n").writerow(row)
+class IoPlan:
+    """The files one command reads and writes, named once from its `args` and checked (`check`) as it is made.
+
+    An entry of `reads` or `writes` is a flag, standing for the file (or each file) its option names, or a
+    (flag, paths) pair: the directory that flag names and the files written into it. `dirs` are directories whose
+    files the data names (`score --dump-density`), which the command checks itself. A record file (a flag in
+    `records`) stands for its sidecar too. `in_place` is a pair of flags that may name one file, read and then
+    replaced. Every command reads its `--config`."""
+
+    def __init__(self, args, reads=(), writes=(), dirs=(), records=("--input", "--inputs", "--output"), in_place=()):
+        def value(flag: str):
+            return getattr(args, flag[2:].replace("-", "_"))
+
+        def named(entries, sidecars=()) -> list[tuple[str, str]]:
+            files = []
+            for entry in entries:
+                flag, paths = entry if isinstance(entry, tuple) else (entry, value(entry))
+                for path in filter(None, paths if isinstance(paths, list) else [paths]):
+                    files += [(flag, path), (flag, sidecar_path(path))] if flag in sidecars else [(flag, path)]
+            return files
+
+        self.inputs = named(("--config", *reads))  # the files it reads, each as named
+        self.reads = named(("--config", *reads), records)
+        self.writes = named(writes, records)
+        # the directories it writes named files into, which no other flag may name; then `dirs`
+        self.holders = [(entry[0], value(entry[0])) for entry in writes if isinstance(entry, tuple)]
+        self.dirs = self.holders + named(dirs)
+        self.in_place = set(in_place) if len({os.path.realpath(value(flag)) for flag in in_place}) == 1 else set()
+        self.check()
+
+    def check(self) -> None:
+        """A CliError naming the flag of the first file the command could not use, in this order: an input that is a
+        directory; an output that ends in a path separator or is a directory; two flags, but the `in_place` pair,
+        naming one real file; an output directory that is a file. A missing input is its reader's to report."""
+        for flag, path in self.inputs:
+            if os.path.isdir(path):
+                raise CliError(f"{flag} {path}: is a directory")
+        for flag, path in self.writes:
+            if not os.path.basename(path):
+                raise CliError(f"{flag} {path}: ends in a path separator")
+            if os.path.isdir(path):
+                raise CliError(f"{flag} {path}: is a directory")
+        self.named: dict[str, str] = {}  # real path -> the first flag naming it
+        written = {flag for flag, _ in self.writes}  # a file its own flag reads and replaces counts as an output
+        files = [read for read in self.reads if read[0] not in written] + self.holders + self.writes
+        for i, (flag, path) in enumerate(files + self.dirs):  # a directory holding files is claimed with them
+            if i >= len(files) and os.path.exists(path) and not os.path.isdir(path):
+                raise CliError(f"{flag} {path}: not a directory")
+            other = self.named.setdefault(os.path.realpath(path), flag)
+            if other != flag and {other, flag} != self.in_place:
+                raise CliError(f"{other} and {flag} name the same file: {path}")
 
 
-# The flags that name record files: each such file has a sidecar (`records.sidecar_path`)
-RECORD_FLAGS = ("--input", "--inputs", "--output")
+@contextlib.contextmanager
+def _output(flag: str, path: str) -> Iterator[None]:
+    """An OSError raised in the block, which writes only the output `flag` names at `path`, as a CliError."""
+    try:
+        yield
+    except OSError as exc:
+        raise CliError(f"{flag} {path}: {exc.strerror or exc}") from None
 
 
-def _named(args, flags) -> Iterator[tuple[str, str]]:
-    """Each (flag, path) pair that `flags` name.
+@contextlib.contextmanager
+def _outputs() -> Iterator[Callable[..., None]]:
+    """`write(flag, path, texts=(), rows=())`, which stages each of `texts` and then `rows` as CSV lines for `path`,
+    if it is set (`csv` writes None as an empty cell and a float as its `repr`). All the files staged replace their
+    targets when the block ends cleanly, and none does on an error (`records.staged_files`)."""
+    with staged_files() as stage:
+        def write(flag: str, path: str | None, texts: Iterable[str] = (), rows: Iterable = ()) -> None:
+            if path:
+                with _output(flag, path), stage(path) as fh:
+                    fh.writelines(texts)
+                    csv.writer(fh, lineterminator="\n").writerows(rows)
 
-    A flag stands for the file its option names, or each of them when the
-    option takes a list; a (flag, paths) pair stands for the files a command
-    writes into the directory that flag names. The flags in RECORD_FLAGS
-    also stand for the sidecar of each record file they name, which the
-    command reads or writes with it.
-    """
-    for flag in flags:
-        flag, paths = flag if isinstance(flag, tuple) else (flag, getattr(args, flag[2:].replace("-", "_")))
-        paths = paths if isinstance(paths, list) else [paths]
-        if flag in RECORD_FLAGS:
-            paths = [p for path in paths if path for p in (path, sidecar_path(path))]
-        yield from ((flag, path) for path in paths if path)
-
-
-def _distinct_outputs(args, *flags) -> None:
-    """A CliError naming both flags when two of the files `flags` name (see `_named`) are one file.
-
-    Callers list the files a command reads ahead of those it writes, so
-    that no output replaces an input or another output.
-    """
-    first: dict[str, str] = {}  # real path -> the first flag naming it
-    for flag, path in _named(args, flags):
-        other = first.setdefault(os.path.realpath(path), flag)
-        if other != flag:
-            raise CliError(f"{other} and {flag} name the same file: {path}")
-
-
-def _not_directories(args, *flags) -> None:
-    """A CliError naming the flag when a file that `flags` name (see `_named`) is an existing directory.
-
-    Called with a command's outputs before it does any work, since the
-    rename that would put an output in place fails only once it is written.
-    """
-    for flag, path in _named(args, flags):
-        if os.path.isdir(path):
-            raise CliError(f"{flag} {path}: is a directory")
-
-
-def _write_json(path: str, obj) -> None:
-    with atomic_writer(path) as fh:
-        fh.write(json.dumps(obj, indent=2) + "\n")
+        yield write
 
 
 def _read(path: str) -> Iterator[Columns]:
@@ -376,37 +388,33 @@ def _dump_name(rec_id: str) -> str:
 
 def cmd_score(args) -> int:
     uq_cfg = _uq_config(args)
-    _not_directories(args, "--output")
-    if args.dump_density:
-        _directory("--dump-density", args.dump_density)
+    files = IoPlan(args, reads=["--input"], writes=["--output"], dirs=["--dump-density"],
+                   in_place=("--input", "--output"))
     owners: dict[str, str] = {}  # --dump-density file name -> the first id written to it
-    # the files no dump may replace; when -i X -o X rescores in place, X is named by --input
-    files = {os.path.realpath(args.output): "--output", os.path.realpath(args.input): "--input"}
-    if len(files) == 2:  # -i X -o X rescores X in place, the one output that may replace an input
-        _distinct_outputs(args, "--input", "--output")
-    clash, n_records = None, 0
-    with record_writer(args.output) as out:
+    n_records = 0
+    with contextlib.ExitStack() as stack:
+        with _output("--output", args.output):  # its opening; the loop reads the input too
+            out = stack.enter_context(record_writer(args.output))
         for chunk in _read(args.input):  # a chunk at a time: read, score, write
             out.write(replace(chunk, mlg=mlg_column(chunk, args.seed), uq=_scores(args.input, chunk, uq_cfg)))
             n_records += len(chunk)
-            for rec_id in chunk.ids if args.dump_density and clash is None else ():
+            for rec_id in chunk.ids if args.dump_density else ():
                 name = _dump_name(rec_id)
                 dump = os.path.join(args.dump_density, name)
                 if owners.setdefault(name, rec_id) != rec_id:
-                    clash = f"--dump-density: ids {owners[name]!r} and {rec_id!r} would both be written to {name}"
-                elif flag := files.get(os.path.realpath(dump)):
-                    clash = f"{flag} and --dump-density name the same file: {dump}"
-        if clash:  # raised inside the writer, so no scored file is left either
-            raise CliError(clash)
+                    raise CliError(
+                        f"--dump-density: ids {owners[name]!r} and {rec_id!r} would both be written to {name}")
+                if flag := files.named.get(os.path.realpath(dump)):
+                    raise CliError(f"{flag} and --dump-density name the same file: {dump}")
     if args.dump_density:  # from the finished file, so that a failure anywhere in the input leaves no dump
-        os.makedirs(args.dump_density, exist_ok=True)
-        for chunk in _read(args.output):
-            bounds = chunk.offsets.tolist()
-            for rec_id, dims, a, b in zip(chunk.ids, chunk.dims, bounds, bounds[1:]):
-                cloud = chunk.points[a : min(b, a + uq_cfg.k_samples)].tolist()
-                grid_w, patches = occupied_patches(cloud, dims, uq_cfg.patch_size)
-                _write_csv(os.path.join(args.dump_density, _dump_name(rec_id)), ["row", "col", "value"],
-                           [(*divmod(cell, grid_w), value) for cell, value in patches])
+        with _outputs() as write:
+            for chunk in _read(args.output):
+                bounds = chunk.offsets.tolist()
+                for rec_id, dims, a, b in zip(chunk.ids, chunk.dims, bounds, bounds[1:]):
+                    cloud = chunk.points[a : min(b, a + uq_cfg.k_samples)].tolist()
+                    grid_w, patches = occupied_patches(cloud, dims, uq_cfg.patch_size)
+                    write("--dump-density", os.path.join(args.dump_density, _dump_name(rec_id)), rows=[
+                        ["row", "col", "value"], *((*divmod(cell, grid_w), value) for cell, value in patches)])
     print(f"scored {n_records} records -> {args.output}")
     return 0
 
@@ -416,36 +424,32 @@ def cmd_calibrate(args) -> int:
     summary = os.path.join(args.out, "summary.json")
     artifacts = [args.out] if single else [
         os.path.join(args.out, f"calibration_r{rep:03d}.json") for rep in range(args.repetitions)]
-    _distinct_outputs(args, "--input", ("--out", artifacts if single else [args.out, *artifacts, summary]))
-    if not single:
-        _directory("--out", args.out)
-    _not_directories(args, ("--out", artifacts if single else [*artifacts, summary]))
+    IoPlan(args, reads=["--input"], writes=["--out"] if single else [("--out", [*artifacts, summary])])
     spec = RiskSpec(alpha=args.alpha, delta=args.delta)
     plan = _split_plan(args)
     u, adm = _stacked([(u, adm) for _, u, adm in _scored_chunks(args.input, args.variant, args.seed)], 2)
 
-    if not single:
-        os.makedirs(args.out, exist_ok=True)
     fdrs = []
-    for rep in range(plan.repetitions):
-        cal, test = split_indices(u.size, plan, rep)
-        outcome = calibrate_threshold(u[cal], ~adm[cal], spec)  # the full trace, for the artifact
-        if outcome.feasible:
-            fdrs.append(metrics_mod.split_counts(u[test], adm[test], outcome.threshold).fdr)
-        _write_json(artifacts[rep], _artifact_obj(outcome, spec, args.variant))
-    infeasible = plan.repetitions - len(fdrs)
-    mean, std = _mean_std(fdrs)
-    if not single:
-        _write_json(summary, {
-            "alpha": spec.alpha,
-            "delta": spec.delta,
-            "uq_variant": args.variant,
-            "repetitions": plan.repetitions,
-            "calibration_ratio": plan.calibration_ratio,
-            "seed": args.seed,
-            "infeasible_splits": infeasible,
-            "test_fdr": {"mean": mean, "std": std} if fdrs else None,
-        })
+    with _outputs() as write:
+        for rep in range(plan.repetitions):
+            cal, test = split_indices(u.size, plan, rep)
+            outcome = calibrate_threshold(u[cal], ~adm[cal], spec)  # the full trace, for the artifact
+            if outcome.feasible:
+                fdrs.append(metrics_mod.split_counts(u[test], adm[test], outcome.threshold).fdr)
+            write("--out", artifacts[rep], [_json_text(_artifact_obj(outcome, spec, args.variant))])
+        infeasible = plan.repetitions - len(fdrs)
+        mean, std = _mean_std(fdrs)
+        if not single:
+            write("--out", summary, [_json_text({
+                "alpha": spec.alpha,
+                "delta": spec.delta,
+                "uq_variant": args.variant,
+                "repetitions": plan.repetitions,
+                "calibration_ratio": plan.calibration_ratio,
+                "seed": args.seed,
+                "infeasible_splits": infeasible,
+                "test_fdr": {"mean": mean, "std": std} if fdrs else None,
+            })])
     if single and fdrs:
         print(f"feasible: threshold={outcome.threshold!r} (test FDR {mean:.4f}) -> {args.out}")
     elif single:
@@ -461,8 +465,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    _distinct_outputs(args, "--input", "--report", "--roc-csv", "--arc-csv")
-    _not_directories(args, "--report", "--roc-csv", "--arc-csv")
+    IoPlan(args, reads=["--input"], writes=["--report", "--roc-csv", "--arc-csv"])
     spec = RiskSpec(alpha=args.alpha, delta=args.delta)
     plan = _split_plan(args)
     u, adm = _stacked([(u, adm) for _, u, adm in _scored_chunks(args.input, args.variant, args.seed)], 2)
@@ -502,13 +505,13 @@ def cmd_evaluate(args) -> int:
             "auarc": full.auarc(),
         },
     }
+    with _outputs() as write:
+        write("--report", args.report, [_json_text(report_obj)])
+        if args.roc_csv:
+            write("--roc-csv", args.roc_csv, rows=chain([["fpr", "tpr"]], full.roc_points()))
+        if args.arc_csv:
+            write("--arc-csv", args.arc_csv, rows=chain([["rejection_rate", "accuracy"]], full.arc_points()))
     print(json.dumps(report_obj, indent=2))
-    if args.report:
-        _write_json(args.report, report_obj)
-    if args.roc_csv:
-        _write_csv(args.roc_csv, ["fpr", "tpr"], full.roc_points())
-    if args.arc_csv:
-        _write_csv(args.arc_csv, ["rejection_rate", "accuracy"], full.arc_points())
     return 0
 
 
@@ -553,10 +556,8 @@ CASCADE_CSV_HEADER = [
 
 
 def cmd_cascade(args) -> int:
-    _distinct_outputs(args, "--input", "--artifact", "--report", "--manifest", "--csv")
-    _not_directories(args, "--report", "--manifest", "--csv")
+    IoPlan(args, reads=["--input", "--artifact", "--csv"], writes=["--report", "--manifest", "--csv"])
     threshold, alpha, artifact_variant = _threshold_from_args(args)
-    table = _csv_table(args.csv, CASCADE_CSV_HEADER) if args.csv else None
     # the flag, then the artifact's variant, then the config file's, then com
     variant = args.variant or artifact_variant or args.fallback_variant
     ids, instructions, per_chunk = [], [], []  # the ids and instructions of the deferred records only
@@ -574,15 +575,15 @@ def cmd_cascade(args) -> int:
         "alpha": alpha,
         **asdict(report),
     }
+    with _outputs() as write:
+        write("--report", args.report, [_json_text(report_obj)])
+        write("--manifest", args.manifest, cascade_mod.manifest_lines(ids, instructions))
+        if args.csv:
+            row = [args.label or os.path.basename(args.input)] + [report_obj[k] for k in CASCADE_CSV_HEADER[1:]]
+            write("--csv", args.csv, [_csv_table(args.csv, CASCADE_CSV_HEADER)], [row])
     print(json.dumps(report_obj, indent=2))
-    if args.report:
-        _write_json(args.report, report_obj)
     if args.manifest:
-        cascade_mod.write_manifest(args.manifest, ids, instructions)
         print(f"deferral manifest: {len(ids)} records -> {args.manifest}", file=sys.stderr)
-    if args.csv:
-        label = args.label or os.path.basename(args.input)
-        _append_csv_row(args.csv, table, [label] + [report_obj[k] for k in CASCADE_CSV_HEADER[1:]])
     return 0
 
 
@@ -678,9 +679,7 @@ def cmd_sweep(args) -> int:
     configs = [replace(base_uq, k_samples=k) for k in args.k_values]
     plan = _split_plan(args)
     tables = [os.path.join(args.out_dir, name) for name in ("ranking.csv", "risk.csv")]
-    _distinct_outputs(args, "--inputs", ("--out-dir", tables))
-    _directory("--out-dir", args.out_dir)
-    _not_directories(args, ("--out-dir", tables))
+    IoPlan(args, reads=["--inputs"], writes=[("--out-dir", tables)])
 
     ranking_rows: list[list] = []
     risk_rows: list[list] = []
@@ -692,23 +691,16 @@ def cmd_sweep(args) -> int:
         ranking_rows += ranking
         risk_rows += risk
 
-    os.makedirs(args.out_dir, exist_ok=True)
-    _write_csv(
-        tables[0],
-        ["input", "variant", "weights", "k", "auroc", "auarc", "accuracy"],
-        ranking_rows,
-    )
-    _write_csv(
-        tables[1],
-        [
+    with _outputs() as write:
+        write("--out-dir", tables[0], rows=[["input", "variant", "weights", "k", "auroc", "auarc", "accuracy"],
+                                            *ranking_rows])
+        write("--out-dir", tables[1], rows=[[
             "input", "variant", "weights", "k", "alpha", "delta",
             "feasible_splits", "infeasible_splits", "tau_mean",
             "test_fdr_mean", "test_fdr_std", "power_mean", "power_std",
             "system_accuracy_mean", "system_accuracy_std",
             "cascading_rate_mean", "cascading_rate_std",
-        ],
-        risk_rows,
-    )
+        ], *risk_rows])
     print(f"sweep: {len(ranking_rows)} ranking rows, {len(risk_rows)} risk rows -> {args.out_dir}")
     return 0
 
@@ -731,15 +723,16 @@ class _Generated:
 
 
 def cmd_synth(args) -> int:
-    _not_directories(args, ("--out", [args.out, sidecar_path(args.out)]))
+    IoPlan(args, writes=["--out"], records=["--out"])
     records = _Generated(_synth_config(args))
-    save_records(args.out, records)  # each chunk is written before the next is drawn
+    with _output("--out", args.out):
+        save_records(args.out, records)  # each chunk is written before the next is drawn
     print(f"generated {len(records)} records -> {args.out}")
     return 0
 
 
 def cmd_guarantee(args) -> int:
-    _not_directories(args, "--out-csv")
+    IoPlan(args, writes=["--out-csv"])
     cfg = _synth_config(args)
     spec = RiskSpec(alpha=args.alpha, delta=args.delta)
     result, outcomes = run_guarantee_trials(cfg, spec.alpha, spec.delta, args.trials, calibration_ratio=args.ratio)
@@ -753,13 +746,10 @@ def cmd_guarantee(args) -> int:
         "calibration_ratio": args.ratio,
         "seed": args.seed,
     }
+    with _outputs() as write:
+        write("--out-csv", args.out_csv, rows=[["trial", "feasible", "tau", "test_fdr"], *(
+            [o.trial, "true" if o.feasible else "false", o.tau, o.test_fdr] for o in outcomes)])
     print(json.dumps(obj, indent=2))
-    if args.out_csv:
-        _write_csv(
-            args.out_csv,
-            ["trial", "feasible", "tau", "test_fdr"],
-            [[o.trial, "true" if o.feasible else "false", o.tau, o.test_fdr] for o in outcomes],
-        )
     return 0
 
 
@@ -901,6 +891,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         if args.config is not None:  # parse again, with the file's settings as the defaults
+            IoPlan(args)  # the config file is an input of every command
             args = build_parser(_load_config(args.config)).parse_args(argv)
         return args.func(args)
     except (CliError, ValueError, OSError) as exc:  # ValueError covers RecordError and MissingScoreError

@@ -30,7 +30,7 @@ import operator
 import os
 import tempfile
 from dataclasses import dataclass, field
-from typing import IO, TYPE_CHECKING, Iterable, Iterator, NoReturn
+from typing import IO, TYPE_CHECKING, Callable, ContextManager, Iterable, Iterator, NoReturn
 
 import numpy as np
 
@@ -417,46 +417,83 @@ def column_lines(chunk: Columns) -> Iterator[str]:
 
 
 @contextlib.contextmanager
+def staged_files() -> Iterator[Callable[..., ContextManager[IO]]]:
+    """`stage(path, binary=False)`: a text (or bytes) handle on a temporary file that replaces `path` later.
+
+    Every temporary sits in its target's directory, made if missing, so no
+    rename crosses a file system, and gets the permissions a plain `open`
+    would. A target that is a directory or ends in a path separator is
+    refused before anything is made, since its rename would fail only at
+    the end. When the block ends cleanly the temporaries replace their
+    targets, the last staged first; on any error before that, every
+    temporary and every directory made for one is removed, so every target
+    is left as it was. A rename that fails after another succeeded leaves
+    that one in place.
+    """
+    staged: list[tuple[str, str]] = []  # (temporary, target), in the order staged
+    made: list[str] = []  # the directories made for them, in the order made
+
+    @contextlib.contextmanager
+    def stage(path, binary: bool = False) -> Iterator[IO]:
+        path = os.fspath(path)
+        if not os.path.basename(path) or os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        directory = missing = os.path.dirname(os.path.abspath(path))
+        new = []  # the directories `makedirs` is about to make, innermost first
+        while not os.path.exists(missing):
+            new.append(missing)
+            missing = os.path.dirname(missing)
+        made.extend(reversed(new))
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+        staged.append((tmp, path))
+        with os.fdopen(fd, "wb") if binary else os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
+            yield fh
+
+    try:
+        yield stage
+        while staged:
+            os.replace(*staged[-1])
+            staged.pop()
+    except BaseException:
+        for tmp, _ in staged:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+        for directory in reversed(made):
+            with contextlib.suppress(OSError):  # one that now holds a file stays
+                os.rmdir(directory)
+        raise
+
+
+@contextlib.contextmanager
 def atomic_writer(path, binary: bool = False) -> Iterator[IO]:
     """Text (or, with `binary`, bytes) handle on a temporary file that replaces `path` on a clean exit.
 
-    The temporary file sits in the target's directory, so the final rename
-    never crosses a file system; on any error it is removed and `path` is
-    left as it was. The result gets the permissions a plain `open` would.
-    A `path` that is an existing directory is refused before anything is
-    written, since the final rename would fail only then.
+    One file of `staged_files`: on any error `path` is left as it was, and
+    a `path` that is a directory or ends in a path separator is refused
+    before anything is written.
     """
-    if os.path.isdir(path):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
-    try:
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        with os.fdopen(fd, "wb") if binary else os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with staged_files() as stage, stage(path, binary) as fh:
+        yield fh
 
 
 @contextlib.contextmanager
 def record_writer(path) -> Iterator[RecordWriter]:
     """A `sidecar.RecordWriter` on `path` and `sidecar_path(path)`, which replace both files on a clean exit.
 
-    Each file is written atomically (see `atomic_writer`), and on any error
-    both are left as they were; either one being a directory is refused
-    before the writer is handed out. The sidecar is renamed first: until the
-    record file follows, the new sidecar does not hold the size and sha256
-    of the file beside it, so no reader serves it.
+    The two files are staged together (`staged_files`): on any error both
+    are left as they were, and either one being a directory, or `path`
+    ending in a path separator, is refused before the writer is handed out.
+    The sidecar is renamed first: until the record file follows, the new
+    sidecar does not hold the size and sha256 of the file beside it, so no
+    reader serves it.
     """
     from .sidecar import RecordWriter  # loaded only by a command that writes a record file
 
-    with atomic_writer(path, binary=True) as lines, atomic_writer(sidecar_path(path), binary=True) as cols:
+    with staged_files() as stage, stage(path, True) as lines, stage(sidecar_path(path), True) as cols:
         writer = RecordWriter(lines, cols)
         yield writer
         writer.close()

@@ -22,6 +22,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -112,18 +113,39 @@ def info_dispersion(probs: Sequence[float]) -> float:
         raise ValueError(f"probs must sum to 1, got {math.fsum(probs)}")
     if m == 1:
         return 0.0
-    return _clamp01(-math.fsum(p * math.log(p + EPSILON) for p in probs) / math.log(m))
+    return _clamp01(-math.fsum(map(operator.mul, probs, map(math.log, map(operator.add, probs, repeat(EPSILON)))))
+                    / math.log(m))
+
+
+_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's constant, which splits a double into two halves of 26 bits
+_FLOAT = {float}
 
 
 def concentration_deficit(probs: Sequence[float]) -> float:
     """One minus the quadratic concentration of the region distribution.
 
-    Evaluated exactly over a common denominator D (a power of two for
-    floats) as (D^2 - sum n_i^2) / D^2 and rounded once at the end, so
-    identities like the uniform case (M-1)/M hold to the last bit.
+    Evaluated exactly and rounded once at the end, so identities like the
+    uniform case (M-1)/M hold to the last bit. Floats in [2^-400, 1] whose
+    `fsum` lies within 5e-10 of 1 (well inside the sum check, so it passes
+    as it would exactly) take `math.fsum` over 1 and the negated parts of
+    each p^2 = hi^2 + 2 hi lo + lo^2, where p = hi + lo is Veltkamp's split:
+    each part is an exact product, and `fsum` rounds their exact sum once.
+    Anything else (NaN, infinities, tiny values, Fractions, sums near the
+    check's limit) is summed over a common denominator D (a power of two
+    for floats) as (D^2 - sum n_i^2) / D^2: the same float where both apply.
     """
     if len(probs) == 0:
         raise ValueError("probs must be non-empty")
+    # min and max first: they screen out the infinities, whose `fsum` would raise its own error
+    if (_FLOAT.issuperset(map(type, probs)) and 2.0 ** -400 <= min(probs) and max(probs) <= 1.0
+            and abs(math.fsum(probs) - 1.0) <= 5e-10):
+        parts = [1.0]
+        for p in probs:
+            t = _SPLIT * p
+            hi = t - (t - p)
+            lo = p - hi
+            parts += (-hi * hi, -2.0 * hi * lo, -lo * lo)
+        return _clamp01(math.fsum(parts))
     ratios = [p.as_integer_ratio() for p in probs]
     denom = math.lcm(*(d for _, d in ratios))
     total = squares = 0

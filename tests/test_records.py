@@ -649,6 +649,49 @@ def test_save_records_replaces_the_file_only_when_complete(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.jsonl", "out.jsonl.cols"]
 
 
+@pytest.mark.parametrize("target", ["out/", "new/out/", "out.jsonl/"])
+@pytest.mark.parametrize("writer", ["save_records", "record_writer", "atomic_writer", "write_manifest"])
+def test_a_target_ending_in_a_separator_is_refused_before_anything_is_made(tmp_path, monkeypatch, writer, target):
+    """`save_records("out/", ...)` put the sidecar at `out/.cols` in a new `out/` and then failed to rename
+    the record file."""
+    from clickrisk import cascade
+
+    chunk = random_columns(np.random.default_rng(0), 2, 3)
+    write = {
+        "save_records": lambda path: save_records(path, [chunk]),
+        "record_writer": lambda path: records.record_writer(path).__enter__(),
+        "atomic_writer": lambda path: atomic_writer(path).__enter__(),
+        "write_manifest": lambda path: cascade.write_manifest(path, ["a"], [None]),
+    }[writer]
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(IsADirectoryError, match=re.escape(repr(target))):
+        write(target)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_staged_files_replace_their_targets_together_and_only_at_the_end(tmp_path):
+    old, deep = tmp_path / "old.txt", tmp_path / "new" / "deeper" / "b.txt"
+    old.write_text("old\n")
+
+    def stage_both(stage):
+        with stage(old) as fh:
+            fh.write("new\n")
+        with stage(deep, binary=True) as fh:
+            fh.write(b"b\n")
+        assert old.read_text() == "old\n" and not deep.exists()  # no target is replaced inside the block
+
+    with pytest.raises(RuntimeError):
+        with records.staged_files() as stage:
+            stage_both(stage)
+            raise RuntimeError("a later output failed")
+    assert [p.name for p in tmp_path.iterdir()] == ["old.txt"]  # no temporary, and no directory made for one
+    assert old.read_text() == "old\n"
+    with records.staged_files() as stage:
+        stage_both(stage)
+    assert (old.read_text(), deep.read_bytes()) == ("new\n", b"b\n")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["b.txt", "deeper", "new", "old.txt"]
+
+
 def test_atomic_writer_creates_directories_and_honours_the_umask(tmp_path):
     path = tmp_path / "new" / "file.txt"
     with atomic_writer(path) as fh:

@@ -119,6 +119,23 @@ def test_deficit_matches_fraction_oracle():
         assert concentration_deficit(probs) == fraction_deficit(probs), probs
 
 
+def test_deficit_matches_the_oracle_bit_for_bit_where_its_float_sum_stops():
+    """Uniform M up to 1000 (the (M - 1)/M identity), probabilities at and around the 2^-400 cut below which
+    the float sum hands over to the integer one, and totals on both sides of the 5e-10 band it keeps from
+    the check's 1e-9 limit."""
+    cases = [(1.0 / m,) * m for m in [*range(1, 65), 97, 100, 128, 333, 500, 999, 1000]]
+    for tiny in (2.0 ** -401, 2.0 ** -400, 2.0 ** -399, 2.0 ** -300, 1e-300, 5e-324):
+        cases += [(1.0 - tiny, tiny), (0.5, 0.5 - tiny, tiny), (0.25, 0.75 - 3 * tiny, tiny, tiny, tiny)]
+    for excess in (1e-10, 4.9e-10, 5e-10, 5.1e-10, 9e-10, 9.9e-10):
+        cases += [(0.5, 0.5 + excess), (0.5, 0.5 - excess), (0.3, 0.3, 0.4 + excess), (0.6, 0.4 - excess)]
+    for probs in cases:
+        assert concentration_deficit(probs).hex() == fraction_deficit(probs).hex(), probs
+    assert concentration_deficit((1.0 / 1000,) * 1000).hex() == (999 / 1000).hex()
+    for excess in (1.1e-9, -1.1e-9):
+        with pytest.raises(ValueError, match="sum to 1"):
+            concentration_deficit((0.5, 0.5 + excess))
+
+
 def test_deficit_rejects_non_distribution():
     for probs in [(0.5, 0.2), (0.6, 0.6), (1.0, 2e-9), (1.0 - 2e-9,)]:
         with pytest.raises(ValueError, match="sum to 1"):
