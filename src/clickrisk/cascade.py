@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .metrics import admissions, split_counts
-from .records import GroundingRecord, atomic_writer, select_mlg
+from .records import GroundingRecord, select_mlg, staged_files
 
 _NAN_PAIR = (math.nan, math.nan)  # an absent prediction, admissible nowhere
 
@@ -125,7 +125,7 @@ def manifest_lines(ids: Sequence[str], instructions: Sequence[str | None]) -> It
 
 def write_manifest(path, ids: Sequence[str], instructions: Sequence[str | None]) -> None:
     """Write `manifest_lines` atomically."""
-    with atomic_writer(path) as fh:
+    with staged_files() as stage, stage(path) as fh:
         fh.writelines(manifest_lines(ids, instructions))
 
 

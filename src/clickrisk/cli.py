@@ -130,7 +130,8 @@ class IoPlan:
     def check(self) -> None:
         """A CliError naming the flag of the first file the command could not use, in this order: an input that is a
         directory; an output that ends in a path separator or is a directory; two flags, but the `in_place` pair,
-        naming one real file; an output directory that is a file. A missing input is its reader's to report."""
+        naming one real file; an output directory that is a file; a path whose nearest existing ancestor is not a
+        directory. A missing input is its reader's to report."""
         for flag, path in self.inputs:
             if os.path.isdir(path):
                 raise CliError(f"{flag} {path}: is a directory")
@@ -148,6 +149,12 @@ class IoPlan:
             other = self.named.setdefault(os.path.realpath(path), flag)
             if other != flag and {other, flag} != self.in_place:
                 raise CliError(f"{other} and {flag} name the same file: {path}")
+        for flag, path in self.inputs + self.dirs + self.writes:  # a directory before the files it holds
+            parent = os.path.dirname(path)
+            while parent and not os.path.exists(parent):
+                parent = os.path.dirname(parent)
+            if parent and not os.path.isdir(parent):
+                raise CliError(f"{flag} {path}: not a directory")
 
 
 @contextlib.contextmanager
@@ -160,10 +167,11 @@ def _output(flag: str, path: str) -> Iterator[None]:
 
 
 @contextlib.contextmanager
-def _outputs() -> Iterator[Callable[..., None]]:
-    """`write(flag, path, texts=(), rows=())`, which stages each of `texts` and then `rows` as CSV lines for `path`,
-    if it is set (`csv` writes None as an empty cell and a float as its `repr`). All the files staged replace their
-    targets when the block ends cleanly, and none does on an error (`records.staged_files`)."""
+def _outputs() -> Iterator[tuple[Callable[..., None], Callable]]:
+    """(`write`, `stage`) of the command's one commit. `write(flag, path, texts=(), rows=())` stages each of `texts`
+    and then `rows` as CSV lines for `path`, if it is set (`csv` writes None as an empty cell and a float as its
+    `repr`); `stage` is `records.staged_files`' own. All the files staged replace their targets when the block ends
+    cleanly, and none does on an error."""
     with staged_files() as stage:
         def write(flag: str, path: str | None, texts: Iterable[str] = (), rows: Iterable = ()) -> None:
             if path:
@@ -171,7 +179,7 @@ def _outputs() -> Iterator[Callable[..., None]]:
                     fh.writelines(texts)
                     csv.writer(fh, lineterminator="\n").writerows(rows)
 
-        yield write
+        yield write, stage
 
 
 def _read(path: str) -> Iterator[Columns]:
@@ -392,13 +400,17 @@ def cmd_score(args) -> int:
                    in_place=("--input", "--output"))
     owners: dict[str, str] = {}  # --dump-density file name -> the first id written to it
     n_records = 0
-    with contextlib.ExitStack() as stack:
-        with _output("--output", args.output):  # its opening; the loop reads the input too
-            out = stack.enter_context(record_writer(args.output))
-        for chunk in _read(args.input):  # a chunk at a time: read, score, write
-            out.write(replace(chunk, mlg=mlg_column(chunk, args.seed), uq=_scores(args.input, chunk, uq_cfg)))
+    with _outputs() as (write, stage), contextlib.ExitStack() as stack:
+        # each use of the record writer names --output; the loop's reads are named by `_read`
+        with _output("--output", args.output):
+            out = stack.enter_context(record_writer(stage, args.output))
+        for chunk in _read(args.input):  # a chunk at a time: read, score, write its lines and its dumps
+            scored = replace(chunk, mlg=mlg_column(chunk, args.seed), uq=_scores(args.input, chunk, uq_cfg))
+            with _output("--output", args.output):
+                out.write(scored)
             n_records += len(chunk)
-            for rec_id in chunk.ids if args.dump_density else ():
+            bounds = chunk.offsets.tolist()
+            for rec_id, dims, a, b in zip(chunk.ids, chunk.dims, bounds, bounds[1:]) if args.dump_density else ():
                 name = _dump_name(rec_id)
                 dump = os.path.join(args.dump_density, name)
                 if owners.setdefault(name, rec_id) != rec_id:
@@ -406,15 +418,12 @@ def cmd_score(args) -> int:
                         f"--dump-density: ids {owners[name]!r} and {rec_id!r} would both be written to {name}")
                 if flag := files.named.get(os.path.realpath(dump)):
                     raise CliError(f"{flag} and --dump-density name the same file: {dump}")
-    if args.dump_density:  # from the finished file, so that a failure anywhere in the input leaves no dump
-        with _outputs() as write:
-            for chunk in _read(args.output):
-                bounds = chunk.offsets.tolist()
-                for rec_id, dims, a, b in zip(chunk.ids, chunk.dims, bounds, bounds[1:]):
-                    cloud = chunk.points[a : min(b, a + uq_cfg.k_samples)].tolist()
-                    grid_w, patches = occupied_patches(cloud, dims, uq_cfg.patch_size)
-                    write("--dump-density", os.path.join(args.dump_density, _dump_name(rec_id)), rows=[
-                        ["row", "col", "value"], *((*divmod(cell, grid_w), value) for cell, value in patches)])
+                cloud = chunk.points[a : min(b, a + uq_cfg.k_samples)].tolist()
+                grid_w, patches = occupied_patches(cloud, dims, uq_cfg.patch_size)
+                write("--dump-density", dump, rows=[
+                    ["row", "col", "value"], *((*divmod(cell, grid_w), value) for cell, value in patches)])
+        with _output("--output", args.output):
+            stack.close()  # the sidecar's header, and the last bytes of both files
     print(f"scored {n_records} records -> {args.output}")
     return 0
 
@@ -430,7 +439,7 @@ def cmd_calibrate(args) -> int:
     u, adm = _stacked([(u, adm) for _, u, adm in _scored_chunks(args.input, args.variant, args.seed)], 2)
 
     fdrs = []
-    with _outputs() as write:
+    with _outputs() as (write, _):
         for rep in range(plan.repetitions):
             cal, test = split_indices(u.size, plan, rep)
             outcome = calibrate_threshold(u[cal], ~adm[cal], spec)  # the full trace, for the artifact
@@ -505,7 +514,7 @@ def cmd_evaluate(args) -> int:
             "auarc": full.auarc(),
         },
     }
-    with _outputs() as write:
+    with _outputs() as (write, _):
         write("--report", args.report, [_json_text(report_obj)])
         if args.roc_csv:
             write("--roc-csv", args.roc_csv, rows=chain([["fpr", "tpr"]], full.roc_points()))
@@ -575,7 +584,7 @@ def cmd_cascade(args) -> int:
         "alpha": alpha,
         **asdict(report),
     }
-    with _outputs() as write:
+    with _outputs() as (write, _):
         write("--report", args.report, [_json_text(report_obj)])
         write("--manifest", args.manifest, cascade_mod.manifest_lines(ids, instructions))
         if args.csv:
@@ -691,7 +700,7 @@ def cmd_sweep(args) -> int:
         ranking_rows += ranking
         risk_rows += risk
 
-    with _outputs() as write:
+    with _outputs() as (write, _):
         write("--out-dir", tables[0], rows=[["input", "variant", "weights", "k", "auroc", "auarc", "accuracy"],
                                             *ranking_rows])
         write("--out-dir", tables[1], rows=[[
@@ -746,7 +755,7 @@ def cmd_guarantee(args) -> int:
         "calibration_ratio": args.ratio,
         "seed": args.seed,
     }
-    with _outputs() as write:
+    with _outputs() as (write, _):
         write("--out-csv", args.out_csv, rows=[["trial", "feasible", "tau", "test_fdr"], *(
             [o.trial, "true" if o.feasible else "false", o.tau, o.test_fdr] for o in outcomes)])
     print(json.dumps(obj, indent=2))

@@ -9,13 +9,13 @@ One record per line, JSON-encoded::
 Coordinates are pixels, origin at the top-left corner, x rightward and
 y downward. `uq` is absent in raw files and appended by the scoring stage.
 
-A file written here (`record_writer`, `save_records`) gets a column sidecar,
-`<file>.cols`, in the same atomic pass: the same records as little-endian
-arrays, a block of at most SCORE_CHUNK per chunk written, bound to the file
-by its size and sha256 (`clickrisk.sidecar` holds the format, and this
-module is its only user). `read_columns` serves a file from its sidecar
-while the binding holds and parses the lines otherwise, so deleting a
-sidecar is always safe and an edited file ignores its own.
+A record file written here (`record_writer` in a `staged_files` block, or
+`save_records`) gets a column sidecar, `<file>.cols`, staged with it: the
+same records as little-endian arrays, a block of at most SCORE_CHUNK per
+chunk written, bound to the file by its size and sha256 (`clickrisk.sidecar`
+holds the format, and this module is its only user). `read_columns` serves a
+file from its sidecar while the binding holds and parses the lines otherwise,
+so deleting a sidecar is always safe and an edited file ignores its own.
 """
 
 from __future__ import annotations
@@ -469,31 +469,18 @@ def staged_files() -> Iterator[Callable[..., ContextManager[IO]]]:
 
 
 @contextlib.contextmanager
-def atomic_writer(path, binary: bool = False) -> Iterator[IO]:
-    """Text (or, with `binary`, bytes) handle on a temporary file that replaces `path` on a clean exit.
+def record_writer(stage: Callable[..., ContextManager[IO]], path) -> Iterator[RecordWriter]:
+    """A `sidecar.RecordWriter` on `path` and `sidecar_path(path)`, both staged through `stage` (`staged_files`).
 
-    One file of `staged_files`: on any error `path` is left as it was, and
-    a `path` that is a directory or ends in a path separator is refused
-    before anything is written.
-    """
-    with staged_files() as stage, stage(path, binary) as fh:
-        yield fh
-
-
-@contextlib.contextmanager
-def record_writer(path) -> Iterator[RecordWriter]:
-    """A `sidecar.RecordWriter` on `path` and `sidecar_path(path)`, which replace both files on a clean exit.
-
-    The two files are staged together (`staged_files`): on any error both
-    are left as they were, and either one being a directory, or `path`
-    ending in a path separator, is refused before the writer is handed out.
-    The sidecar is renamed first: until the record file follows, the new
+    Either target being a directory, or `path` ending in a path separator,
+    is refused before the writer is handed out. The sidecar is staged
+    second, so it is renamed first: until the record file follows, the new
     sidecar does not hold the size and sha256 of the file beside it, so no
     reader serves it.
     """
     from .sidecar import RecordWriter  # loaded only by a command that writes a record file
 
-    with staged_files() as stage, stage(path, True) as lines, stage(sidecar_path(path), True) as cols:
+    with stage(path, True) as lines, stage(sidecar_path(path), True) as cols:
         writer = RecordWriter(lines, cols)
         yield writer
         writer.close()
@@ -502,9 +489,11 @@ def record_writer(path) -> Iterator[RecordWriter]:
 def save_records(path, chunks: Iterable[Columns]) -> None:
     """Write consecutive `Columns` chunks through `record_writer`: a JSON line per record, and the sidecar.
 
-    Each chunk is written before the next is drawn, so a generator's chunks never coexist.
+    Both files replace their targets when it returns, and neither does on an
+    error. Each chunk is written before the next is drawn, so a generator's
+    chunks never coexist.
     """
-    with record_writer(path) as writer:
+    with staged_files() as stage, record_writer(stage, path) as writer:
         for chunk in chunks:
             writer.write(chunk)
 

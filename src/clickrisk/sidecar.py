@@ -1,7 +1,7 @@
 """The column sidecar of a record file: its format, writer and reader.
 
-`records` is this module's only user: `records.record_writer` writes a
-sidecar beside each record file it writes, and `records.read_columns`
+`records` is this module's only user: `records.record_writer` stages a
+sidecar beside each record file it stages, and `records.read_columns`
 serves one in place of the lines while it is bound to its file. It imports
 this module only then, so a command that meets no sidecar never loads it.
 

@@ -684,7 +684,7 @@ def test_a_file_output_naming_a_directory_fails_before_any_work(tmp_path, mixed_
 def test_record_writer_refuses_a_directory_before_it_writes(tmp_path, directory):
     (tmp_path / directory).mkdir()
     with pytest.raises(IsADirectoryError, match=directory):
-        with records.record_writer(tmp_path / "out.jsonl"):
+        with records.staged_files() as stage, records.record_writer(stage, tmp_path / "out.jsonl"):
             pytest.fail("the writer was handed out")
     assert [p.name for p in tmp_path.iterdir()] == [directory]
 

@@ -5,9 +5,11 @@ copy of one directory of inputs. The plan checks every file before any
 record is read, so each bad name below exits 1 with one `error:` line that
 names the flag and changes no name or byte in the directory: an input that
 is a directory, an output that is a directory or ends in a path separator,
-an output directory that is a file, an output that names an input, and two
-outputs that name one file. The outputs are committed together, so a
-failure while the last of them is staged leaves nothing behind either.
+an output directory that is a file, an output that names an input, two
+outputs that name one file, and any file or directory under a plain file.
+The outputs are committed together, `score`'s record file, sidecar and
+density dumps included, so a failure while the last of them is staged
+leaves nothing behind either.
 
 `test_every_option_is_a_planned_file_or_listed_as_no_path` ties each
 option of each command to that command's plan, so an output that a later
@@ -21,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from clickrisk import cli
+from clickrisk import cli, sidecar
 from test_settings import subparsers
 
 # (name, argv with every file flag set, input flags, output file flags, output directory flags), the last three in
@@ -79,6 +81,9 @@ def cases():
         main = (inputs or ["--config"])[0]  # the input an output is made to name
         for flag in ["--config", *inputs]:
             yield f"{name}{flag}-is-a-directory", with_value(argv, flag, "dd"), f"{flag} dd: is a directory", 0
+        for flag in ["--config", *inputs, *outputs, *dirs]:
+            yield (f"{name}{flag}-is-under-a-file", with_value(argv, flag, "file.txt/x"),
+                   f"{flag} file.txt/x: not a directory", 0)
         for flag in outputs:
             yield f"{name}{flag}-is-a-directory", with_value(argv, flag, "dd"), f"{flag} dd: is a directory", 0
             yield (f"{name}{flag}-ends-in-a-separator", with_value(argv, flag, "new/"),
@@ -100,12 +105,16 @@ def cases():
                 target = flag_value(argv, first)
                 yield (f"{name}{first}-and{second}", with_value(argv, second, target),
                        f"{first} and {second} name the same file: {target}", 0)
-        # the last file staged fails; score's dumps are written after its record file, so they are left out
-        staged = argv[:argv.index("--dump-density")] if name == "score" else argv
-        count = {"score": 2, "calibrate-r3": 4, "evaluate": 3, "cascade": 3, "sweep": 2, "synth": 2}.get(name, 1)
-        last, path = {"score": ("--output", "out.jsonl"), "calibrate-r3": ("--out", "cal/summary.json"),
+        # the last file staged fails: score stages its record file, its sidecar and then one dump per record
+        count = {"score": 42, "calibrate-r3": 4, "evaluate": 3, "cascade": 3, "sweep": 2, "synth": 2}.get(name, 1)
+        last, path = {"score": ("--dump-density", "dumps/synth-00039.csv"),
+                      "calibrate-r3": ("--out", "cal/summary.json"),
                       "sweep": ("--out-dir", "sweep/risk.csv")}.get(name, (named[-1], flag_value(argv, named[-1])))
-        yield f"{name}-fails-writing-{last}", staged, f"{last} {path}: No space left on device", count
+        yield f"{name}-fails-writing-{last}", argv, f"{last} {path}: No space left on device", count
+    # rescoring in place, the input is left as it was too
+    yield ("score-in-place-fails-writing--dump-density",
+           ["score", "-i", "raw.jsonl", "-o", "raw.jsonl", "--dump-density", "dumps"],
+           "--dump-density dumps/synth-00039.csv: No space left on device", 42)
 
 
 CASES = list(cases())
@@ -129,12 +138,17 @@ def tree(root: Path) -> dict:
     return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
 
 
+@pytest.fixture
+def work(tmp_path, monkeypatch, inputs) -> Path:
+    """A fresh copy of the inputs, as the working directory."""
+    shutil.copytree(inputs, tmp_path / "work")
+    monkeypatch.chdir(tmp_path / "work")
+    return tmp_path / "work"
+
+
 @pytest.mark.parametrize("argv, error, failing", [case[1:] for case in CASES], ids=[case[0] for case in CASES])
-def test_a_file_the_command_cannot_use_fails_naming_its_flag_and_changes_nothing(tmp_path, monkeypatch, capsys,
-                                                                                 inputs, argv, error, failing):
-    work = tmp_path / "work"
-    shutil.copytree(inputs, work)
-    monkeypatch.chdir(work)
+def test_a_file_the_command_cannot_use_fails_naming_its_flag_and_changes_nothing(monkeypatch, capsys, work, argv,
+                                                                                 error, failing):
     if failing:  # the run computes everything, and then the temporary of its last output cannot be made
         staged, mkstemp = [], tempfile.mkstemp
 
@@ -155,6 +169,28 @@ def test_a_file_the_command_cannot_use_fails_naming_its_flag_and_changes_nothing
     assert tree(work) == before
     if failing:
         assert len(staged) == failing
+
+
+@pytest.mark.parametrize("output", ["out.jsonl", "raw.jsonl"])
+@pytest.mark.parametrize("method", ["write", "close"])
+def test_a_write_error_of_score_names_its_output_and_changes_nothing(monkeypatch, capsys, work, method, output):
+    def full_disk(writer, *args):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(sidecar.RecordWriter, method, full_disk)
+    before = tree(work)
+    capsys.readouterr()
+    assert cli.main(["score", "-i", "raw.jsonl", "-o", output, "--dump-density", "dumps"]) == 1
+    assert capsys.readouterr() == ("", f"error: --output {output}: No space left on device\n")
+    assert tree(work) == before
+
+
+def test_score_reads_its_input_once_and_never_its_output(monkeypatch, work):
+    read, read_columns = [], cli.read_columns
+    monkeypatch.setattr(cli, "read_columns", lambda path: read.append(path) or read_columns(path))
+    assert cli.main(["score", "-i", "raw.jsonl", "-o", "out.jsonl", "--dump-density", "dumps"]) == 0
+    assert read == ["raw.jsonl"]
+    assert len(list((work / "dumps").iterdir())) == 40
 
 
 class Planned(Exception):

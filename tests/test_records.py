@@ -20,7 +20,6 @@ from clickrisk.records import (
     SplitError,
     SplitPlan,
     UQ_KEYS,
-    atomic_writer,
     column_lines,
     load_records,
     mlg_column,
@@ -650,17 +649,21 @@ def test_save_records_replaces_the_file_only_when_complete(tmp_path):
 
 
 @pytest.mark.parametrize("target", ["out/", "new/out/", "out.jsonl/"])
-@pytest.mark.parametrize("writer", ["save_records", "record_writer", "atomic_writer", "write_manifest"])
+@pytest.mark.parametrize("writer", ["save_records", "record_writer", "staged_files", "write_manifest"])
 def test_a_target_ending_in_a_separator_is_refused_before_anything_is_made(tmp_path, monkeypatch, writer, target):
     """`save_records("out/", ...)` put the sidecar at `out/.cols` in a new `out/` and then failed to rename
     the record file."""
     from clickrisk import cascade
 
+    def staged(open_target):
+        with records.staged_files() as stage, open_target(stage):
+            pytest.fail("the target was opened")
+
     chunk = random_columns(np.random.default_rng(0), 2, 3)
     write = {
         "save_records": lambda path: save_records(path, [chunk]),
-        "record_writer": lambda path: records.record_writer(path).__enter__(),
-        "atomic_writer": lambda path: atomic_writer(path).__enter__(),
+        "record_writer": lambda path: staged(lambda stage: records.record_writer(stage, path)),
+        "staged_files": lambda path: staged(lambda stage: stage(path)),
         "write_manifest": lambda path: cascade.write_manifest(path, ["a"], [None]),
     }[writer]
     monkeypatch.chdir(tmp_path)
@@ -692,9 +695,9 @@ def test_staged_files_replace_their_targets_together_and_only_at_the_end(tmp_pat
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["b.txt", "deeper", "new", "old.txt"]
 
 
-def test_atomic_writer_creates_directories_and_honours_the_umask(tmp_path):
+def test_staged_files_create_directories_and_honour_the_umask(tmp_path):
     path = tmp_path / "new" / "file.txt"
-    with atomic_writer(path) as fh:
+    with records.staged_files() as stage, stage(path) as fh:
         fh.write("x\n")
     assert path.read_text() == "x\n"
     umask = os.umask(0)
@@ -807,7 +810,7 @@ def test_a_chunk_changed_after_write_returns_leaves_both_files_as_they_were(tmp_
     src, kept, changed = tmp_path / "src.jsonl", tmp_path / "kept.jsonl", tmp_path / "changed.jsonl"
     src.write_text(text(*sidecar_objs(300)))
     save_records(kept, read_columns(src))
-    with records.record_writer(changed) as writer:
+    with records.staged_files() as stage, records.record_writer(stage, changed) as writer:
         for chunk in read_columns(src):
             writer.write(chunk)
             for name in ARRAY_FIELDS:
