@@ -304,10 +304,6 @@ def _load_config(path: str) -> dict:
     return settings
 
 
-def _uq_config(args) -> UqConfig:
-    return UqConfig(k_samples=args.k_samples, patch_size=args.patch_size, beta=args.beta, weights=args.weights)
-
-
 def _split_plan(args) -> SplitPlan:
     return SplitPlan(calibration_ratio=args.ratio, seed=args.seed, repetitions=args.repetitions)
 
@@ -395,7 +391,7 @@ def _dump_name(rec_id: str) -> str:
 
 
 def cmd_score(args) -> int:
-    uq_cfg = _uq_config(args)
+    uq_cfg = UqConfig(k_samples=args.k_samples, patch_size=args.patch_size, beta=args.beta, weights=args.weights)
     files = IoPlan(args, reads=["--input"], writes=["--output"], dirs=["--dump-density"],
                    in_place=("--input", "--output"))
     owners: dict[str, str] = {}  # --dump-density file name -> the first id written to it
@@ -596,36 +592,18 @@ def cmd_cascade(args) -> int:
     return 0
 
 
-def _combo_rows(ranking, expert, plan, specs, feasible) -> tuple[list, list[list]]:
-    """One sweep combination's AUROC/AUARC and its per-spec risk columns.
-
-    `ranking` is None when the variant is absent from the records ("--" style
-    empty columns); `feasible` holds, per spec, the counts of its feasible splits.
-    """
-    if ranking is None:
-        return [None, None], [[spec.alpha, spec.delta] + [None] * 11 for spec in specs]
-    risk = []
-    for spec, kept in zip(specs, feasible):
-        cascaded = kept if expert is not None else []
-        risk.append(
-            [spec.alpha, spec.delta, len(kept), plan.repetitions - len(kept)]
-            + _mean_std([c.tau for c in kept])[:1]
-            + _mean_std([c.fdr for c in kept])
-            + _mean_std([c.power for c in kept])
-            + _mean_std([c.system_accuracy for c in cascaded])
-            + _mean_std([c.cascading_rate for c in cascaded])
-        )
-    return [ranking.auroc(), ranking.auarc()], risk
-
-
-def _sweep_input(path: str, args, configs: list[UqConfig], specs: list[RiskSpec], plan: SplitPlan) -> tuple[list, list]:
-    """One input's ranking rows and risk rows, in table order.
+def _sweep_input(path: str, name: str, args, configs: list[UqConfig], specs: list[RiskSpec],
+                 plan: SplitPlan) -> tuple[list, list]:
+    """One input's ranking rows and risk rows, in table order, each starting with `name`.
 
     Each chunk is scored under every config (one per k) as it is read, so
-    only per-record vectors outlive it. Each distinct combination's column
-    is built next, then one `engine.SortedColumns` sorts each of them once:
-    its splits are drawn once for all of them, at every spec, and its
-    rankings give each one's AUROC/AUARC.
+    only per-record vectors outlive it. A row reads the column its key
+    (variant, k, preset or None) names: only com depends on the weight
+    preset, so ta, ie and cd get one column per k, repeated under every
+    preset, and pc one row, last, whose column is absent when some record
+    lacks it. One `engine.SortedColumns` sorts each column once: its splits
+    are drawn once for all of them, at every spec, and its rankings give
+    each one's AUROC/AUARC.
     """
     adm, expert, has_expert, pc, *per_k = _stacked([
         (_admissible(chunk, args.seed), *_expert(chunk), chunk.pc, *(_scores(path, chunk, cfg) for cfg in configs))
@@ -633,68 +611,72 @@ def _sweep_input(path: str, args, configs: list[UqConfig], specs: list[RiskSpec]
     ], 4 + len(configs))
     if not adm.size:
         raise CliError(f"{path}: no records")
-    name = os.path.basename(path)
-    expert = expert if has_expert.all() else None
 
-    # component scores are computed once per k; only com depends on the weight
-    # preset, so ta, ie and cd get one column per k, repeated under every preset
-    columns: dict[tuple, np.ndarray | None] = {}  # per key: its uncertainty vector, None for an absent pc
-    heads: list[tuple[list, tuple]] = []  # per table row: its head and its column's key
-    for k, scores in zip((config.k_samples for config in configs), per_k):
+    rows: list[tuple[list, tuple]] = []  # per table row: its head and its column's key
+    columns: dict[tuple, np.ndarray] = {}  # per key of a present column: its uncertainty vector
+    for k, scores in zip(args.k_values, per_k):
         parts = dict(zip(UQ_KEYS, scores.T))
         for preset in args.weight_presets:
             for variant in args.variants:
                 if variant == "pc":
                     continue
                 key = (variant, k, preset if variant == "com" else None)
+                rows.append(([name, variant, preset, k], key))
                 if key not in columns:
                     columns[key] = parts[variant] if variant != "com" else combine(
-                        parts["cd"], parts["ie"], parts["ta"], WEIGHT_PRESETS[preset]
-                    )
-                heads.append(([name, variant, preset, k], key))
+                        parts["cd"], parts["ie"], parts["ta"], WEIGHT_PRESETS[preset])
     if "pc" in args.variants:
-        columns["pc", None, None] = None if np.isnan(pc).any() else pc
-        heads.append(([name, "pc", None, None], ("pc", None, None)))
+        rows.append(([name, "pc", None, None], ("pc", None, None)))
+        if not np.isnan(pc).any():
+            columns["pc", None, None] = pc
 
-    present = [key for key, u in columns.items() if u is not None]
-    feasible = {key: [[] for _ in specs] for key in columns}
-    ranked = engine.SortedColumns([columns[key] for key in present], adm, expert)
+    # per column, per spec: the tau, FDR, power, system accuracy and cascading rate of each feasible split
+    feasible = [[[] for _ in specs] for _ in columns]
+    ranked = engine.SortedColumns(list(columns.values()), adm, expert)
     for rep, (_, per_column) in enumerate(ranked.splits(plan, specs)):
-        for key, per_spec in zip(present, per_column):
-            for kept, counts in zip(feasible[key], per_spec):
-                if counts is None:
-                    continue
-                if not counts.n_admissible:  # its power is undefined; name the split, as evaluate does
-                    try:
-                        counts.power
+        for per_spec, kept in zip(per_column, feasible):
+            for counts, stats in zip(per_spec, kept):
+                if counts is not None:
+                    try:  # power is undefined without admissible test records; name the split, as evaluate does
+                        stats.append((counts.tau, counts.fdr, counts.power, counts.system_accuracy,
+                                      counts.cascading_rate))
                     except metrics_mod.MetricError as exc:
                         raise metrics_mod.MetricError(f"repetition {rep}: {exc}") from None
-                kept.append(counts)
-    index = {key: c for c, key in enumerate(present)}
-    rows = {
-        key: _combo_rows(ranked.ranking(index[key]) if key in index else None,
-                         expert, plan, specs, feasible[key])
-        for key in columns
+
+    cascaded = has_expert.all()  # routing needs every record's expert click
+
+    def risk_cells(stats: list[tuple]) -> list:
+        tau, fdr, power, accuracy, rate = zip(*stats) if stats else [()] * 5
+        return [len(stats), plan.repetitions - len(stats), _mean_std(tau)[0], *_mean_std(fdr), *_mean_std(power),
+                *(_mean_std(accuracy) + _mean_std(rate) if cascaded else [None] * 4)]
+
+    cells = {  # per key of a present column: its AUROC and AUARC, and its risk cells per spec
+        key: ([ranking.auroc(), ranking.auarc()], [risk_cells(stats) for stats in kept])
+        for key, ranking, kept in zip(columns, map(ranked.ranking, range(len(columns))), feasible)
     }
+    empty = [None, None], [[None] * 11] * len(specs)  # an absent column's
     base_accuracy = int(adm.sum()) / adm.size
-    return ([head + rows[key][0] + [base_accuracy] for head, key in heads],
-            [head + row for head, key in heads for row in rows[key][1]])
+    return ([head + cells.get(key, empty)[0] + [base_accuracy] for head, key in rows],
+            [head + [spec.alpha, spec.delta] + risk
+             for head, key in rows for spec, risk in zip(specs, cells.get(key, empty)[1])])
 
 
 def cmd_sweep(args) -> int:
-    base_uq = _uq_config(args)
     # the grid, each entry checked as it is built, before any input is read
     specs = [RiskSpec(alpha=alpha, delta=args.delta) for alpha in args.alphas]
-    configs = [replace(base_uq, k_samples=k) for k in args.k_values]
+    configs = [UqConfig(k_samples=k, patch_size=args.patch_size, beta=args.beta) for k in args.k_values]
     plan = _split_plan(args)
     tables = [os.path.join(args.out_dir, name) for name in ("ranking.csv", "risk.csv")]
     IoPlan(args, reads=["--inputs"], writes=[("--out-dir", tables)])
+    # an input is named by its basename, or by its path as given where another input shares that basename
+    names = [os.path.basename(path) for path in args.inputs]
+    names = [path if names.count(name) > 1 else name for path, name in zip(args.inputs, names)]
 
     ranking_rows: list[list] = []
     risk_rows: list[list] = []
-    for path in args.inputs:
+    for path, name in zip(args.inputs, names):
         try:
-            ranking, risk = _sweep_input(path, args, configs, specs, plan)
+            ranking, risk = _sweep_input(path, name, args, configs, specs, plan)
         except ValueError as exc:
             raise CliError(f"{path}: {exc}")
         ranking_rows += ranking
@@ -872,13 +854,12 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--weight-presets", **setting("sweep.weight_presets", ["original"]),
                    help=f"comma-separated presets from {sorted(WEIGHT_PRESETS)}")
     # sweep has no --k-samples: its k values fall back to uq.k_samples
-    k_samples = get("uq.k_samples", UqConfig.k_samples)
-    p.add_argument("--k-values", **setting("sweep.k_values", [k_samples]), help="comma-separated sample budgets")
+    p.add_argument("--k-values", **setting("sweep.k_values", [get("uq.k_samples", UqConfig.k_samples)]),
+                   help="comma-separated sample budgets")
     p.add_argument("--delta", **setting("risk.delta", RiskSpec.delta))
     _add_split_flags(p, setting)
     _add_uq_flags(p, setting)
-    # com is recombined under each of --weight-presets, so the base config's weights reach no output
-    p.set_defaults(func=cmd_sweep, k_samples=k_samples, weights=UqConfig.weights)
+    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("synth", help="generate a synthetic grounding dataset")
     p.add_argument("--out", "-o", required=True)

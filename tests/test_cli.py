@@ -803,6 +803,41 @@ def test_sweep_names_the_input_that_fails(tmp_path, monkeypatch, mixed_file, cap
     assert not Path("sweep").exists()
 
 
+def test_sweep_names_inputs_that_share_a_basename_by_their_paths(tmp_path, monkeypatch, mixed_file):
+    """Two models' files both called s.jsonl stay apart in the tables; a unique basename stays the name."""
+    monkeypatch.chdir(tmp_path)
+    for model, seed in (("a", 4), ("b", 5)):
+        assert run("--seed", seed, "synth", "--out", f"{model}/s.jsonl", "--n-records", 40) == 0
+    assert run("sweep", "-i", "a/s.jsonl", "b/s.jsonl", mixed_file, "--out-dir", "sweep", "--alphas", "0.2,0.3",
+               "-r", 2) == 0
+    for table, per_input in (("ranking.csv", 1), ("risk.csv", 2)):
+        names = [row.split(",")[0] for row in (tmp_path / "sweep" / table).read_text().splitlines()[1:]]
+        assert names == [name for name in ("a/s.jsonl", "b/s.jsonl", "mixed.jsonl") for _ in range(per_input)]
+
+
+def test_sweep_leaves_the_cascade_cells_empty_for_an_input_with_an_expert_less_record(tmp_path, mixed_file):
+    """Routing needs every record's expert click: one record without it empties that input's system accuracy
+    and cascading rate cells, and changes no other cell but the input's name."""
+    src = scored(tmp_path, mixed_file)
+    objs = [json.loads(line) for line in src.read_text().splitlines()]
+    assert all("expert" in obj for obj in objs)
+    del objs[7]["expert"]
+    copy = tmp_path / "no_expert.jsonl"
+    copy.write_text("".join(json.dumps(obj) + "\n" for obj in objs))
+    assert run("--seed", 3, "sweep", "-i", src, copy, "--out-dir", tmp_path / "sweep", "--variants", "com,ta,pc",
+               "--weight-presets", "original,v1", "--alphas", "0.2,0.3", "--ratio", 0.5, "-r", 3) == 0
+    for table in ("ranking.csv", "risk.csv"):
+        header, *rows = [row.split(",") for row in (tmp_path / "sweep" / table).read_text().splitlines()]
+        original, without = rows[: len(rows) // 2], rows[len(rows) // 2 :]
+        assert {row[0] for row in original} == {"scored.jsonl"} and {row[0] for row in without} == {"no_expert.jsonl"}
+        cascade = [i for i, name in enumerate(header) if name.startswith(("system_accuracy_", "cascading_rate_"))]
+        others = [i for i in range(1, len(header)) if i not in cascade]
+        for a, b in zip(original, without):
+            assert [b[i] for i in cascade] == [""] * len(cascade)
+            assert [b[i] for i in others] == [a[i] for i in others]
+    assert all(original[0][i] for i in cascade)  # the original's com row has its cascade cells
+
+
 def test_sweep_draws_each_split_once_per_input(tmp_path, monkeypatch, mixed_file):
     """-r splits per input, however many combinations share them; none when no column is present."""
     src = scored(tmp_path, mixed_file)
@@ -1230,6 +1265,18 @@ def test_sweep_k_falls_back_to_uq_k_samples(tmp_path, mixed_file, config, k):
     out_dir = tmp_path / "sweep"
     assert run(*prefix, "sweep", "-i", src, "--out-dir", out_dir, "-r", 2) == 0
     assert sweep_column(out_dir, "ranking.csv", "k") == k
+
+
+def test_sweep_checks_only_the_k_values_it_uses(tmp_path, mixed_file, capsys):
+    """A config file's uq.k_samples is a k value of sweep only where no --k-values replaces it."""
+    src = scored(tmp_path, mixed_file)
+    config = write_config(tmp_path, {"uq": {"k_samples": 0}})
+    out_dir = tmp_path / "sweep"
+    assert run("--config", config, "sweep", "-i", src, "--out-dir", out_dir, "-r", 2, "--k-values", 5) == 0
+    assert sweep_column(out_dir, "ranking.csv", "k") == ["5"]
+    capsys.readouterr()
+    assert run("--config", config, "sweep", "-i", src, "--out-dir", out_dir, "-r", 2) == 1
+    assert capsys.readouterr().err == "error: k_samples must be positive, got 0\n"
 
 
 def test_seed_flag_beats_config_seed(tmp_path, mixed_file, capsys):

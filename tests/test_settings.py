@@ -151,6 +151,19 @@ def test_every_optional_flag_changes_an_output(tmp_path, monkeypatch, capsys, in
     assert inert == []
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+def test_the_parsed_arguments_hold_only_settings_a_flag_gives(command):
+    """`vars(args)` is what a run used: each flag's value, the command and its `func`, and nothing else but
+    cascade's `fallback_variant`, the config file's variant, which stands behind the artifact's."""
+    parser = cli.build_parser()
+    args = parser.parse_args([a.format(raw="r.jsonl", scored="s.jsonl") if isinstance(a, str) else str(a)
+                              for a in COMMANDS[command]])
+    dests = {action.dest for p in (parser, subparsers(parser)[command]) for action in p._actions
+             if not isinstance(action, argparse._HelpAction)}
+    assert "config" in dests and "command" in dests
+    assert set(vars(args)) == dests | {"func"} | ({"fallback_variant"} if command == "cascade" else set())
+
+
 class Recorder:
     """A loaded config whose every lookup returns a marker naming its key."""
 
