@@ -50,22 +50,22 @@ def _checked_grid(n_samples: int, image_dims: tuple[int, int], patch_size: int) 
     """Grid shape for a cloud of `n_samples` samples, or the reason there is none."""
     if n_samples == 0:
         raise DensityError("need at least one sample")
-    return _grid_shape(image_dims, patch_size)
+    width, height = image_dims  # a [width, height] list is no cache key
+    return _grid_shape(width, height, patch_size)
 
 
 @functools.lru_cache(maxsize=256)
-def _grid_shape(image_dims: tuple[int, int], patch_size: int) -> tuple[int, int]:
-    """(grid_h, grid_w) of an image of (width, height) `image_dims`, or the reason there is none.
+def _grid_shape(width: int, height: int, patch_size: int) -> tuple[int, int]:
+    """(grid_h, grid_w) of a `width` x `height` image, or the reason there is none.
 
-    Cached per (image_dims, patch_size): a workload declares a handful of
-    image sizes, so the per-click path checks each once. A rejected size
+    Cached per (width, height, patch_size): a workload declares a handful
+    of image sizes, so the per-click path checks each once. A rejected size
     raises again on every call, since an error is never cached.
     """
     if patch_size < 1:
         raise DensityError(f"patch_size must be >= 1, got {patch_size}")
-    width, height = image_dims
     if width <= 0 or height <= 0:
-        raise DensityError(f"image dimensions must be positive, got {image_dims}")
+        raise DensityError(f"image dimensions must be positive, got {(width, height)}")
     grid_h, grid_w = math.ceil(height / patch_size), math.ceil(width / patch_size)
     if grid_h * grid_w > _MAX_CELLS:
         raise DensityError(f"a {grid_h}x{grid_w} patch grid is too large to index")
@@ -165,8 +165,8 @@ def occupied_patches(
     for bit. K samples occupy at most K patches, so cost and memory do not
     grow with the image.
     """
-    grid_w, retained = _retained_patches(samples, image_dims, patch_size, 0.0)
-    return grid_w, sorted(retained.items())
+    grid_w, n, counts = _retained_patches(samples, image_dims, patch_size, 0.0)
+    return grid_w, [(cell, count / n) for cell, count in sorted(counts.items())]
 
 
 def sparse_region_scores(
@@ -182,20 +182,22 @@ def sparse_region_scores(
     """
     if not 0.0 <= beta < 1.0:
         raise DensityError(f"beta must lie in [0, 1), got {beta}")
-    grid_w, retained = _retained_patches(samples, image_dims, patch_size, beta)
-    return _ranked_region_scores(retained, grid_w)
+    grid_w, n, retained = _retained_patches(samples, image_dims, patch_size, beta)
+    return _ranked_region_scores(retained, grid_w, n)
 
 
 def _retained_patches(
     samples: Sequence[Point], image_dims: tuple[int, int], patch_size: int, beta: float
-) -> tuple[int, dict[int, float]]:
-    """Grid width, and row-major index -> density of each patch above beta * peak.
+) -> tuple[int, int, dict[int, int]]:
+    """Grid width, sample count n, and row-major index -> count of each patch above beta * peak.
 
-    The densities are `count / n`, as `build_density_map` divides them, and
-    the test is `value > beta * peak`. A sample's patch is `math.floor`'s
-    exact integer, clamped into the grid as `_clamped_floor` clamps it.
-    Checks and errors are those of `build_density_map`, in its order. The
-    coordinates are not tested one by one: `math.floor` rejects a NaN or an
+    A patch's density is `count / n`, as `build_density_map` divides it,
+    and the test is `count / n > beta * peak`. When the smallest count
+    passes, every occupied patch is retained and the binning's own dict is
+    returned; otherwise a dict of the passing counts. A sample's patch is
+    `math.floor`'s exact integer, clamped into the grid as `_clamped_floor`
+    clamps it. Checks and errors are those of `build_density_map`, in its
+    order. The coordinates are not tested one by one: `math.floor` rejects a NaN or an
     infinity itself, and only then does `_check_finite` walk the cloud again,
     so the error is the one a per-sample `math.isfinite` test raises. (A
     Decimal or Fraction beyond the float range, which `math.floor` reads
@@ -222,8 +224,11 @@ def _retained_patches(
         _check_finite(samples)
         raise
     n = len(samples)
-    threshold = beta * (max(counts.values()) / n)  # the peak density, as rounding is monotone
-    return grid_w, {cell: value for cell, count in counts.items() if (value := count / n) > threshold}
+    # the peak density; rounding is monotone, so every patch passes if the smallest does
+    threshold = beta * (max(counts.values()) / n)
+    if min(counts.values()) / n > threshold:
+        return grid_w, n, counts
+    return grid_w, n, {cell: count for cell, count in counts.items() if count / n > threshold}
 
 
 def _check_finite(samples: Sequence[Point]) -> None:
@@ -245,37 +250,36 @@ def _pairwise_mean(values: np.ndarray) -> float:
     return float(np.add.reduce(values)) / values.size
 
 
-def _ranked_region_scores(retained: dict[int, float], grid_w: int) -> tuple[float, ...]:
+def _ranked_region_scores(retained: dict[int, int], grid_w: int, n: int) -> tuple[float, ...]:
     """Mean density of each 4-connected region of `retained`, ranked.
 
-    `retained` maps row-major patch index -> density, and is emptied. An
-    isolated patch scores its own density, since the mean of one value is
-    that value, exactly; only the patches of multi-patch regions are walked.
+    `retained` maps row-major patch index -> sample count, and is emptied;
+    a patch's density `count / n` is divided where it is read. An isolated
+    patch scores its own density, since the mean of one value is that
+    value, exactly; only the patches of multi-patch regions are walked.
     Each region is averaged over its patches in row-major order, as on the
     dense path: left to right below _SEQUENTIAL_SUM_LIMIT patches and by
     `_pairwise_mean` from there (see `region_means`).
     """
     scores = []
-    last_col = grid_w - 1
     while retained:  # the regions come in any order: they are ranked below
-        anchor, value = retained.popitem()
-        col = anchor % grid_w
-        # cells off the top or bottom of the grid are never keys; at the left
-        # edge cell - 1 is the previous row's last patch, at the right edge
-        # cell + 1 the next row's first
+        anchor, count = retained.popitem()
+        # cells off the top or bottom of the grid are never keys; cell - 1 of a
+        # first-column patch is the previous row's last patch and cell + 1 of a
+        # last-column one the next row's first, so such a key sends the patch
+        # to the walk, which finds it alone and scores (0.0 + count / n) / 1
         if (
             anchor - grid_w not in retained
             and anchor + grid_w not in retained
-            and (col == 0 or anchor - 1 not in retained)
-            and (col == last_col or anchor + 1 not in retained)
+            and anchor - 1 not in retained
+            and anchor + 1 not in retained
         ):
-            scores.append(value)
+            scores.append(count / n)
             continue
-        members = [(anchor, value)]
+        members = [(anchor, count)]
         stack = [anchor]
         while stack:  # each neighbour is probed in line: a list or loop per cell costs more
             cell = stack.pop()
-            col = cell % grid_w
             nb = cell - grid_w
             if nb in retained:
                 members.append((nb, retained.pop(nb)))
@@ -285,21 +289,21 @@ def _ranked_region_scores(retained: dict[int, float], grid_w: int) -> tuple[floa
                 members.append((nb, retained.pop(nb)))
                 stack.append(nb)
             nb = cell - 1
-            if col and nb in retained:
+            if nb in retained and cell % grid_w:  # the column only on a hit: not across the row's start
                 members.append((nb, retained.pop(nb)))
                 stack.append(nb)
             nb = cell + 1
-            if col < last_col and nb in retained:
+            if nb in retained and nb % grid_w:  # nor across its end
                 members.append((nb, retained.pop(nb)))
                 stack.append(nb)
         members.sort()
         if len(members) < _SEQUENTIAL_SUM_LIMIT:
             total = 0.0
-            for _, value in members:
-                total += value
+            for _, count in members:
+                total += count / n
             scores.append(total / len(members))
         else:
-            scores.append(_pairwise_mean(np.fromiter((value for _, value in members), float, len(members))))
+            scores.append(_pairwise_mean(np.fromiter((count / n for _, count in members), float, len(members))))
     scores.sort(reverse=True)
     return tuple(scores)
 
@@ -341,7 +345,7 @@ def _batch_patch_cells(
     shapes = {}
     for image_dims in dict.fromkeys(dims):
         try:
-            shapes[image_dims] = _grid_shape(image_dims, patch_size)
+            shapes[image_dims] = _grid_shape(*image_dims, patch_size)
         except DensityError:
             shapes[image_dims] = (0, 0)  # no grid: its clouds are bad below
     grid_h, grid_w = np.array([shapes[d] for d in dims], dtype=np.int64).reshape(-1, 2).T

@@ -966,6 +966,21 @@ def test_the_grid_shape_is_cached_per_image_size_and_a_rejected_size_is_not():
         sparse_region_scores([], (0, 1080), 14, 0.3)
 
 
+def test_a_list_image_size_scores_as_its_tuple_and_a_bad_one_fails_as_its_tuple():
+    """The grid-shape cache is keyed by the unpacked width and height, so a [w, h] list is no key."""
+    cloud = [(3.0, 4.0), (17.0, 4.0), (17.0, 5.0), (20.0, 25.0)]
+    assert sparse_region_scores(cloud, [28, 28], 14, 0.3) == sparse_region_scores(cloud, (28, 28), 14, 0.3)
+    assert density.occupied_patches(cloud, [28, 28], 14) == density.occupied_patches(cloud, (28, 28), 14)
+    assert np.array_equal(build_density_map(cloud, [28, 28], 14).values, build_density_map(cloud, (28, 28), 14).values)
+    bad = (DensityError, "image dimensions must be positive, got (0, 28)")
+    for scorer in (
+        lambda dims: sparse_region_scores(cloud, dims, 14, 0.3),
+        lambda dims: density.occupied_patches(cloud, dims, 14),
+        lambda dims: build_density_map(cloud, dims, 14),
+    ):
+        assert outcome(scorer, [0, 28]) == outcome(scorer, (0, 28)) == bad
+
+
 def test_the_pairwise_mean_equals_ndarray_mean_bit_for_bit():
     """The large-region mean of both paths, against `ndarray.mean`, at every size from 8 to 300."""
     rng = np.random.default_rng(41)
